@@ -63,9 +63,9 @@ pub struct EngineConfig {
     /// Messages each server sends to its ring successor.
     pub msgs_per_sender: u8,
     /// Sabotage knob: decide deliveries with the off-by-one
-    /// `CausalState::can_deliver_weakened` predicate instead of the
-    /// real one. The ground-truth oracle must then report a
-    /// causal-order violation — proving the check can fail.
+    /// `can_deliver_weakened` predicate instead of the real one. The
+    /// ground-truth oracle must then report a causal-order violation —
+    /// proving the check can fail.
     pub weaken_can_deliver: bool,
 }
 
@@ -166,6 +166,23 @@ fn decode(bytes: &[u8], what: &str) -> Result<CausalState, String> {
         )),
         None => Err(format!("{what}: persisted image failed to decode")),
     }
+}
+
+/// A deliberately *wrong* §4.2 delivery predicate, for the sabotage leg:
+/// the FIFO clause is weakened off-by-one (`== DELIV + 1` becomes
+/// `>= DELIV + 1`), admitting a message from `from` before its
+/// predecessor on the same link. The causal-order oracle must catch it.
+fn can_deliver_weakened(st: &CausalState, from: DomainServerId, pending: &PendingStamp) -> bool {
+    let me = st.me().as_usize();
+    let f = from.as_usize();
+    let m = pending.matrix();
+    if m.get(f, me) < st.delivered_from(from).saturating_add(1) {
+        return false;
+    }
+    (0..st.n()).all(|k| {
+        let kid = DomainServerId::new(u16::try_from(k).unwrap_or(u16::MAX));
+        k == f || m.get(k, me) <= st.delivered_from(kid)
+    })
 }
 
 fn encode(st: &CausalState) -> Vec<u8> {
@@ -437,7 +454,7 @@ impl Model for EngineModel {
                     }
                 }
                 let decision = if self.cfg.weaken_can_deliver {
-                    real.can_deliver_weakened(from, &a.pending)
+                    can_deliver_weakened(&real, from, &a.pending)
                 } else {
                     real_ok
                 };

@@ -155,7 +155,7 @@ mod tests {
     #[test]
     fn out_of_scope_files_are_exempt() {
         let w = ws(&[(
-            "crates/net/src/tcp.rs",
+            "crates/net/src/mux.rs",
             "fn on_tick(&mut self) { std::thread::sleep(d); }",
         )]);
         let f = check(&w, &Config::for_aaa_workspace());

@@ -258,7 +258,6 @@ impl<T: Transport> Transport for FaultTransport<T> {
 mod tests {
     use super::*;
     use aaa_net::memory::MemoryNetwork;
-    use std::time::Duration;
 
     fn s(i: u16) -> ServerId {
         ServerId::new(i)
@@ -271,11 +270,9 @@ mod tests {
             .collect()
     }
 
+    /// The memory mesh delivers synchronously: one poll is the verdict.
     fn recv(ep: &FaultTransport<aaa_net::MemoryEndpoint>) -> Option<Incoming> {
-        ep.inner()
-            .recv_timeout(Duration::from_millis(200))
-            .ok()
-            .flatten()
+        ep.poll_recv().ok().flatten()
     }
 
     #[test]

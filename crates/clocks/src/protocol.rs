@@ -204,30 +204,6 @@ impl CausalState {
         dispatch!(self, e => e.can_deliver(from, pending))
     }
 
-    /// A deliberately *wrong* §4.2 delivery predicate, for verification
-    /// sabotage legs only: the FIFO clause is weakened off-by-one
-    /// (`== DELIV + 1` becomes `>= DELIV + 1`), admitting a message from
-    /// `from` before its predecessor on the same link. The model checker
-    /// in `aaa-audit` substitutes this predicate to prove that its
-    /// causal-order oracle actually catches a broken delivery condition;
-    /// production code must never call it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from` is out of range.
-    pub fn can_deliver_weakened(&self, from: DomainServerId, pending: &PendingStamp) -> bool {
-        let me = self.me().as_usize();
-        let f = from.as_usize();
-        let m = pending.matrix();
-        if m.get(f, me) < self.delivered_from(from).saturating_add(1) {
-            return false;
-        }
-        (0..self.n()).all(|k| {
-            let kid = DomainServerId::new(u16::try_from(k).unwrap_or(u16::MAX));
-            k == f || m.get(k, me) <= self.delivered_from(kid)
-        })
-    }
-
     /// Captures the protocol-relevant state projection every engine must
     /// agree on: the `SENT` matrix plus the per-sender delivery counters.
     /// Used by the `aaa-audit` model checker for lock-step equivalence

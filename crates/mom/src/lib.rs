@@ -27,8 +27,7 @@
 //!   server ([`RuntimeKind::Threaded`]) or N event-loop shards driving
 //!   every server over a fixed worker pool
 //!   ([`RuntimeKind::Evented`]), both over a pluggable byte transport
-//!   (in-memory, pairwise TCP, or shard-multiplexed TCP; see
-//!   [`NetConfig`]).
+//!   (in-memory or shard-multiplexed TCP; see [`NetConfig`]).
 //!
 //! # Example: causal ping-pong across domains
 //!

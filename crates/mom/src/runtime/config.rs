@@ -170,12 +170,9 @@ impl RuntimeConfig {
 pub enum TransportKind {
     /// In-process FIFO channels (default; fastest, test-friendly).
     Memory,
-    /// Localhost TCP, one socket pair per server pair — the paper's
-    /// deployment shape.
-    Tcp,
     /// Localhost TCP multiplexed over one socket per event-loop shard:
     /// many logical links per socket, per-link FIFO preserved. The
-    /// C10K-friendly wire substrate.
+    /// threaded runtime uses a single shard.
     MuxTcp,
 }
 
@@ -184,7 +181,7 @@ pub enum TransportKind {
 pub struct NetConfig {
     /// The byte substrate (default: [`TransportKind::Memory`]).
     pub transport: TransportKind,
-    /// Outbound connect timeout for TCP substrates (default: 2 s).
+    /// Outbound connect timeout of the TCP substrate (default: 2 s).
     pub connect_timeout: Duration,
     /// Group-commit batching policy for outgoing link frames.
     ///
@@ -210,18 +207,9 @@ impl NetConfig {
     pub fn memory() -> NetConfig {
         NetConfig {
             transport: TransportKind::Memory,
-            connect_timeout: aaa_net::tcp::DEFAULT_CONNECT_TIMEOUT,
+            connect_timeout: aaa_net::MuxTcpNetwork::DEFAULT_CONNECT_TIMEOUT,
             batch: BatchPolicy::default(),
             rto: ServerConfig::default().rto,
-        }
-    }
-
-    /// The pairwise localhost TCP mesh.
-    #[must_use]
-    pub fn tcp() -> NetConfig {
-        NetConfig {
-            transport: TransportKind::Tcp,
-            ..NetConfig::memory()
         }
     }
 

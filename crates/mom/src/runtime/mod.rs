@@ -43,7 +43,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use aaa_base::{AgentId, Error, MessageId, Result, ServerId};
-use aaa_net::{MemoryNetwork, MuxTcpNetwork, TcpNetwork};
+use aaa_net::{MemoryNetwork, MuxTcpNetwork};
 use aaa_obs::{LatencyTracker, Meter, MetricsServer, MetricsSnapshot, Registry};
 use aaa_storage::{MemoryStore, StableStore};
 use aaa_topology::{Topology, TopologySpec};
@@ -61,8 +61,7 @@ use evented::EventedPool;
 
 /// The byte-transport abstraction, re-exported from `aaa-net` where it
 /// lives beside the endpoint types that implement it ([`aaa_net::memory`],
-/// [`aaa_net::tcp`], [`aaa_net::mux`]). Select between them with
-/// [`NetConfig::transport`].
+/// [`aaa_net::mux`]). Select between them with [`NetConfig::transport`].
 pub use aaa_net::Transport;
 
 /// Maximum datagrams one step loop iteration drains from the transport
@@ -349,12 +348,6 @@ impl MomBuilder {
                     .into_iter()
                     .map(|e| Box::new(e) as Box<dyn Transport>)
                     .collect(),
-                TransportKind::Tcp => {
-                    TcpNetwork::create_with_connect_timeout(n, self.net.connect_timeout)?
-                        .into_iter()
-                        .map(|e| Box::new(e) as Box<dyn Transport>)
-                        .collect()
-                }
                 TransportKind::MuxTcp => {
                     let shards = self.runtime.kind.worker_count().unwrap_or(1).clamp(1, n);
                     MuxTcpNetwork::create_with_connect_timeout(n, shards, self.net.connect_timeout)?

@@ -279,29 +279,34 @@ fn persistence_accounting_is_visible() {
 }
 
 #[test]
-fn tcp_transport_end_to_end() {
-    // The same bus over localhost TCP: cross-domain traffic, causal trace.
-    let mom = MomBuilder::new(TopologySpec::bus(2, 3))
-        .net(NetConfig::tcp())
-        .build()
-        .unwrap();
-    for s in 0..6 {
-        mom.register_agent(sid(s), 1, Box::new(EchoAgent)).unwrap();
-    }
-    for i in 0..10u16 {
-        let from = i % 6;
-        let to = (i + 3) % 6;
-        mom.send(aid(from, 9), aid(to, 1), Notification::signal("tcp"))
+fn mux_tcp_transport_end_to_end_on_both_runtimes() {
+    // The same bus over localhost TCP (one shard under the threaded
+    // runtime, two under the evented one): cross-domain traffic, causal
+    // trace.
+    for runtime in [RuntimeConfig::threaded(), RuntimeConfig::evented(2)] {
+        let mom = MomBuilder::new(TopologySpec::bus(2, 3))
+            .runtime(runtime.clone())
+            .net(NetConfig::mux_tcp())
+            .build()
             .unwrap();
+        for s in 0..6 {
+            mom.register_agent(sid(s), 1, Box::new(EchoAgent)).unwrap();
+        }
+        for i in 0..10u16 {
+            let from = i % 6;
+            let to = (i + 3) % 6;
+            mom.send(aid(from, 9), aid(to, 1), Notification::signal("tcp"))
+                .unwrap();
+        }
+        assert!(
+            mom.quiesce(Duration::from_secs(30)),
+            "tcp bus should quiesce on {runtime:?}"
+        );
+        let trace = mom.trace().unwrap();
+        assert_eq!(trace.message_count(), 20, "{runtime:?}");
+        assert!(trace.check_causality().is_ok(), "{runtime:?}");
+        mom.shutdown();
     }
-    assert!(
-        mom.quiesce(Duration::from_secs(30)),
-        "tcp bus should quiesce"
-    );
-    let trace = mom.trace().unwrap();
-    assert_eq!(trace.message_count(), 20);
-    assert!(trace.check_causality().is_ok());
-    mom.shutdown();
 }
 
 #[test]

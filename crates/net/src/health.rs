@@ -15,14 +15,12 @@
 //! | name | kind | meaning |
 //! |---|---|---|
 //! | `aaa_net_peer_state` | gauge | 0=down, 1=suspect, 2=up |
-//! | `aaa_net_send_retries_total` | counter | send attempts beyond the first |
-//! | `aaa_net_backoff_ms` | histogram | backoff slept before a retry |
 //! | `aaa_net_peer_recoveries_total` | counter | down→up transitions observed |
 
 use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
 
 use aaa_base::ServerId;
-use aaa_obs::{Counter, Gauge, Histogram, Meter};
+use aaa_obs::{Counter, Gauge, Meter};
 
 /// Consecutive failures after which a peer becomes [`PeerState::Suspect`].
 pub const SUSPECT_AFTER: u32 = 1;
@@ -65,9 +63,7 @@ struct PeerSlot {
 
 struct HealthInstruments {
     state: Vec<Gauge>,
-    retries: Vec<Counter>,
     recoveries: Vec<Counter>,
-    backoff_ms: Histogram,
 }
 
 impl std::fmt::Debug for HealthInstruments {
@@ -109,9 +105,9 @@ impl PeerHealth {
         self.slots.len()
     }
 
-    /// Mints the `aaa_net_peer_state` / `aaa_net_send_retries_total` /
-    /// `aaa_net_backoff_ms` / `aaa_net_peer_recoveries_total` instruments
-    /// on `meter` (one labelled series per peer) and starts updating them.
+    /// Mints the `aaa_net_peer_state` / `aaa_net_peer_recoveries_total`
+    /// instruments on `meter` (one labelled series per peer) and starts
+    /// updating them.
     pub fn attach_meter(&mut self, meter: &Meter) {
         let state: Vec<Gauge> = (0..self.slots.len())
             .map(|p| {
@@ -124,15 +120,6 @@ impl PeerHealth {
         for (g, slot) in state.iter().zip(&self.slots) {
             g.set(i64::from(slot.state.load(Ordering::Relaxed)));
         }
-        let retries = (0..self.slots.len())
-            .map(|p| {
-                meter.counter_with(
-                    "aaa_net_send_retries_total",
-                    "Transport send attempts beyond the first, per peer",
-                    &[("peer", p.to_string())],
-                )
-            })
-            .collect();
         let recoveries = (0..self.slots.len())
             .map(|p| {
                 meter.counter_with(
@@ -142,17 +129,7 @@ impl PeerHealth {
                 )
             })
             .collect();
-        let backoff_ms = meter.histogram(
-            "aaa_net_backoff_ms",
-            "Milliseconds of backoff slept before a send retry",
-            &[1, 2, 5, 10, 20, 40, 80],
-        );
-        self.instruments = Some(HealthInstruments {
-            state,
-            retries,
-            recoveries,
-            backoff_ms,
-        });
+        self.instruments = Some(HealthInstruments { state, recoveries });
     }
 
     /// Current verdict for `peer`. Unknown peers read as [`PeerState::Up`]
@@ -220,18 +197,6 @@ impl PeerHealth {
         next
     }
 
-    /// Records one retry attempt toward `peer` that slept `backoff_ms`
-    /// before retransmitting (feeds `aaa_net_send_retries_total` and
-    /// `aaa_net_backoff_ms`).
-    pub fn on_retry(&self, peer: ServerId, backoff_ms: u64) {
-        if let Some(ins) = &self.instruments {
-            if let Some(c) = ins.retries.get(peer.as_usize()) {
-                c.inc();
-            }
-            ins.backoff_ms.observe(backoff_ms);
-        }
-    }
-
     fn export_state(&self, peer: ServerId, state: PeerState) {
         if let Some(ins) = &self.instruments {
             if let Some(g) = ins.state.get(peer.as_usize()) {
@@ -241,12 +206,13 @@ impl PeerHealth {
     }
 }
 
-/// Deterministic backoff schedule for send retries: capped exponential
-/// with a small deterministic "jitter" derived from `(me, to, attempt)` —
-/// no wall clock, no OS entropy, so chaos tests replay identically.
+/// Deterministic backoff schedule for retries (the relay's redelivery
+/// timer in `aaa-mom` paces itself with it): capped exponential with a
+/// small deterministic "jitter" derived from `(me, to, attempt)` — no
+/// wall clock, no OS entropy, so chaos tests replay identically.
 ///
 /// `attempt` is 1-based (the first *retry* is attempt 1). Returns the
-/// number of milliseconds to sleep before that retry.
+/// number of milliseconds to wait before that retry.
 #[must_use]
 pub fn retry_backoff_ms(me: ServerId, to: ServerId, attempt: u32) -> u64 {
     const BASE_MS: u64 = 5;
@@ -304,7 +270,6 @@ mod tests {
             registry.snapshot().gauge("aaa_net_peer_state", &labels),
             Some(0)
         );
-        h.on_retry(p, 7);
         h.on_success(p);
         let snap = registry.snapshot();
         assert_eq!(snap.gauge("aaa_net_peer_state", &labels), Some(2));
@@ -312,7 +277,6 @@ mod tests {
             snap.counter("aaa_net_peer_recoveries_total", &labels),
             Some(1)
         );
-        assert_eq!(snap.counter("aaa_net_send_retries_total", &labels), Some(1));
     }
 
     #[test]
@@ -322,7 +286,6 @@ mod tests {
         assert_eq!(h.state(ghost), PeerState::Up);
         assert_eq!(h.on_failure(ghost), PeerState::Up);
         h.on_success(ghost);
-        h.on_retry(ghost, 1);
     }
 
     #[test]

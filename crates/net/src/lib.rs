@@ -19,10 +19,10 @@
 //!   reorder buffering. Both the threaded runtime and the discrete-event
 //!   simulator drive these same state machines;
 //! - [`memory`] — an in-process transport ([`MemoryNetwork`]) connecting a
-//!   set of servers with FIFO byte channels, used by the threaded runtime;
-//! - [`mux`] — connection multiplexing for the evented runtime: many
-//!   logical links per TCP socket ([`MuxTcpNetwork`] binds one listener
-//!   per event-loop shard), per-link FIFO preserved;
+//!   set of servers with FIFO byte channels;
+//! - [`mux`] — the TCP transport: many logical links per localhost socket
+//!   ([`MuxTcpNetwork`] binds one listener per event-loop shard; the
+//!   threaded runtime uses one shard), per-link FIFO preserved;
 //! - [`decode`] — zero-copy incremental frame decoding ([`FrameBuf`]):
 //!   payloads borrow from the recv buffer instead of allocating per
 //!   datagram;
@@ -63,7 +63,6 @@ pub mod link;
 pub mod memory;
 pub mod metrics;
 pub mod mux;
-pub mod tcp;
 pub mod transport;
 pub mod wire;
 
@@ -74,5 +73,4 @@ pub use link::{BatchPolicy, Datagram, LinkFrame, LinkReceiver, LinkSender};
 pub use memory::{Incoming, MemoryEndpoint, MemoryNetwork};
 pub use metrics::NetMetrics;
 pub use mux::{MuxTcpEndpoint, MuxTcpNetwork};
-pub use tcp::{TcpEndpoint, TcpNetwork};
 pub use transport::{NotifySlot, ReadyMailbox, ReadyNotifier, Transport};

@@ -10,11 +10,11 @@
 use aaa_base::{Error, Result, ServerId};
 use aaa_obs::Meter;
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 
 use crate::metrics::NetMetrics;
-use crate::transport::{NotifySlot, ReadyNotifier};
+use crate::transport::{NotifySlot, ReadyNotifier, Transport};
 
 /// A datagram tagged with its sender.
 #[derive(Debug, Clone)]
@@ -37,46 +37,14 @@ pub struct MemoryEndpoint {
     metrics: Option<NetMetrics>,
 }
 
-impl MemoryEndpoint {
-    /// This endpoint's server id.
-    pub fn me(&self) -> ServerId {
+impl Transport for MemoryEndpoint {
+    fn me(&self) -> ServerId {
         self.me
     }
 
-    /// Attaches a metrics meter; subsequent traffic updates the
-    /// `aaa_net_tx_*`/`aaa_net_rx_*` per-peer counters in the meter's
-    /// registry. Without a meter (the default) traffic is uncounted and
-    /// costs one branch per frame.
-    pub fn attach_meter(&mut self, meter: &Meter) {
-        self.metrics = Some(NetMetrics::new(meter, self.peers.len()));
-    }
-
-    /// Records one received frame of `len` payload bytes from `from`.
-    ///
-    /// [`MemoryEndpoint::recv_timeout`] and [`MemoryEndpoint::try_recv`]
-    /// call this internally; runtimes draining [`inbox_receiver`]
-    /// directly (for example through `crossbeam::select!`) should call it
-    /// per drained frame so receive counters stay accurate.
-    ///
-    /// [`inbox_receiver`]: MemoryEndpoint::inbox_receiver
-    pub fn record_rx(&self, from: ServerId, len: usize) {
-        if let Some(m) = &self.metrics {
-            m.on_rx(from, len);
-        }
-    }
-
-    /// Number of servers on the network.
-    pub fn peer_count(&self) -> usize {
-        self.peers.len()
-    }
-
-    /// Sends `bytes` to `to`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownServer`] if `to` is not on the network, or
-    /// [`Error::Closed`] if the peer's endpoint has been dropped.
-    pub fn send(&self, to: ServerId, bytes: Bytes) -> Result<()> {
+    /// Fails with [`Error::UnknownServer`] if `to` is not on the network,
+    /// or [`Error::Closed`] if the peer's endpoint has been dropped.
+    fn send(&self, to: ServerId, bytes: Bytes) -> Result<()> {
         let tx = self
             .peers
             .get(to.as_usize())
@@ -96,53 +64,30 @@ impl MemoryEndpoint {
         Ok(())
     }
 
-    /// Installs this endpoint's readiness notifier (see
-    /// [`crate::Transport::set_ready_notifier`] for the contract).
-    pub fn set_ready_notifier(&mut self, notifier: ReadyNotifier) {
+    fn poll_recv(&self) -> Result<Option<Incoming>> {
+        match self.inbox.try_recv() {
+            Ok(msg) => {
+                if let Some(m) = &self.metrics {
+                    m.on_rx(msg.from, msg.bytes.len());
+                }
+                Ok(Some(msg))
+            }
+            Err(TryRecvError::Empty) => Ok(None),
+            Err(TryRecvError::Disconnected) => Err(Error::Closed("network")),
+        }
+    }
+
+    fn set_ready_notifier(&mut self, notifier: ReadyNotifier) {
         if let Some(slot) = self.notifiers.get(self.me.as_usize()) {
             slot.set(notifier);
         }
     }
 
-    /// Receives the next datagram, blocking up to `timeout`.
-    ///
-    /// Returns `Ok(None)` on timeout.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Closed`] if every sender to this endpoint has been
-    /// dropped (the network is shutting down).
-    pub fn recv_timeout(&self, timeout: std::time::Duration) -> Result<Option<Incoming>> {
-        match self.inbox.recv_timeout(timeout) {
-            Ok(msg) => {
-                self.record_rx(msg.from, msg.bytes.len());
-                Ok(Some(msg))
-            }
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => Err(Error::Closed("network")),
-        }
-    }
-
-    /// The raw inbox receiver, for use with `crossbeam::select!` in
-    /// runtimes multiplexing the network with command channels.
-    pub fn inbox_receiver(&self) -> &Receiver<Incoming> {
-        &self.inbox
-    }
-
-    /// Receives without blocking; `Ok(None)` if the inbox is empty.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Closed`] if the network is shutting down.
-    pub fn try_recv(&self) -> Result<Option<Incoming>> {
-        match self.inbox.try_recv() {
-            Ok(msg) => {
-                self.record_rx(msg.from, msg.bytes.len());
-                Ok(Some(msg))
-            }
-            Err(crossbeam::channel::TryRecvError::Empty) => Ok(None),
-            Err(crossbeam::channel::TryRecvError::Disconnected) => Err(Error::Closed("network")),
-        }
+    /// Subsequent traffic updates the `aaa_net_tx_*`/`aaa_net_rx_*`
+    /// per-peer counters in the meter's registry. Without a meter (the
+    /// default) traffic is uncounted and costs one branch per frame.
+    fn attach_meter(&mut self, meter: &Meter) {
+        self.metrics = Some(NetMetrics::new(meter, self.peers.len()));
     }
 }
 
@@ -188,7 +133,6 @@ impl MemoryNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn point_to_point() {
@@ -196,14 +140,10 @@ mod tests {
         eps[0]
             .send(ServerId::new(2), Bytes::from_static(b"hi"))
             .unwrap();
-        let got = eps[2]
-            .recv_timeout(Duration::from_secs(1))
-            .unwrap()
-            .expect("message should arrive");
+        let got = eps[2].poll_recv().unwrap().expect("message should arrive");
         assert_eq!(got.from, ServerId::new(0));
         assert_eq!(&got.bytes[..], b"hi");
         assert_eq!(eps[0].me(), ServerId::new(0));
-        assert_eq!(eps[0].peer_count(), 3);
     }
 
     #[test]
@@ -215,10 +155,10 @@ mod tests {
                 .unwrap();
         }
         for i in 0..100u32 {
-            let got = eps[1].try_recv().unwrap().expect("queued");
+            let got = eps[1].poll_recv().unwrap().expect("queued");
             assert_eq!(got.bytes[..], i.to_le_bytes());
         }
-        assert!(eps[1].try_recv().unwrap().is_none());
+        assert!(eps[1].poll_recv().unwrap().is_none());
     }
 
     #[test]
@@ -231,22 +171,13 @@ mod tests {
     }
 
     #[test]
-    fn timeout_returns_none() {
-        let eps = MemoryNetwork::create(2);
-        assert!(eps[1]
-            .recv_timeout(Duration::from_millis(10))
-            .unwrap()
-            .is_none());
-    }
-
-    #[test]
     fn self_send_works() {
         // The channel may loop a frame to itself (degenerate but legal).
         let eps = MemoryNetwork::create(1);
         eps[0]
             .send(ServerId::new(0), Bytes::from_static(b"x"))
             .unwrap();
-        assert!(eps[0].try_recv().unwrap().is_some());
+        assert!(eps[0].poll_recv().unwrap().is_some());
     }
 
     #[test]
@@ -261,12 +192,9 @@ mod tests {
         });
         let mut got = 0;
         while got < 50 {
-            if eps[1]
-                .recv_timeout(Duration::from_secs(1))
-                .unwrap()
-                .is_some()
-            {
-                got += 1;
+            match eps[1].poll_recv().unwrap() {
+                Some(_) => got += 1,
+                None => std::thread::yield_now(),
             }
         }
         handle.join().unwrap();

@@ -1,8 +1,8 @@
 //! Per-link traffic instruments shared by both transports.
 //!
 //! [`NetMetrics`] is the optional metric bundle of a transport endpoint
-//! ([`crate::MemoryEndpoint`], [`crate::TcpEndpoint`]): frames and payload
-//! bytes per direction and peer, plus TCP reconnects. Counters are minted
+//! ([`crate::MemoryEndpoint`], [`crate::MuxTcpEndpoint`]): frames and
+//! payload bytes per direction and peer. Counters are minted
 //! eagerly for every peer when a meter is attached — the hot path indexes a
 //! `Vec` and performs one relaxed atomic add, no lock, no map lookup.
 //!
@@ -15,7 +15,6 @@
 //! | `aaa_net_tx_bytes_total` | counter | payload bytes |
 //! | `aaa_net_rx_frames_total` | counter | transport frames |
 //! | `aaa_net_rx_bytes_total` | counter | payload bytes |
-//! | `aaa_net_reconnects_total` | counter | re-established connections |
 
 use aaa_base::ServerId;
 use aaa_obs::{Counter, Meter};
@@ -27,8 +26,6 @@ pub struct NetMetrics {
     tx_bytes: Vec<Counter>,
     rx_frames: Vec<Counter>,
     rx_bytes: Vec<Counter>,
-    /// Only minted for connection-oriented transports (TCP).
-    reconnects: Option<Vec<Counter>>,
 }
 
 fn per_peer(meter: &Meter, peers: usize, name: &'static str, help: &'static str) -> Vec<Counter> {
@@ -65,21 +62,7 @@ impl NetMetrics {
                 "aaa_net_rx_bytes_total",
                 "Transport payload bytes received from a peer",
             ),
-            reconnects: None,
         }
-    }
-
-    /// Like [`NetMetrics::new`], additionally minting reconnect counters
-    /// (for connection-oriented transports).
-    pub fn with_reconnects(meter: &Meter, peers: usize) -> Self {
-        let mut m = NetMetrics::new(meter, peers);
-        m.reconnects = Some(per_peer(
-            meter,
-            peers,
-            "aaa_net_reconnects_total",
-            "TCP connections re-established to a peer after a failure",
-        ));
-        m
     }
 
     /// Records one frame of `len` payload bytes sent to `peer`.
@@ -97,15 +80,6 @@ impl NetMetrics {
             self.rx_bytes[peer.as_usize()].add(len as u64);
         }
     }
-
-    /// Records one re-established connection to `peer`.
-    pub fn on_reconnect(&self, peer: ServerId) {
-        if let Some(rc) = &self.reconnects {
-            if let Some(c) = rc.get(peer.as_usize()) {
-                c.inc();
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -117,36 +91,21 @@ mod tests {
     fn counters_index_by_peer() {
         let registry = Registry::new();
         let meter = Meter::new(&registry).with_label("server", "0");
-        let m = NetMetrics::with_reconnects(&meter, 2);
+        let m = NetMetrics::new(&meter, 2);
         m.on_tx(ServerId::new(1), 10);
         m.on_tx(ServerId::new(1), 5);
         m.on_rx(ServerId::new(0), 7);
-        m.on_reconnect(ServerId::new(1));
         // Out-of-range peers are ignored, not panicked on.
         m.on_tx(ServerId::new(9), 1);
-        m.on_reconnect(ServerId::new(9));
 
         let snap = registry.snapshot();
         let labels = [("server", "0"), ("peer", "1")];
         assert_eq!(snap.counter("aaa_net_tx_frames_total", &labels), Some(2));
         assert_eq!(snap.counter("aaa_net_tx_bytes_total", &labels), Some(15));
-        assert_eq!(snap.counter("aaa_net_reconnects_total", &labels), Some(1));
         assert_eq!(
             snap.counter("aaa_net_rx_bytes_total", &[("server", "0"), ("peer", "0")]),
             Some(7)
         );
         assert_eq!(snap.sum_counter("aaa_net_tx_frames_total"), 2);
-    }
-
-    #[test]
-    fn reconnects_absent_without_flag() {
-        let registry = Registry::new();
-        let meter = Meter::new(&registry);
-        let m = NetMetrics::new(&meter, 2);
-        m.on_reconnect(ServerId::new(0));
-        assert!(registry
-            .snapshot()
-            .family("aaa_net_reconnects_total")
-            .is_none());
     }
 }

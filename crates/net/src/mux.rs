@@ -1,17 +1,20 @@
 //! Connection-multiplexed TCP: many logical links per socket.
 //!
-//! [`crate::TcpNetwork`] meshes `n` servers with up to `n²` sockets — the
-//! paper's one-JVM-per-server shape. At C10K scale that is untenable: a
-//! bus(32,32) topology would need ~a million potential connections. A
+//! The TCP transport. The paper's one-JVM-per-server shape meshes `n`
+//! servers with up to `n²` sockets; at C10K scale that is untenable (a
+//! bus(32,32) topology would need ~a million potential connections). A
 //! [`MuxTcpNetwork`] instead binds **one listener per event-loop shard**
 //! and carries every logical link `(x → y)` over the single shared socket
-//! to `y`'s shard: `n²` logical links over `O(shards)` sockets.
+//! to `y`'s shard: `n²` logical links over `O(shards)` sockets. With one
+//! shard (the threaded runtime) it is plain localhost TCP.
 //!
 //! Wire format per frame: `u16` source server, `u16` destination server,
-//! `u32` payload length (all little-endian), payload bytes. The extra
-//! destination field (vs the plain TCP transport's 6-byte header) is what
-//! lets one socket serve every server on a shard — the shard reader
-//! demultiplexes by destination into per-server inboxes.
+//! `u32` payload length (all little-endian), payload bytes. The
+//! destination field is what lets one socket serve every server on a
+//! shard — the shard reader demultiplexes by destination into per-server
+//! inboxes. A payload over 64 MiB (`MAX_FRAME`) is refused by the
+//! sender: the reader cannot tell it from a corrupt stream and would drop
+//! the socket every other logical link to that shard shares.
 //!
 //! **Per-link FIFO** holds because each logical link's frames always
 //! travel the same socket (writes serialized under the per-socket lock,
@@ -22,10 +25,9 @@
 //! shared views into one buffer per read burst, not per-datagram
 //! allocations.
 //!
-//! Unlike [`crate::TcpEndpoint`], sends never sleep between retries —
-//! mux endpoints are driven from event-loop shards where blocking is
-//! banned — so a failed write surfaces immediately as packet loss and
-//! the link layer retransmits.
+//! Sends never sleep or retry — endpoints are driven from event-loop
+//! shards where blocking is banned — so a failed write surfaces
+//! immediately as packet loss and the link layer retransmits.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -36,19 +38,20 @@ use std::time::Duration;
 use aaa_base::{Error, Result, ServerId};
 use aaa_obs::Meter;
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use parking_lot::Mutex;
 
 use crate::decode::FrameBuf;
 use crate::health::{PeerHealth, PeerState};
 use crate::memory::Incoming;
 use crate::metrics::NetMetrics;
-use crate::transport::{NotifySlot, ReadyNotifier};
+use crate::transport::{NotifySlot, ReadyNotifier, Transport};
 
 /// Mux frame header: source `u16`, destination `u16`, length `u32`.
 const HEADER_LEN: usize = 8;
 
-/// Absurd-frame cutoff; a corrupt stream drops the connection.
+/// Largest payload a frame may carry. The reader treats a longer length
+/// prefix as a corrupt stream and drops the connection.
 const MAX_FRAME: usize = 64 << 20;
 
 fn io_err(context: &str, e: std::io::Error) -> Error {
@@ -136,49 +139,21 @@ pub struct MuxTcpEndpoint {
 }
 
 impl MuxTcpEndpoint {
-    /// This endpoint's server id.
-    pub fn me(&self) -> ServerId {
-        self.me
-    }
-
-    /// Number of servers on the mesh.
-    pub fn peer_count(&self) -> usize {
-        self.shared.inboxes.len()
-    }
-
-    /// Number of event-loop shards (and sockets) the mesh multiplexes
-    /// onto.
-    pub fn shard_count(&self) -> usize {
-        self.shared.shards
-    }
-
-    /// Attaches a metrics meter; subsequent traffic updates the
-    /// `aaa_net_tx_*`/`aaa_net_rx_*` per-peer counters.
-    pub fn attach_meter(&mut self, meter: &Meter) {
-        self.metrics = Some(NetMetrics::new(meter, self.shared.inboxes.len()));
-    }
-
-    /// Failure-detector verdict for `to` (shared across the mesh: the
-    /// socket to a shard is shared, so is the evidence about its peers).
-    pub fn peer_state(&self, to: ServerId) -> PeerState {
-        self.shared.health.state(to)
-    }
-
-    /// Installs this endpoint's readiness notifier (see
-    /// [`crate::Transport::set_ready_notifier`] for the contract).
-    pub fn set_ready_notifier(&mut self, notifier: ReadyNotifier) {
-        if let Some(slot) = self.shared.notify.get(self.me.as_usize()) {
-            slot.set(notifier);
+    /// Appends one framed packet to `out`, refusing a payload the reader
+    /// would reject (see [`MAX_FRAME`]).
+    fn frame_into(&self, out: &mut Vec<u8>, to: ServerId, bytes: &[u8]) -> Result<()> {
+        if bytes.len() > MAX_FRAME {
+            return Err(Error::Codec(format!(
+                "mux frame of {} bytes exceeds the {MAX_FRAME}-byte limit",
+                bytes.len()
+            )));
         }
-    }
-
-    fn frame_into(&self, out: &mut Vec<u8>, to: ServerId, bytes: &[u8]) {
         out.extend_from_slice(&self.me.as_u16().to_le_bytes());
         out.extend_from_slice(&to.as_u16().to_le_bytes());
-        // Saturating length prefix: the reader rejects it as absurd
-        // instead of silently truncating via `as u32` wraparound.
+        // Cannot saturate: MAX_FRAME fits a u32.
         out.extend_from_slice(&u32::try_from(bytes.len()).unwrap_or(u32::MAX).to_le_bytes());
         out.extend_from_slice(bytes);
+        Ok(())
     }
 
     fn write_framed(&self, to: ServerId, buf: &[u8]) -> Result<()> {
@@ -197,37 +172,32 @@ impl MuxTcpEndpoint {
             }
         }
     }
+}
 
-    /// Sends `bytes` to `to` over the destination shard's shared socket.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownServer`] for an unknown peer, or a
-    /// transport error on connect/write failure (one attempt, no backoff
-    /// sleep — callers rely on link-layer retransmission).
-    pub fn send(&self, to: ServerId, bytes: Bytes) -> Result<()> {
-        let mut buf = Vec::with_capacity(HEADER_LEN + bytes.len());
-        self.frame_into(&mut buf, to, &bytes);
-        self.write_framed(to, &buf)?;
-        if let Some(m) = &self.metrics {
-            m.on_tx(to, bytes.len());
-        }
-        Ok(())
+impl Transport for MuxTcpEndpoint {
+    fn me(&self) -> ServerId {
+        self.me
     }
 
-    /// Sends several packets to `to` as one buffered socket write.
-    ///
-    /// # Errors
-    ///
-    /// As for [`MuxTcpEndpoint::send`].
-    pub fn send_batch(&self, to: ServerId, batch: &[Bytes]) -> Result<()> {
+    /// Fails with [`Error::UnknownServer`] for an unknown peer,
+    /// [`Error::Codec`] for a payload over the frame limit (nothing is
+    /// written), or a transport error on connect/write failure (one
+    /// attempt, no backoff sleep — callers rely on link-layer
+    /// retransmission).
+    fn send(&self, to: ServerId, bytes: Bytes) -> Result<()> {
+        self.send_batch(to, std::slice::from_ref(&bytes))
+    }
+
+    /// One buffered socket write for the whole batch; errors as for
+    /// `send`.
+    fn send_batch(&self, to: ServerId, batch: &[Bytes]) -> Result<()> {
         if batch.is_empty() {
             return Ok(());
         }
         let total: usize = batch.iter().map(|b| HEADER_LEN + b.len()).sum();
         let mut buf = Vec::with_capacity(total);
         for bytes in batch {
-            self.frame_into(&mut buf, to, bytes);
+            self.frame_into(&mut buf, to, bytes)?;
         }
         self.write_framed(to, &buf)?;
         if let Some(m) = &self.metrics {
@@ -238,12 +208,7 @@ impl MuxTcpEndpoint {
         Ok(())
     }
 
-    /// Receives without blocking; `Ok(None)` if the inbox is empty.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Closed`] once the mesh has shut down.
-    pub fn try_recv(&self) -> Result<Option<Incoming>> {
+    fn poll_recv(&self) -> Result<Option<Incoming>> {
         match self.inbox.try_recv() {
             Ok(msg) => {
                 if let Some(m) = &self.metrics {
@@ -251,32 +216,27 @@ impl MuxTcpEndpoint {
                 }
                 Ok(Some(msg))
             }
-            Err(crossbeam::channel::TryRecvError::Empty) => Ok(None),
-            Err(crossbeam::channel::TryRecvError::Disconnected) => {
-                Err(Error::Closed("mux endpoint"))
-            }
+            Err(TryRecvError::Empty) => Ok(None),
+            Err(TryRecvError::Disconnected) => Err(Error::Closed("mux endpoint")),
         }
     }
 
-    /// Receives the next frame, blocking up to `timeout`; `Ok(None)` on
-    /// timeout. Test convenience — runtimes use the readiness contract.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Closed`] once the mesh has shut down.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<Option<Incoming>> {
-        match self.inbox.recv_timeout(timeout) {
-            Ok(msg) => {
-                if let Some(m) = &self.metrics {
-                    m.on_rx(msg.from, msg.bytes.len());
-                }
-                Ok(Some(msg))
-            }
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => Ok(None),
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                Err(Error::Closed("mux endpoint"))
-            }
+    fn set_ready_notifier(&mut self, notifier: ReadyNotifier) {
+        if let Some(slot) = self.shared.notify.get(self.me.as_usize()) {
+            slot.set(notifier);
         }
+    }
+
+    /// Subsequent traffic updates the `aaa_net_tx_*`/`aaa_net_rx_*`
+    /// per-peer counters.
+    fn attach_meter(&mut self, meter: &Meter) {
+        self.metrics = Some(NetMetrics::new(meter, self.shared.inboxes.len()));
+    }
+
+    /// Shared across the mesh: the socket to a shard is shared, so is the
+    /// evidence about its peers.
+    fn peer_state(&self, to: ServerId) -> PeerState {
+        self.shared.health.state(to)
     }
 }
 
@@ -298,8 +258,8 @@ impl Drop for MuxTcpEndpoint {
 pub struct MuxTcpNetwork;
 
 impl MuxTcpNetwork {
-    /// Default outbound connect timeout (matches the plain TCP mesh).
-    pub const DEFAULT_CONNECT_TIMEOUT: Duration = crate::tcp::DEFAULT_CONNECT_TIMEOUT;
+    /// Default outbound connect timeout.
+    pub const DEFAULT_CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
 
     /// Creates endpoints for servers `0..n`, multiplexed over `shards`
     /// listener sockets (server `i` lives on shard `i % shards`).
@@ -465,21 +425,21 @@ fn shard_reader_loop(stream: TcpStream, shared: &MuxShared) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::poll_until;
+    use std::time::Instant;
 
     fn s(i: u16) -> ServerId {
         ServerId::new(i)
     }
 
     fn recv(ep: &MuxTcpEndpoint) -> Incoming {
-        ep.recv_timeout(Duration::from_secs(5))
-            .unwrap()
-            .expect("frame arrives")
+        poll_until(ep, Duration::from_secs(5))
     }
 
     #[test]
     fn point_to_point_across_shards() {
         let eps = MuxTcpNetwork::create(4, 2).unwrap();
-        assert_eq!(eps[0].shard_count(), 2);
+        assert_eq!(eps[0].shared.shards, 2);
         eps[0].send(s(3), Bytes::from_static(b"hi")).unwrap();
         let got = recv(&eps[3]);
         assert_eq!(got.from, s(0));
@@ -526,16 +486,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_is_one_write_and_preserves_order() {
-        let eps = MuxTcpNetwork::create(2, 2).unwrap();
-        let batch: Vec<Bytes> = (0..5u8).map(|i| Bytes::from(vec![i])).collect();
-        eps[0].send_batch(s(1), &batch).unwrap();
-        for i in 0..5u8 {
-            assert_eq!(&recv(&eps[1]).bytes[..], &[i]);
-        }
-    }
-
-    #[test]
     fn unknown_peer_errors() {
         let eps = MuxTcpNetwork::create(2, 1).unwrap();
         assert!(matches!(
@@ -558,5 +508,48 @@ mod tests {
         let got = recv(&eps[1]);
         assert_eq!(&got.bytes[..], b"x");
         assert!(hits.load(Ordering::SeqCst) >= 1);
+    }
+
+    #[test]
+    fn oversize_frame_is_refused_and_spares_the_shared_socket() {
+        // Four servers on one shard: every link into it shares one socket.
+        let eps = MuxTcpNetwork::create(4, 1).unwrap();
+        eps[0].send(s(1), Bytes::from_static(b"before")).unwrap();
+        assert_eq!(&recv(&eps[1]).bytes[..], b"before");
+        let oversize = Bytes::from(vec![0u8; MAX_FRAME + 1]);
+        assert!(matches!(
+            eps[2].send(s(1), oversize.clone()),
+            Err(Error::Codec(_))
+        ));
+        assert!(matches!(
+            eps[2].send_batch(s(1), &[Bytes::from_static(b"torn"), oversize]),
+            Err(Error::Codec(_))
+        ));
+        // Nothing was written: the next frame on the socket is another
+        // link's, intact.
+        eps[3].send(s(1), Bytes::from_static(b"after")).unwrap();
+        let got = recv(&eps[1]);
+        assert_eq!((got.from, &got.bytes[..]), (s(3), &b"after"[..]));
+        assert_eq!(eps[2].peer_state(s(1)), PeerState::Up);
+    }
+
+    #[test]
+    fn non_listening_port_fails_fast_and_marks_the_peer_down() {
+        let eps =
+            MuxTcpNetwork::create_with_connect_timeout(2, 1, Duration::from_millis(100)).unwrap();
+        // Stop the acceptor: its listener closes and the port refuses.
+        eps[0].shared.shutdown.store(true, Ordering::Release);
+        let start = Instant::now();
+        while eps[0].send(s(1), Bytes::from_static(b"x")).is_ok() {
+            assert!(start.elapsed() < Duration::from_secs(5), "port still open");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // One attempt per send, no retry sleep: two more failures are
+        // far below the 2 s default connect timeout, and make three.
+        let start = Instant::now();
+        assert!(eps[0].send(s(1), Bytes::from_static(b"x")).is_err());
+        assert!(eps[0].send(s(1), Bytes::from_static(b"x")).is_err());
+        assert!(start.elapsed() < Duration::from_secs(2));
+        assert_eq!(eps[0].peer_state(s(1)), PeerState::Down);
     }
 }

@@ -1,11 +1,10 @@
 //! The byte-transport abstraction — owned by the net crate.
 //!
 //! A [`Transport`] is what a runtime drives to move encoded datagrams
-//! between servers: the in-memory mesh ([`MemoryEndpoint`]), localhost
-//! TCP ([`TcpEndpoint`]), or the multiplexed shard mesh
-//! ([`MuxTcpEndpoint`]). It lived in `aaa-mom`'s runtime historically;
-//! it belongs here, beside the endpoint types that implement it (the
-//! MOM re-exports it for compatibility).
+//! between servers: the in-memory mesh ([`crate::MemoryEndpoint`]) or
+//! localhost TCP multiplexed per shard ([`crate::MuxTcpEndpoint`]). Each
+//! endpoint type implements the trait directly, in its own module (the
+//! MOM re-exports the trait for compatibility).
 //!
 //! # The readiness contract
 //!
@@ -27,8 +26,8 @@
 //! Transports speak batches natively: [`Transport::send_batch`] hands the
 //! transport every wire packet a group-commit flush produced for one peer,
 //! so implementations with per-send cost (syscalls, locks) can amortize it
-//! — [`TcpEndpoint`] writes one contiguous buffer per batch. The default
-//! implementation falls back to one [`Transport::send`] per packet.
+//! — [`crate::MuxTcpEndpoint`] writes one contiguous buffer per batch. The
+//! default implementation falls back to one [`Transport::send`] per packet.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -40,9 +39,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::RwLock;
 
 use crate::health::PeerState;
-use crate::memory::{Incoming, MemoryEndpoint};
-use crate::mux::MuxTcpEndpoint;
-use crate::tcp::TcpEndpoint;
+use crate::memory::Incoming;
 
 /// A readiness callback: invoked by a transport when its inbox may have
 /// become non-empty. Must be cheap and must never block — it typically
@@ -168,8 +165,8 @@ impl std::fmt::Debug for ReadyMailbox {
 }
 
 /// A byte transport a runtime can drive: the in-memory mesh
-/// ([`MemoryEndpoint`]), localhost TCP ([`TcpEndpoint`]), or the
-/// multiplexed shard mesh ([`MuxTcpEndpoint`]).
+/// ([`crate::MemoryEndpoint`]) or the multiplexed TCP shard mesh
+/// ([`crate::MuxTcpEndpoint`]).
 pub trait Transport: Send + 'static {
     /// This endpoint's server id.
     fn me(&self) -> ServerId;
@@ -228,69 +225,19 @@ pub trait Transport: Send + 'static {
     }
 }
 
-impl Transport for MemoryEndpoint {
-    fn me(&self) -> ServerId {
-        MemoryEndpoint::me(self)
-    }
-    fn send(&self, to: ServerId, bytes: Bytes) -> Result<()> {
-        MemoryEndpoint::send(self, to, bytes)
-    }
-    fn poll_recv(&self) -> Result<Option<Incoming>> {
-        MemoryEndpoint::try_recv(self)
-    }
-    fn set_ready_notifier(&mut self, notifier: ReadyNotifier) {
-        MemoryEndpoint::set_ready_notifier(self, notifier);
-    }
-    fn attach_meter(&mut self, meter: &Meter) {
-        MemoryEndpoint::attach_meter(self, meter);
-    }
-}
-
-impl Transport for TcpEndpoint {
-    fn me(&self) -> ServerId {
-        TcpEndpoint::me(self)
-    }
-    fn send(&self, to: ServerId, bytes: Bytes) -> Result<()> {
-        TcpEndpoint::send(self, to, bytes)
-    }
-    fn send_batch(&self, to: ServerId, batch: &[Bytes]) -> Result<()> {
-        TcpEndpoint::send_batch(self, to, batch)
-    }
-    fn poll_recv(&self) -> Result<Option<Incoming>> {
-        TcpEndpoint::try_recv(self)
-    }
-    fn set_ready_notifier(&mut self, notifier: ReadyNotifier) {
-        TcpEndpoint::set_ready_notifier(self, notifier);
-    }
-    fn attach_meter(&mut self, meter: &Meter) {
-        TcpEndpoint::attach_meter(self, meter);
-    }
-    fn peer_state(&self, to: ServerId) -> PeerState {
-        TcpEndpoint::peer_state(self, to)
-    }
-}
-
-impl Transport for MuxTcpEndpoint {
-    fn me(&self) -> ServerId {
-        MuxTcpEndpoint::me(self)
-    }
-    fn send(&self, to: ServerId, bytes: Bytes) -> Result<()> {
-        MuxTcpEndpoint::send(self, to, bytes)
-    }
-    fn send_batch(&self, to: ServerId, batch: &[Bytes]) -> Result<()> {
-        MuxTcpEndpoint::send_batch(self, to, batch)
-    }
-    fn poll_recv(&self) -> Result<Option<Incoming>> {
-        MuxTcpEndpoint::try_recv(self)
-    }
-    fn set_ready_notifier(&mut self, notifier: ReadyNotifier) {
-        MuxTcpEndpoint::set_ready_notifier(self, notifier);
-    }
-    fn attach_meter(&mut self, meter: &Meter) {
-        MuxTcpEndpoint::attach_meter(self, meter);
-    }
-    fn peer_state(&self, to: ServerId) -> PeerState {
-        MuxTcpEndpoint::peer_state(self, to)
+/// Blocking drain through the poll contract, for this crate's tests.
+#[cfg(test)]
+pub(crate) fn poll_until<T: Transport>(ep: &T, deadline: std::time::Duration) -> Incoming {
+    let start = std::time::Instant::now();
+    loop {
+        if let Some(inc) = ep.poll_recv().unwrap() {
+            return inc;
+        }
+        assert!(
+            start.elapsed() < deadline,
+            "no datagram within {deadline:?}"
+        );
+        std::thread::sleep(std::time::Duration::from_micros(200));
     }
 }
 
@@ -298,11 +245,11 @@ impl Transport for MuxTcpEndpoint {
 mod tests {
     use super::*;
     use crate::memory::MemoryNetwork;
-    use crate::tcp::TcpNetwork;
+    use crate::mux::MuxTcpNetwork;
     use std::sync::atomic::AtomicUsize;
-    use std::time::{Duration, Instant};
+    use std::time::Duration;
 
-    fn drive<T: Transport>(eps: &[T], recv: impl Fn(&T) -> Incoming) {
+    fn drive<T: Transport>(eps: &[T]) {
         let batch = vec![
             Bytes::from_static(b"one"),
             Bytes::from_static(b"two"),
@@ -310,37 +257,22 @@ mod tests {
         ];
         eps[0].send_batch(ServerId::new(1), &batch).unwrap();
         for expect in [&b"one"[..], b"two", b"three"] {
-            let got = recv(&eps[1]);
+            let got = poll_until(&eps[1], Duration::from_secs(5));
             assert_eq!(got.from, ServerId::new(0));
             assert_eq!(&got.bytes[..], expect);
-        }
-    }
-
-    /// Blocking drain through the trait's poll contract, for tests.
-    fn poll_until<T: Transport>(ep: &T, deadline: Duration) -> Incoming {
-        let start = Instant::now();
-        loop {
-            if let Some(inc) = ep.poll_recv().unwrap() {
-                return inc;
-            }
-            assert!(
-                start.elapsed() < deadline,
-                "no datagram within {deadline:?}"
-            );
-            std::thread::sleep(Duration::from_micros(200));
         }
     }
 
     #[test]
     fn memory_send_batch_preserves_order() {
         let eps = MemoryNetwork::create(2);
-        drive(&eps, |ep| poll_until(ep, Duration::from_secs(1)));
+        drive(&eps);
     }
 
     #[test]
-    fn tcp_send_batch_is_one_buffer_many_packets() {
-        let eps = TcpNetwork::create(2).unwrap();
-        drive(&eps, |ep| poll_until(ep, Duration::from_secs(5)));
+    fn mux_send_batch_is_one_buffer_many_packets() {
+        let eps = MuxTcpNetwork::create(2, 1).unwrap();
+        drive(&eps);
     }
 
     #[test]

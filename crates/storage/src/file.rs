@@ -1,13 +1,10 @@
-//! File-backed storage: one file per key, and an append-only journal file.
+//! File-backed storage: one file per key.
 
 use std::fs;
-use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 use aaa_base::{Error, Result};
-use parking_lot::Mutex;
 
-use crate::log::Log;
 use crate::stats::StorageStats;
 use crate::StableStore;
 
@@ -127,131 +124,6 @@ impl StableStore for DirStore {
     }
 }
 
-/// A [`Log`] backed by a single append-only file of length-prefixed
-/// records.
-///
-/// Record framing: `u32` little-endian length, then the record bytes. A
-/// torn final record (crash mid-append) is detected and ignored on
-/// recovery.
-#[derive(Debug)]
-pub struct FileLog {
-    path: PathBuf,
-    file: Mutex<fs::File>,
-    count: Mutex<u64>,
-    stats: StorageStats,
-}
-
-impl FileLog {
-    /// Opens (creating if needed) the log file at `path`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Storage`] if the file cannot be opened.
-    pub fn open(path: impl AsRef<Path>) -> Result<Self> {
-        let path = path.as_ref().to_path_buf();
-        if let Some(parent) = path.parent() {
-            fs::create_dir_all(parent).map_err(|e| storage_err("create log dir", e))?;
-        }
-        let file = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .read(true)
-            .open(&path)
-            .map_err(|e| storage_err("open log file", e))?;
-        let log = FileLog {
-            path,
-            file: Mutex::new(file),
-            count: Mutex::new(0),
-            stats: StorageStats::new(),
-        };
-        // Count (and implicitly validate) existing records.
-        let existing = log.read_records()?;
-        *log.count.lock() = existing.len() as u64;
-        Ok(log)
-    }
-
-    fn read_records(&self) -> Result<Vec<Vec<u8>>> {
-        let mut buf = Vec::new();
-        {
-            let mut file = fs::File::open(&self.path).map_err(|e| storage_err("open log", e))?;
-            // Cold path: `read_records` runs only from `FileLog::open`
-            // (recovery, or first touch of a durable log) — never
-            // per-datagram. The step-entry edge the audit sees is a
-            // simple-name merge with `SegmentQueue::open`, which the
-            // relay opens once per cold subscriber and caches.
-            // audit:allow(block-in-step)
-            file.read_to_end(&mut buf)
-                .map_err(|e| storage_err("read log", e))?;
-        }
-        let mut out = Vec::new();
-        let mut i = 0usize;
-        while i + 4 <= buf.len() {
-            let len = u32::from_le_bytes([buf[i], buf[i + 1], buf[i + 2], buf[i + 3]]) as usize;
-            if i + 4 + len > buf.len() {
-                break; // torn final record: ignore
-            }
-            out.push(buf[i + 4..i + 4 + len].to_vec());
-            i += 4 + len;
-        }
-        Ok(out)
-    }
-}
-
-impl Log for FileLog {
-    fn append(&self, record: &[u8]) -> Result<u64> {
-        self.stats.record_write(record.len() as u64 + 4);
-        let mut file = self.file.lock();
-        // Saturating prefix: a >4 GiB record cannot be represented; the
-        // saturated header makes recovery treat it as a torn record instead
-        // of silently truncating to a wrapped length.
-        let len = u32::try_from(record.len())
-            .unwrap_or(u32::MAX)
-            .to_le_bytes();
-        // Intentional coupling (group commit): the file lock must span
-        // header + record + flush, or concurrent appends interleave and
-        // tear the log. Durability ordering is the point of the hold.
-        // audit:allow(guard-across-blocking)
-        file.write_all(&len)
-            // audit:allow(guard-across-blocking)
-            .and_then(|()| file.write_all(record))
-            .and_then(|()| file.flush())
-            .map_err(|e| storage_err("append record", e))?;
-        let mut count = self.count.lock();
-        let idx = *count;
-        *count += 1;
-        Ok(idx)
-    }
-
-    fn read_all(&self) -> Result<Vec<Vec<u8>>> {
-        let records = self.read_records()?;
-        let total: u64 = records.iter().map(|r| r.len() as u64 + 4).sum();
-        self.stats.record_read(total);
-        Ok(records)
-    }
-
-    fn clear(&self) -> Result<()> {
-        self.stats.record_write(0);
-        let mut file = self.file.lock();
-        *file = fs::OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .read(true)
-            .open(&self.path)
-            .map_err(|e| storage_err("truncate log", e))?;
-        *self.count.lock() = 0;
-        Ok(())
-    }
-
-    fn len(&self) -> Result<u64> {
-        Ok(*self.count.lock())
-    }
-
-    fn stats(&self) -> &StorageStats {
-        &self.stats
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,50 +171,5 @@ mod tests {
         for key in ["plain", "with/slash", "sp ace", "uni\u{e9}", "%weird%"] {
             assert_eq!(unescape_key(&escape_key(key)).as_deref(), Some(key));
         }
-    }
-
-    #[test]
-    fn file_log_roundtrip_and_recovery() {
-        let dir = tmp_dir("log");
-        let path = dir.join("server0.journal");
-        {
-            let log = FileLog::open(&path).unwrap();
-            log.append(b"rec1").unwrap();
-            log.append(b"record-two").unwrap();
-            assert_eq!(log.len().unwrap(), 2);
-        }
-        // Re-open: records survive.
-        let log = FileLog::open(&path).unwrap();
-        assert_eq!(log.len().unwrap(), 2);
-        assert_eq!(
-            log.read_all().unwrap(),
-            vec![b"rec1".to_vec(), b"record-two".to_vec()]
-        );
-        log.append(b"three").unwrap();
-        assert_eq!(log.len().unwrap(), 3);
-        log.clear().unwrap();
-        assert!(log.is_empty().unwrap());
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn file_log_ignores_torn_tail() {
-        let dir = tmp_dir("torn");
-        let path = dir.join("torn.journal");
-        {
-            let log = FileLog::open(&path).unwrap();
-            log.append(b"good").unwrap();
-        }
-        // Simulate a crash mid-append: a length prefix promising more bytes
-        // than exist.
-        {
-            let mut f = fs::OpenOptions::new().append(true).open(&path).unwrap();
-            f.write_all(&100u32.to_le_bytes()).unwrap();
-            f.write_all(b"onlyafew").unwrap();
-        }
-        let log = FileLog::open(&path).unwrap();
-        assert_eq!(log.read_all().unwrap(), vec![b"good".to_vec()]);
-        assert_eq!(log.len().unwrap(), 1);
-        fs::remove_dir_all(&dir).unwrap();
     }
 }

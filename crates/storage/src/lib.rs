@@ -14,11 +14,10 @@
 //! - [`StableStore`] — a key-value store for snapshots (agent state, matrix
 //!   clock images), with [`MemoryStore`] and [`DirStore`] (one file per
 //!   key, atomic replace) implementations;
-//! - [`Log`] — an append-only record log for write-ahead journaling, with
-//!   [`MemoryLog`] and [`FileLog`] implementations;
-//! - [`SegmentQueue`] — a durable, bounded, TTL-retained delivery queue
-//!   (append-only segments plus a crash-safe compaction pass) backing the
-//!   relay's store-and-forward redelivery in `aaa-mom`;
+//! - [`SegmentQueue`] — the on-disk record log: a durable, bounded,
+//!   TTL-retained delivery queue (append-only segments plus a crash-safe
+//!   compaction pass) backing the relay's store-and-forward redelivery
+//!   in `aaa-mom`;
 //! - [`StorageStats`] — byte-exact write/read accounting shared by all
 //!   backends, so experiments can report persistence traffic per message
 //!   (experiment X2 of DESIGN.md).
@@ -36,13 +35,11 @@
 //! ```
 
 mod file;
-mod log;
 mod memory;
 mod queue;
 mod stats;
 
-pub use file::{DirStore, FileLog};
-pub use log::{Log, MemoryLog};
+pub use file::DirStore;
 pub use memory::MemoryStore;
 pub use queue::{CompactionReport, QueueConfig, QueueEntry, SegmentQueue, SyncPolicy};
 pub use stats::StorageStats;

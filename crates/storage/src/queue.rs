@@ -7,11 +7,10 @@
 //! loses a message or the causal stamp that orders it. Each subscriber
 //! gets one [`SegmentQueue`]:
 //!
-//! - **Append-only segments.** Records are framed exactly like
-//!   [`FileLog`](crate::FileLog) (`u32` little-endian length prefix), so a
-//!   torn final record from a crash mid-append is detected and ignored on
-//!   recovery. Segments roll at a configured record count; the highest
-//!   generation is the active tail.
+//! - **Append-only segments.** Records carry a `u32` little-endian length
+//!   prefix, so a torn final record from a crash mid-append is detected
+//!   and ignored on recovery. Segments roll at a configured record count;
+//!   the highest generation is the active tail.
 //! - **Cumulative acks.** Delivery commits by journaling an `AckUpTo`
 //!   record; acknowledged entries stay on disk until compaction reclaims
 //!   them, so recovery replays at-least-once and the receiver's dedup map

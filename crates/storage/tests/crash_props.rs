@@ -10,7 +10,7 @@
 use std::fs;
 use std::path::PathBuf;
 
-use aaa_storage::{FileLog, Log, QueueConfig, SegmentQueue};
+use aaa_storage::{QueueConfig, SegmentQueue};
 use proptest::prelude::*;
 
 fn tmp_dir(name: &str) -> PathBuf {
@@ -23,56 +23,10 @@ fn tmp_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// Length-prefixed framing: how many whole records of `records` fit in
-/// the first `cut` bytes of their on-disk image.
-fn intact_prefix(records: &[Vec<u8>], cut: usize) -> usize {
-    let mut offset = 0usize;
-    let mut whole = 0usize;
-    for rec in records {
-        offset += 4 + rec.len();
-        if offset > cut {
-            break;
-        }
-        whole += 1;
-    }
-    whole
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// FileLog: for every record set and every truncation point, reopen
-    /// recovers exactly the records whose bytes fully survived.
-    #[test]
-    fn file_log_recovers_intact_prefix_at_every_cut(
-        records in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..40), 1..6),
-    ) {
-        let dir = tmp_dir("log-prefix");
-        let path = dir.join("journal");
-        {
-            let log = FileLog::open(&path).unwrap();
-            for rec in &records {
-                log.append(rec).unwrap();
-            }
-        }
-        let full = fs::read(&path).unwrap();
-        for cut in 0..=full.len() {
-            fs::write(&path, &full[..cut]).unwrap();
-            let log = FileLog::open(&path).unwrap();
-            let recovered = log.read_all().unwrap();
-            let want = intact_prefix(&records, cut);
-            prop_assert_eq!(
-                recovered.len(), want,
-                "cut at byte {} of {}", cut, full.len()
-            );
-            prop_assert_eq!(&recovered[..], &records[..want]);
-            // Restore for the next cut.
-            fs::write(&path, &full).unwrap();
-        }
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// SegmentQueue: the same exhaustive truncation schedule over one
+    /// SegmentQueue: the exhaustive truncation schedule over one
     /// segment. The recovered queue holds the intact record prefix, the
     /// ack state never exceeds what was journaled before the cut, and the
     /// queue accepts new appends afterwards (the tear is rolled past, not

@@ -1,9 +1,9 @@
-//! Cross-backend storage tests: trait-object use, concurrency, and
+//! Cross-backend store tests: trait-object use, concurrency, and
 //! memory-vs-file behavioural equivalence.
 
 use std::sync::Arc;
 
-use aaa_storage::{DirStore, FileLog, Log, MemoryLog, MemoryStore, StableStore};
+use aaa_storage::{DirStore, MemoryStore, StableStore};
 
 fn tmp(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("aaa-storage-it-{name}-{}", std::process::id()));
@@ -39,21 +39,6 @@ fn memory_and_dir_stores_behave_identically() {
 }
 
 #[test]
-fn memory_and_file_logs_behave_identically() {
-    fn log_scenario(log: &dyn Log) -> (u64, Vec<Vec<u8>>) {
-        log.append(b"one").unwrap();
-        log.append(b"").unwrap();
-        log.append(b"three").unwrap();
-        (log.len().unwrap(), log.read_all().unwrap())
-    }
-    let mem = MemoryLog::new();
-    let dir = tmp("logequiv");
-    let file = FileLog::open(dir.join("log")).unwrap();
-    assert_eq!(log_scenario(&mem), log_scenario(&file));
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
 fn concurrent_store_access_through_trait_object() {
     let store: Arc<dyn StableStore> = Arc::new(MemoryStore::new());
     let mut handles = Vec::new();
@@ -72,46 +57,4 @@ fn concurrent_store_access_through_trait_object() {
     }
     assert_eq!(store.keys().unwrap().len(), 400);
     assert_eq!(store.stats().writes(), 400);
-}
-
-#[test]
-fn concurrent_log_appends_keep_every_record() {
-    let log: Arc<dyn Log> = Arc::new(MemoryLog::new());
-    let mut handles = Vec::new();
-    for t in 0..4u8 {
-        let log = log.clone();
-        handles.push(std::thread::spawn(move || {
-            for i in 0..50u8 {
-                log.append(&[t, i]).unwrap();
-            }
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
-    let records = log.read_all().unwrap();
-    assert_eq!(records.len(), 200);
-    // Every (t, i) pair present exactly once.
-    let mut sorted = records.clone();
-    sorted.sort();
-    sorted.dedup();
-    assert_eq!(sorted.len(), 200);
-}
-
-#[test]
-fn file_log_interleaved_with_reopen() {
-    let dir = tmp("reopen-interleave");
-    let path = dir.join("log");
-    {
-        let log = FileLog::open(&path).unwrap();
-        log.append(b"a").unwrap();
-    }
-    {
-        let log = FileLog::open(&path).unwrap();
-        assert_eq!(log.len().unwrap(), 1);
-        log.append(b"b").unwrap();
-    }
-    let log = FileLog::open(&path).unwrap();
-    assert_eq!(log.read_all().unwrap(), vec![b"a".to_vec(), b"b".to_vec()]);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
