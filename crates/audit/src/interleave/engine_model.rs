@@ -1,4 +1,4 @@
-//! Model-checking the *real* clock engines, not a re-model.
+//! Model-checking the *real* clock protocol, not a re-model.
 //!
 //! [`SlotModel`](super::SlotModel) proves the evented wakeup protocol by
 //! hand-encoding it as a transition system — sound, but the proof rots
@@ -25,8 +25,8 @@
 //! - **Quiescence** — when no transition is enabled, nothing may be
 //!   permanently postponed and every destination must have received its
 //!   full quota.
-//! - **Mode equivalence** — every bounded engine (`Updates`, `Reduced`,
-//!   `Hybrid`) runs in lock-step with a [`StampMode::Full`] reference:
+//! - **Mode equivalence** — each delta mode (`Updates`, `Hybrid`) runs
+//!   in lock-step with a [`StampMode::Full`] reference:
 //!   same group-continuation decisions, same reconstructed predicate
 //!   column, same delivery verdicts, same
 //!   [`EngineTranscript`](aaa_clocks::EngineTranscript) after every
@@ -149,7 +149,7 @@ pub struct EngineNet {
     delivered: Vec<BTreeSet<u16>>,
 }
 
-/// The four real clock engines as a [`Model`]; see the [module
+/// The real clock protocol, in one stamp mode, as a [`Model`]; see the [module
 /// docs](self) for the exact claims one exploration proves.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineModel {

@@ -32,7 +32,6 @@
 //! `aaa_audit_findings_total{rule=...}`.
 
 pub mod allowlist;
-pub mod cache;
 pub mod guards;
 pub mod interleave;
 pub mod lexer;
@@ -41,11 +40,10 @@ pub mod sarif;
 pub mod source;
 pub mod tree;
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use aaa_obs::Meter;
@@ -230,8 +228,6 @@ impl Config {
                 "crates/net/src/",
                 "crates/clocks/src/matrix.rs",
                 "crates/clocks/src/protocol.rs",
-                "crates/clocks/src/engine.rs",
-                "crates/clocks/src/engines.rs",
                 "crates/clocks/src/vector.rs",
                 "crates/mom/src/persist.rs",
                 "crates/mom/src/pubsub.rs",
@@ -499,7 +495,6 @@ pub fn record_model_states(meter: &Meter) {
     for (label, mode) in [
         ("engine-full", StampMode::Full),
         ("engine-updates", StampMode::Updates),
-        ("engine-reduced", StampMode::Reduced),
         ("engine-hybrid", StampMode::Hybrid),
     ] {
         let m = interleave::EngineModel {
@@ -523,8 +518,7 @@ pub fn record_model_states(meter: &Meter) {
 }
 
 /// Runs the *per-file* rules over one file: findings depend only on the
-/// file's own content and the config, which is what makes them cacheable
-/// (see [`cache`]).
+/// file's own content and the config.
 pub fn per_file_rules(file: &SourceFile, config: &Config) -> Vec<Finding> {
     let mut findings = Vec::new();
     if in_scope(&file.rel, &config.panic_scopes) {
@@ -549,8 +543,7 @@ pub fn per_file_rules(file: &SourceFile, config: &Config) -> Vec<Finding> {
 }
 
 /// Runs the *cross-file* rules: anything needing the whole workspace
-/// (enum codec pairs, the metric vocabulary, the call graph). Never
-/// cached.
+/// (enum codec pairs, the metric vocabulary, the call graph).
 pub fn global_rules(ws: &Workspace, config: &Config) -> Vec<Finding> {
     let mut findings = Vec::new();
     findings.extend(rules::match_drift::check(ws, &config.enum_pairs));
@@ -599,165 +592,21 @@ pub fn sort_findings(findings: &mut [Finding]) {
     });
 }
 
-/// How to run the audit pass (cache, parallelism, incremental scope).
-#[derive(Debug, Clone)]
-pub struct AuditOptions {
-    /// Consult and refresh the per-file result cache under `target/`.
-    pub use_cache: bool,
-    /// Fan the per-file rules out over a thread pool. Findings are
-    /// gathered back in file order and pass through the same
-    /// [`sort_findings`] full-key sort, so every rendered artifact is
-    /// byte-identical to a sequential run.
-    pub parallel: bool,
-    /// When set (`--diff <ref>`), per-file rules run only over these
-    /// workspace-relative paths; global rules still see the whole tree.
-    /// Stale-allowlist detection is suppressed — entries for unscanned
-    /// files would all look stale.
-    pub diff_files: Option<BTreeSet<String>>,
-}
-
-impl Default for AuditOptions {
-    fn default() -> AuditOptions {
-        AuditOptions {
-            use_cache: true,
-            parallel: true,
-            diff_files: None,
-        }
-    }
-}
-
-/// Indices of the files whose per-file rules should run under `opts`.
-fn selected_indices(ws: &Workspace, opts: &AuditOptions) -> Vec<usize> {
+/// Raw per-file findings, in file order.
+fn per_file_findings(ws: &Workspace, config: &Config) -> Vec<Finding> {
     ws.files
         .iter()
-        .enumerate()
-        .filter(|(_, f)| {
-            opts.diff_files
-                .as_ref()
-                .is_none_or(|diff| diff.contains(&f.rel))
-        })
-        .map(|(i, _)| i)
+        .flat_map(|f| per_file_rules(f, config))
         .collect()
 }
 
-/// Runs [`per_file_rules`] over `indices` of `ws.files`, returning one
-/// finding vector per index *in index order* regardless of execution
-/// order. The parallel path is a work-stealing index counter over a
-/// scoped thread pool — no extra dependencies, no locks on the hot path,
-/// and a deterministic scatter at the end.
-fn per_file_pass(
-    ws: &Workspace,
-    config: &Config,
-    indices: &[usize],
-    parallel: bool,
-) -> Vec<Vec<Finding>> {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(indices.len());
-    if !parallel || workers < 2 {
-        return indices
-            .iter()
-            .map(|&i| per_file_rules(&ws.files[i], config))
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Vec<Finding>> = vec![Vec::new(); indices.len()];
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut got: Vec<(usize, Vec<Finding>)> = Vec::new();
-                    loop {
-                        let slot = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&file_idx) = indices.get(slot) else {
-                            break;
-                        };
-                        got.push((slot, per_file_rules(&ws.files[file_idx], config)));
-                    }
-                    got
-                })
-            })
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(got) => {
-                    for (slot, findings) in got {
-                        slots[slot] = findings;
-                    }
-                }
-                // A rule panicked on a worker: surface it on the driver
-                // thread instead of silently dropping that file's findings.
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-    slots
-}
-
-/// Raw per-file findings under `opts` (cache consulted sequentially —
-/// the store is plain in-memory state — with misses computed on the
-/// pool), in file order.
-fn per_file_findings(ws: &Workspace, config: &Config, opts: &AuditOptions) -> Vec<Finding> {
-    let indices = selected_indices(ws, opts);
-    if !opts.use_cache {
-        return per_file_pass(ws, config, &indices, opts.parallel)
-            .into_iter()
-            .flatten()
-            .collect();
-    }
-    let mut store = cache::Store::open(&ws.root, config);
-    let mut slots: Vec<Option<Vec<Finding>>> = indices
-        .iter()
-        .map(|&i| store.lookup(&ws.files[i]))
-        .collect();
-    let miss: Vec<usize> = slots
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.is_none())
-        .map(|(pos, _)| indices[pos])
-        .collect();
-    let fresh = per_file_pass(ws, config, &miss, opts.parallel);
-    let mut fresh_iter = fresh.into_iter();
-    for (pos, slot) in slots.iter_mut().enumerate() {
-        if slot.is_none() {
-            let computed = fresh_iter.next().unwrap_or_default();
-            store.insert(&ws.files[indices[pos]], &computed);
-            *slot = Some(computed);
-        }
-    }
-    store.persist();
-    slots.into_iter().flatten().flatten().collect()
-}
-
-/// Runs every rule over `ws` under `opts`, returning *raw* findings
-/// (before any allowlist or inline-escape filtering).
-pub fn run_rules_opts(ws: &Workspace, config: &Config, opts: &AuditOptions) -> Vec<Finding> {
-    let mut findings = per_file_findings(ws, config, opts);
+/// Runs every rule over `ws`, returning *raw* findings (before any
+/// allowlist or inline-escape filtering).
+pub fn run_rules(ws: &Workspace, config: &Config) -> Vec<Finding> {
+    let mut findings = per_file_findings(ws, config);
     findings.extend(global_rules(ws, config));
     sort_findings(&mut findings);
     findings
-}
-
-/// Runs every rule over `ws`, returning *raw* findings (before any
-/// allowlist or inline-escape filtering). Uncached; per-file rules run
-/// on the thread pool.
-pub fn run_rules(ws: &Workspace, config: &Config) -> Vec<Finding> {
-    run_rules_opts(
-        ws,
-        config,
-        &AuditOptions {
-            use_cache: false,
-            ..AuditOptions::default()
-        },
-    )
-}
-
-/// Like [`run_rules`], but consults and refreshes the per-file result
-/// cache under `target/` (the global rules always run). Cache failures
-/// of any kind silently fall back to computing.
-pub fn run_rules_cached(ws: &Workspace, config: &Config) -> Vec<Finding> {
-    run_rules_opts(ws, config, &AuditOptions::default())
 }
 
 fn in_scope(rel: &str, scopes: &[&'static str]) -> bool {
@@ -765,48 +614,13 @@ fn in_scope(rel: &str, scopes: &[&'static str]) -> bool {
 }
 
 /// Runs the full audit over the workspace at `root`: load, lex, run every
-/// rule (with the per-file cache), then apply inline escapes and the
-/// committed allowlist.
+/// rule, then apply inline escapes and the committed allowlist, with
+/// per-phase wall times recorded on the report.
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors from loading the tree or the allowlist.
 pub fn audit_workspace(root: &Path, config: &Config) -> io::Result<AuditReport> {
-    audit_workspace_opts(root, config, &AuditOptions::default())
-}
-
-/// [`audit_workspace`] with explicit cache control (`--no-cache`).
-///
-/// # Errors
-///
-/// Propagates filesystem errors from loading the tree or the allowlist.
-pub fn audit_workspace_with(
-    root: &Path,
-    config: &Config,
-    use_cache: bool,
-) -> io::Result<AuditReport> {
-    audit_workspace_opts(
-        root,
-        config,
-        &AuditOptions {
-            use_cache,
-            ..AuditOptions::default()
-        },
-    )
-}
-
-/// [`audit_workspace`] under explicit [`AuditOptions`] (cache control,
-/// `--no-parallel`, `--diff` incremental scope), with per-phase wall
-/// times recorded on the report.
-///
-/// # Errors
-///
-/// Propagates filesystem errors from loading the tree or the allowlist.
-pub fn audit_workspace_opts(
-    root: &Path,
-    config: &Config,
-    opts: &AuditOptions,
-) -> io::Result<AuditReport> {
     let ms = |t: Instant| u64::try_from(t.elapsed().as_millis()).unwrap_or(u64::MAX);
     let mut timings: Vec<(&'static str, u64)> = Vec::new();
 
@@ -815,7 +629,7 @@ pub fn audit_workspace_opts(
     timings.push(("load", ms(t)));
 
     let t = Instant::now();
-    let mut raw = per_file_findings(&ws, config, opts);
+    let mut raw = per_file_findings(&ws, config);
     timings.push(("per-file", ms(t)));
 
     let t = Instant::now();
@@ -827,12 +641,6 @@ pub fn audit_workspace_opts(
     let t = Instant::now();
     let mut report = apply_suppressions(&ws, raw, &allow);
     timings.push(("suppress", ms(t)));
-    if opts.diff_files.is_some() {
-        // Entries covering files outside the diff scope have no findings
-        // to match; calling them stale would make every incremental run
-        // fail spuriously.
-        report.stale_allowlist.clear();
-    }
     report.timings = timings;
     Ok(report)
 }

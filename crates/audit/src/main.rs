@@ -13,57 +13,25 @@
 //!                                            # rendering of the findings
 //! cargo run -p aaa-audit -- --sarif out.sarif # write SARIF 2.1.0 for CI
 //!                                             # diff annotation
-//! cargo run -p aaa-audit -- --no-cache       # bypass the per-file result
-//!                                            # cache under target/
-//! cargo run -p aaa-audit -- --no-parallel    # single-threaded per-file
-//!                                            # pass (byte-identical output)
-//! cargo run -p aaa-audit -- --diff REF       # incremental: per-file rules
-//!                                            # only on files changed vs REF
 //! cargo run -p aaa-audit -- --explain RULE   # print the long-form doc
 //!                                            # for one rule (or `all`)
 //! ```
 
-use std::collections::BTreeSet;
-use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 use aaa_audit::{
-    audit_workspace_opts, fix_allowlist, fix_pub_api, record_model_states, rules, sarif,
-    AuditOptions, Config,
+    audit_workspace, fix_allowlist, fix_pub_api, record_model_states, rules, sarif, Config,
 };
 use aaa_obs::{Meter, Registry};
 
 fn usage() -> ! {
     eprintln!(
         "usage: aaa-audit [--root DIR] [--fix-allowlist] [--fix-pub-api] [--metrics] \
-         [--sarif FILE] [--no-cache] [--no-parallel] [--diff REF] [--quiet] \
-         [--explain RULE|all]\n\
+         [--sarif FILE] [--quiet] [--explain RULE|all]\n\
          exit codes: 0 clean, 1 findings, 2 stale allowlist, 3 usage/io error"
     );
     std::process::exit(3)
-}
-
-/// Workspace-relative `.rs` paths changed against `git_ref` (the `--diff`
-/// scope), straight from `git diff --name-only`.
-fn changed_files(root: &Path, git_ref: &str) -> io::Result<BTreeSet<String>> {
-    let out = std::process::Command::new("git")
-        .arg("-C")
-        .arg(root)
-        .args(["diff", "--name-only", git_ref])
-        .output()?;
-    if !out.status.success() {
-        return Err(io::Error::other(format!(
-            "git diff --name-only {git_ref}: {}",
-            String::from_utf8_lossy(&out.stderr).trim()
-        )));
-    }
-    Ok(String::from_utf8_lossy(&out.stdout)
-        .lines()
-        .map(str::trim)
-        .filter(|l| l.ends_with(".rs"))
-        .map(str::to_owned)
-        .collect())
 }
 
 /// `--explain RULE`: print the long-form doc for one rule, or every rule
@@ -111,9 +79,6 @@ fn main() -> ExitCode {
     let mut fix_api = false;
     let mut metrics = false;
     let mut quiet = false;
-    let mut use_cache = true;
-    let mut parallel = true;
-    let mut diff_ref: Option<String> = None;
     let mut sarif_out: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -127,12 +92,6 @@ fn main() -> ExitCode {
             "--metrics" => metrics = true,
             "--sarif" => match args.next() {
                 Some(path) => sarif_out = Some(PathBuf::from(path)),
-                None => usage(),
-            },
-            "--no-cache" => use_cache = false,
-            "--no-parallel" => parallel = false,
-            "--diff" => match args.next() {
-                Some(r) => diff_ref = Some(r),
                 None => usage(),
             },
             "--quiet" | "-q" => quiet = true,
@@ -182,27 +141,7 @@ fn main() -> ExitCode {
         };
     }
 
-    let mut opts = AuditOptions {
-        use_cache,
-        parallel,
-        diff_files: None,
-    };
-    if let Some(r) = &diff_ref {
-        match changed_files(&root, r) {
-            Ok(set) => {
-                if !quiet {
-                    eprintln!("aaa-audit: --diff {r}: {} changed .rs file(s)", set.len());
-                }
-                opts.diff_files = Some(set);
-            }
-            Err(e) => {
-                eprintln!("aaa-audit: {e}");
-                return ExitCode::from(3);
-            }
-        }
-    }
-
-    let report = match audit_workspace_opts(&root, &config, &opts) {
+    let report = match audit_workspace(&root, &config) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("aaa-audit: {e}");

@@ -1,7 +1,7 @@
 //! Property tests for the engine model check (`interleave::engine_model`).
 //!
 //! Same contract as `interleave_props.rs`, lifted from the abstract slot
-//! protocol to the real clock engines: the exploration must be *total*
+//! protocol to the real clock protocol: the exploration must be *total*
 //! (every seed reaches the same state set — otherwise "exhaustive at CI
 //! shape" is meaningless) and *deterministic* (the same seed replays the
 //! identical walk, so a causal-order violation trace printed once can
@@ -12,13 +12,6 @@
 use aaa_audit::interleave::{explore, EngineConfig, EngineModel, Exploration, Options};
 use aaa_clocks::StampMode;
 use proptest::prelude::*;
-
-const MODES: [StampMode; 4] = [
-    StampMode::Full,
-    StampMode::Updates,
-    StampMode::Reduced,
-    StampMode::Hybrid,
-];
 
 fn ci_exploration(mode: StampMode, seed: u64) -> Exploration {
     let m = EngineModel {
@@ -45,7 +38,7 @@ fn base() -> &'static Exploration {
 }
 
 proptest! {
-    // Each case is a full exploration driving real engines through
+    // Each case is a full exploration driving real clock states through
     // serialize/deserialize round-trips — an order of magnitude more
     // expensive per state than the slot model, so fewer cases.
     #![proptest_config(ProptestConfig::with_cases(4))]
@@ -74,15 +67,15 @@ proptest! {
 }
 
 /// Regression pin on the CI shape's reachable state count, for **all
-/// four** stamp modes. The counts are identical across modes by design:
-/// equivalent engines take identical delivery decisions, so the
+/// three** stamp modes. The counts are identical across modes by design:
+/// equivalent modes take identical delivery decisions, so the
 /// network-level transition structure — and with it the reachable graph
 /// — is mode-independent. A mode whose count diverges from the others
 /// has stopped being equivalent *structurally*, before any invariant
 /// even fires. Update deliberately when the network model changes.
 #[test]
 fn ci_state_count_is_pinned_for_every_mode() {
-    for mode in MODES {
+    for mode in StampMode::ALL {
         let e = ci_exploration(mode, 0);
         assert!(
             !e.truncated,

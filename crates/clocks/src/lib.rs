@@ -14,15 +14,15 @@
 //! - [`MatrixClock`] — the `n × n` "what A knows about what B knows" clock
 //!   the paper builds on;
 //! - [`CausalState`] — the per-domain causal delivery protocol
-//!   (Raynal–Schiper–Toueg style) used by every AAA channel, dispatching
-//!   to a pluggable [`ClockEngine`] selected by [`StampMode`]:
-//!   [`StampMode::Full`] (ship the whole matrix), [`StampMode::Updates`]
-//!   (ship only modified entries — Appendix A of the paper),
-//!   [`StampMode::Reduced`] (Drummond–Barbosa reduced matrix clocks) or
-//!   [`StampMode::Hybrid`] (Almeida-style sender-side buffering).
+//!   (Raynal–Schiper–Toueg style) used by every AAA channel: one state
+//!   machine whose [`StampMode`] selects what a send puts on the wire —
+//!   [`StampMode::Full`] (the whole matrix; the dense reference),
+//!   [`StampMode::Updates`] (only modified entries — Appendix A of the
+//!   paper) or [`StampMode::Hybrid`] (the Updates delta pruned by
+//!   Almeida-style sender-side buffering).
 //!
-//! The four engines live in [`engines`]; all take identical delivery
-//! decisions and differ only in stamp bytes and bookkeeping cost.
+//! The three modes take identical delivery decisions and differ only in
+//! stamp bytes and bookkeeping cost; [`protocol`] states the contract.
 //!
 //! # Example: two servers exchanging causally ordered messages
 //!
@@ -42,18 +42,14 @@
 //! clock_b.deliver(a, &pending);
 //! ```
 
-pub mod engine;
-pub mod engines;
 pub mod lamport;
 pub mod matrix;
 pub mod protocol;
 pub mod stamp;
 pub mod vector;
 
-pub use engine::{Batching, ClockEngine};
-pub use engines::{FullEngine, HybridEngine, ReducedEngine, UpdatesEngine};
 pub use lamport::LamportClock;
 pub use matrix::MatrixClock;
-pub use protocol::{CausalState, EngineTranscript, PendingStamp};
+pub use protocol::{Batching, CausalState, EngineTranscript, PendingStamp};
 pub use stamp::{Stamp, StampMode, UpdateEntry};
 pub use vector::VectorClock;

@@ -153,34 +153,6 @@ impl MatrixClock {
             .filter_map(move |(i, &v)| (v != 0).then_some((i / self.n, i % self.n, v)))
     }
 
-    /// Copies column `col` into a fresh vector (`result[row] = cell(row, col)`).
-    ///
-    /// The causal delivery check only inspects the receiver's column of the
-    /// piggybacked matrix; this accessor keeps that hot path allocation-free
-    /// at the call site when reused with [`MatrixClock::column_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `col` is out of range.
-    pub fn column(&self, col: usize) -> Vec<u64> {
-        let mut out = vec![0; self.n];
-        self.column_into(col, &mut out);
-        out
-    }
-
-    /// Copies column `col` into `out`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `col` is out of range or `out` is shorter than the width.
-    pub fn column_into(&self, col: usize, out: &mut [u64]) {
-        assert!(col < self.n, "matrix index out of range");
-        assert!(out.len() >= self.n, "output slice too short");
-        for (row, slot) in out.iter_mut().enumerate().take(self.n) {
-            *slot = self.cells[row * self.n + col];
-        }
-    }
-
     /// The minimum of column `col`: the number of messages destined to
     /// process `col` that *every* process is known to know about.
     ///
@@ -330,17 +302,6 @@ mod tests {
         lub.merge_max(&b, |_, _, _| {});
         assert!(a.dominated_by(&lub));
         assert!(b.dominated_by(&lub));
-    }
-
-    #[test]
-    fn column_extraction() {
-        let mut m = MatrixClock::new(3);
-        m.set(0, 1, 10);
-        m.set(2, 1, 30);
-        assert_eq!(m.column(1), vec![10, 0, 30]);
-        let mut buf = vec![99; 3];
-        m.column_into(0, &mut buf);
-        assert_eq!(buf, vec![0, 0, 0]);
     }
 
     #[test]

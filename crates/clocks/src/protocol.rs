@@ -7,7 +7,7 @@
 //!   `k → l` that `i` knows of) and `DELIV` (a vector: messages from `k`
 //!   delivered at `i`);
 //! - **send `i → j`**: increment `SENT[i][j]`, piggyback the matrix (whole,
-//!   as Update deltas, or in a bounded-space encoding);
+//!   as Update deltas, or as deltas pruned against the peer's knowledge);
 //! - **deliverable at `j`** (message from `i` with reconstructed stamp
 //!   `ST`): `ST[i][j] == DELIV[i] + 1` and `ST[k][j] <= DELIV[k]` for all
 //!   `k != i` — `j` must already have delivered every message *destined to
@@ -18,20 +18,58 @@
 //! are re-examined after each delivery (the queue lives in `aaa-mom`; this
 //! crate only provides the predicates and state).
 //!
-//! [`CausalState`] is a thin dispatcher over the pluggable
-//! [`ClockEngine`]s in [`crate::engines`], selected by [`StampMode`]:
-//! full matrices, Appendix-A deltas, Drummond–Barbosa reduced stamps, or
-//! Almeida-style hybrid buffering. All engines are observationally
-//! equivalent — property and conformance tests in this crate's test suite
-//! drive random schedules through every mode and compare each decision.
+//! [`CausalState`] is the one state machine behind all of it. The
+//! [`StampMode`] chosen at construction selects what
+//! [`CausalState::stamp_send`] puts on the wire and how
+//! [`CausalState::on_frame`] raises the per-sender image — a `match` on
+//! the mode in each; the predicate, the delivery merge and persistence are
+//! shared.
+//!
+//! # The `on_frame` contract
+//!
+//! A stamp mode is correct iff, for every FIFO schedule, the
+//! [`PendingStamp`] returned by `on_frame` carries **exactly** the
+//! sender's `SENT` matrix at the instant the message was stamped, in the
+//! receiver's column — and a sound lower bound elsewhere that loses no
+//! knowledge across the delivery merge. Concretely:
+//!
+//! 1. **Exact predicate column.** `pending.matrix()[k][me]` equals the
+//!    sender's `SENT[k][me]` for every `k`. An underestimate delivers a
+//!    message before a causal predecessor destined to `me`; an
+//!    overestimate deadlocks (the receiver waits for messages that were
+//!    never sent to it).
+//! 2. **Lossless merge.** For every other cell, either the reconstructed
+//!    value equals the sender's, or the receiver's own matrix already
+//!    dominates the sender's value at delivery time — so
+//!    `SENT := max(SENT, pending)` ends identical to Full-mode delivery.
+//! 3. **Persistence round-trip.** [`CausalState::write_bytes`] followed by
+//!    [`CausalState::read_bytes`] resumes the protocol mid-stream,
+//!    including mid-batch [`Stamp::GroupNext`] continuation state and the
+//!    Hybrid sender-side knowledge model.
+//!
+//! Modes satisfying 1–2 take **identical delivery decisions** — the
+//! mode-generic conformance suite (`tests/conformance.rs`) checks this
+//! observationally against [`StampMode::Full`], the dense reference.
 
-use aaa_base::DomainServerId;
+use aaa_base::{DomainServerId, Error, Result};
 use serde::{Deserialize, Serialize};
 
-use crate::engine::{Batching, ClockEngine, EngineCore};
-use crate::engines::{FullEngine, HybridEngine, ReducedEngine, UpdatesEngine};
 use crate::matrix::MatrixClock;
-use crate::stamp::{Stamp, StampMode};
+use crate::stamp::{Stamp, StampMode, UpdateEntry};
+
+/// Whether a send is part of a batch and may collapse to a zero-byte
+/// [`Stamp::GroupNext`] continuation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum Batching {
+    /// A standalone send: always ships a real stamp.
+    #[default]
+    Single,
+    /// Part of a batched flush: the sender may emit [`Stamp::GroupNext`]
+    /// when the matrix has not changed since the previous send to the
+    /// same peer. Falls back to a real stamp otherwise, so callers may
+    /// use this unconditionally on batched paths.
+    Grouped,
+}
 
 /// A message's causal stamp, reconstructed on the receiving side.
 ///
@@ -56,48 +94,14 @@ impl PendingStamp {
     }
 }
 
-/// The engine behind one [`CausalState`], one variant per [`StampMode`].
+/// An observable snapshot of the protocol-relevant state: the local
+/// `SENT` matrix and the per-sender delivery counters.
 ///
-/// Enum dispatch (rather than `Box<dyn ClockEngine>`) keeps `CausalState`
-/// `Clone + PartialEq + Serialize` and the per-call overhead at one match.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-enum EngineKind {
-    Full(FullEngine),
-    Updates(UpdatesEngine),
-    Reduced(ReducedEngine),
-    Hybrid(HybridEngine),
-}
-
-macro_rules! dispatch {
-    ($self:expr, $e:ident => $body:expr) => {
-        match &$self.engine {
-            EngineKind::Full($e) => $body,
-            EngineKind::Updates($e) => $body,
-            EngineKind::Reduced($e) => $body,
-            EngineKind::Hybrid($e) => $body,
-        }
-    };
-}
-
-macro_rules! dispatch_mut {
-    ($self:expr, $e:ident => $body:expr) => {
-        match &mut $self.engine {
-            EngineKind::Full($e) => $body,
-            EngineKind::Updates($e) => $body,
-            EngineKind::Reduced($e) => $body,
-            EngineKind::Hybrid($e) => $body,
-        }
-    };
-}
-
-/// An observable snapshot of the protocol-relevant engine state: the
-/// local `SENT` matrix and the per-sender delivery counters.
-///
-/// Every [`ClockEngine`] must agree on this projection after every
-/// protocol step — it is what "observationally equivalent" means. The
-/// `aaa-audit` model checker captures transcripts from each bounded
-/// engine and from a lock-stepped [`FullEngine`] reference and asserts
-/// equality in every reachable interleaving.
+/// Every stamp mode must agree on this projection after every protocol
+/// step — it is what "observationally equivalent" means. The `aaa-audit`
+/// model checker captures transcripts from each mode and from a
+/// lock-stepped [`StampMode::Full`] reference and asserts equality in
+/// every reachable interleaving.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct EngineTranscript {
     /// The local `SENT` matrix.
@@ -110,75 +114,297 @@ pub struct EngineTranscript {
 ///
 /// See the [module documentation](self) for the protocol. One `CausalState`
 /// exists per `DomainItem` on every server; causal router-servers therefore
-/// hold several, one per domain they belong to (§5). The heavy lifting is
-/// done by the [`ClockEngine`] selected at construction; this type is the
-/// stable workspace-facing facade.
+/// hold several, one per domain they belong to (§5).
+///
+/// The state is the RST matrix/vector pair, the Appendix-A change-tracking
+/// bookkeeping and the per-sender reconstruction images, plus — in
+/// [`StampMode::Hybrid`] only — a sender-side model of what each peer
+/// already knows.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CausalState {
-    engine: EngineKind,
+    me: DomainServerId,
+    n: usize,
+    mode: StampMode,
+    /// `SENT[k][l]`: messages sent from `k` to `l` that this server knows
+    /// of.
+    sent: MatrixClock,
+    /// `DELIV[k]`: messages from `k` delivered here.
+    deliv: Vec<u64>,
+    /// Logical instant counter for change tracking (`State` in
+    /// Appendix A).
+    state: u64,
+    /// Per-cell tag: value of `state` when the cell last changed
+    /// (`Mat[k,l].state`).
+    entry_state: Vec<u64>,
+    /// Per-peer: value of `state` at the last send to that peer
+    /// (`Node[j].state`).
+    node_state: Vec<u64>,
+    /// Per-peer image of that peer's matrix, rebuilt from received
+    /// stamps.
+    images: Vec<Option<MatrixClock>>,
+    /// Hybrid only (empty otherwise): `know[j]` is a lower bound on peer
+    /// `j`'s own `SENT` matrix. Raised by everything shipped to `j` (FIFO
+    /// links land it in the peer's image before any later frame) and by
+    /// everything received *from* `j` (a peer's stamp is a snapshot of its
+    /// own matrix).
+    know: Vec<Option<MatrixClock>>,
+}
+
+/// The persistence image's mode byte. Byte 2 belonged to the retired
+/// `Reduced` mode and is refused by [`CausalState::read_bytes`].
+fn mode_byte(mode: StampMode) -> u8 {
+    match mode {
+        StampMode::Full => 0,
+        StampMode::Updates => 1,
+        StampMode::Hybrid => 3,
+    }
 }
 
 impl CausalState {
     /// Creates the causal state of server `me` in a domain of `n` servers,
-    /// running the engine selected by `mode`.
+    /// stamping in `mode`.
     ///
     /// # Panics
     ///
     /// Panics if `n` is zero or `me` is out of range.
     pub fn new(me: DomainServerId, n: usize, mode: StampMode) -> Self {
-        let engine = match mode {
-            StampMode::Full => EngineKind::Full(FullEngine::new(me, n)),
-            StampMode::Updates => EngineKind::Updates(UpdatesEngine::new(me, n)),
-            StampMode::Reduced => EngineKind::Reduced(ReducedEngine::new(me, n)),
-            StampMode::Hybrid => EngineKind::Hybrid(HybridEngine::new(me, n)),
-        };
-        CausalState { engine }
+        assert!(n > 0, "a domain needs at least one server");
+        assert!(
+            me.as_usize() < n,
+            "server id {me} out of range for domain of {n}"
+        );
+        CausalState {
+            me,
+            n,
+            mode,
+            sent: MatrixClock::new(n),
+            deliv: vec![0; n],
+            state: 0,
+            entry_state: vec![0; n * n],
+            node_state: vec![0; n],
+            images: vec![None; n],
+            know: match mode {
+                StampMode::Hybrid => vec![None; n],
+                StampMode::Full | StampMode::Updates => Vec::new(),
+            },
+        }
     }
 
     /// This server's identifier within the domain.
     pub fn me(&self) -> DomainServerId {
-        dispatch!(self, e => e.me())
+        self.me
     }
 
     /// Number of servers in the domain.
     pub fn n(&self) -> usize {
-        dispatch!(self, e => e.n())
+        self.n
     }
 
     /// The stamp encoding mode.
     pub fn mode(&self) -> StampMode {
-        dispatch!(self, e => e.mode())
+        self.mode
     }
 
     /// The local `SENT` matrix.
     pub fn sent(&self) -> &MatrixClock {
-        dispatch!(self, e => e.sent())
+        &self.sent
     }
 
     /// Messages from `from` delivered here so far.
     pub fn delivered_from(&self, from: DomainServerId) -> u64 {
-        dispatch!(self, e => e.delivered_from(from))
+        self.deliv[from.as_usize()]
     }
 
     /// Total messages delivered here so far.
     pub fn delivered_total(&self) -> u64 {
-        dispatch!(self, e => e.delivered_total())
+        self.deliv.iter().sum()
+    }
+
+    /// Captures the protocol-relevant state projection every mode must
+    /// agree on: the `SENT` matrix plus the per-sender delivery counters.
+    /// Used by the `aaa-audit` model checker for lock-step equivalence
+    /// against the [`StampMode::Full`] reference.
+    pub fn transcript(&self) -> EngineTranscript {
+        EngineTranscript {
+            sent: self.sent.clone(),
+            deliv: self.deliv.clone(),
+        }
+    }
+
+    /// The send-side bookkeeping common to every send: advance the logical
+    /// instant, count the send, tag the cell, and remember the instant of
+    /// this send to `to`. Returns the change horizon (`node_state[to]`
+    /// *before* this send) that delta-style stamps scan from.
+    fn bump_send(&mut self, to: DomainServerId) -> u64 {
+        // Saturating throughout the clock core: a saturated counter keeps
+        // comparisons monotone (late, never reordered); wrapping breaks
+        // the §4.2 delivery predicate.
+        self.state = self.state.saturating_add(1);
+        let (me, t) = (self.me.as_usize(), to.as_usize());
+        self.sent.increment(me, t);
+        let tag = self.state;
+        self.entry_state[me * self.n + t] = tag;
+        let since = self.node_state[t];
+        self.node_state[t] = self.state;
+        since
+    }
+
+    /// Collects the entries modified since logical instant `since` for
+    /// which `keep(row, col)` holds, in row-major order.
+    fn collect_changed(
+        &self,
+        since: u64,
+        mut keep: impl FnMut(usize, usize) -> bool,
+    ) -> Vec<UpdateEntry> {
+        let mut out = Vec::new();
+        for row in 0..self.n {
+            for col in 0..self.n {
+                if self.entry_state[row * self.n + col] > since && keep(row, col) {
+                    // `n <= u16::MAX` is a construction invariant, so the
+                    // checked narrowing never saturates in practice; if it
+                    // ever did, the peer would reject the frame loudly.
+                    out.push(UpdateEntry {
+                        row: u16::try_from(row).unwrap_or(u16::MAX),
+                        col: u16::try_from(col).unwrap_or(u16::MAX),
+                        value: self.sent.get(row, col),
+                    });
+                }
+            }
+        }
+        out
+    }
+
+    /// Hybrid: the knowledge model of `peer`, created on first use.
+    fn know_mut(&mut self, peer: usize) -> &mut MatrixClock {
+        let n = self.n;
+        self.know[peer].get_or_insert_with(|| MatrixClock::new(n))
     }
 
     /// Stamps a message about to be sent to `to` and updates the local
     /// state. Must be called exactly once per message, in send order.
     ///
-    /// With [`Batching::Grouped`] the engine may emit the zero-byte
-    /// [`Stamp::GroupNext`] continuation when this send is part of a batch
-    /// and nothing else changed since the previous send to the same peer;
-    /// it falls back to a real stamp otherwise, so batched callers pass
-    /// `Grouped` unconditionally.
+    /// With [`Batching::Grouped`] the zero-byte [`Stamp::GroupNext`]
+    /// continuation is emitted when this send is part of a batch and
+    /// nothing else changed since the previous send to the same peer; a
+    /// real stamp is emitted otherwise, so batched callers pass `Grouped`
+    /// unconditionally.
     ///
     /// # Panics
     ///
     /// Panics if `to` is this server or out of range.
     pub fn stamp_send(&mut self, to: DomainServerId, batching: Batching) -> Stamp {
-        dispatch_mut!(self, e => e.stamp_send(to, batching))
+        assert!(to != self.me, "local deliveries bypass the causal protocol");
+        assert!(to.as_usize() < self.n, "destination {to} out of range");
+        let (me, t) = (self.me.as_usize(), to.as_usize());
+        // A continuation is legal exactly when the matrix has not changed
+        // since the previous send to the same peer (no other sends, no
+        // deliveries in between): the new stamp then differs from the
+        // previous frame's only by `SENT[me][to] += 1`, which the receiver
+        // reconstructs from its per-sender image. The guard on
+        // `SENT[me][to]` ensures a previous frame to this peer exists, so
+        // the receiver has an image to continue from.
+        if batching == Batching::Grouped
+            && self.node_state[t] == self.state
+            && self.sent.get(me, t) > 0
+        {
+            self.bump_send(to);
+            if self.mode == StampMode::Hybrid {
+                // The receiver's image gains the increment, so the model
+                // does.
+                let v = self.sent.get(me, t);
+                self.know_mut(t).raise(me, t, v);
+            }
+            return Stamp::GroupNext;
+        }
+        let since = self.bump_send(to);
+        match self.mode {
+            // The whole matrix: `O(n²)` bytes, nothing to reconstruct.
+            StampMode::Full => Stamp::Full(self.sent.clone()),
+            // Appendix A: every entry modified since the last send to
+            // this peer.
+            StampMode::Updates => Stamp::Delta(self.collect_changed(since, |_, _| true)),
+            // The Updates delta pruned against `know[to]`:
+            //
+            // - entries in the peer's own row (`row == to`) are never
+            //   shipped — only the peer increments its row, so its own
+            //   copy always dominates;
+            // - entries the model already attributes to the peer
+            //   (`know[to][r][c] ≥ SENT[r][c]`) are skipped — the
+            //   delivery merge loses nothing the peer already has;
+            // - entries in the peer's column (`col == to`) are **always**
+            //   shipped when changed: that column is the §4.2 delivery
+            //   predicate, and "the peer *knows of* the message" does not
+            //   imply "the peer *delivered* it", so pruning there would
+            //   release messages early.
+            //
+            // The pruning pays off on echo-shaped traffic — pub/sub
+            // replies, ping-pong — where Updates keeps re-shipping
+            // counters the peer originated.
+            StampMode::Hybrid => {
+                let know = &self.know[t];
+                let entries = self.collect_changed(since, |r, c| {
+                    if r == t {
+                        return false;
+                    }
+                    if c == t {
+                        return true;
+                    }
+                    match know {
+                        Some(k) => k.get(r, c) < self.sent.get(r, c),
+                        None => true,
+                    }
+                });
+                raise_all(self.know_mut(t), &entries);
+                Stamp::Hybrid(entries)
+            }
+        }
+    }
+
+    /// Validates a stamp decoded off the wire against this domain before
+    /// it reaches [`CausalState::on_frame`]: the stamp kind matches the
+    /// configured mode, a full matrix has the domain's width, every delta
+    /// entry addresses a cell inside the matrix, and a
+    /// [`Stamp::GroupNext`] continuation has a previous frame from `from`
+    /// to continue. `O(|stamp|)` compares; allocates only to describe a
+    /// rejection.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Codec`] naming the first violated condition; the
+    /// state is untouched.
+    pub fn check_stamp(&self, from: DomainServerId, stamp: &Stamp) -> Result<()> {
+        let n = self.n;
+        let reject = |why: String| Err(Error::Codec(format!("stamp from {from}: {why}")));
+        if from.as_usize() >= n {
+            return reject(format!("sender out of range for domain of {n}"));
+        }
+        match (self.mode, stamp) {
+            (_, Stamp::GroupNext) => match self.images[from.as_usize()] {
+                Some(_) => Ok(()),
+                None => reject("GroupNext continuation with no prior frame".to_owned()),
+            },
+            (StampMode::Full, Stamp::Full(m)) => match m.width() {
+                w if w == n => Ok(()),
+                w => reject(format!("matrix width {w}, domain width {n}")),
+            },
+            (StampMode::Updates, Stamp::Delta(entries))
+            | (StampMode::Hybrid, Stamp::Hybrid(entries)) => {
+                match entries
+                    .iter()
+                    .find(|e| usize::from(e.row) >= n || usize::from(e.col) >= n)
+                {
+                    None => Ok(()),
+                    Some(e) => reject(format!(
+                        "entry ({}, {}) outside domain of {n}",
+                        e.row, e.col
+                    )),
+                }
+            }
+            (mode, other) => reject(format!(
+                "kind {} does not match configured mode {mode}",
+                other.kind()
+            )),
+        }
     }
 
     /// Ingests a frame arriving from `from` (in link order) and returns the
@@ -186,88 +412,250 @@ impl CausalState {
     /// in arrival order — the reliable link layer guarantees FIFO, which
     /// every incremental reconstruction relies on.
     ///
+    /// Stamps that come off the wire must pass
+    /// [`CausalState::check_stamp`] first; this function treats a stamp
+    /// that does not fit the domain as a caller bug.
+    ///
     /// # Panics
     ///
-    /// Panics if `from` is out of range, or if the stamp kind does not match
-    /// the configured [`StampMode`].
+    /// Panics if `from` is out of range, if the stamp kind does not match
+    /// the configured [`StampMode`], if a full matrix has the wrong width,
+    /// or if a [`Stamp::GroupNext`] arrives with no prior frame from
+    /// `from`.
     pub fn on_frame(&mut self, from: DomainServerId, stamp: Stamp) -> PendingStamp {
-        dispatch_mut!(self, e => e.on_frame(from, stamp))
+        let (me, f) = (self.me.as_usize(), from.as_usize());
+        let n = self.n;
+        assert!(f < n, "sender {from} out of range");
+        match (self.mode, stamp) {
+            // The previous frame's stamp plus one send from `from` to me.
+            (_, Stamp::GroupNext) => {
+                let image = self.images[f]
+                    .as_mut()
+                    // Wire input is screened by `check_stamp`; reaching
+                    // this with no image means the caller skipped it.
+                    // audit:allow(panic-freedom)
+                    .expect("GroupNext continuation with no prior frame from this sender");
+                let v = image.increment(f, me);
+                let pending = PendingStamp::from_matrix(image.clone());
+                if self.mode == StampMode::Hybrid {
+                    self.know_mut(f).raise(f, me, v);
+                }
+                pending
+            }
+            (StampMode::Full, Stamp::Full(m)) => {
+                assert_eq!(m.width(), n, "stamp width mismatch");
+                // Keep a per-sender image so zero-byte GroupNext
+                // continuations can be reconstructed in Full mode too.
+                self.images[f] = Some(m.clone());
+                PendingStamp::from_matrix(m)
+            }
+            (StampMode::Updates, Stamp::Delta(entries)) => {
+                let image = self.images[f].get_or_insert_with(|| MatrixClock::new(n));
+                raise_all(image, &entries);
+                PendingStamp::from_matrix(image.clone())
+            }
+            (StampMode::Hybrid, Stamp::Hybrid(entries)) => {
+                let image = self.images[f].get_or_insert_with(|| MatrixClock::new(n));
+                raise_all(image, &entries);
+                let pending = PendingStamp::from_matrix(image.clone());
+                // A peer's stamp is a snapshot of its own matrix: raise
+                // the knowledge model with everything it conveyed.
+                raise_all(self.know_mut(f), &entries);
+                pending
+            }
+            // Wire input is screened by `check_stamp`, so this is a
+            // wiring bug in the caller, never a remote peer's doing.
+            // audit:allow(panic-freedom)
+            (mode, other) => panic!(
+                "stamp kind {} does not match configured mode {mode:?}",
+                other.kind()
+            ),
+        }
     }
 
     /// Returns `true` if a message from `from` with stamp `pending` may be
-    /// delivered now without violating causal order.
+    /// delivered now without violating causal order (the §4.2 predicate).
     ///
     /// # Panics
     ///
     /// Panics if `from` is out of range.
     pub fn can_deliver(&self, from: DomainServerId, pending: &PendingStamp) -> bool {
-        dispatch!(self, e => e.can_deliver(from, pending))
-    }
-
-    /// Captures the protocol-relevant state projection every engine must
-    /// agree on: the `SENT` matrix plus the per-sender delivery counters.
-    /// Used by the `aaa-audit` model checker for lock-step equivalence
-    /// against the [`FullEngine`] reference.
-    pub fn transcript(&self) -> EngineTranscript {
-        let deliv = (0..self.n())
-            .map(|k| {
-                let kid = DomainServerId::new(u16::try_from(k).unwrap_or(u16::MAX));
-                self.delivered_from(kid)
-            })
-            .collect();
-        EngineTranscript {
-            sent: self.sent().clone(),
-            deliv,
+        let f = from.as_usize();
+        let me = self.me.as_usize();
+        assert!(f < self.n, "sender {from} out of range");
+        if pending.matrix().get(f, me) != self.deliv[f].saturating_add(1) {
+            return false;
         }
+        (0..self.n).all(|k| k == f || pending.matrix().get(k, me) <= self.deliv[k])
     }
 
-    /// Records delivery of a message from `from` with stamp `pending`,
-    /// merging the sender's knowledge into the local matrix.
+    /// Records delivery of a message from `from` with stamp `pending`:
+    /// `DELIV[from] += 1` and `SENT := max(SENT, pending)`, tagging every
+    /// raised cell with a fresh logical instant so delta-style stamps ship
+    /// it onward.
     ///
     /// # Panics
     ///
     /// Panics if the message is not currently deliverable; call
     /// [`CausalState::can_deliver`] first.
     pub fn deliver(&mut self, from: DomainServerId, pending: &PendingStamp) {
-        dispatch_mut!(self, e => e.deliver(from, pending))
+        assert!(
+            self.can_deliver(from, pending),
+            "delivering a message out of causal order"
+        );
+        self.deliv[from.as_usize()] = self.deliv[from.as_usize()].saturating_add(1);
+        self.state = self.state.saturating_add(1);
+        let tag = self.state;
+        let n = self.n;
+        let entry_state = &mut self.entry_state;
+        self.sent.merge_max(pending.matrix(), |row, col, _| {
+            entry_state[row * n + col] = tag;
+        });
     }
 
     /// Appends a self-describing binary image of the whole causal state to
-    /// `out`, suitable for crash-recovery journaling.
-    ///
-    /// The image includes every engine's bookkeeping (entry states,
-    /// per-peer send states, per-peer sender images, and the hybrid
-    /// engine's knowledge model), so a recovered server resumes its
-    /// protocol — including a mid-batch [`Stamp::GroupNext`] group —
-    /// exactly where it crashed.
+    /// `out`, suitable for crash-recovery journaling: identity, the mode
+    /// byte, every bookkeeping field (entry states, per-peer send states,
+    /// per-peer sender images) and, in Hybrid mode, the knowledge model —
+    /// so a recovered server resumes its protocol, including a mid-batch
+    /// [`Stamp::GroupNext`] group, exactly where it crashed.
     pub fn write_bytes(&self, out: &mut Vec<u8>) {
-        dispatch!(self, e => e.write_bytes(out))
+        out.extend_from_slice(&self.me.as_u16().to_le_bytes());
+        // Saturating `try_from`: an impossible width writes a prefix the
+        // reader rejects rather than a truncated valid-looking one.
+        out.extend_from_slice(&u32::try_from(self.n).unwrap_or(u32::MAX).to_le_bytes());
+        out.push(mode_byte(self.mode));
+        self.sent.write_bytes(out);
+        for v in &self.deliv {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        out.extend_from_slice(&self.state.to_le_bytes());
+        for v in &self.entry_state {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        for v in &self.node_state {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        write_optional_matrices(&self.images, out);
+        write_optional_matrices(&self.know, out);
     }
 
     /// Reads an image written by [`CausalState::write_bytes`] from the
     /// front of `input`, returning the state and the bytes consumed.
     ///
-    /// Returns `None` on truncated or invalid input.
+    /// Returns `None` on truncated or invalid input, including an unknown
+    /// or retired mode byte.
     pub fn read_bytes(input: &[u8]) -> Option<(CausalState, usize)> {
-        let (core, mode_byte, used) = EngineCore::read_bytes(input)?;
-        let (engine, used) = match mode_byte {
-            0 => (EngineKind::Full(FullEngine::from_core(core)), used),
-            1 => (EngineKind::Updates(UpdatesEngine::from_core(core)), used),
-            2 => (EngineKind::Reduced(ReducedEngine::from_core(core)), used),
-            3 => {
-                let (engine, tail) = HybridEngine::read_tail(core, &input[used..])?;
-                (EngineKind::Hybrid(engine), used + tail)
-            }
+        let mut at = 0usize;
+        let me = DomainServerId::new(u16::from_le_bytes(
+            take(input, &mut at, 2)?.try_into().ok()?,
+        ));
+        let n = u32::from_le_bytes(take(input, &mut at, 4)?.try_into().ok()?) as usize;
+        if n == 0 || me.as_usize() >= n {
+            return None;
+        }
+        let mode = match take(input, &mut at, 1)?[0] {
+            0 => StampMode::Full,
+            1 => StampMode::Updates,
+            3 => StampMode::Hybrid,
             _ => return None,
         };
-        Some((CausalState { engine }, used))
+        let (sent, used) = MatrixClock::read_bytes(&input[at..])?;
+        if sent.width() != n {
+            return None;
+        }
+        at += used;
+        let deliv = read_u64s(input, &mut at, n)?;
+        let state = read_u64s(input, &mut at, 1)?[0];
+        let entry_state = read_u64s(input, &mut at, n * n)?;
+        let node_state = read_u64s(input, &mut at, n)?;
+        let images = read_optional_matrices(input, &mut at, n, n)?;
+        let know_len = if mode == StampMode::Hybrid { n } else { 0 };
+        let know = read_optional_matrices(input, &mut at, know_len, n)?;
+        Some((
+            CausalState {
+                me,
+                n,
+                mode,
+                sent,
+                deliv,
+                state,
+                entry_state,
+                node_state,
+                images,
+                know,
+            },
+            at,
+        ))
     }
+}
+
+/// Raises `m` to at least every entry's value.
+fn raise_all(m: &mut MatrixClock, entries: &[UpdateEntry]) {
+    for e in entries {
+        m.raise(usize::from(e.row), usize::from(e.col), e.value);
+    }
+}
+
+fn take<'a>(input: &'a [u8], at: &mut usize, n: usize) -> Option<&'a [u8]> {
+    let s = input.get(*at..*at + n)?;
+    *at += n;
+    Some(s)
+}
+
+fn read_u64s(input: &[u8], at: &mut usize, count: usize) -> Option<Vec<u64>> {
+    let mut out = Vec::with_capacity(count);
+    for _ in 0..count {
+        out.push(u64::from_le_bytes(take(input, at, 8)?.try_into().ok()?));
+    }
+    Some(out)
+}
+
+/// Appends a `0`/`1`-tagged vector of optional matrices (the image /
+/// knowledge-model persistence shape).
+fn write_optional_matrices(ms: &[Option<MatrixClock>], out: &mut Vec<u8>) {
+    for m in ms {
+        match m {
+            None => out.push(0),
+            Some(m) => {
+                out.push(1);
+                m.write_bytes(out);
+            }
+        }
+    }
+}
+
+/// Reads `count` optional matrices written by [`write_optional_matrices`],
+/// validating each width against `n`.
+fn read_optional_matrices(
+    input: &[u8],
+    at: &mut usize,
+    count: usize,
+    n: usize,
+) -> Option<Vec<Option<MatrixClock>>> {
+    let mut out = Vec::with_capacity(count);
+    for _ in 0..count {
+        let tag = *input.get(*at)?;
+        *at += 1;
+        match tag {
+            0 => out.push(None),
+            1 => {
+                let (m, used) = MatrixClock::read_bytes(&input[*at..])?;
+                if m.width() != n {
+                    return None;
+                }
+                *at += used;
+                out.push(Some(m));
+            }
+            _ => return None,
+        }
+    }
+    Some(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stamp::UpdateEntry;
 
     fn d(i: u16) -> DomainServerId {
         DomainServerId::new(i)
@@ -410,24 +798,22 @@ mod tests {
     }
 
     #[test]
-    fn bounded_modes_smaller_than_full_matrix() {
+    fn hybrid_smaller_than_full_matrix() {
         let n = 40;
-        for mode in [StampMode::Reduced, StampMode::Hybrid] {
-            let mut a = CausalState::new(d(0), n, mode);
-            let mut b = CausalState::new(d(1), n, mode);
-            let mut total = 0usize;
-            for _ in 0..50 {
-                let s = single(&mut a, d(1));
-                total += s.encoded_len();
-                let p = b.on_frame(d(0), s);
-                b.deliver(d(0), &p);
-            }
-            let full = Stamp::Full(MatrixClock::new(n)).encoded_len() * 50;
-            assert!(
-                total * 10 < full,
-                "{mode}: {total}B should be >=10x below full stamps ({full}B)"
-            );
+        let mut a = CausalState::new(d(0), n, StampMode::Hybrid);
+        let mut b = CausalState::new(d(1), n, StampMode::Hybrid);
+        let mut total = 0usize;
+        for _ in 0..50 {
+            let s = single(&mut a, d(1));
+            total += s.encoded_len();
+            let p = b.on_frame(d(0), s);
+            b.deliver(d(0), &p);
         }
+        let full = Stamp::Full(MatrixClock::new(n)).encoded_len() * 50;
+        assert!(
+            total * 10 < full,
+            "{total}B should be >=10x below full stamps ({full}B)"
+        );
     }
 
     #[test]
@@ -453,18 +839,6 @@ mod tests {
         let (mut a, mut b) = pair(StampMode::Full);
         let _ = single(&mut a, d(1));
         let bogus = Stamp::Delta(Vec::new());
-        let _ = b.on_frame(d(0), bogus);
-    }
-
-    #[test]
-    #[should_panic(expected = "does not match configured mode")]
-    fn reduced_stamp_rejected_by_updates_engine() {
-        let mut b = CausalState::new(d(1), 2, StampMode::Updates);
-        let bogus = Stamp::Reduced {
-            row: vec![0; 2],
-            col: vec![0; 2],
-            extra: Vec::new(),
-        };
         let _ = b.on_frame(d(0), bogus);
     }
 
@@ -566,7 +940,6 @@ mod tests {
             let first = match mode {
                 StampMode::Full => Stamp::Full(MatrixClock::new(3)).encoded_len(),
                 StampMode::Updates | StampMode::Hybrid => 4 + UpdateEntry::WIRE_LEN,
-                StampMode::Reduced => 4 + 2 * 3 * 8 + 4,
             };
             assert_eq!(wire_bytes, first, "{mode}");
         }
@@ -642,7 +1015,7 @@ mod tests {
     fn images_survive_persistence_mid_group() {
         // A receiver's per-sender image (needed for GroupNext) must
         // round-trip through write_bytes/read_bytes mid-group, whatever
-        // the engine.
+        // the mode.
         for mode in StampMode::ALL {
             let mut a = CausalState::new(d(0), 2, mode);
             let mut b = CausalState::new(d(1), 2, mode);
@@ -698,5 +1071,185 @@ mod tests {
     fn continuation_without_predecessor_panics() {
         let mut b = CausalState::new(d(1), 2, StampMode::Full);
         let _ = b.on_frame(d(0), Stamp::GroupNext);
+    }
+
+    #[test]
+    fn hybrid_prunes_the_peers_own_row_on_echo_traffic() {
+        // Ping-pong: after a delivers b's echo, a's matrix has changed in
+        // row b — which Updates would ship straight back to b. Hybrid
+        // must not.
+        let mut a = CausalState::new(d(0), 3, StampMode::Hybrid);
+        let mut b = CausalState::new(d(1), 3, StampMode::Hybrid);
+        let s1 = a.stamp_send(d(1), Batching::Single);
+        let p1 = b.on_frame(d(0), s1);
+        b.deliver(d(0), &p1);
+        let r1 = b.stamp_send(d(0), Batching::Single);
+        let pr1 = a.on_frame(d(1), r1);
+        a.deliver(d(1), &pr1);
+
+        // Steady state: a's second ping conveys only its own counter.
+        let s2 = a.stamp_send(d(1), Batching::Single);
+        match &s2 {
+            Stamp::Hybrid(entries) => {
+                assert!(
+                    entries.iter().all(|e| e.row != 1),
+                    "b's own row shipped back to b: {entries:?}"
+                );
+                assert_eq!(entries.len(), 1, "steady-state ping: {entries:?}");
+            }
+            other => panic!("hybrid mode emitted {}", other.kind()),
+        }
+        let p2 = b.on_frame(d(0), s2);
+        assert!(b.can_deliver(d(0), &p2));
+        b.deliver(d(0), &p2);
+    }
+
+    #[test]
+    fn hybrid_never_prunes_the_predicate_column() {
+        // a sends to c, then to b; b forwards to c. The (a, c) counter is
+        // in c's predicate column: b's stamp to c must carry it even
+        // though b could believe c "knows" of it, because knowing is not
+        // delivering.
+        let (a_id, b_id, c_id) = (d(0), d(1), d(2));
+        let mut a = CausalState::new(a_id, 3, StampMode::Hybrid);
+        let mut b = CausalState::new(b_id, 3, StampMode::Hybrid);
+        let mut c = CausalState::new(c_id, 3, StampMode::Hybrid);
+
+        let m_ac = a.stamp_send(c_id, Batching::Single); // in flight
+        let m_ab = a.stamp_send(b_id, Batching::Single);
+        let p_ab = b.on_frame(a_id, m_ab);
+        b.deliver(a_id, &p_ab);
+
+        let m_bc = b.stamp_send(c_id, Batching::Single);
+        match &m_bc {
+            Stamp::Hybrid(entries) => assert!(
+                entries
+                    .iter()
+                    .any(|e| e.row == 0 && e.col == 2 && e.value == 1),
+                "predicate-column entry (a, c) pruned: {entries:?}"
+            ),
+            other => panic!("hybrid mode emitted {}", other.kind()),
+        }
+        let p_bc = c.on_frame(b_id, m_bc);
+        assert!(
+            !c.can_deliver(b_id, &p_bc),
+            "b's message causally follows a's and must wait"
+        );
+        let p_ac = c.on_frame(a_id, m_ac);
+        c.deliver(a_id, &p_ac);
+        assert!(c.can_deliver(b_id, &p_bc));
+        c.deliver(b_id, &p_bc);
+    }
+
+    #[test]
+    fn hybrid_smaller_than_updates_on_echo_traffic() {
+        let n = 8;
+        let mut ha = CausalState::new(d(0), n, StampMode::Hybrid);
+        let mut hb = CausalState::new(d(1), n, StampMode::Hybrid);
+        let mut ua = CausalState::new(d(0), n, StampMode::Updates);
+        let mut ub = CausalState::new(d(1), n, StampMode::Updates);
+        let (mut hybrid_bytes, mut updates_bytes) = (0usize, 0usize);
+        for _ in 0..40 {
+            let hs = ha.stamp_send(d(1), Batching::Single);
+            hybrid_bytes += hs.encoded_len();
+            let hp = hb.on_frame(d(0), hs);
+            hb.deliver(d(0), &hp);
+            let hr = hb.stamp_send(d(0), Batching::Single);
+            hybrid_bytes += hr.encoded_len();
+            let hpr = ha.on_frame(d(1), hr);
+            ha.deliver(d(1), &hpr);
+
+            let us = ua.stamp_send(d(1), Batching::Single);
+            updates_bytes += us.encoded_len();
+            let up = ub.on_frame(d(0), us);
+            ub.deliver(d(0), &up);
+            let ur = ub.stamp_send(d(0), Batching::Single);
+            updates_bytes += ur.encoded_len();
+            let upr = ua.on_frame(d(1), ur);
+            ua.deliver(d(1), &upr);
+        }
+        assert!(
+            hybrid_bytes < updates_bytes,
+            "hybrid ({hybrid_bytes}B) should undercut updates ({updates_bytes}B) on echoes"
+        );
+        // Same deliveries either way.
+        assert_eq!(ha.delivered_total(), ua.delivered_total());
+        assert_eq!(hb.sent(), ub.sent());
+    }
+
+    #[test]
+    fn every_engine_supports_group_continuations() {
+        for mode in StampMode::ALL {
+            let mut a = CausalState::new(d(0), 3, mode);
+            let mut b = CausalState::new(d(1), 3, mode);
+            let first = a.stamp_send(d(1), Batching::Grouped);
+            assert!(!first.is_group_next(), "{mode}: first frame needs a stamp");
+            let second = a.stamp_send(d(1), Batching::Grouped);
+            assert!(second.is_group_next(), "{mode}: burst must collapse");
+            for s in [first, second] {
+                let p = b.on_frame(d(0), s);
+                assert!(b.can_deliver(d(0), &p));
+                b.deliver(d(0), &p);
+            }
+            assert_eq!(b.delivered_from(d(0)), 2, "{mode}");
+        }
+    }
+
+    /// Every way a decoded stamp can fail to fit a 4-wide domain with no
+    /// frame received yet: a continuation with nothing to continue, the
+    /// other modes' kinds, the wrong width, coordinates outside the matrix.
+    fn malformed_stamps(mode: StampMode) -> Vec<Stamp> {
+        let entry = |row, col| UpdateEntry { row, col, value: 1 };
+        let full = Stamp::Full(MatrixClock::new(4));
+        let (delta, hybrid) = (Stamp::Delta(Vec::new()), Stamp::Hybrid(Vec::new()));
+        match mode {
+            StampMode::Full => vec![
+                Stamp::GroupNext,
+                delta,
+                hybrid,
+                Stamp::Full(MatrixClock::new(5)),
+            ],
+            StampMode::Updates => vec![
+                Stamp::GroupNext,
+                full,
+                hybrid,
+                Stamp::Delta(vec![entry(0, 5)]),
+                Stamp::Delta(vec![entry(0, 1), entry(4, 0)]),
+            ],
+            StampMode::Hybrid => vec![
+                Stamp::GroupNext,
+                full,
+                delta,
+                Stamp::Hybrid(vec![entry(0, 5)]),
+                Stamp::Hybrid(vec![entry(u16::MAX, 0)]),
+            ],
+        }
+    }
+
+    #[test]
+    fn check_stamp_rejects_what_does_not_fit_the_domain() {
+        for mode in StampMode::ALL {
+            let b = CausalState::new(d(1), 4, mode);
+            for stamp in malformed_stamps(mode) {
+                let err = b.check_stamp(d(0), &stamp).expect_err("malformed stamp");
+                assert!(matches!(err, Error::Codec(_)), "{mode}: {err}");
+            }
+            let err = b.check_stamp(d(4), &Stamp::GroupNext).unwrap_err();
+            assert!(err.to_string().contains("sender out of range"), "{err}");
+        }
+    }
+
+    #[test]
+    fn check_stamp_accepts_every_stamp_a_peer_emits() {
+        for mode in StampMode::ALL {
+            let mut a = CausalState::new(d(0), 4, mode);
+            let mut b = CausalState::new(d(1), 4, mode);
+            for _ in 0..3 {
+                let s = grouped(&mut a, d(1));
+                b.check_stamp(d(0), &s).expect("a peer's stamp fits");
+                let p = b.on_frame(d(0), s);
+                b.deliver(d(0), &p);
+            }
+        }
     }
 }

@@ -1,5 +1,5 @@
-//! Message timestamps: full matrices, Update deltas (Appendix A), and the
-//! bounded-space encodings of the related work.
+//! Message timestamps: full matrices, Update deltas (Appendix A), and
+//! deltas pruned by sender-side knowledge buffering.
 //!
 //! Every causally ordered message carries a [`Stamp`]. The shape of the
 //! stamp is chosen by the channel's [`StampMode`]:
@@ -9,14 +9,11 @@
 //!   message to the same peer — the *Updates optimized algorithm* of the
 //!   paper's Appendix A, `O(n)` bytes in the common case (the paper notes
 //!   `O(n²)` worst case);
-//! - [`StampMode::Reduced`] ships the sender's row, the destination's
-//!   column and a (usually empty) third-party correction set — the
-//!   Drummond–Barbosa reduced-matrix-clock idea, `O(n)` bytes *bounded*;
 //! - [`StampMode::Hybrid`] ships an Updates delta pruned against a
 //!   sender-side model of what the peer already knows — Almeida-style
 //!   knowledge buffering, smallest on pub/sub echo traffic.
 //!
-//! All four modes reconstruct the exact sender matrix on the receiving
+//! All three modes reconstruct the exact sender matrix on the receiving
 //! side, so they take identical delivery decisions (the conformance suite
 //! in `tests/conformance.rs` proves it on seeded schedules).
 
@@ -29,9 +26,10 @@ use crate::matrix::MatrixClock;
 
 /// How channel stamps are encoded on the wire.
 ///
-/// Marked `#[non_exhaustive]`: new engines may appear behind this switch
-/// (exactly how [`StampMode::Reduced`] and [`StampMode::Hybrid`] arrived),
-/// so downstream matches must keep a wildcard arm.
+/// Marked `#[non_exhaustive]`: modes come (as [`StampMode::Hybrid`] did)
+/// and go (as the Drummond–Barbosa `Reduced` mode did, dominated on bytes
+/// and CPU at every measured width), so downstream matches must keep a
+/// wildcard arm.
 #[non_exhaustive]
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
@@ -43,10 +41,6 @@ pub enum StampMode {
     /// (Appendix A). Requires FIFO links, which the AAA channel guarantees.
     #[default]
     Updates,
-    /// Ship the sender's row, the destination's column, and the modified
-    /// third-party entries neither vector covers (Drummond–Barbosa reduced
-    /// matrix clocks, made exact for the §4.2 delivery predicate).
-    Reduced,
     /// Ship an Updates delta pruned against the sender's model of the
     /// peer's knowledge (Almeida-style sender-side buffering).
     Hybrid,
@@ -54,19 +48,13 @@ pub enum StampMode {
 
 impl StampMode {
     /// Every stamp mode, for mode-generic tests and benchmarks.
-    pub const ALL: [StampMode; 4] = [
-        StampMode::Full,
-        StampMode::Updates,
-        StampMode::Reduced,
-        StampMode::Hybrid,
-    ];
+    pub const ALL: [StampMode; 3] = [StampMode::Full, StampMode::Updates, StampMode::Hybrid];
 
     /// The mode's canonical lower-case name (also its [`FromStr`] form).
     pub fn name(self) -> &'static str {
         match self {
             StampMode::Full => "full",
             StampMode::Updates => "updates",
-            StampMode::Reduced => "reduced",
             StampMode::Hybrid => "hybrid",
         }
     }
@@ -86,7 +74,7 @@ impl fmt::Display for UnknownStampMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "unknown stamp mode `{}` (expected full, updates, reduced or hybrid)",
+            "unknown stamp mode `{}` (expected full, updates or hybrid)",
             self.0
         )
     }
@@ -101,7 +89,6 @@ impl FromStr for StampMode {
         match s.to_ascii_lowercase().as_str() {
             "full" => Ok(StampMode::Full),
             "updates" => Ok(StampMode::Updates),
-            "reduced" => Ok(StampMode::Reduced),
             "hybrid" => Ok(StampMode::Hybrid),
             _ => Err(UnknownStampMode(s.to_owned())),
         }
@@ -147,32 +134,13 @@ pub enum Stamp {
     /// the wire cost is zero payload bytes — the amortization that makes
     /// group-commit batching collapse the per-message stamp cost (cf.
     /// hybrid buffering / constant-size causal broadcast in the related
-    /// work). Every engine understands it.
+    /// work). Every mode understands it.
     ///
     /// Sound only over reliable FIFO links, which AAA links guarantee.
     ///
     /// [`CausalState::stamp_send`]: crate::CausalState::stamp_send
     /// [`Batching::Grouped`]: crate::Batching::Grouped
     GroupNext,
-    /// Reduced-matrix stamp: the sender's whole row (`SENT[sender][*]`),
-    /// the destination's whole column (`SENT[*][receiver]`), and the
-    /// third-party entries modified since the last send to this peer that
-    /// neither vector covers.
-    ///
-    /// The two dense vectors are the Drummond–Barbosa reduction; `extra`
-    /// is the correction that keeps the receiver's image *exact* (two
-    /// vectors alone under-transfer third-party knowledge and violate the
-    /// §4.2 predicate transitively — see `DESIGN.md` §13). `extra` is
-    /// empty for pairwise traffic, so the stamp is a bounded `16n + O(1)`
-    /// bytes in the common case.
-    Reduced {
-        /// The sender's row: `SENT[sender][l]` for every `l`.
-        row: Vec<u64>,
-        /// The destination's column: `SENT[k][receiver]` for every `k`.
-        col: Vec<u64>,
-        /// Modified entries outside the shipped row and column.
-        extra: Vec<UpdateEntry>,
-    },
     /// Hybrid stamp: an Updates delta minus the entries the sender can
     /// prove the receiver already knows (its own row, and any cell the
     /// sender's knowledge model already attributes to the peer). Entries
@@ -185,9 +153,8 @@ impl Stamp {
     /// Size of the stamp on the wire, in bytes.
     ///
     /// Full stamps cost `n² × 8` bytes; delta and hybrid stamps cost a
-    /// 4-byte count plus [`UpdateEntry::WIRE_LEN`] per entry; reduced
-    /// stamps cost two dense `u64` vectors plus their correction entries;
-    /// group continuations cost nothing beyond their tag. This is the
+    /// 4-byte count plus [`UpdateEntry::WIRE_LEN`] per entry; group
+    /// continuations cost nothing beyond their tag. This is the
     /// quantity plotted by the Appendix-A ablation experiment and the
     /// stamp-mode shootout.
     pub fn encoded_len(&self) -> usize {
@@ -197,9 +164,6 @@ impl Stamp {
                 4 + entries.len() * UpdateEntry::WIRE_LEN
             }
             Stamp::GroupNext => 0,
-            Stamp::Reduced { row, col, extra } => {
-                4 + (row.len() + col.len()) * 8 + 4 + extra.len() * UpdateEntry::WIRE_LEN
-            }
         }
     }
 
@@ -209,7 +173,6 @@ impl Stamp {
             Stamp::Full(m) => m.width() * m.width(),
             Stamp::Delta(entries) | Stamp::Hybrid(entries) => entries.len(),
             Stamp::GroupNext => 1,
-            Stamp::Reduced { row, col, extra } => row.len() + col.len() + extra.len(),
         }
     }
 
@@ -219,7 +182,6 @@ impl Stamp {
             Stamp::Full(_) => "Full",
             Stamp::Delta(_) => "Delta",
             Stamp::GroupNext => "GroupNext",
-            Stamp::Reduced { .. } => "Reduced",
             Stamp::Hybrid(_) => "Hybrid",
         }
     }
@@ -277,23 +239,6 @@ mod tests {
         let s = Stamp::Delta(Vec::new());
         assert_eq!(s.encoded_len(), 4);
         assert_eq!(s.entry_count(), 0);
-    }
-
-    #[test]
-    fn reduced_stamp_size_is_linear_in_width() {
-        let n = 10;
-        let s = Stamp::Reduced {
-            row: vec![0; n],
-            col: vec![0; n],
-            extra: vec![UpdateEntry {
-                row: 3,
-                col: 4,
-                value: 7,
-            }],
-        };
-        assert_eq!(s.encoded_len(), 4 + 2 * n * 8 + 4 + UpdateEntry::WIRE_LEN);
-        assert_eq!(s.entry_count(), 2 * n + 1);
-        assert_eq!(s.kind(), "Reduced");
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! Mode-generic engine conformance suite.
+//! Mode-generic conformance suite.
 //!
-//! Every [`ClockEngine`] must be observationally equivalent: on the same
+//! Every [`StampMode`] must be observationally equivalent: on the same
 //! seeded schedule, every mode must postpone the same frames, deliver in
 //! the same order, drain its postponed queue to zero, and converge to the
 //! same matrices. These tests drive deterministic seeded scenarios through
-//! all four modes side by side and compare the full delivery transcript —
-//! the contract that lets the middleware switch engines without changing
+//! all three modes side by side and compare the full delivery transcript —
+//! the contract that lets the middleware switch modes without changing
 //! semantics.
 
 use aaa_base::DomainServerId;

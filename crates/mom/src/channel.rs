@@ -384,9 +384,11 @@ impl ChannelCore {
     /// # Errors
     ///
     /// Returns [`Error::UnknownDomain`] if the message names a domain this
-    /// server is not in, or [`Error::NotInDomain`] if the link sender is
-    /// not a member of that domain — both indicate a corrupt or misrouted
-    /// frame.
+    /// server is not in, [`Error::NotInDomain`] if the link sender is not a
+    /// member of that domain, or [`Error::Codec`] if the stamp does not fit
+    /// the domain's clock (wrong kind for the stamp mode, wrong width,
+    /// out-of-range entry, orphan continuation) — all indicate a corrupt or
+    /// misrouted frame, and none of them touches the clock.
     pub fn on_message(&mut self, from: ServerId, msg: WireMessage) -> Result<Vec<AgentMessage>> {
         self.on_message_at(from, msg, VTime::ZERO)
     }
@@ -446,6 +448,7 @@ impl ChannelCore {
             self.queue_out.push_back(env);
             return Ok(Vec::new());
         };
+        item.clock().check_stamp(from_dsid, &stamp)?;
         let pending = item.clock_mut().on_frame(from_dsid, stamp);
         let n_check = item.clock().n() as u64;
         self.stats.cell_ops += n_check;
@@ -544,6 +547,37 @@ impl ChannelCore {
     ) -> Result<Self> {
         topology.check_server(me)?;
         let routing = RoutingTable::build(topology, me)?;
+        // The image must describe the server being configured: a clock
+        // restored under another mode, width or identity would report one
+        // thing and stamp another.
+        let memberships = topology.memberships(me);
+        let mut fits = items.len() == memberships.len();
+        for (item, &domain) in items.iter().zip(memberships) {
+            let info = topology.domain(domain)?;
+            let clock = item.clock();
+            fits &= item.domain_id() == domain
+                && item.id_table() == info.members()
+                && clock.mode() == mode
+                && clock.n() == info.size()
+                && Some(clock.me()) == info.domain_server_id(me);
+        }
+        if !fits {
+            let written: Vec<_> = items
+                .iter()
+                .map(|it| {
+                    (
+                        it.domain_id(),
+                        it.clock().mode(),
+                        it.clock().me(),
+                        it.clock().n(),
+                    )
+                })
+                .collect();
+            return Err(Error::Codec(format!(
+                "recovered image of server {me} was written for (domain, mode, me, n) \
+                 {written:?}; it is configured for {mode:?} mode in domains {memberships:?}"
+            )));
+        }
         Ok(ChannelCore {
             me,
             mode,
@@ -934,6 +968,45 @@ mod tests {
             }),
             Err(Error::NotInDomain { .. })
         ));
+    }
+
+    #[test]
+    fn malformed_stamps_rejected_with_the_clock_untouched() {
+        use aaa_clocks::{MatrixClock, Stamp, UpdateEntry};
+        let entry = |row, col| UpdateEntry { row, col, value: 1 };
+        let topo = single_domain(4);
+        let cases = [
+            // A kind the configured mode never emits.
+            (StampMode::Updates, Stamp::Full(MatrixClock::new(4))),
+            (StampMode::Updates, Stamp::Hybrid(Vec::new())),
+            (StampMode::Hybrid, Stamp::Delta(Vec::new())),
+            (StampMode::Full, Stamp::Delta(Vec::new())),
+            // A matrix of another domain's width.
+            (StampMode::Full, Stamp::Full(MatrixClock::new(5))),
+            // Coordinates outside the 4 x 4 matrix: (0, 5) would alias
+            // cell (1, 1) in a release build.
+            (StampMode::Updates, Stamp::Delta(vec![entry(0, 5)])),
+            (StampMode::Updates, Stamp::Delta(vec![entry(4, 0)])),
+            (StampMode::Hybrid, Stamp::Hybrid(vec![entry(0, 5)])),
+            // A continuation with no frame to continue.
+            (StampMode::Full, Stamp::GroupNext),
+            (StampMode::Updates, Stamp::GroupNext),
+            (StampMode::Hybrid, Stamp::GroupNext),
+        ];
+        for (mode, stamp) in cases {
+            let mut chs = channels(&topo, mode);
+            chs[0]
+                .submit(aid(0, 1), aid(1, 1), Notification::signal("x"))
+                .unwrap();
+            let (_, mut msg) = chs[0].take_transmissions().unwrap().remove(0);
+            let what = format!("{mode} channel, {} stamp", stamp.kind());
+            msg.stamp = Some(stamp);
+            let before = chs[1].items()[0].clock().clone();
+            let got = chs[1].on_message(s(0), msg);
+            assert!(matches!(got, Err(Error::Codec(_))), "{what}: {got:?}");
+            assert_eq!(chs[1].items()[0].clock(), &before, "{what}");
+            assert_eq!(chs[1].postponed_count(), 0, "{what}");
+        }
     }
 
     #[test]

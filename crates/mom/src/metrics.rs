@@ -78,7 +78,7 @@ impl ChannelMetrics {
                     "Matrix-cell operations (stamp, check, delivery merge)",
                     &[("domain", d.as_u16().to_string())],
                 ),
-                // The stamp-byte series carries the engine name so the
+                // The stamp-byte series carries the mode name so the
                 // mode shootout can be read straight off the dashboard.
                 stamp_bytes: meter.counter_with(
                     "aaa_channel_stamp_bytes_total",

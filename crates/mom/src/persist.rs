@@ -399,10 +399,9 @@ mod tests {
 
     #[test]
     fn active_clock_survives_journal_in_every_mode() {
-        // The journal must round-trip engine bookkeeping in every stamp
-        // mode — including mid-batch GroupNext state and the hybrid
-        // engine's knowledge model, which lives beyond the shared core
-        // image.
+        // The journal must round-trip the clock's bookkeeping in every
+        // stamp mode — including mid-batch GroupNext state and the Hybrid
+        // knowledge model, which follows the shared fields in the image.
         use aaa_clocks::Batching;
         for mode in StampMode::ALL {
             let mut a = CausalState::new(DomainServerId::new(0), 3, mode);

@@ -24,7 +24,7 @@
 //! let mom = MomBuilder::new(TopologySpec::bus(2, 3))
 //!     .runtime(RuntimeConfig::evented(4).persist(true))
 //!     .net(NetConfig::memory().rto(aaa_base::VDuration::from_millis(50)))
-//!     .clock(ClockConfig::mode(StampMode::Reduced))
+//!     .clock(ClockConfig::mode(StampMode::Hybrid))
 //!     .build()?;
 //! mom.shutdown();
 //! # Ok(())

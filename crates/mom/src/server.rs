@@ -1505,6 +1505,79 @@ mod tests {
         );
     }
 
+    /// A store holding the committed image of server 1 of a two-server
+    /// domain, written in `mode` after one delivery.
+    fn committed_store(topo: &Topology, mode: StampMode) -> Arc<dyn StableStore> {
+        let store1: Arc<dyn StableStore> = Arc::new(MemoryStore::new());
+        let config = ServerConfig {
+            persist: true,
+            stamp_mode: mode,
+            ..ServerConfig::default()
+        };
+        let mut c0 = ServerCore::new(topo, s(0), config, Arc::new(MemoryStore::new())).unwrap();
+        let mut c1 = ServerCore::new(topo, s(1), config, store1.clone()).unwrap();
+        c1.register_agent(1, Box::new(FnAgent::new(|_, _, _| {})));
+        let (_, tx) = c0
+            .client_send(aid(0, 9), aid(1, 1), Notification::signal("x"), VTime::ZERO)
+            .unwrap();
+        for t in tx {
+            c1.on_datagram(s(0), t.bytes, VTime::ZERO).unwrap();
+        }
+        store1
+    }
+
+    fn recover_server(
+        topo: &Topology,
+        me: u16,
+        mode: StampMode,
+        store: Arc<dyn StableStore>,
+    ) -> Result<ServerCore> {
+        let config = ServerConfig {
+            persist: true,
+            stamp_mode: mode,
+            ..ServerConfig::default()
+        };
+        ServerCore::recover(topo, s(me), config, store, Vec::new(), VTime::ZERO)
+    }
+
+    #[test]
+    fn recovery_under_another_mode_or_topology_is_an_error() {
+        let topo = TopologySpec::single_domain(2).validate().unwrap();
+        let store = committed_store(&topo, StampMode::Updates);
+        assert!(recover_server(&topo, 1, StampMode::Updates, store.clone()).is_ok());
+
+        for other in [StampMode::Full, StampMode::Hybrid] {
+            let err = recover_server(&topo, 1, other, store.clone()).unwrap_err();
+            assert!(matches!(err, Error::Codec(_)), "{other}: {err}");
+            assert!(err.to_string().contains("Updates"), "{err}");
+        }
+        // Same mode, wider domain: the image's clock is 2 wide, not 3.
+        let wider = TopologySpec::single_domain(3).validate().unwrap();
+        let err = recover_server(&wider, 1, StampMode::Updates, store.clone()).unwrap_err();
+        assert!(matches!(err, Error::Codec(_)), "{err}");
+        // Same mode and width, but the image is another server's.
+        let err = recover_server(&topo, 0, StampMode::Updates, store).unwrap_err();
+        assert!(matches!(err, Error::Codec(_)), "{err}");
+    }
+
+    #[test]
+    fn store_written_in_the_retired_reduced_mode_is_a_recovery_error() {
+        let topo = TopologySpec::single_domain(2).validate().unwrap();
+        let store = committed_store(&topo, StampMode::Updates);
+        // Find the clock inside the image (`me: u16`, `n: u32`, mode byte)
+        // and patch its mode byte to 2, as a `Reduced` server wrote it.
+        let mut image = store.get(IMAGE_KEY).unwrap().expect("committed image");
+        let head = [1u8, 0, 2, 0, 0, 0, 1];
+        let at = image
+            .windows(head.len())
+            .position(|w| w == head)
+            .expect("clock image of server 1 of 2 in updates mode");
+        image[at + 6] = 2;
+        store.put(IMAGE_KEY, &image).unwrap();
+        let err = recover_server(&topo, 1, StampMode::Updates, store).unwrap_err();
+        assert!(matches!(err, Error::Codec(_)), "{err}");
+    }
+
     #[test]
     fn recover_without_image_is_fresh() {
         let topo = TopologySpec::single_domain(2).validate().unwrap();

@@ -123,7 +123,6 @@ proptest! {
         mode in prop_oneof![
             Just(StampMode::Full),
             Just(StampMode::Updates),
-            Just(StampMode::Reduced),
             Just(StampMode::Hybrid),
         ],
     ) {

@@ -117,9 +117,9 @@ impl Encoder {
 
     /// Writes a stamp: a 1-byte tag, then either the full matrix
     /// (width + cells), an update list (count + triples; delta and hybrid
-    /// stamps differ only in tag), the reduced row/column vectors plus
-    /// their correction list, or — for the zero-byte group-commit
-    /// continuation — nothing at all.
+    /// stamps differ only in tag), or — for the zero-byte group-commit
+    /// continuation — nothing at all. Tag 4 is retired (the `Reduced`
+    /// stamp) and never reused.
     pub fn stamp(&mut self, v: &Stamp) -> &mut Self {
         match v {
             Stamp::Full(m) => {
@@ -145,25 +145,6 @@ impl Encoder {
             // Tag 2 is taken by "no stamp" in `stamp_opt`.
             Stamp::GroupNext => {
                 self.u8(3);
-            }
-            Stamp::Reduced { row, col, extra } => {
-                self.u8(4);
-                // The row and column are always domain-width, so one count
-                // covers both dense vectors.
-                self.count(row.len());
-                debug_assert_eq!(row.len(), col.len());
-                for v in row {
-                    self.u64(*v);
-                }
-                for v in col {
-                    self.u64(*v);
-                }
-                self.count(extra.len());
-                for e in extra {
-                    self.u16(e.row);
-                    self.u16(e.col);
-                    self.u64(e.value);
-                }
             }
             Stamp::Hybrid(entries) => {
                 self.u8(5);
@@ -291,8 +272,11 @@ impl Decoder {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Codec`] on truncation, an unknown tag, an absurd
-    /// matrix width, or out-of-range delta coordinates.
+    /// Returns [`Error::Codec`] on truncation, an unknown or retired tag,
+    /// or an absurd matrix width. Whether the stamp fits the *domain* it
+    /// arrived in (its kind, its width, its entry coordinates) is not
+    /// knowable here; `CausalState::check_stamp` answers that before the
+    /// stamp reaches a clock.
     pub fn stamp(&mut self) -> Result<Stamp> {
         let tag = self.u8()?;
         self.stamp_tagged(tag)
@@ -316,24 +300,13 @@ impl Decoder {
             }
             1 => Ok(Stamp::Delta(self.update_entries()?)),
             3 => Ok(Stamp::GroupNext),
-            4 => {
-                let n = self.u32()? as usize;
-                if n == 0 || n > u16::MAX as usize {
-                    return Err(Error::Codec(format!("invalid reduced stamp width {n}")));
-                }
-                self.need(2 * n * 8, "reduced stamp vectors")?;
-                let row = (0..n).map(|_| self.buf.get_u64_le()).collect();
-                let col = (0..n).map(|_| self.buf.get_u64_le()).collect();
-                let extra = self.update_entries()?;
-                Ok(Stamp::Reduced { row, col, extra })
-            }
             5 => Ok(Stamp::Hybrid(self.update_entries()?)),
             tag => Err(Error::Codec(format!("unknown stamp tag {tag}"))),
         }
     }
 
-    /// Reads a counted list of modified-entry triples, shared by the delta,
-    /// reduced (correction set) and hybrid stamp encodings.
+    /// Reads a counted list of modified-entry triples, shared by the delta
+    /// and hybrid stamp encodings.
     fn update_entries(&mut self) -> Result<Vec<UpdateEntry>> {
         let count = self.u32()? as usize;
         self.need(count * UpdateEntry::WIRE_LEN, "update entries")?;
@@ -443,24 +416,6 @@ mod tests {
     }
 
     #[test]
-    fn reduced_stamp_roundtrip_and_size() {
-        let stamp = Stamp::Reduced {
-            row: vec![1, 0, 3],
-            col: vec![0, 2, 0],
-            extra: vec![UpdateEntry {
-                row: 2,
-                col: 1,
-                value: 9,
-            }],
-        };
-        let mut e = Encoder::new();
-        e.stamp(&stamp);
-        assert_eq!(e.len(), stamp.encoded_len() + 1);
-        let decoded = Decoder::new(e.finish()).stamp().unwrap();
-        assert_eq!(decoded, stamp);
-    }
-
-    #[test]
     fn hybrid_stamp_roundtrip_and_size() {
         let stamp = Stamp::Hybrid(vec![
             UpdateEntry {
@@ -484,13 +439,6 @@ mod tests {
     }
 
     #[test]
-    fn reduced_stamp_rejects_absurd_width() {
-        let mut e = Encoder::new();
-        e.u8(4).count(0);
-        assert!(Decoder::new(e.finish()).stamp().is_err());
-    }
-
-    #[test]
     fn truncated_input_errors() {
         let mut e = Encoder::new();
         e.u64(1);
@@ -511,6 +459,16 @@ mod tests {
     fn unknown_stamp_tag_errors() {
         let mut d = Decoder::new(Bytes::from_static(&[9]));
         assert!(matches!(d.stamp(), Err(Error::Codec(_))));
+
+        // Tag 4 was the `Reduced` stamp: a well-formed one from an old
+        // peer (width 1, row, column, empty correction set) is refused by
+        // name, not mis-parsed as something else.
+        let mut e = Encoder::new();
+        e.u8(4).count(1).u64(0).u64(0).count(0);
+        match Decoder::new(e.finish()).stamp() {
+            Err(Error::Codec(why)) => assert_eq!(why, "unknown stamp tag 4"),
+            other => panic!("retired tag 4 decoded as {other:?}"),
+        }
     }
 
     #[test]

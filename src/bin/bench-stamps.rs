@@ -13,26 +13,21 @@
 //! membership, sparse active communication). One link runs a tick late, so
 //! frames genuinely postpone and the can-deliver scan is exercised.
 //!
-//! Legs:
-//!
-//! - **n = 100 and n = 1000, measured** — real protocol runs; stamp bytes
-//!   are exact, CPU is wall-clock over the stamp/on-frame/deliver path.
-//! - **n = 10000, modeled** — a full-mode matrix is 800 MB *per server*,
-//!   so this leg is computed from the cost model instead of run: dense
-//!   terms (`8n²` for full, `16n` for reduced) from the formulas, sparse
-//!   per-message entry counts carried over from the n = 1000 measurement
-//!   (they depend on traffic, not on declared width). Marked
-//!   `"measured": false` in the output.
+//! Two legs, n = 100 and n = 1000, both real protocol runs: stamp bytes
+//! are exact, CPU is wall-clock over the stamp/on-frame/deliver path.
+//! (n = 10000 is not run — a full-mode matrix is 800 MB *per server* —
+//! and an analytic row does not belong in a measurements file; it becomes
+//! a leg when ROADMAP item 2's sparse state makes it runnable.)
 //!
 //! Results go to `BENCH_stamps.json`. Without `--short` the run asserts
-//! the acceptance bar: every bounded mode ships ≥10× fewer stamp bytes
-//! than full at n = 1000.
+//! the acceptance bar: every delta mode ships ≥10× fewer stamp bytes than
+//! full at n = 1000.
 
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 use aaa_middleware::base::DomainServerId;
-use aaa_middleware::clocks::{Batching, CausalState, PendingStamp, Stamp, StampMode, UpdateEntry};
+use aaa_middleware::clocks::{Batching, CausalState, PendingStamp, Stamp, StampMode};
 
 /// Active servers exchanging traffic; everything else in the domain is
 /// declared membership only.
@@ -47,13 +42,9 @@ struct ModeResult {
     mode: StampMode,
     messages: u64,
     stamp_bytes: u64,
-    /// Entries shipped by sparse stamps (delta / hybrid / reduced extras):
-    /// the traffic-dependent, width-independent part of the cost model.
-    sparse_entries: u64,
     protocol_cpu: Duration,
     delivers: u64,
     max_postponed: usize,
-    modeled: bool,
 }
 
 impl ModeResult {
@@ -97,11 +88,9 @@ fn run_mode(n: usize, mode: StampMode, ticks: usize) -> ModeResult {
         mode,
         messages: 0,
         stamp_bytes: 0,
-        sparse_entries: 0,
         protocol_cpu: Duration::ZERO,
         delivers: 0,
         max_postponed: 0,
-        modeled: false,
     };
 
     for tick in 0..ticks {
@@ -117,11 +106,6 @@ fn run_mode(n: usize, mode: StampMode, ticks: usize) -> ModeResult {
                 result.protocol_cpu += t0.elapsed();
                 result.messages += 1;
                 result.stamp_bytes += stamp.encoded_len() as u64;
-                result.sparse_entries += match &stamp {
-                    Stamp::Delta(e) | Stamp::Hybrid(e) => e.len() as u64,
-                    Stamp::Reduced { extra, .. } => extra.len() as u64,
-                    _ => 0,
-                };
                 links[from][to].push_back(Frame {
                     from,
                     stamp: Some(stamp),
@@ -221,55 +205,22 @@ fn run_mode(n: usize, mode: StampMode, ticks: usize) -> ModeResult {
     result
 }
 
-/// The n = 10000 leg, computed instead of run (see module docs): dense
-/// byte terms from the encoding formulas, sparse entry counts carried over
-/// from the measured leg at n = 1000.
-fn model_mode(n: usize, measured: &ModeResult) -> ModeResult {
-    let per_msg_entries = measured.sparse_entries as f64 / measured.messages.max(1) as f64;
-    let entry_bytes = (per_msg_entries * UpdateEntry::WIRE_LEN as f64) as u64;
-    let n = n as u64;
-    let bytes_per_msg = match measured.mode {
-        StampMode::Full => 4 + 8 * n * n,
-        StampMode::Updates | StampMode::Hybrid => 4 + entry_bytes,
-        StampMode::Reduced => 4 + 16 * n + 4 + entry_bytes,
-        // `StampMode` is non_exhaustive: a new engine needs its own model.
-        // Fall back to the dense bound so the bench keeps running.
-        _ => 4 + 8 * n * n,
-    };
-    ModeResult {
-        mode: measured.mode,
-        messages: 1,
-        stamp_bytes: bytes_per_msg,
-        sparse_entries: per_msg_entries as u64,
-        // CPU scales with the dense work per message: n² cells for full,
-        // the measured (width-light) path otherwise.
-        protocol_cpu: measured.protocol_cpu,
-        delivers: measured.delivers,
-        max_postponed: measured.max_postponed,
-        modeled: true,
-    }
-}
-
 fn json_mode(r: &ModeResult) -> String {
     format!(
         "      \"{}\": {{ \"stamp_bytes_per_msg\": {:.1}, \"cpu_us_per_deliver\": {:.2}, \
          \"max_postponed_depth\": {}, \"messages\": {} }}",
         r.mode,
         r.bytes_per_msg(),
-        if r.modeled {
-            -1.0
-        } else {
-            r.cpu_us_per_deliver()
-        },
+        r.cpu_us_per_deliver(),
         r.max_postponed,
-        if r.modeled { 0 } else { r.messages },
+        r.messages,
     )
 }
 
-fn json_leg(n: usize, measured: bool, modes: &[ModeResult]) -> String {
+fn json_leg(n: usize, modes: &[ModeResult]) -> String {
     let body: Vec<String> = modes.iter().map(json_mode).collect();
     format!(
-        "    {{ \"n\": {n}, \"measured\": {measured}, \"state_bytes_per_server\": {},\n      \
+        "    {{ \"n\": {n}, \"measured\": true, \"state_bytes_per_server\": {},\n      \
          \"modes\": {{\n{}\n      }} }}",
         state_bytes_per_server(n),
         body.join(",\n")
@@ -311,7 +262,7 @@ fn main() {
                 r
             })
             .collect();
-        legs.push(json_leg(n, true, &modes));
+        legs.push(json_leg(n, &modes));
         if n == 1000 {
             at_1000 = modes;
         }
@@ -319,17 +270,6 @@ fn main() {
 
     let mut reductions = String::new();
     if !at_1000.is_empty() {
-        // Modeled 10000-wide leg, derived from the 1000-wide measurement.
-        let modeled: Vec<ModeResult> = at_1000.iter().map(|r| model_mode(10_000, r)).collect();
-        for r in &modeled {
-            eprintln!(
-                "  n=10000 {:>8}: {:>12.1} B/msg  (modeled)",
-                r.mode.to_string(),
-                r.bytes_per_msg()
-            );
-        }
-        legs.push(json_leg(10_000, false, &modeled));
-
         let full = at_1000
             .iter()
             .find(|r| r.mode == StampMode::Full)

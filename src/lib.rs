@@ -81,9 +81,7 @@ pub mod prelude {
         Absorb, AgentId, DomainId, Error, MessageId, Result, ServerId, VDuration, VTime,
     };
     pub use aaa_chaos::{FaultPlan, FaultTransport};
-    pub use aaa_clocks::{
-        Batching, ClockEngine, FullEngine, HybridEngine, ReducedEngine, StampMode, UpdatesEngine,
-    };
+    pub use aaa_clocks::{Batching, StampMode};
     pub use aaa_mom::{
         Agent, AgentMessage, BatchPolicy, ClockConfig, DeliveryPolicy, EchoAgent, FnAgent, Mom,
         MomBuilder, NetConfig, Notification, ReactionContext, RuntimeConfig, RuntimeKind,

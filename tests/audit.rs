@@ -15,10 +15,7 @@ use std::path::Path;
 
 use aaa_audit::allowlist::Allowlist;
 use aaa_audit::source::SourceFile;
-use aaa_audit::{
-    apply_suppressions, audit_workspace, run_rules, run_rules_opts, AuditOptions, Config, Finding,
-    Workspace,
-};
+use aaa_audit::{apply_suppressions, audit_workspace, run_rules, Config, Finding, Workspace};
 use aaa_middleware::obs::{Meter, Registry};
 
 fn root() -> &'static Path {
@@ -330,88 +327,6 @@ fn sabotage_undominated_deliver_is_caught() {
         .unwrap_or_else(|| panic!("undominated deliver not flagged; findings: {f:#?}"));
     assert_eq!(hit.file, "crates/mom/src/channel.rs");
     assert!(hit.line > 0, "diagnostic must carry a line number");
-}
-
-#[test]
-fn parallel_and_sequential_audit_are_byte_identical() {
-    // The thread-pool per-file pass is a pure throughput device: findings
-    // are gathered in file order and go through the same full-key sort,
-    // so every rendered artifact must match a sequential run exactly.
-    let config = Config::for_aaa_workspace();
-    let ws = Workspace::load(root()).expect("workspace loads");
-    let base = AuditOptions {
-        use_cache: false,
-        parallel: false,
-        diff_files: None,
-    };
-    let seq = run_rules_opts(&ws, &config, &base);
-    let par = run_rules_opts(
-        &ws,
-        &config,
-        &AuditOptions {
-            parallel: true,
-            ..base
-        },
-    );
-    assert_eq!(seq, par, "parallel findings must match sequential");
-    assert_eq!(
-        aaa_audit::sarif::render(&seq),
-        aaa_audit::sarif::render(&par),
-        "SARIF bytes must be identical across execution modes"
-    );
-}
-
-#[test]
-fn diff_scope_limits_per_file_rules_but_not_global_ones() {
-    // `--diff` semantics: a violation in a file outside the diff scope is
-    // not scanned (that is the point — it was already clean at the base
-    // ref), while cross-file rules still see the whole tree.
-    let config = Config::for_aaa_workspace();
-    let mut ws = Workspace::load(root()).expect("workspace loads");
-    let idx = ws
-        .files
-        .iter()
-        .position(|f| f.rel == "crates/net/src/link.rs")
-        .expect("link.rs in workspace");
-    let text = format!(
-        "{}\nfn sneaky(x: Option<u8>) -> u8 {{ x.unwrap() }}\n",
-        ws.files[idx].text
-    );
-    ws.files[idx] = SourceFile::parse("crates/net/src/link.rs".to_owned(), text);
-
-    let full = run_rules(&ws, &config);
-    assert!(
-        full.iter()
-            .any(|f| f.rule == "panic-freedom" && f.file == "crates/net/src/link.rs"),
-        "full run must catch the planted unwrap"
-    );
-
-    let scoped = run_rules_opts(
-        &ws,
-        &config,
-        &AuditOptions {
-            use_cache: false,
-            parallel: true,
-            diff_files: Some(
-                ["crates/mom/src/server.rs".to_owned()]
-                    .into_iter()
-                    .collect(),
-            ),
-        },
-    );
-    assert!(
-        !scoped
-            .iter()
-            .any(|f| f.rule == "panic-freedom" && f.file == "crates/net/src/link.rs"),
-        "diff scope must skip per-file rules on unchanged files"
-    );
-    // Global rules still ran: the planted unwrap does not disturb them,
-    // and the scoped run reports the same global findings as the full
-    // run minus per-file ones (zero of either on this tree).
-    assert!(
-        scoped.iter().all(|f| full.contains(f)),
-        "diff-scoped findings must be a subset of the full run"
-    );
 }
 
 #[test]

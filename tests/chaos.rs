@@ -106,7 +106,7 @@ fn derive_case(seed: u64) -> Case {
         plan,
         // `seed / 2` walks the mode list half as fast as the fault shape,
         // so 24 seeds cover every (shape, mode) pairing at least once.
-        stamp: StampMode::ALL[((seed / 2) % 4) as usize],
+        stamp: StampMode::ALL[(seed / 2) as usize % StampMode::ALL.len()],
         batching: (seed / 4).is_multiple_of(2),
     }
 }
@@ -300,7 +300,9 @@ fn run_evented_case(seed: u64) -> Result<FaultStats, String> {
     let shards = 1 + (seed % 3) as usize;
     let mom = MomBuilder::new(spec())
         .transports(transports)
-        .clock(ClockConfig::mode(StampMode::ALL[((seed / 2) % 4) as usize]))
+        .clock(ClockConfig::mode(
+            StampMode::ALL[(seed / 2) as usize % StampMode::ALL.len()],
+        ))
         .runtime(RuntimeConfig::evented(shards).metrics(true))
         .net(NetConfig::memory().rto(VDuration::from_millis(20)))
         .build()

@@ -1,13 +1,12 @@
-//! Tier-1 gate: exhaustive model check of the **real clock engines**.
+//! Tier-1 gate: exhaustive model check of the **real clock protocol**.
 //!
 //! Where `model_evented.rs` checks an abstract model of the runtime's
-//! wakeup protocol, this gate drives the four production `ClockEngine`s
-//! (`Full`, `Updates`, `Reduced`, `Hybrid`) — the actual code behind
-//! `CausalState` — through every interleaving of send / transmit /
-//! deliver at a small network shape, including FIFO-link reorder across
-//! senders, duplicate delivery attempts, mid-group `GroupNext`
-//! continuations, and crash/recovery through the engines' real
-//! `write_bytes`/`read_bytes` persistence images. On every reachable
+//! wakeup protocol, this gate drives the production `CausalState` in each
+//! of its three stamp modes (`Full`, `Updates`, `Hybrid`) through every
+//! interleaving of send / transmit / deliver at a small network shape,
+//! including FIFO-link reorder across senders, duplicate delivery
+//! attempts, mid-group `GroupNext` continuations, and crash/recovery
+//! through the real `write_bytes`/`read_bytes` persistence images. On every reachable
 //! state it asserts (DESIGN.md §16):
 //!
 //! - **causal order** — no delivery before the ground-truth causal
@@ -30,10 +29,9 @@
 use aaa_audit::interleave::{explore, EngineConfig, EngineModel, Options};
 use aaa_clocks::StampMode;
 
-const MODES: [(&str, StampMode); 4] = [
+const MODES: [(&str, StampMode); 3] = [
     ("full", StampMode::Full),
     ("updates", StampMode::Updates),
-    ("reduced", StampMode::Reduced),
     ("hybrid", StampMode::Hybrid),
 ];
 
@@ -83,7 +81,7 @@ fn sabotage_weakened_delivery_predicate_fails_every_mode() {
     // weakened variant accepts `>=` — the classic off-by-one that admits
     // message k+2 while k+1 is still in flight. Every mode's check must
     // refute it with a concrete interleaving, caught by the ground-truth
-    // dependency oracle (not by the engines' own predicate, which is the
+    // dependency oracle (not by the protocol's own predicate, which is the
     // thing under suspicion).
     for (name, mode) in MODES {
         let mut cfg = EngineConfig::ci(mode);

@@ -1,9 +1,8 @@
 //! Cross-runtime consistency: the discrete-event simulator, the threaded
 //! runtime and the sharded evented runtime all drive the *same* sans-IO
 //! cores; the same workload must produce the same end-to-end message set
-//! and causally consistent traces in all three — across both stamp-mode
-//! families (the full-matrix family and the bounded-space reduced
-//! family).
+//! and causally consistent traces in all three — for the plain Appendix-A
+//! delta and for the knowledge-pruned one.
 
 mod common;
 
@@ -69,11 +68,11 @@ fn run_mom(seed: u64, mode: StampMode, runtime: RuntimeConfig) -> (usize, bool) 
     out
 }
 
-/// Both stamp-mode families, three execution substrates, same workload:
+/// Both delta stamp modes, three execution substrates, same workload:
 /// identical message sets, causal traces everywhere.
 #[test]
 fn same_workload_same_outcome_across_all_runtimes() {
-    for mode in [StampMode::Updates, StampMode::Reduced] {
+    for mode in [StampMode::Updates, StampMode::Hybrid] {
         for seed in 0..3u64 {
             let (sim_msgs, sim_ok) = run_sim(seed, mode);
             let (thr_msgs, thr_ok) = run_mom(seed, mode, RuntimeConfig::threaded());
