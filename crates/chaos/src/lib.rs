@@ -10,7 +10,7 @@
 //! deterministic description of network misbehaviour — loss,
 //! duplication, delay/reorder, partition windows, crash schedules —
 //! applied identically in the discrete-event simulator and in the
-//! threaded runtime.
+//! live runtime.
 //!
 //! - [`FaultPlan`] — the seeded description: per-link
 //!   [`LinkFaults`] probabilities, timed [`Partition`] windows and a
@@ -18,7 +18,7 @@
 //! - [`FaultInjector`] — the decision engine: one RNG draw per datagram,
 //!   so a seed fully determines the fault pattern;
 //! - [`FaultTransport`] — a [`Transport`](aaa_net::Transport) wrapper
-//!   that chaos-tests the threaded runtime over any inner transport,
+//!   that chaos-tests the live runtime over any inner transport,
 //!   steered at runtime through a [`ChaosHandle`];
 //! - the simulator consumes the same plan via
 //!   `Simulation::with_fault_plan` (the historical drop-only

@@ -1,4 +1,4 @@
-//! A chaos [`Transport`] wrapper for the threaded runtime.
+//! A chaos [`Transport`] wrapper for the live runtime.
 //!
 //! [`FaultTransport`] composes over any inner transport (the in-memory
 //! mesh, localhost TCP) and runs every outgoing packet through a shared

@@ -58,7 +58,7 @@ pub(crate) struct Postponed {
     pub(crate) pending: PendingStamp,
     pub(crate) env: Envelope,
     /// When the message arrived (caller's clock: wall micros in the
-    /// threaded runtime, virtual time in the simulator). Used for the
+    /// live runtime, virtual time in the simulator). Used for the
     /// postponement-duration histogram; persisted so durations survive
     /// crash recovery.
     pub(crate) arrived_at: VTime,

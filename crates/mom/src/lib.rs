@@ -23,10 +23,10 @@
 //! - sans-IO cores: [`ChannelCore`](channel::ChannelCore),
 //!   [`EngineCore`], [`ServerCore`] — deterministic
 //!   state machines, also driven by the `aaa-sim` discrete-event simulator;
-//! - the runtimes: [`MomBuilder`] / [`Mom`] — either one thread per
-//!   server ([`RuntimeKind::Threaded`]) or N event-loop shards driving
-//!   every server over a fixed worker pool
-//!   ([`RuntimeKind::Evented`]), both over a pluggable byte transport
+//! - the runtime: [`MomBuilder`] / [`Mom`] — one pool of shard workers
+//!   stepping every server, sized one worker per server
+//!   ([`RuntimeConfig::threaded`], the default) or a fixed few
+//!   ([`RuntimeConfig::evented`]), over a pluggable byte transport
 //!   (in-memory or shard-multiplexed TCP; see [`NetConfig`]).
 //!
 //! # Example: causal ping-pong across domains
@@ -70,7 +70,5 @@ pub use domain_item::DomainItem;
 pub use engine::EngineCore;
 pub use message::{AgentMessage, DeliveryPolicy, Notification, SendOptions};
 pub use relay::{relay_agent, RelayConfig};
-pub use runtime::{
-    ClockConfig, Mom, MomBuilder, NetConfig, RuntimeConfig, RuntimeKind, TransportKind,
-};
+pub use runtime::{ClockConfig, Mom, MomBuilder, NetConfig, RuntimeConfig, TransportKind};
 pub use server::{ServerConfig, ServerCore, StepStats, Transmission};

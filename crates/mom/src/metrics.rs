@@ -163,6 +163,8 @@ pub(crate) struct ServerMetrics {
     pub group_commit_us: Histogram,
     /// Client sends rejected because the outstanding budget was exhausted.
     pub backpressure: Counter,
+    /// Datagrams and frame payloads dropped by the ingestion path.
+    pub rejected_datagrams: Counter,
     /// Minted lazily per peer (retransmissions are rare).
     retransmissions: HashMap<ServerId, Counter>,
 }
@@ -207,6 +209,11 @@ impl ServerMetrics {
                 "aaa_mom_backpressure_total",
                 "Client sends rejected because the outstanding-message budget \
                  was exhausted",
+            ),
+            rejected_datagrams: meter.counter(
+                "aaa_server_rejected_datagrams_total",
+                "Datagrams and frame payloads dropped because they failed to \
+                 decode or validate, or because their step aborted",
             ),
             retransmissions: HashMap::new(),
         }

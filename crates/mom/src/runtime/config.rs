@@ -4,8 +4,8 @@
 //! this module replaces them with three value types, grouped by the layer
 //! they configure:
 //!
-//! - [`RuntimeConfig`] — *how servers execute*: the [`RuntimeKind`]
-//!   (thread-per-server or sharded event loops), persistence, trace
+//! - [`RuntimeConfig`] — *how servers execute*: the shard pool's worker
+//!   count (one per server or a fixed few), persistence, trace
 //!   recording, metrics, backpressure;
 //! - [`NetConfig`] — *how bytes move*: the [`TransportKind`], link
 //!   batching policy, retransmission timeout;
@@ -39,43 +39,14 @@ use aaa_net::BatchPolicy;
 
 use crate::server::ServerConfig;
 
-/// How the bus executes its servers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RuntimeKind {
-    /// One OS thread per server — the paper's one-JVM-per-server shape,
-    /// faithful but bounded to a few hundred servers per process.
-    Threaded,
-    /// N event-loop shards over a fixed worker pool, multiplexing every
-    /// server onto them with work-stealing — the C10K runtime.
-    Evented {
-        /// Number of shard workers; `0` sizes the pool from available
-        /// parallelism.
-        shards: usize,
-    },
-}
-
-impl RuntimeKind {
-    /// Resolves the worker count for this kind (`None` for threaded).
-    #[must_use]
-    pub fn worker_count(self) -> Option<usize> {
-        match self {
-            RuntimeKind::Threaded => None,
-            RuntimeKind::Evented { shards } => Some(if shards == 0 {
-                std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(4)
-            } else {
-                shards
-            }),
-        }
-    }
-}
-
-/// Execution-layer configuration: runtime kind, durability, observability.
+/// Execution-layer configuration: pool size, durability, observability.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
-    /// The execution substrate (default: [`RuntimeKind::Threaded`]).
-    pub kind: RuntimeKind,
+    /// Shard workers stepping the servers. `0` sizes the pool from
+    /// available parallelism; any count is clamped to `[1, servers]` at
+    /// build time, so the default `usize::MAX` (what
+    /// [`RuntimeConfig::threaded`] sets) means one worker per server.
+    pub workers: usize,
     /// Transactional persistence of every server (default: off).
     /// Required for crash/recover to be meaningful.
     pub persist: bool,
@@ -99,11 +70,13 @@ impl Default for RuntimeConfig {
 }
 
 impl RuntimeConfig {
-    /// Thread-per-server execution with the default knobs.
+    /// One shard worker per server with the default knobs: a server
+    /// whose step blocks (an `fdatasync` in its store) never holds up
+    /// another server's step.
     #[must_use]
     pub fn threaded() -> RuntimeConfig {
         RuntimeConfig {
-            kind: RuntimeKind::Threaded,
+            workers: usize::MAX,
             persist: false,
             max_outstanding: 65_536,
             record_trace: true,
@@ -112,21 +85,25 @@ impl RuntimeConfig {
         }
     }
 
-    /// Sharded event-loop execution over `shards` workers (`0` = size
-    /// from available parallelism), default knobs otherwise.
+    /// Every server multiplexed onto `shards` workers (`0` = size from
+    /// available parallelism), default knobs otherwise.
     #[must_use]
     pub fn evented(shards: usize) -> RuntimeConfig {
         RuntimeConfig {
-            kind: RuntimeKind::Evented { shards },
+            workers: shards,
             ..RuntimeConfig::threaded()
         }
     }
 
-    /// Replaces the runtime kind.
-    #[must_use]
-    pub fn kind(mut self, kind: RuntimeKind) -> RuntimeConfig {
-        self.kind = kind;
-        self
+    /// The worker count a bus of `servers` servers runs with.
+    pub(crate) fn resolve_workers(&self, servers: usize) -> usize {
+        let asked = match self.workers {
+            0 => std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(4),
+            k => k,
+        };
+        asked.clamp(1, servers.max(1))
     }
 
     /// Enables or disables transactional persistence.
@@ -170,9 +147,8 @@ impl RuntimeConfig {
 pub enum TransportKind {
     /// In-process FIFO channels (default; fastest, test-friendly).
     Memory,
-    /// Localhost TCP multiplexed over one socket per event-loop shard:
-    /// many logical links per socket, per-link FIFO preserved. The
-    /// threaded runtime uses a single shard.
+    /// Localhost TCP multiplexed over one socket per shard worker:
+    /// many logical links per socket, per-link FIFO preserved.
     MuxTcp,
 }
 
@@ -296,7 +272,7 @@ mod tests {
     #[test]
     fn defaults_mirror_the_legacy_builder() {
         let rt = RuntimeConfig::default();
-        assert_eq!(rt.kind, RuntimeKind::Threaded);
+        assert_eq!(rt.workers, RuntimeConfig::threaded().workers);
         assert!(!rt.persist);
         assert!(rt.record_trace);
         assert!(rt.metrics);
@@ -309,6 +285,22 @@ mod tests {
     }
 
     #[test]
+    fn worker_count_resolves_against_the_server_count() {
+        let cores = std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get);
+        for servers in [1, 2, 5, 64] {
+            assert_eq!(RuntimeConfig::threaded().resolve_workers(servers), servers);
+            assert_eq!(
+                RuntimeConfig::evented(0).resolve_workers(servers),
+                cores.min(servers)
+            );
+            assert_eq!(
+                RuntimeConfig::evented(3).resolve_workers(servers),
+                3.min(servers)
+            );
+        }
+    }
+
+    #[test]
     fn chainers_update_in_place() {
         let rt = RuntimeConfig::evented(0)
             .persist(true)
@@ -316,10 +308,7 @@ mod tests {
             .metrics(false)
             .max_outstanding(7)
             .allow_cycles(true);
-        assert!(matches!(rt.kind, RuntimeKind::Evented { shards: 0 }));
-        assert!(rt.kind.worker_count().unwrap() >= 1);
-        assert_eq!(RuntimeKind::Evented { shards: 3 }.worker_count(), Some(3));
-        assert_eq!(RuntimeKind::Threaded.worker_count(), None);
+        assert_eq!(rt.workers, 0);
         let net = NetConfig::mux_tcp()
             .connect_timeout(Duration::from_millis(100))
             .rto(VDuration::from_millis(10));

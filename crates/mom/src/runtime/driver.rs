@@ -1,31 +1,24 @@
-//! The runtime-agnostic server shell.
+//! The server shell the shard pool steps.
 //!
 //! A [`ServerDriver`] owns everything one server needs besides the
-//! execution substrate: the sans-IO [`ServerCore`], its stable store,
-//! trace/metrics attachments, cumulative statistics and the probe
-//! throttle for down peers. Both runtimes drive the same methods —
+//! worker that runs it: the sans-IO [`ServerCore`], the bus-wide
+//! [`Boot`] state it is wired to (store, trace recorder, relay
+//! configuration), its metrics attachments, cumulative statistics and
+//! the probe throttle for down peers. The pool drives three methods —
 //! [`ServerDriver::handle_command`] for client commands,
 //! [`ServerDriver::on_batch`] for drained datagrams and
-//! [`ServerDriver::tick`] for timers — so protocol behaviour is
-//! identical whether a server has a dedicated thread or shares an
-//! event-loop shard with a thousand others.
+//! [`ServerDriver::tick`] for timers.
 
 use std::collections::HashMap;
-use std::sync::atomic::AtomicI64;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use aaa_base::{Absorb, Error, Result, ServerId, VTime};
 use aaa_net::PeerState;
 use aaa_obs::{LatencyTracker, Meter};
-use aaa_storage::StableStore;
-use aaa_topology::Topology;
-use aaa_trace::TraceRecorder;
 
-use super::{respond, Command, Transport};
-use crate::agent::Agent;
-use crate::relay::RelayConfig;
-use crate::server::{ServerConfig, ServerCore, StepStats, Transmission};
+use super::{respond, Boot, Command, Transport};
+use crate::server::{ServerCore, StepStats, Transmission};
 
 /// While a peer is [`PeerState::Down`], at most one transmission run per
 /// this interval goes out to it as a liveness probe; everything else is
@@ -33,18 +26,11 @@ use crate::server::{ServerConfig, ServerCore, StepStats, Transmission};
 /// loop does not hot-spin retransmits into a dead socket.
 const PROBE_INTERVAL: Duration = Duration::from_millis(100);
 
-/// One server's runtime-agnostic state and step logic.
+/// One server's state and step logic.
 pub(crate) struct ServerDriver {
-    topology: Arc<Topology>,
+    boot: Arc<Boot>,
     me: ServerId,
-    config: ServerConfig,
-    store: Arc<dyn StableStore>,
-    recorder: Option<TraceRecorder>,
-    in_flight: Arc<AtomicI64>,
     obs: Option<(Meter, LatencyTracker)>,
-    /// Store-and-forward relay configuration; enabled on every fresh or
-    /// recovered core when present.
-    relay: Option<RelayConfig>,
     core: Option<ServerCore>,
     cumulative: StepStats,
     last_probe: HashMap<ServerId, Instant>,
@@ -56,57 +42,45 @@ impl ServerDriver {
     /// # Errors
     ///
     /// Propagates core construction failures (topology/config mismatch).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
-        topology: Arc<Topology>,
+        boot: Arc<Boot>,
         me: ServerId,
-        config: ServerConfig,
-        store: Arc<dyn StableStore>,
-        recorder: Option<TraceRecorder>,
-        in_flight: Arc<AtomicI64>,
         obs: Option<(Meter, LatencyTracker)>,
-        relay: Option<RelayConfig>,
     ) -> Result<ServerDriver> {
+        let core = ServerCore::new(&boot.topology, me, boot.config, boot.store(me))?;
         let mut driver = ServerDriver {
-            topology,
+            boot,
             me,
-            config,
-            store,
-            recorder,
-            in_flight,
             obs,
-            relay,
             core: None,
             cumulative: StepStats::default(),
             last_probe: HashMap::new(),
         };
-        driver.core = Some(driver.fresh(Vec::new())?);
+        // A fresh core has no recovered relay registry, so attaching it
+        // produces nothing to transmit.
+        driver.attach(core, VTime::ZERO)?;
         Ok(driver)
     }
 
-    fn attach_obs(&self, core: &mut ServerCore) {
+    /// Wires a fresh or recovered core to the bus (trace recorder,
+    /// in-flight counter, metrics, relay) and installs it. Enabling the
+    /// relay reopens the durable queues named by a recovered registry;
+    /// the returned transmissions redeliver their uncommitted window.
+    fn attach(&mut self, mut core: ServerCore, now: VTime) -> Result<Vec<Transmission>> {
+        if self.boot.record_trace {
+            core.set_recorder(self.boot.recorder.clone());
+        }
+        core.set_in_flight(self.boot.in_flight.clone());
         if let Some((meter, tracker)) = &self.obs {
             core.attach_meter(meter);
             core.set_latency_tracker(tracker.clone());
         }
-    }
-
-    fn fresh(&self, agents: Vec<(u32, Box<dyn Agent>)>) -> Result<ServerCore> {
-        let mut core = ServerCore::new(&self.topology, self.me, self.config, self.store.clone())?;
-        for (local, agent) in agents {
-            core.register_agent(local, agent);
-        }
-        if let Some(rec) = &self.recorder {
-            core.set_recorder(rec.clone());
-        }
-        core.set_in_flight(self.in_flight.clone());
-        self.attach_obs(&mut core);
-        if let Some(cfg) = &self.relay {
-            // A fresh core has no recovered registry, so enabling the
-            // relay produces no transmissions to forward.
-            core.enable_relay(cfg.clone(), VTime::ZERO)?;
-        }
-        Ok(core)
+        let ts = match &self.boot.relay {
+            Some(cfg) => core.enable_relay(cfg.clone(), now)?,
+            None => Vec::new(),
+        };
+        self.core = Some(core);
+        Ok(ts)
     }
 
     /// Hands outgoing transmissions to the transport, coalescing
@@ -215,30 +189,16 @@ impl ServerDriver {
                 self.core = None;
             }
             Command::Recover { agents, reply } => {
+                let boot = &self.boot;
                 let result = ServerCore::recover(
-                    &self.topology,
+                    &boot.topology,
                     self.me,
-                    self.config,
-                    self.store.clone(),
+                    boot.config,
+                    boot.store(self.me),
                     agents,
                     now,
                 )
-                .and_then(|mut c| {
-                    if let Some(rec) = &self.recorder {
-                        c.set_recorder(rec.clone());
-                    }
-                    c.set_in_flight(self.in_flight.clone());
-                    self.attach_obs(&mut c);
-                    // Re-enabling the relay reopens the durable queues
-                    // named by the recovered registry and redelivers the
-                    // uncommitted window.
-                    let ts = match &self.relay {
-                        Some(cfg) => c.enable_relay(cfg.clone(), now)?,
-                        None => Vec::new(),
-                    };
-                    self.core = Some(c);
-                    Ok(ts)
-                })
+                .and_then(|core| self.attach(core, now))
                 .map(|ts| self.transmit(endpoint, ts));
                 respond(&reply, result);
             }
@@ -291,11 +251,12 @@ impl ServerDriver {
         now: VTime,
     ) {
         if let Some(core) = self.core.as_mut() {
-            match core.on_datagram_batch(drained, now) {
-                Ok(ts) => self.transmit(endpoint, ts),
-                Err(e) => {
-                    debug_assert!(false, "datagram processing failed: {e}");
-                }
+            // An `Err` is a storage failure that aborted the step before
+            // its commit. The core has counted the drain as rejected and
+            // acked none of it, so the peers retransmit it into a later
+            // step; there is nothing to put on the wire for this one.
+            if let Ok(ts) = core.on_datagram_batch(drained, now) {
+                self.transmit(endpoint, ts);
             }
             self.take_stats();
         }

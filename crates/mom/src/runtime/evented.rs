@@ -1,9 +1,10 @@
-//! The sharded event-loop runtime: N worker threads drive *all* servers.
+//! The shard pool: N worker threads drive *all* servers.
 //!
-//! Where the threaded runtime spends one OS thread per server (and falls
-//! over around a few hundred servers per process), this runtime
-//! multiplexes every server onto a fixed pool of shard workers — the
-//! C10K shape. Each server lives in a [`Slot`]:
+//! The one execution substrate of the bus. Every server is multiplexed
+//! onto a fixed pool of shard workers — as many as there are servers
+//! under `RuntimeConfig::threaded()`, a few for thousands of servers in
+//! the C10K shape — and no worker belongs to a server: any of them runs
+//! whichever slot is ready. Each server lives in a [`Slot`]:
 //!
 //! - its transport installs a readiness notifier that marks the slot
 //!   *scheduled* and pushes its index onto a shared MPMC run queue;
@@ -204,11 +205,12 @@ pub(crate) struct EventedPool {
 }
 
 impl EventedPool {
-    /// Builds the slot table, installs readiness notifiers and starts
-    /// `shards` workers plus the timer thread. Every slot is scheduled
-    /// once so pre-notifier arrivals are drained promptly.
+    /// Builds the slot table (one driver per endpoint, each sharing
+    /// `boot`), installs readiness notifiers and starts `shards` workers
+    /// plus the timer thread. Every slot is scheduled once so
+    /// pre-notifier arrivals are drained promptly.
     pub(crate) fn start(
-        boot: &Boot,
+        boot: &Arc<Boot>,
         endpoints: Vec<Box<dyn Transport>>,
         shards: usize,
     ) -> Result<EventedPool> {

@@ -1,5 +1,5 @@
-//! The MOM runtimes: thread-per-server and sharded event loops behind
-//! one readiness-based API.
+//! The MOM runtime: one shard pool steps every server, behind a
+//! readiness-based transport API.
 //!
 //! [`MomBuilder`] assembles a complete bus — validated topology, a byte
 //! transport, one [`ServerCore`](crate::ServerCore) per server — and
@@ -9,21 +9,22 @@
 //! Configuration is three typed values ([`RuntimeConfig`], [`NetConfig`],
 //! [`ClockConfig`]; see [`config`]) instead of a flat pile of setters.
 //!
-//! Two execution substrates drive the same sans-IO cores
-//! (selected by [`RuntimeKind`]):
+//! One execution substrate drives the sans-IO cores: the `evented`
+//! module's pool of shard workers, which multiplexes *all* servers onto
+//! a fixed number of threads through a slot table and a shared run
+//! queue (the protocol `aaa-audit`'s `SlotModel` checks exhaustively).
+//! Only its size is configurable ([`RuntimeConfig::workers`]):
 //!
-//! - **[`RuntimeKind::Threaded`]** (`threaded` module) — one OS thread
-//!   per server, the paper's one-JVM-per-server deployment shrunk into a
-//!   process. Each thread blocks on its command channel and a
-//!   [`aaa_net::ReadyMailbox`] fed by the transport's readiness
-//!   notifier.
-//! - **[`RuntimeKind::Evented`]** (`evented` module) — N event-loop
-//!   shards over a fixed worker pool, multiplexing *all* servers onto
-//!   them with work-stealing. This is the C10K runtime: one process
-//!   sustains four-digit server counts because idle servers cost a slot
-//!   table entry, not a stack and a scheduler entry.
+//! - **[`RuntimeConfig::threaded`]** (the default) — one worker per
+//!   server, the paper's one-JVM-per-server deployment shrunk into a
+//!   process: a server whose step blocks in its stable store never
+//!   delays another server's step.
+//! - **[`RuntimeConfig::evented`]** — a few workers for many servers,
+//!   the C10K shape: one process sustains four-digit server counts
+//!   because an idle server costs a slot table entry, not a stack and a
+//!   scheduler entry.
 //!
-//! Either way each server runs a **batched step loop**: one wakeup
+//! Each server runs a **batched step loop**: one wakeup
 //! greedily drains the transport via [`Transport::poll_recv`] and hands
 //! every ready datagram to
 //! [`ServerCore::on_datagram_batch`](crate::ServerCore::on_datagram_batch)
@@ -36,7 +37,6 @@
 pub mod config;
 mod driver;
 mod evented;
-mod threaded;
 
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
@@ -48,9 +48,9 @@ use aaa_obs::{LatencyTracker, Meter, MetricsServer, MetricsSnapshot, Registry};
 use aaa_storage::{MemoryStore, StableStore};
 use aaa_topology::{Topology, TopologySpec};
 use aaa_trace::TraceRecorder;
-use crossbeam::channel::{bounded, Sender};
+use crossbeam::channel::{bounded, Receiver, Sender};
 
-pub use config::{ClockConfig, NetConfig, RuntimeConfig, RuntimeKind, TransportKind};
+pub use config::{ClockConfig, NetConfig, RuntimeConfig, TransportKind};
 
 use crate::agent::Agent;
 use crate::message::{Notification, SendOptions};
@@ -126,8 +126,8 @@ pub(crate) fn respond<T>(reply: &Sender<T>, value: T) {
     let _ = reply.send(value);
 }
 
-/// Everything the runtimes need to mint per-server drivers: shared,
-/// immutable boot-time state.
+/// Bus-wide boot-time state, immutable once built and shared by the
+/// [`Mom`] handle and every server's driver.
 pub(crate) struct Boot {
     topology: Arc<Topology>,
     config: ServerConfig,
@@ -153,22 +153,18 @@ impl Boot {
             .map(|(r, tracker)| (Meter::new(r).with_label("server", i.to_string()), tracker))
     }
 
+    /// The stable store of server `me` (one per server, checked at build).
+    fn store(&self, me: ServerId) -> Arc<dyn StableStore> {
+        self.stores[me.as_usize()].clone()
+    }
+
     /// Builds the driver for server `me`.
     pub(crate) fn driver(
-        &self,
+        self: &Arc<Self>,
         me: ServerId,
         obs: Option<(Meter, LatencyTracker)>,
     ) -> Result<ServerDriver> {
-        ServerDriver::new(
-            self.topology.clone(),
-            me,
-            self.config,
-            self.stores[me.as_usize()].clone(),
-            self.record_trace.then(|| self.recorder.clone()),
-            self.in_flight.clone(),
-            obs,
-            self.relay.clone(),
-        )
+        ServerDriver::new(self.clone(), me, obs)
     }
 }
 
@@ -207,7 +203,7 @@ pub struct MomBuilder {
 
 impl MomBuilder {
     /// Starts a builder for the given topology, with every config at its
-    /// default ([`RuntimeKind::Threaded`], in-memory transport,
+    /// default ([`RuntimeConfig::threaded`], in-memory transport,
     /// [`aaa_clocks::StampMode::Updates`]).
     pub fn new(spec: TopologySpec) -> Self {
         MomBuilder {
@@ -222,7 +218,7 @@ impl MomBuilder {
         }
     }
 
-    /// Sets the execution-layer configuration (runtime kind, persistence,
+    /// Sets the execution-layer configuration (pool size, persistence,
     /// tracing, metrics, backpressure).
     #[must_use]
     pub fn runtime(mut self, runtime: RuntimeConfig) -> Self {
@@ -247,7 +243,7 @@ impl MomBuilder {
 
     /// Supplies pre-built transport endpoints — one per server, indexed
     /// by id — instead of letting the builder create the mesh. This is
-    /// how chaos tests run the runtimes over
+    /// how chaos tests run the runtime over
     /// `aaa_chaos::FaultTransport`-wrapped endpoints; it also admits any
     /// custom [`Transport`] implementation. Overrides
     /// [`NetConfig::transport`].
@@ -320,10 +316,10 @@ impl MomBuilder {
             .runtime
             .metrics
             .then(|| self.registry.unwrap_or_default());
-        let boot = Boot {
-            topology: topology.clone(),
+        let boot = Arc::new(Boot {
+            topology,
             config: config::server_config(&self.runtime, &self.net, &self.clock),
-            stores: stores.clone(),
+            stores,
             recorder: TraceRecorder::new(),
             record_trace: self.runtime.record_trace,
             in_flight: Arc::new(AtomicI64::new(0)),
@@ -331,8 +327,9 @@ impl MomBuilder {
             registry,
             relay: self.relay,
             start: Instant::now(),
-        };
+        });
 
+        let workers = self.runtime.resolve_workers(n);
         let endpoints: Vec<Box<dyn Transport>> = match self.transports {
             Some(transports) => {
                 if transports.len() != n {
@@ -348,119 +345,34 @@ impl MomBuilder {
                     .into_iter()
                     .map(|e| Box::new(e) as Box<dyn Transport>)
                     .collect(),
-                TransportKind::MuxTcp => {
-                    let shards = self.runtime.kind.worker_count().unwrap_or(1).clamp(1, n);
-                    MuxTcpNetwork::create_with_connect_timeout(n, shards, self.net.connect_timeout)?
-                        .into_iter()
-                        .map(|e| Box::new(e) as Box<dyn Transport>)
-                        .collect()
-                }
+                TransportKind::MuxTcp => MuxTcpNetwork::create_with_connect_timeout(
+                    n,
+                    workers,
+                    self.net.connect_timeout,
+                )?
+                .into_iter()
+                .map(|e| Box::new(e) as Box<dyn Transport>)
+                .collect(),
             },
         };
 
-        let dispatch = match self.runtime.kind {
-            RuntimeKind::Threaded => {
-                let (cmd_txs, handles) = threaded::spawn(&boot, endpoints)?;
-                Dispatcher::Threaded { cmd_txs, handles }
-            }
-            RuntimeKind::Evented { .. } => {
-                let workers = self
-                    .runtime
-                    .kind
-                    .worker_count()
-                    .unwrap_or(1)
-                    .clamp(1, n.max(1));
-                Dispatcher::Evented(EventedPool::start(&boot, endpoints, workers)?)
-            }
-        };
-
-        Ok(Mom {
-            topology,
-            dispatch,
-            recorder: boot.recorder,
-            in_flight: boot.in_flight,
-            stores,
-            registry: boot.registry,
-        })
+        let pool = EventedPool::start(&boot, endpoints, workers)?;
+        Ok(Mom { boot, pool })
     }
 }
 
-/// The execution substrate behind a running [`Mom`].
-enum Dispatcher {
-    Threaded {
-        cmd_txs: Vec<Sender<Command>>,
-        handles: Vec<std::thread::JoinHandle<()>>,
-    },
-    Evented(EventedPool),
-}
-
-impl Dispatcher {
-    fn server_count(&self) -> usize {
-        match self {
-            Dispatcher::Threaded { cmd_txs, .. } => cmd_txs.len(),
-            Dispatcher::Evented(pool) => pool.server_count(),
-        }
-    }
-
-    fn send_cmd(&self, i: usize, cmd: Command) -> Result<()> {
-        match self {
-            Dispatcher::Threaded { cmd_txs, .. } => cmd_txs
-                .get(i)
-                .ok_or(Error::UnknownServer(ServerId::new(i as u16)))?
-                .send(cmd)
-                .map_err(|_| Error::Closed("server thread")),
-            Dispatcher::Evented(pool) => pool.send_cmd(i, cmd),
-        }
-    }
-
-    /// Sends every server its shutdown command (final batch flush + group
-    /// commit) and reaps the workers, waiting until `deadline` for the
-    /// evented pool's slots to finish. Returns `false` if reaping timed
-    /// out before every server took its final commit.
-    fn finish(self, deadline: Instant) -> bool {
-        match self {
-            Dispatcher::Threaded { cmd_txs, handles } => {
-                for tx in &cmd_txs {
-                    // A server that crashed mid-run has already dropped its
-                    // command receiver; shutdown must still reap the rest.
-                    // audit:allow(error-swallow)
-                    let _ = tx.send(Command::Shutdown);
-                }
-                for handle in handles {
-                    // Join errors mean the thread panicked; the panic is
-                    // already on stderr and shutdown keeps reaping.
-                    // audit:allow(error-swallow)
-                    let _ = handle.join();
-                }
-                true
-            }
-            Dispatcher::Evented(pool) => {
-                for i in 0..pool.server_count() {
-                    // As above: a dead slot is already past its shutdown.
-                    // audit:allow(error-swallow)
-                    let _ = pool.send_cmd(i, Command::Shutdown);
-                }
-                pool.stop(deadline)
-            }
-        }
-    }
-}
-
-/// A running MOM bus (threaded or evented; see [`RuntimeKind`]).
+/// A running MOM bus: the shard pool plus the boot state it shares
+/// with its servers.
 pub struct Mom {
-    topology: Arc<Topology>,
-    dispatch: Dispatcher,
-    recorder: TraceRecorder,
-    in_flight: Arc<AtomicI64>,
-    stores: Vec<Arc<dyn StableStore>>,
-    registry: Option<Registry>,
+    boot: Arc<Boot>,
+    pool: EventedPool,
 }
 
 impl std::fmt::Debug for Mom {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Mom")
-            .field("servers", &self.dispatch.server_count())
-            .field("in_flight", &self.in_flight.load(Ordering::Relaxed))
+            .field("servers", &self.pool.server_count())
+            .field("in_flight", &self.in_flight())
             .finish_non_exhaustive()
     }
 }
@@ -468,14 +380,27 @@ impl std::fmt::Debug for Mom {
 impl Mom {
     /// The validated topology this bus runs.
     pub fn topology(&self) -> &Topology {
-        &self.topology
+        &self.boot.topology
     }
 
-    fn cmd(&self, server: ServerId, cmd: Command) -> Result<()> {
-        if server.as_usize() >= self.dispatch.server_count() {
-            return Err(Error::UnknownServer(server));
-        }
-        self.dispatch.send_cmd(server.as_usize(), cmd)
+    /// Queues the command `make` builds around a fresh reply channel on
+    /// `server` and returns the receiving end, so a caller can have
+    /// several servers working before it waits on any.
+    fn ask<T>(
+        &self,
+        server: ServerId,
+        make: impl FnOnce(Sender<T>) -> Command,
+    ) -> Result<Receiver<T>> {
+        let (reply, rx) = bounded(1);
+        self.pool.send_cmd(server.as_usize(), make(reply))?;
+        Ok(rx)
+    }
+
+    /// [`Mom::ask`], then waits for the server's reply.
+    fn call<T>(&self, server: ServerId, make: impl FnOnce(Sender<T>) -> Command) -> Result<T> {
+        self.ask(server, make)?
+            .recv()
+            .map_err(|_| Error::Closed("server"))
     }
 
     /// Registers an agent on `server` under server-local id `local`.
@@ -490,16 +415,11 @@ impl Mom {
         local: u32,
         agent: Box<dyn Agent>,
     ) -> Result<AgentId> {
-        let (reply, rx) = bounded(1);
-        self.cmd(
-            server,
-            Command::Register {
-                local,
-                agent,
-                reply,
-            },
-        )?;
-        rx.recv().map_err(|_| Error::Closed("server"))?;
+        self.call(server, |reply| Command::Register {
+            local,
+            agent,
+            reply,
+        })?;
         Ok(AgentId::new(server, local))
     }
 
@@ -547,18 +467,14 @@ impl Mom {
         note: Notification,
         opts: impl Into<SendOptions>,
     ) -> Result<MessageId> {
-        let (reply, rx) = bounded(1);
-        self.cmd(
-            from.server(),
-            Command::Send {
-                from,
-                to,
-                note,
-                opts: opts.into(),
-                reply,
-            },
-        )?;
-        rx.recv().map_err(|_| Error::Closed("server"))?
+        let opts = opts.into();
+        self.call(from.server(), |reply| Command::Send {
+            from,
+            to,
+            note,
+            opts,
+            reply,
+        })?
     }
 
     /// Sends several notifications from `from` as **one transaction** on
@@ -577,17 +493,13 @@ impl Mom {
         batch: Vec<(AgentId, Notification)>,
         opts: impl Into<SendOptions>,
     ) -> Result<Vec<MessageId>> {
-        let (reply, rx) = bounded(1);
-        self.cmd(
-            from.server(),
-            Command::SendBatch {
-                from,
-                batch,
-                opts: opts.into(),
-                reply,
-            },
-        )?;
-        rx.recv().map_err(|_| Error::Closed("server"))?
+        let opts = opts.into();
+        self.call(from.server(), |reply| Command::SendBatch {
+            from,
+            batch,
+            opts,
+            reply,
+        })?
     }
 
     /// Flushes every server's partially filled link batches immediately,
@@ -599,12 +511,12 @@ impl Mom {
     ///
     /// Returns [`Error::Closed`] if the bus is shutting down.
     pub fn flush(&self) -> Result<()> {
-        let mut waits = Vec::with_capacity(self.dispatch.server_count());
-        for i in 0..self.dispatch.server_count() {
-            let (reply, rx) = bounded(1);
-            self.dispatch.send_cmd(i, Command::Flush { reply })?;
-            waits.push(rx);
-        }
+        let waits = self
+            .boot
+            .topology
+            .servers()
+            .map(|server| self.ask(server, |reply| Command::Flush { reply }))
+            .collect::<Result<Vec<_>>>()?;
         for rx in waits {
             rx.recv().map_err(|_| Error::Closed("server"))?;
         }
@@ -619,7 +531,7 @@ impl Mom {
     ///
     /// Returns [`Error::UnknownServer`] / [`Error::Closed`].
     pub fn crash(&self, server: ServerId) -> Result<()> {
-        self.cmd(server, Command::Crash)
+        self.pool.send_cmd(server.as_usize(), Command::Crash)
     }
 
     /// Recovers `server` from its stable store, registering fresh agent
@@ -630,9 +542,7 @@ impl Mom {
     /// Returns [`Error::UnknownServer`] / [`Error::Closed`], or the
     /// recovery error encountered by the server.
     pub fn recover(&self, server: ServerId, agents: Vec<(u32, Box<dyn Agent>)>) -> Result<()> {
-        let (reply, rx) = bounded(1);
-        self.cmd(server, Command::Recover { agents, reply })?;
-        rx.recv().map_err(|_| Error::Closed("server"))?
+        self.call(server, |reply| Command::Recover { agents, reply })?
     }
 
     /// Marks `subscriber` reachable on its home server's relay: the
@@ -659,16 +569,11 @@ impl Mom {
     }
 
     fn relay_set_connected(&self, subscriber: AgentId, connected: bool) -> Result<()> {
-        let (reply, rx) = bounded(1);
-        self.cmd(
-            subscriber.server(),
-            Command::RelayConnect {
-                subscriber,
-                connected,
-                reply,
-            },
-        )?;
-        rx.recv().map_err(|_| Error::Closed("server"))?
+        self.call(subscriber.server(), |reply| Command::RelayConnect {
+            subscriber,
+            connected,
+            reply,
+        })?
     }
 
     /// Cumulative statistics of one server.
@@ -683,10 +588,10 @@ impl Mom {
     ///
     /// Returns [`Error::UnknownServer`] / [`Error::Closed`].
     pub fn stats(&self, server: ServerId) -> Result<StepStats> {
-        if server.as_usize() >= self.dispatch.server_count() {
+        if server.as_usize() >= self.pool.server_count() {
             return Err(Error::UnknownServer(server));
         }
-        if let Some(registry) = &self.registry {
+        if let Some(registry) = &self.boot.registry {
             let snap = registry.snapshot();
             let id = server.as_u16().to_string();
             let labels = [("server", id.as_str())];
@@ -700,9 +605,7 @@ impl Mom {
                 reactions: snap.sum_counter_labelled("aaa_engine_reactions_total", &labels),
             });
         }
-        let (reply, rx) = bounded(1);
-        self.cmd(server, Command::Stats { reply })?;
-        rx.recv().map_err(|_| Error::Closed("server"))
+        self.call(server, |reply| Command::Stats { reply })
     }
 
     /// Snapshot of every metric of the bus, in deterministic order.
@@ -736,7 +639,8 @@ impl Mom {
     /// # }
     /// ```
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.registry
+        self.boot
+            .registry
             .as_ref()
             .map(|r| r.snapshot())
             .unwrap_or_default()
@@ -745,7 +649,7 @@ impl Mom {
     /// The metrics registry, if metrics are enabled (to share with other
     /// components or export through a custom pipeline).
     pub fn registry(&self) -> Option<&Registry> {
-        self.registry.as_ref()
+        self.boot.registry.as_ref()
     }
 
     /// Serves the metrics registry over HTTP at `addr` (for example
@@ -759,6 +663,7 @@ impl Mom {
     /// cannot be bound.
     pub fn serve_metrics(&self, addr: &str) -> Result<MetricsServer> {
         let registry = self
+            .boot
             .registry
             .clone()
             .ok_or_else(|| Error::Config("metrics are disabled on this bus".into()))?;
@@ -771,7 +676,7 @@ impl Mom {
         // Relaxed: a monitoring counter, updated Relaxed at the
         // fetch_add/fetch_sub sites; quiesce() polls it in a loop, so
         // eventual visibility is all it needs.
-        self.in_flight.load(Ordering::Relaxed)
+        self.boot.in_flight.load(Ordering::Relaxed)
     }
 
     /// Waits until every server reports itself idle twice in a row, or the
@@ -783,12 +688,10 @@ impl Mom {
         let deadline = Instant::now() + timeout;
         let mut consecutive = 0;
         while Instant::now() < deadline {
-            let all_idle = (0..self.dispatch.server_count()).all(|i| {
-                let (reply, rx) = bounded(1);
-                if self.dispatch.send_cmd(i, Command::Probe { reply }).is_err() {
-                    return true; // shut down counts as idle
-                }
-                rx.recv().unwrap_or(true)
+            // A server that is shut down counts as idle.
+            let all_idle = self.boot.topology.servers().all(|server| {
+                self.call(server, |reply| Command::Probe { reply })
+                    .unwrap_or(true)
             });
             if all_idle {
                 consecutive += 1;
@@ -810,7 +713,7 @@ impl Mom {
     /// Propagates trace validation errors (which would indicate a recorder
     /// misuse bug).
     pub fn trace(&self) -> Result<aaa_trace::Trace> {
-        self.recorder.snapshot()
+        self.boot.recorder.snapshot()
     }
 
     /// The stable store of one server (to inspect persistence traffic).
@@ -819,7 +722,8 @@ impl Mom {
     ///
     /// Returns [`Error::UnknownServer`] if the server does not exist.
     pub fn store(&self, server: ServerId) -> Result<Arc<dyn StableStore>> {
-        self.stores
+        self.boot
+            .stores
             .get(server.as_usize())
             .cloned()
             .ok_or(Error::UnknownServer(server))
@@ -830,8 +734,7 @@ impl Mom {
     /// its worker is reaped. Equivalent to
     /// `shutdown_within(...)` with a 5 s budget, discarding the verdict.
     pub fn shutdown(self) {
-        let deadline = Instant::now() + DEFAULT_SHUTDOWN_TIMEOUT;
-        self.dispatch.finish(deadline);
+        self.finish(Instant::now() + DEFAULT_SHUTDOWN_TIMEOUT);
     }
 
     /// Drains and stops the bus within `timeout`: flushes every link
@@ -854,8 +757,22 @@ impl Mom {
                 .min(Duration::from_millis(100));
             drained = self.quiesce(slice);
         }
-        let committed = self.dispatch.finish(deadline);
+        let committed = self.finish(deadline);
         drained && committed
+    }
+
+    /// Sends every server its shutdown command (final batch flush + group
+    /// commit), waits until `deadline` for the slots to finish and reaps
+    /// the workers. Returns `false` if reaping timed out before every
+    /// server took its final commit.
+    fn finish(self, deadline: Instant) -> bool {
+        for i in 0..self.pool.server_count() {
+            // A slot that already processed a shutdown refuses commands;
+            // the rest must still be reaped.
+            // audit:allow(error-swallow)
+            let _ = self.pool.send_cmd(i, Command::Shutdown);
+        }
+        self.pool.stop(deadline)
     }
 }
 

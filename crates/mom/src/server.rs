@@ -6,9 +6,9 @@
 //! and routing, one reliable-link endpoint pair per neighbour, the
 //! crash-recovery image, and optional trace recording.
 //!
-//! Both runtimes drive the same core: the threaded runtime
-//! ([`crate::runtime`]) with wall-clock time and an in-memory network, the
-//! discrete-event simulator (`aaa-sim`) with virtual time and a cost model.
+//! Two drivers step the same core: the live runtime ([`crate::runtime`])
+//! with wall-clock time and a byte transport, the discrete-event
+//! simulator (`aaa-sim`) with virtual time and a cost model.
 //! Every input is a method call returning the datagrams to transmit.
 
 use std::collections::HashMap;
@@ -262,7 +262,7 @@ impl ServerCore {
 
     /// Attaches a shared send→deliver latency tracker feeding the
     /// `aaa_server_delivery_latency_us` histogram. One tracker is shared by
-    /// all servers of a bus; it is clock-agnostic (the threaded runtime
+    /// all servers of a bus; it is clock-agnostic (the live runtime
     /// passes wall-clock µs, the simulator virtual-time µs).
     pub fn set_latency_tracker(&mut self, tracker: LatencyTracker) {
         self.latency = Some(tracker);
@@ -483,8 +483,8 @@ impl ServerCore {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Codec`] for malformed datagrams and propagates
-    /// channel errors for misrouted frames.
+    /// As for [`ServerCore::on_datagram_batch`]: malformed or misrouted
+    /// input is dropped and counted, not an error.
     pub fn on_datagram(
         &mut self,
         from: ServerId,
@@ -504,28 +504,62 @@ impl ServerCore {
     /// Pure-ack input produces no reactions, no flush and no commit, as
     /// with the single-datagram path.
     ///
+    /// Input is untrusted: a datagram or frame payload that fails to
+    /// decode, or that the channel refuses (unknown domain, sender
+    /// outside the domain, a stamp of the wrong shape), is dropped and
+    /// counted in `aaa_server_rejected_datagrams_total`, and the rest of
+    /// the drain is processed as if it had not been there.
+    ///
     /// # Errors
     ///
-    /// As for [`ServerCore::on_datagram`]. An error aborts the step before
-    /// the commit.
+    /// Propagates [`Error::Storage`] from the relay journal or the group
+    /// commit, and channel errors from what the reactions send. An error
+    /// aborts the step before the commit and the acknowledgements — the
+    /// peers retransmit the drain — and counts every datagram of it as
+    /// rejected.
     pub fn on_datagram_batch(
         &mut self,
         datagrams: impl IntoIterator<Item = (ServerId, Bytes)>,
+        now: VTime,
+    ) -> Result<Vec<Transmission>> {
+        let mut seen = 0;
+        let datagrams = datagrams.into_iter().inspect(|_| seen += 1);
+        let step = self.ingest_drain(datagrams, now);
+        if step.is_err() {
+            self.reject_input(seen);
+        }
+        step
+    }
+
+    /// Counts `n` inputs refused by the ingestion path.
+    fn reject_input(&self, n: u64) {
+        if let Some(m) = &self.metrics {
+            m.rejected_datagrams.add(n);
+        }
+    }
+
+    fn ingest_drain(
+        &mut self,
+        datagrams: impl Iterator<Item = (ServerId, Bytes)>,
         now: VTime,
     ) -> Result<Vec<Transmission>> {
         let mut any_data = false;
         // Last cumulative ack per peer, in first-seen peer order.
         let mut acks: Vec<(ServerId, u64)> = Vec::new();
         for (from, bytes) in datagrams {
-            let frames = match Datagram::decode(bytes)? {
-                Datagram::Ack { cum_seq } => {
+            let frames = match Datagram::decode(bytes) {
+                Ok(Datagram::Ack { cum_seq }) => {
                     if let Some(tx) = self.links_tx.get_mut(&from) {
                         tx.on_ack(cum_seq);
                     }
                     continue;
                 }
-                Datagram::Data(frame) => vec![frame],
-                Datagram::Batch(frames) => frames,
+                Ok(Datagram::Data(frame)) => vec![frame],
+                Ok(Datagram::Batch(frames)) => frames,
+                Err(_) => {
+                    self.reject_input(1);
+                    continue;
+                }
             };
             any_data = true;
             let mut delivered = Vec::new();
@@ -541,22 +575,39 @@ impl ServerCore {
                 }
             }
             for payload in delivered {
-                let msg = WireMessage::decode(payload)?;
+                // The link consumed the frame either way: a payload that
+                // is refused here is acknowledged below, never re-sent.
+                let Ok(msg) = WireMessage::decode(payload) else {
+                    self.reject_input(1);
+                    continue;
+                };
+                let id = msg.id;
                 let unordered = msg.stamp.is_none() && msg.dest_server == self.me;
                 // Publications bound for a relay journal their causal
                 // stamp with the payload; the channel consumes the wire
-                // stamp below, so capture it here, keyed by message id.
-                if self.relay.is_some()
-                    && msg.dest_server == self.me
-                    && (msg.kind == crate::pubsub::PUBLISH || msg.kind == relay::RELAY_PUBLISH)
-                {
-                    if let Some(stamp) = &msg.stamp {
+                // stamp below, so encode it here, keyed by message id.
+                let publish_stamp = match &msg.stamp {
+                    Some(stamp)
+                        if self.relay.is_some()
+                            && msg.dest_server == self.me
+                            && (msg.kind == crate::pubsub::PUBLISH
+                                || msg.kind == relay::RELAY_PUBLISH) =>
+                    {
                         let mut e = Encoder::new();
                         e.stamp(stamp);
-                        self.publish_stamps.insert(msg.id, e.finish().to_vec());
+                        Some(e.finish().to_vec())
                     }
+                    _ => None,
+                };
+                // The channel validates before it touches any clock, so a
+                // refused message leaves no trace in the causal state.
+                let Ok(local) = self.channel.on_message_at(from, msg, now) else {
+                    self.reject_input(1);
+                    continue;
+                };
+                if let Some(stamp) = publish_stamp {
+                    self.publish_stamps.insert(id, stamp);
                 }
-                let local = self.channel.on_message_at(from, msg, now)?;
                 for m in local {
                     if unordered {
                         // Unordered deliveries stay out of the causal
@@ -1203,6 +1254,88 @@ mod tests {
         assert_eq!(trace.message_count(), 2);
         assert!(trace.check_causality().is_ok());
         assert_eq!(counter.load(Ordering::SeqCst), 0);
+    }
+
+    /// One drain mixing a valid frame with a garbage datagram and a frame
+    /// whose stamp the channel refuses: the bad inputs are dropped and
+    /// counted, the valid message is delivered and acknowledged, and the
+    /// clocks end where a drain without the bad inputs leaves them.
+    #[test]
+    fn malformed_input_costs_only_itself() {
+        use aaa_clocks::{MatrixClock, Stamp};
+
+        let topo = TopologySpec::single_domain(3).validate().unwrap();
+        let config = ServerConfig {
+            stamp_mode: StampMode::Full,
+            ..ServerConfig::default()
+        };
+        let (_, hello) = make(&topo, 0, config)
+            .client_send(
+                aid(0, 9),
+                aid(2, 1),
+                Notification::signal("hello"),
+                VTime::ZERO,
+            )
+            .unwrap();
+        let [hello] = <[Transmission; 1]>::try_from(hello).unwrap();
+        // The same hop again, as link frame 2, under a matrix one too narrow.
+        let Datagram::Data(first) = Datagram::decode(hello.bytes.clone()).unwrap() else {
+            panic!("a single message travels as a Data frame");
+        };
+        let narrow = WireMessage {
+            stamp: Some(Stamp::Full(MatrixClock::new(2))),
+            ..WireMessage::decode(first.payload).unwrap()
+        };
+        let narrow = Datagram::Data(LinkFrame {
+            seq: 2,
+            payload: narrow.encode(),
+        });
+
+        let receive = |drain: Vec<(ServerId, Bytes)>| {
+            let registry = aaa_obs::Registry::new();
+            let got: Arc<parking_lot::Mutex<Vec<String>>> = Default::default();
+            let sink = got.clone();
+            let mut core = ServerCore::new(&topo, s(2), config, Arc::new(MemoryStore::new()))
+                .expect("server 2 is in the topology");
+            core.attach_meter(&Meter::new(&registry).with_label("server", "2"));
+            core.register_agent(
+                1,
+                Box::new(FnAgent::new(move |_ctx, _from, note| {
+                    sink.lock().push(note.kind().to_owned());
+                })),
+            );
+            let out = core.on_datagram_batch(drain, VTime::ZERO);
+            let rejected = registry
+                .snapshot()
+                .sum_counter("aaa_server_rejected_datagrams_total");
+            let transcript = core.channel().items()[0].clock().transcript();
+            let got = got.lock().clone();
+            (out, rejected, transcript, got)
+        };
+
+        let (out, rejected, transcript, got) = receive(vec![
+            (s(0), hello.bytes.clone()),
+            (s(1), Bytes::from_static(b"\xffnot a datagram")),
+            (s(0), narrow.encode()),
+        ]);
+        let out = out.expect("bad input is not a step error");
+        assert_eq!(got, vec!["hello".to_owned()]);
+        // Both of server 0's frames were consumed by the link, so one
+        // cumulative ack covers them; server 1 sent nothing to ack.
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].to, s(0));
+        assert_eq!(
+            Datagram::decode(out[0].bytes.clone()).unwrap(),
+            Datagram::Ack { cum_seq: 2 }
+        );
+        assert_eq!(rejected, 2);
+
+        let (clean_out, clean_rejected, clean_transcript, clean_got) =
+            receive(vec![(s(0), hello.bytes)]);
+        assert!(clean_out.is_ok());
+        assert_eq!(clean_rejected, 0);
+        assert_eq!(clean_got, got);
+        assert_eq!(clean_transcript, transcript);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Publish/subscribe over the threaded runtime, across domains.
+//! Publish/subscribe over the live runtime, across domains.
 
 use std::sync::Arc;
 use std::time::Duration;

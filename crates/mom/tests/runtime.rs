@@ -1,4 +1,4 @@
-//! End-to-end tests of the threaded runtime.
+//! End-to-end tests of the live runtime.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -278,9 +278,9 @@ fn persistence_accounting_is_visible() {
 
 #[test]
 fn mux_tcp_transport_end_to_end_on_both_runtimes() {
-    // The same bus over localhost TCP (one shard under the threaded
-    // runtime, two under the evented one): cross-domain traffic, causal
-    // trace.
+    // The same bus over localhost TCP at both pool sizes (a worker and a
+    // mux shard per server, then two of each): cross-domain traffic,
+    // causal trace.
     for runtime in [RuntimeConfig::threaded(), RuntimeConfig::evented(2)] {
         let mom = MomBuilder::new(TopologySpec::bus(2, 3))
             .runtime(runtime.clone())
@@ -334,5 +334,137 @@ fn unordered_qos_delivers_but_stays_out_of_the_trace() {
     assert_eq!(trace.message_count(), 1);
     assert!(trace.check_causality().is_ok());
     assert_eq!(mom.in_flight(), 0, "unordered still settles the counter");
+    mom.shutdown();
+}
+
+/// `RuntimeConfig::threaded()` promises a worker per server: a server
+/// parked inside its step (here in its store's `put`, as an `fdatasync`
+/// would park it) does not keep another server from accepting and
+/// delivering a client send.
+#[test]
+fn a_server_blocked_in_its_step_does_not_stall_the_others() {
+    use aaa_base::Result;
+    use aaa_storage::{MemoryStore, StableStore, StorageStats};
+    use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+
+    /// Parks every `put` until the test drops the gate's sender.
+    struct GatedStore {
+        inner: MemoryStore,
+        entered: Sender<()>,
+        gate: Receiver<()>,
+    }
+    impl StableStore for GatedStore {
+        fn put(&self, key: &str, value: &[u8]) -> Result<()> {
+            self.entered.send(()).unwrap();
+            // `Err` is the release: the sender is gone.
+            assert!(self.gate.recv().is_err());
+            self.inner.put(key, value)
+        }
+        fn get(&self, key: &str) -> Result<Option<Vec<u8>>> {
+            self.inner.get(key)
+        }
+        fn remove(&self, key: &str) -> Result<()> {
+            self.inner.remove(key)
+        }
+        fn keys(&self) -> Result<Vec<String>> {
+            self.inner.keys()
+        }
+        fn stats(&self) -> &StorageStats {
+            self.inner.stats()
+        }
+    }
+
+    let (entered_tx, entered) = unbounded();
+    let (release, gate) = bounded::<()>(1);
+    let stores: Vec<Arc<dyn StableStore>> = vec![
+        Arc::new(GatedStore {
+            inner: MemoryStore::new(),
+            entered: entered_tx,
+            gate,
+        }),
+        Arc::new(MemoryStore::new()),
+    ];
+    let mom = MomBuilder::new(TopologySpec::single_domain(2))
+        .runtime(RuntimeConfig::threaded().persist(true))
+        .stores(stores)
+        .build()
+        .unwrap();
+    let (delivered_tx, delivered) = unbounded();
+    mom.register_agent(
+        sid(1),
+        1,
+        Box::new(FnAgent::new(move |_ctx, _from, note| {
+            delivered_tx.send(note.kind().to_owned()).unwrap();
+        })),
+    )
+    .unwrap();
+
+    std::thread::scope(|scope| {
+        // Server 0 commits this send, and the commit parks in the store.
+        let parked = scope.spawn(|| mom.send(aid(0, 9), aid(0, 1), Notification::signal("parked")));
+        entered
+            .recv_timeout(Duration::from_secs(10))
+            .expect("server 0 reaches its store");
+        let through =
+            scope.spawn(|| mom.send(aid(1, 9), aid(1, 1), Notification::signal("through")));
+        let got = delivered.recv_timeout(Duration::from_secs(10));
+        let still_parked = !parked.is_finished();
+        // Open the gate before judging, so a failure ends the scope
+        // instead of hanging it.
+        drop(release);
+        through.join().unwrap().expect("server 1 accepts the send");
+        parked.join().unwrap().expect("server 0 finishes its step");
+        assert_eq!(got.as_deref(), Ok("through"));
+        assert!(still_parked, "server 0 was inside its step throughout");
+    });
+    assert!(mom.quiesce(Duration::from_secs(10)));
+    mom.shutdown();
+}
+
+/// Bytes that are not a datagram, and a link frame whose payload is not a
+/// message, arrive at a live server from an endpoint outside the bus: the
+/// server drops and counts them, and the bus keeps delivering.
+#[test]
+fn garbage_off_the_wire_is_counted_not_fatal() {
+    use aaa_mom::Transport;
+    use aaa_net::link::{Datagram, LinkFrame};
+    use aaa_net::MemoryNetwork;
+    use bytes::Bytes;
+
+    let mut endpoints = MemoryNetwork::create(3);
+    let stranger = endpoints.pop().unwrap();
+    let mom = MomBuilder::new(TopologySpec::single_domain(2))
+        .transports(
+            endpoints
+                .into_iter()
+                .map(|e| Box::new(e) as Box<dyn Transport>)
+                .collect(),
+        )
+        .build()
+        .unwrap();
+    mom.register_agent(sid(1), 1, Box::new(EchoAgent)).unwrap();
+
+    let bad_payload = Datagram::Data(LinkFrame {
+        seq: 1,
+        payload: Bytes::from_static(b"not a message"),
+    });
+    for round in 0..5 {
+        stranger
+            .send(sid(1), Bytes::from_static(b"\xffnot a datagram"))
+            .unwrap();
+        if round == 0 {
+            stranger.send(sid(1), bad_payload.encode()).unwrap();
+        }
+        mom.send(aid(0, 9), aid(1, 1), Notification::signal("ping"))
+            .unwrap();
+    }
+    assert!(mom.quiesce(Duration::from_secs(10)));
+    assert_eq!(mom.stats(sid(1)).unwrap().reactions, 5);
+    assert!(mom.trace().unwrap().check_causality().is_ok());
+    assert_eq!(
+        mom.metrics()
+            .sum_counter("aaa_server_rejected_datagrams_total"),
+        6
+    );
     mom.shutdown();
 }

@@ -5,7 +5,7 @@
 //! failure detector every transport endpoint can own: consecutive send
 //! failures walk a peer [`PeerState::Up`] → [`PeerState::Suspect`] →
 //! [`PeerState::Down`], one successful send snaps it back to `Up`. The
-//! threaded runtime consults [`PeerHealth::state`] to stop hot-looping
+//! live runtime consults [`PeerHealth::state`] to stop hot-looping
 //! retransmissions into a dead peer (it keeps sending low-rate probes so
 //! recovery is noticed).
 //!

@@ -16,21 +16,20 @@
 //! - [`link`] — sans-IO reliable FIFO link endpoints
 //!   ([`LinkSender`]/[`LinkReceiver`]): per-link sequence numbers,
 //!   cumulative acks, retransmission deadlines, duplicate suppression and
-//!   reorder buffering. Both the threaded runtime and the discrete-event
+//!   reorder buffering. Both the live runtime and the discrete-event
 //!   simulator drive these same state machines;
 //! - [`memory`] — an in-process transport ([`MemoryNetwork`]) connecting a
 //!   set of servers with FIFO byte channels;
 //! - [`mux`] — the TCP transport: many logical links per localhost socket
-//!   ([`MuxTcpNetwork`] binds one listener per event-loop shard; the
-//!   threaded runtime uses one shard), per-link FIFO preserved;
+//!   ([`MuxTcpNetwork`] binds one listener per shard worker), per-link
+//!   FIFO preserved;
 //! - [`decode`] — zero-copy incremental frame decoding ([`FrameBuf`]):
 //!   payloads borrow from the recv buffer instead of allocating per
 //!   datagram;
-//! - [`transport`] — the [`Transport`] trait the runtimes drive:
+//! - [`transport`] — the [`Transport`] trait the runtime drives:
 //!   non-blocking readiness ([`Transport::poll_recv`] +
-//!   [`Transport::set_ready_notifier`]), batch-native sends
-//!   ([`Transport::send_batch`]), and the [`ReadyMailbox`] blocking
-//!   adapter for thread-per-server loops.
+//!   [`Transport::set_ready_notifier`]) and batch-native sends
+//!   ([`Transport::send_batch`]).
 //!
 //! Frame coalescing (group-commit batching) lives in the [`link`] module:
 //! a [`BatchPolicy`] governs when a [`LinkSender`] flushes its buffered
@@ -73,4 +72,4 @@ pub use link::{BatchPolicy, Datagram, LinkFrame, LinkReceiver, LinkSender};
 pub use memory::{Incoming, MemoryEndpoint, MemoryNetwork};
 pub use metrics::NetMetrics;
 pub use mux::{MuxTcpEndpoint, MuxTcpNetwork};
-pub use transport::{NotifySlot, ReadyMailbox, ReadyNotifier, Transport};
+pub use transport::{NotifySlot, ReadyNotifier, Transport};

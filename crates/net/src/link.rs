@@ -14,7 +14,7 @@
 //!   cumulatively.
 //!
 //! The structs are sans-IO: they never touch sockets or clocks themselves.
-//! The threaded runtime polls them with wall-clock time, the discrete-event
+//! The live runtime polls them with wall-clock time, the discrete-event
 //! simulator with virtual time — the same code is exercised either way.
 //!
 //! # Group-commit batching

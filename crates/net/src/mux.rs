@@ -6,7 +6,7 @@
 //! [`MuxTcpNetwork`] instead binds **one listener per event-loop shard**
 //! and carries every logical link `(x → y)` over the single shared socket
 //! to `y`'s shard: `n²` logical links over `O(shards)` sockets. With one
-//! shard (the threaded runtime) it is plain localhost TCP.
+//! shard it is plain localhost TCP.
 //!
 //! Wire format per frame: `u16` source server, `u16` destination server,
 //! `u32` payload length (all little-endian), payload bytes. The

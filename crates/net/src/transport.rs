@@ -16,12 +16,8 @@
 //!   the inbox is empty;
 //! - [`Transport::set_ready_notifier`] registers a callback invoked
 //!   whenever the inbox (possibly) transitions from empty to non-empty.
-//!   An evented runtime uses it to schedule the owning server onto a
-//!   shard's run queue; nothing about the callback may block.
-//!
-//! Thread-per-server runtimes that want to *sleep* until traffic arrives
-//! wrap the notifier in a [`ReadyMailbox`] — the blocking adapter: the
-//! notifier pokes a wakeup channel the legacy `select!` loop can park on.
+//!   The runtime uses it to schedule the owning server onto the shard
+//!   pool's run queue; nothing about the callback may block.
 //!
 //! Transports speak batches natively: [`Transport::send_batch`] hands the
 //! transport every wire packet a group-commit flush produced for one peer,
@@ -29,13 +25,11 @@
 //! — [`crate::MuxTcpEndpoint`] writes one contiguous buffer per batch. The
 //! default implementation falls back to one [`Transport::send`] per packet.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use aaa_base::{Result, ServerId};
 use aaa_obs::Meter;
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::RwLock;
 
 use crate::health::PeerState;
@@ -80,86 +74,6 @@ impl std::fmt::Debug for NotifySlot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NotifySlot")
             .field("installed", &self.0.read().is_some())
-            .finish()
-    }
-}
-
-/// The blocking adapter over the readiness contract.
-///
-/// Legacy thread-per-server runtimes park on a channel; an evented
-/// transport only offers a notifier callback. `ReadyMailbox` bridges the
-/// two: [`ReadyMailbox::notifier`] returns a callback that sends one
-/// wakeup token (collapsing bursts through an atomic flag so the channel
-/// never grows unboundedly), and the loop `select!`s on
-/// [`ReadyMailbox::receiver`]. Call [`ReadyMailbox::ack`] *before*
-/// draining [`Transport::poll_recv`] so a datagram arriving mid-drain
-/// re-arms the wakeup.
-pub struct ReadyMailbox {
-    armed: Arc<AtomicBool>,
-    tx: Sender<()>,
-    rx: Receiver<()>,
-}
-
-impl ReadyMailbox {
-    /// A fresh mailbox with no pending wakeups.
-    #[must_use]
-    pub fn new() -> ReadyMailbox {
-        let (tx, rx) = unbounded();
-        ReadyMailbox {
-            armed: Arc::new(AtomicBool::new(false)),
-            tx,
-            rx,
-        }
-    }
-
-    /// The notifier to install via [`Transport::set_ready_notifier`].
-    #[must_use]
-    pub fn notifier(&self) -> ReadyNotifier {
-        let armed = self.armed.clone();
-        let tx = self.tx.clone();
-        Arc::new(move || {
-            if !armed.swap(true, Ordering::AcqRel) {
-                // Receiver alive for the mailbox's lifetime; a send can
-                // only fail during teardown, when the wakeup is moot.
-                // audit:allow(error-swallow)
-                let _ = tx.send(());
-            }
-        })
-    }
-
-    /// The wakeup channel to park on (`select!`/`recv_timeout`).
-    #[must_use]
-    pub fn receiver(&self) -> &Receiver<()> {
-        &self.rx
-    }
-
-    /// Re-arms the mailbox; call before draining the transport so
-    /// arrivals during the drain produce a fresh wakeup.
-    pub fn ack(&self) {
-        self.armed.store(false, Ordering::Release);
-    }
-
-    /// Queues a wakeup to self — used when a bounded drain stopped early
-    /// and the loop must come back for the remainder.
-    pub fn reschedule(&self) {
-        if !self.armed.swap(true, Ordering::AcqRel) {
-            // Same as in `notifier`: failure means teardown.
-            // audit:allow(error-swallow)
-            let _ = self.tx.send(());
-        }
-    }
-}
-
-impl Default for ReadyMailbox {
-    fn default() -> Self {
-        ReadyMailbox::new()
-    }
-}
-
-impl std::fmt::Debug for ReadyMailbox {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReadyMailbox")
-            .field("armed", &self.armed.load(Ordering::Relaxed))
             .finish()
     }
 }
@@ -246,7 +160,7 @@ mod tests {
     use super::*;
     use crate::memory::MemoryNetwork;
     use crate::mux::MuxTcpNetwork;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
 
     fn drive<T: Transport>(eps: &[T]) {
@@ -295,37 +209,5 @@ mod tests {
             .unwrap();
         assert_eq!(hits.load(Ordering::SeqCst), 1);
         assert!(eps[1].poll_recv().unwrap().is_some());
-    }
-
-    #[test]
-    fn ready_mailbox_collapses_bursts_and_rearms() {
-        let mut eps = MemoryNetwork::create(2);
-        let mailbox = ReadyMailbox::new();
-        eps[1].set_ready_notifier(mailbox.notifier());
-        for _ in 0..10 {
-            eps[0]
-                .send(ServerId::new(1), Bytes::from_static(b"x"))
-                .unwrap();
-        }
-        // A burst produces exactly one wakeup token.
-        assert!(mailbox
-            .receiver()
-            .recv_timeout(Duration::from_secs(1))
-            .is_ok());
-        assert!(mailbox.receiver().try_recv().is_err());
-        // Ack, drain, and the next send re-arms the wakeup.
-        mailbox.ack();
-        while eps[1].poll_recv().unwrap().is_some() {}
-        eps[0]
-            .send(ServerId::new(1), Bytes::from_static(b"y"))
-            .unwrap();
-        assert!(mailbox
-            .receiver()
-            .recv_timeout(Duration::from_secs(1))
-            .is_ok());
-        // Explicit reschedule queues a wakeup without traffic.
-        mailbox.ack();
-        mailbox.reschedule();
-        assert!(mailbox.receiver().try_recv().is_ok());
     }
 }

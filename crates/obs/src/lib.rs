@@ -18,7 +18,7 @@
 //!   tiny HTTP exporter ([`serve`]);
 //! - a [`LatencyTracker`] correlating message send and delivery times
 //!   across servers, on wall-clock *or* virtual time — the simulator and
-//!   the threaded runtime publish the same metric names.
+//!   the live runtime publish the same metric names.
 //!
 //! ## Hot-path design
 //!

@@ -173,7 +173,7 @@ impl Simulation {
 
     /// Attaches a metrics registry: every server core gets a meter
     /// labelled `server="<id>"` — publishing the **same metric vocabulary
-    /// as the threaded runtime**, only on virtual time — plus one
+    /// as the live runtime**, only on virtual time — plus one
     /// `aaa_sim_vtime_us` gauge tracking the simulation clock. Delivery
     /// latencies observed through `aaa_server_delivery_latency_us` are
     /// virtual-time microseconds.
@@ -444,7 +444,7 @@ impl Simulation {
                 Event::Datagram { from, to, bytes } => {
                     // A crashed server drops everything addressed to it;
                     // the sender's retransmission redelivers after
-                    // recovery (mirrors the threaded runtime). Counted
+                    // recovery (mirrors the live runtime). Counted
                     // separately from link loss — see `dropped_by_crash`.
                     if self.crashed[to.as_usize()] {
                         self.dropped_by_crash += 1;

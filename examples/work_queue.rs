@@ -17,7 +17,7 @@ use aaa_middleware::topology::TopologySpec;
 use parking_lot::Mutex;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // Dispatcher domain {0,1}; worker domain {1,2,3} via router 1.
+    // Dispatch domain {0,1}; worker domain {1,2,3} via router 1.
     let spec = TopologySpec::from_domains(vec![vec![0, 1], vec![1, 2, 3]]);
     let mom = MomBuilder::new(spec).build()?;
 

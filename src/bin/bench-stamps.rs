@@ -19,9 +19,10 @@
 //! and an analytic row does not belong in a measurements file; it becomes
 //! a leg when ROADMAP item 2's sparse state makes it runnable.)
 //!
-//! Results go to `BENCH_stamps.json`. Without `--short` the run asserts
-//! the acceptance bar: every delta mode ships ≥10× fewer stamp bytes than
-//! full at n = 1000.
+//! The full run writes `BENCH_stamps.json` and asserts the acceptance
+//! bar: every delta mode ships ≥10× fewer stamp bytes than full at
+//! n = 1000. `--short` (one small leg, the CI smoke run) prints its JSON
+//! to stdout and leaves the committed results file alone.
 
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
@@ -228,8 +229,15 @@ fn json_leg(n: usize, modes: &[ModeResult]) -> String {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let short = args.iter().any(|a| a == "--short") || std::env::var_os("BENCH_SHORT").is_some();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let short = match args.as_slice() {
+        [] => false,
+        [flag] if flag == "--short" => true,
+        _ => {
+            eprintln!("usage: bench-stamps [--short]");
+            std::process::exit(2);
+        }
+    };
 
     // Tick counts sized so the full-matrix legs stay in the hundreds of
     // megabytes and seconds range; the sparse modes are cheap regardless.
@@ -304,6 +312,10 @@ fn main() {
          \"short\": {short},\n  \"legs\": [\n{}\n  ]{reductions}\n}}\n",
         legs.join(",\n")
     );
+    if short {
+        print!("{json}");
+        return;
+    }
     match std::fs::write("BENCH_stamps.json", &json) {
         Ok(()) => eprintln!("  wrote BENCH_stamps.json"),
         Err(e) => eprintln!("  failed to write BENCH_stamps.json: {e}"),

@@ -35,8 +35,8 @@
 //! use aaa_middleware::topology::TopologySpec;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! // Three servers in one domain of causality, on the sharded
-//! // event-loop runtime.
+//! // Three servers in one domain of causality, stepped by two shard
+//! // workers.
 //! let spec = TopologySpec::single_domain(3);
 //! let mut mom = MomBuilder::new(spec)
 //!     .runtime(RuntimeConfig::evented(2))
@@ -84,8 +84,8 @@ pub mod prelude {
     pub use aaa_clocks::{Batching, StampMode};
     pub use aaa_mom::{
         Agent, AgentMessage, BatchPolicy, ClockConfig, DeliveryPolicy, EchoAgent, FnAgent, Mom,
-        MomBuilder, NetConfig, Notification, ReactionContext, RuntimeConfig, RuntimeKind,
-        SendOptions, ServerConfig, StepStats, TransportKind,
+        MomBuilder, NetConfig, Notification, ReactionContext, RuntimeConfig, SendOptions,
+        ServerConfig, StepStats, TransportKind,
     };
     pub use aaa_obs::{
         Counter, Gauge, Histogram, LatencyTracker, Meter, MetricsServer, MetricsSnapshot, Registry,

@@ -235,8 +235,7 @@ fn sabotage_blocking_call_in_step_is_caught() {
 
 #[test]
 fn sabotage_blocking_call_in_shard_loop_is_caught() {
-    // A sleep injected into the evented shard step: unlike the threaded
-    // runtime (one thread per server), a stalled shard worker delays
+    // A sleep injected into the shard step: a stalled shard worker delays
     // *every* server multiplexed onto it — the rule must reach the
     // `run_ready_server` entry's whole call tree.
     let f = findings_after(&[("crates/mom/src/runtime/evented.rs", &|t| {

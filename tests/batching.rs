@@ -101,7 +101,7 @@ fn random_batches_under_loss_stay_causal_and_exactly_once() {
     }
 }
 
-/// Threaded runtime: randomized batch policies (including disabled and a
+/// Live runtime: randomized batch policies (including disabled and a
 /// timer-flushed one) with random-size `send_batch` bursts all converge to
 /// the same causal, exactly-once outcome.
 #[test]

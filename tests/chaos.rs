@@ -9,12 +9,13 @@
 //!    A failing seed prints a one-line repro (`RANDOM_SEED=<seed> …`).
 //! 2. A **sabotage leg** — the same harness with retransmission disabled
 //!    must *fail*, proving the checks actually detect loss.
-//! 3. A **threaded-runtime leg** — live `FaultTransport` partition between
+//! 3. A **live partition leg** (a shard worker per server) — live
+//!    `FaultTransport` partition between
 //!    two servers, the failure detector marks the peer down
 //!    (`aaa_net_peer_state`), the partition heals, the link self-heals and
 //!    the detector records the recovery.
-//! 4. An **evented-runtime matrix** — the same 24-seed derivation against
-//!    the live sharded event-loop runtime (`RuntimeKind::Evented`), with
+//! 4. A **live-runtime matrix** — the same 24-seed derivation against
+//!    the live shard pool (`RuntimeConfig::evented`), with
 //!    `FaultTransport`-wrapped in-memory endpoints, walking all four stamp
 //!    modes and 1–3 shards. Exactly-once, causal order, clean quiesce and
 //!    a graceful drain on every seed.

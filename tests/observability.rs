@@ -58,7 +58,7 @@ fn delivered_counters_sum_to_trace_length() {
 /// fires.
 #[test]
 fn postponed_gauge_returns_to_zero_after_quiesce() {
-    // Threaded runtime.
+    // Live runtime.
     let mom = MomBuilder::new(TopologySpec::single_domain(4))
         .build()
         .unwrap();
@@ -165,6 +165,12 @@ fn prometheus_rendering_matches_golden_file() {
         &[100, 1_000, 10_000],
     )
     .observe(250);
+    m0.counter(
+        "aaa_server_rejected_datagrams_total",
+        "Datagrams and frame payloads dropped because they failed to \
+         decode or validate, or because their step aborted",
+    )
+    .add(2);
     // Audit-pass instruments (unlabeled meter: these are per-workspace,
     // not per-server). Fixed values keep the golden deterministic.
     let ma = Meter::new(&registry);

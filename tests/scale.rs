@@ -15,7 +15,7 @@ fn aid(s: u16, l: u32) -> AgentId {
 
 #[test]
 fn threaded_bus_with_30_servers_and_600_messages() {
-    // 6 leaf domains x 5 servers: 30 threads, heavy random cross-domain
+    // 6 leaf domains x 5 servers: 30 shard workers, heavy random cross-domain
     // traffic, full causality check at the end.
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};

@@ -2,7 +2,7 @@
 //!
 //! P2 ⇒ P1: on any *acyclic* domain decomposition, the MOM's purely local
 //! (per-domain) causal ordering yields globally causal delivery. We run
-//! randomized topologies and workloads through the real threaded runtime
+//! randomized topologies and workloads through the live runtime
 //! and check every recorded trace with the independent `aaa-trace`
 //! checkers.
 
