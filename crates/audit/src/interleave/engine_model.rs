@@ -27,8 +27,8 @@
 //!   full quota.
 //! - **Mode equivalence** — each delta mode (`Updates`, `Hybrid`) runs
 //!   in lock-step with a [`StampMode::Full`] reference:
-//!   same group-continuation decisions, same reconstructed predicate
-//!   column, same delivery verdicts, same
+//!   same group-continuation decisions, same link counter and carried
+//!   predicate-column cells, same delivery verdicts, same
 //!   [`EngineTranscript`](aaa_clocks::EngineTranscript) after every
 //!   mutation — in every reachable interleaving, not just on seeded
 //!   schedules.
@@ -118,7 +118,7 @@ struct InFlight {
 struct Arrived {
     id: u16,
     deps: BTreeSet<u16>,
-    /// The receiver's reconstruction of the sender matrix.
+    /// What the receiver holds of the sender matrix until delivery.
     pending: PendingStamp,
     shadow_pending: Option<PendingStamp>,
 }
@@ -175,14 +175,19 @@ fn decode(bytes: &[u8], what: &str) -> Result<CausalState, String> {
 fn can_deliver_weakened(st: &CausalState, from: DomainServerId, pending: &PendingStamp) -> bool {
     let me = st.me().as_usize();
     let f = from.as_usize();
-    let m = pending.matrix();
-    if m.get(f, me) < st.delivered_from(from).saturating_add(1) {
+    if pending.counter() < st.delivered_from(from).saturating_add(1) {
         return false;
     }
-    (0..st.n()).all(|k| {
-        let kid = DomainServerId::new(u16::try_from(k).unwrap_or(u16::MAX));
-        k == f || m.get(k, me) <= st.delivered_from(kid)
-    })
+    let delivered =
+        |k: usize| st.delivered_from(DomainServerId::new(u16::try_from(k).unwrap_or(u16::MAX)));
+    // The rest of the column, in whichever form the pending carries it.
+    match pending.matrix() {
+        Some(m) => (0..st.n()).all(|k| k == f || m.get(k, me) <= delivered(k)),
+        None => pending.entries().iter().all(|e| {
+            let k = usize::from(e.row);
+            usize::from(e.col) != me || k == f || e.value <= delivered(k)
+        }),
+    }
 }
 
 fn encode(st: &CausalState) -> Vec<u8> {
@@ -257,19 +262,29 @@ impl EngineModel {
             Some(st) => {
                 let mut sh = decode(&n.shadows[to], "receiver (shadow)")?;
                 let p = sh.on_frame(from, st);
-                // The §4.2 predicate reads exactly the receiver's column
-                // of the reconstructed matrix; the bounded engine must
-                // reconstruct it identically to the full reference.
-                for k in 0..self.cfg.n as usize {
-                    if pending.matrix().get(k, to) != p.matrix().get(k, to) {
+                // The §4.2 predicate reads the link counter and the
+                // receiver's column. A sparse pending carries only this
+                // frame's part of that column: each such entry must be
+                // the very cell the full matrix ships (a continuation
+                // carries none in either engine), and the counters must
+                // agree. That the part is *enough* is the delivery-decision
+                // check in `successors`, made in every explored state.
+                let carried = pending
+                    .entries()
+                    .iter()
+                    .filter(|e| usize::from(e.col) == to)
+                    .map(|e| (usize::from(e.row), e.value));
+                for (k, value) in carried.chain([(sender, pending.counter())]) {
+                    let reference = match p.matrix() {
+                        Some(m) => Some(m.get(k, to)),
+                        None => (k == sender).then(|| p.counter()),
+                    };
+                    if reference != Some(value) {
                         return Err(format!(
                             "stamp-reconstruction divergence in mode {} for m{} at s{to}: \
-                             predicate cell ({k}, {to}) is {} but the full-matrix reference \
-                             says {}",
-                            self.cfg.mode,
-                            msg.id,
-                            pending.matrix().get(k, to),
-                            p.matrix().get(k, to)
+                             predicate cell ({k}, {to}) is {value} but the full-matrix reference \
+                             says {reference:?}",
+                            self.cfg.mode, msg.id,
                         ));
                     }
                 }

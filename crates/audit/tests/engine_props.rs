@@ -73,6 +73,14 @@ proptest! {
 /// — is mode-independent. A mode whose count diverges from the others
 /// has stopped being equivalent *structurally*, before any invariant
 /// even fires. Update deliberately when the network model changes.
+///
+/// 6 340 / 16 755 since the clock image lost its per-sender image matrices
+/// (6 370 / 16 767 with them). The 30 states that merged differed only in
+/// cells of an image matrix in the *receiver's own row* — how much of the
+/// receiver's own sends the sender knew of when it stamped — which no
+/// protocol step reads and the receiver's `SENT` always dominates; putting
+/// the matrices back as inert persisted state restores 6 370 exactly. The
+/// reachable graph is that quotient, with every verdict unchanged.
 #[test]
 fn ci_state_count_is_pinned_for_every_mode() {
     for mode in StampMode::ALL {
@@ -90,5 +98,5 @@ fn ci_state_count_is_pinned_for_every_mode() {
     }
 }
 
-const PINNED_STATES: usize = 6_370;
-const PINNED_TRANSITIONS: usize = 16_767;
+const PINNED_STATES: usize = 6_340;
+const PINNED_TRANSITIONS: usize = 16_755;

@@ -8,10 +8,10 @@
 //!   delivered at `i`);
 //! - **send `i → j`**: increment `SENT[i][j]`, piggyback the matrix (whole,
 //!   as Update deltas, or as deltas pruned against the peer's knowledge);
-//! - **deliverable at `j`** (message from `i` with reconstructed stamp
-//!   `ST`): `ST[i][j] == DELIV[i] + 1` and `ST[k][j] <= DELIV[k]` for all
-//!   `k != i` — `j` must already have delivered every message *destined to
-//!   `j`* that the sender knew about;
+//! - **deliverable at `j`** (message from `i` whose stamp stands for the
+//!   sender matrix `ST`): `ST[i][j] == DELIV[i] + 1` and
+//!   `ST[k][j] <= DELIV[k]` for all `k != i` — `j` must already have
+//!   delivered every message *destined to `j`* that the sender knew about;
 //! - **deliver at `j`**: `DELIV[i] += 1` and `SENT := max(SENT, ST)`.
 //!
 //! Messages that fail the check wait in the channel's postponed queue and
@@ -20,36 +20,79 @@
 //!
 //! [`CausalState`] is the one state machine behind all of it. The
 //! [`StampMode`] chosen at construction selects what
-//! [`CausalState::stamp_send`] puts on the wire and how
-//! [`CausalState::on_frame`] raises the per-sender image — a `match` on
-//! the mode in each; the predicate, the delivery merge and persistence are
-//! shared.
+//! [`CausalState::stamp_send`] puts on the wire and what
+//! [`CausalState::on_frame`] keeps of it — a `match` on the mode in each;
+//! the predicate, the delivery merge and persistence are shared.
 //!
 //! # The `on_frame` contract
 //!
-//! A stamp mode is correct iff, for every FIFO schedule, the
-//! [`PendingStamp`] returned by `on_frame` carries **exactly** the
-//! sender's `SENT` matrix at the instant the message was stamped, in the
-//! receiver's column — and a sound lower bound elsewhere that loses no
-//! knowledge across the delivery merge. Concretely:
+//! Write `image_i` for the sender's `SENT` matrix at the instant it stamped
+//! its `i`-th frame to this server. [`StampMode::Full`] ships `image_i`
+//! whole and its [`PendingStamp`] holds it: the dense `n²` reference. A
+//! delta frame ([`Stamp::Delta`], [`Stamp::Hybrid`]) ships `delta_i` with
+//! `image_i = max(image_{i-1}, delta_i)`; a [`Stamp::GroupNext`]
+//! continuation ships nothing and stands for `image_{i-1}` with the link
+//! cell `[from][me]` one higher. For those frames the [`PendingStamp`] is
+//! **sparse**: it holds `delta_i` (moved out of the stamp, the receiver's
+//! column in front) plus the link counter `image_i[from][me]`, and
+//! nothing of `image_{i-1}`. The receiver
+//! keeps one `u64` per sender — that counter — and no image matrix.
 //!
-//! 1. **Exact predicate column.** `pending.matrix()[k][me]` equals the
-//!    sender's `SENT[k][me]` for every `k`. An underestimate delivers a
-//!    message before a causal predecessor destined to `me`; an
-//!    overestimate deadlocks (the receiver waits for messages that were
-//!    never sent to it).
-//! 2. **Lossless merge.** For every other cell, either the reconstructed
-//!    value equals the sender's, or the receiver's own matrix already
-//!    dominates the sender's value at delivery time — so
-//!    `SENT := max(SENT, pending)` ends identical to Full-mode delivery.
-//! 3. **Persistence round-trip.** [`CausalState::write_bytes`] followed by
+//! The sparse pending decides and merges exactly as `image_i` would, by
+//! induction over the frames of one sender, which every [`stamp_send`]
+//! numbers `1, 2, 3, …` in the link cell (a real stamp always ships that
+//! cell, since the send just changed it; a continuation adds one):
+//!
+//! 1. **Same predicate.** If the FIFO clause fails, both forms refuse. If
+//!    it holds (`counter == DELIV[from] + 1`), frame `i − 1` has been
+//!    delivered here, so at that instant its whole predicate column held:
+//!    `image_{i-1}[k][me] <= DELIV[k]` for `k != from`. `DELIV` only grows,
+//!    so it still holds, and `image_i[k][me] <= DELIV[k]` reduces to the
+//!    entries of `delta_i` in column `me`. A carried value *below* what an
+//!    earlier frame shipped is below `image_{i-1}` and passes in both
+//!    forms (dense takes the max; sparse compares the smaller value).
+//! 2. **Same merge.** Delivering frame `i − 1` merged `image_{i-1}` into
+//!    `SENT`, and `SENT` only grows, so `max(SENT, image_i)` equals `SENT`
+//!    raised by `delta_i` and the link counter; the cells that grow — and
+//!    so the Appendix-A change tags, and every later stamp — are the same.
+//!    (`i = 1`: `image_0` is all zero and both claims are immediate.)
+//! 3. **What a delta must carry.** Unchanged from the dense form: every
+//!    cell of the receiver's column the sender changed since its last
+//!    frame to this receiver (an omission delivers early), and every other
+//!    changed cell unless the receiver provably dominates it (Hybrid's
+//!    pruning) — so `SENT` ends identical to Full-mode delivery.
+//! 4. **Persistence round-trip.** [`CausalState::write_bytes`] followed by
 //!    [`CausalState::read_bytes`] resumes the protocol mid-stream,
 //!    including mid-batch [`Stamp::GroupNext`] continuation state and the
-//!    Hybrid sender-side knowledge model.
+//!    Hybrid sender-side knowledge model; a postponed [`PendingStamp`]
+//!    round-trips through its own `write_bytes`/`read_bytes`.
 //!
-//! Modes satisfying 1–2 take **identical delivery decisions** — the
+//! All three modes therefore take **identical delivery decisions** — the
 //! mode-generic conformance suite (`tests/conformance.rs`) checks this
-//! observationally against [`StampMode::Full`], the dense reference.
+//! observationally against [`StampMode::Full`], and `tests/differential.rs`
+//! checks the sparse form step by step against a textbook dense
+//! reconstruction.
+//!
+//! # Cost
+//!
+//! In the delta modes every operation follows the stamp, not the domain:
+//! `on_frame` moves the entries into the pending, `can_deliver` and
+//! `deliver` walk them, and `stamp_send` finds the changed cells by
+//! descending a tree of block maxima over the change tags instead of
+//! scanning `n²` of them (`O(|stamp| log n)`; see `ChangeTags`). Only
+//! `Full` real stamps pay `n²`, by design.
+//!
+//! # Persistence image
+//!
+//! `me: u16`, `n: u32`, mode byte, `SENT`, `DELIV`, the logical instant,
+//! the `n²` change tags, the per-peer send instants, the per-sender link
+//! counters (`n × u64`) and, in Hybrid, the knowledge model. The block
+//! maxima over the tags are rebuilt on read. Mode bytes are 4 (`Full`), 5 (`Updates`)
+//! and 6 (`Hybrid`); bytes 0, 1 and 3 were the same modes when the image
+//! still carried an `n × n²` section of per-sender image matrices, byte 2
+//! was the retired `Reduced` mode, and all four are refused.
+//!
+//! [`stamp_send`]: CausalState::stamp_send
 
 use aaa_base::{DomainServerId, Error, Result};
 use serde::{Deserialize, Serialize};
@@ -71,26 +114,111 @@ pub enum Batching {
     Grouped,
 }
 
-/// A message's causal stamp, reconstructed on the receiving side.
+/// A received message's causal stamp, held until the message is delivered.
 ///
-/// In [`StampMode::Full`] this is the matrix shipped with the message; in
-/// every other mode it is the receiver's image of the sender's matrix at
-/// the instant the frame arrived. Either way it is exactly the sender's
-/// `SENT` matrix when the message was sent.
+/// It is the link counter `ST[from][me]` plus what the frame carried: the
+/// whole matrix for a [`Stamp::Full`] frame, only the frame's own entries
+/// for a delta frame, nothing for a [`Stamp::GroupNext`] continuation. The
+/// [module documentation](self) shows why that decides and merges exactly
+/// as the sender's whole matrix would.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct PendingStamp {
-    matrix: MatrixClock,
+    counter: u64,
+    carried: Carried,
+}
+
+/// What a frame carried besides the link counter.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+enum Carried {
+    /// A delta frame's entries, or none for a continuation.
+    Entries(Vec<UpdateEntry>),
+    /// A full-matrix frame's matrix.
+    Matrix(MatrixClock),
 }
 
 impl PendingStamp {
-    /// The reconstructed sender matrix.
-    pub fn matrix(&self) -> &MatrixClock {
-        &self.matrix
+    /// The sender's `SENT[from][me]` as of this frame — the value the FIFO
+    /// clause of the delivery predicate compares with `DELIV[from] + 1`.
+    pub fn counter(&self) -> u64 {
+        self.counter
     }
 
-    /// Rebuilds a pending stamp from a persisted matrix image (recovery).
-    pub fn from_matrix(matrix: MatrixClock) -> Self {
-        PendingStamp { matrix }
+    /// The entries a delta frame carried, those of the receiver's column
+    /// first (empty for a continuation and for a full-matrix frame).
+    pub fn entries(&self) -> &[UpdateEntry] {
+        match &self.carried {
+            Carried::Entries(entries) => entries,
+            Carried::Matrix(_) => &[],
+        }
+    }
+
+    /// The matrix a [`Stamp::Full`] frame carried; `None` for every other
+    /// frame.
+    pub fn matrix(&self) -> Option<&MatrixClock> {
+        match &self.carried {
+            Carried::Entries(_) => None,
+            Carried::Matrix(m) => Some(m),
+        }
+    }
+
+    /// Appends a self-describing binary image of the pending stamp to
+    /// `out` (the postponed queue's persistence form): the counter, a
+    /// shape byte, then the entries (`u32` count, then
+    /// `row: u16, col: u16, value: u64` each) or the matrix.
+    pub fn write_bytes(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.counter.to_le_bytes());
+        match &self.carried {
+            Carried::Entries(entries) => {
+                out.push(0);
+                // Saturating `try_from`: an impossible count writes a
+                // prefix the reader rejects as truncated.
+                let count = u32::try_from(entries.len()).unwrap_or(u32::MAX);
+                out.extend_from_slice(&count.to_le_bytes());
+                for e in entries {
+                    out.extend_from_slice(&e.row.to_le_bytes());
+                    out.extend_from_slice(&e.col.to_le_bytes());
+                    out.extend_from_slice(&e.value.to_le_bytes());
+                }
+            }
+            Carried::Matrix(m) => {
+                out.push(1);
+                m.write_bytes(out);
+            }
+        }
+    }
+
+    /// Reads an image written by [`PendingStamp::write_bytes`] from the
+    /// front of `input`, returning the stamp and the bytes consumed, or
+    /// `None` on truncated or invalid input. The result is not yet known to
+    /// fit any domain: pass it through [`CausalState::check_pending`].
+    pub fn read_bytes(input: &[u8]) -> Option<(PendingStamp, usize)> {
+        let mut at = 0usize;
+        let counter = read_u64s(input, &mut at, 1)?[0];
+        let carried = match take(input, &mut at, 1)?[0] {
+            0 => {
+                let count = u32::from_le_bytes(take(input, &mut at, 4)?.try_into().ok()?) as usize;
+                // Bound the count by the bytes present before allocating.
+                let body = take(input, &mut at, count.checked_mul(UpdateEntry::WIRE_LEN)?)?;
+                let entries = body
+                    .chunks_exact(UpdateEntry::WIRE_LEN)
+                    .map(|c| {
+                        Some(UpdateEntry {
+                            row: u16::from_le_bytes(c.get(0..2)?.try_into().ok()?),
+                            col: u16::from_le_bytes(c.get(2..4)?.try_into().ok()?),
+                            value: u64::from_le_bytes(c.get(4..12)?.try_into().ok()?),
+                        })
+                    })
+                    .collect::<Option<Vec<_>>>()?;
+                Carried::Entries(entries)
+            }
+            1 => {
+                let (m, used) = MatrixClock::read_bytes(input.get(at..)?)?;
+                at += used;
+                Carried::Matrix(m)
+            }
+            _ => return None,
+        };
+        Some((PendingStamp { counter, carried }, at))
     }
 }
 
@@ -110,6 +238,91 @@ pub struct EngineTranscript {
     pub deliv: Vec<u64>,
 }
 
+/// The Appendix-A change tags (`Mat[k,l].state`): per cell, the logical
+/// instant of its last change, `0` for never — under a tree of block
+/// maxima, so "every cell changed since instant `s`" is a descent through
+/// the blocks that hold one instead of a scan of all `n²` tags.
+///
+/// `tags` is level 0, row-major; `maxima[k][i]` is the maximum of block `i`
+/// (`FANOUT` slots) of the level below it; the top level is one block. A
+/// read visits a block only if it holds a changed cell and yields cells in
+/// row-major order, so it reads `O(|result| · FANOUT · depth)` slots —
+/// depth `⌈log₆₄ n²⌉`, 3 at n = 256 — and about one slot per cell when
+/// most cells changed. A write stores one slot per level. The maxima are
+/// a function of the tags: rebuilt on read, never persisted.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+struct ChangeTags {
+    tags: Vec<u64>,
+    maxima: Vec<Vec<u64>>,
+}
+
+/// Slots per block of a [`ChangeTags`] level.
+const FANOUT: usize = 64;
+
+impl ChangeTags {
+    /// `cells` untagged cells.
+    fn new(cells: usize) -> Self {
+        let mut maxima = Vec::new();
+        let mut below = cells;
+        while below > FANOUT {
+            below = below.div_ceil(FANOUT);
+            maxima.push(vec![0; below]);
+        }
+        ChangeTags {
+            tags: vec![0; cells],
+            maxima,
+        }
+    }
+
+    /// Rebuilds the block maxima over persisted tags.
+    fn from_tags(tags: Vec<u64>) -> Self {
+        let mut rebuilt = ChangeTags::new(tags.len());
+        for (cell, &tag) in tags.iter().enumerate().filter(|&(_, &tag)| tag != 0) {
+            rebuilt.raise_maxima(cell, tag);
+        }
+        rebuilt.tags = tags;
+        rebuilt
+    }
+
+    /// Tags `cell` as changed at instant `tag`.
+    fn set(&mut self, cell: usize, tag: u64) {
+        self.tags[cell] = tag;
+        self.raise_maxima(cell, tag);
+    }
+
+    /// Raises the maximum of every block above `cell` to at least `tag`.
+    fn raise_maxima(&mut self, cell: usize, tag: u64) {
+        let mut slot = cell;
+        for level in &mut self.maxima {
+            slot /= FANOUT;
+            level[slot] = level[slot].max(tag);
+        }
+    }
+
+    /// Calls `f` with every cell whose tag is greater than `since`, in
+    /// ascending (row-major) order.
+    fn for_each_changed(&self, since: u64, mut f: impl FnMut(usize)) {
+        self.visit(self.maxima.len(), 0, since, &mut f);
+    }
+
+    /// Visits block `block` of level `level` (0 is the tags), descending
+    /// into the slots that changed since `since`.
+    fn visit(&self, level: usize, block: usize, since: u64, f: &mut impl FnMut(usize)) {
+        let below = level.checked_sub(1);
+        let slots = below.map_or(&self.tags, |k| &self.maxima[k]);
+        let first = block.saturating_mul(FANOUT);
+        for (slot, &tag) in slots.iter().enumerate().skip(first).take(FANOUT) {
+            if tag <= since {
+                continue;
+            }
+            match below {
+                None => f(slot),
+                Some(below) => self.visit(below, slot, since, f),
+            }
+        }
+    }
+}
+
 /// Per-domain causal delivery state of one server.
 ///
 /// See the [module documentation](self) for the protocol. One `CausalState`
@@ -117,7 +330,7 @@ pub struct EngineTranscript {
 /// hold several, one per domain they belong to (§5).
 ///
 /// The state is the RST matrix/vector pair, the Appendix-A change-tracking
-/// bookkeeping and the per-sender reconstruction images, plus — in
+/// bookkeeping and one link counter per sender, plus — in
 /// [`StampMode::Hybrid`] only — a sender-side model of what each peer
 /// already knows.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -135,28 +348,30 @@ pub struct CausalState {
     state: u64,
     /// Per-cell tag: value of `state` when the cell last changed
     /// (`Mat[k,l].state`).
-    entry_state: Vec<u64>,
+    changes: ChangeTags,
     /// Per-peer: value of `state` at the last send to that peer
     /// (`Node[j].state`).
     node_state: Vec<u64>,
-    /// Per-peer image of that peer's matrix, rebuilt from received
-    /// stamps.
-    images: Vec<Option<MatrixClock>>,
+    /// Per-sender: that peer's `SENT[peer][me]` as of its latest frame —
+    /// the one cell of the sender's matrix a later frame builds on (a
+    /// continuation adds one to it). `0` means no frame yet.
+    link: Vec<u64>,
     /// Hybrid only (empty otherwise): `know[j]` is a lower bound on peer
     /// `j`'s own `SENT` matrix. Raised by everything shipped to `j` (FIFO
-    /// links land it in the peer's image before any later frame) and by
+    /// links land it at the peer before any later frame) and by
     /// everything received *from* `j` (a peer's stamp is a snapshot of its
     /// own matrix).
     know: Vec<Option<MatrixClock>>,
 }
 
-/// The persistence image's mode byte. Byte 2 belonged to the retired
-/// `Reduced` mode and is refused by [`CausalState::read_bytes`].
+/// The persistence image's mode byte. Bytes 0, 1 and 3 were these modes in
+/// the layout that carried per-sender image matrices and byte 2 the
+/// retired `Reduced` mode; [`CausalState::read_bytes`] refuses all four.
 fn mode_byte(mode: StampMode) -> u8 {
     match mode {
-        StampMode::Full => 0,
-        StampMode::Updates => 1,
-        StampMode::Hybrid => 3,
+        StampMode::Full => 4,
+        StampMode::Updates => 5,
+        StampMode::Hybrid => 6,
     }
 }
 
@@ -180,9 +395,9 @@ impl CausalState {
             sent: MatrixClock::new(n),
             deliv: vec![0; n],
             state: 0,
-            entry_state: vec![0; n * n],
+            changes: ChangeTags::new(n * n),
             node_state: vec![0; n],
-            images: vec![None; n],
+            link: vec![0; n],
             know: match mode {
                 StampMode::Hybrid => vec![None; n],
                 StampMode::Full | StampMode::Updates => Vec::new(),
@@ -234,7 +449,7 @@ impl CausalState {
     /// The send-side bookkeeping common to every send: advance the logical
     /// instant, count the send, tag the cell, and remember the instant of
     /// this send to `to`. Returns the change horizon (`node_state[to]`
-    /// *before* this send) that delta-style stamps scan from.
+    /// *before* this send) that delta-style stamps read from.
     fn bump_send(&mut self, to: DomainServerId) -> u64 {
         // Saturating throughout the clock core: a saturated counter keeps
         // comparisons monotone (late, never reordered); wrapping breaks
@@ -242,8 +457,7 @@ impl CausalState {
         self.state = self.state.saturating_add(1);
         let (me, t) = (self.me.as_usize(), to.as_usize());
         self.sent.increment(me, t);
-        let tag = self.state;
-        self.entry_state[me * self.n + t] = tag;
+        self.changes.set(me * self.n + t, self.state);
         let since = self.node_state[t];
         self.node_state[t] = self.state;
         since
@@ -256,21 +470,28 @@ impl CausalState {
         since: u64,
         mut keep: impl FnMut(usize, usize) -> bool,
     ) -> Vec<UpdateEntry> {
+        let n = self.n;
         let mut out = Vec::new();
-        for row in 0..self.n {
-            for col in 0..self.n {
-                if self.entry_state[row * self.n + col] > since && keep(row, col) {
-                    // `n <= u16::MAX` is a construction invariant, so the
-                    // checked narrowing never saturates in practice; if it
-                    // ever did, the peer would reject the frame loudly.
-                    out.push(UpdateEntry {
-                        row: u16::try_from(row).unwrap_or(u16::MAX),
-                        col: u16::try_from(col).unwrap_or(u16::MAX),
-                        value: self.sent.get(row, col),
-                    });
-                }
+        // Cells arrive in ascending order: divide once per row entered,
+        // not once per cell.
+        let (mut row, mut row_start) = (0usize, 0usize);
+        self.changes.for_each_changed(since, |cell| {
+            if cell - row_start >= n {
+                row = cell / n;
+                row_start = row * n;
             }
-        }
+            let col = cell - row_start;
+            if keep(row, col) {
+                // `n <= u16::MAX` is a construction invariant, so the
+                // checked narrowing never saturates in practice; if it
+                // ever did, the peer would reject the frame loudly.
+                out.push(UpdateEntry {
+                    row: u16::try_from(row).unwrap_or(u16::MAX),
+                    col: u16::try_from(col).unwrap_or(u16::MAX),
+                    value: self.sent.get(row, col),
+                });
+            }
+        });
         out
     }
 
@@ -300,16 +521,16 @@ impl CausalState {
         // since the previous send to the same peer (no other sends, no
         // deliveries in between): the new stamp then differs from the
         // previous frame's only by `SENT[me][to] += 1`, which the receiver
-        // reconstructs from its per-sender image. The guard on
+        // adds to the link counter it keeps for this sender. The guard on
         // `SENT[me][to]` ensures a previous frame to this peer exists, so
-        // the receiver has an image to continue from.
+        // the receiver has a counter to continue from.
         if batching == Batching::Grouped
             && self.node_state[t] == self.state
             && self.sent.get(me, t) > 0
         {
             self.bump_send(to);
             if self.mode == StampMode::Hybrid {
-                // The receiver's image gains the increment, so the model
+                // The receiver's counter gains the increment, so the model
                 // does.
                 let v = self.sent.get(me, t);
                 self.know_mut(t).raise(me, t, v);
@@ -360,6 +581,27 @@ impl CausalState {
         }
     }
 
+    /// Why `from` is not a sender of this domain, if it is not.
+    fn sender_misfit(&self, from: DomainServerId) -> Option<String> {
+        (from.as_usize() >= self.n).then(|| format!("sender out of range for domain of {}", self.n))
+    }
+
+    /// Why `m` is not a matrix of this domain, if it is not.
+    fn width_misfit(&self, m: &MatrixClock) -> Option<String> {
+        let (w, n) = (m.width(), self.n);
+        (w != n).then(|| format!("matrix width {w}, domain width {n}"))
+    }
+
+    /// The first of `entries` addressing a cell outside this domain's
+    /// matrix, described, if any does.
+    fn entry_misfit(&self, entries: &[UpdateEntry]) -> Option<String> {
+        let n = self.n;
+        entries
+            .iter()
+            .find(|e| usize::from(e.row) >= n || usize::from(e.col) >= n)
+            .map(|e| format!("entry ({}, {}) outside domain of {n}", e.row, e.col))
+    }
+
     /// Validates a stamp decoded off the wire against this domain before
     /// it reaches [`CausalState::on_frame`]: the stamp kind matches the
     /// configured mode, a full matrix has the domain's width, every delta
@@ -373,44 +615,51 @@ impl CausalState {
     /// Returns [`Error::Codec`] naming the first violated condition; the
     /// state is untouched.
     pub fn check_stamp(&self, from: DomainServerId, stamp: &Stamp) -> Result<()> {
-        let n = self.n;
-        let reject = |why: String| Err(Error::Codec(format!("stamp from {from}: {why}")));
-        if from.as_usize() >= n {
-            return reject(format!("sender out of range for domain of {n}"));
-        }
-        match (self.mode, stamp) {
-            (_, Stamp::GroupNext) => match self.images[from.as_usize()] {
-                Some(_) => Ok(()),
-                None => reject("GroupNext continuation with no prior frame".to_owned()),
-            },
-            (StampMode::Full, Stamp::Full(m)) => match m.width() {
-                w if w == n => Ok(()),
-                w => reject(format!("matrix width {w}, domain width {n}")),
-            },
-            (StampMode::Updates, Stamp::Delta(entries))
-            | (StampMode::Hybrid, Stamp::Hybrid(entries)) => {
-                match entries
-                    .iter()
-                    .find(|e| usize::from(e.row) >= n || usize::from(e.col) >= n)
-                {
-                    None => Ok(()),
-                    Some(e) => reject(format!(
-                        "entry ({}, {}) outside domain of {n}",
-                        e.row, e.col
-                    )),
-                }
-            }
-            (mode, other) => reject(format!(
-                "kind {} does not match configured mode {mode}",
-                other.kind()
-            )),
-        }
+        let misfit = self
+            .sender_misfit(from)
+            .or_else(|| match (self.mode, stamp) {
+                (_, Stamp::GroupNext) => (self.link[from.as_usize()] == 0)
+                    .then(|| "GroupNext continuation with no prior frame".to_owned()),
+                (StampMode::Full, Stamp::Full(m)) => self.width_misfit(m),
+                (StampMode::Updates, Stamp::Delta(entries))
+                | (StampMode::Hybrid, Stamp::Hybrid(entries)) => self.entry_misfit(entries),
+                (mode, other) => Some(format!(
+                    "kind {} does not match configured mode {mode}",
+                    other.kind()
+                )),
+            });
+        refuse("stamp", from, misfit)
+    }
+
+    /// Validates a pending stamp read back from a recovery image against
+    /// this domain before it reaches [`CausalState::can_deliver`]: the
+    /// sender is a member, a carried matrix has the domain's width,
+    /// every carried entry addresses a cell inside the matrix — the same
+    /// conditions [`CausalState::check_stamp`] puts on a wire stamp — and
+    /// the entries of this server's column come first, as
+    /// [`CausalState::on_frame`] leaves them and the predicate assumes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Codec`] naming the first violated condition.
+    pub fn check_pending(&self, from: DomainServerId, pending: &PendingStamp) -> Result<()> {
+        let misfit = self.sender_misfit(from).or_else(|| match &pending.carried {
+            Carried::Matrix(m) => self.width_misfit(m),
+            Carried::Entries(entries) => self.entry_misfit(entries).or_else(|| {
+                let me = self.me.as_u16();
+                let mut rest = entries.iter().skip_while(|e| e.col == me);
+                rest.any(|e| e.col == me)
+                    .then(|| format!("entries of column {me} are not first"))
+            }),
+        });
+        refuse("pending stamp", from, misfit)
     }
 
     /// Ingests a frame arriving from `from` (in link order) and returns the
-    /// message's reconstructed stamp. Must be called exactly once per frame,
-    /// in arrival order — the reliable link layer guarantees FIFO, which
-    /// every incremental reconstruction relies on.
+    /// message's pending stamp. Must be called exactly once per frame, in
+    /// arrival order — the reliable link layer guarantees FIFO, which the
+    /// sparse pendings of the delta modes rely on (see the
+    /// [module documentation](self)).
     ///
     /// Stamps that come off the wire must pass
     /// [`CausalState::check_stamp`] first; this function treats a stamp
@@ -424,44 +673,30 @@ impl CausalState {
     /// `from`.
     pub fn on_frame(&mut self, from: DomainServerId, stamp: Stamp) -> PendingStamp {
         let (me, f) = (self.me.as_usize(), from.as_usize());
-        let n = self.n;
-        assert!(f < n, "sender {from} out of range");
-        match (self.mode, stamp) {
+        assert!(f < self.n, "sender {from} out of range");
+        let (counter, carried) = match (self.mode, stamp) {
             // The previous frame's stamp plus one send from `from` to me.
             (_, Stamp::GroupNext) => {
-                let image = self.images[f]
-                    .as_mut()
-                    // Wire input is screened by `check_stamp`; reaching
-                    // this with no image means the caller skipped it.
-                    // audit:allow(panic-freedom)
-                    .expect("GroupNext continuation with no prior frame from this sender");
-                let v = image.increment(f, me);
-                let pending = PendingStamp::from_matrix(image.clone());
+                assert!(
+                    self.link[f] > 0,
+                    "GroupNext continuation with no prior frame from this sender"
+                );
+                let counter = self.link[f].saturating_add(1);
                 if self.mode == StampMode::Hybrid {
-                    self.know_mut(f).raise(f, me, v);
+                    self.know_mut(f).raise(f, me, counter);
                 }
-                pending
+                (counter, Carried::Entries(Vec::new()))
             }
             (StampMode::Full, Stamp::Full(m)) => {
-                assert_eq!(m.width(), n, "stamp width mismatch");
-                // Keep a per-sender image so zero-byte GroupNext
-                // continuations can be reconstructed in Full mode too.
-                self.images[f] = Some(m.clone());
-                PendingStamp::from_matrix(m)
+                assert_eq!(m.width(), self.n, "stamp width mismatch");
+                (m.get(f, me), Carried::Matrix(m))
             }
-            (StampMode::Updates, Stamp::Delta(entries)) => {
-                let image = self.images[f].get_or_insert_with(|| MatrixClock::new(n));
-                raise_all(image, &entries);
-                PendingStamp::from_matrix(image.clone())
-            }
+            (StampMode::Updates, Stamp::Delta(entries)) => self.keep_delta(f, entries),
             (StampMode::Hybrid, Stamp::Hybrid(entries)) => {
-                let image = self.images[f].get_or_insert_with(|| MatrixClock::new(n));
-                raise_all(image, &entries);
-                let pending = PendingStamp::from_matrix(image.clone());
                 // A peer's stamp is a snapshot of its own matrix: raise
                 // the knowledge model with everything it conveyed.
                 raise_all(self.know_mut(f), &entries);
-                pending
+                self.keep_delta(f, entries)
             }
             // Wire input is screened by `check_stamp`, so this is a
             // wiring bug in the caller, never a remote peer's doing.
@@ -470,7 +705,30 @@ impl CausalState {
                 "stamp kind {} does not match configured mode {mode:?}",
                 other.kind()
             ),
+        };
+        self.link[f] = counter;
+        PendingStamp { counter, carried }
+    }
+
+    /// What the receiver keeps of a delta frame from `f`: the entries,
+    /// with those of this server's column — all the delivery predicate
+    /// reads, however often the message is re-examined — moved to the
+    /// front, and `f`'s link counter, raised (never lowered) by the link
+    /// cell if it is among them.
+    fn keep_delta(&self, f: usize, mut entries: Vec<UpdateEntry>) -> (u64, Carried) {
+        let me = self.me.as_u16();
+        let (mut counter, mut column) = (self.link[f], 0usize);
+        for i in 0..entries.len() {
+            let e = entries[i];
+            if e.col == me {
+                if usize::from(e.row) == f {
+                    counter = counter.max(e.value);
+                }
+                entries.swap(column, i);
+                column = column.saturating_add(1);
+            }
         }
+        (counter, Carried::Entries(entries))
     }
 
     /// Returns `true` if a message from `from` with stamp `pending` may be
@@ -483,10 +741,19 @@ impl CausalState {
         let f = from.as_usize();
         let me = self.me.as_usize();
         assert!(f < self.n, "sender {from} out of range");
-        if pending.matrix().get(f, me) != self.deliv[f].saturating_add(1) {
+        if pending.counter != self.deliv[f].saturating_add(1) {
             return false;
         }
-        (0..self.n).all(|k| k == f || pending.matrix().get(k, me) <= self.deliv[k])
+        match &pending.carried {
+            Carried::Matrix(m) => (0..self.n).all(|k| k == f || m.get(k, me) <= self.deliv[k]),
+            // With the FIFO clause holding, the rest of the column held
+            // when the sender's previous frame was delivered. `on_frame`
+            // put this frame's part of the column first.
+            Carried::Entries(entries) => entries
+                .iter()
+                .take_while(|e| usize::from(e.col) == me)
+                .all(|e| usize::from(e.row) == f || e.value <= self.deliv[usize::from(e.row)]),
+        }
     }
 
     /// Records delivery of a message from `from` with stamp `pending`:
@@ -503,20 +770,32 @@ impl CausalState {
             self.can_deliver(from, pending),
             "delivering a message out of causal order"
         );
-        self.deliv[from.as_usize()] = self.deliv[from.as_usize()].saturating_add(1);
+        let (me, f) = (self.me.as_usize(), from.as_usize());
+        self.deliv[f] = self.deliv[f].saturating_add(1);
         self.state = self.state.saturating_add(1);
         let tag = self.state;
         let n = self.n;
-        let entry_state = &mut self.entry_state;
-        self.sent.merge_max(pending.matrix(), |row, col, _| {
-            entry_state[row * n + col] = tag;
-        });
+        let (sent, changes) = (&mut self.sent, &mut self.changes);
+        match &pending.carried {
+            Carried::Matrix(m) => sent.merge_max(m, |row, col, _| changes.set(row * n + col, tag)),
+            Carried::Entries(entries) => {
+                let mut raise = |row: usize, col: usize, value: u64| {
+                    if sent.raise(row, col, value) {
+                        changes.set(row * n + col, tag);
+                    }
+                };
+                raise(f, me, pending.counter);
+                for e in entries {
+                    raise(usize::from(e.row), usize::from(e.col), e.value);
+                }
+            }
+        }
     }
 
     /// Appends a self-describing binary image of the whole causal state to
     /// `out`, suitable for crash-recovery journaling: identity, the mode
-    /// byte, every bookkeeping field (entry states, per-peer send states,
-    /// per-peer sender images) and, in Hybrid mode, the knowledge model —
+    /// byte, every bookkeeping field (change tags, per-peer send instants,
+    /// per-sender link counters) and, in Hybrid mode, the knowledge model —
     /// so a recovered server resumes its protocol, including a mid-batch
     /// [`Stamp::GroupNext`] group, exactly where it crashed.
     pub fn write_bytes(&self, out: &mut Vec<u8>) {
@@ -530,13 +809,10 @@ impl CausalState {
             out.extend_from_slice(&v.to_le_bytes());
         }
         out.extend_from_slice(&self.state.to_le_bytes());
-        for v in &self.entry_state {
+        let tags = &self.changes.tags;
+        for v in tags.iter().chain(&self.node_state).chain(&self.link) {
             out.extend_from_slice(&v.to_le_bytes());
         }
-        for v in &self.node_state {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        write_optional_matrices(&self.images, out);
         write_optional_matrices(&self.know, out);
     }
 
@@ -555,9 +831,9 @@ impl CausalState {
             return None;
         }
         let mode = match take(input, &mut at, 1)?[0] {
-            0 => StampMode::Full,
-            1 => StampMode::Updates,
-            3 => StampMode::Hybrid,
+            4 => StampMode::Full,
+            5 => StampMode::Updates,
+            6 => StampMode::Hybrid,
             _ => return None,
         };
         let (sent, used) = MatrixClock::read_bytes(&input[at..])?;
@@ -567,9 +843,9 @@ impl CausalState {
         at += used;
         let deliv = read_u64s(input, &mut at, n)?;
         let state = read_u64s(input, &mut at, 1)?[0];
-        let entry_state = read_u64s(input, &mut at, n * n)?;
+        let changes = ChangeTags::from_tags(read_u64s(input, &mut at, n * n)?);
         let node_state = read_u64s(input, &mut at, n)?;
-        let images = read_optional_matrices(input, &mut at, n, n)?;
+        let link = read_u64s(input, &mut at, n)?;
         let know_len = if mode == StampMode::Hybrid { n } else { 0 };
         let know = read_optional_matrices(input, &mut at, know_len, n)?;
         Some((
@@ -580,13 +856,21 @@ impl CausalState {
                 sent,
                 deliv,
                 state,
-                entry_state,
+                changes,
                 node_state,
-                images,
+                link,
                 know,
             },
             at,
         ))
+    }
+}
+
+/// `Ok` unless `misfit` says why `what` from `from` does not fit the domain.
+fn refuse(what: &str, from: DomainServerId, misfit: Option<String>) -> Result<()> {
+    match misfit {
+        None => Ok(()),
+        Some(why) => Err(Error::Codec(format!("{what} from {from}: {why}"))),
     }
 }
 
@@ -598,21 +882,20 @@ fn raise_all(m: &mut MatrixClock, entries: &[UpdateEntry]) {
 }
 
 fn take<'a>(input: &'a [u8], at: &mut usize, n: usize) -> Option<&'a [u8]> {
-    let s = input.get(*at..*at + n)?;
+    let s = input.get(*at..at.checked_add(n)?)?;
     *at += n;
     Some(s)
 }
 
 fn read_u64s(input: &[u8], at: &mut usize, count: usize) -> Option<Vec<u64>> {
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        out.push(u64::from_le_bytes(take(input, at, 8)?.try_into().ok()?));
-    }
-    Some(out)
+    let body = take(input, at, count.checked_mul(8)?)?;
+    body.chunks_exact(8)
+        .map(|c| Some(u64::from_le_bytes(c.try_into().ok()?)))
+        .collect()
 }
 
-/// Appends a `0`/`1`-tagged vector of optional matrices (the image /
-/// knowledge-model persistence shape).
+/// Appends a `0`/`1`-tagged vector of optional matrices (the knowledge
+/// model's persistence shape).
 fn write_optional_matrices(ms: &[Option<MatrixClock>], out: &mut Vec<u8>) {
     for m in ms {
         match m {
@@ -874,7 +1157,7 @@ mod tests {
             assert_eq!(b2, b, "{mode}: persisted state must round-trip");
 
             // The recovered state keeps working: a's next stamp must still
-            // reconstruct correctly against b2's persisted image of a.
+            // continue from b2's persisted link counter for a.
             let mut b2 = b2;
             let s = single(&mut a, d(1));
             let p = b2.on_frame(d(0), s);
@@ -899,6 +1182,98 @@ mod tests {
         CausalState::new(d(0), 2, StampMode::Full).write_bytes(&mut buf);
         buf[6] = 9;
         assert!(CausalState::read_bytes(&buf).is_none());
+    }
+
+    #[test]
+    fn changed_cells_are_read_as_a_tag_scan_would_read_them() {
+        // Wide enough for two levels of block maxima (70² = 4900 cells),
+        // with skewed traffic that re-tags a few cells over and over and
+        // leaves most blocks untouched.
+        let n = 70;
+        let mut a = CausalState::new(d(0), n, StampMode::Updates);
+        let mut b = CausalState::new(d(1), n, StampMode::Updates);
+        assert_eq!(a.changes.maxima.len(), 2);
+        for round in 0..300usize {
+            let to = if round % 7 == 0 { 2 + round % 60 } else { 1 };
+            let s = single(&mut a, d(to as u16));
+            if to == 1 {
+                let p = b.on_frame(d(0), s);
+                b.deliver(d(0), &p);
+                let r = single(&mut b, d(0));
+                let pr = a.on_frame(d(1), r);
+                a.deliver(d(1), &pr);
+            }
+            for c in [&a, &b] {
+                let t = &c.changes;
+                assert_eq!(t, &ChangeTags::from_tags(t.tags.clone()), "round {round}");
+                for since in [0, c.state / 2, c.state.saturating_sub(1), c.state] {
+                    let mut read = Vec::new();
+                    t.for_each_changed(since, |cell| read.push(cell));
+                    let scan: Vec<usize> = (0..n * n).filter(|&i| t.tags[i] > since).collect();
+                    assert_eq!(read, scan, "round {round}, since {since}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pending_stamp_bytes_roundtrip_and_reject_garbage() {
+        for mode in StampMode::ALL {
+            let mut a = CausalState::new(d(0), 3, mode);
+            let mut b = CausalState::new(d(1), 3, mode);
+            let _ = single(&mut a, d(2));
+            // A real stamp, then a continuation.
+            for _ in 0..2 {
+                let p = b.on_frame(d(0), grouped(&mut a, d(1)));
+                let mut buf = Vec::new();
+                p.write_bytes(&mut buf);
+                let (back, used) = PendingStamp::read_bytes(&buf).expect("roundtrip");
+                assert_eq!((back, used), (p.clone(), buf.len()), "{mode}");
+                for cut in 0..buf.len() {
+                    assert!(PendingStamp::read_bytes(&buf[..cut]).is_none(), "{mode}");
+                }
+                buf[8] = 7; // the shape byte follows the counter
+                assert!(PendingStamp::read_bytes(&buf).is_none(), "{mode}");
+                b.deliver(d(0), &p);
+            }
+        }
+        // An entry count far beyond the bytes present is refused before
+        // anything is allocated for it.
+        let mut huge = vec![0u8; 9];
+        huge.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(PendingStamp::read_bytes(&huge).is_none());
+    }
+
+    #[test]
+    fn check_pending_rejects_what_does_not_fit_the_domain() {
+        let entry = |row, col| UpdateEntry { row, col, value: 1 };
+        let sparse = |entries| PendingStamp {
+            counter: 1,
+            carried: Carried::Entries(entries),
+        };
+        let dense = |w| PendingStamp {
+            counter: 1,
+            carried: Carried::Matrix(MatrixClock::new(w)),
+        };
+        for mode in StampMode::ALL {
+            let b = CausalState::new(d(1), 4, mode);
+            b.check_pending(d(0), &sparse(vec![entry(3, 3)])).unwrap();
+            b.check_pending(d(0), &sparse(vec![entry(2, 1), entry(0, 1), entry(0, 2)]))
+                .unwrap();
+            b.check_pending(d(0), &dense(4)).unwrap();
+            for (from, bad) in [
+                (d(4), sparse(Vec::new())),
+                (d(0), sparse(vec![entry(0, 1), entry(4, 0)])),
+                (d(0), sparse(vec![entry(0, u16::MAX)])),
+                // Column 1 is this server's: its entries must lead.
+                (d(0), sparse(vec![entry(0, 2), entry(0, 1)])),
+                (d(0), dense(3)),
+                (d(0), dense(5)),
+            ] {
+                let err = b.check_pending(from, &bad).expect_err("misfit pending");
+                assert!(matches!(err, Error::Codec(_)), "{mode}: {err}");
+            }
+        }
     }
 
     #[test]
@@ -948,7 +1323,8 @@ mod tests {
     #[test]
     fn continuation_reconstructs_exact_stamp() {
         // Drive an identical schedule through Single (reference) and
-        // Grouped batching, and check the reconstructed matrices agree.
+        // Grouped batching, and check the link counters and the merged
+        // matrices agree.
         for mode in StampMode::ALL {
             let mut a_ref = CausalState::new(d(0), 2, mode);
             let mut b_ref = CausalState::new(d(1), 2, mode);
@@ -959,7 +1335,8 @@ mod tests {
                 let pr = b_ref.on_frame(d(0), sr);
                 let s = grouped(&mut a, d(1));
                 let p = b.on_frame(d(0), s);
-                assert_eq!(p.matrix(), pr.matrix(), "{mode}");
+                assert_eq!(p.counter(), pr.counter(), "{mode}");
+                assert!(b.can_deliver(d(0), &p) && b_ref.can_deliver(d(0), &pr));
                 b_ref.deliver(d(0), &pr);
                 b.deliver(d(0), &p);
             }
@@ -1012,10 +1389,10 @@ mod tests {
     }
 
     #[test]
-    fn images_survive_persistence_mid_group() {
-        // A receiver's per-sender image (needed for GroupNext) must
-        // round-trip through write_bytes/read_bytes mid-group, whatever
-        // the mode.
+    fn link_counters_survive_persistence_mid_group() {
+        // A receiver's per-sender link counter (what GroupNext adds one
+        // to) must round-trip through write_bytes/read_bytes mid-group,
+        // whatever the mode.
         for mode in StampMode::ALL {
             let mut a = CausalState::new(d(0), 2, mode);
             let mut b = CausalState::new(d(1), 2, mode);

@@ -13,9 +13,10 @@
 //!   sender-side model of what the peer already knows — Almeida-style
 //!   knowledge buffering, smallest on pub/sub echo traffic.
 //!
-//! All three modes reconstruct the exact sender matrix on the receiving
-//! side, so they take identical delivery decisions (the conformance suite
-//! in `tests/conformance.rs` proves it on seeded schedules).
+//! All three modes convey the exact sender matrix to the receiving side —
+//! whole, or as deltas that add up to it over the FIFO link — so they take
+//! identical delivery decisions (the conformance suite in
+//! `tests/conformance.rs` proves it on seeded schedules).
 
 use std::fmt;
 use std::str::FromStr;
@@ -130,7 +131,7 @@ pub enum Stamp {
     /// Emitted by [`CausalState::stamp_send`] with [`Batching::Grouped`]
     /// for the second and later messages of a batch to the same peer when
     /// nothing else in the sender's matrix changed in between. The
-    /// receiver reconstructs the exact stamp from its per-sender image, so
+    /// receiver adds one to the link counter it keeps for the sender, so
     /// the wire cost is zero payload bytes — the amortization that makes
     /// group-commit batching collapse the per-message stamp cost (cf.
     /// hybrid buffering / constant-size causal broadcast in the related

@@ -370,19 +370,44 @@ fn burst_with_rotated_pumps() {
     }
 }
 
-/// Mode byte 2 belonged to the retired `Reduced` mode. An otherwise valid
-/// image carrying it (here: an Updates image, whose layout `Reduced`
-/// shared) is refused, not read back as some surviving mode.
+/// Mode bytes 0, 1 and 3 were Full, Updates and Hybrid in the layout that
+/// carried an `n × n²` section of per-sender image matrices where the link
+/// counters now are; byte 2 was the retired `Reduced` mode. A current
+/// image carrying any of them is refused, not read back under a layout it
+/// was not written in — and so is an image the old layout wrote.
 #[test]
 fn retired_mode_byte_is_refused() {
     let (a, b) = (DomainServerId::new(0), DomainServerId::new(1));
-    let mut clock = CausalState::new(a, 3, StampMode::Updates);
-    let _ = clock.stamp_send(b, Batching::Single);
-    let mut image = Vec::new();
-    clock.write_bytes(&mut image);
-    assert!(CausalState::read_bytes(&image).is_some());
-    // The mode byte follows `me: u16` and `n: u32`.
-    assert_eq!(image[6], 1, "Updates is mode byte 1");
-    image[6] = 2;
-    assert!(CausalState::read_bytes(&image).is_none());
+    for (mode, byte) in [
+        (StampMode::Full, 4u8),
+        (StampMode::Updates, 5),
+        (StampMode::Hybrid, 6),
+    ] {
+        let mut clock = CausalState::new(a, 3, mode);
+        let _ = clock.stamp_send(b, Batching::Single);
+        let mut image = Vec::new();
+        clock.write_bytes(&mut image);
+        assert!(CausalState::read_bytes(&image).is_some());
+        // The mode byte follows `me: u16` and `n: u32`.
+        assert_eq!(image[6], byte, "{mode}");
+        for retired in 0..=3u8 {
+            image[6] = retired;
+            assert!(
+                CausalState::read_bytes(&image).is_none(),
+                "{mode}: {retired}"
+            );
+        }
+    }
+
+    // What the previous layout wrote for a fresh 2-wide Updates clock:
+    // the same prefix under mode byte 1, then one absent-image tag per
+    // sender where this layout has an 8-byte counter.
+    let mut old = Vec::new();
+    old.extend_from_slice(&0u16.to_le_bytes());
+    old.extend_from_slice(&2u32.to_le_bytes());
+    old.push(1);
+    MatrixClock::new(2).write_bytes(&mut old);
+    old.extend_from_slice(&[0u8; 8 * (2 + 1 + 4 + 2)]); // deliv, state, tags, node_state
+    old.extend_from_slice(&[0, 0]); // images: none, none
+    assert!(CausalState::read_bytes(&old).is_none());
 }

@@ -68,8 +68,10 @@ pub(crate) struct Postponed {
 /// model and by experiments.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ChannelStats {
-    /// Matrix-cell operations performed (stamping ≈ n², checking ≈ n,
-    /// delivery merge ≈ n²) — the paper's unit of causal-ordering cost.
+    /// Matrix-cell operations of the paper's algorithm (stamping ≈ n²,
+    /// checking ≈ n, delivery merge ≈ n²) — the paper's unit of
+    /// causal-ordering cost, which the simulator prices. Modelled, not
+    /// measured: the delta modes of `aaa-clocks` touch O(|stamp|) cells.
     pub cell_ops: u64,
     /// Bytes of causal stamps emitted.
     pub stamp_bytes: u64,

@@ -11,7 +11,7 @@
 //!
 //! | name | kind | unit |
 //! |---|---|---|
-//! | `aaa_channel_cell_ops_total` | counter | matrix-cell operations |
+//! | `aaa_channel_cell_ops_total` | counter | modelled cell operations of the paper's algorithm (simulator cost input) |
 //! | `aaa_channel_stamp_bytes_total` (+`mode`) | counter | bytes |
 //! | `aaa_channel_transmitted_total` | counter | messages |
 //! | `aaa_channel_delivered_total` | counter | messages |

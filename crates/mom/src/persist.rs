@@ -18,7 +18,7 @@
 use std::collections::VecDeque;
 
 use aaa_base::{Error, Result, ServerId, VTime};
-use aaa_clocks::{CausalState, MatrixClock, PendingStamp};
+use aaa_clocks::{CausalState, PendingStamp};
 use aaa_net::wire::{Decoder, Encoder};
 use aaa_net::LinkFrame;
 use bytes::Bytes;
@@ -149,7 +149,7 @@ impl ServerImage {
             e.u16(p.from.as_u16());
             e.u64(p.arrived_at.as_micros());
             let mut m = Vec::new();
-            p.pending.matrix().write_bytes(&mut m);
+            p.pending.write_bytes(&mut m);
             e.bytes(&m);
             encode_envelope(&mut e, &p.env);
         }
@@ -231,13 +231,18 @@ impl ServerImage {
             let from = d.domain_server_id()?;
             let arrived_at = VTime::from_micros(d.u64()?);
             let m_bytes = d.bytes()?;
-            let (matrix, _) = MatrixClock::read_bytes(&m_bytes)
-                .ok_or_else(|| Error::Codec("corrupt pending stamp".into()))?;
+            let pending = match PendingStamp::read_bytes(&m_bytes) {
+                Some((pending, used)) if used == m_bytes.len() => pending,
+                _ => return Err(Error::Codec("corrupt pending stamp".into())),
+            };
+            // The pump indexes the item's clock with whatever this entry
+            // holds: a sender or cell outside the domain must stop here.
+            items[item_idx].clock().check_pending(from, &pending)?;
             let env = decode_envelope(&mut d)?;
             postponed.push(Postponed {
                 item_idx,
                 from,
-                pending: PendingStamp::from_matrix(matrix),
+                pending,
                 env,
                 arrived_at,
             });
@@ -309,7 +314,20 @@ impl ServerImage {
 mod tests {
     use super::*;
     use aaa_base::{AgentId, DomainId, DomainServerId, MessageId};
-    use aaa_clocks::StampMode;
+    use aaa_clocks::{Batching, Stamp, StampMode, UpdateEntry};
+
+    /// The pending stamp server 0 of a 3-wide Updates domain holds for a
+    /// first frame from server 1 carrying `extra` besides the link cell.
+    fn pending_from_1(extra: &[UpdateEntry]) -> PendingStamp {
+        let mut entries = vec![UpdateEntry {
+            row: 1,
+            col: 0,
+            value: 1,
+        }];
+        entries.extend_from_slice(extra);
+        CausalState::new(DomainServerId::new(0), 3, StampMode::Updates)
+            .on_frame(DomainServerId::new(1), Stamp::Delta(entries))
+    }
 
     fn sample_image() -> ServerImage {
         let clock = CausalState::new(DomainServerId::new(0), 3, StampMode::Updates);
@@ -331,7 +349,7 @@ mod tests {
         let post = Postponed {
             item_idx: 0,
             from: DomainServerId::new(1),
-            pending: PendingStamp::from_matrix(MatrixClock::new(3)),
+            pending: pending_from_1(&[]),
             env: env.clone(),
             arrived_at: VTime::from_micros(1_234),
         };
@@ -402,7 +420,6 @@ mod tests {
         // The journal must round-trip the clock's bookkeeping in every
         // stamp mode — including mid-batch GroupNext state and the Hybrid
         // knowledge model, which follows the shared fields in the image.
-        use aaa_clocks::Batching;
         for mode in StampMode::ALL {
             let mut a = CausalState::new(DomainServerId::new(0), 3, mode);
             let mut b = CausalState::new(DomainServerId::new(1), 3, mode);
@@ -450,5 +467,38 @@ mod tests {
         let mut img = sample_image();
         img.postponed[0].item_idx = 99;
         assert!(ServerImage::decode(img.encode()).is_err());
+    }
+
+    #[test]
+    fn postponed_entry_outside_its_clocks_domain_is_rejected() {
+        // Recovery feeds every postponed entry to its item's `can_deliver`
+        // on the first pump; one that does not fit the 3-wide clock must be
+        // a decode error, not a panic (or a wrong cell) after `Ok`.
+        let decoded = ServerImage::decode(sample_image().encode()).unwrap();
+        let p = &decoded.postponed[0];
+        assert_eq!(p.pending, pending_from_1(&[]));
+        assert!(decoded.items[0].clock().can_deliver(p.from, &p.pending));
+
+        let mut img = sample_image();
+        img.postponed[0].from = DomainServerId::new(3);
+        let err = ServerImage::decode(img.encode()).unwrap_err();
+        assert!(err.to_string().contains("sender out of range"), "{err}");
+
+        for (row, col) in [(3, 0), (0, 7)] {
+            let mut img = sample_image();
+            img.postponed[0].pending = pending_from_1(&[UpdateEntry { row, col, value: 1 }]);
+            let err = ServerImage::decode(img.encode()).unwrap_err();
+            assert!(err.to_string().contains("outside domain of 3"), "{err}");
+        }
+
+        // A full-matrix pending of another width, as a 4-wide Full clock
+        // would have written it.
+        let mut wide = CausalState::new(DomainServerId::new(1), 4, StampMode::Full);
+        let stamp = wide.stamp_send(DomainServerId::new(0), Batching::Single);
+        let mut img = sample_image();
+        img.postponed[0].pending = CausalState::new(DomainServerId::new(0), 4, StampMode::Full)
+            .on_frame(DomainServerId::new(1), stamp);
+        let err = ServerImage::decode(img.encode()).unwrap_err();
+        assert!(err.to_string().contains("matrix width 4"), "{err}");
     }
 }

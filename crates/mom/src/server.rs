@@ -1694,21 +1694,27 @@ mod tests {
     }
 
     #[test]
-    fn store_written_in_the_retired_reduced_mode_is_a_recovery_error() {
+    fn store_written_in_a_retired_mode_is_a_recovery_error() {
         let topo = TopologySpec::single_domain(2).validate().unwrap();
         let store = committed_store(&topo, StampMode::Updates);
         // Find the clock inside the image (`me: u16`, `n: u32`, mode byte)
-        // and patch its mode byte to 2, as a `Reduced` server wrote it.
-        let mut image = store.get(IMAGE_KEY).unwrap().expect("committed image");
-        let head = [1u8, 0, 2, 0, 0, 0, 1];
+        // and patch its mode byte to each retired one: 0, 1 and 3 as a
+        // server from before the per-sender image matrices were dropped
+        // wrote it (a different layout under the same prefix), 2 as a
+        // `Reduced` server did.
+        let image = store.get(IMAGE_KEY).unwrap().expect("committed image");
+        let head = [1u8, 0, 2, 0, 0, 0, 5];
         let at = image
             .windows(head.len())
             .position(|w| w == head)
             .expect("clock image of server 1 of 2 in updates mode");
-        image[at + 6] = 2;
-        store.put(IMAGE_KEY, &image).unwrap();
-        let err = recover_server(&topo, 1, StampMode::Updates, store).unwrap_err();
-        assert!(matches!(err, Error::Codec(_)), "{err}");
+        for retired in 0..=3u8 {
+            let mut image = image.clone();
+            image[at + 6] = retired;
+            store.put(IMAGE_KEY, &image).unwrap();
+            let err = recover_server(&topo, 1, StampMode::Updates, store.clone()).unwrap_err();
+            assert!(matches!(err, Error::Codec(_)), "byte {retired}: {err}");
+        }
     }
 
     #[test]

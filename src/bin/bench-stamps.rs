@@ -14,15 +14,23 @@
 //! frames genuinely postpone and the can-deliver scan is exercised.
 //!
 //! Two legs, n = 100 and n = 1000, both real protocol runs: stamp bytes
-//! are exact, CPU is wall-clock over the stamp/on-frame/deliver path.
+//! are exact, CPU is wall-clock over the stamp/on-frame/deliver path from
+//! the second tick on. The first tick counts for bytes and depth but not
+//! for CPU: it is where lazily created state is allocated (Hybrid's
+//! per-peer knowledge matrices, 8 MB each at n = 1000), a cost per server
+//! and peer, not per message, that a 20-tick leg would otherwise report as
+//! a sixfold per-deliver cost.
 //! (n = 10000 is not run — a full-mode matrix is 800 MB *per server* —
 //! and an analytic row does not belong in a measurements file; it becomes
 //! a leg when ROADMAP item 2's sparse state makes it runnable.)
 //!
 //! The full run writes `BENCH_stamps.json` and asserts the acceptance
 //! bar: every delta mode ships ≥10× fewer stamp bytes than full at
-//! n = 1000. `--short` (one small leg, the CI smoke run) prints its JSON
-//! to stdout and leaves the committed results file alone.
+//! n = 1000, and its CPU per deliver at n = 1000 is at most 4× what it is
+//! at n = 100 — the delta modes' clock work follows the stamp, not the
+//! domain width (a core that touches `n²` cells per message reads ≈ 140×
+//! there). `--short` (one small leg, the CI smoke run) prints its JSON to
+//! stdout and leaves the committed results file alone.
 
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
@@ -43,7 +51,9 @@ struct ModeResult {
     mode: StampMode,
     messages: u64,
     stamp_bytes: u64,
+    /// Clock-layer time and deliveries of every tick but the first.
     protocol_cpu: Duration,
+    timed_delivers: u64,
     delivers: u64,
     max_postponed: usize,
 }
@@ -54,12 +64,14 @@ impl ModeResult {
     }
 
     fn cpu_us_per_deliver(&self) -> f64 {
-        self.protocol_cpu.as_secs_f64() * 1e6 / self.delivers.max(1) as f64
+        self.protocol_cpu.as_secs_f64() * 1e6 / self.timed_delivers.max(1) as f64
     }
 }
 
-/// Per-server resident clock state: the `SENT` matrix plus the equally
-/// wide entry-state tags (both `n² × 8` bytes).
+/// Per-server resident clock state, to its `n²` terms: the `SENT` matrix
+/// plus the equally wide change tags (both `n² × 8` bytes). The `O(n)`
+/// vectors and the change log are not counted; Hybrid adds one `n² × 8`
+/// knowledge matrix per peer it has exchanged frames with.
 fn state_bytes_per_server(n: usize) -> u64 {
     2 * (n as u64) * (n as u64) * 8
 }
@@ -90,11 +102,13 @@ fn run_mode(n: usize, mode: StampMode, ticks: usize) -> ModeResult {
         messages: 0,
         stamp_bytes: 0,
         protocol_cpu: Duration::ZERO,
+        timed_delivers: 0,
         delivers: 0,
         max_postponed: 0,
     };
 
     for tick in 0..ticks {
+        let (mut tick_cpu, mut tick_delivers) = (Duration::ZERO, 0u64);
         // Sends: all-to-all among the active set, grouped per peer the way
         // the channel's batched path stamps bursts.
         for from in 0..ACTIVE {
@@ -104,7 +118,7 @@ fn run_mode(n: usize, mode: StampMode, ticks: usize) -> ModeResult {
                 }
                 let t0 = Instant::now();
                 let stamp = clocks[from].stamp_send(d(to), Batching::Single);
-                result.protocol_cpu += t0.elapsed();
+                tick_cpu += t0.elapsed();
                 result.messages += 1;
                 result.stamp_bytes += stamp.encoded_len() as u64;
                 links[from][to].push_back(Frame {
@@ -127,7 +141,7 @@ fn run_mode(n: usize, mode: StampMode, ticks: usize) -> ModeResult {
                     };
                     let t0 = Instant::now();
                     frame.pending = Some(clocks[to].on_frame(d(from), stamp));
-                    result.protocol_cpu += t0.elapsed();
+                    tick_cpu += t0.elapsed();
                     postponed[to].push(frame);
                     result.max_postponed = result.max_postponed.max(postponed[to].len());
                 }
@@ -146,7 +160,7 @@ fn run_mode(n: usize, mode: StampMode, ticks: usize) -> ModeResult {
                     };
                     let t0 = Instant::now();
                     let ok = clocks[who].can_deliver(d(queue[i].from), p);
-                    result.protocol_cpu += t0.elapsed();
+                    tick_cpu += t0.elapsed();
                     if ok {
                         hit = Some(i);
                         break;
@@ -157,10 +171,15 @@ fn run_mode(n: usize, mode: StampMode, ticks: usize) -> ModeResult {
                 if let Some(p) = frame.pending.as_ref() {
                     let t0 = Instant::now();
                     clocks[who].deliver(d(frame.from), p);
-                    result.protocol_cpu += t0.elapsed();
+                    tick_cpu += t0.elapsed();
                 }
-                result.delivers += 1;
+                tick_delivers += 1;
             }
+        }
+        result.delivers += tick_delivers;
+        if tick > 0 {
+            result.protocol_cpu += tick_cpu;
+            result.timed_delivers += tick_delivers;
         }
     }
     // Drain the slow link and whatever is still queued.
@@ -254,6 +273,7 @@ fn main() {
     );
 
     let mut legs = Vec::new();
+    let mut at_100: Vec<ModeResult> = Vec::new();
     let mut at_1000: Vec<ModeResult> = Vec::new();
     for &(n, ticks) in widths {
         let modes: Vec<ModeResult> = StampMode::ALL
@@ -271,9 +291,28 @@ fn main() {
             })
             .collect();
         legs.push(json_leg(n, &modes));
-        if n == 1000 {
-            at_1000 = modes;
+        match n {
+            100 => at_100 = modes,
+            1000 => at_1000 = modes,
+            _ => {}
         }
+    }
+
+    // Both legs only run in the full mode; `--short` has nothing to zip.
+    for (narrow, wide) in at_100.iter().zip(&at_1000) {
+        if wide.mode == StampMode::Full {
+            continue;
+        }
+        let ratio = wide.cpu_us_per_deliver() / narrow.cpu_us_per_deliver();
+        eprintln!(
+            "  {} cpu per deliver, n=1000 vs n=100: {ratio:.2}x",
+            wide.mode
+        );
+        assert!(
+            ratio <= 4.0,
+            "{} costs {ratio:.1}x more CPU per deliver at n=1000 than at n=100 (need <=4x)",
+            wide.mode
+        );
     }
 
     let mut reductions = String::new();

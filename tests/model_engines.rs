@@ -15,11 +15,11 @@
 //! - **quiescence** — when links and pending sets drain, everything sent
 //!   was delivered;
 //! - **mode equivalence** — each bounded mode agrees with a lock-step
-//!   `Full` reference on every delivery verdict, reconstructed predicate
-//!   column and sent/delivered transcript.
+//!   `Full` reference on every delivery verdict, link counter, carried
+//!   predicate-column cell and sent/delivered transcript.
 //!
 //! `AAA_MODEL_DEPTH` scales the shape: unset/0/1 is the PR-CI shape
-//! (3 servers x 2 msgs/sender, ~6.4k states/mode), 2 deepens the
+//! (3 servers x 2 msgs/sender, ~6.3k states/mode), 2 deepens the
 //! workload (3 msgs/sender), 3+ widens the ring (4 servers; main-branch
 //! CI runs this, ~124k states/mode). The `sabotage_*` leg is the
 //! check's own acceptance criterion: weakening the §4.2 delivery
