@@ -1,5 +1,6 @@
 //! Micro-benchmarks of the wire codec: encoding and decoding stamped
-//! middleware messages, full-matrix vs Updates stamps.
+//! middleware messages, full-matrix vs Updates stamps. Throughput is per
+//! encoded byte, whatever the stamp's layout makes that.
 
 use aaa_base::{AgentId, DomainId, MessageId, ServerId};
 use aaa_clocks::{MatrixClock, Stamp, UpdateEntry};
@@ -22,6 +23,21 @@ fn message_with(stamp: Stamp) -> WireMessage {
     }
 }
 
+/// The `flat_mesh` shape: a row-major delta over a domain of 32, every
+/// fourth cell changed (256 entries), counters in the hundreds.
+fn mesh_delta() -> WireMessage {
+    message_with(Stamp::Delta(
+        (0..1024u16)
+            .step_by(4)
+            .map(|cell| UpdateEntry {
+                row: cell / 32,
+                col: cell % 32,
+                value: 100 + u64::from(cell),
+            })
+            .collect(),
+    ))
+}
+
 fn bench_encode(c: &mut Criterion) {
     let mut group = c.benchmark_group("wire_encode");
     for &n in &[8usize, 32, 128] {
@@ -40,8 +56,14 @@ fn bench_encode(c: &mut Criterion) {
             })
             .collect(),
     ));
+    group.throughput(Throughput::Bytes(delta.encoded_len() as u64));
     group.bench_function("delta_4_entries", |b| {
         b.iter(|| black_box(delta.encode()));
+    });
+    let mesh = mesh_delta();
+    group.throughput(Throughput::Bytes(mesh.encoded_len() as u64));
+    group.bench_function("delta_mesh_256_entries", |b| {
+        b.iter(|| black_box(mesh.encode()));
     });
     group.finish();
 }
@@ -55,6 +77,11 @@ fn bench_decode(c: &mut Criterion) {
             b.iter(|| black_box(WireMessage::decode(bytes.clone()).unwrap()));
         });
     }
+    let bytes = mesh_delta().encode();
+    group.throughput(Throughput::Bytes(bytes.len() as u64));
+    group.bench_function("delta_mesh_256_entries", |b| {
+        b.iter(|| black_box(WireMessage::decode(bytes.clone()).unwrap()));
+    });
     group.finish();
 }
 

@@ -1314,7 +1314,13 @@ mod tests {
             // Only the first frame pays stamp bytes.
             let first = match mode {
                 StampMode::Full => Stamp::Full(MatrixClock::new(3)).encoded_len(),
-                StampMode::Updates | StampMode::Hybrid => 4 + UpdateEntry::WIRE_LEN,
+                // The one link cell, packed: count, row, run length,
+                // column, value.
+                StampMode::Updates | StampMode::Hybrid => UpdateEntry::packed_len(&[UpdateEntry {
+                    row: 0,
+                    col: 1,
+                    value: 1,
+                }]),
             };
             assert_eq!(wire_bytes, first, "{mode}");
         }

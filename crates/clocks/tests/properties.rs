@@ -9,6 +9,8 @@ use aaa_base::DomainServerId;
 use aaa_clocks::vector::CausalOrdering;
 use aaa_clocks::{Batching, CausalState, MatrixClock, PendingStamp, StampMode, VectorClock};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 
 fn d(i: usize) -> DomainServerId {
@@ -368,6 +370,50 @@ fn burst_with_rotated_pumps() {
     for who in 0..n {
         assert_eq!(dom.clocks[who].delivered_total(), 30 * (n as u64 - 1));
     }
+}
+
+/// The `flat_mesh` shape as a count: 32 servers, seeded uniform
+/// destinations, a window of frames in flight that overtake one another.
+/// Row-grouped varints must carry the Updates deltas of such a run in a
+/// few bytes per entry — the fixed-width list cost 12, plus its count —
+/// and no stamp may come out larger than its fixed-width form.
+#[test]
+fn mesh_deltas_pack_to_a_few_bytes_per_entry() {
+    let n = 32;
+    let mut dom = Domain::new(n, StampMode::Updates);
+    let mut rng = StdRng::seed_from_u64(24);
+    let mut in_flight: Vec<(usize, usize)> = Vec::new();
+    let (mut bytes, mut entries) = (0usize, 0usize);
+    for _ in 0..4000 {
+        let from = rng.gen_range(0..n);
+        let to = (from + rng.gen_range(1..n)) % n;
+        dom.step(&Op::Send {
+            from,
+            to,
+            batching: Batching::Single,
+        });
+        let sent = dom.links[from][to].back().and_then(|m| m.raw.as_ref());
+        let stamp = sent.expect("the send queued its stamp");
+        assert!(
+            stamp.encoded_len() <= 4 + 12 * stamp.entry_count(),
+            "{stamp:?} outgrew its fixed-width encoding"
+        );
+        bytes += stamp.encoded_len();
+        entries += stamp.entry_count();
+        in_flight.push((from, to));
+        while in_flight.len() > 48 {
+            let (from, to) = in_flight.swap_remove(rng.gen_range(0..in_flight.len()));
+            dom.step(&Op::Arrive { from, to });
+            dom.step(&Op::Pump { who: to, rot: 0 });
+        }
+    }
+    dom.quiesce();
+    assert!(dom.all_delivered());
+    let per_entry = bytes as f64 / entries as f64;
+    assert!(
+        entries > 100 * 4000 && per_entry <= 3.5,
+        "{bytes} B for {entries} entries: {per_entry:.2} B per entry"
+    );
 }
 
 /// Mode bytes 0, 1 and 3 were Full, Updates and Hybrid in the layout that

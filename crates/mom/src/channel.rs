@@ -331,12 +331,11 @@ impl ChannelCore {
                     // a full stamping pass touches n².
                     let ops = if stamp.is_group_next() { 1 } else { n * n };
                     self.stats.cell_ops += ops;
-                    self.stats.stamp_bytes += stamp.encoded_len() as u64;
+                    let stamp_bytes = stamp.encoded_len() as u64;
+                    self.stats.stamp_bytes += stamp_bytes;
                     if let Some(m) = &self.metrics {
                         m.domains[item_idx].cell_ops.add(ops);
-                        m.domains[item_idx]
-                            .stamp_bytes
-                            .add(stamp.encoded_len() as u64);
+                        m.domains[item_idx].stamp_bytes.add(stamp_bytes);
                     }
                     Some(stamp)
                 }

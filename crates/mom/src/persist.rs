@@ -62,6 +62,32 @@ pub(crate) struct ServerImage {
     pub relay: Vec<u8>,
 }
 
+/// Least bytes one encoded element of each counted section occupies (its
+/// fixed-width fields, every string and blob empty): what
+/// [`Decoder::count`] holds a section's count against, so that a corrupt
+/// image is an [`Error::Codec`] and not an allocation failure during
+/// recovery.
+mod min_len {
+    /// Message id (2 + 8), two agent ids (6 each), two server ids, the
+    /// policy byte, two length prefixes.
+    pub(super) const ENVELOPE: usize = 10 + 6 + 6 + 2 + 2 + 1 + 4 + 4;
+    /// Message id, two agent ids, two length prefixes.
+    pub(super) const AGENT_MESSAGE: usize = 10 + 6 + 6 + 4 + 4;
+    /// Domain id, own index, member count, clock length prefix.
+    pub(super) const ITEM: usize = 2 + 2 + 4 + 4;
+    pub(super) const SERVER_ID: usize = 2;
+    /// Item index, sender, arrival instant, pending length prefix, envelope.
+    pub(super) const POSTPONED: usize = 4 + 2 + 8 + 4 + ENVELOPE;
+    /// Peer, next sequence number, frame count.
+    pub(super) const LINK_TX: usize = 2 + 8 + 4;
+    /// Sequence number, payload length prefix.
+    pub(super) const FRAME: usize = 8 + 4;
+    /// Peer, cumulative sequence number.
+    pub(super) const LINK_RX: usize = 2 + 8;
+    /// Local id, image length prefix.
+    pub(super) const AGENT: usize = 4 + 4;
+}
+
 fn encode_envelope(e: &mut Encoder, env: &Envelope) {
     e.message_id(env.id);
     e.agent_id(env.from);
@@ -196,12 +222,12 @@ impl ServerImage {
         let mut d = Decoder::new(bytes);
         let next_msg_seq = d.u64()?;
 
-        let n_items = d.u32()? as usize;
+        let n_items = d.count(min_len::ITEM)?;
         let mut items = Vec::with_capacity(n_items);
         for _ in 0..n_items {
             let domain = d.domain_id()?;
             let me = aaa_base::DomainServerId::new(d.u16()?);
-            let n_members = d.u32()? as usize;
+            let n_members = d.count(min_len::SERVER_ID)?;
             let mut id_table = Vec::with_capacity(n_members);
             for _ in 0..n_members {
                 id_table.push(d.server_id()?);
@@ -215,13 +241,13 @@ impl ServerImage {
             items.push(DomainItem::from_parts(domain, me, id_table, clock));
         }
 
-        let n_out = d.u32()? as usize;
+        let n_out = d.count(min_len::ENVELOPE)?;
         let mut queue_out = VecDeque::with_capacity(n_out);
         for _ in 0..n_out {
             queue_out.push_back(decode_envelope(&mut d)?);
         }
 
-        let n_post = d.u32()? as usize;
+        let n_post = d.count(min_len::POSTPONED)?;
         let mut postponed = Vec::with_capacity(n_post);
         for _ in 0..n_post {
             let item_idx = d.u32()? as usize;
@@ -248,18 +274,18 @@ impl ServerImage {
             });
         }
 
-        let n_in = d.u32()? as usize;
+        let n_in = d.count(min_len::AGENT_MESSAGE)?;
         let mut engine_queue = Vec::with_capacity(n_in);
         for _ in 0..n_in {
             engine_queue.push(decode_agent_message(&mut d)?);
         }
 
-        let n_tx = d.u32()? as usize;
+        let n_tx = d.count(min_len::LINK_TX)?;
         let mut links_tx = Vec::with_capacity(n_tx);
         for _ in 0..n_tx {
             let peer = d.server_id()?;
             let next_seq = d.u64()?;
-            let n_frames = d.u32()? as usize;
+            let n_frames = d.count(min_len::FRAME)?;
             let mut unacked = Vec::with_capacity(n_frames);
             for _ in 0..n_frames {
                 let seq = d.u64()?;
@@ -273,7 +299,7 @@ impl ServerImage {
             });
         }
 
-        let n_rx = d.u32()? as usize;
+        let n_rx = d.count(min_len::LINK_RX)?;
         let mut links_rx = Vec::with_capacity(n_rx);
         for _ in 0..n_rx {
             let peer = d.server_id()?;
@@ -281,7 +307,7 @@ impl ServerImage {
             links_rx.push(LinkRxImage { peer, cum_seq });
         }
 
-        let n_agents = d.u32()? as usize;
+        let n_agents = d.count(min_len::AGENT)?;
         let mut agents = Vec::with_capacity(n_agents);
         for _ in 0..n_agents {
             let local = d.u32()?;
@@ -459,6 +485,105 @@ mod tests {
                 ServerImage::decode(cutbytes).is_err(),
                 "cut at {cut} should fail"
             );
+        }
+    }
+
+    #[test]
+    fn section_count_is_bounded_by_the_bytes_present() {
+        // The item count sits right after the 8-byte message counter. A
+        // corrupt store must fail recovery with an error, not abort the
+        // process on a 4-billion-element reservation.
+        let mut bytes = sample_image().encode().to_vec();
+        bytes[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = ServerImage::decode(Bytes::from(bytes)).unwrap_err();
+        assert!(matches!(err, Error::Codec(_)), "{err}");
+    }
+
+    #[test]
+    fn minimal_elements_pass_the_section_bounds() {
+        // 64 elements with every string and blob empty, in an image whose
+        // later sections are empty too (under 64 bytes of counts): a
+        // declared minimum even one byte above what the encoder writes
+        // would refuse the section. (A postponed entry's pending stamp is
+        // never empty; its minimum counts only the length prefix.)
+        const K: usize = 64;
+        let sample = sample_image();
+        let empty = Notification::new("", Vec::new());
+        let env = Envelope {
+            note: empty.clone(),
+            ..sample.queue_out[0].clone()
+        };
+        let fills: [fn(&mut ServerImage, &Envelope); 7] = [
+            |img, env| img.queue_out = vec![env.clone(); K].into(),
+            |img, env| {
+                img.postponed = (0..K)
+                    .map(|_| Postponed {
+                        item_idx: 0,
+                        from: DomainServerId::new(1),
+                        pending: pending_from_1(&[]),
+                        env: env.clone(),
+                        arrived_at: VTime::ZERO,
+                    })
+                    .collect();
+            },
+            |img, env| {
+                img.engine_queue = (0..K)
+                    .map(|_| AgentMessage {
+                        id: env.id,
+                        from: env.from,
+                        to: env.to,
+                        note: env.note.clone(),
+                    })
+                    .collect();
+            },
+            |img, _| {
+                img.links_tx = vec![
+                    LinkTxImage {
+                        peer: ServerId::new(2),
+                        next_seq: 1,
+                        unacked: Vec::new(),
+                    };
+                    K
+                ];
+            },
+            |img, _| {
+                let frame = LinkFrame {
+                    seq: 1,
+                    payload: Bytes::new(),
+                };
+                img.links_tx = vec![LinkTxImage {
+                    peer: ServerId::new(2),
+                    next_seq: 1,
+                    unacked: vec![frame; K],
+                }];
+            },
+            |img, _| {
+                img.links_rx = vec![
+                    LinkRxImage {
+                        peer: ServerId::new(2),
+                        cum_seq: 0,
+                    };
+                    K
+                ];
+            },
+            |img, _| img.agents = vec![(1, Vec::new()); K],
+        ];
+        for (section, fill) in fills.iter().enumerate() {
+            let mut img = ServerImage {
+                queue_out: VecDeque::new(),
+                postponed: Vec::new(),
+                engine_queue: Vec::new(),
+                links_tx: Vec::new(),
+                links_rx: Vec::new(),
+                agents: Vec::new(),
+                relay: Vec::new(),
+                ..sample_image()
+            };
+            fill(&mut img, &env);
+            let bytes = img.encode();
+            let decoded = ServerImage::decode(bytes.clone())
+                .unwrap_or_else(|e| panic!("section {section}: {e}"));
+            assert_eq!(decoded.encode(), bytes, "section {section}");
         }
     }
 

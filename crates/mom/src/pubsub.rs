@@ -20,6 +20,10 @@ use bytes::Bytes;
 use crate::agent::{Agent, ReactionContext};
 use crate::message::Notification;
 
+/// Bytes of one encoded [`AgentId`] (server `u16` + local `u32`): what a
+/// snapshot's subscriber count is held against before allocating for it.
+const AGENT_ID_LEN: usize = 2 + 4;
+
 /// Control notification kind: subscribe the sender to the topic.
 pub const SUBSCRIBE: &str = "__topic_subscribe";
 /// Control notification kind: unsubscribe the sender from the topic.
@@ -203,8 +207,10 @@ impl Agent for TopicAgent {
     fn restore(&mut self, image: &[u8]) {
         let mut d = Decoder::new(Bytes::from(image.to_vec()));
         let Ok(published) = d.u64() else { return };
-        let Ok(count) = d.u32() else { return };
-        let mut subscribers = Vec::with_capacity(count as usize);
+        let Ok(count) = d.count(AGENT_ID_LEN) else {
+            return;
+        };
+        let mut subscribers = Vec::with_capacity(count);
         for _ in 0..count {
             let Ok(id) = d.agent_id() else { return };
             subscribers.push(id);
@@ -307,8 +313,10 @@ impl Agent for QueueAgent {
         let mut d = Decoder::new(Bytes::from(image.to_vec()));
         let Ok(dispatched) = d.u64() else { return };
         let Ok(next) = d.u32() else { return };
-        let Ok(count) = d.u32() else { return };
-        let mut consumers = Vec::with_capacity(count as usize);
+        let Ok(count) = d.count(AGENT_ID_LEN) else {
+            return;
+        };
+        let mut consumers = Vec::with_capacity(count);
         for _ in 0..count {
             let Ok(id) = d.agent_id() else { return };
             consumers.push(id);
@@ -459,6 +467,13 @@ mod tests {
         // Round-robin position survives: next dispatch goes to consumer 2.
         let out = react_queue(&mut restored, aid(9, 9), publication("j", vec![1]));
         assert_eq!(out[0].0, aid(2, 1));
+
+        // A consumer count no snapshot of this size can hold is refused
+        // before it is allocated for; the agent keeps what it had.
+        let mut corrupt = image.clone();
+        corrupt[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
+        restored.restore(&corrupt);
+        assert_eq!(restored.consumers(), q.consumers());
     }
 
     #[test]
@@ -477,6 +492,11 @@ mod tests {
         // Corrupt image leaves the agent unchanged.
         let mut untouched = TopicAgent::new();
         untouched.restore(&[1, 2]);
+        assert!(untouched.subscribers().is_empty());
+        // So does a subscriber count no snapshot of this size can hold.
+        let mut corrupt = image.clone();
+        corrupt[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+        untouched.restore(&corrupt);
         assert!(untouched.subscribers().is_empty());
     }
 

@@ -177,6 +177,11 @@ mod tests {
         }]));
         let decoded = WireMessage::decode(msg.encode()).unwrap();
         assert_eq!(decoded, msg);
+        // Packed, the one entry is five bytes of stamp (count, row, run
+        // length, column, value) where the fixed-width list took sixteen.
+        let unstamped = sample_message_opt(None).encoded_len();
+        assert_eq!(msg.encoded_len(), unstamped + 5);
+        assert!(msg.encoded_len() < unstamped + 4 + UpdateEntry::WIRE_LEN);
     }
 
     #[test]

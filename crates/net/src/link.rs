@@ -36,6 +36,8 @@ use std::collections::{BTreeMap, VecDeque};
 use aaa_base::{VDuration, VTime};
 use bytes::Bytes;
 
+use crate::wire::Decoder;
+
 /// Default retransmission timeout.
 pub const DEFAULT_RTO: VDuration = VDuration::from_millis(200);
 
@@ -205,26 +207,17 @@ impl Datagram {
                 Ok(Datagram::Ack { cum_seq })
             }
             2 => {
-                if bytes.len() < 5 {
-                    return Err(Error::Codec("truncated batch header".into()));
-                }
-                let count = le_u32(&bytes, 1)?;
+                let mut d = Decoder::new(bytes.split_off(1));
+                // The count comes off the network: each frame it promises
+                // costs a 12-byte header, or it is refused unallocated.
+                let count = d.count(12)?;
                 if count == 0 {
                     return Err(Error::Codec("empty batch".into()));
                 }
-                let mut rest = bytes.split_off(5);
-                let mut frames = Vec::with_capacity(count as usize);
+                let mut frames = Vec::with_capacity(count);
                 for _ in 0..count {
-                    if rest.len() < 12 {
-                        return Err(Error::Codec("truncated batch frame header".into()));
-                    }
-                    let seq = le_u64(&rest, 0)?;
-                    let len = le_u32(&rest, 8)? as usize;
-                    if rest.len() < 12 + len {
-                        return Err(Error::Codec("truncated batch frame payload".into()));
-                    }
-                    let mut payload = rest.split_off(12);
-                    rest = payload.split_off(len);
+                    let seq = d.u64()?;
+                    let payload = d.bytes()?;
                     frames.push(LinkFrame { seq, payload });
                 }
                 Ok(Datagram::Batch(frames))
@@ -242,16 +235,6 @@ fn le_u64(bytes: &[u8], at: usize) -> aaa_base::Result<u64> {
         .and_then(|s| s.try_into().ok())
         .map(u64::from_le_bytes)
         .ok_or_else(|| aaa_base::Error::Codec("truncated u64 field".into()))
-}
-
-/// Reads a little-endian `u32` at byte offset `at`, as a codec error on
-/// truncation (never panics on malformed wire input).
-fn le_u32(bytes: &[u8], at: usize) -> aaa_base::Result<u32> {
-    bytes
-        .get(at..at + 4)
-        .and_then(|s| s.try_into().ok())
-        .map(u32::from_le_bytes)
-        .ok_or_else(|| aaa_base::Error::Codec("truncated u32 field".into()))
 }
 
 /// Sending half of one directed link.
@@ -690,6 +673,21 @@ mod tests {
         raw.extend_from_slice(&1u64.to_le_bytes());
         raw.extend_from_slice(&100u32.to_le_bytes());
         raw.extend_from_slice(b"short");
+        assert!(Datagram::decode(Bytes::from(raw)).is_err());
+    }
+
+    #[test]
+    fn batch_count_is_bounded_by_the_bytes_present() {
+        // Five bytes off the network must not reserve room for four
+        // billion frames: that is an allocation failure — an abort, not
+        // even a panic — for every server in the process.
+        let err = Datagram::decode(Bytes::from_static(&[2, 0xff, 0xff, 0xff, 0xff])).unwrap_err();
+        assert!(matches!(err, aaa_base::Error::Codec(_)), "{err}");
+        // One real frame behind a count of a thousand.
+        let mut raw = vec![2u8];
+        raw.extend_from_slice(&1000u32.to_le_bytes());
+        raw.extend_from_slice(&1u64.to_le_bytes());
+        raw.extend_from_slice(&0u32.to_le_bytes());
         assert!(Datagram::decode(Bytes::from(raw)).is_err());
     }
 

@@ -1,18 +1,30 @@
 //! A small, explicit binary codec.
 //!
 //! All integers are little-endian. Variable-length data (payloads, strings,
-//! update lists) is length-prefixed with a `u32`. The codec exists instead
-//! of a serialization framework because the paper reasons about *bytes on
-//! the wire* — the experiments measure stamp sizes exactly.
+//! lists) is length-prefixed with a `u32`. The codec exists instead of a
+//! serialization framework because the paper reasons about *bytes on the
+//! wire* — the experiments measure stamp sizes exactly.
+//!
+//! The one exception to fixed widths is the entry list of a delta or
+//! hybrid stamp (tags 6 and 7): LEB128 varints grouped by row — `count`,
+//! then `row`, `run_len` and `run_len` × (`col`, `value`) per run of equal
+//! rows — 2–3 B per entry on a live domain, 16–17 B at the very worst. The
+//! layout is defined once, by `aaa_clocks::UpdateEntry::pack` /
+//! `unpack`, so `Stamp::encoded_len` cannot drift from it. Tags 1 and 5
+//! carried the same lists as a `u32` count and 12-byte
+//! `(u16, u16, u64)` triples; they are still read, never written.
+//!
+//! Every count read off the wire is checked against the bytes that remain
+//! before anything is allocated for it ([`Decoder::count`]).
 
 use aaa_base::{AgentId, DomainId, DomainServerId, Error, MessageId, Result, ServerId};
 use aaa_clocks::{MatrixClock, Stamp, UpdateEntry};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes};
 
 /// Incremental encoder over a growable byte buffer.
 #[derive(Debug, Default)]
 pub struct Encoder {
-    buf: BytesMut,
+    buf: Vec<u8>,
 }
 
 impl Encoder {
@@ -33,30 +45,30 @@ impl Encoder {
 
     /// Finishes encoding, returning the frozen buffer.
     pub fn finish(self) -> Bytes {
-        self.buf.freeze()
+        Bytes::from(self.buf)
     }
 
     /// Writes one byte.
     pub fn u8(&mut self, v: u8) -> &mut Self {
-        self.buf.put_u8(v);
+        self.buf.push(v);
         self
     }
 
     /// Writes a little-endian `u16`.
     pub fn u16(&mut self, v: u16) -> &mut Self {
-        self.buf.put_u16_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
         self
     }
 
     /// Writes a little-endian `u32`.
     pub fn u32(&mut self, v: u32) -> &mut Self {
-        self.buf.put_u32_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
         self
     }
 
     /// Writes a little-endian `u64`.
     pub fn u64(&mut self, v: u64) -> &mut Self {
-        self.buf.put_u64_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
         self
     }
 
@@ -75,7 +87,7 @@ impl Encoder {
     /// Writes a length-prefixed byte slice.
     pub fn bytes(&mut self, v: &[u8]) -> &mut Self {
         self.count(v.len());
-        self.buf.put_slice(v);
+        self.buf.extend_from_slice(v);
         self
     }
 
@@ -116,10 +128,11 @@ impl Encoder {
     }
 
     /// Writes a stamp: a 1-byte tag, then either the full matrix
-    /// (width + cells), an update list (count + triples; delta and hybrid
-    /// stamps differ only in tag), or — for the zero-byte group-commit
-    /// continuation — nothing at all. Tag 4 is retired (the `Reduced`
-    /// stamp) and never reused.
+    /// (width + cells), a packed entry list (delta and hybrid stamps
+    /// differ only in tag), or — for the zero-byte group-commit
+    /// continuation — nothing at all. Tags 1 and 5 (the fixed-width entry
+    /// lists) are decode-only and tag 4 (the `Reduced` stamp) is retired;
+    /// none is reused.
     pub fn stamp(&mut self, v: &Stamp) -> &mut Self {
         match v {
             Stamp::Full(m) => {
@@ -134,26 +147,16 @@ impl Encoder {
                 }
             }
             Stamp::Delta(entries) => {
-                self.u8(1);
-                self.count(entries.len());
-                for e in entries {
-                    self.u16(e.row);
-                    self.u16(e.col);
-                    self.u64(e.value);
-                }
+                self.u8(6);
+                UpdateEntry::pack(entries, &mut self.buf);
             }
             // Tag 2 is taken by "no stamp" in `stamp_opt`.
             Stamp::GroupNext => {
                 self.u8(3);
             }
             Stamp::Hybrid(entries) => {
-                self.u8(5);
-                self.count(entries.len());
-                for e in entries {
-                    self.u16(e.row);
-                    self.u16(e.col);
-                    self.u64(e.value);
-                }
+                self.u8(7);
+                UpdateEntry::pack(entries, &mut self.buf);
             }
         }
         self
@@ -210,6 +213,25 @@ impl Decoder {
     pub fn u64(&mut self) -> Result<u64> {
         self.need(8, "u64")?;
         Ok(self.buf.get_u64_le())
+    }
+
+    /// Reads a `u32` element count written by [`Encoder::count`], refusing
+    /// it unless the bytes that remain can hold that many elements of at
+    /// least `min_element_bytes` each — so a count read off the network or
+    /// a corrupt image is safe to allocate for.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Codec`] on truncation or an impossible count.
+    pub fn count(&mut self, min_element_bytes: usize) -> Result<usize> {
+        let count = self.u32()? as usize;
+        match count.checked_mul(min_element_bytes) {
+            Some(bytes) if bytes <= self.buf.remaining() => Ok(count),
+            _ => Err(Error::Codec(format!(
+                "count {count} × {min_element_bytes} bytes exceeds the {} that remain",
+                self.buf.remaining()
+            ))),
+        }
     }
 
     /// Reads a length-prefixed byte string.
@@ -301,15 +323,24 @@ impl Decoder {
             1 => Ok(Stamp::Delta(self.update_entries()?)),
             3 => Ok(Stamp::GroupNext),
             5 => Ok(Stamp::Hybrid(self.update_entries()?)),
+            6 => Ok(Stamp::Delta(self.packed_entries()?)),
+            7 => Ok(Stamp::Hybrid(self.packed_entries()?)),
             tag => Err(Error::Codec(format!("unknown stamp tag {tag}"))),
         }
     }
 
-    /// Reads a counted list of modified-entry triples, shared by the delta
-    /// and hybrid stamp encodings.
+    /// Reads the packed entry list of tags 6 and 7.
+    fn packed_entries(&mut self) -> Result<Vec<UpdateEntry>> {
+        let (entries, used) = UpdateEntry::unpack(&self.buf)?;
+        self.buf.advance(used);
+        Ok(entries)
+    }
+
+    /// Reads the fixed-width entry list of tags 1 and 5, which builds
+    /// before PR 24 wrote: their unacknowledged frames and relay journals
+    /// outlive an upgrade.
     fn update_entries(&mut self) -> Result<Vec<UpdateEntry>> {
-        let count = self.u32()? as usize;
-        self.need(count * UpdateEntry::WIRE_LEN, "update entries")?;
+        let count = self.count(UpdateEntry::WIRE_LEN)?;
         let mut entries = Vec::with_capacity(count);
         for _ in 0..count {
             entries.push(UpdateEntry {
@@ -393,7 +424,9 @@ mod tests {
         let mut e = Encoder::new();
         e.stamp(&stamp);
         assert_eq!(e.len(), stamp.encoded_len() + 1);
-        let decoded = Decoder::new(e.finish()).stamp().unwrap();
+        let bytes = e.finish();
+        assert_eq!(bytes.first(), Some(&6), "packed delta tag");
+        let decoded = Decoder::new(bytes).stamp().unwrap();
         assert_eq!(decoded, stamp);
     }
 
@@ -432,10 +465,38 @@ mod tests {
         let mut e = Encoder::new();
         e.stamp(&stamp);
         assert_eq!(e.len(), stamp.encoded_len() + 1);
-        let decoded = Decoder::new(e.finish()).stamp().unwrap();
+        let bytes = e.finish();
+        assert_eq!(bytes.first(), Some(&7), "packed hybrid tag");
+        let decoded = Decoder::new(bytes).stamp().unwrap();
         assert_eq!(decoded, stamp);
         // Hybrid and delta stamps must not decode into each other.
         assert!(decoded.kind() == "Hybrid");
+    }
+
+    #[test]
+    fn count_is_bounded_by_the_bytes_that_remain() {
+        // Three 2-byte elements announced, three present: accepted, and
+        // the elements are still there to read.
+        let mut e = Encoder::new();
+        e.count(3).u16(1).u16(2).u16(3);
+        let mut d = Decoder::new(e.finish());
+        assert_eq!(d.count(2).unwrap(), 3);
+        assert_eq!(d.remaining(), 6);
+        // One byte short, a count only `usize` arithmetic could hold, and
+        // a truncated prefix are all codec errors.
+        let mut e = Encoder::new();
+        e.count(3).u16(1).u16(2).u8(3);
+        assert!(matches!(
+            Decoder::new(e.finish()).count(2),
+            Err(Error::Codec(_))
+        ));
+        let mut e = Encoder::new();
+        e.u32(u32::MAX).u64(0);
+        assert!(matches!(
+            Decoder::new(e.finish()).count(usize::MAX),
+            Err(Error::Codec(_))
+        ));
+        assert!(Decoder::new(Bytes::from_static(&[1, 0])).count(1).is_err());
     }
 
     #[test]

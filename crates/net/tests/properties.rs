@@ -1,11 +1,146 @@
 //! Property-based tests for the wire codec and the reliable link.
+//!
+//! The second `proptest!` block is the decoder's: the packed stamp entry
+//! lists of tags 6 and 7 must round-trip any list, refuse every malformed
+//! input with `Error::Codec`, and never allocate out of proportion to the
+//! bytes they were given. It runs the default number of cases, which
+//! `PROPTEST_CASES` deepens (CI does on pushes to `main`).
 
-use aaa_base::{AgentId, DomainId, MessageId, ServerId, VDuration, VTime};
+// The counting allocator below is this package's one piece of `unsafe`; it
+// forwards every call to `System` unchanged. See `[lints]` in the manifest.
+#![allow(unsafe_code)]
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use aaa_base::{AgentId, DomainId, Error, MessageId, ServerId, VDuration, VTime};
 use aaa_clocks::{MatrixClock, Stamp, UpdateEntry};
 use aaa_net::link::Datagram;
+use aaa_net::wire::{Decoder, Encoder};
 use aaa_net::{LinkFrame, LinkReceiver, LinkSender, WireMessage};
 use bytes::Bytes;
 use proptest::prelude::*;
+
+thread_local! {
+    /// Bytes this thread has requested from the allocator. Per thread —
+    /// where `crates/clocks/tests/alloc.rs`, the pattern's origin, has one
+    /// test and one global — because the tests of this file run in
+    /// parallel.
+    static ALLOCATED: Cell<usize> = const { Cell::new(0) };
+}
+
+struct CountingAlloc;
+
+impl CountingAlloc {
+    fn count(size: usize) {
+        ALLOCATED.with(|bytes| bytes.set(bytes.get().wrapping_add(size)));
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counting touches no allocation.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        Self::count(layout.size());
+        // SAFETY: the caller's `layout` is passed through as received.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        Self::count(layout.size());
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        Self::count(new_size);
+        // SAFETY: `ptr` and `layout` describe a block this allocator handed
+        // out, which means `System` did.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as for `realloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Bytes this thread requests from the allocator while `f` runs.
+fn allocated_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = ALLOCATED.with(Cell::get);
+    let out = f();
+    (out, ALLOCATED.with(Cell::get).wrapping_sub(before))
+}
+
+/// Entry lists as no clock emits them: unsorted, cells repeated, rows that
+/// come back, coordinates and values at the varint width boundaries.
+fn arb_entries() -> impl Strategy<Value = Vec<UpdateEntry>> {
+    let coord = || {
+        prop_oneof![
+            0u16..64,
+            Just(127u16),
+            Just(128u16),
+            Just(u16::MAX),
+            any::<u16>()
+        ]
+    };
+    let value = prop_oneof![
+        0u64..1000,
+        Just(0u64),
+        Just(127u64),
+        Just(128u64),
+        Just(1u64 << 56),
+        Just(u64::MAX),
+        any::<u64>(),
+    ];
+    prop::collection::vec((coord(), coord(), value), 0..40).prop_map(|es| {
+        es.into_iter()
+            .map(|(row, col, value)| UpdateEntry { row, col, value })
+            .collect()
+    })
+}
+
+/// A delta or hybrid stamp over [`arb_entries`], with the tag it must be
+/// written under and the decode-only tag older builds wrote it under.
+fn arb_entry_stamp() -> impl Strategy<Value = (Stamp, u8, u8)> {
+    (arb_entries(), any::<bool>()).prop_map(|(entries, hybrid)| {
+        if hybrid {
+            (Stamp::Hybrid(entries), 7, 5)
+        } else {
+            (Stamp::Delta(entries), 6, 1)
+        }
+    })
+}
+
+fn encoded(stamp: &Stamp) -> Bytes {
+    let mut e = Encoder::new();
+    e.stamp(stamp);
+    e.finish()
+}
+
+/// Decodes `input` — a stamp tag and what follows — holding the decoder
+/// to its allocation bound: whatever the bytes, at most `16·N + 64` bytes
+/// for `N` of input (an entry is 16 bytes in memory and at least 2 on the
+/// wire; a refusal costs its reason).
+fn decode_bounded(input: Bytes) -> aaa_base::Result<Stamp> {
+    let n = input.len();
+    let (result, allocated) = allocated_by(|| Decoder::new(input).stamp());
+    assert!(
+        allocated <= 16 * n + 64,
+        "{allocated} B allocated decoding {n} B"
+    );
+    result
+}
+
+fn refused(input: &[u8]) -> String {
+    match decode_bounded(Bytes::from(input.to_vec())) {
+        Err(Error::Codec(why)) => why,
+        other => panic!("{input:?} decoded as {other:?}"),
+    }
+}
 
 fn arb_stamp() -> impl Strategy<Value = Option<Stamp>> {
     prop_oneof![
@@ -17,13 +152,7 @@ fn arb_stamp() -> impl Strategy<Value = Option<Stamp>> {
             }
             Some(Stamp::Full(m))
         }),
-        prop::collection::vec((0u16..64, 0u16..64, 0u64..1000), 0..20).prop_map(|es| {
-            Some(Stamp::Delta(
-                es.into_iter()
-                    .map(|(row, col, value)| UpdateEntry { row, col, value })
-                    .collect(),
-            ))
-        }),
+        arb_entry_stamp().prop_map(|(stamp, _, _)| Some(stamp)),
     ]
 }
 
@@ -161,5 +290,134 @@ proptest! {
             }
         }
         prop_assert_eq!(delivered, count);
+    }
+}
+
+proptest! {
+    /// Any entry list survives the packed encoding exactly, under the
+    /// packed tag, in exactly `encoded_len()` bytes after it.
+    #[test]
+    fn packed_stamps_roundtrip(case in arb_entry_stamp()) {
+        let (stamp, tag, _) = case;
+        let bytes = encoded(&stamp);
+        prop_assert_eq!(bytes.first(), Some(&tag));
+        prop_assert_eq!(bytes.len(), stamp.encoded_len() + 1);
+        prop_assert_eq!(decode_bounded(bytes).expect("decodes"), stamp);
+    }
+
+    /// The fixed-width lists of tags 1 and 5 — what a build before PR 24
+    /// left in unacknowledged frames and relay journals — still decode to
+    /// the same stamp, which goes back out packed.
+    #[test]
+    fn fixed_width_tags_decode_and_reencode_packed(case in arb_entry_stamp()) {
+        let (stamp, tag, old_tag) = case;
+        let (Stamp::Delta(entries) | Stamp::Hybrid(entries)) = &stamp else {
+            unreachable!("arb_entry_stamp yields entry stamps");
+        };
+        let mut e = Encoder::new();
+        e.u8(old_tag).count(entries.len());
+        for entry in entries {
+            e.u16(entry.row).u16(entry.col).u64(entry.value);
+        }
+        let decoded = decode_bounded(e.finish()).expect("decodes");
+        prop_assert_eq!(&decoded, &stamp);
+        prop_assert_eq!(encoded(&decoded).first(), Some(&tag));
+    }
+
+    /// Every strict prefix of a valid encoding is refused, as a codec
+    /// error.
+    #[test]
+    fn truncated_packed_stamps_are_refused(case in arb_entry_stamp()) {
+        let (stamp, _, _) = case;
+        let bytes = encoded(&stamp);
+        // From 1: the bound is for what follows a packed tag (with no tag
+        // at all, `Decoder`'s own "truncated frame" reason is 80 bytes).
+        for cut in 1..bytes.len() {
+            let res = decode_bounded(bytes.slice(0..cut));
+            prop_assert!(matches!(res, Err(Error::Codec(_))), "cut at {cut}: {res:?}");
+        }
+        prop_assert!(matches!(Decoder::new(Bytes::new()).stamp(), Err(Error::Codec(_))));
+    }
+
+    /// Arbitrary bytes behind a packed tag — random, or a valid encoding
+    /// with bytes overwritten — decode or are refused; nothing panics and
+    /// the allocation bound holds. What decodes re-encodes to itself.
+    #[test]
+    fn byte_soup_after_packed_tags_never_panics(
+        case in arb_entry_stamp(),
+        soup in prop::collection::vec(any::<u8>(), 0..64),
+        damage in prop::collection::vec((any::<usize>(), any::<u8>()), 0..4),
+    ) {
+        let (stamp, tag, _) = case;
+        let mut raw = vec![tag];
+        raw.extend_from_slice(&soup);
+        let mut damaged = encoded(&stamp).to_vec();
+        for (at, byte) in damage {
+            let at = 1 + at % damaged.len();
+            if let Some(slot) = damaged.get_mut(at) {
+                *slot = byte;
+            }
+        }
+        for input in [raw, damaged] {
+            match decode_bounded(Bytes::from(input)) {
+                Ok(decoded) => {
+                    let again = decode_bounded(encoded(&decoded)).expect("decodes");
+                    prop_assert_eq!(again, decoded);
+                }
+                Err(Error::Codec(_)) => {}
+                Err(other) => panic!("not a codec error: {other}"),
+            }
+        }
+    }
+}
+
+/// The malformed packed lists the decoder must name, each behind both
+/// packed tags.
+#[test]
+fn malformed_packed_stamps_are_refused_by_name() {
+    let mut max = vec![0xff; 10];
+    max[9] = 0x01;
+    let cases: [(&[u8], &str); 9] = [
+        // A varint of eleven bytes, as a count.
+        (&[0x80; 11], "longer than 10 bytes"),
+        // A tenth byte carrying more than bit 63.
+        (
+            &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02],
+            "overflows 64 bits",
+        ),
+        // One entry owed, a run of none.
+        (&[1, 0, 0, 0, 0], "empty or longer"),
+        // One entry owed, a run of two.
+        (&[1, 0, 2, 0, 0, 0, 0], "empty or longer"),
+        // 2³² − 1 entries over eight bytes.
+        (
+            &[0xff, 0xff, 0xff, 0xff, 0x0f, 0, 1, 0, 0, 0, 0, 0, 0],
+            "more packed entries than bytes",
+        ),
+        // Two entries need four bytes; three remain.
+        (&[2, 0, 2, 0], "more packed entries than bytes"),
+        // Row, then column, 2¹⁶.
+        (&[1, 0x80, 0x80, 0x04, 1, 0, 0], "above u16::MAX"),
+        (&[1, 0, 1, 0x80, 0x80, 0x04, 0], "above u16::MAX"),
+        // The count alone.
+        (&[1], "more packed entries than bytes"),
+    ];
+    for tag in [6u8, 7] {
+        for (body, why) in cases {
+            let mut input = vec![tag];
+            input.extend_from_slice(body);
+            let got = refused(&input);
+            assert!(got.contains(why), "{input:?}: {got}");
+        }
+        // The widest legal varint is not among them.
+        let mut input = vec![tag, 1, 0, 1, 0];
+        input.extend_from_slice(&max);
+        let entries = vec![UpdateEntry {
+            row: 0,
+            col: 0,
+            value: u64::MAX,
+        }];
+        let stamp = decode_bounded(Bytes::from(input)).expect("decodes");
+        assert!(stamp == Stamp::Delta(entries.clone()) || stamp == Stamp::Hybrid(entries));
     }
 }
