@@ -354,7 +354,7 @@ enum Wpc {
     TryLock,
     /// Lock won; about to (re-)check `dead` under the lock.
     Recheck,
-    /// Draining `cmd_rx` one command at a time.
+    /// About to take at most one command from `cmd_rx`.
     Cmds,
     /// Draining datagrams; the payload counts this step's drains.
     Data(u8),
@@ -578,8 +578,11 @@ impl Model for SlotModel {
                                 .into()),
                         );
                     } else if s.cmds_pending > 0 {
+                        // One command per step; the rest wait for the
+                        // backlog requeue.
                         let n = step(&|n| {
                             n.cmds_pending -= 1;
+                            n.workers[w] = Wpc::Data(0);
                         });
                         push(label, Ok(n));
                     } else if s.shutdown_queued {

@@ -150,9 +150,12 @@ pub struct Config {
     pub model_entries: Vec<&'static str>,
     /// Path prefixes subject to `persist-before-deliver`.
     pub persist_scopes: Vec<&'static str>,
-    /// Function names that constitute a stable-store write
-    /// (`persist-before-deliver` seeds).
-    pub persist_seeds: Vec<&'static str>,
+    /// `(effect method, seed)`: the durability point that must dominate
+    /// each recovery-critical effect (`persist-before-deliver`). An effect
+    /// is covered only by a function that reaches *its* seed: a function
+    /// name, or `receiver.method` for the call sites of `method` on that
+    /// receiver.
+    pub persist_seeds: Vec<(&'static str, &'static str)>,
 }
 
 impl Config {
@@ -299,12 +302,18 @@ impl Config {
                 "timer",
                 "send_cmd",
             ],
-            // The relay's durable queues put `crates/storage/src/` on the
-            // redelivery path: queue mutations there must persist through
-            // the segment writer (`append_record`) just as mom-side
-            // deliveries must reach `put`/group-commit.
+            // The relay's journal puts `crates/storage/src/` on the
+            // redelivery path. Clock deliveries must reach the image
+            // `put`; a relay ack commit must reach the server's journal
+            // commit, `relay.sync()`, its one commit point — the image
+            // `put` does not make a journal record durable, and a
+            // `sync` on some other journal is not this relay's commit.
             persist_scopes: vec!["crates/mom/src/", "crates/storage/src/"],
-            persist_seeds: vec!["put", "append_record"],
+            persist_seeds: vec![
+                ("deliver", "put"),
+                ("on_ack", "put"),
+                ("ack_up_to", "relay.sync"),
+            ],
         }
     }
 }

@@ -128,7 +128,8 @@ pub fn describe(rule: &str) -> &'static str {
             "The evented runtime's shared-memory accesses stay covered by the SlotModel's actions."
         }
         r if r == PERSIST_BEFORE_DELIVER => {
-            "Every deliver/on_ack effect on recovery paths is dominated by a stable-store put."
+            "Every deliver/on_ack effect on recovery paths is dominated by a stable-store put, \
+             every relay ack_up_to by the journal sync."
         }
         _ => "Workspace protocol-invariant audit rule.",
     }
@@ -256,8 +257,10 @@ pub fn explain(rule: &str) -> &'static str {
              If the transition lives only in memory, a crash forks history — the reloaded \
              server re-admits the message and exactly-once dies on the recovery path. The \
              rule requires every `.deliver(from, pending)` / `.on_ack(from)` site in mom to \
-             be dominated by a `put`/group-commit: in the enclosing function, a transitive \
-             callee, or a transitive caller (batched group-commit in the drain loop counts). \
+             be dominated by a `put`/group-commit, and every relay `.ack_up_to(..)` by the \
+             journal `sync` that makes its record durable: in the enclosing function, a \
+             transitive callee, or a transitive caller (batched group-commit in the drain \
+             loop counts). \
              Route the effect through the persistence path, or mark a deliberately volatile \
              path (pure-simulation harness) with `// audit:allow(persist-before-deliver)`."
         }

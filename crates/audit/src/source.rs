@@ -100,7 +100,9 @@ fn parse_allow_rules(comment: &str) -> Vec<String> {
 /// it contains the identifier `test` or `bench` (covers `#[test]`,
 /// `#[cfg(test)]`, `#[cfg(any(test, ...))]`, `#[bench]`). The gated range
 /// runs from the attribute through the end of the item: its brace-matched
-/// `{ ... }` block or the first top-level `;`, whichever comes first.
+/// `{ ... }` block or the first top-level `;`, whichever comes first — and
+/// never past the `}` that closes the enclosing block, so a gated last
+/// field of a struct or struct literal does not swallow the code after it.
 fn compute_test_mask(toks: &[Tok]) -> Vec<bool> {
     let mut mask = vec![false; toks.len()];
     let mut i = 0usize;
@@ -124,8 +126,8 @@ fn compute_test_mask(toks: &[Tok]) -> Vec<bool> {
                     None => break,
                 }
             }
-            // Find the item end: first `;` at depth 0 or the close of the
-            // first `{ ... }` block.
+            // Find the item end: first `;` at depth 0, the close of the
+            // first `{ ... }` block, or just before an unmatched `}`.
             let mut j = i;
             let mut depth_paren = 0i32;
             let mut depth_bracket = 0i32;
@@ -146,6 +148,8 @@ fn compute_test_mask(toks: &[Tok]) -> Vec<bool> {
                     break j;
                 } else if t.is_punct('{') {
                     break match_brace(toks, j).unwrap_or(toks.len() - 1);
+                } else if t.is_punct('}') {
+                    break j.saturating_sub(1);
                 }
                 j += 1;
             };
@@ -293,6 +297,23 @@ mod tests {
             .map(|(_, &m)| m)
             .collect();
         assert_eq!(masked, vec![false]);
+    }
+
+    #[test]
+    fn gated_last_field_ends_with_its_block() {
+        let src = "struct S {\n    live: u8,\n    #[cfg(test)]\n    seam: bool,\n}\n\
+                   impl S { fn f() { e.unwrap(); } }\n\
+                   fn g() -> S { S { live: 0, #[cfg(test)] seam: false } }\n\
+                   fn h() { k.unwrap(); }\n";
+        let f = SourceFile::parse("x.rs", src);
+        let masked: Vec<bool> = f
+            .toks
+            .iter()
+            .zip(&f.test_mask)
+            .filter(|(t, _)| t.is_ident("unwrap") || t.is_ident("seam"))
+            .map(|(_, &m)| m)
+            .collect();
+        assert_eq!(masked, vec![true, false, true, false]);
     }
 
     #[test]

@@ -252,14 +252,14 @@ pub(crate) struct RelayMetrics {
     pub handoff_duplicates: Counter,
     /// Handoffs dropped because the subscriber is not hosted here.
     pub handoff_dropped: Counter,
-    /// Queue compaction passes completed.
+    /// Journal compaction passes completed.
     pub compactions: Counter,
     /// Disk bytes reclaimed by compaction.
     pub compaction_reclaimed: Counter,
     /// Publications dropped at the depth bound (cold subscriber full).
     pub pubsub_dropped: Counter,
-    /// Torn mid-generation segments found when recovering a queue — a
-    /// sign that records were truncated outside the normal
+    /// Torn mid-generation segments found when recovering the journal —
+    /// a sign that records were truncated outside the normal
     /// crash-mid-append window.
     pub recovery_anomalies: Counter,
 }
@@ -301,11 +301,11 @@ impl RelayMetrics {
             ),
             compactions: meter.counter(
                 "aaa_relay_compactions_total",
-                "Subscriber-queue compaction passes completed",
+                "Relay journal compaction passes completed",
             ),
             compaction_reclaimed: meter.counter(
                 "aaa_relay_compaction_reclaimed_bytes_total",
-                "Disk bytes reclaimed by subscriber-queue compaction",
+                "Disk bytes reclaimed by relay journal compaction",
             ),
             pubsub_dropped: meter.counter(
                 "aaa_pubsub_dropped_total",
@@ -315,7 +315,7 @@ impl RelayMetrics {
             recovery_anomalies: meter.counter(
                 "aaa_relay_recovery_anomalies_total",
                 "Torn mid-generation segments detected while recovering \
-                 a subscriber queue",
+                 the relay journal",
             ),
         }
     }

@@ -8,10 +8,12 @@
 //! forwards its traffic to the server-local relay instead, which:
 //!
 //! - **journals before delivering** — every publication is appended to the
-//!   subscriber's durable [`SegmentQueue`] *together with the wire causal
-//!   stamp* that ordered it, then dispatched; a crash between journal and
-//!   delivery redelivers on recovery (at-least-once below, exactly-once
-//!   after the receiver's dedup);
+//!   subscriber's stream of the relay's one durable [`Journal`] *together
+//!   with the wire causal stamp* that ordered it, then dispatched; the
+//!   server commits the journal (one `fdatasync` per step, [`RelayCore::sync`])
+//!   before anything the step produced leaves it, and a crash between
+//!   journal and delivery redelivers on recovery (at-least-once below,
+//!   exactly-once after the receiver's dedup);
 //! - **commits on recipient ACK** — delivery completes only when the
 //!   subscriber's server acks the relay sequence number (cumulative
 //!   [`RelayAck`]); unacked entries are redelivered after a capped backoff
@@ -29,19 +31,21 @@
 //!
 //! The relay is not an [`Agent`](crate::agent::Agent): agents snapshot
 //! into the transactional image, but the relay's state *is* its durable
-//! queues, which have their own crash story. It is instead addressed as a
+//! journal, which has its own crash story. It is instead addressed as a
 //! pseudo-agent at local id [`RELAY_LOCAL`] and wired directly into
 //! [`ServerCore`](crate::ServerCore)'s delivery path, so relay control
 //! traffic rides the normal causal bus in both runtimes.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::fs;
+use std::io::ErrorKind;
 use std::path::PathBuf;
 
 use aaa_base::{AgentId, Error, Result, ServerId, VDuration, VTime};
 use aaa_net::health::retry_backoff_ms;
 use aaa_net::wire::{Decoder, Encoder};
 use aaa_net::RelayAck;
-use aaa_storage::{QueueConfig, SegmentQueue};
+use aaa_storage::{Journal, QueueConfig};
 use bytes::Bytes;
 
 use crate::message::{DeliveryPolicy, Notification};
@@ -90,8 +94,9 @@ pub struct RelayConfig {
     /// Forward publications for remote subscribers to their home relay
     /// (`false` delivers directly to the remote agent instead).
     pub handoff: bool,
-    /// Root directory for durable queues; `None` keeps queues in memory
-    /// (redelivery still works, but a crash loses the backlog).
+    /// Root directory of the durable journals (`relay-<server>/journal/`
+    /// under it); `None` keeps them in memory (redelivery still works,
+    /// but a crash loses the backlog).
     pub dir: Option<PathBuf>,
 }
 
@@ -152,7 +157,7 @@ impl RelayConfig {
         self
     }
 
-    /// Backs the queues by durable segments rooted at `dir`.
+    /// Backs the journals by durable segments rooted at `dir`.
     #[must_use]
     pub fn dir(mut self, dir: impl Into<PathBuf>) -> RelayConfig {
         self.dir = Some(dir.into());
@@ -176,10 +181,49 @@ impl RelayConfig {
     }
 }
 
-/// Redelivery state of one subscriber.
+/// The journal stream of `sub`: its `AgentId` packed into a `u64`
+/// (server above, local index below), so no mapping table is persisted.
+fn stream(sub: AgentId) -> u64 {
+    (u64::from(sub.server().as_u16()) << 32) | u64::from(sub.local())
+}
+
+/// Opens the relay journal of server `me`: in memory without a `dir`,
+/// else at `<dir>/relay-<me>/journal/`.
+///
+/// # Errors
+///
+/// [`Error::Storage`] if the journal cannot be recovered, or if the relay
+/// directory still holds a `sub-*` queue of the per-subscriber layout the
+/// journal replaced: that backlog is not migrated, and opening beside it
+/// would strand it silently.
+fn open_journal(me: ServerId, cfg: &RelayConfig) -> Result<Journal> {
+    let Some(root) = &cfg.dir else {
+        return Ok(Journal::in_memory(cfg.queue_config()));
+    };
+    let relay_dir = root.join(format!("relay-{}", me.as_u16()));
+    match fs::read_dir(&relay_dir) {
+        Ok(listing) => {
+            for entry in listing {
+                let entry = entry.map_err(|e| Error::Storage(format!("list relay dir: {e}")))?;
+                if entry.file_name().to_string_lossy().starts_with("sub-") {
+                    return Err(Error::Storage(format!(
+                        "{} is a per-subscriber relay queue of an older layout; \
+                         drain it with the build that wrote it, then remove it",
+                        entry.path().display()
+                    )));
+                }
+            }
+        }
+        Err(e) if e.kind() == ErrorKind::NotFound => {}
+        Err(e) => return Err(Error::Storage(format!("list relay dir: {e}"))),
+    }
+    Journal::open(relay_dir.join("journal"), cfg.queue_config())
+}
+
+/// Redelivery state of one subscriber (its entries live in the journal
+/// under [`stream`]).
 #[derive(Debug)]
 struct SubState {
-    queue: SegmentQueue,
     /// Whether the subscriber is reachable; cold subscribers accumulate
     /// backlog instead of being dispatched to.
     connected: bool,
@@ -194,8 +238,6 @@ struct SubState {
     attempt: u32,
     /// When the unacked in-flight window is redelivered.
     next_retry: Option<VTime>,
-    /// Ack watermark at the last compaction pass.
-    compacted_at: u64,
 }
 
 /// The sans-IO relay state machine of one server.
@@ -209,6 +251,8 @@ struct SubState {
 pub(crate) struct RelayCore {
     me: ServerId,
     cfg: RelayConfig,
+    /// Every subscriber's queue, one stream each.
+    journal: Journal,
     /// Topic agent → its subscribers (mirrors the relayed `TopicAgent`s).
     topics: BTreeMap<AgentId, BTreeSet<AgentId>>,
     subs: BTreeMap<AgentId, SubState>,
@@ -219,17 +263,27 @@ pub(crate) struct RelayCore {
     /// key with bounded memory (acceptance is monotone).
     handoff_rx: HashMap<(ServerId, AgentId), u64>,
     /// Incrementally maintained total of [`RelayCore::backlog`], so the
-    /// per-ack gauge update stays O(1) instead of scanning every
-    /// subscriber queue (10k subscribers × one ack each is the common
+    /// per-ack gauge update stays O(1) instead of summing every
+    /// subscriber's depth (10k subscribers × one ack each is the common
     /// fan-out shape).
     depth_cache: u64,
     metrics: Option<RelayMetrics>,
+    /// Fails every [`RelayCore::sync`], for the commit-order tests.
+    #[cfg(test)]
+    pub fail_sync: bool,
 }
 
 impl RelayCore {
-    pub fn new(me: ServerId, cfg: RelayConfig) -> RelayCore {
-        RelayCore {
+    /// A relay for server `me`, recovering its journal when `cfg.dir` is
+    /// set.
+    ///
+    /// # Errors
+    ///
+    /// As for [`open_journal`].
+    pub fn new(me: ServerId, cfg: RelayConfig) -> Result<RelayCore> {
+        Ok(RelayCore {
             me,
+            journal: open_journal(me, &cfg)?,
             cfg,
             topics: BTreeMap::new(),
             subs: BTreeMap::new(),
@@ -237,19 +291,55 @@ impl RelayCore {
             handoff_rx: HashMap::new(),
             depth_cache: 0,
             metrics: None,
-        }
+            #[cfg(test)]
+            fail_sync: false,
+        })
     }
 
     pub fn attach_metrics(&mut self, metrics: RelayMetrics) {
+        // A torn *middle* segment truncated records that a crash
+        // mid-append cannot explain; surface it instead of serving the
+        // journal as if recovery were clean.
+        metrics
+            .recovery_anomalies
+            .add(self.journal.recovery_anomalies());
         self.metrics = Some(metrics);
     }
 
+    /// The commit point: makes everything journaled since the last call
+    /// durable with at most one write and one `fdatasync`, nothing when
+    /// the journal is clean. [`ServerCore`](crate::ServerCore) calls it at
+    /// the end of every step, before the image `put` and before any
+    /// transmission leaves.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Storage`] if the write or sync fails; the journal is then
+    /// poisoned and every later relay operation fails the same way until
+    /// the server is recovered.
+    pub fn sync(&mut self) -> Result<()> {
+        #[cfg(test)]
+        if self.fail_sync {
+            return Err(Error::Storage("injected journal sync failure".into()));
+        }
+        self.journal.sync()
+    }
+
+    /// The journal's storage accounting.
+    #[cfg(test)]
+    pub fn journal_stats(&self) -> &aaa_storage::StorageStats {
+        self.journal.stats()
+    }
+
     /// Total unacknowledged backlog across subscribers, recomputed from
-    /// the queues (the oracle `depth_cache` mirrors incrementally; tests
+    /// the journal (the oracle `depth_cache` mirrors incrementally; tests
     /// cross-check the two).
     #[cfg_attr(not(test), allow(dead_code))]
     pub fn backlog(&self) -> usize {
-        self.subs.values().map(|s| s.queue.depth()).sum()
+        self.subs
+            .keys()
+            .map(|&s| self.journal.depth(stream(s)))
+            .sum()
     }
 
     fn update_depth_gauge(&self) {
@@ -259,59 +349,39 @@ impl RelayCore {
         }
     }
 
-    /// The queue directory of `sub` under this relay, when durable.
-    fn queue_dir(&self, sub: AgentId) -> Option<PathBuf> {
-        self.cfg.dir.as_ref().map(|root| {
-            root.join(format!("relay-{}", self.me.as_u16()))
-                .join(format!("sub-{}-{}", sub.server().as_u16(), sub.local()))
+    fn ensure_sub(&mut self, sub: AgentId) -> &mut SubState {
+        let RelayCore {
+            me,
+            cfg,
+            journal,
+            subs,
+            depth_cache,
+            ..
+        } = self;
+        subs.entry(sub).or_insert_with(|| {
+            // A recovered stream carries its backlog.
+            *depth_cache = depth_cache.saturating_add(journal.depth(stream(sub)) as u64);
+            SubState {
+                connected: true,
+                remote_handoff: cfg.handoff && sub.server() != *me,
+                dispatched_upto: journal.acked(stream(sub)),
+                attempt: 0,
+                next_retry: None,
+            }
         })
     }
 
-    fn ensure_sub(&mut self, sub: AgentId) -> Result<&mut SubState> {
-        if !self.subs.contains_key(&sub) {
-            let queue = match self.queue_dir(sub) {
-                Some(dir) => SegmentQueue::open(dir, self.cfg.queue_config())?,
-                None => SegmentQueue::in_memory(self.cfg.queue_config()),
-            };
-            let dispatched_upto = queue.acked();
-            // A reopened durable queue carries its recovered backlog.
-            self.depth_cache = self.depth_cache.saturating_add(queue.depth() as u64);
-            if queue.recovery_anomalies() > 0 {
-                // A torn *middle* segment truncated records that a
-                // crash-mid-append cannot explain; surface it instead of
-                // serving the queue as if recovery were clean.
-                if let Some(m) = &self.metrics {
-                    m.recovery_anomalies.add(queue.recovery_anomalies());
-                }
-            }
-            self.subs.insert(
-                sub,
-                SubState {
-                    queue,
-                    connected: true,
-                    remote_handoff: self.cfg.handoff && sub.server() != self.me,
-                    dispatched_upto,
-                    attempt: 0,
-                    next_retry: None,
-                    compacted_at: 0,
-                },
-            );
-        }
-        self.subs
-            .get_mut(&sub)
-            .ok_or_else(|| Error::Storage("relay subscriber state vanished".into()))
-    }
-
-    /// Registers `sub` on `topic`, opening its durable queue.
-    pub fn on_subscribe(&mut self, topic: AgentId, sub: AgentId, now: VTime) -> Result<()> {
+    /// Registers `sub` on `topic`.
+    pub fn on_subscribe(&mut self, topic: AgentId, sub: AgentId, now: VTime) {
         self.topics.entry(topic).or_default().insert(sub);
-        self.ensure_sub(sub)?;
+        self.ensure_sub(sub);
         self.pump(sub, now);
-        Ok(())
     }
 
-    /// Removes `sub` from `topic`; the queue (and any backlog) is dropped
-    /// once no topic references the subscriber and nothing is pending.
+    /// Removes `sub` from `topic`; its redelivery state is dropped once no
+    /// topic references the subscriber and nothing is pending (the stream
+    /// keeps its watermark, so a later subscription continues its
+    /// sequence).
     pub fn on_unsubscribe(&mut self, topic: AgentId, sub: AgentId) {
         if let Some(members) = self.topics.get_mut(&topic) {
             members.remove(&sub);
@@ -320,12 +390,8 @@ impl RelayCore {
             }
         }
         let orphan = !self.topics.values().any(|m| m.contains(&sub));
-        if orphan {
-            if let Some(st) = self.subs.get(&sub) {
-                if st.queue.depth() == 0 {
-                    self.subs.remove(&sub);
-                }
-            }
+        if orphan && self.journal.depth(stream(sub)) == 0 {
+            self.subs.remove(&sub);
         }
     }
 
@@ -350,21 +416,16 @@ impl RelayCore {
         payload_enc.string(kind);
         payload_enc.bytes(body);
         let payload = payload_enc.finish().to_vec();
+        let tick = now.as_micros();
         for sub in members {
-            self.ensure_sub(sub)?;
-            let Some(st) = self.subs.get_mut(&sub) else {
-                continue;
-            };
+            let horizon = self.ensure_sub(sub).dispatched_upto;
             // The depth cap bounds the *undispatched* backlog; entries
             // already dispatched and awaiting an ack are governed by
             // `window`, so a warm subscriber with lagging acks is never
-            // throttled by its own in-flight traffic.
-            let horizon = st.dispatched_upto;
-            let undispatched = st
-                .queue
-                .pending(now.as_micros())
-                .filter(|e| e.seq > horizon)
-                .count();
+            // throttled by its own in-flight traffic. Two binary searches,
+            // not a scan: a cold subscriber at the cap holds `max_depth`
+            // entries.
+            let undispatched = self.journal.pending_after(stream(sub), tick, horizon).len();
             if undispatched >= self.cfg.max_depth {
                 // The bound working as designed: a cold subscriber's
                 // queue is full, so the publication is dropped for
@@ -374,9 +435,9 @@ impl RelayCore {
                 }
                 continue;
             }
-            match st
-                .queue
-                .enqueue(now.as_micros(), stamp.clone(), payload.clone())
+            match self
+                .journal
+                .enqueue(stream(sub), tick, stamp.clone(), payload.clone())
             {
                 Ok(_) => {
                     self.depth_cache = self.depth_cache.saturating_add(1);
@@ -405,20 +466,23 @@ impl RelayCore {
         let Some(st) = self.subs.get_mut(&sub) else {
             return Ok(()); // unsubscribed meanwhile: stale ack, ignore
         };
-        let released = st.queue.ack_up_to(upto)?;
+        let released = self.journal.ack_up_to(stream(sub), upto)?;
         if released > 0 {
             self.depth_cache = self.depth_cache.saturating_sub(released);
             if let Some(m) = &self.metrics {
                 m.acked.add(released);
             }
         }
-        if st.queue.acked() >= st.dispatched_upto {
-            // The whole in-flight window is committed.
+        if released > 0 {
+            // Progress restarts the retry timer (`pump` re-arms it for
+            // whatever is still in flight): a window that keeps draining
+            // is slow, not lost, and must not be redelivered wholesale
+            // just because it never emptied within one RTO.
             st.attempt = 0;
             st.next_retry = None;
         }
         self.pump(sub, now);
-        self.maybe_compact(sub, now)?;
+        self.maybe_compact(now)?;
         self.update_depth_gauge();
         Ok(())
     }
@@ -448,8 +512,11 @@ impl RelayCore {
             if let Some(m) = &self.metrics {
                 m.handoff_accepted.add(1);
             }
-            let st = self.ensure_sub(sub)?;
-            match st.queue.enqueue(now.as_micros(), stamp, payload) {
+            self.ensure_sub(sub);
+            match self
+                .journal
+                .enqueue(stream(sub), now.as_micros(), stamp, payload)
+            {
                 Ok(_) => {
                     self.depth_cache = self.depth_cache.saturating_add(1);
                 }
@@ -485,20 +552,18 @@ impl RelayCore {
     /// Marks `sub` connected (re-dispatching its backlog; the receiver's
     /// dedup map absorbs any overlap) or disconnected (halting dispatch;
     /// the backlog accumulates under the depth/TTL bounds).
-    pub fn set_connected(&mut self, sub: AgentId, connected: bool, now: VTime) -> Result<()> {
-        let st = self.ensure_sub(sub)?;
+    pub fn set_connected(&mut self, sub: AgentId, connected: bool, now: VTime) {
+        let acked = self.journal.acked(stream(sub));
+        let st = self.ensure_sub(sub);
         st.connected = connected;
+        st.next_retry = None;
         if connected {
             st.attempt = 0;
-            st.next_retry = None;
             // Anything dispatched before the disconnect may have been
             // lost; rewind to the committed watermark and redeliver.
-            st.dispatched_upto = st.queue.acked();
+            st.dispatched_upto = acked;
             self.pump(sub, now);
-        } else {
-            st.next_retry = None;
         }
-        Ok(())
     }
 
     /// Advances TTL expiry, redelivery timers and compaction; call once
@@ -507,7 +572,7 @@ impl RelayCore {
         // Fast path: without a TTL nothing expires, and when no retry is
         // due there is nothing to redeliver or compact — skip the
         // per-subscriber walk (the tick fires continuously and the walk
-        // touches every queue, which hurts at 10k subscribers).
+        // touches every subscriber, which hurts at 10k of them).
         if self.cfg.ttl.is_none() && self.next_retry_deadline().is_none_or(|t| t > now) {
             return Ok(());
         }
@@ -517,58 +582,46 @@ impl RelayCore {
             // TTL-expired head-of-queue entries are acked away so they can
             // never wedge the dispatch window of a reconnecting
             // subscriber.
-            let (expired_upto, retry_due) = {
-                let Some(st) = self.subs.get_mut(&sub) else {
-                    continue;
-                };
-                (
-                    st.queue.expired_prefix(tick),
-                    st.next_retry.is_some_and(|t| t <= now),
-                )
-            };
+            let key = stream(sub);
+            let expired_upto = self.journal.expired_prefix(key, tick);
             if expired_upto > 0 {
-                let Some(st) = self.subs.get_mut(&sub) else {
-                    continue;
-                };
-                let dropped = st.queue.ack_up_to(expired_upto)?;
+                let dropped = self.journal.ack_up_to(key, expired_upto)?;
                 self.depth_cache = self.depth_cache.saturating_sub(dropped);
-                st.dispatched_upto = st.dispatched_upto.max(st.queue.acked());
                 if let Some(m) = &self.metrics {
                     m.expired.add(dropped);
                 }
             }
-            if retry_due {
-                let Some(st) = self.subs.get_mut(&sub) else {
-                    continue;
-                };
+            let acked = self.journal.acked(key);
+            let Some(st) = self.subs.get_mut(&sub) else {
+                continue;
+            };
+            st.dispatched_upto = st.dispatched_upto.max(acked);
+            if st.next_retry.is_some_and(|t| t <= now) {
                 st.attempt = st.attempt.saturating_add(1);
-                let redelivered = st.dispatched_upto.saturating_sub(st.queue.acked());
                 if let Some(m) = &self.metrics {
-                    m.redeliveries.add(redelivered);
+                    m.redeliveries.add(st.dispatched_upto.saturating_sub(acked));
                 }
-                st.dispatched_upto = st.queue.acked();
+                st.dispatched_upto = acked;
                 st.next_retry = None;
                 self.pump(sub, now);
             }
-            self.maybe_compact(sub, now)?;
         }
+        self.maybe_compact(now)?;
         self.update_depth_gauge();
         Ok(())
     }
 
-    /// Compacts `sub`'s queue once enough acked records have accumulated
-    /// since the last pass.
-    fn maybe_compact(&mut self, sub: AgentId, now: VTime) -> Result<()> {
-        let threshold = self.cfg.segment_max_records as u64;
-        let Some(st) = self.subs.get_mut(&sub) else {
-            return Ok(());
-        };
-        if st.queue.acked().saturating_sub(st.compacted_at) < threshold {
+    /// Compacts the journal once its dead records pay for the rewrite
+    /// ([`Journal::compaction_due`]).
+    fn maybe_compact(&mut self, now: VTime) -> Result<()> {
+        if !self.journal.compaction_due() {
             return Ok(());
         }
-        let report = st.queue.compact(now.as_micros())?;
-        st.compacted_at = st.queue.acked();
+        let report = self.journal.compact(now.as_micros())?;
+        // Expired entries the pass acknowledged away leave the backlog.
+        self.depth_cache = self.depth_cache.saturating_sub(report.expired_dropped);
         if let Some(m) = &self.metrics {
+            m.expired.add(report.expired_dropped);
             m.compactions.add(1);
             m.compaction_reclaimed.add(report.bytes_reclaimed);
         }
@@ -581,6 +634,7 @@ impl RelayCore {
         let RelayCore {
             me,
             cfg,
+            journal,
             subs,
             outbox,
             ..
@@ -590,27 +644,21 @@ impl RelayCore {
             st.next_retry = None;
             return;
         }
-        let tick = now.as_micros();
-        let acked = st.queue.acked();
+        let key = stream(sub);
+        let acked = journal.acked(key);
         st.dispatched_upto = st.dispatched_upto.max(acked);
-        let mut batch: Vec<(u64, Vec<u8>, Vec<u8>)> = Vec::new();
-        for e in st.queue.pending(tick) {
-            if e.seq <= st.dispatched_upto {
-                continue;
-            }
-            if e.seq.saturating_sub(acked) > cfg.window {
-                break;
-            }
-            batch.push((e.seq, e.stamp.clone(), e.payload.clone()));
-        }
-        for (seq, stamp, payload) in batch {
+        let due = journal
+            .pending_after(key, now.as_micros(), st.dispatched_upto)
+            .take_while(|e| e.seq.saturating_sub(acked) <= cfg.window);
+        for e in due {
+            let (seq, stamp, payload) = (e.seq, &e.stamp, &e.payload);
             st.dispatched_upto = seq;
             if st.remote_handoff {
                 let mut e = Encoder::new();
                 e.agent_id(sub);
                 e.u64(seq);
-                e.bytes(&stamp);
-                e.bytes(&payload);
+                e.bytes(stamp);
+                e.bytes(payload);
                 outbox.push_back((
                     relay_agent(sub.server()),
                     Notification::new(RELAY_HANDOFF, e.finish()),
@@ -619,8 +667,8 @@ impl RelayCore {
             } else {
                 let mut e = Encoder::new();
                 e.u64(seq);
-                e.bytes(&stamp);
-                e.bytes(&payload);
+                e.bytes(stamp);
+                e.bytes(payload);
                 outbox.push_back((
                     sub,
                     Notification::new(RELAY_DELIVER, e.finish()),
@@ -628,7 +676,7 @@ impl RelayCore {
                 ));
             }
         }
-        if st.dispatched_upto > st.queue.acked() {
+        if st.dispatched_upto > acked {
             if st.next_retry.is_none() {
                 let peer = if st.remote_handoff { sub.server() } else { *me };
                 let backoff =
@@ -654,10 +702,9 @@ impl RelayCore {
     /// outbox is drained (cold backlogs do not block idleness).
     pub fn is_idle(&self) -> bool {
         self.outbox.is_empty()
-            && self
-                .subs
-                .values()
-                .all(|st| (!st.connected && !st.remote_handoff) || st.queue.depth() == 0)
+            && self.subs.iter().all(|(&sub, st)| {
+                (!st.connected && !st.remote_handoff) || self.journal.depth(stream(sub)) == 0
+            })
     }
 
     /// The earliest pending retry deadline, if any.
@@ -667,7 +714,7 @@ impl RelayCore {
 
     /// Serializes the registry (topics, subscriber flags, handoff
     /// watermarks). Queue *contents* are not here — they live in the
-    /// durable segments (or are accepted as lost for in-memory queues).
+    /// durable journal (or are accepted as lost for an in-memory one).
     pub fn snapshot(&self) -> Vec<u8> {
         let mut e = Encoder::new();
         e.count(self.topics.len());
@@ -694,10 +741,10 @@ impl RelayCore {
         e.finish().to_vec()
     }
 
-    /// Rebuilds the registry from [`RelayCore::snapshot`], reopening each
-    /// subscriber's durable queue. Dispatch watermarks reset to the acked
-    /// position: recovery redelivers the uncommitted window and the
-    /// receiver's dedup restores exactly-once.
+    /// Rebuilds the registry from [`RelayCore::snapshot`] over the
+    /// recovered journal. Dispatch watermarks reset to the acked position:
+    /// recovery redelivers the uncommitted window and the receiver's
+    /// dedup restores exactly-once.
     pub fn restore(&mut self, image: &[u8], now: VTime) -> Result<()> {
         if image.is_empty() {
             return Ok(());
@@ -716,10 +763,9 @@ impl RelayCore {
         for _ in 0..subs {
             let sub = d.agent_id()?;
             let connected = d.u8()? != 0;
-            self.ensure_sub(sub)?;
-            // `ensure_sub` opened the durable queue; recovery redispatches
-            // from the committed watermark for everyone reachable.
-            self.set_connected(sub, connected, now)?;
+            // Recovery redispatches from the committed watermark for
+            // everyone reachable.
+            self.set_connected(sub, connected, now);
         }
         let watermarks = d.u32()?;
         for _ in 0..watermarks {
@@ -765,10 +811,10 @@ mod tests {
 
     #[test]
     fn publish_journals_then_dispatches_in_order() {
-        let mut r = RelayCore::new(ServerId::new(0), local_cfg());
+        let mut r = RelayCore::new(ServerId::new(0), local_cfg()).unwrap();
         let topic = aid(0, 1);
         let sub = aid(0, 2);
-        r.on_subscribe(topic, sub, VTime::ZERO).unwrap();
+        r.on_subscribe(topic, sub, VTime::ZERO);
         for i in 0..3u8 {
             r.on_publish(topic, "ev", &Bytes::from(vec![i]), vec![], VTime::ZERO)
                 .unwrap();
@@ -784,10 +830,10 @@ mod tests {
 
     #[test]
     fn window_bounds_inflight_and_acks_refill() {
-        let mut r = RelayCore::new(ServerId::new(0), local_cfg());
+        let mut r = RelayCore::new(ServerId::new(0), local_cfg()).unwrap();
         let topic = aid(0, 1);
         let sub = aid(0, 2);
-        r.on_subscribe(topic, sub, VTime::ZERO).unwrap();
+        r.on_subscribe(topic, sub, VTime::ZERO);
         for i in 0..10u8 {
             r.on_publish(topic, "ev", &Bytes::from(vec![i]), vec![], VTime::ZERO)
                 .unwrap();
@@ -799,16 +845,16 @@ mod tests {
 
     #[test]
     fn cold_subscriber_accumulates_then_drains_on_connect() {
-        let mut r = RelayCore::new(ServerId::new(0), local_cfg());
+        let mut r = RelayCore::new(ServerId::new(0), local_cfg()).unwrap();
         let topic = aid(0, 1);
         let sub = aid(0, 2);
-        r.on_subscribe(topic, sub, VTime::ZERO).unwrap();
-        r.set_connected(sub, false, VTime::ZERO).unwrap();
+        r.on_subscribe(topic, sub, VTime::ZERO);
+        r.set_connected(sub, false, VTime::ZERO);
         r.on_publish(topic, "ev", &Bytes::from_static(b"x"), vec![], VTime::ZERO)
             .unwrap();
         assert!(drain(&mut r).is_empty(), "cold: journal only");
         assert!(r.is_idle(), "cold backlog does not block idleness");
-        r.set_connected(sub, true, VTime::ZERO).unwrap();
+        r.set_connected(sub, true, VTime::ZERO);
         assert_eq!(drain(&mut r).len(), 1);
     }
 
@@ -817,10 +863,11 @@ mod tests {
         let mut r = RelayCore::new(
             ServerId::new(0),
             local_cfg().ttl(Some(VDuration::from_millis(1))),
-        );
+        )
+        .unwrap();
         let topic = aid(0, 1);
         let sub = aid(0, 2);
-        r.on_subscribe(topic, sub, VTime::ZERO).unwrap();
+        r.on_subscribe(topic, sub, VTime::ZERO);
         for i in 0..5u8 {
             r.on_publish(topic, "ev", &Bytes::from(vec![i]), vec![], VTime::ZERO)
                 .unwrap();
@@ -836,12 +883,12 @@ mod tests {
 
     #[test]
     fn backpressure_drops_for_the_full_subscriber_only() {
-        let mut r = RelayCore::new(ServerId::new(0), local_cfg().max_depth(2));
+        let mut r = RelayCore::new(ServerId::new(0), local_cfg().max_depth(2)).unwrap();
         let topic = aid(0, 1);
         let (cold, warm) = (aid(0, 2), aid(0, 3));
-        r.on_subscribe(topic, cold, VTime::ZERO).unwrap();
-        r.on_subscribe(topic, warm, VTime::ZERO).unwrap();
-        r.set_connected(cold, false, VTime::ZERO).unwrap();
+        r.on_subscribe(topic, cold, VTime::ZERO);
+        r.on_subscribe(topic, warm, VTime::ZERO);
+        r.set_connected(cold, false, VTime::ZERO);
         for i in 0..3u8 {
             r.on_publish(topic, "ev", &Bytes::from(vec![i]), vec![], VTime::ZERO)
                 .unwrap();
@@ -854,10 +901,10 @@ mod tests {
 
     #[test]
     fn retry_redelivers_the_unacked_window() {
-        let mut r = RelayCore::new(ServerId::new(0), local_cfg());
+        let mut r = RelayCore::new(ServerId::new(0), local_cfg()).unwrap();
         let topic = aid(0, 1);
         let sub = aid(0, 2);
-        r.on_subscribe(topic, sub, VTime::ZERO).unwrap();
+        r.on_subscribe(topic, sub, VTime::ZERO);
         r.on_publish(topic, "ev", &Bytes::from_static(b"x"), vec![], VTime::ZERO)
             .unwrap();
         assert_eq!(drain(&mut r).len(), 1);
@@ -870,30 +917,49 @@ mod tests {
     }
 
     #[test]
+    fn ack_progress_restarts_the_retry_timer() {
+        let mut r = RelayCore::new(ServerId::new(0), local_cfg()).unwrap();
+        let topic = aid(0, 1);
+        let sub = aid(0, 2);
+        r.on_subscribe(topic, sub, VTime::ZERO);
+        for i in 0..2u8 {
+            r.on_publish(topic, "ev", &Bytes::from(vec![i]), vec![], VTime::ZERO)
+                .unwrap();
+        }
+        assert_eq!(drain(&mut r).len(), 2);
+        let deadline = r.next_retry_deadline().expect("retry armed");
+        r.on_ack(sub, 1, VTime::from_micros(5_000)).unwrap();
+        assert!(r.next_retry_deadline().unwrap() > deadline, "restarted");
+        r.on_tick(deadline).unwrap();
+        assert!(drain(&mut r).is_empty(), "a draining window is not resent");
+    }
+
+    #[test]
     fn ttl_expired_head_is_acked_away() {
         let mut r = RelayCore::new(
             ServerId::new(0),
             local_cfg().ttl(Some(VDuration::from_micros(5))),
-        );
+        )
+        .unwrap();
         let topic = aid(0, 1);
         let sub = aid(0, 2);
-        r.on_subscribe(topic, sub, VTime::ZERO).unwrap();
-        r.set_connected(sub, false, VTime::ZERO).unwrap();
+        r.on_subscribe(topic, sub, VTime::ZERO);
+        r.set_connected(sub, false, VTime::ZERO);
         r.on_publish(topic, "ev", &Bytes::from_static(b"x"), vec![], VTime::ZERO)
             .unwrap();
         r.on_tick(VTime::from_micros(10)).unwrap();
         assert_eq!(r.backlog(), 0, "expired prefix reclaimed");
-        r.set_connected(sub, true, VTime::from_micros(10)).unwrap();
+        r.set_connected(sub, true, VTime::from_micros(10));
         assert!(drain(&mut r).is_empty(), "nothing stale redelivered");
     }
 
     #[test]
     fn remote_subscriber_rides_handoff_to_home_relay() {
-        let mut origin = RelayCore::new(ServerId::new(0), local_cfg());
-        let mut home = RelayCore::new(ServerId::new(1), local_cfg());
+        let mut origin = RelayCore::new(ServerId::new(0), local_cfg()).unwrap();
+        let mut home = RelayCore::new(ServerId::new(1), local_cfg()).unwrap();
         let topic = aid(0, 1);
         let sub = aid(1, 2);
-        origin.on_subscribe(topic, sub, VTime::ZERO).unwrap();
+        origin.on_subscribe(topic, sub, VTime::ZERO);
         origin
             .on_publish(topic, "ev", &Bytes::from_static(b"x"), vec![7], VTime::ZERO)
             .unwrap();
@@ -932,7 +998,7 @@ mod tests {
 
     #[test]
     fn duplicate_handoff_is_suppressed_but_reacked() {
-        let mut home = RelayCore::new(ServerId::new(1), local_cfg());
+        let mut home = RelayCore::new(ServerId::new(1), local_cfg()).unwrap();
         let sub = aid(1, 2);
         let mut e = Encoder::new();
         e.agent_id(sub);
@@ -960,7 +1026,7 @@ mod tests {
 
     #[test]
     fn foreign_handoff_is_dropped_not_forwarded() {
-        let mut relay = RelayCore::new(ServerId::new(1), local_cfg());
+        let mut relay = RelayCore::new(ServerId::new(1), local_cfg()).unwrap();
         let mut e = Encoder::new();
         e.agent_id(aid(5, 2)); // not hosted on server 1
         e.u64(1);
@@ -987,22 +1053,98 @@ mod tests {
         let topic = aid(0, 1);
         let sub = aid(0, 2);
         let image = {
-            let mut r = RelayCore::new(ServerId::new(0), cfg.clone());
-            r.on_subscribe(topic, sub, VTime::ZERO).unwrap();
+            let mut r = RelayCore::new(ServerId::new(0), cfg.clone()).unwrap();
+            r.on_subscribe(topic, sub, VTime::ZERO);
             for i in 0..3u8 {
                 r.on_publish(topic, "ev", &Bytes::from(vec![i]), vec![], VTime::ZERO)
                     .unwrap();
             }
             drain(&mut r);
             r.on_ack(sub, 1, VTime::ZERO).unwrap();
+            // The server commits the journal before the image.
+            r.sync().unwrap();
             r.snapshot()
         }; // crash: in-flight 2 and 3 never acked
-        let mut r = RelayCore::new(ServerId::new(0), cfg);
+        let mut r = RelayCore::new(ServerId::new(0), cfg).unwrap();
         r.restore(&image, VTime::ZERO).unwrap();
         let out = drain(&mut r);
         assert_eq!(out.len(), 2, "uncommitted window redelivered");
         assert_eq!(r.backlog(), 2);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn tmp_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "aaa-relay-{name}-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// A handoff of origin sequence `seq` for `sub`, carrying `[seq]`.
+    fn handoff(sub: AgentId, seq: u64) -> Bytes {
+        let mut p = Encoder::new();
+        p.agent_id(aid(0, 1));
+        p.string("ev");
+        p.bytes(&[seq as u8]);
+        let mut e = Encoder::new();
+        e.agent_id(sub);
+        e.u64(seq);
+        e.bytes(&[]);
+        e.bytes(&p.finish());
+        e.finish()
+    }
+
+    #[test]
+    fn unsynced_handoffs_die_with_the_relay_and_redelivery_lands_once() {
+        let dir = tmp_dir("unsynced");
+        let cfg = local_cfg().dir(&dir);
+        let (origin, sub) = (ServerId::new(0), aid(1, 2));
+        {
+            // A step journals three handoffs and queues their acks, then
+            // the server dies before the step's commit.
+            let mut home = RelayCore::new(ServerId::new(1), cfg.clone()).unwrap();
+            for seq in 1..=3 {
+                home.on_handoff(origin, &handoff(sub, seq), VTime::ZERO)
+                    .unwrap();
+            }
+            assert_eq!(drain(&mut home).len(), 6, "three deliveries, three acks");
+        }
+        // Neither the records nor the uncommitted image's dedup watermark
+        // survived, so the origin — which never saw an ack leave — still
+        // holds the window and redelivers it, here twice over.
+        let mut home = RelayCore::new(ServerId::new(1), cfg.clone()).unwrap();
+        assert_eq!(home.journal.depth(stream(sub)), 0);
+        for _ in 0..2 {
+            for seq in 1..=3 {
+                home.on_handoff(origin, &handoff(sub, seq), VTime::ZERO)
+                    .unwrap();
+            }
+        }
+        let delivered: Vec<u64> = std::iter::from_fn(|| home.pop_outbox())
+            .filter(|(_, n, _)| n.kind() == RELAY_DELIVER)
+            .map(|(_, n, _)| Decoder::new(n.body().clone()).u64().unwrap())
+            .collect();
+        assert_eq!(delivered, vec![1, 2, 3], "accepted exactly once, in order");
+        home.sync().unwrap();
+        drop(home);
+        let home = RelayCore::new(ServerId::new(1), cfg).unwrap();
+        assert_eq!(home.journal.depth(stream(sub)), 3);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn per_subscriber_layout_is_refused_by_path() {
+        let dir = tmp_dir("legacy");
+        fs::create_dir_all(dir.join("relay-0").join("sub-0-2")).unwrap();
+        let err = RelayCore::new(ServerId::new(0), local_cfg().dir(&dir)).unwrap_err();
+        assert!(
+            matches!(&err, Error::Storage(m) if m.contains("sub-0-2")),
+            "{err:?}"
+        );
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! - shard workers pop indices off that queue — because the queue is
 //!   shared, an idle shard steals runnable servers from a busy one for
 //!   free — and run one bounded step ([`PoolShared::run_ready_server`]):
-//!   drain commands, drain up to [`MAX_STEP_DRAIN`] datagrams into one
-//!   batched transaction, poll link timers;
+//!   handle at most one command, drain up to [`MAX_STEP_DRAIN`] datagrams
+//!   into one batched transaction, poll link timers;
 //! - a dedicated timer thread scans per-slot deadlines (retransmission
 //!   timeouts, held batch flushes) every millisecond and schedules slots
 //!   whose deadline passed, so an otherwise-quiet server still retransmits
@@ -97,10 +97,10 @@ impl PoolShared {
         }
     }
 
-    /// Runs one bounded step of server `i`: commands, a capped datagram
-    /// drain processed as one transaction, then link timers. This is the
-    /// shard-loop entry point — everything reachable from here must stay
-    /// non-blocking (enforced by the `block-in-step` audit rule).
+    /// Runs one bounded step of server `i`: at most one command, a capped
+    /// datagram drain processed as one transaction, then link timers. This
+    /// is the shard-loop entry point — everything reachable from here must
+    /// stay non-blocking (enforced by the `block-in-step` audit rule).
     pub(crate) fn run_ready_server(&self, i: usize) {
         let slot = &self.slots[i];
         // Clear before draining: arrivals that race the drain re-schedule.
@@ -129,7 +129,11 @@ impl PoolShared {
         }
         let st = &mut *guard;
 
-        while let Ok(cmd) = slot.cmd_rx.try_recv() {
+        // One command per step, then the inbox. A caller's next command
+        // lands while this one is handled, so draining commands until the
+        // queue is empty can run for as long as the caller keeps up, and
+        // the peers' acks wait in the inbox all that time.
+        if let Ok(cmd) = slot.cmd_rx.try_recv() {
             if !st
                 .driver
                 .handle_command(st.endpoint.as_ref(), cmd, self.now())

@@ -147,6 +147,9 @@ pub struct ServerCore {
     /// Relay registry blob recovered from the image, consumed by
     /// [`ServerCore::enable_relay`].
     relay_image: Vec<u8>,
+    /// The last commit failed: the links hold frames that step flushed,
+    /// and no durable journal and image cover them yet.
+    uncommitted: bool,
 }
 
 impl std::fmt::Debug for ServerCore {
@@ -191,6 +194,7 @@ impl ServerCore {
             pending_sends: std::collections::VecDeque::new(),
             meter: None,
             relay_image: Vec::new(),
+            uncommitted: false,
         })
     }
 
@@ -208,16 +212,17 @@ impl ServerCore {
         self.meter = Some(meter.clone());
     }
 
-    /// Enables the store-and-forward relay on this server, restoring any
-    /// registry recovered with the transactional image (reopening durable
-    /// subscriber queues) and redelivering the uncommitted window. Returns
-    /// the datagrams that redelivery produced.
+    /// Enables the store-and-forward relay on this server, recovering its
+    /// durable journal, restoring any registry recovered with the
+    /// transactional image and redelivering the uncommitted window.
+    /// Returns the datagrams that redelivery produced.
     ///
     /// # Errors
     ///
-    /// Propagates [`Error::Storage`] from queue recovery.
+    /// Propagates [`Error::Storage`] from journal recovery, including a
+    /// relay directory left in the older per-subscriber layout.
     pub fn enable_relay(&mut self, cfg: RelayConfig, now: VTime) -> Result<Vec<Transmission>> {
-        let mut relay = RelayCore::new(self.me, cfg);
+        let mut relay = RelayCore::new(self.me, cfg)?;
         if let Some(meter) = &self.meter {
             relay.attach_metrics(RelayMetrics::new(meter));
         }
@@ -234,7 +239,7 @@ impl ServerCore {
     /// # Errors
     ///
     /// Returns [`Error::Closed`] when no relay is enabled here and
-    /// propagates storage errors from the subscriber's queue.
+    /// propagates storage errors from the step's commit.
     pub fn relay_set_connected(
         &mut self,
         sub: AgentId,
@@ -244,7 +249,7 @@ impl ServerCore {
         let Some(relay) = &mut self.relay else {
             return Err(Error::Closed("no relay enabled on this server"));
         };
-        relay.set_connected(sub, connected, now)?;
+        relay.set_connected(sub, connected, now);
         self.relay_step(now)
     }
 
@@ -645,8 +650,17 @@ impl ServerCore {
 
     /// Polls link timers: retransmits overdue unacked frames (coalesced
     /// into one wire packet per peer) and flushes partial batches whose
-    /// `max_delay` has elapsed.
+    /// `max_delay` has elapsed; then the relay's expiry and retry timers.
+    ///
+    /// After a failed commit the tick first retries it and returns nothing
+    /// while that fails: the links then hold frames no durable state
+    /// covers. A poisoned journal fails every retry, so such a server
+    /// stays silent until it is recovered; a failed image `put` holds the
+    /// links only until a `put` succeeds.
     pub fn on_tick(&mut self, now: VTime) -> Vec<Transmission> {
+        if !self.committed() {
+            return Vec::new();
+        }
         let mut out = Vec::new();
         let mut flushed: Vec<(ServerId, Vec<LinkFrame>)> = Vec::new();
         for (&peer, tx) in self.links_tx.iter_mut() {
@@ -671,26 +685,29 @@ impl ServerCore {
         for (peer, frames) in flushed {
             self.push_batch(&mut out, peer, frames);
         }
-        if let Some(relay) = &mut self.relay {
-            let ticked = relay.on_tick(now);
-            debug_assert!(ticked.is_ok(), "relay tick failed: {ticked:?}");
-            // A storage error here (release builds) leaves the affected
-            // queue to the next retry timer rather than poisoning the
-            // whole tick. audit:allow(error-swallow)
-            let _ = ticked;
-            if !relay.outbox_is_empty() {
-                let stepped = self
-                    .run_reactions(now)
-                    .and_then(|()| self.flush(now, false))
-                    .and_then(|tx| self.commit().map(|()| tx));
-                debug_assert!(stepped.is_ok(), "relay retry step failed: {stepped:?}");
-                // Same containment as above. audit:allow(error-swallow)
-                if let Ok(tx) = stepped {
-                    out.extend(tx);
-                }
-            }
+        match self.relay_tick(now) {
+            Ok(tx) => out.extend(tx),
+            // A storage failure: the journal is poisoned or the step's
+            // image was not written. The next tick retries the commit
+            // before it sends anything.
+            Err(_) => return Vec::new(),
         }
         out
+    }
+
+    /// The relay half of [`ServerCore::on_tick`]: expiry, redelivery and
+    /// compaction, then the step that sends what redelivery produced — or,
+    /// when it produced nothing, just the journal commit (expiry acks and
+    /// compaction journal without traffic; a clean journal costs nothing).
+    fn relay_tick(&mut self, now: VTime) -> Result<Vec<Transmission>> {
+        let Some(relay) = &mut self.relay else {
+            return Ok(Vec::new());
+        };
+        relay.on_tick(now)?;
+        if relay.outbox_is_empty() {
+            self.commit_journal()?;
+        }
+        self.relay_step(now)
     }
 
     /// Flushes every link's partial batch immediately, regardless of the
@@ -698,8 +715,12 @@ impl ServerCore {
     /// [`crate::Mom::flush`]. With the default policy (`max_delay` = 0)
     /// nothing is ever left buffered between steps and this returns
     /// nothing. No commit is needed: buffered frames already live in the
-    /// persisted unacked window.
+    /// persisted unacked window — unless the last commit failed, which
+    /// this retries first, as [`ServerCore::on_tick`] does.
     pub fn flush_links(&mut self) -> Vec<Transmission> {
+        if !self.committed() {
+            return Vec::new();
+        }
         let mut out = Vec::new();
         let mut flushed: Vec<(ServerId, Vec<LinkFrame>)> = Vec::new();
         for (&peer, tx) in self.links_tx.iter_mut() {
@@ -866,7 +887,8 @@ impl ServerCore {
                 let mut d = Decoder::new(body);
                 let topic = d.agent_id()?;
                 let sub = d.agent_id()?;
-                relay.on_subscribe(topic, sub, now)
+                relay.on_subscribe(topic, sub, now);
+                Ok(())
             }
             relay::RELAY_UNSUBSCRIBE => {
                 let mut d = Decoder::new(body);
@@ -979,10 +1001,27 @@ impl ServerCore {
         }
     }
 
-    /// Persists the transactional image, if persistence is enabled. One
-    /// call covers everything the step did — a batch of N deliveries costs
-    /// one `put` (the group commit).
+    /// Commits the step: first the relay journal (one `fdatasync` when
+    /// the step journaled anything), then, if persistence is enabled, the
+    /// transactional image. One call covers everything the step did — a
+    /// batch of N deliveries costs one sync and one `put` (the group
+    /// commit). The order is the durability contract: the image never
+    /// records a handoff or ack watermark whose journal record is not yet
+    /// durable, and every caller hands the step's transmissions over only
+    /// after this returns `Ok`.
     fn commit(&mut self) -> Result<()> {
+        let committed = self.commit_journal().and_then(|()| self.commit_image());
+        self.uncommitted = committed.is_err();
+        committed
+    }
+
+    /// `true` unless the last commit failed and retrying it fails too.
+    fn committed(&mut self) -> bool {
+        !self.uncommitted || self.commit().is_ok()
+    }
+
+    /// Writes the transactional image, if persistence is enabled.
+    fn commit_image(&mut self) -> Result<()> {
         if !self.config.persist {
             return Ok(());
         }
@@ -1000,6 +1039,15 @@ impl ServerCore {
                 .observe(started.elapsed().as_micros() as u64);
         }
         Ok(())
+    }
+
+    /// Commits the relay journal: one `fdatasync` when the step journaled
+    /// anything, nothing otherwise.
+    fn commit_journal(&mut self) -> Result<()> {
+        match &mut self.relay {
+            Some(relay) => relay.sync(),
+            None => Ok(()),
+        }
     }
 
     fn build_image(&self) -> ServerImage {
@@ -1731,5 +1779,282 @@ mod tests {
         .unwrap();
         assert!(core.is_idle());
         assert!(core.engine().has_agent(aid(0, 1)));
+    }
+
+    /// Relay journal tests: a relayed topic (local [`TOPIC`]) on server 0,
+    /// subscribers at locals `SUB0..` counting their deliveries, a durable
+    /// relay on every server.
+    mod journal {
+        use super::*;
+        use crate::pubsub::{publication, subscription, TopicAgent};
+        use aaa_storage::StorageStats;
+        use rand::{Rng, SeedableRng};
+        use std::sync::atomic::{AtomicBool, AtomicU64};
+
+        const TOPIC: u32 = 100;
+        const SUB0: u32 = 200;
+        const CLIENT: u32 = 9;
+
+        /// A memory store whose `put` fails while `fail_puts` is set.
+        #[derive(Default)]
+        struct FlakyStore {
+            inner: MemoryStore,
+            fail_puts: AtomicBool,
+        }
+
+        impl StableStore for FlakyStore {
+            fn put(&self, key: &str, value: &[u8]) -> Result<()> {
+                if self.fail_puts.load(Ordering::Relaxed) {
+                    return Err(Error::Storage("injected put failure".into()));
+                }
+                self.inner.put(key, value)
+            }
+            fn get(&self, key: &str) -> Result<Option<Vec<u8>>> {
+                self.inner.get(key)
+            }
+            fn remove(&self, key: &str) -> Result<()> {
+                self.inner.remove(key)
+            }
+            fn keys(&self) -> Result<Vec<String>> {
+                self.inner.keys()
+            }
+            fn stats(&self) -> &StorageStats {
+                self.inner.stats()
+            }
+        }
+
+        struct Fanout {
+            cores: Vec<ServerCore>,
+            store: Arc<FlakyStore>,
+            delivered: Arc<AtomicU64>,
+            dir: std::path::PathBuf,
+        }
+
+        impl Drop for Fanout {
+            fn drop(&mut self) {
+                let _ = std::fs::remove_dir_all(&self.dir);
+            }
+        }
+
+        impl Fanout {
+            /// `subs` subscribers on server `home` of `single_domain(servers)`,
+            /// subscriptions settled; server 0 persists into `store`.
+            fn new(name: &str, servers: u16, home: u16, subs: u32, config: ServerConfig) -> Fanout {
+                let dir = std::env::temp_dir()
+                    .join(format!("aaa-server-journal-{name}-{}", std::process::id()));
+                let _ = std::fs::remove_dir_all(&dir);
+                let topo = TopologySpec::single_domain(servers).validate().unwrap();
+                let store = Arc::new(FlakyStore::default());
+                let delivered = Arc::new(AtomicU64::new(0));
+                let mut cores: Vec<ServerCore> = (0..servers)
+                    .map(|i| {
+                        let store: Arc<dyn StableStore> = if i == 0 {
+                            store.clone()
+                        } else {
+                            Arc::new(MemoryStore::new())
+                        };
+                        let mut core = ServerCore::new(&topo, s(i), config, store).unwrap();
+                        core.enable_relay(RelayConfig::default().dir(&dir), VTime::ZERO)
+                            .unwrap();
+                        core
+                    })
+                    .collect();
+                cores[0].register_agent(TOPIC, Box::new(TopicAgent::with_relay(relay_agent(s(0)))));
+                let mut fan = Fanout {
+                    cores,
+                    store,
+                    delivered,
+                    dir,
+                };
+                for i in 0..subs {
+                    let delivered = fan.delivered.clone();
+                    let sub = fan.cores[usize::from(home)].register_agent(
+                        SUB0 + i,
+                        Box::new(FnAgent::new(move |_, _, _| {
+                            delivered.fetch_add(1, Ordering::Relaxed);
+                        })),
+                    );
+                    let (_, tx) = fan.cores[usize::from(home)]
+                        .client_send(sub, aid(0, TOPIC), subscription(), VTime::ZERO)
+                        .unwrap();
+                    fan.settle(s(home), tx);
+                }
+                fan
+            }
+
+            fn publish(&mut self, body: Vec<u8>) -> Result<Vec<Transmission>> {
+                self.cores[0]
+                    .client_send(
+                        aid(0, CLIENT),
+                        aid(0, TOPIC),
+                        publication("ev", body),
+                        VTime::ZERO,
+                    )
+                    .map(|(_, tx)| tx)
+            }
+
+            /// Delivers datagrams in FIFO order until the cores are quiet.
+            fn settle(&mut self, from: ServerId, tx: Vec<Transmission>) {
+                let mut queue: std::collections::VecDeque<(ServerId, Transmission)> =
+                    tx.into_iter().map(|t| (from, t)).collect();
+                while let Some((src, t)) = queue.pop_front() {
+                    let to = t.to;
+                    let more = self.cores[to.as_usize()]
+                        .on_datagram(src, t.bytes, VTime::ZERO)
+                        .unwrap();
+                    queue.extend(more.into_iter().map(|t| (to, t)));
+                }
+            }
+
+            fn syncs(&self, server: usize) -> u64 {
+                self.cores[server]
+                    .relay
+                    .as_ref()
+                    .map_or(0, |r| r.journal_stats().syncs())
+            }
+
+            fn reset_syncs(&self) {
+                for core in &self.cores {
+                    if let Some(r) = &core.relay {
+                        r.journal_stats().reset();
+                    }
+                }
+            }
+
+            fn delivered(&self) -> u64 {
+                self.delivered.load(Ordering::Relaxed)
+            }
+        }
+
+        #[test]
+        fn publication_to_64_local_subscribers_is_one_journal_sync() {
+            let mut fan = Fanout::new("local", 1, 0, 64, ServerConfig::default());
+            fan.reset_syncs();
+            let tx = fan.publish(b"x".to_vec()).unwrap();
+            assert!(tx.is_empty());
+            assert_eq!(fan.delivered(), 64);
+            // 64 enqueues and 64 acks journaled, all of it one commit.
+            assert_eq!(fan.syncs(0), 1);
+            assert_eq!(fan.cores[0].relay.as_ref().unwrap().backlog(), 0);
+        }
+
+        #[test]
+        fn relay_acks_and_link_acks_cost_what_they_journal() {
+            let config = ServerConfig {
+                batch: BatchPolicy {
+                    max_frames: 256,
+                    ..BatchPolicy::default()
+                },
+                ..ServerConfig::default()
+            };
+            let mut fan = Fanout::new("remote", 2, 1, 64, config);
+            fan.reset_syncs();
+            let handoffs = fan.publish(b"x".to_vec()).unwrap();
+            assert_eq!(fan.syncs(0), 1, "64 handoffs journaled at the origin");
+            // A relay tick with nothing due (the handoffs are in flight,
+            // their retry not yet due) journals nothing and syncs nothing.
+            assert!(fan.cores[0].on_tick(VTime::ZERO).is_empty());
+            assert_eq!(fan.syncs(0), 1);
+            let [handoffs] = <[Transmission; 1]>::try_from(handoffs).unwrap();
+            let reply = fan.cores[1]
+                .on_datagram(s(0), handoffs.bytes, VTime::ZERO)
+                .unwrap();
+            assert_eq!(fan.delivered(), 64);
+            assert_eq!(fan.syncs(1), 1, "64 handoffs and 64 local acks");
+            let [relay_acks, link_ack] = <[Transmission; 2]>::try_from(reply).unwrap();
+            assert!(matches!(
+                Datagram::decode(relay_acks.bytes.clone()),
+                Ok(Datagram::Batch(frames)) if frames.len() == 64
+            ));
+            fan.reset_syncs();
+            let out = fan.cores[0]
+                .on_datagram(s(1), link_ack.bytes, VTime::ZERO)
+                .unwrap();
+            assert!(out.is_empty());
+            assert_eq!(fan.syncs(0), 0, "a pure link ack");
+            fan.cores[0]
+                .on_datagram(s(1), relay_acks.bytes, VTime::ZERO)
+                .unwrap();
+            assert_eq!(fan.syncs(0), 1, "one datagram of 64 relay acks");
+            assert_eq!(fan.cores[0].relay.as_ref().unwrap().backlog(), 0);
+        }
+
+        #[test]
+        fn seeded_fanout_syncs_at_most_a_quarter_per_delivery() {
+            let mut fan = Fanout::new("seeded", 2, 1, 64, ServerConfig::default());
+            fan.reset_syncs();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(0x5EED);
+            let mut published = 0u64;
+            for _ in 0..12 {
+                let mut tx = Vec::new();
+                for _ in 0..rng.gen_range(1..4u32) {
+                    let len = rng.gen_range(0..64usize);
+                    tx.extend(fan.publish(vec![0xAB; len]).unwrap());
+                    published += 1;
+                }
+                fan.settle(s(0), tx);
+            }
+            assert_eq!(fan.delivered(), published * 64);
+            let syncs = fan.syncs(0) + fan.syncs(1);
+            let per_delivery = syncs as f64 / fan.delivered() as f64;
+            assert!(
+                per_delivery <= 0.25,
+                "{syncs} syncs for {} deliveries",
+                fan.delivered()
+            );
+            assert!(fan.cores.iter().all(ServerCore::is_idle));
+        }
+
+        #[test]
+        fn journal_commits_before_the_image_and_the_wire() {
+            let config = ServerConfig {
+                persist: true,
+                ..ServerConfig::default()
+            };
+            let mut fan = Fanout::new("order", 2, 1, 4, config);
+            let image = fan.store.get(IMAGE_KEY).unwrap();
+            let puts = fan.store.stats().writes();
+            fan.cores[0].relay.as_mut().unwrap().fail_sync = true;
+            // The failed commit surfaces before the image `put` and before
+            // the step's handoffs are handed over.
+            assert!(matches!(fan.publish(b"x".to_vec()), Err(Error::Storage(_))));
+            assert_eq!(fan.store.stats().writes(), puts);
+            assert_eq!(fan.store.get(IMAGE_KEY).unwrap(), image);
+            assert!(fan.cores[0]
+                .on_tick(VTime::from_micros(10_000_000))
+                .is_empty());
+        }
+
+        #[test]
+        fn a_failed_image_put_holds_the_links_until_a_commit_succeeds() {
+            let config = ServerConfig {
+                persist: true,
+                ..ServerConfig::default()
+            };
+            let mut fan = Fanout::new("held", 2, 1, 4, config);
+            // The handoffs are committed, then lost on the wire.
+            let lost = fan.publish(b"x".to_vec()).unwrap();
+            assert!(!lost.is_empty());
+            let retry = fan.cores[0]
+                .relay
+                .as_ref()
+                .and_then(RelayCore::next_retry_deadline)
+                .expect("handoffs in flight");
+            fan.store.fail_puts.store(true, Ordering::Relaxed);
+            // The relay step redelivers into the links, then its image
+            // `put` fails: nothing leaves.
+            assert!(fan.cores[0].on_tick(retry).is_empty());
+            // Every frame is overdue now, but the redelivered ones are in
+            // no committed image: the tick retries the commit and, while
+            // it fails, retransmits nothing.
+            let later = retry + VDuration::from_millis(60_000);
+            assert!(fan.cores[0].on_tick(later).is_empty());
+            assert!(fan.cores[0].flush_links().is_empty());
+            fan.store.fail_puts.store(false, Ordering::Relaxed);
+            let resent = fan.cores[0].on_tick(later);
+            assert!(!resent.is_empty(), "a successful commit releases them");
+            fan.settle(s(0), resent);
+            assert_eq!(fan.delivered(), 4, "each subscriber exactly once");
+        }
     }
 }

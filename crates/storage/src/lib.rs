@@ -14,10 +14,12 @@
 //! - [`StableStore`] — a key-value store for snapshots (agent state, matrix
 //!   clock images), with [`MemoryStore`] and [`DirStore`] (one file per
 //!   key, atomic replace) implementations;
-//! - [`SegmentQueue`] — the on-disk record log: a durable, bounded,
-//!   TTL-retained delivery queue (append-only segments plus a crash-safe
-//!   compaction pass) backing the relay's store-and-forward redelivery
-//!   in `aaa-mom`;
+//! - [`Journal`] — the on-disk record log: durable, bounded,
+//!   TTL-retained delivery streams in one set of append-only segments,
+//!   group-committed by one `fdatasync` per [`Journal::sync`], with a
+//!   crash-safe compaction pass. Each relay in `aaa-mom` keeps all its
+//!   subscriber queues in one; [`SegmentQueue`] is its single-stream
+//!   face, committed after every operation;
 //! - [`StorageStats`] — byte-exact write/read accounting shared by all
 //!   backends, so experiments can report persistence traffic per message
 //!   (experiment X2 of DESIGN.md).
@@ -41,7 +43,7 @@ mod stats;
 
 pub use file::DirStore;
 pub use memory::MemoryStore;
-pub use queue::{CompactionReport, QueueConfig, QueueEntry, SegmentQueue, SyncPolicy};
+pub use queue::{CompactionReport, Journal, QueueConfig, QueueEntry, SegmentQueue, SyncPolicy};
 pub use stats::StorageStats;
 
 use aaa_base::Result;

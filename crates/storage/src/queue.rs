@@ -1,44 +1,65 @@
-//! Durable per-subscriber queues: append-only segments with TTL-bound
+//! Durable delivery journals: one append-only segmented log holding any
+//! number of per-subscriber streams, group-committed, with TTL-bound
 //! retention and a crash-safe compaction pass.
 //!
 //! The store-and-forward relay (see `aaa-mom`) journals every publication
 //! destined for a subscriber *before* attempting delivery, so a subscriber
 //! that is disconnected — or a relay that crashes mid-fan-out — never
-//! loses a message or the causal stamp that orders it. Each subscriber
-//! gets one [`SegmentQueue`]:
+//! loses a message or the causal stamp that orders it. A relay owns one
+//! [`Journal`]; every record carries a **stream key** (the relay packs the
+//! subscriber's `AgentId` into it), so all of its subscriber queues share
+//! one set of segment files and one commit point:
 //!
 //! - **Append-only segments.** Records carry a `u32` little-endian length
 //!   prefix, so a torn final record from a crash mid-append is detected
-//!   and ignored on recovery. Segments roll at a configured record count;
-//!   the highest generation is the active tail.
+//!   and ignored on recovery. The active segment rolls once it holds the
+//!   configured record count; the highest generation is the active tail.
+//! - **Group commit.** [`Journal::enqueue`] and [`Journal::ack_up_to`]
+//!   change the in-memory stream and buffer their record; nothing is
+//!   durable until [`Journal::sync`] writes the buffer with one `write`
+//!   and makes it durable with one `fdatasync` (under
+//!   [`SyncPolicy::Always`]). A record counts as committed only once
+//!   `sync` has returned `Ok`, so the owner must sync before anything that
+//!   depends on the record — an ack watermark in another store, a frame on
+//!   the wire — leaves it.
+//! - **Poisoning.** A failed write, sync or compaction leaves the journal
+//!   *poisoned*: every later operation returns [`Error::Storage`] until
+//!   the journal is reopened by recovery. Retrying an `fsync` after a
+//!   failure can report success for data the kernel already dropped, so
+//!   the only honest answer is to stop and recover from what is on disk.
 //! - **Cumulative acks.** Delivery commits by journaling an `AckUpTo`
-//!   record; acknowledged entries stay on disk until compaction reclaims
-//!   them, so recovery replays at-least-once and the receiver's dedup map
-//!   restores exactly-once.
+//!   record for the stream; acknowledged entries stay on disk until
+//!   compaction reclaims them, so recovery replays at-least-once and the
+//!   receiver's dedup map restores exactly-once.
 //! - **TTL retention.** Entries older than `ttl_ticks` are no longer
-//!   offered for delivery and are dropped (and counted) at compaction —
-//!   the bound that keeps a forever-cold subscriber from pinning disk.
-//! - **Crash-safe compaction.** [`SegmentQueue::compact`] rewrites the
-//!   live suffix into a fresh highest-generation segment via
-//!   tmp-write → fsync → rename → directory fsync, then deletes the old
-//!   segments. A crash in any window leaves either the `.tmp` (ignored
-//!   on open) or duplicate records across generations (deduplicated by
-//!   sequence number on open), so recovery always reconstructs the same
-//!   queue.
-//! - **Sync policy.** Under the default [`SyncPolicy::Always`] every
-//!   append is `fdatasync`ed and segment creation/rename is made
-//!   durable with a directory fsync, so the journal survives OS crash
-//!   and power loss — not just a process crash. [`SyncPolicy::OsBuffered`]
-//!   trades that down to process-crash durability for throughput.
+//!   offered for delivery and are acknowledged away (and counted) at
+//!   compaction — the bound that keeps a forever-cold subscriber from
+//!   pinning disk. A stream's ticks never decrease (enqueue clamps them),
+//!   so its expired entries are always a prefix.
+//! - **Crash-safe compaction.** [`Journal::compact`] rewrites every
+//!   stream's live suffix and ack watermark into a fresh highest-generation
+//!   segment via tmp-write → fsync → rename → directory fsync, then
+//!   deletes the old segments. A crash in any window leaves either the
+//!   `.tmp` (ignored on open) or duplicate records across generations
+//!   (deduplicated by sequence number on open), so recovery always
+//!   reconstructs the same streams. [`Journal::compaction_due`] asks for a
+//!   pass only once the dead records outnumber both the live ones and one
+//!   segment, so every rewrite is paid for by at least as many reclaimed
+//!   records.
 //!
-//! The queue is sans-IO-adjacent: it is single-owner (`&mut self`
-//! throughout, no locks) and all durability flows through one internal
-//! `append_record` seed, which the `persist-before-deliver` audit rule
-//! treats as a stable-store write.
+//! [`SegmentQueue`] is the single-stream face of the same code: stream 0,
+//! committed after every operation. Segments written by the earlier
+//! one-directory-per-subscriber layout (tags 1 and 2, no stream key) open
+//! as stream 0.
+//!
+//! The journal is single-owner (`&mut self` throughout, no locks).
+//! [`Journal::sync`] is the commit point; the `persist-before-deliver`
+//! audit rule requires every relay `ack_up_to` to be dominated by the
+//! server's call of it.
 
-use std::collections::BTreeMap;
+use std::collections::{vec_deque, BTreeMap, VecDeque};
 use std::fs;
-use std::io::Write;
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use aaa_base::{Error, Result};
@@ -50,22 +71,26 @@ fn storage_err(context: &str, e: std::io::Error) -> Error {
 }
 
 /// Record tags on disk. `Enqueue` carries a full entry; `AckUpTo` commits
-/// cumulative delivery.
+/// cumulative delivery. Tags 1 and 2 are the stream-less records of the
+/// per-subscriber layout, read as stream 0 and never written again; 3 and
+/// 4 are the same records behind a `u64` stream key.
 const TAG_ENQUEUE: u8 = 1;
 const TAG_ACK_UP_TO: u8 = 2;
+const TAG_STREAM_ENQUEUE: u8 = 3;
+const TAG_STREAM_ACK_UP_TO: u8 = 4;
 
 /// Shape of one segment file name: `seg-NNNNNN.q`.
 const SEG_PREFIX: &str = "seg-";
 const SEG_SUFFIX: &str = ".q";
 
-/// How aggressively queue writes are pushed to stable storage.
+/// How aggressively journal writes are pushed to stable storage.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SyncPolicy {
-    /// `fdatasync` every appended record and fsync the queue directory
-    /// around segment creation and the compaction rename: journaled
-    /// entries survive an OS crash or power loss, not just a process
-    /// crash. The default — the relay's journal-before-deliver guarantee
-    /// is only as strong as the journal.
+    /// `fdatasync` the journal at every commit point and fsync its
+    /// directory around segment creation and the compaction rename:
+    /// committed entries survive an OS crash or power loss, not just a
+    /// process crash. The default — the relay's journal-before-deliver
+    /// guarantee is only as strong as the journal.
     #[default]
     Always,
     /// Leave writes in the OS page cache (no `fsync`). Entries survive a
@@ -75,15 +100,17 @@ pub enum SyncPolicy {
     OsBuffered,
 }
 
-/// Retention and sizing policy of a [`SegmentQueue`].
+/// Retention and sizing policy of a [`Journal`] (applied per stream) or a
+/// [`SegmentQueue`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueueConfig {
-    /// Maximum unacknowledged entries held; `enqueue` beyond this returns
-    /// [`Error::Backpressure`] instead of growing without bound.
+    /// Maximum unacknowledged entries held per stream; `enqueue` beyond
+    /// this returns [`Error::Backpressure`] instead of growing without
+    /// bound.
     pub max_depth: usize,
     /// Entries enqueued more than this many ticks ago are expired: no
-    /// longer offered by [`SegmentQueue::pending`], reclaimed (and
-    /// counted) by [`SegmentQueue::compact`]. `None` retains forever.
+    /// longer offered by `pending`, acknowledged away (and counted) by
+    /// `compact`. `None` retains forever.
     pub ttl_ticks: Option<u64>,
     /// Records per segment before the active segment rolls.
     pub segment_max_records: usize,
@@ -105,7 +132,7 @@ impl Default for QueueConfig {
 /// One journaled publication awaiting acknowledged delivery.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueueEntry {
-    /// Per-queue sequence number (1-based, dense).
+    /// Per-stream sequence number (1-based, dense).
     pub seq: u64,
     /// Enqueue time in the owner's tick domain (TTL reference).
     pub tick: u64,
@@ -116,23 +143,7 @@ pub struct QueueEntry {
     pub payload: Vec<u8>,
 }
 
-impl QueueEntry {
-    fn encoded(&self) -> Vec<u8> {
-        let mut rec = Vec::with_capacity(1 + 8 + 8 + 4 + self.stamp.len() + 4 + self.payload.len());
-        rec.push(TAG_ENQUEUE);
-        rec.extend_from_slice(&self.seq.to_le_bytes());
-        rec.extend_from_slice(&self.tick.to_le_bytes());
-        let stamp_len = u32::try_from(self.stamp.len()).unwrap_or(u32::MAX);
-        rec.extend_from_slice(&stamp_len.to_le_bytes());
-        rec.extend_from_slice(&self.stamp);
-        let payload_len = u32::try_from(self.payload.len()).unwrap_or(u32::MAX);
-        rec.extend_from_slice(&payload_len.to_le_bytes());
-        rec.extend_from_slice(&self.payload);
-        rec
-    }
-}
-
-/// What one [`SegmentQueue::compact`] pass reclaimed.
+/// What one compaction pass reclaimed.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CompactionReport {
     /// Old segment files deleted (the rewritten generation excluded).
@@ -145,7 +156,46 @@ pub struct CompactionReport {
     pub bytes_reclaimed: u64,
 }
 
-/// The file-backed half of a queue: the directory, the active tail file
+/// Bytes of one stream-keyed `AckUpTo` record, length prefix excluded.
+const ACK_RECORD_LEN: usize = 1 + 8 + 8;
+
+/// Bytes of one stream-keyed entry record, length prefix excluded.
+fn enqueue_record_len(e: &QueueEntry) -> usize {
+    1 + 8 + 8 + 8 + 4 + e.stamp.len() + 4 + e.payload.len()
+}
+
+/// Appends one stream-keyed entry record, length prefix included, to
+/// `out`.
+fn push_enqueue(out: &mut Vec<u8>, stream: u64, e: &QueueEntry) {
+    let len = enqueue_record_len(e);
+    out.reserve(4 + len);
+    out.extend_from_slice(&u32::try_from(len).unwrap_or(u32::MAX).to_le_bytes());
+    out.push(TAG_STREAM_ENQUEUE);
+    out.extend_from_slice(&stream.to_le_bytes());
+    out.extend_from_slice(&e.seq.to_le_bytes());
+    out.extend_from_slice(&e.tick.to_le_bytes());
+    let stamp_len = u32::try_from(e.stamp.len()).unwrap_or(u32::MAX);
+    out.extend_from_slice(&stamp_len.to_le_bytes());
+    out.extend_from_slice(&e.stamp);
+    let payload_len = u32::try_from(e.payload.len()).unwrap_or(u32::MAX);
+    out.extend_from_slice(&payload_len.to_le_bytes());
+    out.extend_from_slice(&e.payload);
+}
+
+/// Appends one stream-keyed cumulative-ack record, length prefix
+/// included, to `out`.
+fn push_ack(out: &mut Vec<u8>, stream: u64, upto: u64) {
+    out.extend_from_slice(
+        &u32::try_from(ACK_RECORD_LEN)
+            .unwrap_or(u32::MAX)
+            .to_le_bytes(),
+    );
+    out.push(TAG_STREAM_ACK_UP_TO);
+    out.extend_from_slice(&stream.to_le_bytes());
+    out.extend_from_slice(&upto.to_le_bytes());
+}
+
+/// The file-backed half of a journal: the directory, the active tail file
 /// and its record count.
 #[derive(Debug)]
 struct DirBackend {
@@ -170,19 +220,20 @@ impl DirBackend {
 
     /// Makes directory metadata (a created segment or a compaction
     /// rename) durable. Only called under [`SyncPolicy::Always`].
-    fn sync_dir(dir: &Path) -> Result<()> {
+    fn sync_dir(dir: &Path, stats: &StorageStats) -> Result<()> {
+        stats.record_sync();
         fs::File::open(dir)
             .and_then(|d| d.sync_all())
-            .map_err(|e| storage_err("sync queue dir", e))
+            .map_err(|e| storage_err("sync journal dir", e))
     }
 
     /// Lists committed segment generations in ascending order. `.tmp`
     /// files (a compaction that crashed before its rename) are ignored.
     fn list_gens(dir: &Path) -> Result<Vec<u64>> {
         let mut gens = Vec::new();
-        let entries = fs::read_dir(dir).map_err(|e| storage_err("list queue dir", e))?;
+        let entries = fs::read_dir(dir).map_err(|e| storage_err("list journal dir", e))?;
         for entry in entries {
-            let entry = entry.map_err(|e| storage_err("read queue dir entry", e))?;
+            let entry = entry.map_err(|e| storage_err("read journal dir entry", e))?;
             let name = entry.file_name();
             let name = name.to_string_lossy();
             let Some(rest) = name.strip_prefix(SEG_PREFIX) else {
@@ -198,61 +249,229 @@ impl DirBackend {
         gens.sort_unstable();
         Ok(gens)
     }
+
+    /// Writes `bytes` (whole records) to the active segment with one
+    /// `write` and, under [`SyncPolicy::Always`], one `fdatasync`. The
+    /// segment rolls first if it already holds its record quota, so a
+    /// segment may exceed the quota by what one commit carries.
+    fn append(&mut self, bytes: &[u8], cfg: &QueueConfig, stats: &StorageStats) -> Result<()> {
+        if self.active_records >= cfg.segment_max_records {
+            let next_gen = self.active_gen.saturating_add(1);
+            self.active = Self::open_active(&self.dir, next_gen)?;
+            if cfg.sync == SyncPolicy::Always {
+                // The rolled segment's directory entry must be durable
+                // before records synced into it can count as durable.
+                Self::sync_dir(&self.dir, stats)?;
+            }
+            self.active_gen = next_gen;
+            self.active_records = 0;
+        }
+        self.active
+            .write_all(bytes)
+            .map_err(|e| storage_err("append journal records", e))?;
+        if cfg.sync == SyncPolicy::Always {
+            stats.record_sync();
+            self.active
+                .sync_data()
+                .map_err(|e| storage_err("sync journal segment", e))?;
+        }
+        Ok(())
+    }
+
+    /// Writes every stream's unacknowledged entries and ack watermark into
+    /// a fresh highest generation and deletes the generations it
+    /// supersedes. Returns `(segments_removed, bytes_reclaimed)`.
+    fn rewrite(
+        &mut self,
+        streams: &BTreeMap<u64, Stream>,
+        cfg: &QueueConfig,
+        stats: &StorageStats,
+    ) -> Result<(usize, u64)> {
+        let old_gens = Self::list_gens(&self.dir)?;
+        let old_bytes: u64 = old_gens
+            .iter()
+            .map(|&g| {
+                fs::metadata(Self::seg_path(&self.dir, g))
+                    .map(|m| m.len())
+                    .unwrap_or(0)
+            })
+            .sum();
+        let new_gen = self.active_gen.saturating_add(1);
+        let final_path = Self::seg_path(&self.dir, new_gen);
+        let tmp_path = self.dir.join(format!(".compact-{new_gen:06}.tmp"));
+        let mut live_records = 0usize;
+        let mut written = 0u64;
+        {
+            let tmp =
+                fs::File::create(&tmp_path).map_err(|e| storage_err("create compaction tmp", e))?;
+            let mut w = BufWriter::new(tmp);
+            let mut rec = Vec::new();
+            for (&key, stream) in streams {
+                for entry in &stream.entries {
+                    push_enqueue(&mut rec, key, entry);
+                    live_records += 1;
+                }
+                if stream.acked > 0 {
+                    push_ack(&mut rec, key, stream.acked);
+                    live_records += 1;
+                }
+                written += rec.len() as u64;
+                w.write_all(&rec)
+                    .map_err(|e| storage_err("write compaction records", e))?;
+                rec.clear();
+            }
+            let tmp = w
+                .into_inner()
+                .map_err(|e| storage_err("flush compaction", e.into_error()))?;
+            if cfg.sync == SyncPolicy::Always {
+                // The tmp's contents must hit stable storage before the
+                // rename publishes it, or power loss could leave a
+                // committed-looking segment full of garbage.
+                stats.record_sync();
+                tmp.sync_all()
+                    .map_err(|e| storage_err("sync compaction", e))?;
+            }
+        }
+        stats.record_write(written);
+        fs::rename(&tmp_path, &final_path).map_err(|e| storage_err("commit compaction", e))?;
+        if cfg.sync == SyncPolicy::Always {
+            // Make the rename itself durable before deleting the old
+            // segments it supersedes.
+            Self::sync_dir(&self.dir, stats)?;
+        }
+        // The compacted generation is durable; everything older is now
+        // redundant (recovery dedups by seq if this loop is interrupted).
+        let mut segments_removed = 0usize;
+        for &gen in &old_gens {
+            if gen == new_gen {
+                continue;
+            }
+            fs::remove_file(Self::seg_path(&self.dir, gen))
+                .map_err(|e| storage_err("remove stale segment", e))?;
+            segments_removed += 1;
+        }
+        self.active = Self::open_active(&self.dir, new_gen)?;
+        self.active_gen = new_gen;
+        self.active_records = live_records;
+        let new_bytes = fs::metadata(&final_path).map(|m| m.len()).unwrap_or(0);
+        Ok((segments_removed, old_bytes.saturating_sub(new_bytes)))
+    }
 }
 
-/// A durable, bounded, TTL-retained delivery queue for one subscriber.
-///
-/// Invariants: `entries` holds exactly the unacknowledged entries (acked
-/// ones are removed in memory, reclaimed on disk at compaction);
-/// sequence numbers are dense and 1-based; `acked` only grows.
+/// The in-memory state of one stream.
 #[derive(Debug)]
-pub struct SegmentQueue {
-    cfg: QueueConfig,
-    backend: Option<DirBackend>,
-    entries: BTreeMap<u64, QueueEntry>,
+struct Stream {
+    /// Unacknowledged entries in sequence order. Ticks never decrease
+    /// along it, so the TTL-expired entries are always a prefix.
+    entries: VecDeque<QueueEntry>,
     next_seq: u64,
     acked: u64,
+}
+
+impl Stream {
+    fn new() -> Stream {
+        Stream {
+            entries: VecDeque::new(),
+            next_seq: 1,
+            acked: 0,
+        }
+    }
+
+    /// How many entries at the head are past `ttl` at `now_tick`.
+    fn expired_len(&self, ttl: Option<u64>, now_tick: u64) -> usize {
+        match ttl {
+            Some(ttl) => self
+                .entries
+                .partition_point(|e| now_tick.saturating_sub(e.tick) > ttl),
+            None => 0,
+        }
+    }
+}
+
+/// An empty stream's entries, for lookups of streams never written.
+static NO_ENTRIES: VecDeque<QueueEntry> = VecDeque::new();
+
+/// A durable, bounded, TTL-retained journal of any number of delivery
+/// streams, committed by [`Journal::sync`].
+///
+/// Invariants, per stream: `entries` holds exactly the unacknowledged
+/// entries (acked ones are removed in memory, reclaimed on disk at
+/// compaction); sequence numbers are dense and 1-based; `acked` only
+/// grows; `next_seq > acked`.
+#[derive(Debug)]
+pub struct Journal {
+    cfg: QueueConfig,
+    backend: Option<DirBackend>,
+    streams: BTreeMap<u64, Stream>,
+    /// Length-prefixed records appended since the last commit (file-backed
+    /// journals only).
+    unwritten: Vec<u8>,
+    unwritten_records: usize,
+    /// Records in the journal, live or dead: on disk plus `unwritten`.
+    records: u64,
+    /// Unacknowledged entries across all streams.
+    depth: u64,
+    /// Streams with a non-zero ack watermark, each of which keeps one
+    /// `AckUpTo` record through compaction.
+    acked_streams: u64,
     /// Torn or malformed records found in a *non-final* generation at
     /// recovery. A tear in the final segment is the expected signature
     /// of a crash mid-append; one anywhere else truncated records that
     /// later generations may not re-cover, so it is surfaced instead of
     /// silently swallowed.
     recovery_anomalies: u64,
+    /// Set by a failed write, sync or compaction; see the module docs.
+    poisoned: bool,
     stats: StorageStats,
+    /// Fails the next file write, for the poisoning tests.
+    #[cfg(test)]
+    fail_next_write: bool,
 }
 
-impl SegmentQueue {
-    /// A volatile queue (tests, simulator, relays that accept replay
-    /// loss): same API and bookkeeping, no files.
-    pub fn in_memory(cfg: QueueConfig) -> SegmentQueue {
-        SegmentQueue {
+impl Journal {
+    fn with_backend(cfg: QueueConfig, backend: Option<DirBackend>) -> Journal {
+        Journal {
             cfg,
-            backend: None,
-            entries: BTreeMap::new(),
-            next_seq: 1,
-            acked: 0,
+            backend,
+            streams: BTreeMap::new(),
+            unwritten: Vec::new(),
+            unwritten_records: 0,
+            records: 0,
+            depth: 0,
+            acked_streams: 0,
             recovery_anomalies: 0,
+            poisoned: false,
             stats: StorageStats::new(),
+            #[cfg(test)]
+            fail_next_write: false,
         }
     }
 
-    /// Opens (creating if needed) a durable queue rooted at `dir`,
-    /// recovering state from the committed segments: records are replayed
-    /// in generation order, deduplicated by sequence number, and the
-    /// highest journaled ack wins. A torn final record in any segment is
-    /// ignored, and `.tmp` files from a crashed compaction are removed.
+    /// A volatile journal (tests, simulator, relays that accept replay
+    /// loss): same API and bookkeeping, no files.
+    pub fn in_memory(cfg: QueueConfig) -> Journal {
+        Journal::with_backend(cfg, None)
+    }
+
+    /// Opens (creating if needed) a durable journal rooted at `dir`,
+    /// recovering every stream from the committed segments: records are
+    /// replayed in generation order, deduplicated per stream by sequence
+    /// number, and the highest journaled ack wins. A torn final record in
+    /// any segment is ignored, and `.tmp` files from a crashed compaction
+    /// are removed. This is the only recovery path; [`SegmentQueue::open`]
+    /// uses it too.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Storage`] if the directory or a segment cannot be
     /// read.
-    pub fn open(dir: impl AsRef<Path>, cfg: QueueConfig) -> Result<SegmentQueue> {
+    pub fn open(dir: impl AsRef<Path>, cfg: QueueConfig) -> Result<Journal> {
         let dir = dir.as_ref().to_path_buf();
-        fs::create_dir_all(&dir).map_err(|e| storage_err("create queue dir", e))?;
+        fs::create_dir_all(&dir).map_err(|e| storage_err("create journal dir", e))?;
         let gens = DirBackend::list_gens(&dir)?;
-        let mut entries: BTreeMap<u64, QueueEntry> = BTreeMap::new();
-        let mut acked = 0u64;
-        let mut next_seq = 1u64;
+        // Per stream: every entry seen (by seq) and the highest ack.
+        let mut replay: BTreeMap<u64, (BTreeMap<u64, QueueEntry>, u64)> = BTreeMap::new();
+        let mut records = 0u64;
         let mut bytes_read = 0u64;
         let mut active_records = 0usize;
         let mut tail_torn = false;
@@ -261,12 +480,12 @@ impl SegmentQueue {
             let buf = fs::read(DirBackend::seg_path(&dir, gen))
                 .map_err(|e| storage_err("read segment", e))?;
             bytes_read += buf.len() as u64;
-            let (records, consumed) = parse_records(&buf);
+            let (parsed, consumed) = parse_records(&buf);
             let torn = consumed < buf.len();
             if idx + 1 == gens.len() {
                 // A tear in the highest generation is the expected
                 // crash-mid-append signature; the tail rolls past it.
-                active_records = records.len();
+                active_records = parsed.len();
                 tail_torn = torn;
             } else if torn {
                 // A tear in the *middle* of the generation chain
@@ -275,27 +494,58 @@ impl SegmentQueue {
                 // must be able to see, not a normal crash signature.
                 recovery_anomalies += 1;
             }
-            for rec in records {
+            records += parsed.len() as u64;
+            for rec in parsed {
                 match rec {
-                    ParsedRecord::Enqueue(entry) => {
-                        next_seq = next_seq.max(entry.seq.saturating_add(1));
+                    Record::Enqueue(key, entry) => {
                         // Duplicates across generations (compaction crash
                         // window) collapse here; last copy wins but they
                         // are byte-identical by construction.
-                        entries.insert(entry.seq, entry);
+                        replay.entry(key).or_default().0.insert(entry.seq, entry);
                     }
-                    ParsedRecord::AckUpTo(upto) => acked = acked.max(upto),
+                    Record::AckUpTo(key, upto) => {
+                        let acked = &mut replay.entry(key).or_default().1;
+                        *acked = (*acked).max(upto);
+                    }
                 }
             }
         }
-        entries.retain(|&seq, _| seq > acked);
-        // A fully-acked, fully-compacted queue leaves only an `AckUpTo`
-        // record behind: without this clamp `next_seq` would reset to 1
-        // while `acked` stays high, and every new enqueue would land at
-        // a sequence the ack watermark already covers — skipped by the
-        // relay's dispatch and dropped by the retain above on the next
-        // reopen, i.e. silent message loss.
-        next_seq = next_seq.max(acked.saturating_add(1));
+        let mut journal = Journal::with_backend(cfg, None);
+        journal.records = records;
+        journal.recovery_anomalies = recovery_anomalies;
+        for (key, (seen, acked)) in replay {
+            // A fully-acked, fully-compacted stream leaves only an
+            // `AckUpTo` record behind: without the clamp to `acked + 1`
+            // `next_seq` would reset to 1 while `acked` stays high, and
+            // every new enqueue would land at a sequence the watermark
+            // already covers — skipped by the relay's dispatch and dropped
+            // on the next reopen, i.e. silent message loss.
+            let next_seq = seen
+                .keys()
+                .next_back()
+                .map_or(1, |s| s.saturating_add(1))
+                .max(acked.saturating_add(1));
+            let mut tick = 0;
+            let entries: VecDeque<QueueEntry> = seen
+                .into_values()
+                .filter(|e| e.seq > acked)
+                .map(|mut e| {
+                    tick = tick.max(e.tick);
+                    e.tick = tick;
+                    e
+                })
+                .collect();
+            journal.depth += entries.len() as u64;
+            journal.acked_streams += u64::from(acked > 0);
+            journal.streams.insert(
+                key,
+                Stream {
+                    entries,
+                    next_seq,
+                    acked,
+                },
+            );
+        }
         // Clear crashed-compaction leftovers so they cannot shadow a
         // future generation of the same number.
         if let Ok(listing) = fs::read_dir(&dir) {
@@ -320,50 +570,39 @@ impl SegmentQueue {
             // The active segment's directory entry (freshly created on a
             // first open or a roll past a torn tail) must survive power
             // loss, or the records synced into it are lost with it.
-            DirBackend::sync_dir(&dir)?;
+            DirBackend::sync_dir(&dir, &journal.stats)?;
         }
-        let stats = StorageStats::new();
-        stats.record_read(bytes_read);
-        Ok(SegmentQueue {
-            cfg,
-            backend: Some(DirBackend {
-                dir,
-                active_gen,
-                active,
-                active_records,
-            }),
-            entries,
-            next_seq,
-            acked,
-            recovery_anomalies,
-            stats,
-        })
+        journal.stats.record_read(bytes_read);
+        journal.backend = Some(DirBackend {
+            dir,
+            active_gen,
+            active,
+            active_records,
+        });
+        Ok(journal)
     }
 
-    /// The retention policy in force.
-    pub fn config(&self) -> QueueConfig {
-        self.cfg
-    }
-
-    /// Unacknowledged entries currently held (expired ones included until
+    /// Unacknowledged entries of `stream` (expired ones included until
     /// compaction reclaims them).
-    pub fn depth(&self) -> usize {
-        self.entries.len()
+    pub fn depth(&self, stream: u64) -> usize {
+        self.streams.get(&stream).map_or(0, |s| s.entries.len())
     }
 
-    /// Highest cumulatively acknowledged sequence number (0 = none).
-    pub fn acked(&self) -> u64 {
-        self.acked
+    /// Highest cumulatively acknowledged sequence number of `stream`
+    /// (0 = none).
+    pub fn acked(&self, stream: u64) -> u64 {
+        self.streams.get(&stream).map_or(0, |s| s.acked)
     }
 
-    /// The sequence number the next [`SegmentQueue::enqueue`] will assign.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
+    /// The sequence number the next [`Journal::enqueue`] to `stream` will
+    /// assign.
+    pub fn next_seq(&self, stream: u64) -> u64 {
+        self.streams.get(&stream).map_or(1, |s| s.next_seq)
     }
 
-    /// Committed segment files on disk (1 for an in-memory queue's
+    /// Committed segment files on disk (1 for an in-memory journal's
     /// logical tail).
-    pub fn segment_count(&self) -> usize {
+    fn segment_count(&self) -> usize {
         match &self.backend {
             Some(b) => DirBackend::list_gens(&b.dir).map(|g| g.len()).unwrap_or(1),
             None => 1,
@@ -371,62 +610,352 @@ impl SegmentQueue {
     }
 
     /// Torn or malformed records detected in a non-final generation at
-    /// the last [`SegmentQueue::open`] (0 for clean recoveries and
-    /// in-memory queues). A non-zero value means a middle segment lost
-    /// its suffix — acknowledged state or entries may have been dropped,
-    /// so callers should surface it rather than trust the queue blindly.
+    /// the last [`Journal::open`] (0 for clean recoveries and in-memory
+    /// journals). A non-zero value means a middle segment lost its suffix
+    /// — acknowledged state or entries may have been dropped, so callers
+    /// should surface it rather than trust the journal blindly.
     pub fn recovery_anomalies(&self) -> u64 {
         self.recovery_anomalies
     }
 
-    /// Storage traffic accounting.
+    /// Storage traffic accounting: one write per record appended, one
+    /// sync per durability barrier.
     pub fn stats(&self) -> &StorageStats {
         &self.stats
     }
 
-    /// `true` if `entry` is past its TTL at `now_tick`.
-    fn is_expired(&self, entry: &QueueEntry, now_tick: u64) -> bool {
-        match self.cfg.ttl_ticks {
-            Some(ttl) => now_tick.saturating_sub(entry.tick) > ttl,
-            None => false,
+    fn check_usable(&self) -> Result<()> {
+        if !self.poisoned {
+            return Ok(());
+        }
+        let dir = self
+            .backend
+            .as_ref()
+            .map_or_else(|| "in-memory".to_owned(), |b| b.dir.display().to_string());
+        Err(Error::Storage(format!(
+            "journal {dir} is poisoned by an earlier write or sync failure; \
+             reopen it to recover from what is on disk"
+        )))
+    }
+
+    /// Accounts one appended record of `len` bytes (prefix excluded) and,
+    /// for a file-backed journal, buffers it for the next commit.
+    fn append(&mut self, len: usize, encode: impl FnOnce(&mut Vec<u8>)) {
+        if self.backend.is_some() {
+            encode(&mut self.unwritten);
+            self.unwritten_records += 1;
+        }
+        self.stats.record_write(4 + len as u64);
+        self.records += 1;
+    }
+
+    /// Journals one publication on `stream`, assigning and returning its
+    /// sequence number. The entry is visible at once but durable only
+    /// after the next [`Journal::sync`]. Its tick is raised to the
+    /// stream's latest if it is older, so expiry stays a prefix; that can
+    /// only keep an entry longer, never expire it early.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Backpressure`] when the stream already holds
+    /// `max_depth` unacknowledged entries — the caller drops (and counts)
+    /// rather than growing without bound — or [`Error::Storage`] if the
+    /// journal is poisoned.
+    pub fn enqueue(
+        &mut self,
+        stream: u64,
+        tick: u64,
+        stamp: Vec<u8>,
+        payload: Vec<u8>,
+    ) -> Result<u64> {
+        self.check_usable()?;
+        let s = self.streams.entry(stream).or_insert_with(Stream::new);
+        if s.entries.len() >= self.cfg.max_depth {
+            return Err(Error::Backpressure);
+        }
+        let entry = QueueEntry {
+            seq: s.next_seq,
+            tick: s.entries.back().map_or(tick, |last| tick.max(last.tick)),
+            stamp,
+            payload,
+        };
+        s.next_seq = s.next_seq.saturating_add(1);
+        let seq = entry.seq;
+        self.append(enqueue_record_len(&entry), |out| {
+            push_enqueue(out, stream, &entry);
+        });
+        if let Some(s) = self.streams.get_mut(&stream) {
+            s.entries.push_back(entry);
+        }
+        self.depth += 1;
+        Ok(seq)
+    }
+
+    /// Commits cumulative delivery on `stream` up to and including
+    /// `upto`: journals the ack (durable at the next [`Journal::sync`]),
+    /// then releases the covered entries and returns how many. Idempotent
+    /// — a stale or duplicate ack is a no-op that journals nothing.
+    ///
+    /// `upto` is clamped to the highest sequence number the stream has
+    /// assigned: acks arrive from remote receivers, and a corrupt or
+    /// malicious ack beyond the assigned range must not journal a bogus
+    /// watermark that would swallow entries enqueued later (and, via the
+    /// recovery path, wedge the stream permanently).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Storage`] if the journal is poisoned.
+    pub fn ack_up_to(&mut self, stream: u64, upto: u64) -> Result<u64> {
+        self.check_usable()?;
+        let Some(s) = self.streams.get(&stream) else {
+            return Ok(0);
+        };
+        let upto = upto.min(s.next_seq.saturating_sub(1));
+        if upto <= s.acked {
+            return Ok(0);
+        }
+        let first_ack = s.acked == 0;
+        self.append(ACK_RECORD_LEN, |out| push_ack(out, stream, upto));
+        self.acked_streams += u64::from(first_ack);
+        let Some(s) = self.streams.get_mut(&stream) else {
+            return Ok(0);
+        };
+        s.acked = upto;
+        let released = s.entries.partition_point(|e| e.seq <= upto);
+        s.entries.drain(..released);
+        self.depth -= released as u64;
+        Ok(released as u64)
+    }
+
+    /// Unacknowledged, unexpired entries of `stream` with a sequence
+    /// number above `after_seq`, in sequence order — the relay's dispatch
+    /// source (`after_seq` = what is already in flight). Found with two
+    /// binary searches, so its `len()` is the undispatched backlog in
+    /// O(log depth).
+    pub fn pending_after(
+        &self,
+        stream: u64,
+        now_tick: u64,
+        after_seq: u64,
+    ) -> vec_deque::Iter<'_, QueueEntry> {
+        let Some(s) = self.streams.get(&stream) else {
+            return NO_ENTRIES.iter();
+        };
+        let live = s.expired_len(self.cfg.ttl_ticks, now_tick);
+        let undispatched = s.entries.partition_point(|e| e.seq <= after_seq);
+        s.entries.range(live.max(undispatched)..)
+    }
+
+    /// The highest sequence number `s` such that *every* unacknowledged
+    /// entry of `stream` in `acked+1 ..= s` is TTL-expired at `now_tick`
+    /// (0 when the head of the stream is still live). The relay acks this
+    /// prefix away so TTL-dropped entries cannot wedge the redelivery
+    /// window.
+    pub fn expired_prefix(&self, stream: u64, now_tick: u64) -> u64 {
+        let Some(s) = self.streams.get(&stream) else {
+            return 0;
+        };
+        let expired = s.expired_len(self.cfg.ttl_ticks, now_tick);
+        let mut upto = s.acked;
+        for entry in s.entries.range(..expired) {
+            if entry.seq != upto + 1 {
+                break;
+            }
+            upto = entry.seq;
+        }
+        if upto > s.acked {
+            upto
+        } else {
+            0
         }
     }
 
-    /// The durability seed: every state change that must survive a crash
-    /// flows through this single append (length-prefixed, then
-    /// `fdatasync`ed under [`SyncPolicy::Always`]). The in-memory backend
-    /// accounts the bytes and returns.
-    fn append_record(&mut self, record: &[u8]) -> Result<()> {
-        self.stats.record_write(record.len() as u64 + 4);
-        let sync = self.cfg.sync;
+    /// Unacknowledged entries of `stream` past their TTL at `now_tick`.
+    fn expired(&self, stream: u64, now_tick: u64) -> u64 {
+        self.streams
+            .get(&stream)
+            .map_or(0, |s| s.expired_len(self.cfg.ttl_ticks, now_tick) as u64)
+    }
+
+    /// The commit point: writes every record appended since the last
+    /// commit with one `write` and, under [`SyncPolicy::Always`], makes
+    /// it durable with one `fdatasync`. Does nothing when the journal is
+    /// clean. After it returns `Ok`, everything enqueued or acknowledged
+    /// so far survives a crash (power loss too, under `Always`).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Storage`] if the write or sync fails — which
+    /// poisons the journal — or if it is already poisoned.
+    pub fn sync(&mut self) -> Result<()> {
+        self.check_usable()?;
+        if self.unwritten.is_empty() {
+            return Ok(());
+        }
         let Some(backend) = &mut self.backend else {
             return Ok(());
         };
-        if backend.active_records >= self.cfg.segment_max_records {
-            let next_gen = backend.active_gen.saturating_add(1);
-            backend.active = DirBackend::open_active(&backend.dir, next_gen)?;
-            if sync == SyncPolicy::Always {
-                // The rolled segment's directory entry must be durable
-                // before records synced into it can count as durable.
-                DirBackend::sync_dir(&backend.dir)?;
-            }
-            backend.active_gen = next_gen;
-            backend.active_records = 0;
+        #[cfg(test)]
+        if std::mem::take(&mut self.fail_next_write) {
+            self.poisoned = true;
+            return Err(Error::Storage("injected write failure".into()));
         }
-        let len = u32::try_from(record.len())
-            .unwrap_or(u32::MAX)
-            .to_le_bytes();
-        backend
-            .active
-            .write_all(&len)
-            .and_then(|()| backend.active.write_all(record))
-            .and_then(|()| match sync {
-                SyncPolicy::Always => backend.active.sync_data(),
-                SyncPolicy::OsBuffered => backend.active.flush(),
-            })
-            .map_err(|e| storage_err("append queue record", e))?;
-        backend.active_records += 1;
-        Ok(())
+        match backend.append(&self.unwritten, &self.cfg, &self.stats) {
+            Ok(()) => {
+                backend.active_records += self.unwritten_records;
+                self.unwritten.clear();
+                self.unwritten_records = 0;
+                Ok(())
+            }
+            Err(e) => {
+                self.poisoned = true;
+                Err(e)
+            }
+        }
+    }
+
+    /// `true` once the dead records (acknowledged entries, superseded
+    /// acks) are at least `max(live, segment_max_records)`, where live is
+    /// what a compaction would write back: every unacknowledged entry plus
+    /// one ack watermark per acknowledged stream. A pass then reclaims at
+    /// least as many records as it rewrites, so its cost is amortised over
+    /// the appends that created the garbage, and a cold stream's backlog
+    /// is not rewritten every time warm streams ack.
+    pub fn compaction_due(&self) -> bool {
+        let live = self.depth + self.acked_streams;
+        let dead = self.records.saturating_sub(live);
+        dead >= live.max(self.cfg.segment_max_records as u64)
+    }
+
+    /// Rewrites every stream's live (unacked, unexpired) entries and ack
+    /// watermark into a fresh highest-generation segment and deletes the
+    /// old ones, reclaiming acknowledged and TTL-expired records. Expired
+    /// entries — a prefix of each stream — are acknowledged away first, so
+    /// the stream's watermark and sequence survive the rewrite. Records
+    /// not yet committed are part of the rewrite, so a successful pass
+    /// also commits them.
+    ///
+    /// Crash-safety: the new segment is written to a `.tmp`, fsynced
+    /// (under [`SyncPolicy::Always`]), renamed into place and the rename
+    /// made durable with a directory fsync before any old segment is
+    /// deleted. A crash before the rename leaves only the ignored `.tmp`;
+    /// a crash after it leaves duplicate records that [`Journal::open`]
+    /// deduplicates by sequence number — every window recovers to the
+    /// same state.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Storage`] on filesystem failure — which poisons
+    /// the journal — or if it is already poisoned.
+    pub fn compact(&mut self, now_tick: u64) -> Result<CompactionReport> {
+        self.check_usable()?;
+        let mut expired_dropped = 0u64;
+        for s in self.streams.values_mut() {
+            let expired = s.expired_len(self.cfg.ttl_ticks, now_tick);
+            let Some(last) = expired.checked_sub(1).and_then(|i| s.entries.get(i)) else {
+                continue;
+            };
+            self.acked_streams += u64::from(s.acked == 0);
+            s.acked = s.acked.max(last.seq);
+            s.entries.drain(..expired);
+            expired_dropped += expired as u64;
+        }
+        self.depth -= expired_dropped;
+        let live = self.depth + self.acked_streams;
+        let mut report = CompactionReport {
+            acked_dropped: self
+                .records
+                .saturating_sub(live)
+                .saturating_sub(expired_dropped),
+            expired_dropped,
+            ..CompactionReport::default()
+        };
+        let Some(backend) = &mut self.backend else {
+            self.records = live;
+            return Ok(report);
+        };
+        match backend.rewrite(&self.streams, &self.cfg, &self.stats) {
+            Ok((segments_removed, bytes_reclaimed)) => {
+                report.segments_removed = segments_removed;
+                report.bytes_reclaimed = bytes_reclaimed;
+                self.records = live;
+                self.unwritten.clear();
+                self.unwritten_records = 0;
+                Ok(report)
+            }
+            Err(e) => {
+                self.poisoned = true;
+                Err(e)
+            }
+        }
+    }
+}
+
+/// A durable, bounded, TTL-retained delivery queue for one subscriber:
+/// stream 0 of a [`Journal`], committed after every operation.
+#[derive(Debug)]
+pub struct SegmentQueue {
+    journal: Journal,
+}
+
+/// The one stream of a [`SegmentQueue`].
+const STREAM: u64 = 0;
+
+impl SegmentQueue {
+    /// A volatile queue (tests, simulator, relays that accept replay
+    /// loss): same API and bookkeeping, no files.
+    pub fn in_memory(cfg: QueueConfig) -> SegmentQueue {
+        SegmentQueue {
+            journal: Journal::in_memory(cfg),
+        }
+    }
+
+    /// Opens (creating if needed) a durable queue rooted at `dir`,
+    /// recovering it as [`Journal::open`] does.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Storage`] if the directory or a segment cannot be
+    /// read.
+    pub fn open(dir: impl AsRef<Path>, cfg: QueueConfig) -> Result<SegmentQueue> {
+        Journal::open(dir, cfg).map(|journal| SegmentQueue { journal })
+    }
+
+    /// The retention policy in force.
+    pub fn config(&self) -> QueueConfig {
+        self.journal.cfg
+    }
+
+    /// Unacknowledged entries currently held (expired ones included until
+    /// compaction reclaims them).
+    pub fn depth(&self) -> usize {
+        self.journal.depth(STREAM)
+    }
+
+    /// Highest cumulatively acknowledged sequence number (0 = none).
+    pub fn acked(&self) -> u64 {
+        self.journal.acked(STREAM)
+    }
+
+    /// The sequence number the next [`SegmentQueue::enqueue`] will assign.
+    pub fn next_seq(&self) -> u64 {
+        self.journal.next_seq(STREAM)
+    }
+
+    /// Committed segment files on disk (1 for an in-memory queue's
+    /// logical tail).
+    pub fn segment_count(&self) -> usize {
+        self.journal.segment_count()
+    }
+
+    /// See [`Journal::recovery_anomalies`].
+    pub fn recovery_anomalies(&self) -> u64 {
+        self.journal.recovery_anomalies()
+    }
+
+    /// Storage traffic accounting.
+    pub fn stats(&self) -> &StorageStats {
+        self.journal.stats()
     }
 
     /// Journals one publication, assigning and returning its sequence
@@ -436,204 +965,54 @@ impl SegmentQueue {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Backpressure`] when the queue already holds
-    /// `max_depth` unacknowledged entries — the caller drops (and counts)
-    /// rather than growing without bound — or [`Error::Storage`] if the
-    /// journal write fails.
+    /// As for [`Journal::enqueue`] and [`Journal::sync`].
     pub fn enqueue(&mut self, tick: u64, stamp: Vec<u8>, payload: Vec<u8>) -> Result<u64> {
-        if self.entries.len() >= self.cfg.max_depth {
-            return Err(Error::Backpressure);
-        }
-        let entry = QueueEntry {
-            seq: self.next_seq,
-            tick,
-            stamp,
-            payload,
-        };
-        self.append_record(&entry.encoded())?;
-        self.next_seq = self.next_seq.saturating_add(1);
-        self.entries.insert(entry.seq, entry);
-        Ok(self.next_seq - 1)
+        let seq = self.journal.enqueue(STREAM, tick, stamp, payload)?;
+        self.journal.sync()?;
+        Ok(seq)
     }
 
-    /// Commits cumulative delivery up to and including `upto`: journals
-    /// the ack, then releases the covered entries. Idempotent — a stale or
-    /// duplicate ack is a no-op that touches no disk.
-    ///
-    /// `upto` is clamped to the highest sequence number this queue has
-    /// assigned: acks arrive from remote receivers, and a corrupt or
-    /// malicious ack beyond the assigned range must not journal a bogus
-    /// watermark that would swallow entries enqueued later (and, via the
-    /// recovery path, wedge the queue permanently).
+    /// Commits cumulative delivery up to and including `upto`, durably,
+    /// as [`Journal::ack_up_to`] followed by a commit.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Storage`] if the journal write fails.
+    /// As for [`Journal::ack_up_to`] and [`Journal::sync`].
     pub fn ack_up_to(&mut self, upto: u64) -> Result<u64> {
-        let upto = upto.min(self.next_seq.saturating_sub(1));
-        if upto <= self.acked {
-            return Ok(0);
-        }
-        let mut rec = Vec::with_capacity(9);
-        rec.push(TAG_ACK_UP_TO);
-        rec.extend_from_slice(&upto.to_le_bytes());
-        self.append_record(&rec)?;
-        self.acked = upto;
-        let before = self.entries.len();
-        self.entries.retain(|&seq, _| seq > upto);
-        Ok((before - self.entries.len()) as u64)
+        let released = self.journal.ack_up_to(STREAM, upto)?;
+        self.journal.sync()?;
+        Ok(released)
     }
 
     /// Unacknowledged, unexpired entries in sequence order — the relay's
     /// redelivery window source.
     pub fn pending(&self, now_tick: u64) -> impl Iterator<Item = &QueueEntry> {
-        self.entries
-            .values()
-            .filter(move |e| !self.is_expired(e, now_tick))
+        self.journal.pending_after(STREAM, now_tick, 0)
     }
 
-    /// The highest sequence number `s` such that *every* unacknowledged
-    /// entry in `acked+1 ..= s` is TTL-expired at `now_tick` (0 when the
-    /// head of the queue is still live). The relay acks this prefix away
-    /// so TTL-dropped entries cannot wedge the redelivery window.
+    /// See [`Journal::expired_prefix`].
     pub fn expired_prefix(&self, now_tick: u64) -> u64 {
-        let mut upto = self.acked;
-        for entry in self.entries.values() {
-            if entry.seq == upto + 1 && self.is_expired(entry, now_tick) {
-                upto = entry.seq;
-            } else {
-                break;
-            }
-        }
-        if upto > self.acked {
-            upto
-        } else {
-            0
-        }
+        self.journal.expired_prefix(STREAM, now_tick)
     }
 
     /// Unacknowledged entries past their TTL at `now_tick`.
     pub fn expired(&self, now_tick: u64) -> u64 {
-        self.entries
-            .values()
-            .filter(|e| self.is_expired(e, now_tick))
-            .count() as u64
+        self.journal.expired(STREAM, now_tick)
     }
 
-    /// Rewrites the live (unacked, unexpired) suffix into a fresh
-    /// highest-generation segment and deletes the old ones, reclaiming
-    /// acknowledged and TTL-expired records.
-    ///
-    /// Crash-safety: the new segment is written to a `.tmp`, fsynced
-    /// (under [`SyncPolicy::Always`]), renamed into place and the rename
-    /// made durable with a directory fsync before any old segment is
-    /// deleted. A crash before the rename leaves only the ignored
-    /// `.tmp`; a crash after it leaves duplicate records that
-    /// [`SegmentQueue::open`] deduplicates by sequence number — every
-    /// window recovers to the same state.
+    /// Compacts the queue as [`Journal::compact`] does.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Storage`] on filesystem failure.
     pub fn compact(&mut self, now_tick: u64) -> Result<CompactionReport> {
-        // TTL expiry is decided here, in memory first, so the in-memory
-        // and on-disk views agree after the pass.
-        let expired: Vec<u64> = self
-            .entries
-            .values()
-            .filter(|e| self.is_expired(e, now_tick))
-            .map(|e| e.seq)
-            .collect();
-        let expired_dropped = expired.len() as u64;
-        for seq in expired {
-            self.entries.remove(&seq);
-        }
-        let Some(backend) = &mut self.backend else {
-            return Ok(CompactionReport {
-                expired_dropped,
-                ..CompactionReport::default()
-            });
-        };
-        let old_gens = DirBackend::list_gens(&backend.dir)?;
-        let old_bytes: u64 = old_gens
-            .iter()
-            .map(|&g| {
-                fs::metadata(DirBackend::seg_path(&backend.dir, g))
-                    .map(|m| m.len())
-                    .unwrap_or(0)
-            })
-            .sum();
-        let new_gen = backend.active_gen.saturating_add(1);
-        let final_path = DirBackend::seg_path(&backend.dir, new_gen);
-        let tmp_path = backend.dir.join(format!(".compact-{new_gen:06}.tmp"));
-        let mut live_records = 0usize;
-        let mut written = 0u64;
-        {
-            let mut tmp =
-                fs::File::create(&tmp_path).map_err(|e| storage_err("create compaction tmp", e))?;
-            let mut write_rec = |rec: &[u8]| -> Result<()> {
-                let len = u32::try_from(rec.len()).unwrap_or(u32::MAX).to_le_bytes();
-                tmp.write_all(&len)
-                    .and_then(|()| tmp.write_all(rec))
-                    .map_err(|e| storage_err("write compaction record", e))
-            };
-            for entry in self.entries.values() {
-                let rec = entry.encoded();
-                written += rec.len() as u64 + 4;
-                write_rec(&rec)?;
-                live_records += 1;
-            }
-            if self.acked > 0 {
-                let mut rec = Vec::with_capacity(9);
-                rec.push(TAG_ACK_UP_TO);
-                rec.extend_from_slice(&self.acked.to_le_bytes());
-                written += rec.len() as u64 + 4;
-                write_rec(&rec)?;
-                live_records += 1;
-            }
-            match self.cfg.sync {
-                // The tmp's contents must hit stable storage before the
-                // rename publishes it, or power loss could leave a
-                // committed-looking segment full of garbage.
-                SyncPolicy::Always => tmp.sync_all(),
-                SyncPolicy::OsBuffered => tmp.flush(),
-            }
-            .map_err(|e| storage_err("flush compaction", e))?;
-        }
-        self.stats.record_write(written);
-        fs::rename(&tmp_path, &final_path).map_err(|e| storage_err("commit compaction", e))?;
-        if self.cfg.sync == SyncPolicy::Always {
-            // Make the rename itself durable before deleting the old
-            // segments it supersedes.
-            DirBackend::sync_dir(&backend.dir)?;
-        }
-        // The compacted generation is durable; everything older is now
-        // redundant (recovery dedups by seq if this loop is interrupted).
-        let mut segments_removed = 0usize;
-        for &gen in &old_gens {
-            if gen == new_gen {
-                continue;
-            }
-            fs::remove_file(DirBackend::seg_path(&backend.dir, gen))
-                .map_err(|e| storage_err("remove stale segment", e))?;
-            segments_removed += 1;
-        }
-        backend.active = DirBackend::open_active(&backend.dir, new_gen)?;
-        backend.active_gen = new_gen;
-        backend.active_records = live_records;
-        let new_bytes = fs::metadata(&final_path).map(|m| m.len()).unwrap_or(0);
-        Ok(CompactionReport {
-            segments_removed,
-            acked_dropped: 0,
-            expired_dropped,
-            bytes_reclaimed: old_bytes.saturating_sub(new_bytes),
-        })
+        self.journal.compact(now_tick)
     }
 }
 
-enum ParsedRecord {
-    Enqueue(QueueEntry),
-    AckUpTo(u64),
+enum Record {
+    Enqueue(u64, QueueEntry),
+    AckUpTo(u64, u64),
 }
 
 fn le_u32(buf: &[u8], i: usize) -> Option<u32> {
@@ -658,16 +1037,15 @@ fn le_u64(buf: &[u8], i: usize) -> Option<u64> {
 /// recovered prefix, the tail is rejected. Returns the records and the
 /// number of bytes cleanly consumed (short of the buffer length exactly
 /// when the tail was torn).
-fn parse_records(buf: &[u8]) -> (Vec<ParsedRecord>, usize) {
+fn parse_records(buf: &[u8]) -> (Vec<Record>, usize) {
     let mut out = Vec::new();
     let mut i = 0usize;
     while i + 4 <= buf.len() {
         let Some(len) = le_u32(buf, i) else { break };
         let len = len as usize;
-        if i + 4 + len > buf.len() {
+        let Some(rec) = buf.get(i + 4..i + 4 + len) else {
             break; // torn final record
-        }
-        let rec = &buf[i + 4..i + 4 + len];
+        };
         let Some(parsed) = parse_one(rec) else {
             break; // malformed body: treat like a tear, reject the tail
         };
@@ -677,26 +1055,34 @@ fn parse_records(buf: &[u8]) -> (Vec<ParsedRecord>, usize) {
     (out, i)
 }
 
-fn parse_one(rec: &[u8]) -> Option<ParsedRecord> {
+fn parse_one(rec: &[u8]) -> Option<Record> {
     match *rec.first()? {
-        TAG_ENQUEUE => {
-            let seq = le_u64(rec, 1)?;
-            let tick = le_u64(rec, 9)?;
-            let stamp_len = le_u32(rec, 17)? as usize;
-            let stamp = rec.get(21..21 + stamp_len)?.to_vec();
-            let payload_len = le_u32(rec, 21 + stamp_len)? as usize;
-            let start = 25 + stamp_len;
-            let payload = rec.get(start..start + payload_len)?.to_vec();
-            Some(ParsedRecord::Enqueue(QueueEntry {
-                seq,
-                tick,
-                stamp,
-                payload,
-            }))
-        }
-        TAG_ACK_UP_TO => Some(ParsedRecord::AckUpTo(le_u64(rec, 1)?)),
+        TAG_ENQUEUE => Some(Record::Enqueue(STREAM, parse_entry(rec.get(1..)?)?)),
+        TAG_ACK_UP_TO => Some(Record::AckUpTo(STREAM, le_u64(rec, 1)?)),
+        TAG_STREAM_ENQUEUE => Some(Record::Enqueue(
+            le_u64(rec, 1)?,
+            parse_entry(rec.get(9..)?)?,
+        )),
+        TAG_STREAM_ACK_UP_TO => Some(Record::AckUpTo(le_u64(rec, 1)?, le_u64(rec, 9)?)),
         _ => None,
     }
+}
+
+/// Decodes `seq | tick | stamp_len | stamp | payload_len | payload`.
+fn parse_entry(b: &[u8]) -> Option<QueueEntry> {
+    let seq = le_u64(b, 0)?;
+    let tick = le_u64(b, 8)?;
+    let stamp_len = le_u32(b, 16)? as usize;
+    let stamp = b.get(20..20 + stamp_len)?.to_vec();
+    let payload_len = le_u32(b, 20 + stamp_len)? as usize;
+    let start = 24 + stamp_len;
+    let payload = b.get(start..start + payload_len)?.to_vec();
+    Some(QueueEntry {
+        seq,
+        tick,
+        stamp,
+        payload,
+    })
 }
 
 #[cfg(test)]
@@ -997,5 +1383,183 @@ mod tests {
         let q = SegmentQueue::open(&dir, cfg(64, None, 8)).unwrap();
         assert_eq!(q.depth(), 2);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn streams_share_one_journal_and_commit_together() {
+        let dir = tmp_dir("journal-group-commit");
+        let mut j = Journal::open(&dir, cfg(16, None, 64)).unwrap();
+        j.stats().reset();
+        for stream in [7u64, 9, 7] {
+            j.enqueue(stream, 0, vec![], vec![stream as u8]).unwrap();
+        }
+        j.ack_up_to(9, 1).unwrap();
+        let seg = DirBackend::seg_path(&dir, 0);
+        assert_eq!(fs::metadata(&seg).unwrap().len(), 0, "nothing written");
+        assert_eq!(j.stats().syncs(), 0);
+        j.sync().unwrap();
+        assert_eq!(j.stats().syncs(), 1, "one fdatasync for the whole group");
+        j.sync().unwrap();
+        assert_eq!(j.stats().syncs(), 1, "a clean journal syncs nothing");
+        // A record appended after the last commit dies with the process.
+        j.enqueue(9, 0, vec![], b"lost".to_vec()).unwrap();
+        drop(j);
+        let j = Journal::open(&dir, cfg(16, None, 64)).unwrap();
+        assert_eq!(j.depth(7), 2);
+        assert_eq!((j.depth(9), j.acked(9), j.next_seq(9)), (0, 1, 2));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn single_queue_segment_opens_as_stream_zero() {
+        let dir = tmp_dir("journal-legacy");
+        fs::create_dir_all(&dir).unwrap();
+        let mut records: Vec<Vec<u8>> = Vec::new();
+        for (seq, payload) in [(1u64, b'a'), (2, b'b')] {
+            let mut rec = vec![TAG_ENQUEUE];
+            rec.extend_from_slice(&seq.to_le_bytes());
+            rec.extend_from_slice(&0u64.to_le_bytes());
+            rec.extend_from_slice(&0u32.to_le_bytes());
+            rec.extend_from_slice(&1u32.to_le_bytes());
+            rec.push(payload);
+            records.push(rec);
+        }
+        let mut ack = vec![TAG_ACK_UP_TO];
+        ack.extend_from_slice(&1u64.to_le_bytes());
+        records.push(ack);
+        let mut seg = Vec::new();
+        for rec in records {
+            seg.extend_from_slice(&u32::try_from(rec.len()).unwrap().to_le_bytes());
+            seg.extend_from_slice(&rec);
+        }
+        fs::write(DirBackend::seg_path(&dir, 0), &seg).unwrap();
+        let q = SegmentQueue::open(&dir, cfg(16, None, 8)).unwrap();
+        assert_eq!((q.acked(), q.next_seq()), (1, 3));
+        let payloads: Vec<&[u8]> = q.pending(0).map(|e| e.payload.as_slice()).collect();
+        assert_eq!(payloads, vec![b"b".as_slice()]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn failed_write_poisons_until_reopen() {
+        let dir = tmp_dir("journal-poison");
+        let mut j = Journal::open(&dir, cfg(16, None, 64)).unwrap();
+        j.enqueue(1, 0, vec![], b"kept".to_vec()).unwrap();
+        j.sync().unwrap();
+        j.enqueue(1, 0, vec![], b"lost".to_vec()).unwrap();
+        j.fail_next_write = true;
+        assert!(matches!(j.sync(), Err(Error::Storage(_))));
+        // Every later operation refuses, a clean commit included: a
+        // retried fsync could report success for data already dropped.
+        assert!(matches!(j.sync(), Err(Error::Storage(_))));
+        assert!(matches!(
+            j.enqueue(1, 0, vec![], vec![]),
+            Err(Error::Storage(_))
+        ));
+        assert!(matches!(j.ack_up_to(1, 1), Err(Error::Storage(_))));
+        assert!(matches!(j.compact(0), Err(Error::Storage(_))));
+        drop(j);
+        // Recovery starts over from what was committed.
+        let mut j = Journal::open(&dir, cfg(16, None, 64)).unwrap();
+        let payloads: Vec<&[u8]> = j
+            .pending_after(1, 0, 0)
+            .map(|e| e.payload.as_slice())
+            .collect();
+        assert_eq!(payloads, vec![b"kept".as_slice()]);
+        assert_eq!(j.enqueue(1, 0, vec![], b"after".to_vec()).unwrap(), 2);
+        j.sync().unwrap();
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn compaction_is_due_only_once_dead_records_pay_for_the_rewrite() {
+        let mut j = Journal::in_memory(cfg(4096, None, 8));
+        // A cold stream's backlog: 20 live entries.
+        for _ in 0..20 {
+            j.enqueue(1, 0, vec![], vec![]).unwrap();
+        }
+        // A warm stream whose every entry is acked at once: two records,
+        // one of them dead, per round.
+        let mut rounds = 0;
+        while !j.compaction_due() {
+            rounds += 1;
+            j.enqueue(2, 0, vec![], vec![]).unwrap();
+            j.ack_up_to(2, rounds).unwrap();
+        }
+        // live = 20 cold entries + 1 ack watermark; dead = 2 * rounds - 1
+        // reaches it at round 11, not at the 8-record segment size.
+        assert_eq!(rounds, 11);
+        let report = j.compact(0).unwrap();
+        assert_eq!(report.acked_dropped, 21);
+        assert!(!j.compaction_due());
+        assert_eq!((j.depth(1), j.acked(2)), (20, 11));
+    }
+
+    /// One operation of the undispatched-count property.
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Enqueue at `now` minus a jitter (ticks may run backwards).
+        Enqueue(u64),
+        Ack(u64),
+        Advance(u64),
+        Dispatch(u64),
+        Compact,
+    }
+
+    fn op() -> impl proptest::strategy::Strategy<Value = Op> {
+        use proptest::prelude::*;
+        prop_oneof![
+            (0u64..4).prop_map(Op::Enqueue),
+            (0u64..40).prop_map(Op::Ack),
+            (0u64..8).prop_map(Op::Advance),
+            (0u64..40).prop_map(Op::Dispatch),
+            Just(Op::Compact),
+        ]
+    }
+
+    fn ttl() -> impl proptest::strategy::Strategy<Value = Option<u64>> {
+        use proptest::prelude::*;
+        prop_oneof![Just(None), (0u64..12).prop_map(Some)]
+    }
+
+    proptest::proptest! {
+        /// `pending_after(..).len()` — two binary searches — equals the
+        /// scan it replaced (every unexpired entry past the dispatch
+        /// horizon), with and without a TTL.
+        #[test]
+        fn undispatched_count_matches_the_scan(
+            ops in proptest::collection::vec(op(), 0..80),
+            ttl in ttl(),
+        ) {
+            const S: u64 = 3;
+            let mut j = Journal::in_memory(cfg(32, ttl, 8));
+            let (mut now, mut horizon) = (0u64, 0u64);
+            for op in ops {
+                match op {
+                    Op::Enqueue(jitter) => {
+                        let _ = j.enqueue(S, now.saturating_sub(jitter), vec![], vec![]);
+                    }
+                    Op::Ack(upto) => {
+                        j.ack_up_to(S, upto).unwrap();
+                    }
+                    Op::Advance(d) => now += d,
+                    Op::Dispatch(h) => horizon = h,
+                    Op::Compact => {
+                        j.compact(now).unwrap();
+                    }
+                }
+                let scan: Vec<u64> = j.streams.get(&S).map_or_else(Vec::new, |s| {
+                    s.entries
+                        .iter()
+                        .filter(|e| ttl.is_none_or(|t| now.saturating_sub(e.tick) <= t))
+                        .filter(|e| e.seq > horizon)
+                        .map(|e| e.seq)
+                        .collect()
+                });
+                let fast = j.pending_after(S, now, horizon);
+                proptest::prop_assert_eq!(fast.len(), scan.len());
+                proptest::prop_assert_eq!(fast.map(|e| e.seq).collect::<Vec<_>>(), scan);
+            }
+        }
     }
 }

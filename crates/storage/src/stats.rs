@@ -14,6 +14,7 @@ pub struct StorageStats {
     bytes_written: AtomicU64,
     reads: AtomicU64,
     bytes_read: AtomicU64,
+    syncs: AtomicU64,
 }
 
 impl StorageStats {
@@ -32,6 +33,12 @@ impl StorageStats {
     pub fn record_read(&self, bytes: u64) {
         self.reads.fetch_add(1, Ordering::Relaxed);
         self.bytes_read.fetch_add(bytes, Ordering::Relaxed);
+    }
+
+    /// Records one durability barrier (`fdatasync` of a journal segment,
+    /// `fsync` of a compaction file or of a directory).
+    pub fn record_sync(&self) {
+        self.syncs.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Number of write operations so far.
@@ -54,12 +61,18 @@ impl StorageStats {
         self.bytes_read.load(Ordering::Relaxed)
     }
 
+    /// Number of durability barriers so far.
+    pub fn syncs(&self) -> u64 {
+        self.syncs.load(Ordering::Relaxed)
+    }
+
     /// Resets every counter to zero (between experiment phases).
     pub fn reset(&self) {
         self.writes.store(0, Ordering::Relaxed);
         self.bytes_written.store(0, Ordering::Relaxed);
         self.reads.store(0, Ordering::Relaxed);
         self.bytes_read.store(0, Ordering::Relaxed);
+        self.syncs.store(0, Ordering::Relaxed);
     }
 }
 
@@ -83,9 +96,11 @@ mod tests {
     fn reset_zeroes() {
         let s = StorageStats::new();
         s.record_write(10);
+        s.record_sync();
         s.reset();
         assert_eq!(s.writes(), 0);
         assert_eq!(s.bytes_written(), 0);
+        assert_eq!(s.syncs(), 0);
     }
 
     #[test]

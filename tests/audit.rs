@@ -329,6 +329,22 @@ fn sabotage_undominated_deliver_is_caught() {
 }
 
 #[test]
+fn sabotage_unsynced_relay_ack_is_caught() {
+    // The journal commit dropped from the server's commit path: relay acks
+    // would be released in memory and acknowledged on the wire before
+    // their records are durable.
+    let f = findings_after(&[("crates/mom/src/server.rs", &|t| {
+        t.replace("Some(relay) => relay.sync(),", "Some(_) => Ok(()),")
+    })]);
+    let hit = f
+        .iter()
+        .find(|f| f.rule == "persist-before-deliver" && f.file == "crates/mom/src/relay.rs")
+        .unwrap_or_else(|| panic!("unsynced relay ack not flagged; findings: {f:#?}"));
+    assert!(hit.message.contains("ack_up_to"), "{}", hit.message);
+    assert!(hit.message.contains("`relay.sync`"), "{}", hit.message);
+}
+
+#[test]
 fn audit_output_is_byte_identical_across_runs() {
     // Determinism is part of the contract: identical trees produce
     // identical findings, identical rendered SARIF and identical metric

@@ -208,10 +208,10 @@ fn cross_domain_handoff_survives_churn() {
 
 /// Crash-safe redelivery with a mid-compaction crash artefact: a
 /// subscriber disconnects, its home relay accumulates a durable backlog
-/// (rolling segments and compacting along the way), the home server
-/// crashes mid-compaction (stray `.tmp` left behind), recovers, and the
-/// reconnecting subscriber receives the whole backlog exactly once, in
-/// causal order.
+/// in its journal (rolling segments along the way), the home server
+/// crashes mid-compaction (stray `.tmp` left in the journal directory),
+/// recovers, and the reconnecting subscriber receives the whole backlog
+/// exactly once, in causal order.
 #[test]
 fn reconnect_after_relay_crash_replays_backlog_in_order() {
     const BEFORE: u64 = 10;
@@ -284,11 +284,11 @@ fn reconnect_after_relay_crash_replays_backlog_in_order() {
     );
 
     // Crash the home server mid-compaction: a compaction that died
-    // before its rename leaves a stray `.tmp` in the queue directory.
+    // before its rename leaves a stray `.tmp` in the journal directory.
     mom.crash(sub_server).unwrap();
-    let queue_dir = dir.join("relay-1").join("sub-1-7");
-    assert!(queue_dir.is_dir(), "durable queue must exist on disk");
-    std::fs::write(queue_dir.join(".compact-000099.tmp"), b"torn compaction").unwrap();
+    let journal_dir = dir.join("relay-1").join("journal");
+    assert!(journal_dir.is_dir(), "durable journal must exist on disk");
+    std::fs::write(journal_dir.join(".compact-000099.tmp"), b"torn compaction").unwrap();
 
     mom.recover(sub_server, vec![(7, subscriber_agent())])
         .unwrap();
@@ -304,7 +304,7 @@ fn reconnect_after_relay_crash_replays_backlog_in_order() {
         "backlog replayed exactly once, in causal order, across the crash"
     );
     assert!(
-        !queue_dir.join(".compact-000099.tmp").exists(),
+        !journal_dir.join(".compact-000099.tmp").exists(),
         "the torn compaction artefact is cleaned up on reopen"
     );
     assert!(mom.trace().unwrap().check_causality().is_ok());
