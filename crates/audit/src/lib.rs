@@ -303,11 +303,12 @@ impl Config {
                 "send_cmd",
             ],
             // The relay's journal puts `crates/storage/src/` on the
-            // redelivery path. Clock deliveries must reach the image
-            // `put`; a relay ack commit must reach the server's journal
-            // commit, `relay.sync()`, its one commit point — the image
-            // `put` does not make a journal record durable, and a
-            // `sync` on some other journal is not this relay's commit.
+            // redelivery path. Clock deliveries must reach the commit
+            // routine that checkpoints (`put`); a relay ack commit must
+            // reach the server's journal commit, `relay.sync()`, its one
+            // commit point — the checkpoint `put` does not make a journal
+            // record durable, and a `sync` on some other journal is not
+            // this relay's commit.
             persist_scopes: vec!["crates/mom/src/", "crates/storage/src/"],
             persist_seeds: vec![
                 ("deliver", "put"),

@@ -5,7 +5,9 @@
 //! "high disk I/O activity to maintain a persistent image of the matrix on
 //! each server". Here we enable real transactional persistence in the
 //! simulator and count the bytes each configuration writes per delivered
-//! message.
+//! message. The simulated servers run no relay journal, so every step
+//! writes a checkpoint of the whole state; a server whose relay journals
+//! to disk writes only what each step changed (DESIGN.md §17.1).
 
 use aaa_base::{AgentId, ServerId};
 use aaa_mom::{EchoAgent, Notification, ServerConfig, StampMode};
@@ -61,7 +63,7 @@ fn main() {
     }
     println!();
     println!(
-        "The flat MOM journals an O(n²) matrix image on every transaction; \
-         with domains each server journals only its domains' O(s²) clocks."
+        "The flat MOM checkpoints an O(n²) matrix image on every transaction; \
+         with domains each server checkpoints only its domains' O(s²) clocks."
     );
 }

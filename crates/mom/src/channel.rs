@@ -113,6 +113,9 @@ pub struct ChannelCore {
     queue_out: VecDeque<Envelope>,
     postponed: Vec<Postponed>,
     next_seq: u64,
+    /// Per item: its clock changed since the last
+    /// [`ChannelCore::take_dirty_items`].
+    dirty: Vec<bool>,
     stats: ChannelStats,
     metrics: Option<ChannelMetrics>,
 }
@@ -126,7 +129,7 @@ impl ChannelCore {
     pub fn new(topology: &Topology, me: ServerId, mode: StampMode) -> Result<Self> {
         topology.check_server(me)?;
         let routing = RoutingTable::build(topology, me)?;
-        let items = topology
+        let items: Vec<DomainItem> = topology
             .memberships(me)
             .iter()
             .map(|&d| DomainItem::new(topology, d, me, mode))
@@ -135,6 +138,7 @@ impl ChannelCore {
             me,
             mode,
             routing,
+            dirty: vec![false; items.len()],
             items,
             queue_out: VecDeque::new(),
             postponed: Vec::new(),
@@ -327,6 +331,7 @@ impl ChannelCore {
                         Batching::Single
                     };
                     let stamp = item.clock_mut().stamp_send(hop_dsid, batching);
+                    self.dirty[item_idx] = true;
                     // A GroupNext continuation touches one matrix cell;
                     // a full stamping pass touches n².
                     let ops = if stamp.is_group_next() { 1 } else { n * n };
@@ -451,6 +456,7 @@ impl ChannelCore {
         };
         item.clock().check_stamp(from_dsid, &stamp)?;
         let pending = item.clock_mut().on_frame(from_dsid, stamp);
+        self.dirty[item_idx] = true;
         let n_check = item.clock().n() as u64;
         self.stats.cell_ops += n_check;
         if let Some(m) = &self.metrics {
@@ -488,6 +494,7 @@ impl ChannelCore {
             let item = &mut self.items[p.item_idx];
             let n = item.clock().n() as u64;
             item.clock_mut().deliver(p.from, &p.pending);
+            self.dirty[p.item_idx] = true;
             self.stats.cell_ops += n * n + n;
             if let Some(m) = &self.metrics {
                 m.domains[p.item_idx].cell_ops.add(n * n + n);
@@ -519,50 +526,53 @@ impl ChannelCore {
 
     // --- persistence plumbing (crate-internal) ---
 
-    pub(crate) fn persist_parts(
-        &self,
-    ) -> (
-        u64,
-        &VecDeque<Envelope>,
-        &[Postponed],
-        &[DomainItem],
-        ChannelStats,
-    ) {
-        (
-            self.next_seq,
-            &self.queue_out,
-            &self.postponed,
-            &self.items,
-            self.stats,
-        )
+    /// The persisted state: the message-id counter, `QueueOUT`, the
+    /// postponed queue and the domain items.
+    pub(crate) fn persist_parts(&self) -> (u64, &VecDeque<Envelope>, &[Postponed], &[DomainItem]) {
+        (self.next_seq, &self.queue_out, &self.postponed, &self.items)
     }
 
-    pub(crate) fn restore_parts(
-        topology: &Topology,
-        me: ServerId,
-        mode: StampMode,
+    /// `true` when some item's clock changed since the last
+    /// [`ChannelCore::take_dirty_items`].
+    pub(crate) fn has_dirty_items(&self) -> bool {
+        self.dirty.contains(&true)
+    }
+
+    /// Indices of the items whose clock changed since the last call.
+    pub(crate) fn take_dirty_items(&mut self) -> Vec<usize> {
+        let dirty = (self.dirty.iter().enumerate())
+            .filter_map(|(i, &d)| d.then_some(i))
+            .collect();
+        self.dirty.fill(false);
+        dirty
+    }
+
+    /// Replaces the persisted state with a recovered one.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Codec`] unless `items` describe this server's items — the
+    /// same domains, identities, widths and stamp mode: a clock restored
+    /// under another mode, width or identity would report one thing and
+    /// stamp another.
+    pub(crate) fn reload(
+        &mut self,
         next_seq: u64,
         queue_out: VecDeque<Envelope>,
         postponed: Vec<Postponed>,
         items: Vec<DomainItem>,
-    ) -> Result<Self> {
-        topology.check_server(me)?;
-        let routing = RoutingTable::build(topology, me)?;
-        // The image must describe the server being configured: a clock
-        // restored under another mode, width or identity would report one
-        // thing and stamp another.
-        let memberships = topology.memberships(me);
-        let mut fits = items.len() == memberships.len();
-        for (item, &domain) in items.iter().zip(memberships) {
-            let info = topology.domain(domain)?;
-            let clock = item.clock();
-            fits &= item.domain_id() == domain
-                && item.id_table() == info.members()
-                && clock.mode() == mode
-                && clock.n() == info.size()
-                && Some(clock.me()) == info.domain_server_id(me);
-        }
-        if !fits {
+    ) -> Result<()> {
+        let shape = |it: &DomainItem| {
+            let clock = it.clock();
+            (
+                it.domain_id(),
+                it.id_table().to_vec(),
+                clock.mode(),
+                clock.me(),
+                clock.n(),
+            )
+        };
+        if !items.iter().map(shape).eq(self.items.iter().map(shape)) {
             let written: Vec<_> = items
                 .iter()
                 .map(|it| {
@@ -574,22 +584,22 @@ impl ChannelCore {
                     )
                 })
                 .collect();
+            let domains: Vec<DomainId> = self.items.iter().map(DomainItem::domain_id).collect();
             return Err(Error::Codec(format!(
-                "recovered image of server {me} was written for (domain, mode, me, n) \
-                 {written:?}; it is configured for {mode:?} mode in domains {memberships:?}"
+                "recovered image of server {} was written for (domain, mode, me, n) \
+                 {written:?}; it is configured for {:?} mode in domains {domains:?}",
+                self.me, self.mode
             )));
         }
-        Ok(ChannelCore {
-            me,
-            mode,
-            routing,
-            items,
-            queue_out,
-            postponed,
-            next_seq,
-            stats: ChannelStats::default(),
-            metrics: None,
-        })
+        if let Some(m) = &self.metrics {
+            m.postponed.set(postponed.len() as i64);
+        }
+        self.next_seq = next_seq;
+        self.queue_out = queue_out;
+        self.postponed = postponed;
+        self.items = items;
+        self.dirty.fill(false);
+        Ok(())
     }
 }
 

@@ -121,9 +121,17 @@ impl EngineCore {
         self.queue_in.len()
     }
 
-    /// Reads the persisted engine queue back (recovery path).
+    /// The engine queue, for the persisted image.
     pub(crate) fn queue_snapshot(&self) -> impl Iterator<Item = &AgentMessage> + '_ {
         self.queue_in.iter()
+    }
+
+    /// Replaces `QueueIN` with a recovered one.
+    pub(crate) fn reload_queue(&mut self, queue: Vec<AgentMessage>) {
+        self.queue_in = queue.into();
+        if let Some(m) = &self.metrics {
+            m.queue_depth.set(self.queue_in.len() as i64);
+        }
     }
 
     /// Committed reactions so far.

@@ -157,7 +157,8 @@ pub(crate) struct ServerMetrics {
     pub batch_frames: Histogram,
     /// Link batch flushes (each becomes one wire packet to one peer).
     pub flushes: Counter,
-    /// Transactional group commits (one `put` covering a whole batch).
+    /// Group commits that wrote server state (one state record or
+    /// checkpoint covering a whole batch).
     pub group_commit_total: Counter,
     /// Wall-clock duration of one group commit, in microseconds.
     pub group_commit_us: Histogram,

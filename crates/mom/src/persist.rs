@@ -1,31 +1,47 @@
-//! Crash-recovery images of an agent server.
+//! Crash-recovery state of an agent server: checkpoints and state records
+//! (DESIGN.md §17.1).
 //!
 //! The paper's servers keep "a persistent image of the matrix on each
 //! server in order to recover communication in case of failure" (§3), plus
-//! persistent agents and transactional queues. We persist, per committed
-//! channel/engine transaction:
+//! persistent agents and transactional queues. Here that image has two
+//! forms:
 //!
-//! - every `DomainItem` (matrix clock state, including the Updates
-//!   bookkeeping so the delta protocol resumes seamlessly);
-//! - `QueueOUT`, the postponed queue and the engine's `QueueIN`;
-//! - the link-layer state (next sequence numbers, unacknowledged frames,
-//!   cumulative receive counters) so retransmission and duplicate
-//!   suppression survive the crash;
-//! - the message-id counter;
-//! - each agent's state snapshot, inside the same blob so a single atomic
-//!   `put` commits the whole transaction.
+//! - a **checkpoint**, [`ServerImage`]: the whole state — every
+//!   `DomainItem` (matrix clock state, including the Updates bookkeeping so
+//!   the delta protocol resumes seamlessly), `QueueOUT`, the postponed
+//!   queue and the engine's `QueueIN`, the link-layer state (next sequence
+//!   numbers, unacknowledged frames, cumulative receive counters) so
+//!   retransmission and duplicate suppression survive the crash, the
+//!   message-id counter, each agent's snapshot, and the relay's receive
+//!   watermarks and registry — tagged with the sequence number of the last
+//!   state record it covers and sealed by a CRC-32C;
+//! - a **state record**, [`StateRecord`]: what one committed step changed —
+//!   the link frames it sent and the link watermarks that moved, the
+//!   snapshots of the agents that reacted, the clocks it touched, the
+//!   message-id counter, the (between steps, empty) queues, and the relay
+//!   watermarks and registry keys it changed.
+//!
+//! A server with a durable relay journal appends one state record per step
+//! to the journal's state stream, where the step's one `fdatasync` makes it
+//! durable together with the relay's records, and writes a checkpoint only
+//! when the journal compacts or the records since the last checkpoint
+//! outgrow it. Any other persisting server writes a checkpoint every step.
+//! Recovery decodes the checkpoint and [applies](ServerImage::apply) every
+//! later record to it, in order.
 
 use std::collections::VecDeque;
 
-use aaa_base::{Error, Result, ServerId, VTime};
+use aaa_base::{AgentId, Error, Result, ServerId, VTime};
 use aaa_clocks::{CausalState, PendingStamp};
 use aaa_net::wire::{Decoder, Encoder};
 use aaa_net::LinkFrame;
+use aaa_storage::crc32c;
 use bytes::Bytes;
 
 use crate::channel::{Envelope, Postponed};
 use crate::domain_item::DomainItem;
 use crate::message::{AgentMessage, DeliveryPolicy, Notification};
+use crate::relay::Registry;
 
 /// Persisted link-sender state toward one peer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,9 +58,29 @@ pub(crate) struct LinkRxImage {
     pub cum_seq: u64,
 }
 
-/// The complete crash-recovery image of one server core.
+/// How the sending half of one link moved since the last state record.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct LinkTxDelta {
+    pub peer: ServerId,
+    pub next_seq: u64,
+    /// Every frame up to this sequence number is acknowledged.
+    pub acked: u64,
+    /// The frames sent since the last record, oldest first.
+    pub sent: Vec<LinkFrame>,
+}
+
+/// The relay receive-side dedup watermarks: the highest relay sequence
+/// accepted per `(subscriber, relay server)`, in key order.
+pub(crate) type DeliverRx = Vec<((AgentId, ServerId), u64)>;
+
+/// Agent state snapshots `(local id, image)`, by local id.
+pub(crate) type Agents = Vec<(u32, Vec<u8>)>;
+
+/// The checkpoint: the complete crash-recovery image of one server core.
 #[derive(Debug)]
 pub(crate) struct ServerImage {
+    /// The last state record this checkpoint covers (0 = none).
+    pub state_seq: u64,
     pub next_msg_seq: u64,
     pub items: Vec<DomainItem>,
     pub queue_out: VecDeque<Envelope>,
@@ -52,15 +88,42 @@ pub(crate) struct ServerImage {
     pub engine_queue: Vec<AgentMessage>,
     pub links_tx: Vec<LinkTxImage>,
     pub links_rx: Vec<LinkRxImage>,
-    /// Agent state snapshots `(local id, image)` — stored inside the same
-    /// blob so one `put` commits the whole transaction atomically.
-    pub agents: Vec<(u32, Vec<u8>)>,
+    pub agents: Agents,
+    pub deliver_rx: DeliverRx,
     /// Store-and-forward relay registry (subscriptions, connectivity,
-    /// handoff watermarks, receive-side dedup) — empty when no relay runs
-    /// here. Queue *contents* live in their own segment files; this blob
-    /// only names them (DESIGN.md §17). Absent in pre-relay images.
-    pub relay: Vec<u8>,
+    /// handoff watermarks); empty when no relay runs here. Queue
+    /// *contents* live in the relay's journal (DESIGN.md §17).
+    pub relay: Registry,
 }
+
+/// What one committed step changed: applied to the state before the step
+/// by [`ServerImage::apply`], it gives the state after it.
+#[derive(Debug)]
+pub(crate) struct StateRecord {
+    pub next_msg_seq: u64,
+    /// The clocks the step touched, by item index.
+    pub items: Vec<(usize, CausalState)>,
+    pub queue_out: VecDeque<Envelope>,
+    pub postponed: Vec<Postponed>,
+    pub engine_queue: Vec<AgentMessage>,
+    pub links_tx: Vec<LinkTxDelta>,
+    /// The receive watermarks that moved.
+    pub links_rx: Vec<LinkRxImage>,
+    /// Snapshots of the agents that reacted or registered.
+    pub agents: Agents,
+    /// The dedup watermarks that moved.
+    pub deliver_rx: DeliverRx,
+    /// The registry keys that changed ([`Registry::apply`]).
+    pub relay: Registry,
+}
+
+/// Bytes of a state record with every section empty: the message counter
+/// and eleven section counts.
+const MIN_RECORD: usize = 8 + 11 * 4;
+
+/// Bytes of a checkpoint with every section empty: the covered state
+/// sequence, the message counter, eleven section counts and the checksum.
+const MIN_CHECKPOINT: usize = 8 + 8 + 11 * 4 + 4;
 
 /// Least bytes one encoded element of each counted section occupies (its
 /// fixed-width fields, every string and blob empty): what
@@ -75,17 +138,23 @@ mod min_len {
     pub(super) const AGENT_MESSAGE: usize = 10 + 6 + 6 + 4 + 4;
     /// Domain id, own index, member count, clock length prefix.
     pub(super) const ITEM: usize = 2 + 2 + 4 + 4;
+    /// Item index, clock length prefix.
+    pub(super) const ITEM_CHANGE: usize = 4 + 4;
     pub(super) const SERVER_ID: usize = 2;
     /// Item index, sender, arrival instant, pending length prefix, envelope.
     pub(super) const POSTPONED: usize = 4 + 2 + 8 + 4 + ENVELOPE;
     /// Peer, next sequence number, frame count.
     pub(super) const LINK_TX: usize = 2 + 8 + 4;
+    /// Peer, next sequence number, ack watermark, frame count.
+    pub(super) const LINK_TX_DELTA: usize = 2 + 8 + 8 + 4;
     /// Sequence number, payload length prefix.
     pub(super) const FRAME: usize = 8 + 4;
     /// Peer, cumulative sequence number.
     pub(super) const LINK_RX: usize = 2 + 8;
     /// Local id, image length prefix.
     pub(super) const AGENT: usize = 4 + 4;
+    /// Subscriber, relay server, watermark.
+    pub(super) const DELIVER_RX: usize = 6 + 2 + 8;
 }
 
 fn encode_envelope(e: &mut Encoder, env: &Envelope) {
@@ -143,12 +212,193 @@ fn decode_agent_message(d: &mut Decoder) -> Result<AgentMessage> {
     })
 }
 
+fn encode_clock(e: &mut Encoder, clock: &CausalState) {
+    let mut bytes = Vec::new();
+    clock.write_bytes(&mut bytes);
+    e.bytes(&bytes);
+}
+
+fn decode_clock(d: &mut Decoder) -> Result<CausalState> {
+    let bytes = d.bytes()?;
+    match CausalState::read_bytes(&bytes) {
+        Some((clock, used)) if used == bytes.len() => Ok(clock),
+        Some(_) => Err(Error::Codec("trailing bytes in causal state".into())),
+        None => Err(Error::Codec("corrupt causal state image".into())),
+    }
+}
+
+/// `QueueOUT`, the postponed queue and `QueueIN`: the sections a
+/// checkpoint and a state record both carry whole.
+fn encode_queues(
+    e: &mut Encoder,
+    queue_out: &VecDeque<Envelope>,
+    postponed: &[Postponed],
+    engine_queue: &[AgentMessage],
+) {
+    e.count(queue_out.len());
+    for env in queue_out {
+        encode_envelope(e, env);
+    }
+    e.count(postponed.len());
+    for p in postponed {
+        // `item_idx` indexes `items`, so it fits whenever the item count
+        // does; `count` keeps the narrowing checked.
+        e.count(p.item_idx);
+        e.u16(p.from.as_u16());
+        e.u64(p.arrived_at.as_micros());
+        let mut m = Vec::new();
+        p.pending.write_bytes(&mut m);
+        e.bytes(&m);
+        encode_envelope(e, &p.env);
+    }
+    e.count(engine_queue.len());
+    for m in engine_queue {
+        encode_agent_message(e, m);
+    }
+}
+
+type Queues = (VecDeque<Envelope>, Vec<Postponed>, Vec<AgentMessage>);
+
+/// Decodes [`encode_queues`]; the postponed entries are checked against
+/// their items by [`check_postponed`].
+fn decode_queues(d: &mut Decoder) -> Result<Queues> {
+    let mut queue_out = VecDeque::new();
+    for _ in 0..d.count(min_len::ENVELOPE)? {
+        queue_out.push_back(decode_envelope(d)?);
+    }
+    let mut postponed = Vec::new();
+    for _ in 0..d.count(min_len::POSTPONED)? {
+        let item_idx = d.u32()? as usize;
+        let from = d.domain_server_id()?;
+        let arrived_at = VTime::from_micros(d.u64()?);
+        let m_bytes = d.bytes()?;
+        let pending = match PendingStamp::read_bytes(&m_bytes) {
+            Some((pending, used)) if used == m_bytes.len() => pending,
+            _ => return Err(Error::Codec("corrupt pending stamp".into())),
+        };
+        let env = decode_envelope(d)?;
+        postponed.push(Postponed {
+            item_idx,
+            from,
+            pending,
+            env,
+            arrived_at,
+        });
+    }
+    let mut engine_queue = Vec::new();
+    for _ in 0..d.count(min_len::AGENT_MESSAGE)? {
+        engine_queue.push(decode_agent_message(d)?);
+    }
+    Ok((queue_out, postponed, engine_queue))
+}
+
+/// The pump indexes an item's clock with whatever a postponed entry
+/// holds: an index, sender or cell outside the domain must stop here.
+fn check_postponed(items: &[DomainItem], postponed: &[Postponed]) -> Result<()> {
+    for p in postponed {
+        let item = items
+            .get(p.item_idx)
+            .ok_or_else(|| Error::Codec("postponed item index out of range".into()))?;
+        item.clock().check_pending(p.from, &p.pending)?;
+    }
+    Ok(())
+}
+
+fn encode_frames(e: &mut Encoder, frames: &[LinkFrame]) {
+    e.count(frames.len());
+    for f in frames {
+        e.u64(f.seq);
+        e.bytes(&f.payload);
+    }
+}
+
+fn decode_frames(d: &mut Decoder) -> Result<Vec<LinkFrame>> {
+    let mut frames = Vec::new();
+    for _ in 0..d.count(min_len::FRAME)? {
+        let seq = d.u64()?;
+        let payload = d.bytes()?;
+        frames.push(LinkFrame { seq, payload });
+    }
+    Ok(frames)
+}
+
+fn encode_links_rx(e: &mut Encoder, links: &[LinkRxImage]) {
+    e.count(links.len());
+    for link in links {
+        e.server_id(link.peer);
+        e.u64(link.cum_seq);
+    }
+}
+
+fn decode_links_rx(d: &mut Decoder) -> Result<Vec<LinkRxImage>> {
+    let mut links = Vec::new();
+    for _ in 0..d.count(min_len::LINK_RX)? {
+        let peer = d.server_id()?;
+        let cum_seq = d.u64()?;
+        links.push(LinkRxImage { peer, cum_seq });
+    }
+    Ok(links)
+}
+
+/// The agent snapshots, the relay dedup watermarks and the registry: the
+/// last three sections of a checkpoint and of a state record.
+fn encode_tail(
+    e: &mut Encoder,
+    agents: &[(u32, Vec<u8>)],
+    deliver_rx: &DeliverRx,
+    relay: &Registry,
+) {
+    e.count(agents.len());
+    for (local, image) in agents {
+        e.u32(*local);
+        e.bytes(image);
+    }
+    e.count(deliver_rx.len());
+    for ((sub, srv), upto) in deliver_rx {
+        e.agent_id(*sub);
+        e.server_id(*srv);
+        e.u64(*upto);
+    }
+    relay.encode(e);
+}
+
+/// Decodes [`encode_tail`] and requires it to end the input.
+fn decode_tail(d: &mut Decoder) -> Result<(Agents, DeliverRx, Registry)> {
+    let mut agents = Vec::new();
+    for _ in 0..d.count(min_len::AGENT)? {
+        let local = d.u32()?;
+        agents.push((local, d.bytes()?.to_vec()));
+    }
+    let mut deliver_rx = Vec::new();
+    for _ in 0..d.count(min_len::DELIVER_RX)? {
+        let key = (d.agent_id()?, d.server_id()?);
+        deliver_rx.push((key, d.u64()?));
+    }
+    let relay = Registry::decode(d)?;
+    if d.remaining() > 0 {
+        return Err(Error::Codec(format!(
+            "{} trailing bytes after the registry",
+            d.remaining()
+        )));
+    }
+    Ok((agents, deliver_rx, relay))
+}
+
+/// Inserts or replaces `value` under `key` in a vector kept in key order.
+fn upsert<K: Ord, V>(sorted: &mut Vec<(K, V)>, key: K, value: V) {
+    match sorted.binary_search_by(|(k, _)| k.cmp(&key)) {
+        Ok(at) => sorted[at].1 = value,
+        Err(at) => sorted.insert(at, (key, value)),
+    }
+}
+
 impl ServerImage {
-    /// Encodes the image to bytes.
+    /// Encodes the checkpoint, sealed by the CRC-32C of everything before
+    /// it.
     pub(crate) fn encode(&self) -> Bytes {
         let mut e = Encoder::new();
+        e.u64(self.state_seq);
         e.u64(self.next_msg_seq);
-
         e.count(self.items.len());
         for item in &self.items {
             e.domain_id(item.domain_id());
@@ -157,172 +407,69 @@ impl ServerImage {
             for s in item.id_table() {
                 e.server_id(*s);
             }
-            let mut clock_bytes = Vec::new();
-            item.clock().write_bytes(&mut clock_bytes);
-            e.bytes(&clock_bytes);
+            encode_clock(&mut e, item.clock());
         }
-
-        e.count(self.queue_out.len());
-        for env in &self.queue_out {
-            encode_envelope(&mut e, env);
-        }
-
-        e.count(self.postponed.len());
-        for p in &self.postponed {
-            // `item_idx` indexes `items`, so it fits whenever the item
-            // count does; `count` keeps the narrowing checked.
-            e.count(p.item_idx);
-            e.u16(p.from.as_u16());
-            e.u64(p.arrived_at.as_micros());
-            let mut m = Vec::new();
-            p.pending.write_bytes(&mut m);
-            e.bytes(&m);
-            encode_envelope(&mut e, &p.env);
-        }
-
-        e.count(self.engine_queue.len());
-        for m in &self.engine_queue {
-            encode_agent_message(&mut e, m);
-        }
-
+        encode_queues(&mut e, &self.queue_out, &self.postponed, &self.engine_queue);
         e.count(self.links_tx.len());
         for link in &self.links_tx {
             e.server_id(link.peer);
             e.u64(link.next_seq);
-            e.count(link.unacked.len());
-            for f in &link.unacked {
-                e.u64(f.seq);
-                e.bytes(&f.payload);
-            }
+            encode_frames(&mut e, &link.unacked);
         }
-
-        e.count(self.links_rx.len());
-        for link in &self.links_rx {
-            e.server_id(link.peer);
-            e.u64(link.cum_seq);
-        }
-
-        e.count(self.agents.len());
-        for (local, image) in &self.agents {
-            e.u32(*local);
-            e.bytes(image);
-        }
-
-        e.bytes(&self.relay);
-
-        e.finish()
+        encode_links_rx(&mut e, &self.links_rx);
+        encode_tail(&mut e, &self.agents, &self.deliver_rx, &self.relay);
+        let mut sealed = e.into_vec();
+        let crc = crc32c(&sealed);
+        sealed.extend_from_slice(&crc.to_le_bytes());
+        Bytes::from(sealed)
     }
 
-    /// Decodes an image written by [`ServerImage::encode`].
+    /// Decodes a checkpoint written by [`ServerImage::encode`].
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Codec`] on truncation or structural corruption.
+    /// Returns [`Error::Codec`] on a checksum mismatch, truncation or
+    /// structural corruption.
     pub(crate) fn decode(bytes: Bytes) -> Result<ServerImage> {
-        let mut d = Decoder::new(bytes);
+        if bytes.len() < MIN_CHECKPOINT {
+            return Err(Error::Codec("checkpoint shorter than an empty one".into()));
+        }
+        let body = bytes.slice(0..bytes.len() - 4);
+        let sealed = bytes.get(body.len()..).and_then(|c| c.try_into().ok());
+        if sealed.map(u32::from_le_bytes) != Some(crc32c(&body)) {
+            return Err(Error::Codec("checkpoint checksum mismatch".into()));
+        }
+        let mut d = Decoder::new(body);
+        let state_seq = d.u64()?;
         let next_msg_seq = d.u64()?;
-
-        let n_items = d.count(min_len::ITEM)?;
-        let mut items = Vec::with_capacity(n_items);
-        for _ in 0..n_items {
+        let mut items = Vec::new();
+        for _ in 0..d.count(min_len::ITEM)? {
             let domain = d.domain_id()?;
             let me = aaa_base::DomainServerId::new(d.u16()?);
-            let n_members = d.count(min_len::SERVER_ID)?;
-            let mut id_table = Vec::with_capacity(n_members);
-            for _ in 0..n_members {
+            let mut id_table = Vec::new();
+            for _ in 0..d.count(min_len::SERVER_ID)? {
                 id_table.push(d.server_id()?);
             }
-            let clock_bytes = d.bytes()?;
-            let (clock, used) = CausalState::read_bytes(&clock_bytes)
-                .ok_or_else(|| Error::Codec("corrupt causal state image".into()))?;
-            if used != clock_bytes.len() {
-                return Err(Error::Codec("trailing bytes in causal state".into()));
-            }
+            let clock = decode_clock(&mut d)?;
             items.push(DomainItem::from_parts(domain, me, id_table, clock));
         }
-
-        let n_out = d.count(min_len::ENVELOPE)?;
-        let mut queue_out = VecDeque::with_capacity(n_out);
-        for _ in 0..n_out {
-            queue_out.push_back(decode_envelope(&mut d)?);
-        }
-
-        let n_post = d.count(min_len::POSTPONED)?;
-        let mut postponed = Vec::with_capacity(n_post);
-        for _ in 0..n_post {
-            let item_idx = d.u32()? as usize;
-            if item_idx >= items.len() {
-                return Err(Error::Codec("postponed item index out of range".into()));
-            }
-            let from = d.domain_server_id()?;
-            let arrived_at = VTime::from_micros(d.u64()?);
-            let m_bytes = d.bytes()?;
-            let pending = match PendingStamp::read_bytes(&m_bytes) {
-                Some((pending, used)) if used == m_bytes.len() => pending,
-                _ => return Err(Error::Codec("corrupt pending stamp".into())),
-            };
-            // The pump indexes the item's clock with whatever this entry
-            // holds: a sender or cell outside the domain must stop here.
-            items[item_idx].clock().check_pending(from, &pending)?;
-            let env = decode_envelope(&mut d)?;
-            postponed.push(Postponed {
-                item_idx,
-                from,
-                pending,
-                env,
-                arrived_at,
-            });
-        }
-
-        let n_in = d.count(min_len::AGENT_MESSAGE)?;
-        let mut engine_queue = Vec::with_capacity(n_in);
-        for _ in 0..n_in {
-            engine_queue.push(decode_agent_message(&mut d)?);
-        }
-
-        let n_tx = d.count(min_len::LINK_TX)?;
-        let mut links_tx = Vec::with_capacity(n_tx);
-        for _ in 0..n_tx {
+        let (queue_out, postponed, engine_queue) = decode_queues(&mut d)?;
+        check_postponed(&items, &postponed)?;
+        let mut links_tx = Vec::new();
+        for _ in 0..d.count(min_len::LINK_TX)? {
             let peer = d.server_id()?;
             let next_seq = d.u64()?;
-            let n_frames = d.count(min_len::FRAME)?;
-            let mut unacked = Vec::with_capacity(n_frames);
-            for _ in 0..n_frames {
-                let seq = d.u64()?;
-                let payload = d.bytes()?;
-                unacked.push(LinkFrame { seq, payload });
-            }
+            let unacked = decode_frames(&mut d)?;
             links_tx.push(LinkTxImage {
                 peer,
                 next_seq,
                 unacked,
             });
         }
-
-        let n_rx = d.count(min_len::LINK_RX)?;
-        let mut links_rx = Vec::with_capacity(n_rx);
-        for _ in 0..n_rx {
-            let peer = d.server_id()?;
-            let cum_seq = d.u64()?;
-            links_rx.push(LinkRxImage { peer, cum_seq });
-        }
-
-        let n_agents = d.count(min_len::AGENT)?;
-        let mut agents = Vec::with_capacity(n_agents);
-        for _ in 0..n_agents {
-            let local = d.u32()?;
-            let image = d.bytes()?;
-            agents.push((local, image.to_vec()));
-        }
-
-        // Pre-relay images end here; treat the missing field as empty.
-        let relay = if d.remaining() > 0 {
-            d.bytes()?.to_vec()
-        } else {
-            Vec::new()
-        };
-
+        let links_rx = decode_links_rx(&mut d)?;
+        let (agents, deliver_rx, relay) = decode_tail(&mut d)?;
         Ok(ServerImage {
+            state_seq,
             next_msg_seq,
             items,
             queue_out,
@@ -331,6 +478,157 @@ impl ServerImage {
             links_tx,
             links_rx,
             agents,
+            deliver_rx,
+            relay,
+        })
+    }
+
+    /// Applies one state record: the image becomes the state after the
+    /// step that wrote it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Codec`] if the record does not fit the image: a
+    /// clock for an item it does not have or of another shape, a
+    /// postponed entry outside its domain, link frames out of sequence.
+    pub(crate) fn apply(&mut self, record: StateRecord) -> Result<()> {
+        self.next_msg_seq = record.next_msg_seq;
+        for (idx, clock) in record.items {
+            let item = self.items.get_mut(idx).ok_or_else(|| {
+                Error::Codec(format!(
+                    "state record names clock {idx} of a server with fewer"
+                ))
+            })?;
+            let old = item.clock();
+            if (clock.mode(), clock.me(), clock.n()) != (old.mode(), old.me(), old.n()) {
+                return Err(Error::Codec(format!(
+                    "state record changes the shape of clock {idx}"
+                )));
+            }
+            *item = DomainItem::from_parts(
+                item.domain_id(),
+                item.me(),
+                item.id_table().to_vec(),
+                clock,
+            );
+        }
+        check_postponed(&self.items, &record.postponed)?;
+        self.queue_out = record.queue_out;
+        self.postponed = record.postponed;
+        self.engine_queue = record.engine_queue;
+        for delta in record.links_tx {
+            let at = match self.links_tx.iter().position(|l| l.peer == delta.peer) {
+                Some(at) => at,
+                None => {
+                    self.links_tx.push(LinkTxImage {
+                        peer: delta.peer,
+                        next_seq: 1,
+                        unacked: Vec::new(),
+                    });
+                    self.links_tx.len() - 1
+                }
+            };
+            let link = &mut self.links_tx[at];
+            link.unacked.retain(|f| f.seq > delta.acked);
+            for frame in delta.sent {
+                if frame.seq < link.next_seq || frame.seq >= delta.next_seq {
+                    return Err(Error::Codec(format!(
+                        "link frame {} to {} out of sequence",
+                        frame.seq, delta.peer
+                    )));
+                }
+                link.next_seq = frame.seq + 1;
+                if frame.seq > delta.acked {
+                    link.unacked.push(frame);
+                }
+            }
+            link.next_seq = link.next_seq.max(delta.next_seq);
+        }
+        for rx in record.links_rx {
+            match self.links_rx.iter_mut().find(|l| l.peer == rx.peer) {
+                Some(link) => link.cum_seq = rx.cum_seq,
+                None => self.links_rx.push(rx),
+            }
+        }
+        for (local, snapshot) in record.agents {
+            upsert(&mut self.agents, local, snapshot);
+        }
+        for (key, upto) in record.deliver_rx {
+            upsert(&mut self.deliver_rx, key, upto);
+        }
+        self.relay.apply(record.relay);
+        Ok(())
+    }
+}
+
+impl StateRecord {
+    /// Encodes the record.
+    pub(crate) fn encode(&self) -> Bytes {
+        let mut e = Encoder::new();
+        e.u64(self.next_msg_seq);
+        e.count(self.items.len());
+        for (idx, clock) in &self.items {
+            e.count(*idx);
+            encode_clock(&mut e, clock);
+        }
+        encode_queues(&mut e, &self.queue_out, &self.postponed, &self.engine_queue);
+        e.count(self.links_tx.len());
+        for link in &self.links_tx {
+            e.server_id(link.peer);
+            e.u64(link.next_seq);
+            e.u64(link.acked);
+            encode_frames(&mut e, &link.sent);
+        }
+        encode_links_rx(&mut e, &self.links_rx);
+        encode_tail(&mut e, &self.agents, &self.deliver_rx, &self.relay);
+        e.finish()
+    }
+
+    /// Decodes a record written by [`StateRecord::encode`]. Whether it
+    /// fits the state it applies to is [`ServerImage::apply`]'s to check.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Codec`] on truncation or structural corruption.
+    pub(crate) fn decode(bytes: Bytes) -> Result<StateRecord> {
+        if bytes.len() < MIN_RECORD {
+            return Err(Error::Codec(
+                "state record shorter than an empty one".into(),
+            ));
+        }
+        let mut d = Decoder::new(bytes);
+        let next_msg_seq = d.u64()?;
+        let mut items = Vec::new();
+        for _ in 0..d.count(min_len::ITEM_CHANGE)? {
+            let idx = d.u32()? as usize;
+            items.push((idx, decode_clock(&mut d)?));
+        }
+        let (queue_out, postponed, engine_queue) = decode_queues(&mut d)?;
+        let mut links_tx = Vec::new();
+        for _ in 0..d.count(min_len::LINK_TX_DELTA)? {
+            let peer = d.server_id()?;
+            let next_seq = d.u64()?;
+            let acked = d.u64()?;
+            let sent = decode_frames(&mut d)?;
+            links_tx.push(LinkTxDelta {
+                peer,
+                next_seq,
+                acked,
+                sent,
+            });
+        }
+        let links_rx = decode_links_rx(&mut d)?;
+        let (agents, deliver_rx, relay) = decode_tail(&mut d)?;
+        Ok(StateRecord {
+            next_msg_seq,
+            items,
+            queue_out,
+            postponed,
+            engine_queue,
+            links_tx,
+            links_rx,
+            agents,
+            deliver_rx,
             relay,
         })
     }
@@ -339,8 +637,9 @@ impl ServerImage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aaa_base::{AgentId, DomainId, DomainServerId, MessageId};
+    use aaa_base::{DomainId, DomainServerId, MessageId};
     use aaa_clocks::{Batching, Stamp, StampMode, UpdateEntry};
+    use std::collections::BTreeSet;
 
     /// The pending stamp server 0 of a 3-wide Updates domain holds for a
     /// first frame from server 1 carrying `extra` besides the link cell.
@@ -355,20 +654,36 @@ mod tests {
             .on_frame(DomainServerId::new(1), Stamp::Delta(entries))
     }
 
+    fn sid(s: u16) -> ServerId {
+        ServerId::new(s)
+    }
+
+    fn aid(s: u16, l: u32) -> AgentId {
+        AgentId::new(sid(s), l)
+    }
+
+    fn sample_registry() -> Registry {
+        Registry {
+            topics: [(aid(0, 1), BTreeSet::from([aid(0, 2), aid(4, 3)]))].into(),
+            subs: [(aid(0, 2), Some(true)), (aid(4, 3), Some(false))].into(),
+            handoffs: [((sid(2), aid(0, 2)), 11)].into(),
+        }
+    }
+
     fn sample_image() -> ServerImage {
         let clock = CausalState::new(DomainServerId::new(0), 3, StampMode::Updates);
         let item = DomainItem::from_parts(
             DomainId::new(1),
             DomainServerId::new(0),
-            vec![ServerId::new(0), ServerId::new(2), ServerId::new(4)],
+            vec![sid(0), sid(2), sid(4)],
             clock,
         );
         let env = Envelope {
-            id: MessageId::new(ServerId::new(0), 9),
-            from: AgentId::new(ServerId::new(0), 1),
-            to: AgentId::new(ServerId::new(4), 2),
-            src: ServerId::new(0),
-            dest: ServerId::new(4),
+            id: MessageId::new(sid(0), 9),
+            from: aid(0, 1),
+            to: aid(4, 2),
+            src: sid(0),
+            dest: sid(4),
             note: Notification::new("k", b"body".to_vec()),
             policy: DeliveryPolicy::Causal,
         };
@@ -386,13 +701,14 @@ mod tests {
             note: env.note.clone(),
         };
         ServerImage {
+            state_seq: 3,
             next_msg_seq: 17,
             items: vec![item],
             queue_out: VecDeque::from([env]),
             postponed: vec![post],
             engine_queue: vec![am],
             links_tx: vec![LinkTxImage {
-                peer: ServerId::new(2),
+                peer: sid(2),
                 next_seq: 5,
                 unacked: vec![LinkFrame {
                     seq: 4,
@@ -400,18 +716,28 @@ mod tests {
                 }],
             }],
             links_rx: vec![LinkRxImage {
-                peer: ServerId::new(2),
+                peer: sid(2),
                 cum_seq: 7,
             }],
             agents: vec![(1, b"agent-state".to_vec())],
-            relay: b"relay-registry".to_vec(),
+            deliver_rx: vec![((aid(0, 2), sid(4)), 6)],
+            relay: sample_registry(),
         }
+    }
+
+    /// Recomputes the checksum of a checkpoint whose body a test patched.
+    fn resealed(mut bytes: Vec<u8>) -> Bytes {
+        let n = bytes.len() - 4;
+        let crc = crc32c(&bytes[..n]);
+        bytes[n..].copy_from_slice(&crc.to_le_bytes());
+        Bytes::from(bytes)
     }
 
     #[test]
     fn image_roundtrip() {
         let img = sample_image();
         let decoded = ServerImage::decode(img.encode()).unwrap();
+        assert_eq!(decoded.state_seq, 3);
         assert_eq!(decoded.next_msg_seq, 17);
         assert_eq!(decoded.items.len(), 1);
         assert_eq!(decoded.items[0].domain_id(), DomainId::new(1));
@@ -422,23 +748,27 @@ mod tests {
         assert_eq!(decoded.postponed[0].from, DomainServerId::new(1));
         assert_eq!(decoded.postponed[0].arrived_at, VTime::from_micros(1_234));
         assert_eq!(decoded.engine_queue.len(), 1);
-        assert_eq!(decoded.links_tx[0].unacked[0].seq, 4);
-        assert_eq!(decoded.links_rx[0].cum_seq, 7);
+        assert_eq!(decoded.links_tx, img.links_tx);
+        assert_eq!(decoded.links_rx, img.links_rx);
         assert_eq!(decoded.agents, vec![(1, b"agent-state".to_vec())]);
-        assert_eq!(decoded.relay, b"relay-registry".to_vec());
+        assert_eq!(decoded.deliver_rx, img.deliver_rx);
+        assert_eq!(decoded.relay, sample_registry());
+        assert_eq!(decoded.encode(), img.encode());
     }
 
     #[test]
-    fn pre_relay_image_decodes_with_empty_registry() {
-        // An image written before the relay field existed ends right after
-        // the agents section; decoding must default the registry to empty
-        // rather than erroring.
-        let img = sample_image();
-        let full = img.encode();
-        let legacy = full.slice(0..full.len() - 4 - b"relay-registry".len());
-        let decoded = ServerImage::decode(legacy).unwrap();
-        assert!(decoded.relay.is_empty());
-        assert_eq!(decoded.agents, vec![(1, b"agent-state".to_vec())]);
+    fn every_flipped_bit_fails_the_checksum() {
+        let bytes = sample_image().encode().to_vec();
+        for at in 0..bytes.len() {
+            let mut flipped = bytes.clone();
+            flipped[at] ^= 1 << (at % 8);
+            let err = ServerImage::decode(Bytes::from(flipped)).unwrap_err();
+            assert_eq!(
+                err,
+                Error::Codec("checkpoint checksum mismatch".into()),
+                "byte {at}"
+            );
+        }
     }
 
     #[test]
@@ -458,7 +788,7 @@ mod tests {
             img.items = vec![DomainItem::from_parts(
                 DomainId::new(1),
                 DomainServerId::new(0),
-                vec![ServerId::new(0), ServerId::new(2), ServerId::new(4)],
+                vec![sid(0), sid(2), sid(4)],
                 a.clone(),
             )];
             img.postponed.clear();
@@ -490,13 +820,16 @@ mod tests {
 
     #[test]
     fn section_count_is_bounded_by_the_bytes_present() {
-        // The item count sits right after the 8-byte message counter. A
-        // corrupt store must fail recovery with an error, not abort the
-        // process on a 4-billion-element reservation.
+        // The item count sits right after the covered state sequence and
+        // the message counter. A corrupt store must fail recovery with an
+        // error, not abort the process on a 4-billion-element reservation.
         let mut bytes = sample_image().encode().to_vec();
-        bytes[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
-        let err = ServerImage::decode(Bytes::from(bytes)).unwrap_err();
-        assert!(matches!(err, Error::Codec(_)), "{err}");
+        bytes[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = ServerImage::decode(resealed(bytes)).unwrap_err();
+        assert!(
+            matches!(err, Error::Codec(ref m) if m.contains("count")),
+            "{err}"
+        );
     }
 
     #[test]
@@ -513,7 +846,7 @@ mod tests {
             note: empty.clone(),
             ..sample.queue_out[0].clone()
         };
-        let fills: [fn(&mut ServerImage, &Envelope); 7] = [
+        let fills: [fn(&mut ServerImage, &Envelope); 11] = [
             |img, env| img.queue_out = vec![env.clone(); K].into(),
             |img, env| {
                 img.postponed = (0..K)
@@ -539,7 +872,7 @@ mod tests {
             |img, _| {
                 img.links_tx = vec![
                     LinkTxImage {
-                        peer: ServerId::new(2),
+                        peer: sid(2),
                         next_seq: 1,
                         unacked: Vec::new(),
                     };
@@ -552,7 +885,7 @@ mod tests {
                     payload: Bytes::new(),
                 };
                 img.links_tx = vec![LinkTxImage {
-                    peer: ServerId::new(2),
+                    peer: sid(2),
                     next_seq: 1,
                     unacked: vec![frame; K],
                 }];
@@ -560,13 +893,27 @@ mod tests {
             |img, _| {
                 img.links_rx = vec![
                     LinkRxImage {
-                        peer: ServerId::new(2),
+                        peer: sid(2),
                         cum_seq: 0,
                     };
                     K
                 ];
             },
             |img, _| img.agents = vec![(1, Vec::new()); K],
+            |img, _| img.deliver_rx = (0..K as u32).map(|l| ((aid(0, l), sid(1)), 1)).collect(),
+            |img, _| {
+                img.relay.topics = (0..K as u32)
+                    .map(|l| (aid(0, l), BTreeSet::new()))
+                    .collect();
+            },
+            |img, _| {
+                let members = (0..K as u32).map(|l| aid(0, l)).collect();
+                img.relay.topics = [(aid(0, 1), members)].into();
+            },
+            |img, _| {
+                img.relay.subs = (0..K as u32).map(|l| (aid(0, l), None)).collect();
+                img.relay.handoffs = (0..K as u32).map(|l| ((sid(1), aid(0, l)), 1)).collect();
+            },
         ];
         for (section, fill) in fills.iter().enumerate() {
             let mut img = ServerImage {
@@ -576,7 +923,8 @@ mod tests {
                 links_tx: Vec::new(),
                 links_rx: Vec::new(),
                 agents: Vec::new(),
-                relay: Vec::new(),
+                deliver_rx: Vec::new(),
+                relay: Registry::default(),
                 ..sample_image()
             };
             fill(&mut img, &env);
@@ -625,5 +973,105 @@ mod tests {
             .on_frame(DomainServerId::new(1), stamp);
         let err = ServerImage::decode(img.encode()).unwrap_err();
         assert!(err.to_string().contains("matrix width 4"), "{err}");
+    }
+
+    /// A record moving [`sample_image`] on by one step: a send on the
+    /// clock, a frame acked and one sent, a first link to a new peer, the
+    /// queues drained, an agent and the relay watermarks changed.
+    fn sample_record() -> StateRecord {
+        let mut clock = sample_image().items[0].clock().clone();
+        let _ = clock.stamp_send(DomainServerId::new(1), Batching::Single);
+        let frame = |seq| LinkFrame {
+            seq,
+            payload: Bytes::from(vec![seq as u8]),
+        };
+        StateRecord {
+            next_msg_seq: 18,
+            items: vec![(0, clock)],
+            queue_out: VecDeque::new(),
+            postponed: Vec::new(),
+            engine_queue: Vec::new(),
+            links_tx: vec![
+                LinkTxDelta {
+                    peer: sid(2),
+                    next_seq: 6,
+                    acked: 4,
+                    sent: vec![frame(5)],
+                },
+                LinkTxDelta {
+                    peer: sid(4),
+                    next_seq: 3,
+                    acked: 0,
+                    sent: vec![frame(1), frame(2)],
+                },
+            ],
+            links_rx: vec![LinkRxImage {
+                peer: sid(4),
+                cum_seq: 1,
+            }],
+            agents: vec![(0, b"new".to_vec()), (1, b"changed".to_vec())],
+            deliver_rx: vec![((aid(0, 2), sid(4)), 7), ((aid(0, 9), sid(4)), 1)],
+            relay: Registry {
+                topics: [(aid(0, 1), BTreeSet::new())].into(),
+                subs: [(aid(4, 3), None)].into(),
+                handoffs: [((sid(2), aid(0, 2)), 12)].into(),
+            },
+        }
+    }
+
+    #[test]
+    fn a_state_record_roundtrips_and_moves_the_image_one_step() {
+        let record = sample_record();
+        let bytes = record.encode();
+        let decoded = StateRecord::decode(bytes.clone()).unwrap();
+        assert_eq!(decoded.encode(), bytes);
+
+        let mut img = sample_image();
+        img.apply(decoded).unwrap();
+        assert_eq!(img.next_msg_seq, 18);
+        assert_eq!(img.items[0].clock(), &record.items[0].1);
+        assert!(img.queue_out.is_empty() && img.postponed.is_empty());
+        assert!(img.engine_queue.is_empty());
+        let frames = |link: &LinkTxImage| link.unacked.iter().map(|f| f.seq).collect::<Vec<_>>();
+        assert_eq!(
+            (img.links_tx[0].next_seq, frames(&img.links_tx[0])),
+            (6, vec![5])
+        );
+        assert_eq!(
+            (img.links_tx[1].next_seq, frames(&img.links_tx[1])),
+            (3, vec![1, 2])
+        );
+        assert_eq!(img.links_rx.len(), 2);
+        assert_eq!(
+            img.agents,
+            vec![(0, b"new".to_vec()), (1, b"changed".to_vec())]
+        );
+        assert_eq!(
+            img.deliver_rx,
+            vec![((aid(0, 2), sid(4)), 7), ((aid(0, 9), sid(4)), 1)]
+        );
+        assert!(img.relay.topics.is_empty());
+        assert_eq!(img.relay.subs, [(aid(0, 2), Some(true))].into());
+        assert_eq!(img.relay.handoffs[&(sid(2), aid(0, 2))], 12);
+    }
+
+    #[test]
+    fn a_record_that_does_not_fit_the_image_is_refused() {
+        let mut foreign = sample_record();
+        foreign.items[0].0 = 1;
+        assert!(sample_image().apply(foreign).is_err(), "no clock 1");
+
+        let mut wide = sample_record();
+        wide.items[0].1 = CausalState::new(DomainServerId::new(0), 4, StampMode::Updates);
+        assert!(sample_image().apply(wide).is_err(), "a 4-wide clock");
+
+        let mut replayed = sample_record();
+        replayed.links_tx[0].sent[0].seq = 4;
+        assert!(sample_image().apply(replayed).is_err(), "seq 4 again");
+
+        let mut postponed = sample_record();
+        postponed.postponed = sample_image().postponed;
+        postponed.postponed[0].from = DomainServerId::new(3);
+        assert!(sample_image().apply(postponed).is_err(), "sender 3 of 3");
     }
 }

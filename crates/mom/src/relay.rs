@@ -29,12 +29,14 @@
 //!   terminal (a relay never re-forwards a handoff), so no relay loop can
 //!   form.
 //!
-//! The relay is not an [`Agent`](crate::agent::Agent): agents snapshot
-//! into the transactional image, but the relay's state *is* its durable
-//! journal, which has its own crash story. It is instead addressed as a
-//! pseudo-agent at local id [`RELAY_LOCAL`] and wired directly into
-//! [`ServerCore`](crate::ServerCore)'s delivery path, so relay control
-//! traffic rides the normal causal bus in both runtimes.
+//! The relay is not an [`Agent`](crate::agent::Agent): its queues live in
+//! its durable journal, which has its own crash story, and its registry
+//! (topics, subscribers, handoff watermarks) is server state, recorded in
+//! the server's checkpoints and state records like a clock is. It is
+//! instead addressed as a pseudo-agent at local id [`RELAY_LOCAL`] and
+//! wired directly into [`ServerCore`](crate::ServerCore)'s delivery path,
+//! so relay control traffic rides the normal causal bus in both runtimes.
+//! The same journal carries the server's state stream (DESIGN.md §17.1).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fs;
@@ -220,6 +222,108 @@ fn open_journal(me: ServerId, cfg: &RelayConfig) -> Result<Journal> {
     Journal::open(relay_dir.join("journal"), cfg.queue_config())
 }
 
+/// Wire bytes of an agent id.
+const AGENT_ID_LEN: usize = 6;
+
+/// The relay's registry — topics, subscribers and handoff watermarks — as
+/// a checkpoint holds it, or the part of it one step changed, as a state
+/// record holds it ([`Registry::apply`] merges a change in).
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+pub(crate) struct Registry {
+    /// Topic agent → its subscribers. In a change, an empty set removes
+    /// the topic.
+    pub topics: BTreeMap<AgentId, BTreeSet<AgentId>>,
+    /// Subscriber → whether it is connected. In a change, `None` removes
+    /// the subscriber.
+    pub subs: BTreeMap<AgentId, Option<bool>>,
+    /// Highest origin sequence accepted per `(origin server, subscriber)`.
+    pub handoffs: BTreeMap<(ServerId, AgentId), u64>,
+}
+
+impl Registry {
+    /// Merges `change` in: its keys replace or remove the same keys here.
+    pub fn apply(&mut self, change: Registry) {
+        for (topic, members) in change.topics {
+            if members.is_empty() {
+                self.topics.remove(&topic);
+            } else {
+                self.topics.insert(topic, members);
+            }
+        }
+        for (sub, connected) in change.subs {
+            match connected {
+                Some(_) => self.subs.insert(sub, connected),
+                None => self.subs.remove(&sub),
+            };
+        }
+        self.handoffs.extend(change.handoffs);
+    }
+
+    /// Appends the registry to `e`.
+    pub fn encode(&self, e: &mut Encoder) {
+        e.count(self.topics.len());
+        for (topic, members) in &self.topics {
+            e.agent_id(*topic);
+            e.count(members.len());
+            for m in members {
+                e.agent_id(*m);
+            }
+        }
+        e.count(self.subs.len());
+        for (sub, connected) in &self.subs {
+            e.agent_id(*sub);
+            e.u8(connected.map_or(0, |c| 1 + u8::from(c)));
+        }
+        e.count(self.handoffs.len());
+        for ((origin, sub), upto) in &self.handoffs {
+            e.server_id(*origin);
+            e.agent_id(*sub);
+            e.u64(*upto);
+        }
+    }
+
+    /// Decodes what [`Registry::encode`] wrote.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Codec`] on truncation or an unknown subscriber state.
+    pub fn decode(d: &mut Decoder) -> Result<Registry> {
+        let mut registry = Registry::default();
+        for _ in 0..d.count(AGENT_ID_LEN + 4)? {
+            let topic = d.agent_id()?;
+            let mut members = BTreeSet::new();
+            for _ in 0..d.count(AGENT_ID_LEN)? {
+                members.insert(d.agent_id()?);
+            }
+            registry.topics.insert(topic, members);
+        }
+        for _ in 0..d.count(AGENT_ID_LEN + 1)? {
+            let sub = d.agent_id()?;
+            let connected = match d.u8()? {
+                0 => None,
+                1 => Some(false),
+                2 => Some(true),
+                s => return Err(Error::Codec(format!("unknown subscriber state {s}"))),
+            };
+            registry.subs.insert(sub, connected);
+        }
+        for _ in 0..d.count(2 + AGENT_ID_LEN + 8)? {
+            let origin = d.server_id()?;
+            let sub = d.agent_id()?;
+            registry.handoffs.insert((origin, sub), d.u64()?);
+        }
+        Ok(registry)
+    }
+}
+
+/// The registry keys changed since the last [`RelayCore::take_changes`].
+#[derive(Debug, Default)]
+struct Changed {
+    topics: BTreeSet<AgentId>,
+    subs: BTreeSet<AgentId>,
+    handoffs: BTreeSet<(ServerId, AgentId)>,
+}
+
 /// Redelivery state of one subscriber (its entries live in the journal
 /// under [`stream`]).
 #[derive(Debug)]
@@ -251,8 +355,9 @@ struct SubState {
 pub(crate) struct RelayCore {
     me: ServerId,
     cfg: RelayConfig,
-    /// Every subscriber's queue, one stream each.
-    journal: Journal,
+    /// Every subscriber's queue, one stream each, and the server's state
+    /// stream.
+    pub journal: Journal,
     /// Topic agent → its subscribers (mirrors the relayed `TopicAgent`s).
     topics: BTreeMap<AgentId, BTreeSet<AgentId>>,
     subs: BTreeMap<AgentId, SubState>,
@@ -267,10 +372,19 @@ pub(crate) struct RelayCore {
     /// subscriber's depth (10k subscribers × one ack each is the common
     /// fan-out shape).
     depth_cache: u64,
+    /// The latest instant [`RelayCore::on_tick`] or [`RelayCore::on_ack`]
+    /// saw: the TTL horizon of [`RelayCore::compact`].
+    tick: u64,
+    /// Registry keys changed since the last state record, while the server
+    /// records its state ([`RelayCore::track_changes`]).
+    changed: Option<Changed>,
     metrics: Option<RelayMetrics>,
-    /// Fails every [`RelayCore::sync`], for the commit-order tests.
+    /// The power-cut seam: how many more [`RelayCore::sync`]s succeed.
+    /// Once it reaches zero every sync fails without writing, and what
+    /// the journal buffered since the last successful one dies with the
+    /// server, as it would in a power loss at that commit point.
     #[cfg(test)]
-    pub fail_sync: bool,
+    pub syncs_left: Option<u64>,
 }
 
 impl RelayCore {
@@ -290,10 +404,58 @@ impl RelayCore {
             outbox: VecDeque::new(),
             handoff_rx: HashMap::new(),
             depth_cache: 0,
+            tick: 0,
+            changed: None,
             metrics: None,
             #[cfg(test)]
-            fail_sync: false,
+            syncs_left: None,
         })
+    }
+
+    /// Starts recording which registry keys change, for
+    /// [`RelayCore::take_changes`].
+    pub fn track_changes(&mut self) {
+        self.changed = Some(Changed::default());
+    }
+
+    /// The registry keys changed since the last call, with their current
+    /// values (an empty member set or `None` where a topic or subscriber
+    /// was removed).
+    pub fn take_changes(&mut self) -> Registry {
+        let Some(changed) = self.changed.as_mut().map(std::mem::take) else {
+            return Registry::default();
+        };
+        Registry {
+            topics: changed
+                .topics
+                .into_iter()
+                .map(|t| (t, self.topics.get(&t).cloned().unwrap_or_default()))
+                .collect(),
+            subs: changed
+                .subs
+                .into_iter()
+                .map(|s| (s, self.subs.get(&s).map(|st| st.connected)))
+                .collect(),
+            handoffs: changed
+                .handoffs
+                .into_iter()
+                .filter_map(|k| Some((k, *self.handoff_rx.get(&k)?)))
+                .collect(),
+        }
+    }
+
+    /// `true` when no tracked registry key changed since the last
+    /// [`RelayCore::take_changes`].
+    pub fn unchanged(&self) -> bool {
+        self.changed
+            .as_ref()
+            .is_none_or(|c| c.topics.is_empty() && c.subs.is_empty() && c.handoffs.is_empty())
+    }
+
+    fn changed_sub(&mut self, sub: AgentId) {
+        if let Some(c) = &mut self.changed {
+            c.subs.insert(sub);
+        }
     }
 
     pub fn attach_metrics(&mut self, metrics: RelayMetrics) {
@@ -306,11 +468,11 @@ impl RelayCore {
         self.metrics = Some(metrics);
     }
 
-    /// The commit point: makes everything journaled since the last call
-    /// durable with at most one write and one `fdatasync`, nothing when
-    /// the journal is clean. [`ServerCore`](crate::ServerCore) calls it at
-    /// the end of every step, before the image `put` and before any
-    /// transmission leaves.
+    /// The commit point: makes everything journaled since the last call —
+    /// the server's state record included — durable with at most one
+    /// write and one `fdatasync`, nothing when the journal is clean.
+    /// [`ServerCore`](crate::ServerCore) calls it at the end of every
+    /// step, before any checkpoint and before any transmission leaves.
     ///
     /// # Errors
     ///
@@ -319,16 +481,31 @@ impl RelayCore {
     /// the server is recovered.
     pub fn sync(&mut self) -> Result<()> {
         #[cfg(test)]
-        if self.fail_sync {
-            return Err(Error::Storage("injected journal sync failure".into()));
+        match &mut self.syncs_left {
+            Some(0) => return Err(Error::Storage("injected power cut".into())),
+            Some(left) => *left -= 1,
+            None => {}
         }
         self.journal.sync()
     }
 
-    /// The journal's storage accounting.
-    #[cfg(test)]
-    pub fn journal_stats(&self) -> &aaa_storage::StorageStats {
-        self.journal.stats()
+    /// Compacts the journal. The server calls it from its commit, once a
+    /// checkpoint covers every state record the pass would drop.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Journal::compact`].
+    pub fn compact(&mut self) -> Result<()> {
+        let report = self.journal.compact(self.tick)?;
+        // Expired entries the pass acknowledged away leave the backlog.
+        self.depth_cache = self.depth_cache.saturating_sub(report.expired_dropped);
+        if let Some(m) = &self.metrics {
+            m.expired.add(report.expired_dropped);
+            m.compactions.add(1);
+            m.compaction_reclaimed.add(report.bytes_reclaimed);
+        }
+        self.update_depth_gauge();
+        Ok(())
     }
 
     /// Total unacknowledged backlog across subscribers, recomputed from
@@ -356,9 +533,13 @@ impl RelayCore {
             journal,
             subs,
             depth_cache,
+            changed,
             ..
         } = self;
         subs.entry(sub).or_insert_with(|| {
+            if let Some(c) = changed {
+                c.subs.insert(sub);
+            }
             // A recovered stream carries its backlog.
             *depth_cache = depth_cache.saturating_add(journal.depth(stream(sub)) as u64);
             SubState {
@@ -374,6 +555,9 @@ impl RelayCore {
     /// Registers `sub` on `topic`.
     pub fn on_subscribe(&mut self, topic: AgentId, sub: AgentId, now: VTime) {
         self.topics.entry(topic).or_default().insert(sub);
+        if let Some(c) = &mut self.changed {
+            c.topics.insert(topic);
+        }
         self.ensure_sub(sub);
         self.pump(sub, now);
     }
@@ -388,10 +572,13 @@ impl RelayCore {
             if members.is_empty() {
                 self.topics.remove(&topic);
             }
+            if let Some(c) = &mut self.changed {
+                c.topics.insert(topic);
+            }
         }
         let orphan = !self.topics.values().any(|m| m.contains(&sub));
-        if orphan && self.journal.depth(stream(sub)) == 0 {
-            self.subs.remove(&sub);
+        if orphan && self.journal.depth(stream(sub)) == 0 && self.subs.remove(&sub).is_some() {
+            self.changed_sub(sub);
         }
     }
 
@@ -463,6 +650,7 @@ impl RelayCore {
     /// Commits cumulative delivery for `sub` up to `upto` and refills the
     /// dispatch window.
     pub fn on_ack(&mut self, sub: AgentId, upto: u64, now: VTime) -> Result<()> {
+        self.tick = now.as_micros();
         let Some(st) = self.subs.get_mut(&sub) else {
             return Ok(()); // unsubscribed meanwhile: stale ack, ignore
         };
@@ -482,7 +670,6 @@ impl RelayCore {
             st.next_retry = None;
         }
         self.pump(sub, now);
-        self.maybe_compact(now)?;
         self.update_depth_gauge();
         Ok(())
     }
@@ -509,6 +696,9 @@ impl RelayCore {
         let last = self.handoff_rx.get(&(origin, sub)).copied().unwrap_or(0);
         if seq > last {
             self.handoff_rx.insert((origin, sub), seq);
+            if let Some(c) = &mut self.changed {
+                c.handoffs.insert((origin, sub));
+            }
             if let Some(m) = &self.metrics {
                 m.handoff_accepted.add(1);
             }
@@ -554,6 +744,7 @@ impl RelayCore {
     /// the backlog accumulates under the depth/TTL bounds).
     pub fn set_connected(&mut self, sub: AgentId, connected: bool, now: VTime) {
         let acked = self.journal.acked(stream(sub));
+        self.changed_sub(sub);
         let st = self.ensure_sub(sub);
         st.connected = connected;
         st.next_retry = None;
@@ -566,13 +757,14 @@ impl RelayCore {
         }
     }
 
-    /// Advances TTL expiry, redelivery timers and compaction; call once
-    /// per server tick.
+    /// Advances TTL expiry and redelivery timers; call once per server
+    /// tick.
     pub fn on_tick(&mut self, now: VTime) -> Result<()> {
+        self.tick = now.as_micros();
         // Fast path: without a TTL nothing expires, and when no retry is
-        // due there is nothing to redeliver or compact — skip the
-        // per-subscriber walk (the tick fires continuously and the walk
-        // touches every subscriber, which hurts at 10k of them).
+        // due there is nothing to redeliver — skip the per-subscriber walk
+        // (the tick fires continuously and the walk touches every
+        // subscriber, which hurts at 10k of them).
         if self.cfg.ttl.is_none() && self.next_retry_deadline().is_none_or(|t| t > now) {
             return Ok(());
         }
@@ -606,25 +798,7 @@ impl RelayCore {
                 self.pump(sub, now);
             }
         }
-        self.maybe_compact(now)?;
         self.update_depth_gauge();
-        Ok(())
-    }
-
-    /// Compacts the journal once its dead records pay for the rewrite
-    /// ([`Journal::compaction_due`]).
-    fn maybe_compact(&mut self, now: VTime) -> Result<()> {
-        if !self.journal.compaction_due() {
-            return Ok(());
-        }
-        let report = self.journal.compact(now.as_micros())?;
-        // Expired entries the pass acknowledged away leave the backlog.
-        self.depth_cache = self.depth_cache.saturating_sub(report.expired_dropped);
-        if let Some(m) = &self.metrics {
-            m.expired.add(report.expired_dropped);
-            m.compactions.add(1);
-            m.compaction_reclaimed.add(report.bytes_reclaimed);
-        }
         Ok(())
     }
 
@@ -712,69 +886,36 @@ impl RelayCore {
         self.subs.values().filter_map(|st| st.next_retry).min()
     }
 
-    /// Serializes the registry (topics, subscriber flags, handoff
-    /// watermarks). Queue *contents* are not here — they live in the
-    /// durable journal (or are accepted as lost for an in-memory one).
-    pub fn snapshot(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
-        e.count(self.topics.len());
-        for (topic, members) in &self.topics {
-            e.agent_id(*topic);
-            e.count(members.len());
-            for m in members {
-                e.agent_id(*m);
-            }
+    /// The whole registry (topics, subscriber flags, handoff watermarks).
+    /// Queue *contents* are not here — they live in the durable journal
+    /// (or are accepted as lost for an in-memory one).
+    pub fn registry(&self) -> Registry {
+        Registry {
+            topics: self.topics.clone(),
+            subs: self
+                .subs
+                .iter()
+                .map(|(&sub, st)| (sub, Some(st.connected)))
+                .collect(),
+            handoffs: self.handoff_rx.iter().map(|(&k, &v)| (k, v)).collect(),
         }
-        e.count(self.subs.len());
-        for (sub, st) in &self.subs {
-            e.agent_id(*sub);
-            e.u8(u8::from(st.connected));
-        }
-        e.count(self.handoff_rx.len());
-        let mut watermarks: Vec<(&(ServerId, AgentId), &u64)> = self.handoff_rx.iter().collect();
-        watermarks.sort();
-        for ((origin, sub), upto) in watermarks {
-            e.server_id(*origin);
-            e.agent_id(*sub);
-            e.u64(*upto);
-        }
-        e.finish().to_vec()
     }
 
-    /// Rebuilds the registry from [`RelayCore::snapshot`] over the
-    /// recovered journal. Dispatch watermarks reset to the acked position:
-    /// recovery redelivers the uncommitted window and the receiver's
-    /// dedup restores exactly-once.
-    pub fn restore(&mut self, image: &[u8], now: VTime) -> Result<()> {
-        if image.is_empty() {
-            return Ok(());
-        }
-        let mut d = Decoder::new(Bytes::from(image.to_vec()));
-        let topics = d.u32()?;
-        for _ in 0..topics {
-            let topic = d.agent_id()?;
-            let members = d.u32()?;
-            for _ in 0..members {
-                let sub = d.agent_id()?;
-                self.topics.entry(topic).or_default().insert(sub);
-            }
-        }
-        let subs = d.u32()?;
-        for _ in 0..subs {
-            let sub = d.agent_id()?;
-            let connected = d.u8()? != 0;
+    /// Installs a recovered registry over the recovered journal. Dispatch
+    /// watermarks reset to the acked position: recovery redelivers the
+    /// uncommitted window and the receiver's dedup restores exactly-once.
+    pub fn restore(&mut self, registry: Registry, now: VTime) {
+        self.topics = registry.topics;
+        self.handoff_rx = registry.handoffs.into_iter().collect();
+        for (sub, connected) in registry.subs {
             // Recovery redispatches from the committed watermark for
             // everyone reachable.
-            self.set_connected(sub, connected, now);
+            self.set_connected(sub, connected.unwrap_or(true), now);
         }
-        let watermarks = d.u32()?;
-        for _ in 0..watermarks {
-            let origin = d.server_id()?;
-            let sub = d.agent_id()?;
-            let upto = d.u64()?;
-            self.handoff_rx.insert((origin, sub), upto);
+        // What was restored is already durable.
+        if let Some(c) = &mut self.changed {
+            *c = Changed::default();
         }
-        Ok(())
     }
 }
 
@@ -1041,8 +1182,18 @@ mod tests {
         );
     }
 
+    /// `registry` through its codec, as a checkpoint carries it.
+    fn reencoded(registry: &Registry) -> Registry {
+        let mut e = Encoder::new();
+        registry.encode(&mut e);
+        let mut d = Decoder::new(e.finish());
+        let decoded = Registry::decode(&mut d).unwrap();
+        assert_eq!(d.remaining(), 0);
+        decoded
+    }
+
     #[test]
-    fn snapshot_restore_reopens_durable_queues() {
+    fn registry_restore_reopens_durable_queues() {
         let dir = std::env::temp_dir().join(format!(
             "aaa-relay-restore-{}-{:?}",
             std::process::id(),
@@ -1052,7 +1203,7 @@ mod tests {
         let cfg = local_cfg().dir(&dir);
         let topic = aid(0, 1);
         let sub = aid(0, 2);
-        let image = {
+        let registry = {
             let mut r = RelayCore::new(ServerId::new(0), cfg.clone()).unwrap();
             r.on_subscribe(topic, sub, VTime::ZERO);
             for i in 0..3u8 {
@@ -1061,16 +1212,54 @@ mod tests {
             }
             drain(&mut r);
             r.on_ack(sub, 1, VTime::ZERO).unwrap();
-            // The server commits the journal before the image.
+            // The server commits the journal before the checkpoint.
             r.sync().unwrap();
-            r.snapshot()
+            reencoded(&r.registry())
         }; // crash: in-flight 2 and 3 never acked
         let mut r = RelayCore::new(ServerId::new(0), cfg).unwrap();
-        r.restore(&image, VTime::ZERO).unwrap();
+        r.restore(registry, VTime::ZERO);
         let out = drain(&mut r);
         assert_eq!(out.len(), 2, "uncommitted window redelivered");
         assert_eq!(r.backlog(), 2);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn tracked_changes_replay_onto_the_last_registry() {
+        let mut r = RelayCore::new(ServerId::new(1), local_cfg()).unwrap();
+        r.track_changes();
+        let (topic, other) = (aid(1, 1), aid(1, 9));
+        let mut replayed = Registry::default();
+        let steps: [&dyn Fn(&mut RelayCore); 6] = [
+            &|r| {
+                r.on_subscribe(topic, aid(1, 2), VTime::ZERO);
+                r.on_subscribe(other, aid(1, 3), VTime::ZERO);
+            },
+            &|r| r.set_connected(aid(1, 2), false, VTime::ZERO),
+            &|r| {
+                r.on_handoff(ServerId::new(0), &handoff(aid(1, 4), 1), VTime::ZERO)
+                    .unwrap();
+            },
+            &|r| {
+                r.on_handoff(ServerId::new(0), &handoff(aid(1, 4), 2), VTime::ZERO)
+                    .unwrap();
+            },
+            // The only member leaves: the topic and the subscriber go.
+            &|r| r.on_unsubscribe(other, aid(1, 3)),
+            &|_| {},
+        ];
+        for step in steps {
+            step(&mut r);
+            drain(&mut r);
+            replayed.apply(reencoded(&r.take_changes()));
+            assert_eq!(replayed, r.registry());
+        }
+        assert_eq!(
+            r.take_changes(),
+            Registry::default(),
+            "nothing changed since"
+        );
+        assert!(!replayed.topics.contains_key(&other));
     }
 
     fn tmp_dir(name: &str) -> PathBuf {

@@ -225,15 +225,15 @@ impl ServerDriver {
             }
             Command::Shutdown => {
                 // Graceful teardown: push out whatever the batcher still
-                // holds, then group-commit the drained image so recovery
-                // restarts from here instead of replaying the tail.
+                // holds, then checkpoint the drained state so recovery
+                // restarts from here instead of replaying state records.
                 if let Some(core) = self.core.as_mut() {
                     let ts = core.flush_links();
                     self.transmit(endpoint, ts);
                 }
                 if let Some(core) = self.core.as_mut() {
                     // A failed final checkpoint must not abort teardown;
-                    // the previous committed image is still consistent.
+                    // what the last commit made durable still recovers.
                     // audit:allow(error-swallow)
                     let _ = core.checkpoint();
                 }

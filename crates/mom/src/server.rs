@@ -31,11 +31,17 @@ use crate::channel::{ChannelCore, Submit};
 use crate::engine::EngineCore;
 use crate::message::{AgentMessage, DeliveryPolicy, Notification, SendOptions};
 use crate::metrics::{RelayMetrics, ServerMetrics};
-use crate::persist::{LinkRxImage, LinkTxImage, ServerImage};
+use crate::persist::{LinkRxImage, LinkTxDelta, LinkTxImage, ServerImage, StateRecord};
 use crate::relay::{self, relay_agent, RelayConfig, RelayCore, RELAY_LOCAL};
 
-/// Storage key of the transactional server image.
+/// Storage key of the server checkpoint.
 const IMAGE_KEY: &str = "server-image";
+
+/// The state-record bytes a server with a durable relay journal writes at
+/// least before it checkpoints again: a checkpoint costs two `fsync`s
+/// whatever its size, so a small state is not rewritten every few steps.
+/// With the checkpoint's own size it bounds what recovery replays.
+const CHECKPOINT_FLOOR: u64 = 256 * 1024;
 
 /// Configuration of one agent server.
 #[derive(Debug, Clone, Copy)]
@@ -44,7 +50,9 @@ pub struct ServerConfig {
     pub stamp_mode: StampMode,
     /// Link retransmission timeout.
     pub rto: VDuration,
-    /// Whether to persist the transactional image after every step.
+    /// Whether every step commits the server's state durably: as a state
+    /// record in the relay journal when one is durable, else as a
+    /// checkpoint (DESIGN.md §17.1).
     pub persist: bool,
     /// Group-commit batching policy for outgoing link frames. The default
     /// coalesces every frame produced within one step into a single wire
@@ -89,7 +97,8 @@ pub struct StepStats {
     pub cell_ops: u64,
     /// Causal stamp bytes emitted.
     pub stamp_bytes: u64,
-    /// Bytes written to stable storage.
+    /// Bytes of server state written to stable storage: state records
+    /// and checkpoints.
     pub disk_bytes: u64,
     /// Messages delivered to local agents.
     pub delivered: u64,
@@ -144,12 +153,58 @@ pub struct ServerCore {
     /// Meter stash so a relay enabled after [`ServerCore::attach_meter`]
     /// still gets instruments.
     meter: Option<Meter>,
-    /// Relay registry blob recovered from the image, consumed by
-    /// [`ServerCore::enable_relay`].
-    relay_image: Vec<u8>,
+    /// What the persistence path has recorded, and what moved since.
+    log: StateLog,
     /// The last commit failed: the links hold frames that step flushed,
-    /// and no durable journal and image cover them yet.
+    /// and no durable state covers them yet.
     uncommitted: bool,
+}
+
+/// Where one link stood at the last state record or checkpoint.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct LinkMark {
+    next_seq: u64,
+    acked: u64,
+    cum_seq: u64,
+}
+
+impl LinkMark {
+    /// A link that has carried nothing yet.
+    const NEW: LinkMark = LinkMark {
+        next_seq: 1,
+        acked: 0,
+        cum_seq: 0,
+    };
+}
+
+/// The bookkeeping of a persisting server (DESIGN.md §17.1): what its
+/// checkpoint and state records cover, and what moved since the last of
+/// them — so the next record carries only that.
+#[derive(Debug, Default)]
+struct StateLog {
+    /// The next commit writes a checkpoint whatever the tail: set when the
+    /// relay journal holds state records that do not describe this
+    /// server (an earlier incarnation's, or ones past a gap recovery
+    /// stopped at), and by [`ServerCore::checkpoint`].
+    checkpoint_due: bool,
+    /// For a recovered server, the last state record its checkpoint
+    /// covers (0 without one): where [`ServerCore::enable_relay`] starts
+    /// the replay.
+    recovered_at: Option<u64>,
+    /// Encoded size of the last checkpoint.
+    checkpoint_bytes: u64,
+    /// Encoded size of the state records written since.
+    tail_bytes: u64,
+    /// The message-id counter as last recorded.
+    msg_seq: u64,
+    /// The last record held non-empty queues.
+    queues: bool,
+    /// Per peer, the links as last recorded; absent = [`LinkMark::NEW`].
+    links: HashMap<ServerId, LinkMark>,
+    /// Local ids of the agents that reacted or registered since.
+    agents: Vec<u32>,
+    /// Relay dedup watermarks that moved since.
+    deliver_rx: Vec<(AgentId, ServerId)>,
 }
 
 impl std::fmt::Debug for ServerCore {
@@ -193,7 +248,7 @@ impl ServerCore {
             publish_stamps: HashMap::new(),
             pending_sends: std::collections::VecDeque::new(),
             meter: None,
-            relay_image: Vec::new(),
+            log: StateLog::default(),
             uncommitted: false,
         })
     }
@@ -213,22 +268,59 @@ impl ServerCore {
     }
 
     /// Enables the store-and-forward relay on this server, recovering its
-    /// durable journal, restoring any registry recovered with the
-    /// transactional image and redelivering the uncommitted window.
-    /// Returns the datagrams that redelivery produced.
+    /// durable journal and redelivering the uncommitted window. On a
+    /// server [recovered](ServerCore::recover) from a checkpoint this
+    /// finishes the recovery: the checkpoint, read again, plus every state
+    /// record the journal holds after it, becomes the server's state,
+    /// relay registry included. Call it right after `recover`, before the
+    /// server takes a step. Returns the datagrams that redelivery
+    /// produced.
     ///
     /// # Errors
     ///
     /// Propagates [`Error::Storage`] from journal recovery, including a
-    /// relay directory left in the older per-subscriber layout.
+    /// relay directory left in the older per-subscriber layout, and
+    /// [`Error::Codec`] from a state record that does not decode or fit.
     pub fn enable_relay(&mut self, cfg: RelayConfig, now: VTime) -> Result<Vec<Transmission>> {
         let mut relay = RelayCore::new(self.me, cfg)?;
         if let Some(meter) = &self.meter {
             relay.attach_metrics(RelayMetrics::new(meter));
         }
-        let image = std::mem::take(&mut self.relay_image);
-        relay.restore(&image, now)?;
+        let tail = relay.journal.take_state_tail();
+        let recorded = self.config.persist && relay.journal.is_durable();
+        if recorded {
+            relay.track_changes();
+        } else if !self.config.persist {
+            // Records a persisting incarnation left are not this server's.
+            relay.journal.cover_state(relay.journal.state_seq());
+        }
+        let last_seq = relay.journal.state_seq();
         self.relay = Some(relay);
+        self.log.checkpoint_due = match self.log.recovered_at.take() {
+            // Recovery: the checkpoint — or, before the first one, the
+            // fresh state — plus every state record after it.
+            Some(covered) => {
+                let mut image = match self.store.get(IMAGE_KEY)? {
+                    Some(bytes) => ServerImage::decode(Bytes::from(bytes))?,
+                    None => self.build_image(),
+                };
+                let mut replayed = covered;
+                for (seq, record) in tail.into_iter().filter(|_| recorded) {
+                    if seq != replayed + 1 {
+                        continue; // covered by the checkpoint, or past a gap
+                    }
+                    image.apply(StateRecord::decode(Bytes::from(record))?)?;
+                    replayed = seq;
+                }
+                self.restore_image(image, now)?;
+                // Records past a gap the replay stopped at are superseded
+                // by a checkpoint before anything new is recorded.
+                recorded && replayed != last_seq
+            }
+            // So are the records of an earlier incarnation under a fresh
+            // server.
+            None => recorded && last_seq > 0,
+        };
         self.relay_step(now)
     }
 
@@ -310,6 +402,9 @@ impl ServerCore {
     pub fn register_agent(&mut self, local: u32, agent: Box<dyn Agent>) -> AgentId {
         let id = AgentId::new(self.me, local);
         self.engine.register(id, agent);
+        if self.config.persist {
+            self.log.agents.push(local);
+        }
         id
     }
 
@@ -502,8 +597,9 @@ impl ServerCore {
     /// Processes a whole inbox drain as **one transaction**: every ready
     /// frame is ingested, causal deliveries and reactions run, the produced
     /// messages are batch-stamped and coalesced per peer, and a single
-    /// group commit persists the result — one `StableStore::put` covering
-    /// N deliveries. One cumulative acknowledgement per data-sending peer
+    /// group commit persists the result — one state record (or
+    /// checkpoint) and one `fdatasync` covering N deliveries
+    /// ([`ServerCore::commit`]). One cumulative acknowledgement per data-sending peer
     /// is appended (batches of frames from a peer are acked once).
     ///
     /// Pure-ack input produces no reactions, no flush and no commit, as
@@ -655,8 +751,8 @@ impl ServerCore {
     /// After a failed commit the tick first retries it and returns nothing
     /// while that fails: the links then hold frames no durable state
     /// covers. A poisoned journal fails every retry, so such a server
-    /// stays silent until it is recovered; a failed image `put` holds the
-    /// links only until a `put` succeeds.
+    /// stays silent until it is recovered; a failed checkpoint `put` holds
+    /// the links only until a `put` succeeds.
     pub fn on_tick(&mut self, now: VTime) -> Vec<Transmission> {
         if !self.committed() {
             return Vec::new();
@@ -695,17 +791,17 @@ impl ServerCore {
         out
     }
 
-    /// The relay half of [`ServerCore::on_tick`]: expiry, redelivery and
-    /// compaction, then the step that sends what redelivery produced — or,
-    /// when it produced nothing, just the journal commit (expiry acks and
-    /// compaction journal without traffic; a clean journal costs nothing).
+    /// The relay half of [`ServerCore::on_tick`]: expiry and redelivery,
+    /// then the step that sends what redelivery produced — or, when it
+    /// produced nothing, just the journal commit (expiry acks journal
+    /// without traffic; a clean journal costs nothing).
     fn relay_tick(&mut self, now: VTime) -> Result<Vec<Transmission>> {
         let Some(relay) = &mut self.relay else {
             return Ok(Vec::new());
         };
         relay.on_tick(now)?;
         if relay.outbox_is_empty() {
-            self.commit_journal()?;
+            self.commit_with(false)?;
         }
         self.relay_step(now)
     }
@@ -734,16 +830,18 @@ impl ServerCore {
         out
     }
 
-    /// Forces a group commit of the server's transactional image *now*,
-    /// outside any step — the final checkpoint a graceful shutdown takes
-    /// after draining, so a later recovery restarts from the drained
-    /// state instead of replaying the whole tail. A no-op without
-    /// persistence.
+    /// Writes a checkpoint of the server's state *now*, outside any step
+    /// — the final checkpoint a graceful shutdown takes after draining, so
+    /// a later recovery restarts from the drained state instead of
+    /// replaying a tail of state records. Without persistence it only
+    /// commits the relay journal.
     ///
     /// # Errors
     ///
-    /// Propagates [`Error::Storage`] from the stable store.
+    /// Propagates [`Error::Storage`] from the relay journal and the
+    /// stable store.
     pub fn checkpoint(&mut self) -> Result<()> {
+        self.log.checkpoint_due = true;
         self.commit()
     }
 
@@ -794,6 +892,9 @@ impl ServerCore {
     fn run_reactions(&mut self, now: VTime) -> Result<()> {
         loop {
             if let Some(reaction) = self.engine.step() {
+                if self.config.persist && reaction.reacted {
+                    self.log.agents.push(reaction.msg.to.local());
+                }
                 // A topic agent reacting to a relayed publication forwards
                 // the journaled wire stamp to the relay alongside the
                 // payload (consumed here either way, so nothing leaks).
@@ -919,6 +1020,9 @@ impl ServerCore {
         let last = self.deliver_rx.get(&key).copied().unwrap_or(0);
         if seq > last {
             self.deliver_rx.insert(key, seq);
+            if self.config.persist {
+                self.log.deliver_rx.push(key);
+            }
             // The journaled stamp must still parse (empty = a local
             // publication that never had a wire stamp). A poisoned entry
             // is skipped but still acked so the window keeps moving.
@@ -1001,16 +1105,37 @@ impl ServerCore {
         }
     }
 
-    /// Commits the step: first the relay journal (one `fdatasync` when
-    /// the step journaled anything), then, if persistence is enabled, the
-    /// transactional image. One call covers everything the step did — a
-    /// batch of N deliveries costs one sync and one `put` (the group
-    /// commit). The order is the durability contract: the image never
-    /// records a handoff or ack watermark whose journal record is not yet
-    /// durable, and every caller hands the step's transmissions over only
-    /// after this returns `Ok`.
+    /// Commits the step — the one routine, and the one checkpoint
+    /// policy, every persisting server runs (DESIGN.md §17.1):
+    ///
+    /// 1. with a durable relay journal, what the step changed goes into
+    ///    the journal's state stream as one state record
+    ///    ([`ServerCore::state_record`]);
+    /// 2. the journal commits: one write and one `fdatasync` make the
+    ///    relay's records and the state record durable together;
+    /// 3. a checkpoint — the whole state, through [`StableStore::put`] —
+    ///    follows only when the journal is about to compact, when the
+    ///    records since the last checkpoint outgrow it (and
+    ///    [`CHECKPOINT_FLOOR`]), or when no durable journal records the
+    ///    state at all (then every step checkpoints); it covers the
+    ///    records before it, which compaction then drops.
+    ///
+    /// A batch of N deliveries costs one sync, state included. The order
+    /// is the durability contract: no checkpoint records a handoff or ack
+    /// watermark whose journal record is not yet durable, and every caller
+    /// hands the step's transmissions over only after this returns `Ok`.
+    /// Without persistence only step 2 (and due compaction) runs.
     fn commit(&mut self) -> Result<()> {
-        let committed = self.commit_journal().and_then(|()| self.commit_image());
+        self.commit_with(true)
+    }
+
+    /// [`ServerCore::commit`]; without `state`, the commit of a relay tick
+    /// that sent nothing: only what the relay journaled, and a checkpoint
+    /// only if compaction needs one. State changed outside a step (an
+    /// agent registered, a subscriber disconnected) waits for the next
+    /// step's record, as it never leaves the server before that step.
+    fn commit_with(&mut self, state: bool) -> Result<()> {
+        let committed = self.commit_step(state);
         self.uncommitted = committed.is_err();
         committed
     }
@@ -1020,29 +1145,49 @@ impl ServerCore {
         !self.uncommitted || self.commit().is_ok()
     }
 
-    /// Writes the transactional image, if persistence is enabled.
-    fn commit_image(&mut self) -> Result<()> {
-        if !self.config.persist {
-            return Ok(());
+    fn commit_step(&mut self, state: bool) -> Result<()> {
+        let persist = self.config.persist;
+        let started = persist.then(std::time::Instant::now);
+        let recorded = persist && self.relay.as_ref().is_some_and(|r| r.journal.is_durable());
+        let mut written = 0;
+        if recorded && state {
+            if let Some(record) = self.state_record() {
+                let bytes = record.encode();
+                if let Some(relay) = &mut self.relay {
+                    relay.journal.append_state(&bytes)?;
+                }
+                written += bytes.len() as u64;
+                self.log.tail_bytes += bytes.len() as u64;
+            }
         }
-        let started = std::time::Instant::now();
-        let image = self.build_image();
-        let bytes = image.encode();
-        self.disk_bytes += bytes.len() as u64;
-        self.store
-            .put(IMAGE_KEY, &bytes)
-            .map_err(|e| Error::Storage(format!("commit failed: {e}")))?;
-        if let Some(m) = &self.metrics {
-            m.disk_bytes.add(bytes.len() as u64);
-            m.group_commit_total.inc();
-            m.group_commit_us
-                .observe(started.elapsed().as_micros() as u64);
+        self.commit_journal()?;
+        let compaction_due = (self.relay.as_ref()).is_some_and(|r| r.journal.compaction_due());
+        let checkpoint_due = state
+            && (!recorded
+                || self.log.checkpoint_due
+                || self.log.tail_bytes > self.log.checkpoint_bytes.max(CHECKPOINT_FLOOR));
+        if persist && (checkpoint_due || (recorded && compaction_due)) {
+            written += self.write_checkpoint()?;
+        }
+        if compaction_due {
+            if let Some(relay) = &mut self.relay {
+                relay.compact()?;
+            }
+        }
+        if let Some(started) = started.filter(|_| written > 0) {
+            self.disk_bytes += written;
+            if let Some(m) = &self.metrics {
+                m.disk_bytes.add(written);
+                m.group_commit_total.inc();
+                m.group_commit_us
+                    .observe(started.elapsed().as_micros() as u64);
+            }
         }
         Ok(())
     }
 
-    /// Commits the relay journal: one `fdatasync` when the step journaled
-    /// anything, nothing otherwise.
+    /// Commits the relay journal: one write and one `fdatasync` when the
+    /// step journaled anything, nothing otherwise.
     fn commit_journal(&mut self) -> Result<()> {
         match &mut self.relay {
             Some(relay) => relay.sync(),
@@ -1050,8 +1195,148 @@ impl ServerCore {
         }
     }
 
+    /// Writes a checkpoint covering every state record appended so far,
+    /// and returns its size.
+    fn write_checkpoint(&mut self) -> Result<u64> {
+        let image = self.build_image();
+        let bytes = image.encode();
+        self.store
+            .put(IMAGE_KEY, &bytes)
+            .map_err(|e| Error::Storage(format!("checkpoint failed: {e}")))?;
+        if let Some(relay) = &mut self.relay {
+            relay.journal.cover_state(image.state_seq);
+        }
+        self.mark_recorded();
+        self.log.checkpoint_due = false;
+        self.log.checkpoint_bytes = bytes.len() as u64;
+        self.log.tail_bytes = 0;
+        Ok(bytes.len() as u64)
+    }
+
+    /// Declares the current state recorded: the next state record carries
+    /// only what moves from here.
+    fn mark_recorded(&mut self) {
+        let (msg_seq, queue_out, postponed, _) = self.channel.persist_parts();
+        self.log.msg_seq = msg_seq;
+        self.log.queues =
+            !(queue_out.is_empty() && postponed.is_empty() && self.engine.pending() == 0);
+        self.log.links.clear();
+        for (&peer, tx) in &self.links_tx {
+            let mark = self.log.links.entry(peer).or_insert(LinkMark::NEW);
+            mark.next_seq = tx.next_seq();
+            mark.acked = acked_through(tx);
+        }
+        for (&peer, rx) in &self.links_rx {
+            self.log.links.entry(peer).or_insert(LinkMark::NEW).cum_seq = rx.cum_seq();
+        }
+        self.log.agents.clear();
+        self.log.deliver_rx.clear();
+        self.channel.take_dirty_items();
+        if let Some(relay) = &mut self.relay {
+            relay.take_changes();
+        }
+    }
+
+    /// What changed since the last state record or checkpoint, as the
+    /// next state record: the clocks the channel touched, the agents that
+    /// reacted, the links that moved, the relay watermarks and registry
+    /// keys that changed, the message counter and the (between steps,
+    /// empty) queues. `None` when nothing moved but link
+    /// acknowledgements: those ride along with the next record, since an
+    /// ack lost to a crash costs only a retransmission the peer drops.
+    fn state_record(&mut self) -> Option<StateRecord> {
+        let mut links_tx = Vec::new();
+        let mut links_rx = Vec::new();
+        let mut moved = false;
+        for (&peer, tx) in &self.links_tx {
+            let mark = self.log.links.get(&peer).copied().unwrap_or(LinkMark::NEW);
+            let acked = acked_through(tx);
+            if (tx.next_seq(), acked) != (mark.next_seq, mark.acked) {
+                moved |= tx.next_seq() != mark.next_seq;
+                links_tx.push(LinkTxDelta {
+                    peer,
+                    next_seq: tx.next_seq(),
+                    acked,
+                    sent: (tx.unacked_frames())
+                        .filter(|f| f.seq >= mark.next_seq)
+                        .cloned()
+                        .collect(),
+                });
+            }
+        }
+        for (&peer, rx) in &self.links_rx {
+            let mark = self.log.links.get(&peer).copied().unwrap_or(LinkMark::NEW);
+            if rx.cum_seq() != mark.cum_seq {
+                moved = true;
+                links_rx.push(LinkRxImage {
+                    peer,
+                    cum_seq: rx.cum_seq(),
+                });
+            }
+        }
+        let (msg_seq, queue_out, postponed, _) = self.channel.persist_parts();
+        let queues = !(queue_out.is_empty() && postponed.is_empty() && self.engine.pending() == 0);
+        let quiet = !moved
+            && msg_seq == self.log.msg_seq
+            && !queues
+            && !self.log.queues
+            && self.log.agents.is_empty()
+            && self.log.deliver_rx.is_empty()
+            && self.relay.as_ref().is_none_or(RelayCore::unchanged)
+            && !self.channel.has_dirty_items();
+        if quiet {
+            return None;
+        }
+        for link in &links_tx {
+            let mark = self.log.links.entry(link.peer).or_insert(LinkMark::NEW);
+            mark.next_seq = link.next_seq;
+            mark.acked = link.acked;
+        }
+        for link in &links_rx {
+            self.log
+                .links
+                .entry(link.peer)
+                .or_insert(LinkMark::NEW)
+                .cum_seq = link.cum_seq;
+        }
+        self.log.msg_seq = msg_seq;
+        self.log.queues = queues;
+        let mut agents = std::mem::take(&mut self.log.agents);
+        agents.sort_unstable();
+        agents.dedup();
+        let mut deliver_rx = std::mem::take(&mut self.log.deliver_rx);
+        deliver_rx.sort_unstable();
+        deliver_rx.dedup();
+        let dirty = self.channel.take_dirty_items();
+        let (_, queue_out, postponed, items) = self.channel.persist_parts();
+        Some(StateRecord {
+            next_msg_seq: msg_seq,
+            items: (dirty.into_iter())
+                .filter_map(|i| Some((i, items.get(i)?.clock().clone())))
+                .collect(),
+            queue_out: queue_out.clone(),
+            postponed: postponed.to_vec(),
+            engine_queue: self.engine.queue_snapshot().cloned().collect(),
+            links_tx,
+            links_rx,
+            agents: (agents.into_iter())
+                .filter_map(|l| Some((l, self.engine.snapshot_agent(AgentId::new(self.me, l))?)))
+                .collect(),
+            deliver_rx: (deliver_rx.into_iter())
+                .filter_map(|k| Some((k, *self.deliver_rx.get(&k)?)))
+                .collect(),
+            relay: self
+                .relay
+                .as_mut()
+                .map(RelayCore::take_changes)
+                .unwrap_or_default(),
+        })
+    }
+
+    /// The whole state, as a checkpoint covering every state record
+    /// appended so far.
     fn build_image(&self) -> ServerImage {
-        let (next_msg_seq, queue_out, postponed, items, _) = self.channel.persist_parts();
+        let (next_msg_seq, queue_out, postponed, items) = self.channel.persist_parts();
         let mut agents: Vec<(u32, Vec<u8>)> = self
             .engine
             .agent_ids()
@@ -1059,7 +1344,10 @@ impl ServerCore {
             .filter_map(|id| Some((id.local(), self.engine.snapshot_agent(id)?)))
             .collect();
         agents.sort_unstable_by_key(|(local, _)| *local);
+        let mut deliver_rx: Vec<_> = self.deliver_rx.iter().map(|(&k, &v)| (k, v)).collect();
+        deliver_rx.sort_unstable();
         ServerImage {
+            state_seq: self.relay.as_ref().map_or(0, |r| r.journal.state_seq()),
             next_msg_seq,
             items: items.to_vec(),
             queue_out: queue_out.clone(),
@@ -1083,46 +1371,60 @@ impl ServerCore {
                 })
                 .collect(),
             agents,
-            relay: self.relay_blob(),
-        }
-    }
-
-    /// Encodes the relay registry plus the receive-side dedup watermarks
-    /// for the image; empty when neither exists.
-    fn relay_blob(&self) -> Vec<u8> {
-        if self.relay.is_none() && self.deliver_rx.is_empty() {
-            return Vec::new();
-        }
-        let mut rx: Vec<(&(AgentId, ServerId), &u64)> = self.deliver_rx.iter().collect();
-        rx.sort_unstable_by_key(|(k, _)| *k);
-        let mut e = Encoder::new();
-        e.count(rx.len());
-        for (&(sub, srv), &upto) in rx {
-            e.agent_id(sub);
-            e.server_id(srv);
-            e.u64(upto);
-        }
-        e.bytes(
-            &self
+            deliver_rx,
+            relay: self
                 .relay
                 .as_ref()
-                .map(RelayCore::snapshot)
+                .map(RelayCore::registry)
                 .unwrap_or_default(),
-        );
-        e.finish().to_vec()
+        }
     }
 
-    /// Rebuilds a server from its persisted image after a crash.
+    /// Makes `image` the server's state: clocks and queues, links, agent
+    /// states, relay watermarks and, when a relay runs, its registry.
+    fn restore_image(&mut self, image: ServerImage, now: VTime) -> Result<()> {
+        self.channel.reload(
+            image.next_msg_seq,
+            image.queue_out,
+            image.postponed,
+            image.items,
+        )?;
+        self.engine.reload_queue(image.engine_queue);
+        let (rto, batch) = (self.config.rto, self.config.batch);
+        self.links_tx = (image.links_tx.into_iter())
+            .map(|l| {
+                let tx = LinkSender::restore(rto, l.next_seq, l.unacked, now).with_policy(batch);
+                (l.peer, tx)
+            })
+            .collect();
+        self.links_rx = (image.links_rx.into_iter())
+            .map(|l| (l.peer, LinkReceiver::restore(l.cum_seq)))
+            .collect();
+        for (local, snapshot) in &image.agents {
+            self.engine
+                .restore_agent(AgentId::new(self.me, *local), snapshot);
+        }
+        self.deliver_rx = image.deliver_rx.into_iter().collect();
+        if let Some(relay) = &mut self.relay {
+            relay.restore(image.relay, now);
+        }
+        self.mark_recorded();
+        Ok(())
+    }
+
+    /// Rebuilds a server from its persisted checkpoint after a crash.
     ///
     /// `agents` supplies fresh instances (the code is not persisted, only
-    /// the state); each is restored from its snapshot in the image. If no
-    /// image exists (the server never committed), a fresh server with the
-    /// given agents is returned.
+    /// the state); each is restored from its snapshot in the checkpoint.
+    /// If no checkpoint exists (the server never committed), a fresh
+    /// server with the given agents is returned. A server whose state
+    /// records live in a relay journal is recovered completely only by the
+    /// [`ServerCore::enable_relay`] that follows, which replays them.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Codec`]/[`Error::Storage`] if the image is corrupt
-    /// or unreadable, and propagates topology validation errors.
+    /// Returns [`Error::Codec`]/[`Error::Storage`] if the checkpoint is
+    /// corrupt or unreadable, and propagates topology validation errors.
     pub fn recover(
         topology: &Topology,
         me: ServerId,
@@ -1131,57 +1433,49 @@ impl ServerCore {
         agents: Vec<(u32, Box<dyn Agent>)>,
         now: VTime,
     ) -> Result<Self> {
-        let image_bytes = store.get(IMAGE_KEY)?;
+        let checkpoint = store.get(IMAGE_KEY)?;
         let mut core = ServerCore::new(topology, me, config, store)?;
         for (local, agent) in agents {
             core.register_agent(local, agent);
         }
-        let Some(bytes) = image_bytes else {
+        let Some(bytes) = checkpoint else {
+            // Nothing checkpointed yet: any state records start from this
+            // fresh state.
+            core.log.recovered_at = Some(0);
             return Ok(core);
         };
+        core.log.checkpoint_bytes = bytes.len() as u64;
         let image = ServerImage::decode(Bytes::from(bytes))?;
-        core.channel = ChannelCore::restore_parts(
-            topology,
-            me,
-            config.stamp_mode,
-            image.next_msg_seq,
-            image.queue_out,
-            image.postponed,
-            image.items,
-        )?;
-        for m in image.engine_queue {
-            core.engine.enqueue(m);
-        }
-        for link in image.links_tx {
-            core.links_tx.insert(
-                link.peer,
-                LinkSender::restore(config.rto, link.next_seq, link.unacked, now)
-                    .with_policy(config.batch),
-            );
-        }
-        for link in image.links_rx {
-            core.links_rx
-                .insert(link.peer, LinkReceiver::restore(link.cum_seq));
-        }
-        for (local, snapshot) in image.agents {
-            core.engine
-                .restore_agent(AgentId::new(me, local), &snapshot);
-        }
-        if !image.relay.is_empty() {
-            let mut d = Decoder::new(Bytes::from(image.relay));
-            let n = d.u32()? as usize;
-            for _ in 0..n {
-                let sub = d.agent_id()?;
-                let srv = d.server_id()?;
-                let upto = d.u64()?;
-                core.deliver_rx.insert((sub, srv), upto);
-            }
-            // The registry itself is replayed by `enable_relay`, which the
-            // runtime calls once it knows the relay configuration.
-            core.relay_image = d.bytes()?.to_vec();
-        }
+        core.log.recovered_at = Some(image.state_seq);
+        core.log.checkpoint_due = false;
+        core.restore_image(image, now)?;
         Ok(core)
     }
+
+    /// Decodes `bytes` as a checkpoint (`checkpoint`) or as a state record
+    /// and drops the result: the entry point through which
+    /// `tests/decoders.rs` holds both decoders of untrusted disk bytes to
+    /// their allocation bound. Not part of the supported API.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Codec`] when the bytes do not decode.
+    #[doc(hidden)]
+    pub fn decode_persisted(checkpoint: bool, bytes: Bytes) -> Result<()> {
+        if checkpoint {
+            ServerImage::decode(bytes).map(drop)
+        } else {
+            StateRecord::decode(bytes).map(drop)
+        }
+    }
+}
+
+/// The highest sequence number `tx` has had acknowledged.
+fn acked_through(tx: &LinkSender) -> u64 {
+    tx.unacked_frames()
+        .next()
+        .map_or(tx.next_seq(), |f| f.seq)
+        .saturating_sub(1)
 }
 
 #[cfg(test)]
@@ -1745,11 +2039,12 @@ mod tests {
     fn store_written_in_a_retired_mode_is_a_recovery_error() {
         let topo = TopologySpec::single_domain(2).validate().unwrap();
         let store = committed_store(&topo, StampMode::Updates);
-        // Find the clock inside the image (`me: u16`, `n: u32`, mode byte)
-        // and patch its mode byte to each retired one: 0, 1 and 3 as a
-        // server from before the per-sender image matrices were dropped
+        // Find the clock inside the checkpoint (`me: u16`, `n: u32`, mode
+        // byte) and patch its mode byte to each retired one: 0, 1 and 3 as
+        // a server from before the per-sender image matrices were dropped
         // wrote it (a different layout under the same prefix), 2 as a
-        // `Reduced` server did.
+        // `Reduced` server did. The checksum is recomputed, so the clock
+        // decoder, not the seal, is what refuses.
         let image = store.get(IMAGE_KEY).unwrap().expect("committed image");
         let head = [1u8, 0, 2, 0, 0, 0, 5];
         let at = image
@@ -1759,6 +2054,9 @@ mod tests {
         for retired in 0..=3u8 {
             let mut image = image.clone();
             image[at + 6] = retired;
+            let body = image.len() - 4;
+            let crc = aaa_storage::crc32c(&image[..body]);
+            image[body..].copy_from_slice(&crc.to_le_bytes());
             store.put(IMAGE_KEY, &image).unwrap();
             let err = recover_server(&topo, 1, StampMode::Updates, store.clone()).unwrap_err();
             assert!(matches!(err, Error::Codec(_)), "byte {retired}: {err}");
@@ -1782,13 +2080,14 @@ mod tests {
     }
 
     /// Relay journal tests: a relayed topic (local [`TOPIC`]) on server 0,
-    /// subscribers at locals `SUB0..` counting their deliveries, a durable
-    /// relay on every server.
+    /// subscribers at locals `SUB0..` counting their deliveries, a relay
+    /// on every server.
     mod journal {
         use super::*;
         use crate::pubsub::{publication, subscription, TopicAgent};
-        use aaa_storage::StorageStats;
+        use aaa_storage::{DirStore, Journal, QueueConfig, StorageStats};
         use rand::{Rng, SeedableRng};
+        use std::path::Path;
         use std::sync::atomic::{AtomicBool, AtomicU64};
 
         const TOPIC: u32 = 100;
@@ -1823,6 +2122,23 @@ mod tests {
             }
         }
 
+        /// A relay journaling under the test's directory.
+        fn durable(dir: &Path) -> RelayConfig {
+            RelayConfig::default().dir(dir)
+        }
+
+        /// A relay journaling in memory.
+        fn volatile(_: &Path) -> RelayConfig {
+            RelayConfig::default()
+        }
+
+        fn tmp_dir(name: &str) -> std::path::PathBuf {
+            let dir = std::env::temp_dir()
+                .join(format!("aaa-server-journal-{name}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            dir
+        }
+
         struct Fanout {
             cores: Vec<ServerCore>,
             store: Arc<FlakyStore>,
@@ -1838,11 +2154,19 @@ mod tests {
 
         impl Fanout {
             /// `subs` subscribers on server `home` of `single_domain(servers)`,
-            /// subscriptions settled; server 0 persists into `store`.
-            fn new(name: &str, servers: u16, home: u16, subs: u32, config: ServerConfig) -> Fanout {
-                let dir = std::env::temp_dir()
-                    .join(format!("aaa-server-journal-{name}-{}", std::process::id()));
-                let _ = std::fs::remove_dir_all(&dir);
+            /// subscriptions settled; server 0 persists into `store`. Every
+            /// server runs the relay `relay` configures for the test's
+            /// directory.
+            fn new(
+                name: &str,
+                servers: u16,
+                home: u16,
+                subs: u32,
+                config: ServerConfig,
+                relay: fn(&Path) -> RelayConfig,
+            ) -> Fanout {
+                let dir = tmp_dir(name);
+                let relay = relay(&dir);
                 let topo = TopologySpec::single_domain(servers).validate().unwrap();
                 let store = Arc::new(FlakyStore::default());
                 let delivered = Arc::new(AtomicU64::new(0));
@@ -1854,8 +2178,7 @@ mod tests {
                             Arc::new(MemoryStore::new())
                         };
                         let mut core = ServerCore::new(&topo, s(i), config, store).unwrap();
-                        core.enable_relay(RelayConfig::default().dir(&dir), VTime::ZERO)
-                            .unwrap();
+                        core.enable_relay(relay.clone(), VTime::ZERO).unwrap();
                         core
                     })
                     .collect();
@@ -1895,13 +2218,24 @@ mod tests {
 
             /// Delivers datagrams in FIFO order until the cores are quiet.
             fn settle(&mut self, from: ServerId, tx: Vec<Transmission>) {
+                self.settle_checked(from, tx, |_| {});
+            }
+
+            /// [`Fanout::settle`], calling `after` with each core that took
+            /// a step, after the step.
+            fn settle_checked(
+                &mut self,
+                from: ServerId,
+                tx: Vec<Transmission>,
+                mut after: impl FnMut(&mut ServerCore),
+            ) {
                 let mut queue: std::collections::VecDeque<(ServerId, Transmission)> =
                     tx.into_iter().map(|t| (from, t)).collect();
                 while let Some((src, t)) = queue.pop_front() {
                     let to = t.to;
-                    let more = self.cores[to.as_usize()]
-                        .on_datagram(src, t.bytes, VTime::ZERO)
-                        .unwrap();
+                    let core = &mut self.cores[to.as_usize()];
+                    let more = core.on_datagram(src, t.bytes, VTime::ZERO).unwrap();
+                    after(core);
                     queue.extend(more.into_iter().map(|t| (to, t)));
                 }
             }
@@ -1910,13 +2244,13 @@ mod tests {
                 self.cores[server]
                     .relay
                     .as_ref()
-                    .map_or(0, |r| r.journal_stats().syncs())
+                    .map_or(0, |r| r.journal.stats().syncs())
             }
 
             fn reset_syncs(&self) {
                 for core in &self.cores {
                     if let Some(r) = &core.relay {
-                        r.journal_stats().reset();
+                        r.journal.stats().reset();
                     }
                 }
             }
@@ -1928,7 +2262,7 @@ mod tests {
 
         #[test]
         fn publication_to_64_local_subscribers_is_one_journal_sync() {
-            let mut fan = Fanout::new("local", 1, 0, 64, ServerConfig::default());
+            let mut fan = Fanout::new("local", 1, 0, 64, ServerConfig::default(), durable);
             fan.reset_syncs();
             let tx = fan.publish(b"x".to_vec()).unwrap();
             assert!(tx.is_empty());
@@ -1940,48 +2274,56 @@ mod tests {
 
         #[test]
         fn relay_acks_and_link_acks_cost_what_they_journal() {
-            let config = ServerConfig {
-                batch: BatchPolicy {
-                    max_frames: 256,
-                    ..BatchPolicy::default()
-                },
-                ..ServerConfig::default()
-            };
-            let mut fan = Fanout::new("remote", 2, 1, 64, config);
-            fan.reset_syncs();
-            let handoffs = fan.publish(b"x".to_vec()).unwrap();
-            assert_eq!(fan.syncs(0), 1, "64 handoffs journaled at the origin");
-            // A relay tick with nothing due (the handoffs are in flight,
-            // their retry not yet due) journals nothing and syncs nothing.
-            assert!(fan.cores[0].on_tick(VTime::ZERO).is_empty());
-            assert_eq!(fan.syncs(0), 1);
-            let [handoffs] = <[Transmission; 1]>::try_from(handoffs).unwrap();
-            let reply = fan.cores[1]
-                .on_datagram(s(0), handoffs.bytes, VTime::ZERO)
-                .unwrap();
-            assert_eq!(fan.delivered(), 64);
-            assert_eq!(fan.syncs(1), 1, "64 handoffs and 64 local acks");
-            let [relay_acks, link_ack] = <[Transmission; 2]>::try_from(reply).unwrap();
-            assert!(matches!(
-                Datagram::decode(relay_acks.bytes.clone()),
-                Ok(Datagram::Batch(frames)) if frames.len() == 64
-            ));
-            fan.reset_syncs();
-            let out = fan.cores[0]
-                .on_datagram(s(1), link_ack.bytes, VTime::ZERO)
-                .unwrap();
-            assert!(out.is_empty());
-            assert_eq!(fan.syncs(0), 0, "a pure link ack");
-            fan.cores[0]
-                .on_datagram(s(1), relay_acks.bytes, VTime::ZERO)
-                .unwrap();
-            assert_eq!(fan.syncs(0), 1, "one datagram of 64 relay acks");
-            assert_eq!(fan.cores[0].relay.as_ref().unwrap().backlog(), 0);
+            for persist in [false, true] {
+                let config = ServerConfig {
+                    batch: BatchPolicy {
+                        max_frames: 256,
+                        ..BatchPolicy::default()
+                    },
+                    persist,
+                    ..ServerConfig::default()
+                };
+                let mut fan = Fanout::new("remote", 2, 1, 64, config, durable);
+                fan.reset_syncs();
+                let handoffs = fan.publish(b"x".to_vec()).unwrap();
+                assert_eq!(fan.syncs(0), 1, "64 handoffs journaled at the origin");
+                // A relay tick with nothing due (the handoffs are in
+                // flight, their retry not yet due) journals nothing and
+                // syncs nothing.
+                assert!(fan.cores[0].on_tick(VTime::ZERO).is_empty());
+                assert_eq!(fan.syncs(0), 1);
+                let [handoffs] = <[Transmission; 1]>::try_from(handoffs).unwrap();
+                let reply = fan.cores[1]
+                    .on_datagram(s(0), handoffs.bytes, VTime::ZERO)
+                    .unwrap();
+                assert_eq!(fan.delivered(), 64);
+                assert_eq!(fan.syncs(1), 1, "64 handoffs and 64 local acks");
+                let [relay_acks, link_ack] = <[Transmission; 2]>::try_from(reply).unwrap();
+                assert!(matches!(
+                    Datagram::decode(relay_acks.bytes.clone()),
+                    Ok(Datagram::Batch(frames)) if frames.len() == 64
+                ));
+                fan.reset_syncs();
+                let out = fan.cores[0]
+                    .on_datagram(s(1), link_ack.bytes, VTime::ZERO)
+                    .unwrap();
+                assert!(out.is_empty());
+                assert_eq!(fan.syncs(0), 0, "a pure link ack");
+                // Nor does the tick after it: an acknowledgement alone
+                // waits for the next state record.
+                assert!(fan.cores[0].on_tick(VTime::ZERO).is_empty());
+                assert_eq!(fan.syncs(0), 0, "{persist}: a tick after a link ack");
+                fan.cores[0]
+                    .on_datagram(s(1), relay_acks.bytes, VTime::ZERO)
+                    .unwrap();
+                assert_eq!(fan.syncs(0), 1, "one datagram of 64 relay acks");
+                assert_eq!(fan.cores[0].relay.as_ref().unwrap().backlog(), 0);
+            }
         }
 
         #[test]
         fn seeded_fanout_syncs_at_most_a_quarter_per_delivery() {
-            let mut fan = Fanout::new("seeded", 2, 1, 64, ServerConfig::default());
+            let mut fan = Fanout::new("seeded", 2, 1, 64, ServerConfig::default(), durable);
             fan.reset_syncs();
             let mut rng = rand::rngs::StdRng::seed_from_u64(0x5EED);
             let mut published = 0u64;
@@ -2005,17 +2347,113 @@ mod tests {
             assert!(fan.cores.iter().all(ServerCore::is_idle));
         }
 
+        /// A relay journaling under the test's directory that never
+        /// compacts, so that only the tail rule checkpoints.
+        fn uncompacted(dir: &Path) -> RelayConfig {
+            RelayConfig::default().dir(dir).segment_max_records(1 << 30)
+        }
+
+        /// Every step of a persisting relay server costs one `fdatasync`,
+        /// its state record included, and no `put`: with no compaction due,
+        /// the one checkpoint comes with the record that takes the tail past
+        /// [`CHECKPOINT_FLOOR`] (more than this small state's checkpoint).
         #[test]
-        fn journal_commits_before_the_image_and_the_wire() {
+        fn a_relay_step_syncs_once_with_its_state_and_puts_only_at_checkpoints() {
             let config = ServerConfig {
                 persist: true,
                 ..ServerConfig::default()
             };
-            let mut fan = Fanout::new("order", 2, 1, 4, config);
+            let mut fan = Fanout::new("state", 2, 1, 8, config, uncompacted);
+            assert_eq!(
+                fan.store.stats().writes(),
+                0,
+                "a fresh server's records start from its fresh state"
+            );
+            // Server 0's tail before its last step, and its checkpoints.
+            let (mut tail, mut checkpoints) = (fan.cores[0].log.tail_bytes, 0);
+            let mut step = |core: &mut ServerCore| {
+                let syncs = core.relay.as_ref().unwrap().journal.stats().syncs();
+                assert!(
+                    syncs <= 1,
+                    "server {}: {syncs} syncs in one step",
+                    core.me()
+                );
+                core.relay.as_ref().unwrap().journal.stats().reset();
+                let written = core.take_step_stats().disk_bytes;
+                if core.me() != s(0) {
+                    return;
+                }
+                if core.store.stats().writes() == checkpoints {
+                    assert_eq!(core.log.tail_bytes, tail + written);
+                    assert!(core.log.tail_bytes <= CHECKPOINT_FLOOR);
+                } else {
+                    // The record that took the tail past the floor, then
+                    // the checkpoint covering it.
+                    checkpoints += 1;
+                    assert_eq!(core.store.stats().writes(), checkpoints);
+                    let record = written - core.log.checkpoint_bytes;
+                    assert!(tail + record > CHECKPOINT_FLOOR);
+                    assert!(core.log.checkpoint_bytes < CHECKPOINT_FLOOR);
+                    assert_eq!(core.log.tail_bytes, 0);
+                }
+                tail = core.log.tail_bytes;
+            };
+            for core in &mut fan.cores {
+                core.take_step_stats();
+            }
+            fan.reset_syncs();
+            for i in 0..200u8 {
+                let tx = fan.publish(vec![i; 1024]).unwrap();
+                step(&mut fan.cores[0]);
+                fan.settle_checked(s(0), tx, &mut step);
+            }
+            assert_eq!(fan.delivered(), 200 * 8);
+            assert!((1..=10).contains(&checkpoints), "{checkpoints} checkpoints");
+        }
+
+        #[test]
+        fn a_server_with_no_durable_journal_puts_durably_once_per_step() {
+            let dir = tmp_dir("no-journal");
+            let topo = TopologySpec::single_domain(2).validate().unwrap();
+            let config = ServerConfig {
+                persist: true,
+                ..ServerConfig::default()
+            };
+            let store = Arc::new(DirStore::open(&dir).unwrap());
+            let mut c0 = make(&topo, 0, ServerConfig::default());
+            let mut c1 = ServerCore::new(&topo, s(1), config, store.clone()).unwrap();
+            c1.register_agent(1, Box::new(EchoAgent));
+            c1.enable_relay(RelayConfig::default(), VTime::ZERO)
+                .unwrap();
+            for i in 0..4u8 {
+                let (_, tx) = c0
+                    .client_send(
+                        aid(0, 1),
+                        aid(1, 1),
+                        Notification::new("n", vec![i]),
+                        VTime::ZERO,
+                    )
+                    .unwrap();
+                let (puts, syncs) = (store.stats().writes(), store.stats().syncs());
+                let [t] = <[Transmission; 1]>::try_from(tx).unwrap();
+                c1.on_datagram(s(0), t.bytes, VTime::ZERO).unwrap();
+                assert_eq!(store.stats().writes() - puts, 1, "step {i}: one put");
+                assert_eq!(store.stats().syncs() - syncs, 2, "step {i}: made durable");
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+
+        #[test]
+        fn journal_commits_before_the_checkpoint_and_the_wire() {
+            let config = ServerConfig {
+                persist: true,
+                ..ServerConfig::default()
+            };
+            let mut fan = Fanout::new("order", 2, 1, 4, config, durable);
             let image = fan.store.get(IMAGE_KEY).unwrap();
             let puts = fan.store.stats().writes();
-            fan.cores[0].relay.as_mut().unwrap().fail_sync = true;
-            // The failed commit surfaces before the image `put` and before
+            fan.cores[0].relay.as_mut().unwrap().syncs_left = Some(0);
+            // The failed commit surfaces before any checkpoint and before
             // the step's handoffs are handed over.
             assert!(matches!(fan.publish(b"x".to_vec()), Err(Error::Storage(_))));
             assert_eq!(fan.store.stats().writes(), puts);
@@ -2026,12 +2464,14 @@ mod tests {
         }
 
         #[test]
-        fn a_failed_image_put_holds_the_links_until_a_commit_succeeds() {
+        fn a_failed_checkpoint_holds_the_links_until_a_commit_succeeds() {
+            // With the relay journal in memory, every step's state is a
+            // checkpoint: a step whose `put` fails covers nothing durably.
             let config = ServerConfig {
                 persist: true,
                 ..ServerConfig::default()
             };
-            let mut fan = Fanout::new("held", 2, 1, 4, config);
+            let mut fan = Fanout::new("held", 2, 1, 4, config, volatile);
             // The handoffs are committed, then lost on the wire.
             let lost = fan.publish(b"x".to_vec()).unwrap();
             assert!(!lost.is_empty());
@@ -2041,12 +2481,12 @@ mod tests {
                 .and_then(RelayCore::next_retry_deadline)
                 .expect("handoffs in flight");
             fan.store.fail_puts.store(true, Ordering::Relaxed);
-            // The relay step redelivers into the links, then its image
-            // `put` fails: nothing leaves.
+            // The relay step redelivers into the links, then its
+            // checkpoint fails: nothing leaves.
             assert!(fan.cores[0].on_tick(retry).is_empty());
             // Every frame is overdue now, but the redelivered ones are in
-            // no committed image: the tick retries the commit and, while
-            // it fails, retransmits nothing.
+            // no durable state: the tick retries the commit and, while it
+            // fails, retransmits nothing.
             let later = retry + VDuration::from_millis(60_000);
             assert!(fan.cores[0].on_tick(later).is_empty());
             assert!(fan.cores[0].flush_links().is_empty());
@@ -2055,6 +2495,587 @@ mod tests {
             assert!(!resent.is_empty(), "a successful commit releases them");
             fan.settle(s(0), resent);
             assert_eq!(fan.delivered(), 4, "each subscriber exactly once");
+        }
+
+        /// The server state recovery would rebuild for `core` right now:
+        /// its checkpoint plus the state records of a copy of its journal.
+        fn replayed(core: &ServerCore, journal_dir: &std::path::Path) -> ServerImage {
+            let copy = tmp_dir(&format!("replay-{}", core.me()));
+            std::fs::create_dir_all(&copy).unwrap();
+            for entry in std::fs::read_dir(journal_dir).unwrap() {
+                let entry = entry.unwrap();
+                std::fs::copy(entry.path(), copy.join(entry.file_name())).unwrap();
+            }
+            let mut journal = Journal::open(&copy, QueueConfig::default()).unwrap();
+            let checkpoint = core.store.get(IMAGE_KEY).unwrap().expect("a checkpoint");
+            let mut image = ServerImage::decode(Bytes::from(checkpoint)).unwrap();
+            for (seq, record) in journal.take_state_tail() {
+                if seq > image.state_seq {
+                    assert_eq!(seq, image.state_seq + 1, "a contiguous tail");
+                    image
+                        .apply(StateRecord::decode(Bytes::from(record)).unwrap())
+                        .unwrap();
+                    image.state_seq = seq;
+                }
+            }
+            let _ = std::fs::remove_dir_all(&copy);
+            image
+        }
+
+        /// Compares two images section by section, links sorted by peer.
+        fn assert_same_state(mut got: ServerImage, mut want: ServerImage, at: &str) {
+            for img in [&mut got, &mut want] {
+                img.links_tx.sort_by_key(|l| l.peer);
+                img.links_rx.sort_by_key(|l| l.peer);
+            }
+            assert_eq!(got.state_seq, want.state_seq, "{at}: state_seq");
+            assert_eq!(got.next_msg_seq, want.next_msg_seq, "{at}: next_msg_seq");
+            let items = |img: &ServerImage| {
+                (img.items.iter())
+                    .map(|it| {
+                        (
+                            it.domain_id(),
+                            it.me(),
+                            it.id_table().to_vec(),
+                            it.clock().clone(),
+                        )
+                    })
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(items(&got), items(&want), "{at}: items");
+            assert_eq!(got.queue_out, want.queue_out, "{at}: queue_out");
+            let postponed = |img: &ServerImage| {
+                (img.postponed.iter())
+                    .map(|p| {
+                        (
+                            p.item_idx,
+                            p.from,
+                            p.pending.clone(),
+                            p.env.clone(),
+                            p.arrived_at,
+                        )
+                    })
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(postponed(&got), postponed(&want), "{at}: postponed");
+            assert_eq!(got.engine_queue, want.engine_queue, "{at}: engine_queue");
+            assert_eq!(got.links_tx, want.links_tx, "{at}: links_tx");
+            assert_eq!(got.links_rx, want.links_rx, "{at}: links_rx");
+            assert_eq!(got.agents, want.agents, "{at}: agents");
+            assert_eq!(got.deliver_rx, want.deliver_rx, "{at}: deliver_rx");
+            assert_eq!(got.relay, want.relay, "{at}: relay registry");
+        }
+
+        /// After every commit of a seeded persist + relay workload — through
+        /// checkpoints, compactions and handoff churn — the checkpoint plus
+        /// the journal's state records decode to exactly the live state.
+        /// (A step that writes neither, a link ack absorbed, leaves the
+        /// ack to the next record: between commits the two may differ by
+        /// acknowledged frames.)
+        #[test]
+        fn checkpoint_plus_replayed_records_is_the_live_state() {
+            let config = ServerConfig {
+                persist: true,
+                ..ServerConfig::default()
+            };
+            let mut fan = Fanout::new("replay", 2, 1, 16, config, durable);
+            let registry = aaa_obs::Registry::new();
+            for core in &mut fan.cores {
+                // A base to replay from, as recovery would have.
+                core.checkpoint().unwrap();
+                core.attach_meter(
+                    &Meter::new(&registry).with_label("server", core.me().to_string()),
+                );
+            }
+            let dirs: Vec<_> = (0..2)
+                .map(|i| fan.dir.join(format!("relay-{i}")).join("journal"))
+                .collect();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(0x5EED_0026);
+            let mut compared = 0;
+            // Per server: the state sequence and checkpoint count last seen.
+            let mut seen = [(0, 0); 2];
+            let mut check = |core: &ServerCore, at: &str| {
+                let me = core.me().as_usize();
+                let seq = core.relay.as_ref().unwrap().journal.state_seq();
+                let now = (seq, core.store.stats().writes());
+                if std::mem::replace(&mut seen[me], now) == now {
+                    return; // no commit wrote anything
+                }
+                let want = core.build_image();
+                assert_same_state(
+                    replayed(core, &dirs[me]),
+                    want,
+                    &format!("{at}, record {seq}"),
+                );
+                compared += 1;
+            };
+            for round in 0..24 {
+                let mut tx = Vec::new();
+                for _ in 0..rng.gen_range(1..4u32) {
+                    tx.extend(fan.publish(vec![0xAB; rng.gen_range(0..48usize)]).unwrap());
+                }
+                check(&fan.cores[0], &format!("round {round} publish"));
+                let sub = aid(1, SUB0 + rng.gen_range(0..16u32));
+                if rng.gen_bool(0.3) {
+                    let connected = rng.gen_bool(0.5);
+                    tx.extend(
+                        fan.cores[1]
+                            .relay_set_connected(sub, connected, VTime::ZERO)
+                            .unwrap(),
+                    );
+                    check(&fan.cores[1], &format!("round {round} churn"));
+                }
+                fan.settle_checked(s(0), tx, |core| check(core, &format!("round {round}")));
+            }
+            for i in 0..16 {
+                let tx = fan.cores[1]
+                    .relay_set_connected(aid(1, SUB0 + i), true, VTime::ZERO)
+                    .unwrap();
+                fan.settle_checked(s(1), tx, |core| check(core, "reconnect"));
+            }
+            assert!(compared > 100, "{compared} comparisons");
+            let compactions = registry
+                .snapshot()
+                .sum_counter("aaa_relay_compactions_total");
+            assert!(compactions > 0, "the run crosses a compaction");
+        }
+    }
+
+    /// Power loss at every commit point of a seeded two-server relay
+    /// fan-out. Each run cuts the power of one server at one journal
+    /// commit: that commit and everything after it never reach the disk,
+    /// and neither does any stable-store write the store did not make
+    /// durable. The server recovers from what is left and the run goes on.
+    /// Nothing a peer has seen may be ahead of the recovered state, and
+    /// every subscriber still sees every publication exactly once, in
+    /// order.
+    mod power_loss {
+        use super::*;
+        use crate::pubsub::{publication, subscription, TopicAgent};
+        use aaa_storage::{DirStore, StorageStats};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::path::PathBuf;
+
+        const TOPIC: u32 = 100;
+        const SUB0: u32 = 200;
+        const SUBS: u32 = 3;
+        const PUBS: u64 = 6;
+
+        /// The oracle: a subscriber that checks, in its own persistent
+        /// state, that publications arrive as 1, 2, 3... A reaction the
+        /// power cut stops is rolled back with the rest of its step, so the
+        /// state holds what the subscriber saw in committed steps.
+        #[derive(Default)]
+        struct SeqSink {
+            last: u64,
+            /// Publications seen twice or out of order.
+            faults: u64,
+        }
+
+        impl Agent for SeqSink {
+            fn react(
+                &mut self,
+                _: &mut crate::ReactionContext<'_>,
+                _: AgentId,
+                note: &Notification,
+            ) {
+                let seq: u64 = note.body_str().and_then(|b| b.parse().ok()).unwrap_or(0);
+                if seq == self.last + 1 {
+                    self.last = seq;
+                } else {
+                    self.faults += 1;
+                }
+            }
+            fn snapshot(&self) -> Vec<u8> {
+                [self.last, self.faults]
+                    .iter()
+                    .flat_map(|v| v.to_le_bytes())
+                    .collect()
+            }
+            fn restore(&mut self, image: &[u8]) {
+                self.last = u64::from_le_bytes(image[..8].try_into().unwrap());
+                self.faults = u64::from_le_bytes(image[8..].try_into().unwrap());
+            }
+        }
+
+        /// A `DirStore` that keeps across [`PowerLossStore::power_loss`]
+        /// only what it made durable: a `put` survives if the store synced
+        /// both the file and the rename — two syncs by its own accounting.
+        struct PowerLossStore {
+            inner: DirStore,
+            durable: parking_lot::Mutex<HashMap<String, Vec<u8>>>,
+        }
+
+        impl PowerLossStore {
+            fn power_loss(&self) {
+                let durable = self.durable.lock();
+                for key in self.inner.keys().unwrap() {
+                    match durable.get(&key) {
+                        Some(value) => self.inner.put(&key, value).unwrap(),
+                        None => self.inner.remove(&key).unwrap(),
+                    }
+                }
+            }
+        }
+
+        impl StableStore for PowerLossStore {
+            fn put(&self, key: &str, value: &[u8]) -> Result<()> {
+                let syncs = self.inner.stats().syncs();
+                self.inner.put(key, value)?;
+                if self.inner.stats().syncs() >= syncs + 2 {
+                    self.durable.lock().insert(key.to_owned(), value.to_vec());
+                }
+                Ok(())
+            }
+            fn get(&self, key: &str) -> Result<Option<Vec<u8>>> {
+                self.inner.get(key)
+            }
+            fn remove(&self, key: &str) -> Result<()> {
+                self.durable.lock().remove(key);
+                self.inner.remove(key)
+            }
+            fn keys(&self) -> Result<Vec<String>> {
+                self.inner.keys()
+            }
+            fn stats(&self) -> &StorageStats {
+                self.inner.stats()
+            }
+        }
+
+        /// What one server has shown its peers: per peer the highest link
+        /// frame it sent and cumulative sequence it acknowledged, and the
+        /// relay acknowledgements it sent — delivery acks per
+        /// `(subscriber, relay server)`, handoff acks per
+        /// `(origin server, subscriber)`.
+        #[derive(Default)]
+        struct Shown {
+            frames: HashMap<ServerId, u64>,
+            cum: HashMap<ServerId, u64>,
+            delivered: HashMap<(AgentId, ServerId), u64>,
+            handed_off: HashMap<(ServerId, AgentId), u64>,
+        }
+
+        fn raise<K: std::hash::Hash + Eq>(map: &mut HashMap<K, u64>, key: K, value: u64) {
+            let at = map.entry(key).or_default();
+            *at = (*at).max(value);
+        }
+
+        impl Shown {
+            fn note(&mut self, t: &Transmission) {
+                let frames = match Datagram::decode(t.bytes.clone()).unwrap() {
+                    Datagram::Ack { cum_seq } => return raise(&mut self.cum, t.to, cum_seq),
+                    Datagram::Data(frame) => vec![frame],
+                    Datagram::Batch(frames) => frames,
+                };
+                for frame in frames {
+                    raise(&mut self.frames, t.to, frame.seq);
+                    let msg = WireMessage::decode(frame.payload).unwrap();
+                    if msg.kind != relay::RELAY_ACK {
+                        continue;
+                    }
+                    let ack = RelayAck::decode(msg.body).unwrap();
+                    let relay = msg.to_agent.server();
+                    if msg.from_agent.local() == RELAY_LOCAL {
+                        raise(&mut self.handed_off, (relay, ack.subscriber), ack.upto);
+                    } else {
+                        raise(&mut self.delivered, (ack.subscriber, relay), ack.upto);
+                    }
+                }
+            }
+
+            /// Asserts that `image`, a recovered state, is behind nothing
+            /// its peers have seen.
+            fn behind_nothing(&self, image: &ServerImage, at: &str) {
+                for (&peer, &seq) in &self.frames {
+                    let next = (image.links_tx.iter())
+                        .find(|l| l.peer == peer)
+                        .map_or(1, |l| l.next_seq);
+                    assert!(
+                        next > seq,
+                        "{at}: frame {seq} to {peer} left, the link resumes at {next}"
+                    );
+                }
+                for (&peer, &cum) in &self.cum {
+                    let got = (image.links_rx.iter())
+                        .find(|l| l.peer == peer)
+                        .map_or(0, |l| l.cum_seq);
+                    assert!(got >= cum, "{at}: acked {cum} to {peer}, recovered {got}");
+                }
+                for (&key, &upto) in &self.delivered {
+                    let got = (image.deliver_rx.iter())
+                        .find(|(k, _)| *k == key)
+                        .map_or(0, |(_, v)| *v);
+                    assert!(
+                        got >= upto,
+                        "{at}: delivery ack {upto} for {key:?}, recovered {got}"
+                    );
+                }
+                for (&key, &upto) in &self.handed_off {
+                    let got = image.relay.handoffs.get(&key).copied().unwrap_or(0);
+                    assert!(
+                        got >= upto,
+                        "{at}: handoff ack {upto} for {key:?}, recovered {got}"
+                    );
+                }
+            }
+        }
+
+        struct Run {
+            topo: Topology,
+            config: ServerConfig,
+            relay: RelayConfig,
+            dir: PathBuf,
+            stores: Vec<Arc<PowerLossStore>>,
+            cores: Vec<ServerCore>,
+            shown: [Shown; 2],
+            queue: Vec<(ServerId, Transmission)>,
+            now: VTime,
+            rng: StdRng,
+            at: String,
+            recoveries: u64,
+        }
+
+        impl Drop for Run {
+            fn drop(&mut self) {
+                let _ = std::fs::remove_dir_all(&self.dir);
+            }
+        }
+
+        impl Run {
+            /// Two servers, every one persisting through a `DirStore` and
+            /// journaling through a durable relay of `segment` records per
+            /// segment: the topic on server 0, `SUBS` subscribers on
+            /// server 1, subscribed and settled.
+            fn new(handoff: bool, segment: usize, seed: u64) -> Run {
+                let dir = std::env::temp_dir().join(format!(
+                    "aaa-power-loss-{}-{:?}",
+                    std::process::id(),
+                    std::thread::current().id()
+                ));
+                let _ = std::fs::remove_dir_all(&dir);
+                let topo = TopologySpec::single_domain(2).validate().unwrap();
+                let config = ServerConfig {
+                    persist: true,
+                    ..ServerConfig::default()
+                };
+                let relay = RelayConfig::default()
+                    .handoff(handoff)
+                    .segment_max_records(segment)
+                    .dir(dir.join("relay"));
+                let stores: Vec<Arc<PowerLossStore>> = (0..2)
+                    .map(|i| {
+                        Arc::new(PowerLossStore {
+                            inner: DirStore::open(dir.join(format!("store-{i}"))).unwrap(),
+                            durable: Default::default(),
+                        })
+                    })
+                    .collect();
+                let mut run = Run {
+                    topo,
+                    config,
+                    relay,
+                    dir,
+                    stores,
+                    cores: Vec::new(),
+                    shown: Default::default(),
+                    queue: Vec::new(),
+                    now: VTime::ZERO,
+                    rng: StdRng::seed_from_u64(seed),
+                    at: "setup".into(),
+                    recoveries: 0,
+                };
+                for i in 0..2 {
+                    let store: Arc<dyn StableStore> = run.stores[i].clone();
+                    let mut core = ServerCore::new(&run.topo, s(i as u16), config, store).unwrap();
+                    for (local, agent) in run.agents(i) {
+                        core.register_agent(local, agent);
+                    }
+                    core.enable_relay(run.relay.clone(), VTime::ZERO).unwrap();
+                    run.cores.push(core);
+                }
+                for i in 0..SUBS {
+                    run.step(1, |c, now| {
+                        let sub = aid(1, SUB0 + i);
+                        c.client_send(sub, aid(0, TOPIC), subscription(), now)
+                            .map(|(_, tx)| tx)
+                    });
+                }
+                run.drain();
+                run
+            }
+
+            /// Fresh agent instances for `server`.
+            fn agents(&self, server: usize) -> Vec<(u32, Box<dyn Agent>)> {
+                if server == 0 {
+                    return vec![(TOPIC, Box::new(TopicAgent::with_relay(relay_agent(s(0)))))];
+                }
+                (0..SUBS)
+                    .map(|i| (SUB0 + i, Box::new(SeqSink::default()) as Box<dyn Agent>))
+                    .collect()
+            }
+
+            /// Runs one step on `server`. A step the power cut stopped
+            /// crashes the server, which recovers at once; returns whether
+            /// the step committed.
+            fn step(
+                &mut self,
+                server: usize,
+                step: impl FnOnce(&mut ServerCore, VTime) -> Result<Vec<Transmission>>,
+            ) -> bool {
+                let result = step(&mut self.cores[server], self.now);
+                if self.cores[server].uncommitted {
+                    self.crash(server);
+                    return false;
+                }
+                for t in result.unwrap() {
+                    self.shown[server].note(&t);
+                    self.queue.push((s(server as u16), t));
+                }
+                true
+            }
+
+            fn crash(&mut self, server: usize) {
+                // What was on its way to the dead server is lost, and so
+                // is every write it had not made durable.
+                self.queue.retain(|(_, t)| t.to.as_usize() != server);
+                self.stores[server].power_loss();
+                let store: Arc<dyn StableStore> = self.stores[server].clone();
+                let agents = self.agents(server);
+                let mut core = ServerCore::recover(
+                    &self.topo,
+                    s(server as u16),
+                    self.config,
+                    store,
+                    agents,
+                    self.now,
+                )
+                .unwrap();
+                let tx = core.enable_relay(self.relay.clone(), self.now).unwrap();
+                let at = format!("{}, server {server} recovered", self.at);
+                self.shown[server].behind_nothing(&core.build_image(), &at);
+                self.cores[server] = core;
+                self.recoveries += 1;
+                for t in tx {
+                    self.shown[server].note(&t);
+                    self.queue.push((s(server as u16), t));
+                }
+            }
+
+            /// Delivers one queued datagram, picked by the seed.
+            fn deliver_one(&mut self) -> bool {
+                if self.queue.is_empty() {
+                    return false;
+                }
+                let (from, t) = self.queue.remove(self.rng.gen_range(0..self.queue.len()));
+                self.step(t.to.as_usize(), |c, now| c.on_datagram(from, t.bytes, now));
+                true
+            }
+
+            /// Delivers everything, ticking the servers to their next
+            /// deadline whenever the wire is empty, until both are idle.
+            fn drain(&mut self) {
+                for _ in 0..1_000 {
+                    while self.deliver_one() {}
+                    if self.cores.iter().all(ServerCore::is_idle) {
+                        return;
+                    }
+                    let next = self
+                        .cores
+                        .iter()
+                        .filter_map(ServerCore::next_deadline)
+                        .min();
+                    self.now = next
+                        .unwrap_or(self.now + VDuration::from_millis(50))
+                        .max(self.now);
+                    for server in 0..2 {
+                        self.step(server, |c, now| Ok(c.on_tick(now)));
+                    }
+                }
+                panic!("{}: the fan-out did not drain", self.at);
+            }
+
+            /// Publishes `PUBS` publications — again after a crash that
+            /// lost one — interleaved with seeded deliveries, and drains.
+            fn publish_all(&mut self) {
+                let mut seq = 1;
+                while seq <= PUBS {
+                    let body = seq.to_string().into_bytes();
+                    let published = self.step(0, |c, now| {
+                        c.client_send(aid(0, 9), aid(0, TOPIC), publication("ev", body), now)
+                            .map(|(_, tx)| tx)
+                    });
+                    seq += u64::from(published);
+                    for _ in 0..self.rng.gen_range(0..4) {
+                        self.deliver_one();
+                    }
+                }
+                self.drain();
+                for i in 0..SUBS {
+                    let sink = self.cores[1]
+                        .engine
+                        .snapshot_agent(aid(1, SUB0 + i))
+                        .unwrap();
+                    let mut sink_state = SeqSink::default();
+                    sink_state.restore(&sink);
+                    let seen = (sink_state.last, sink_state.faults);
+                    assert_eq!(
+                        seen,
+                        (PUBS, 0),
+                        "{}: subscriber {i} (last, faults)",
+                        self.at
+                    );
+                }
+            }
+
+            fn commit_points_left(&self, server: usize) -> u64 {
+                self.cores[server]
+                    .relay
+                    .as_ref()
+                    .unwrap()
+                    .syncs_left
+                    .unwrap()
+            }
+
+            fn cut_power(&mut self, server: usize, after: u64) {
+                self.cores[server].relay.as_mut().unwrap().syncs_left = Some(after);
+            }
+        }
+
+        #[test]
+        fn every_commit_point_survives_power_loss() {
+            let mut cuts = 0;
+            // Handoff to the home relay or delivery straight from the
+            // topic's; short segments compact, and so checkpoint, mid-run.
+            for (handoff, segment, seed) in [(true, 1024, 26), (false, 1024, 62), (true, 8, 7)] {
+                // A run without a power cut counts each server's commit
+                // points after setup...
+                let mut run = Run::new(handoff, segment, seed);
+                for server in 0..2 {
+                    run.cut_power(server, u64::MAX);
+                }
+                run.publish_all();
+                let checkpoints: u64 = run.stores.iter().map(|s| s.stats().writes()).sum();
+                assert_eq!(checkpoints > 0, segment == 8, "{checkpoints} checkpoints");
+                let points: Vec<u64> = (0..2)
+                    .map(|i| u64::MAX - run.commit_points_left(i))
+                    .collect();
+                drop(run);
+                // ...and a run per point cuts the power there.
+                for (server, &points) in points.iter().enumerate() {
+                    for after in 0..points {
+                        let mut run = Run::new(handoff, segment, seed);
+                        run.at = format!(
+                            "handoff {handoff}, segment {segment}, server {server}, cut after {after}"
+                        );
+                        run.cut_power(server, after);
+                        run.publish_all();
+                        assert_eq!(run.recoveries, 1, "{}", run.at);
+                        cuts += 1;
+                    }
+                }
+            }
+            assert!(cuts >= 20, "{cuts} power cuts");
         }
     }
 }

@@ -48,6 +48,12 @@ impl Encoder {
         Bytes::from(self.buf)
     }
 
+    /// Finishes encoding, returning the buffer itself, for a caller that
+    /// appends to what it encoded without copying it.
+    pub fn into_vec(self) -> Vec<u8> {
+        self.buf
+    }
+
     /// Writes one byte.
     pub fn u8(&mut self, v: u8) -> &mut Self {
         self.buf.push(v);

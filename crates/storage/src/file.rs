@@ -1,6 +1,7 @@
 //! File-backed storage: one file per key.
 
 use std::fs;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use aaa_base::{Error, Result};
@@ -44,9 +45,10 @@ fn unescape_key(name: &str) -> Option<String> {
 
 /// A [`StableStore`] persisting each key as one file in a directory.
 ///
-/// Writes are crash-atomic per key: the value is written to a temporary
-/// file and renamed over the target, so recovery sees either the old or the
-/// new value.
+/// Writes are crash-atomic and durable per key: the value is written to a
+/// temporary file, fsynced, renamed over the target, and the rename made
+/// durable with a directory fsync, so recovery — after power loss too —
+/// sees the old value until `put` returns and the new one after.
 #[derive(Debug)]
 pub struct DirStore {
     dir: PathBuf,
@@ -78,8 +80,19 @@ impl StableStore for DirStore {
         self.stats.record_write(value.len() as u64);
         let target = self.path_for(key);
         let tmp = self.dir.join(format!(".tmp-{}", escape_key(key)));
-        fs::write(&tmp, value).map_err(|e| storage_err("write temp file", e))?;
-        fs::rename(&tmp, &target).map_err(|e| storage_err("rename into place", e))
+        let mut file = fs::File::create(&tmp).map_err(|e| storage_err("create temp file", e))?;
+        file.write_all(value)
+            .map_err(|e| storage_err("write temp file", e))?;
+        // The contents must be on stable storage before the rename
+        // publishes them, or power loss could leave the key naming garbage.
+        self.stats.record_sync();
+        file.sync_all()
+            .map_err(|e| storage_err("sync temp file", e))?;
+        fs::rename(&tmp, &target).map_err(|e| storage_err("rename into place", e))?;
+        self.stats.record_sync();
+        fs::File::open(&self.dir)
+            .and_then(|dir| dir.sync_all())
+            .map_err(|e| storage_err("sync store dir", e))
     }
 
     fn get(&self, key: &str) -> Result<Option<Vec<u8>>> {
@@ -151,6 +164,18 @@ mod tests {
         assert_eq!(keys, vec!["agent#1", "matrix/d0"]);
         store.remove("agent#1").unwrap();
         assert_eq!(store.get("agent#1").unwrap(), None);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn put_syncs_the_file_and_the_rename() {
+        let dir = tmp_dir("durable-put");
+        let store = DirStore::open(&dir).unwrap();
+        for (i, value) in [&b"first"[..], b"second", b""].into_iter().enumerate() {
+            store.put("image", value).unwrap();
+            assert_eq!(store.stats().syncs(), 2 * (i as u64 + 1), "two per put");
+            assert_eq!(store.get("image").unwrap().as_deref(), Some(value));
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -11,15 +11,18 @@
 //!
 //! This crate provides the storage the reproduction needs:
 //!
-//! - [`StableStore`] — a key-value store for snapshots (agent state, matrix
-//!   clock images), with [`MemoryStore`] and [`DirStore`] (one file per
-//!   key, atomic replace) implementations;
+//! - [`StableStore`] — a key-value store for snapshots (server
+//!   checkpoints), with [`MemoryStore`] and [`DirStore`] (one file per
+//!   key, replaced atomically and fsynced) implementations;
 //! - [`Journal`] — the on-disk record log: durable, bounded,
-//!   TTL-retained delivery streams in one set of append-only segments,
-//!   group-committed by one `fdatasync` per [`Journal::sync`], with a
-//!   crash-safe compaction pass. Each relay in `aaa-mom` keeps all its
-//!   subscriber queues in one; [`SegmentQueue`] is its single-stream
+//!   TTL-retained delivery streams plus one write-only state stream in
+//!   one set of append-only, checksummed segments, group-committed by one
+//!   `fdatasync` per [`Journal::sync`], with a crash-safe compaction pass.
+//!   Each relay in `aaa-mom` keeps all its subscriber queues and its
+//!   server's state records in one; [`SegmentQueue`] is its single-stream
 //!   face, committed after every operation;
+//! - [`crc32c`] — the CRC-32C every journal record and checkpoint
+//!   carries;
 //! - [`StorageStats`] — byte-exact write/read accounting shared by all
 //!   backends, so experiments can report persistence traffic per message
 //!   (experiment X2 of DESIGN.md).
@@ -36,11 +39,13 @@
 //! # Ok::<(), aaa_base::Error>(())
 //! ```
 
+mod crc;
 mod file;
 mod memory;
 mod queue;
 mod stats;
 
+pub use crc::crc32c;
 pub use file::DirStore;
 pub use memory::MemoryStore;
 pub use queue::{CompactionReport, Journal, QueueConfig, QueueEntry, SegmentQueue, SyncPolicy};
@@ -52,8 +57,10 @@ use aaa_base::Result;
 ///
 /// Implementations must make [`StableStore::put`] atomic per key: after a
 /// crash, [`StableStore::get`] returns either the previous or the new
-/// value, never a mixture. Methods take `&self`; implementations are
-/// internally synchronized so a store can be shared across server threads.
+/// value, never a mixture. A durable implementation also makes the new
+/// value survive power loss before `put` returns `Ok`. Methods take
+/// `&self`; implementations are internally synchronized so a store can be
+/// shared across server threads.
 pub trait StableStore: Send + Sync {
     /// Stores `value` under `key`, replacing any previous value.
     ///

@@ -10,10 +10,25 @@
 //! subscriber's `AgentId` into it), so all of its subscriber queues share
 //! one set of segment files and one commit point:
 //!
-//! - **Append-only segments.** Records carry a `u32` little-endian length
-//!   prefix, so a torn final record from a crash mid-append is detected
-//!   and ignored on recovery. The active segment rolls once it holds the
-//!   configured record count; the highest generation is the active tail.
+//! - **Append-only, checksummed segments.** Records carry a `u32`
+//!   little-endian length prefix, so a torn final record from a crash
+//!   mid-append is detected and ignored on recovery, and end in the
+//!   CRC-32C of their tag and body, so a flipped bit is too: recovery
+//!   stops at the first record that fails its checksum, treats the rest of
+//!   that segment as a torn tail and counts it in
+//!   [`Journal::recovery_anomalies`]. The active segment rolls once it
+//!   holds the configured record count; the highest generation is the
+//!   active tail.
+//! - **The state stream.** Beside the delivery streams, a journal holds
+//!   one reserved, write-only stream of opaque *state records*: the relay's
+//!   server appends one per committed step ([`Journal::append_state`]),
+//!   so the step's state and its relay records become durable with the
+//!   same `fdatasync`. State records are not kept in memory. The owner
+//!   takes a checkpoint of its state elsewhere, then declares the records
+//!   it covers with [`Journal::cover_state`]; compaction drops covered
+//!   records and refuses to run while any record is uncovered. Recovery
+//!   hands the uncovered records back once, in order
+//!   ([`Journal::take_state_tail`]).
 //! - **Group commit.** [`Journal::enqueue`] and [`Journal::ack_up_to`]
 //!   change the in-memory stream and buffer their record; nothing is
 //!   durable until [`Journal::sync`] writes the buffer with one `write`
@@ -37,7 +52,8 @@
 //!   pinning disk. A stream's ticks never decrease (enqueue clamps them),
 //!   so its expired entries are always a prefix.
 //! - **Crash-safe compaction.** [`Journal::compact`] rewrites every
-//!   stream's live suffix and ack watermark into a fresh highest-generation
+//!   stream's live suffix and ack watermark, and the state stream's
+//!   covered watermark, into a fresh highest-generation
 //!   segment via tmp-write → fsync → rename → directory fsync, then
 //!   deletes the old segments. A crash in any window leaves either the
 //!   `.tmp` (ignored on open) or duplicate records across generations
@@ -48,7 +64,8 @@
 //!   records.
 //!
 //! [`SegmentQueue`] is the single-stream face of the same code: stream 0,
-//! committed after every operation. Segments written by the earlier
+//! committed after every operation. Segments written before records were
+//! checksummed (tags 1–4) still open; those of the earlier
 //! one-directory-per-subscriber layout (tags 1 and 2, no stream key) open
 //! as stream 0.
 //!
@@ -64,6 +81,7 @@ use std::path::{Path, PathBuf};
 
 use aaa_base::{Error, Result};
 
+use crate::crc::crc32c;
 use crate::stats::StorageStats;
 
 fn storage_err(context: &str, e: std::io::Error) -> Error {
@@ -72,12 +90,21 @@ fn storage_err(context: &str, e: std::io::Error) -> Error {
 
 /// Record tags on disk. `Enqueue` carries a full entry; `AckUpTo` commits
 /// cumulative delivery. Tags 1 and 2 are the stream-less records of the
-/// per-subscriber layout, read as stream 0 and never written again; 3 and
-/// 4 are the same records behind a `u64` stream key.
+/// per-subscriber layout, read as stream 0; 3 and 4 are the same records
+/// behind a `u64` stream key. Neither is written any more.
 const TAG_ENQUEUE: u8 = 1;
 const TAG_ACK_UP_TO: u8 = 2;
 const TAG_STREAM_ENQUEUE: u8 = 3;
 const TAG_STREAM_ACK_UP_TO: u8 = 4;
+/// The records written today, each ending in the CRC-32C of its tag and
+/// body: the stream-keyed entry and ack, a state record (`seq | bytes`)
+/// and the state stream's covered watermark. Every one of them differs
+/// from every tag above in at least two bits, so no single flipped bit
+/// turns a checksummed record into one that is read unchecked.
+const TAG_SUMMED_ENQUEUE: u8 = 0x53;
+const TAG_SUMMED_ACK_UP_TO: u8 = 0x54;
+const TAG_STATE: u8 = 0x55;
+const TAG_STATE_COVERED: u8 = 0x56;
 
 /// Shape of one segment file name: `seg-NNNNNN.q`.
 const SEG_PREFIX: &str = "seg-";
@@ -156,43 +183,62 @@ pub struct CompactionReport {
     pub bytes_reclaimed: u64,
 }
 
+/// Bytes of one checksummed record with a `body`-byte body, length prefix
+/// excluded: tag, body, CRC.
+const fn summed_len(body: usize) -> usize {
+    1 + body + 4
+}
+
 /// Bytes of one stream-keyed `AckUpTo` record, length prefix excluded.
-const ACK_RECORD_LEN: usize = 1 + 8 + 8;
+const ACK_RECORD_LEN: usize = summed_len(8 + 8);
 
 /// Bytes of one stream-keyed entry record, length prefix excluded.
 fn enqueue_record_len(e: &QueueEntry) -> usize {
-    1 + 8 + 8 + 8 + 4 + e.stamp.len() + 4 + e.payload.len()
+    summed_len(8 + 8 + 8 + 4 + e.stamp.len() + 4 + e.payload.len())
 }
 
-/// Appends one stream-keyed entry record, length prefix included, to
-/// `out`.
+/// Appends one checksummed record to `out`: the length prefix, `tag`,
+/// what `body` writes, and the CRC-32C of tag and body.
+fn push_summed(out: &mut Vec<u8>, tag: u8, body: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
+    out.push(tag);
+    body(out);
+    let crc = crc32c(&out[start + 4..]);
+    out.extend_from_slice(&crc.to_le_bytes());
+    let len = u32::try_from(out.len() - start - 4).unwrap_or(u32::MAX);
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+}
+
+/// Appends one stream-keyed entry record to `out`.
 fn push_enqueue(out: &mut Vec<u8>, stream: u64, e: &QueueEntry) {
-    let len = enqueue_record_len(e);
-    out.reserve(4 + len);
-    out.extend_from_slice(&u32::try_from(len).unwrap_or(u32::MAX).to_le_bytes());
-    out.push(TAG_STREAM_ENQUEUE);
-    out.extend_from_slice(&stream.to_le_bytes());
-    out.extend_from_slice(&e.seq.to_le_bytes());
-    out.extend_from_slice(&e.tick.to_le_bytes());
-    let stamp_len = u32::try_from(e.stamp.len()).unwrap_or(u32::MAX);
-    out.extend_from_slice(&stamp_len.to_le_bytes());
-    out.extend_from_slice(&e.stamp);
-    let payload_len = u32::try_from(e.payload.len()).unwrap_or(u32::MAX);
-    out.extend_from_slice(&payload_len.to_le_bytes());
-    out.extend_from_slice(&e.payload);
+    out.reserve(4 + enqueue_record_len(e));
+    push_summed(out, TAG_SUMMED_ENQUEUE, |out| {
+        out.extend_from_slice(&stream.to_le_bytes());
+        out.extend_from_slice(&e.seq.to_le_bytes());
+        out.extend_from_slice(&e.tick.to_le_bytes());
+        let stamp_len = u32::try_from(e.stamp.len()).unwrap_or(u32::MAX);
+        out.extend_from_slice(&stamp_len.to_le_bytes());
+        out.extend_from_slice(&e.stamp);
+        let payload_len = u32::try_from(e.payload.len()).unwrap_or(u32::MAX);
+        out.extend_from_slice(&payload_len.to_le_bytes());
+        out.extend_from_slice(&e.payload);
+    });
 }
 
-/// Appends one stream-keyed cumulative-ack record, length prefix
-/// included, to `out`.
+/// Appends one stream-keyed cumulative-ack record to `out`.
 fn push_ack(out: &mut Vec<u8>, stream: u64, upto: u64) {
-    out.extend_from_slice(
-        &u32::try_from(ACK_RECORD_LEN)
-            .unwrap_or(u32::MAX)
-            .to_le_bytes(),
-    );
-    out.push(TAG_STREAM_ACK_UP_TO);
-    out.extend_from_slice(&stream.to_le_bytes());
-    out.extend_from_slice(&upto.to_le_bytes());
+    push_summed(out, TAG_SUMMED_ACK_UP_TO, |out| {
+        out.extend_from_slice(&stream.to_le_bytes());
+        out.extend_from_slice(&upto.to_le_bytes());
+    });
+}
+
+/// Appends the state stream's covered watermark to `out`.
+fn push_covered(out: &mut Vec<u8>, upto: u64) {
+    push_summed(out, TAG_STATE_COVERED, |out| {
+        out.extend_from_slice(&upto.to_le_bytes());
+    });
 }
 
 /// The file-backed half of a journal: the directory, the active tail file
@@ -278,12 +324,14 @@ impl DirBackend {
         Ok(())
     }
 
-    /// Writes every stream's unacknowledged entries and ack watermark into
-    /// a fresh highest generation and deletes the generations it
-    /// supersedes. Returns `(segments_removed, bytes_reclaimed)`.
+    /// Writes every stream's unacknowledged entries and ack watermark, and
+    /// the state stream's covered watermark, into a fresh highest
+    /// generation and deletes the generations it supersedes. Returns
+    /// `(segments_removed, bytes_reclaimed)`.
     fn rewrite(
         &mut self,
         streams: &BTreeMap<u64, Stream>,
+        state_covered: u64,
         cfg: &QueueConfig,
         stats: &StorageStats,
     ) -> Result<(usize, u64)> {
@@ -319,6 +367,15 @@ impl DirBackend {
                 w.write_all(&rec)
                     .map_err(|e| storage_err("write compaction records", e))?;
                 rec.clear();
+            }
+            if state_covered > 0 {
+                // Keeps the state stream's sequence past what the owner's
+                // checkpoint covers once the covered records are gone.
+                push_covered(&mut rec, state_covered);
+                live_records += 1;
+                written += rec.len() as u64;
+                w.write_all(&rec)
+                    .map_err(|e| storage_err("write compaction records", e))?;
             }
             let tmp = w
                 .into_inner()
@@ -391,6 +448,19 @@ impl Stream {
 /// An empty stream's entries, for lookups of streams never written.
 static NO_ENTRIES: VecDeque<QueueEntry> = VecDeque::new();
 
+/// The bookkeeping of the write-only state stream; its records live on
+/// disk only.
+#[derive(Debug, Default)]
+struct StateStream {
+    /// Highest sequence number assigned (or found on disk).
+    last: u64,
+    /// Records up to here are covered by the owner's checkpoint: dead.
+    covered: u64,
+    /// The uncovered records recovery found, contiguous from
+    /// `covered + 1`, until the owner takes them.
+    tail: Vec<(u64, Vec<u8>)>,
+}
+
 /// A durable, bounded, TTL-retained journal of any number of delivery
 /// streams, committed by [`Journal::sync`].
 ///
@@ -414,11 +484,13 @@ pub struct Journal {
     /// Streams with a non-zero ack watermark, each of which keeps one
     /// `AckUpTo` record through compaction.
     acked_streams: u64,
-    /// Torn or malformed records found in a *non-final* generation at
-    /// recovery. A tear in the final segment is the expected signature
-    /// of a crash mid-append; one anywhere else truncated records that
-    /// later generations may not re-cover, so it is surfaced instead of
-    /// silently swallowed.
+    state: StateStream,
+    /// Records recovery rejected although no crash mid-append explains
+    /// them: a checksum mismatch anywhere, or a torn or malformed record
+    /// in a *non-final* generation. A tear in the final segment is the
+    /// expected signature of a crash mid-append; anything else truncated
+    /// records that later generations may not re-cover, so it is surfaced
+    /// instead of silently swallowed.
     recovery_anomalies: u64,
     /// Set by a failed write, sync or compaction; see the module docs.
     poisoned: bool,
@@ -439,6 +511,7 @@ impl Journal {
             records: 0,
             depth: 0,
             acked_streams: 0,
+            state: StateStream::default(),
             recovery_anomalies: 0,
             poisoned: false,
             stats: StorageStats::new(),
@@ -456,10 +529,11 @@ impl Journal {
     /// Opens (creating if needed) a durable journal rooted at `dir`,
     /// recovering every stream from the committed segments: records are
     /// replayed in generation order, deduplicated per stream by sequence
-    /// number, and the highest journaled ack wins. A torn final record in
-    /// any segment is ignored, and `.tmp` files from a crashed compaction
-    /// are removed. This is the only recovery path; [`SegmentQueue::open`]
-    /// uses it too.
+    /// number, and the highest journaled ack wins. A segment's records are
+    /// read up to its first torn, malformed or checksum-failing record,
+    /// and `.tmp` files from a crashed compaction are removed. The state
+    /// stream's uncovered records are kept for [`Journal::take_state_tail`].
+    /// This is the only recovery path; [`SegmentQueue::open`] uses it too.
     ///
     /// # Errors
     ///
@@ -471,6 +545,8 @@ impl Journal {
         let gens = DirBackend::list_gens(&dir)?;
         // Per stream: every entry seen (by seq) and the highest ack.
         let mut replay: BTreeMap<u64, (BTreeMap<u64, QueueEntry>, u64)> = BTreeMap::new();
+        let mut state: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+        let mut state_covered = 0u64;
         let mut records = 0u64;
         let mut bytes_read = 0u64;
         let mut active_records = 0usize;
@@ -480,18 +556,19 @@ impl Journal {
             let buf = fs::read(DirBackend::seg_path(&dir, gen))
                 .map_err(|e| storage_err("read segment", e))?;
             bytes_read += buf.len() as u64;
-            let (parsed, consumed) = parse_records(&buf);
+            let (parsed, consumed, corrupt) = parse_records(&buf);
             let torn = consumed < buf.len();
             if idx + 1 == gens.len() {
                 // A tear in the highest generation is the expected
                 // crash-mid-append signature; the tail rolls past it.
                 active_records = parsed.len();
                 tail_torn = torn;
-            } else if torn {
-                // A tear in the *middle* of the generation chain
-                // truncated that segment's remaining records even though
-                // later generations still parse — an anomaly the caller
-                // must be able to see, not a normal crash signature.
+            }
+            if corrupt || (torn && idx + 1 < gens.len()) {
+                // A failed checksum anywhere, or a tear in the *middle*
+                // of the generation chain, truncated records a crash
+                // mid-append cannot explain — an anomaly the caller must
+                // be able to see, not a normal crash signature.
                 recovery_anomalies += 1;
             }
             records += parsed.len() as u64;
@@ -507,12 +584,31 @@ impl Journal {
                         let acked = &mut replay.entry(key).or_default().1;
                         *acked = (*acked).max(upto);
                     }
+                    Record::State(seq, bytes) => {
+                        state.insert(seq, bytes);
+                    }
+                    Record::StateCovered(upto) => state_covered = state_covered.max(upto),
                 }
             }
         }
         let mut journal = Journal::with_backend(cfg, None);
         journal.records = records;
         journal.recovery_anomalies = recovery_anomalies;
+        journal.state.last = state
+            .keys()
+            .next_back()
+            .map_or(state_covered, |&s| s.max(state_covered));
+        journal.state.covered = state_covered;
+        // The tail replays only while it is contiguous: a record past a
+        // gap describes a change on top of one that is lost.
+        let mut next = state_covered.saturating_add(1);
+        for (seq, bytes) in state.split_off(&next) {
+            if seq != next {
+                break;
+            }
+            journal.state.tail.push((seq, bytes));
+            next = next.saturating_add(1);
+        }
         for (key, (seen, acked)) in replay {
             // A fully-acked, fully-compacted stream leaves only an
             // `AckUpTo` record behind: without the clamp to `acked + 1`
@@ -609,13 +705,70 @@ impl Journal {
         }
     }
 
-    /// Torn or malformed records detected in a non-final generation at
-    /// the last [`Journal::open`] (0 for clean recoveries and in-memory
-    /// journals). A non-zero value means a middle segment lost its suffix
-    /// — acknowledged state or entries may have been dropped, so callers
-    /// should surface it rather than trust the journal blindly.
+    /// Segments the last [`Journal::open`] cut short for a reason other
+    /// than a crash mid-append: a record failing its checksum, or a torn
+    /// or malformed record in a non-final generation (0 for clean
+    /// recoveries and in-memory journals). A non-zero value means a
+    /// segment lost its suffix — acknowledged state, entries or state
+    /// records may have been dropped, so callers should surface it rather
+    /// than trust the journal blindly.
     pub fn recovery_anomalies(&self) -> u64 {
         self.recovery_anomalies
+    }
+
+    /// `true` for a file-backed journal, whose committed records survive
+    /// the process.
+    pub fn is_durable(&self) -> bool {
+        self.backend.is_some()
+    }
+
+    /// Appends one record to the state stream and returns its sequence
+    /// number (dense, from 1). Like every record it is durable only after
+    /// the next [`Journal::sync`]; unlike stream entries it is not kept in
+    /// memory.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Storage`] if the journal is poisoned.
+    pub fn append_state(&mut self, record: &[u8]) -> Result<u64> {
+        self.check_usable()?;
+        let seq = self.state.last.saturating_add(1);
+        self.state.last = seq;
+        self.append(summed_len(8 + record.len()), |out| {
+            push_summed(out, TAG_STATE, |out| {
+                out.extend_from_slice(&seq.to_le_bytes());
+                out.extend_from_slice(record);
+            });
+        });
+        Ok(seq)
+    }
+
+    /// The sequence number of the last state record appended or
+    /// recovered (0 = none).
+    pub fn state_seq(&self) -> u64 {
+        self.state.last
+    }
+
+    /// Declares the state records up to `upto` covered by a durable
+    /// checkpoint the owner keeps elsewhere: they are dead, and the next
+    /// [`Journal::compact`] drops them.
+    pub fn cover_state(&mut self, upto: u64) {
+        self.state.covered = self.state.covered.max(upto.min(self.state.last));
+    }
+
+    /// The uncovered state records the last [`Journal::open`] recovered,
+    /// in sequence order and contiguous from the covered watermark; empty
+    /// on every later call. Records past a gap are not returned, so
+    /// [`Journal::state_seq`] may be ahead of the last one.
+    pub fn take_state_tail(&mut self) -> Vec<(u64, Vec<u8>)> {
+        std::mem::take(&mut self.state.tail)
+    }
+
+    /// What a compaction writes back: every unacknowledged entry, one ack
+    /// watermark per acknowledged stream and the state stream's covered
+    /// watermark.
+    fn live_records(&self) -> u64 {
+        self.depth + self.acked_streams + u64::from(self.state.covered > 0)
     }
 
     /// Storage traffic accounting: one write per record appended, one
@@ -815,21 +968,24 @@ impl Journal {
     }
 
     /// `true` once the dead records (acknowledged entries, superseded
-    /// acks) are at least `max(live, segment_max_records)`, where live is
-    /// what a compaction would write back: every unacknowledged entry plus
-    /// one ack watermark per acknowledged stream. A pass then reclaims at
-    /// least as many records as it rewrites, so its cost is amortised over
-    /// the appends that created the garbage, and a cold stream's backlog
-    /// is not rewritten every time warm streams ack.
+    /// acks, state records) are at least `max(live, segment_max_records)`,
+    /// where live is what a compaction would write back: every
+    /// unacknowledged entry, one ack watermark per acknowledged stream and
+    /// the state watermark. A pass then reclaims at least as many records
+    /// as it rewrites, so its cost is amortised over the appends that
+    /// created the garbage, and a cold stream's backlog is not rewritten
+    /// every time warm streams ack. State records count as dead whether or
+    /// not they are covered yet: the owner covers them before it compacts.
     pub fn compaction_due(&self) -> bool {
-        let live = self.depth + self.acked_streams;
+        let live = self.live_records();
         let dead = self.records.saturating_sub(live);
         dead >= live.max(self.cfg.segment_max_records as u64)
     }
 
     /// Rewrites every stream's live (unacked, unexpired) entries and ack
-    /// watermark into a fresh highest-generation segment and deletes the
-    /// old ones, reclaiming acknowledged and TTL-expired records. Expired
+    /// watermark, and the state stream's covered watermark, into a fresh
+    /// highest-generation segment and deletes the old ones, reclaiming
+    /// acknowledged and TTL-expired records and covered state records. Expired
     /// entries — a prefix of each stream — are acknowledged away first, so
     /// the stream's watermark and sequence survive the rewrite. Records
     /// not yet committed are part of the rewrite, so a successful pass
@@ -846,9 +1002,17 @@ impl Journal {
     /// # Errors
     ///
     /// Returns [`Error::Storage`] on filesystem failure — which poisons
-    /// the journal — or if it is already poisoned.
+    /// the journal — or if it is already poisoned. Refuses, without
+    /// poisoning, while any state record is not covered
+    /// ([`Journal::cover_state`]): the pass would drop it.
     pub fn compact(&mut self, now_tick: u64) -> Result<CompactionReport> {
         self.check_usable()?;
+        let uncovered = self.state.last.saturating_sub(self.state.covered);
+        if uncovered > 0 {
+            return Err(Error::Storage(format!(
+                "compaction would drop {uncovered} state records no checkpoint covers"
+            )));
+        }
         let mut expired_dropped = 0u64;
         for s in self.streams.values_mut() {
             let expired = s.expired_len(self.cfg.ttl_ticks, now_tick);
@@ -861,7 +1025,7 @@ impl Journal {
             expired_dropped += expired as u64;
         }
         self.depth -= expired_dropped;
-        let live = self.depth + self.acked_streams;
+        let live = self.live_records();
         let mut report = CompactionReport {
             acked_dropped: self
                 .records
@@ -874,7 +1038,7 @@ impl Journal {
             self.records = live;
             return Ok(report);
         };
-        match backend.rewrite(&self.streams, &self.cfg, &self.stats) {
+        match backend.rewrite(&self.streams, self.state.covered, &self.cfg, &self.stats) {
             Ok((segments_removed, bytes_reclaimed)) => {
                 report.segments_removed = segments_removed;
                 report.bytes_reclaimed = bytes_reclaimed;
@@ -1013,6 +1177,17 @@ impl SegmentQueue {
 enum Record {
     Enqueue(u64, QueueEntry),
     AckUpTo(u64, u64),
+    State(u64, Vec<u8>),
+    StateCovered(u64),
+}
+
+/// What one record's bytes turned out to be.
+enum Parsed {
+    Record(Record),
+    /// Not a record of any known shape: read like a tear.
+    Malformed,
+    /// A checksummed record whose CRC does not match its bytes.
+    Mismatch,
 }
 
 fn le_u32(buf: &[u8], i: usize) -> Option<u32> {
@@ -1033,39 +1208,73 @@ fn le_u64(buf: &[u8], i: usize) -> Option<u64> {
 }
 
 /// Decodes the length-prefixed records of one segment. Parsing stops at
-/// the first torn or malformed record — everything before the tear is the
-/// recovered prefix, the tail is rejected. Returns the records and the
-/// number of bytes cleanly consumed (short of the buffer length exactly
-/// when the tail was torn).
-fn parse_records(buf: &[u8]) -> (Vec<Record>, usize) {
+/// the first torn, malformed or checksum-failing record — everything
+/// before it is the recovered prefix, the rest is rejected. Returns the
+/// records, the number of bytes cleanly consumed (short of the buffer
+/// length exactly when parsing stopped early) and whether it stopped at a
+/// checksum mismatch.
+fn parse_records(buf: &[u8]) -> (Vec<Record>, usize, bool) {
     let mut out = Vec::new();
     let mut i = 0usize;
-    while i + 4 <= buf.len() {
-        let Some(len) = le_u32(buf, i) else { break };
+    while let Some(len) = le_u32(buf, i) {
         let len = len as usize;
         let Some(rec) = buf.get(i + 4..i + 4 + len) else {
             break; // torn final record
         };
-        let Some(parsed) = parse_one(rec) else {
-            break; // malformed body: treat like a tear, reject the tail
-        };
-        out.push(parsed);
+        match parse_one(rec) {
+            Parsed::Record(parsed) => out.push(parsed),
+            Parsed::Malformed => break,
+            Parsed::Mismatch => return (out, i, true),
+        }
         i += 4 + len;
     }
-    (out, i)
+    (out, i, false)
 }
 
-fn parse_one(rec: &[u8]) -> Option<Record> {
-    match *rec.first()? {
-        TAG_ENQUEUE => Some(Record::Enqueue(STREAM, parse_entry(rec.get(1..)?)?)),
-        TAG_ACK_UP_TO => Some(Record::AckUpTo(STREAM, le_u64(rec, 1)?)),
-        TAG_STREAM_ENQUEUE => Some(Record::Enqueue(
-            le_u64(rec, 1)?,
-            parse_entry(rec.get(9..)?)?,
-        )),
-        TAG_STREAM_ACK_UP_TO => Some(Record::AckUpTo(le_u64(rec, 1)?, le_u64(rec, 9)?)),
-        _ => None,
+fn parse_one(rec: &[u8]) -> Parsed {
+    let legacy = match rec.first() {
+        None => return Parsed::Malformed,
+        Some(&TAG_ENQUEUE) => rec
+            .get(1..)
+            .and_then(parse_entry)
+            .map(|e| Record::Enqueue(STREAM, e)),
+        Some(&TAG_ACK_UP_TO) => le_u64(rec, 1).map(|upto| Record::AckUpTo(STREAM, upto)),
+        Some(&TAG_STREAM_ENQUEUE) => le_u64(rec, 1)
+            .zip(rec.get(9..).and_then(parse_entry))
+            .map(|(key, e)| Record::Enqueue(key, e)),
+        Some(&TAG_STREAM_ACK_UP_TO) => le_u64(rec, 1)
+            .zip(le_u64(rec, 9))
+            .map(|(key, upto)| Record::AckUpTo(key, upto)),
+        Some(_) => return parse_summed(rec),
+    };
+    legacy.map_or(Parsed::Malformed, Parsed::Record)
+}
+
+/// Checks and decodes a checksummed record: `tag | body | crc`.
+fn parse_summed(rec: &[u8]) -> Parsed {
+    let Some(summed) = rec.len().checked_sub(4).and_then(|n| rec.get(..n)) else {
+        return Parsed::Mismatch;
+    };
+    if le_u32(rec, summed.len()) != Some(crc32c(summed)) {
+        return Parsed::Mismatch;
     }
+    let Some((&tag, body)) = summed.split_first() else {
+        return Parsed::Mismatch;
+    };
+    let record = match tag {
+        TAG_SUMMED_ENQUEUE => le_u64(body, 0)
+            .zip(body.get(8..).and_then(parse_entry))
+            .map(|(key, e)| Record::Enqueue(key, e)),
+        TAG_SUMMED_ACK_UP_TO => le_u64(body, 0)
+            .zip(le_u64(body, 8))
+            .map(|(key, upto)| Record::AckUpTo(key, upto)),
+        TAG_STATE => le_u64(body, 0)
+            .zip(body.get(8..))
+            .map(|(seq, bytes)| Record::State(seq, bytes.to_vec())),
+        TAG_STATE_COVERED => le_u64(body, 0).map(Record::StateCovered),
+        _ => None,
+    };
+    record.map_or(Parsed::Malformed, Parsed::Record)
 }
 
 /// Decodes `seq | tick | stamp_len | stamp | payload_len | payload`.
@@ -1468,6 +1677,89 @@ mod tests {
         assert_eq!(payloads, vec![b"kept".as_slice()]);
         assert_eq!(j.enqueue(1, 0, vec![], b"after".to_vec()).unwrap(), 2);
         j.sync().unwrap();
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn state_records_replay_past_the_covered_watermark_only() {
+        let dir = tmp_dir("journal-state");
+        let mut j = Journal::open(&dir, cfg(16, None, 64)).unwrap();
+        assert!(j.is_durable());
+        for (i, rec) in [&b"one"[..], b"two", b"three"].into_iter().enumerate() {
+            assert_eq!(j.append_state(rec).unwrap(), i as u64 + 1);
+        }
+        j.enqueue(7, 0, vec![], b"entry".to_vec()).unwrap();
+        j.sync().unwrap();
+        // Unsynced records die with the process, state ones included.
+        j.append_state(b"lost").unwrap();
+        drop(j);
+
+        let mut j = Journal::open(&dir, cfg(16, None, 64)).unwrap();
+        assert_eq!(j.state_seq(), 3);
+        let tail: Vec<(u64, Vec<u8>)> = j.take_state_tail();
+        assert_eq!(
+            tail,
+            vec![
+                (1, b"one".to_vec()),
+                (2, b"two".to_vec()),
+                (3, b"three".to_vec())
+            ]
+        );
+        assert!(j.take_state_tail().is_empty(), "handed over once");
+        // Compaction refuses to drop records no checkpoint covers...
+        assert!(matches!(j.compact(0), Err(Error::Storage(_))));
+        j.enqueue(7, 0, vec![], b"still usable".to_vec()).unwrap();
+        // ...and, once they are covered, keeps only the watermark.
+        j.cover_state(2);
+        assert!(j.compact(0).is_err(), "record 3 is still uncovered");
+        j.cover_state(3);
+        j.compact(0).unwrap();
+        assert_eq!(j.append_state(b"four").unwrap(), 4);
+        j.sync().unwrap();
+        drop(j);
+
+        let mut j = Journal::open(&dir, cfg(16, None, 64)).unwrap();
+        assert_eq!(j.take_state_tail(), vec![(4, b"four".to_vec())]);
+        assert_eq!(j.depth(7), 2);
+        j.cover_state(4);
+        j.compact(0).unwrap();
+        drop(j);
+        // A fully covered, compacted stream keeps its sequence.
+        let mut j = Journal::open(&dir, cfg(16, None, 64)).unwrap();
+        assert!(j.take_state_tail().is_empty());
+        assert_eq!(j.append_state(b"five").unwrap(), 5);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_checksum_cuts_the_segment_and_is_counted() {
+        let dir = tmp_dir("journal-crc");
+        {
+            let mut j = Journal::open(&dir, cfg(16, None, 64)).unwrap();
+            for payload in [&b"first"[..], b"second", b"third"] {
+                j.enqueue(1, 0, vec![], payload.to_vec()).unwrap();
+                j.sync().unwrap();
+            }
+        }
+        // Flip one bit inside the second record's payload.
+        let seg = DirBackend::seg_path(&dir, 0);
+        let mut bytes = fs::read(&seg).unwrap();
+        let at = bytes.windows(6).position(|w| w == b"second").unwrap();
+        bytes[at] ^= 0x10;
+        fs::write(&seg, &bytes).unwrap();
+        let mut j = Journal::open(&dir, cfg(16, None, 64)).unwrap();
+        assert_eq!(j.recovery_anomalies(), 1);
+        let payloads: Vec<&[u8]> = j
+            .pending_after(1, 0, 0)
+            .map(|e| e.payload.as_slice())
+            .collect();
+        assert_eq!(payloads, vec![b"first".as_slice()], "read up to the flip");
+        // The rest of the segment is a torn tail: appends roll past it.
+        assert_eq!(j.enqueue(1, 0, vec![], b"after".to_vec()).unwrap(), 2);
+        j.sync().unwrap();
+        drop(j);
+        let j = Journal::open(&dir, cfg(16, None, 64)).unwrap();
+        assert_eq!(j.depth(1), 2);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -36,7 +36,7 @@ impl StorageStats {
     }
 
     /// Records one durability barrier (`fdatasync` of a journal segment,
-    /// `fsync` of a compaction file or of a directory).
+    /// `fsync` of a compaction file, a stored value or a directory).
     pub fn record_sync(&self) {
         self.syncs.fetch_add(1, Ordering::Relaxed);
     }
