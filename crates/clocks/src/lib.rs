@@ -42,6 +42,7 @@
 //! clock_b.deliver(a, &pending);
 //! ```
 
+mod blocks;
 pub mod lamport;
 pub mod matrix;
 pub mod protocol;

@@ -6,16 +6,46 @@
 //! what B knows about C" shared knowledge of the paper's introduction. The
 //! per-message control information is `O(n²)` in the worst case, which is
 //! precisely the scalability problem the domain decomposition attacks.
+//!
+//! The *resident* state need not be `n²`: a server's matrix is mostly the
+//! zeros of links it never heard of, so [`MatrixClock`] stores its cells in
+//! 16-cell blocks allocated on first non-zero write (see its
+//! [storage notes](MatrixClock#storage)) and costs what its traffic wrote.
 
 use std::fmt;
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
+
+use crate::blocks::{Blocks, Cell, Lane, BLOCK};
 
 /// A square matrix of message counters.
 ///
 /// Cells are addressed `(row, col)` = `(sender, receiver)`. All cells start
 /// at zero and only ever grow; merging two matrices takes the cell-wise
 /// maximum, making the set of matrices of a given width a join-semilattice.
+///
+/// # Storage
+///
+/// The `n²` cells, row-major, are cut into fixed blocks of 16 consecutive
+/// cells. A block is allocated on the first non-zero write to one of its
+/// cells, and a block that was never written reads as zero, so a matrix
+/// costs its index — one `u32` per block, `n² / 4` bytes — plus 256 bytes
+/// per block its traffic reached, not `n² × 8`. A block holds each cell's
+/// counter beside the logical instant of its last change, which the causal
+/// protocol's `SENT` matrix keeps for its delta stamps and every other
+/// matrix leaves at zero. A cell is always found through the index, also
+/// once every block is written. The storage sits behind one pointer, so a
+/// `MatrixClock`, and every stamp that could hold one, moves as 16 bytes.
+///
+/// Equality, ordering and hashing are on the counters (ordering is
+/// lexicographic, row-major, as for a dense array), whatever blocks happen
+/// to be allocated; whole-matrix walks
+/// ([`merge_max`](MatrixClock::merge_max),
+/// [`dominated_by`](MatrixClock::dominated_by),
+/// [`iter_nonzero`](MatrixClock::iter_nonzero), the counts) read only the
+/// allocated blocks. The byte image ([`write_bytes`](MatrixClock::write_bytes))
+/// is still dense.
 ///
 /// # Examples
 ///
@@ -29,7 +59,7 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct MatrixClock {
     n: usize,
-    cells: Vec<u64>,
+    cells: Box<Blocks>,
 }
 
 impl MatrixClock {
@@ -42,7 +72,7 @@ impl MatrixClock {
         assert!(n > 0, "a matrix clock needs at least one process");
         MatrixClock {
             n,
-            cells: vec![0; n * n],
+            cells: Box::new(Blocks::new(n * n)),
         }
     }
 
@@ -51,9 +81,11 @@ impl MatrixClock {
         self.n
     }
 
+    /// The row-major position of cell `(row, col)`, checked in every build:
+    /// a position past the row would read another row's cell.
     #[inline]
     fn idx(&self, row: usize, col: usize) -> usize {
-        debug_assert!(row < self.n && col < self.n, "matrix index out of range");
+        assert!(row.max(col) < self.n, "matrix index out of range");
         row * self.n + col
     }
 
@@ -75,7 +107,11 @@ impl MatrixClock {
     #[inline]
     pub fn set(&mut self, row: usize, col: usize, value: u64) {
         let i = self.idx(row, col);
-        self.cells[i] = value;
+        // Storing zero in a block never written would allocate it for
+        // nothing.
+        if value != 0 || self.cells[i] != 0 {
+            self.cells[i] = value;
+        }
     }
 
     /// Raises cell `(row, col)` to `value` if `value` is larger, returning
@@ -87,12 +123,33 @@ impl MatrixClock {
     #[inline]
     pub fn raise(&mut self, row: usize, col: usize, value: u64) -> bool {
         let i = self.idx(row, col);
-        if value > self.cells[i] {
-            self.cells[i] = value;
-            true
-        } else {
-            false
+        // Read before writing: a value above a never-written cell's zero is
+        // the only one that allocates its block.
+        if value <= self.cells[i] {
+            return false;
         }
+        self.cells[i] = value;
+        true
+    }
+
+    /// [`MatrixClock::raise`], tagging the cell with instant `tag` if it
+    /// grew.
+    #[inline]
+    pub(crate) fn raise_tagged(&mut self, row: usize, col: usize, value: u64, tag: u64) -> bool {
+        let i = self.idx(row, col);
+        if let Some(cell) = self.cells.cell_mut(i) {
+            if value <= cell.value {
+                return false;
+            }
+            *cell = Cell { value, tag };
+            return true;
+        }
+        // A never-written cell is zero: only a non-zero value allocates.
+        if value == 0 {
+            return false;
+        }
+        self.cells.block_mut(i / BLOCK)[i % BLOCK] = Cell { value, tag };
+        true
     }
 
     /// Increments cell `(row, col)`, returning the new value.
@@ -109,48 +166,145 @@ impl MatrixClock {
         self.cells[i]
     }
 
+    /// [`MatrixClock::increment`], tagging the cell with instant `tag`.
+    #[inline]
+    pub(crate) fn increment_tagged(&mut self, row: usize, col: usize, tag: u64) {
+        let i = self.idx(row, col);
+        let cell = &mut self.cells.block_mut(i / BLOCK)[i % BLOCK];
+        *cell = Cell {
+            value: cell.value.saturating_add(1),
+            tag,
+        };
+    }
+
+    /// Calls `f(i, value, tag)` for every cell at a row-major position `i`
+    /// in `cells` whose change instant `tag` is above `since`, in order.
+    /// Reads only the blocks that were ever written.
+    #[inline]
+    pub(crate) fn for_each_changed(
+        &self,
+        cells: Range<usize>,
+        since: u64,
+        mut f: impl FnMut(usize, u64, u64),
+    ) {
+        self.cells.for_each_in(cells, |i, cell| {
+            if cell.tag > since {
+                f(i, cell.value, cell.tag);
+            }
+        });
+    }
+
+    /// Appends the change instants, row-major and dense, as little-endian
+    /// `u64`s: the tag section of a `CausalState` image.
+    pub(crate) fn write_tags(&self, out: &mut Vec<u8>) {
+        self.cells.write_le(Lane::Tags, out);
+    }
+
+    /// Reads change instants written by [`MatrixClock::write_tags`]: `bytes`
+    /// holds exactly `n² × 8` of them.
+    pub(crate) fn read_tags(&mut self, bytes: &[u8]) -> Option<()> {
+        self.cells.read_le(Lane::Tags, bytes)
+    }
+
+    /// Whether every cell carries the same change instant as in `other`.
+    pub(crate) fn tags_eq(&self, other: &MatrixClock) -> bool {
+        self.cells.lane_eq(Lane::Tags, &other.cells)
+    }
+
+    /// A copy of the counters, every change instant zero: what a receiver
+    /// decodes from a `Full` stamp, and all it reads of one.
+    pub(crate) fn counters(&self) -> MatrixClock {
+        MatrixClock {
+            n: self.n,
+            cells: Box::new(self.cells.counters()),
+        }
+    }
+
     /// Cell-wise maximum with `other`; calls `changed` for every cell that
-    /// grew, with `(row, col, new_value)`.
+    /// grew, with `(row, col, new_value)`, in row-major order.
     ///
     /// Exposing the changed cells lets the Updates optimization re-tag them
-    /// with a fresh logical state without a second scan.
+    /// with a fresh logical state without a second scan. Only `other`'s
+    /// allocated blocks are read.
     ///
     /// # Panics
     ///
     /// Panics if the widths differ.
     pub fn merge_max(&mut self, other: &MatrixClock, mut changed: impl FnMut(usize, usize, u64)) {
+        let n = self.n;
+        self.merge(other, None, |i, v| changed(i / n, i % n, v));
+    }
+
+    /// [`MatrixClock::merge_max`], tagging every cell that grew with
+    /// instant `tag` and reporting it by its row-major position.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the widths differ.
+    pub(crate) fn merge_tagged(
+        &mut self,
+        other: &MatrixClock,
+        tag: u64,
+        mut changed: impl FnMut(usize),
+    ) {
+        self.merge(other, Some(tag), |i, _| changed(i));
+    }
+
+    /// The cell-wise maximum, tagging the grown cells if `tag` is given.
+    fn merge(
+        &mut self,
+        other: &MatrixClock,
+        tag: Option<u64>,
+        mut changed: impl FnMut(usize, u64),
+    ) {
         assert_eq!(
             self.n, other.n,
             "cannot merge matrix clocks of different widths"
         );
-        for row in 0..self.n {
-            for col in 0..self.n {
-                let i = row * self.n + col;
-                if other.cells[i] > self.cells[i] {
-                    self.cells[i] = other.cells[i];
-                    changed(row, col, other.cells[i]);
+        for (b, theirs) in other.cells.blocks() {
+            // A block with nothing to give allocates nothing here.
+            if theirs.iter().all(|c| c.value == 0) {
+                continue;
+            }
+            let mine = self.cells.block_mut(b);
+            for (off, (cell, t)) in mine.iter_mut().zip(theirs).enumerate() {
+                if t.value > cell.value {
+                    cell.value = t.value;
+                    cell.tag = tag.unwrap_or(cell.tag);
+                    changed(b * BLOCK + off, t.value);
                 }
             }
         }
     }
 
     /// Returns `true` if every cell of `self` is `<=` the matching cell of
-    /// `other`.
+    /// `other`. Only `self`'s allocated blocks are read.
     ///
     /// # Panics
     ///
     /// Panics if the widths differ.
     pub fn dominated_by(&self, other: &MatrixClock) -> bool {
         assert_eq!(self.n, other.n);
-        self.cells.iter().zip(&other.cells).all(|(a, b)| a <= b)
+        self.cells.blocks().all(|(b, mine)| {
+            let theirs = other.cells.block_or_zero(b);
+            mine.iter().zip(theirs).all(|(a, b)| a.value <= b.value)
+        })
     }
 
-    /// Iterates over the non-zero cells as `(row, col, value)`.
+    /// Iterates over the non-zero cells as `(row, col, value)`, in
+    /// row-major order.
     pub fn iter_nonzero(&self) -> impl Iterator<Item = (usize, usize, u64)> + '_ {
-        self.cells
-            .iter()
-            .enumerate()
-            .filter_map(move |(i, &v)| (v != 0).then_some((i / self.n, i % self.n, v)))
+        let n = self.n;
+        self.cells.blocks().flat_map(move |(b, cells)| {
+            cells
+                .iter()
+                .enumerate()
+                .filter(|&(_, c)| c.value != 0)
+                .map(move |(off, c)| {
+                    let i = b * BLOCK + off;
+                    (i / n, i % n, c.value)
+                })
+        })
     }
 
     /// The minimum of column `col`: the number of messages destined to
@@ -175,12 +329,13 @@ impl MatrixClock {
 
     /// Number of non-zero cells.
     pub fn nonzero_count(&self) -> usize {
-        self.cells.iter().filter(|&&v| v != 0).count()
+        let cells = self.cells.written().iter().flatten();
+        cells.filter(|c| c.value != 0).count()
     }
 
     /// Sum of all cells — a crude "total knowledge" measure used by tests.
     pub fn total(&self) -> u64 {
-        self.cells.iter().sum()
+        self.cells.written().iter().flatten().map(|c| c.value).sum()
     }
 
     /// Encoded size in bytes when shipped whole: `n² × 8`.
@@ -198,9 +353,7 @@ impl MatrixClock {
         // writes a prefix `read_bytes` rejects, instead of silently
         // truncating into a *valid-looking* smaller matrix.
         out.extend_from_slice(&u32::try_from(self.n).unwrap_or(u32::MAX).to_le_bytes());
-        for v in &self.cells {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
+        self.cells.write_le(Lane::Values, out);
     }
 
     /// Reads an image written by [`MatrixClock::write_bytes`] from the
@@ -216,15 +369,11 @@ impl MatrixClock {
             return None;
         }
         let need = 4 + n * n * 8;
-        if input.len() < need {
-            return None;
-        }
-        let mut cells = Vec::with_capacity(n * n);
-        for i in 0..n * n {
-            let at = 4 + i * 8;
-            cells.push(u64::from_le_bytes(input[at..at + 8].try_into().ok()?));
-        }
-        Some((MatrixClock { n, cells }, need))
+        // Bound the width by the bytes present before allocating its index.
+        let cells = input.get(4..need)?;
+        let mut m = MatrixClock::new(n);
+        m.cells.read_le(Lane::Values, cells)?;
+        Some((m, need))
     }
 }
 
@@ -359,6 +508,33 @@ mod tests {
         let mut m = MatrixClock::new(2);
         m.set(0, 1, 1);
         assert_eq!(m.to_string(), "[0 1]\n[0 0]");
+    }
+
+    // The range checks hold in release builds too: `(0, n)` is past the
+    // row, not cell `(1, 0)`; `(n, 0)` is past the matrix, not a cell of
+    // some other row's block.
+    #[test]
+    #[should_panic(expected = "matrix index out of range")]
+    fn get_past_the_row_panics() {
+        let _ = MatrixClock::new(3).get(0, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "matrix index out of range")]
+    fn set_past_the_matrix_panics() {
+        MatrixClock::new(3).set(3, 0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "matrix index out of range")]
+    fn raise_past_the_row_panics() {
+        let _ = MatrixClock::new(3).raise(0, 3, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "matrix index out of range")]
+    fn increment_past_the_matrix_panics() {
+        let _ = MatrixClock::new(3).increment(3, 0);
     }
 
     #[test]

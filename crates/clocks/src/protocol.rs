@@ -79,8 +79,18 @@
 //! `on_frame` moves the entries into the pending, `can_deliver` and
 //! `deliver` walk them, and `stamp_send` finds the changed cells by
 //! descending a tree of block maxima over the change tags instead of
-//! scanning `n²` of them (`O(|stamp| log n)`; see `ChangeTags`). Only
+//! scanning `n²` of them (`O(|stamp| log n)`; see `ChangeTree`). Only
 //! `Full` real stamps pay `n²`, by design.
+//!
+//! Resident state follows the traffic too. `SENT` keeps each counter and
+//! its change tag side by side in 16-cell blocks allocated on the first
+//! write (see [`MatrixClock`]'s storage notes), so a server holds the
+//! block index (`n² / 4` bytes), the tree of maxima (`n² / 8` bytes) and
+//! the blocks its traffic reached — not two dense `n²` arrays of `u64`.
+//! On ring traffic in a domain of 256 that is about 100 KB per server
+//! instead of 1 MB. Hybrid's knowledge models are [`MatrixClock`]s, so
+//! they hold what was shipped to or heard from each peer, not `n²` cells
+//! apiece.
 //!
 //! # Persistence image
 //!
@@ -91,6 +101,14 @@
 //! and 6 (`Hybrid`); bytes 0, 1 and 3 were the same modes when the image
 //! still carried an `n × n²` section of per-sender image matrices, byte 2
 //! was the retired `Reduced` mode, and all four are refused.
+//!
+//! The image stays dense although the resident state is not: `SENT` and
+//! its tags are written as `n²` counters each, byte for byte what a dense
+//! state wrote, so stores, checkpoints and state records are unchanged. A
+//! sparse image would need a new mode byte and a decoder that allocates
+//! `O(n + written)` for what it reads, to keep the recovery decoders'
+//! allocation bound; it is not written yet. Reading a dense image
+//! allocates only the blocks with a non-zero cell.
 //!
 //! [`stamp_send`]: CausalState::stamp_send
 
@@ -238,60 +256,49 @@ pub struct EngineTranscript {
     pub deliv: Vec<u64>,
 }
 
-/// The Appendix-A change tags (`Mat[k,l].state`): per cell, the logical
-/// instant of its last change, `0` for never — under a tree of block
-/// maxima, so "every cell changed since instant `s`" is a descent through
-/// the blocks that hold one instead of a scan of all `n²` tags.
+/// A tree of block maxima over the Appendix-A change tags
+/// (`Mat[k,l].state`: per cell of `SENT`, the logical instant of its last
+/// change, `0` for never), so "every cell changed since instant `s`" is a
+/// descent through the blocks that hold one instead of a scan of all `n²`
+/// tags.
 ///
-/// `tags` is level 0, row-major; `maxima[k][i]` is the maximum of block `i`
-/// (`FANOUT` slots) of the level below it; the top level is one block. A
-/// read visits a block only if it holds a changed cell and yields cells in
-/// row-major order, so it reads `O(|result| · FANOUT · depth)` slots —
-/// depth `⌈log₆₄ n²⌉`, 3 at n = 256 — and about one slot per cell when
-/// most cells changed. A write stores one slot per level. The maxima are
-/// a function of the tags: rebuilt on read, never persisted.
+/// The tags themselves are level 0: they sit beside the counters in
+/// `SENT`'s blocks (a tag is non-zero exactly where its counter is), so a
+/// send or a delivery finds a cell and its tag with one lookup, and a
+/// read yields each changed cell's value with it. `maxima[k][i]` is the
+/// maximum of block `i` (`FANOUT` slots) of the level below it; the top
+/// level is one block. A read visits a block only if it holds a changed
+/// cell and yields cells in row-major order, so it reads
+/// `O(|result| · FANOUT · depth)` slots — depth `⌈log₆₄ n²⌉`, 3 at
+/// n = 256 — and about one slot per cell when most cells changed; level 0
+/// is read as the allocated blocks' slices. A write stores one slot per
+/// level. The maxima are a function of the tags: rebuilt on read, never
+/// persisted.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-struct ChangeTags {
-    tags: Vec<u64>,
+struct ChangeTree {
     maxima: Vec<Vec<u64>>,
 }
 
-/// Slots per block of a [`ChangeTags`] level.
+/// Slots per block of a [`ChangeTree`] level.
 const FANOUT: usize = 64;
 
-impl ChangeTags {
-    /// `cells` untagged cells.
-    fn new(cells: usize) -> Self {
-        let mut maxima = Vec::new();
+impl ChangeTree {
+    /// The maxima over the tags of `sent`.
+    fn new(sent: &MatrixClock) -> Self {
+        let mut tree = ChangeTree { maxima: Vec::new() };
+        let cells = sent.width() * sent.width();
         let mut below = cells;
         while below > FANOUT {
             below = below.div_ceil(FANOUT);
-            maxima.push(vec![0; below]);
+            tree.maxima.push(vec![0; below]);
         }
-        ChangeTags {
-            tags: vec![0; cells],
-            maxima,
-        }
+        sent.for_each_changed(0..cells, 0, |cell, _, tag| tree.raise(cell, tag));
+        tree
     }
 
-    /// Rebuilds the block maxima over persisted tags.
-    fn from_tags(tags: Vec<u64>) -> Self {
-        let mut rebuilt = ChangeTags::new(tags.len());
-        for (cell, &tag) in tags.iter().enumerate().filter(|&(_, &tag)| tag != 0) {
-            rebuilt.raise_maxima(cell, tag);
-        }
-        rebuilt.tags = tags;
-        rebuilt
-    }
-
-    /// Tags `cell` as changed at instant `tag`.
-    fn set(&mut self, cell: usize, tag: u64) {
-        self.tags[cell] = tag;
-        self.raise_maxima(cell, tag);
-    }
-
-    /// Raises the maximum of every block above `cell` to at least `tag`.
-    fn raise_maxima(&mut self, cell: usize, tag: u64) {
+    /// Raises the maximum of every block above `cell` to at least `tag`,
+    /// the instant `cell` was just tagged with.
+    fn raise(&mut self, cell: usize, tag: u64) {
         let mut slot = cell;
         for level in &mut self.maxima {
             slot /= FANOUT;
@@ -299,25 +306,38 @@ impl ChangeTags {
         }
     }
 
-    /// Calls `f` with every cell whose tag is greater than `since`, in
-    /// ascending (row-major) order.
-    fn for_each_changed(&self, since: u64, mut f: impl FnMut(usize)) {
-        self.visit(self.maxima.len(), 0, since, &mut f);
+    /// Calls `f` with every cell of `sent` whose tag is greater than
+    /// `since`, and its value, in ascending (row-major) order.
+    fn for_each_changed(&self, sent: &MatrixClock, since: u64, mut f: impl FnMut(usize, u64)) {
+        self.visit(sent, self.maxima.len(), 0, since, &mut f);
     }
 
     /// Visits block `block` of level `level` (0 is the tags), descending
     /// into the slots that changed since `since`.
-    fn visit(&self, level: usize, block: usize, since: u64, f: &mut impl FnMut(usize)) {
-        let below = level.checked_sub(1);
-        let slots = below.map_or(&self.tags, |k| &self.maxima[k]);
+    fn visit(
+        &self,
+        sent: &MatrixClock,
+        level: usize,
+        block: usize,
+        since: u64,
+        f: &mut impl FnMut(usize, u64),
+    ) {
         let first = block.saturating_mul(FANOUT);
-        for (slot, &tag) in slots.iter().enumerate().skip(first).take(FANOUT) {
-            if tag <= since {
-                continue;
-            }
-            match below {
-                None => f(slot),
-                Some(below) => self.visit(below, slot, since, f),
+        let Some(below) = level.checked_sub(1) else {
+            // Level 0: the tags under this slot, read from `SENT`.
+            sent.for_each_changed(first..first + FANOUT, since, |cell, value, _| {
+                f(cell, value)
+            });
+            return;
+        };
+        for (slot, &tag) in self.maxima[below]
+            .iter()
+            .enumerate()
+            .skip(first)
+            .take(FANOUT)
+        {
+            if tag > since {
+                self.visit(sent, below, slot, since, f);
             }
         }
     }
@@ -333,22 +353,22 @@ impl ChangeTags {
 /// bookkeeping and one link counter per sender, plus — in
 /// [`StampMode::Hybrid`] only — a sender-side model of what each peer
 /// already knows.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CausalState {
     me: DomainServerId,
     n: usize,
     mode: StampMode,
     /// `SENT[k][l]`: messages sent from `k` to `l` that this server knows
-    /// of.
+    /// of, each cell tagged with the value of `state` when it last changed
+    /// (`Mat[k,l].state`).
     sent: MatrixClock,
     /// `DELIV[k]`: messages from `k` delivered here.
     deliv: Vec<u64>,
     /// Logical instant counter for change tracking (`State` in
     /// Appendix A).
     state: u64,
-    /// Per-cell tag: value of `state` when the cell last changed
-    /// (`Mat[k,l].state`).
-    changes: ChangeTags,
+    /// The block maxima over `SENT`'s change tags.
+    changes: ChangeTree,
     /// Per-peer: value of `state` at the last send to that peer
     /// (`Node[j].state`).
     node_state: Vec<u64>,
@@ -363,6 +383,41 @@ pub struct CausalState {
     /// own matrix).
     know: Vec<Option<MatrixClock>>,
 }
+
+/// Field by field, `SENT`'s change tags included: the matrix's own `==`
+/// reads the counters alone.
+impl PartialEq for CausalState {
+    fn eq(&self, other: &Self) -> bool {
+        let CausalState {
+            me,
+            n,
+            mode,
+            sent,
+            deliv,
+            state,
+            changes,
+            node_state,
+            link,
+            know,
+        } = self;
+        (
+            me, n, mode, sent, deliv, state, changes, node_state, link, know,
+        ) == (
+            &other.me,
+            &other.n,
+            &other.mode,
+            &other.sent,
+            &other.deliv,
+            &other.state,
+            &other.changes,
+            &other.node_state,
+            &other.link,
+            &other.know,
+        ) && sent.tags_eq(&other.sent)
+    }
+}
+
+impl Eq for CausalState {}
 
 /// The persistence image's mode byte. Bytes 0, 1 and 3 were these modes in
 /// the layout that carried per-sender image matrices and byte 2 the
@@ -388,14 +443,15 @@ impl CausalState {
             me.as_usize() < n,
             "server id {me} out of range for domain of {n}"
         );
+        let sent = MatrixClock::new(n);
         CausalState {
             me,
             n,
             mode,
-            sent: MatrixClock::new(n),
+            changes: ChangeTree::new(&sent),
+            sent,
             deliv: vec![0; n],
             state: 0,
-            changes: ChangeTags::new(n * n),
             node_state: vec![0; n],
             link: vec![0; n],
             know: match mode {
@@ -456,42 +512,43 @@ impl CausalState {
         // the §4.2 delivery predicate.
         self.state = self.state.saturating_add(1);
         let (me, t) = (self.me.as_usize(), to.as_usize());
-        self.sent.increment(me, t);
-        self.changes.set(me * self.n + t, self.state);
+        self.sent.increment_tagged(me, t, self.state);
+        self.changes.raise(me * self.n + t, self.state);
         let since = self.node_state[t];
         self.node_state[t] = self.state;
         since
     }
 
     /// Collects the entries modified since logical instant `since` for
-    /// which `keep(row, col)` holds, in row-major order.
+    /// which `keep(row, col, value)` holds, in row-major order.
     fn collect_changed(
         &self,
         since: u64,
-        mut keep: impl FnMut(usize, usize) -> bool,
+        mut keep: impl FnMut(usize, usize, u64) -> bool,
     ) -> Vec<UpdateEntry> {
         let n = self.n;
         let mut out = Vec::new();
         // Cells arrive in ascending order: divide once per row entered,
         // not once per cell.
         let (mut row, mut row_start) = (0usize, 0usize);
-        self.changes.for_each_changed(since, |cell| {
-            if cell - row_start >= n {
-                row = cell / n;
-                row_start = row * n;
-            }
-            let col = cell - row_start;
-            if keep(row, col) {
-                // `n <= u16::MAX` is a construction invariant, so the
-                // checked narrowing never saturates in practice; if it
-                // ever did, the peer would reject the frame loudly.
-                out.push(UpdateEntry {
-                    row: u16::try_from(row).unwrap_or(u16::MAX),
-                    col: u16::try_from(col).unwrap_or(u16::MAX),
-                    value: self.sent.get(row, col),
-                });
-            }
-        });
+        self.changes
+            .for_each_changed(&self.sent, since, |cell, value| {
+                if cell - row_start >= n {
+                    row = cell / n;
+                    row_start = row * n;
+                }
+                let col = cell - row_start;
+                if keep(row, col, value) {
+                    // `n <= u16::MAX` is a construction invariant, so the
+                    // checked narrowing never saturates in practice; if it
+                    // ever did, the peer would reject the frame loudly.
+                    out.push(UpdateEntry {
+                        row: u16::try_from(row).unwrap_or(u16::MAX),
+                        col: u16::try_from(col).unwrap_or(u16::MAX),
+                        value,
+                    });
+                }
+            });
         out
     }
 
@@ -540,10 +597,11 @@ impl CausalState {
         let since = self.bump_send(to);
         match self.mode {
             // The whole matrix: `O(n²)` bytes, nothing to reconstruct.
-            StampMode::Full => Stamp::Full(self.sent.clone()),
+            // The counters only: the change tags are this server's.
+            StampMode::Full => Stamp::Full(self.sent.counters()),
             // Appendix A: every entry modified since the last send to
             // this peer.
-            StampMode::Updates => Stamp::Delta(self.collect_changed(since, |_, _| true)),
+            StampMode::Updates => Stamp::Delta(self.collect_changed(since, |_, _, _| true)),
             // The Updates delta pruned against `know[to]`:
             //
             // - entries in the peer's own row (`row == to`) are never
@@ -563,7 +621,7 @@ impl CausalState {
             // counters the peer originated.
             StampMode::Hybrid => {
                 let know = &self.know[t];
-                let entries = self.collect_changed(since, |r, c| {
+                let entries = self.collect_changed(since, |r, c, value| {
                     if r == t {
                         return false;
                     }
@@ -571,7 +629,7 @@ impl CausalState {
                         return true;
                     }
                     match know {
-                        Some(k) => k.get(r, c) < self.sent.get(r, c),
+                        Some(k) => k.get(r, c) < value,
                         None => true,
                     }
                 });
@@ -777,16 +835,16 @@ impl CausalState {
         let n = self.n;
         let (sent, changes) = (&mut self.sent, &mut self.changes);
         match &pending.carried {
-            Carried::Matrix(m) => sent.merge_max(m, |row, col, _| changes.set(row * n + col, tag)),
+            Carried::Matrix(m) => sent.merge_tagged(m, tag, |cell| changes.raise(cell, tag)),
             Carried::Entries(entries) => {
-                let mut raise = |row: usize, col: usize, value: u64| {
-                    if sent.raise(row, col, value) {
-                        changes.set(row * n + col, tag);
-                    }
-                };
-                raise(f, me, pending.counter);
+                if sent.raise_tagged(f, me, pending.counter, tag) {
+                    changes.raise(f * n + me, tag);
+                }
                 for e in entries {
-                    raise(usize::from(e.row), usize::from(e.col), e.value);
+                    let (row, col) = (usize::from(e.row), usize::from(e.col));
+                    if sent.raise_tagged(row, col, e.value, tag) {
+                        changes.raise(row * n + col, tag);
+                    }
                 }
             }
         }
@@ -809,8 +867,8 @@ impl CausalState {
             out.extend_from_slice(&v.to_le_bytes());
         }
         out.extend_from_slice(&self.state.to_le_bytes());
-        let tags = &self.changes.tags;
-        for v in tags.iter().chain(&self.node_state).chain(&self.link) {
+        self.sent.write_tags(out);
+        for v in self.node_state.iter().chain(&self.link) {
             out.extend_from_slice(&v.to_le_bytes());
         }
         write_optional_matrices(&self.know, out);
@@ -836,14 +894,16 @@ impl CausalState {
             6 => StampMode::Hybrid,
             _ => return None,
         };
-        let (sent, used) = MatrixClock::read_bytes(&input[at..])?;
+        let (mut sent, used) = MatrixClock::read_bytes(&input[at..])?;
         if sent.width() != n {
             return None;
         }
         at += used;
         let deliv = read_u64s(input, &mut at, n)?;
         let state = read_u64s(input, &mut at, 1)?[0];
-        let changes = ChangeTags::from_tags(read_u64s(input, &mut at, n * n)?);
+        let tag_bytes = take(input, &mut at, n.checked_mul(n)?.checked_mul(8)?)?;
+        sent.read_tags(tag_bytes)?;
+        let changes = ChangeTree::new(&sent);
         let node_state = read_u64s(input, &mut at, n)?;
         let link = read_u64s(input, &mut at, n)?;
         let know_len = if mode == StampMode::Hybrid { n } else { 0 };
@@ -1205,11 +1265,23 @@ mod tests {
             }
             for c in [&a, &b] {
                 let t = &c.changes;
-                assert_eq!(t, &ChangeTags::from_tags(t.tags.clone()), "round {round}");
+                assert_eq!(t, &ChangeTree::new(&c.sent), "round {round}");
+                let mut image = Vec::new();
+                c.sent.write_tags(&mut image);
+                let tags: Vec<u64> = image
+                    .chunks_exact(8)
+                    .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
+                    .collect();
+                let value = |i: usize| c.sent.get(i / n, i % n);
+                // A tag is non-zero exactly where its counter is.
+                assert!((0..n * n).all(|i| (tags[i] == 0) == (value(i) == 0)));
                 for since in [0, c.state / 2, c.state.saturating_sub(1), c.state] {
                     let mut read = Vec::new();
-                    t.for_each_changed(since, |cell| read.push(cell));
-                    let scan: Vec<usize> = (0..n * n).filter(|&i| t.tags[i] > since).collect();
+                    t.for_each_changed(&c.sent, since, |i, v| read.push((i, v)));
+                    let scan: Vec<(usize, u64)> = (0..n * n)
+                        .filter(|&i| tags[i] > since)
+                        .map(|i| (i, value(i)))
+                        .collect();
                     assert_eq!(read, scan, "round {round}, since {since}");
                 }
             }

@@ -1,8 +1,16 @@
-//! Complexity gate for the delta-mode clock core, as a count of bytes
-//! allocated rather than a timing: in a domain of 1024 servers, receiving,
-//! testing and delivering a one-entry delta and stamping the next send
-//! must allocate well under 1 KiB. A core that rebuilds the sender's
-//! matrix per frame allocates `n² × 8` = 8 MiB for the pending stamp alone.
+//! Complexity gate for the clock core, as a count of bytes allocated
+//! rather than a timing, in a domain of 1024 servers:
+//!
+//! - building a server's state allocates under 1 MiB: `SENT`'s block index
+//!   and the change-tag maxima, not the `n² × 8` = 8 MiB of a dense `SENT`
+//!   and as much again of dense change tags;
+//! - receiving, testing and delivering a one-entry delta and stamping the
+//!   next send allocates well under 1 KiB, the first writes to blocks of
+//!   `SENT` (counters and change tags side by side) included. A core that rebuilds the sender's
+//!   matrix per frame allocates 8 MiB for the pending stamp alone;
+//! - in Hybrid, an echo exchange with a fresh peer allocates, for each
+//!   side's model of the other, the model's block index plus the blocks
+//!   the exchange touched — not a dense 8 MiB matrix per peer.
 
 // The counting allocator is the one piece of `unsafe` in the workspace; it
 // forwards every call to `System` unchanged. See `[lints]` in this
@@ -11,16 +19,15 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use aaa_base::DomainServerId;
 use aaa_clocks::{Batching, CausalState, StampMode};
 
-/// Bytes requested by the thread that switched `COUNTING` on.
-static BYTES: AtomicUsize = AtomicUsize::new(0);
-
 thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
+    /// Bytes this thread requested while `COUNTING` was on: per thread, so
+    /// tests running side by side do not count each other.
+    static BYTES: Cell<usize> = const { Cell::new(0) };
 }
 
 struct CountingAlloc;
@@ -28,7 +35,7 @@ struct CountingAlloc;
 impl CountingAlloc {
     fn count(size: usize) {
         if COUNTING.with(Cell::get) {
-            BYTES.fetch_add(size, Ordering::Relaxed);
+            BYTES.with(|b| b.set(b.get() + size));
         }
     }
 }
@@ -66,11 +73,16 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Bytes this thread requests from the allocator while `f` runs.
 fn allocated_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let before = BYTES.load(Ordering::Relaxed);
+    let before = BYTES.with(Cell::get);
     COUNTING.with(|c| c.set(true));
     let out = f();
     COUNTING.with(|c| c.set(false));
-    (out, BYTES.load(Ordering::Relaxed) - before)
+    (out, BYTES.with(Cell::get) - before)
+}
+
+/// A matrix's block index: one `u32` per 16 cells.
+fn index_bytes(n: usize) -> usize {
+    n * n / 16 * 4
 }
 
 #[test]
@@ -80,9 +92,10 @@ fn one_entry_delta_costs_under_a_kibibyte_at_n_1024() {
     let mut a = CausalState::new(d(0), n, StampMode::Updates);
     let mut b = CausalState::new(d(1), n, StampMode::Updates);
 
-    // The gate sees its own subject: building the state is megabytes.
+    // Building the state is the index and the tag maxima, not n² cells.
     let (_, building) = allocated_by(|| CausalState::new(d(2), n, StampMode::Updates));
-    assert!(building >= n * n * 8, "counted only {building} B");
+    assert!(building < 1 << 20, "building allocated {building} B");
+    assert!(building >= index_bytes(n), "counted only {building} B");
 
     for round in 0..3 {
         let stamp = a.stamp_send(d(1), Batching::Single);
@@ -95,6 +108,28 @@ fn one_entry_delta_costs_under_a_kibibyte_at_n_1024() {
         });
         // What `b` forwards: the cell it learnt and its own link cell.
         assert_eq!(next.entry_count(), 2, "round {round}");
+        // Round 0 writes two blocks of `SENT` for the first time.
         assert!(bytes < 1024, "round {round}: {bytes} B allocated");
     }
+}
+
+#[test]
+fn hybrid_echo_models_a_fresh_peer_in_the_blocks_it_touched() {
+    let n = 1024;
+    let d = DomainServerId::new;
+    let mut a = CausalState::new(d(0), n, StampMode::Hybrid);
+    let mut b = CausalState::new(d(1), n, StampMode::Hybrid);
+    let ((), bytes) = allocated_by(|| {
+        let ping = a.stamp_send(d(1), Batching::Single);
+        let pending = b.on_frame(d(0), ping);
+        b.deliver(d(0), &pending);
+        let echo = b.stamp_send(d(0), Batching::Single);
+        let pending = a.on_frame(d(1), echo);
+        a.deliver(d(1), &pending);
+    });
+    // Two fresh models (`a`'s of `b`, `b`'s of `a`), each its index and
+    // a few blocks; a dense model alone would be 8 MiB.
+    let budget = 2 * index_bytes(n) + 4096;
+    assert!(bytes < budget, "{bytes} B allocated, budget {budget} B");
+    assert!(bytes >= 2 * index_bytes(n), "counted only {bytes} B");
 }

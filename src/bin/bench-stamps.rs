@@ -16,10 +16,11 @@
 //! Two legs, n = 100 and n = 1000, both real protocol runs: stamp bytes
 //! are exact, CPU is wall-clock over the stamp/on-frame/deliver path from
 //! the second tick on. The first tick counts for bytes and depth but not
-//! for CPU: it is where lazily created state is allocated (Hybrid's
-//! per-peer knowledge matrices, 8 MB each at n = 1000), a cost per server
-//! and peer, not per message, that a 20-tick leg would otherwise report as
-//! a sixfold per-deliver cost.
+//! for CPU: it is where lazily created state is allocated (the first
+//! blocks of every `SENT`, Hybrid's per-peer knowledge matrices with their
+//! 250 KB block index each at n = 1000), a cost per server and peer, not
+//! per message, that a 20-tick leg would otherwise report as a per-deliver
+//! cost.
 //! (n = 10000 is not run — a full-mode matrix is 800 MB *per server* —
 //! and an analytic row does not belong in a measurements file; it becomes
 //! a leg when ROADMAP item 2's sparse state makes it runnable.)
@@ -68,10 +69,13 @@ impl ModeResult {
     }
 }
 
-/// Per-server resident clock state, to its `n²` terms: the `SENT` matrix
-/// plus the equally wide change tags (both `n² × 8` bytes). The `O(n)`
-/// vectors and the change log are not counted; Hybrid adds one `n² × 8`
-/// knowledge matrix per peer it has exchanged frames with.
+/// Per-server clock state if every cell were written, to its `n²` terms:
+/// the `SENT` counters plus their equally wide change tags (both `n² × 8`
+/// bytes). The resident state is block-sparse and holds the written
+/// blocks under an `n² / 4`-byte index, so this is its bound, not its
+/// size; the `O(n)` vectors and the maxima over the tags are not counted,
+/// and Hybrid adds one knowledge matrix per peer it has exchanged frames
+/// with.
 fn state_bytes_per_server(n: usize) -> u64 {
     2 * (n as u64) * (n as u64) * 8
 }
