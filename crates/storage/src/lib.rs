@@ -16,15 +16,18 @@
 //!   key, replaced atomically and fsynced) implementations;
 //! - [`Journal`] — the on-disk record log: durable, bounded,
 //!   TTL-retained delivery streams plus one write-only state stream in
-//!   one set of append-only, checksummed segments, group-committed by one
-//!   `fdatasync` per [`Journal::sync`], with a crash-safe compaction pass.
-//!   Each relay in `aaa-mom` keeps all its subscriber queues and its
+//!   one set of checksummed segments, group-committed by one `fdatasync`
+//!   per [`Journal::sync`], with a crash-safe compaction pass. Segments
+//!   are kept zero-filled ahead of their tail and written in place, so a
+//!   commit's `fdatasync` flushes data and, once per 64 KiB step only,
+//!   the file's size and extents. Each relay in `aaa-mom` keeps all its subscriber queues and its
 //!   server's state records in one; [`SegmentQueue`] is its single-stream
 //!   face, committed after every operation;
 //! - [`crc32c`] — the CRC-32C every journal record and checkpoint
 //!   carries;
 //! - [`StorageStats`] — byte-exact write/read accounting shared by all
-//!   backends, so experiments can report persistence traffic per message
+//!   backends (record bytes: a journal's zero fill is not counted), so
+//!   experiments can report persistence traffic per message
 //!   (experiment X2 of DESIGN.md).
 //!
 //! # Example

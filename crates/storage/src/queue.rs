@@ -1,4 +1,4 @@
-//! Durable delivery journals: one append-only segmented log holding any
+//! Durable delivery journals: one segmented log holding any
 //! number of per-subscriber streams, group-committed, with TTL-bound
 //! retention and a crash-safe compaction pass.
 //!
@@ -10,15 +10,25 @@
 //! subscriber's `AgentId` into it), so all of its subscriber queues share
 //! one set of segment files and one commit point:
 //!
-//! - **Append-only, checksummed segments.** Records carry a `u32`
-//!   little-endian length prefix, so a torn final record from a crash
-//!   mid-append is detected and ignored on recovery, and end in the
-//!   CRC-32C of their tag and body, so a flipped bit is too: recovery
-//!   stops at the first record that fails its checksum, treats the rest of
-//!   that segment as a torn tail and counts it in
-//!   [`Journal::recovery_anomalies`]. The active segment rolls once it
-//!   holds the configured record count; the highest generation is the
-//!   active tail.
+//! - **Zero-filled, checksummed segments, written in place.** Records
+//!   carry a `u32` little-endian length prefix and end in the CRC-32C of
+//!   their tag and body. A segment file is kept zero-filled ahead of its
+//!   logical tail, in 64 KiB steps from its second commit on, and each
+//!   commit overwrites zeros at the tail: the blocks it writes are
+//!   already allocated and the file keeps its size, so the commit's
+//!   `fdatasync` flushes data only, and the filesystem's metadata journal
+//!   is committed once per step rather than once per commit. Recovery
+//!   reads a segment up to a **clean end** — end of file, or a zero
+//!   length prefix with nothing but zeros after it — or to the first
+//!   record that is torn, malformed or fails its checksum. Such a record
+//!   and the rest of the segment are a torn tail: the active generation
+//!   rolls past it, and a checksum mismatch (or a tear in a non-final
+//!   generation) is counted in [`Journal::recovery_anomalies`]. A record
+//!   whose checksum field is still zero and after which only zeros follow
+//!   was never finished, so it reads as a tear, not a mismatch. The
+//!   active segment rolls once it holds the configured record count; the
+//!   highest generation is the active tail. Segments written before zero
+//!   fill end at their last record and open unchanged.
 //! - **The state stream.** Beside the delivery streams, a journal holds
 //!   one reserved, write-only stream of opaque *state records*: the relay's
 //!   server appends one per committed step ([`Journal::append_state`]),
@@ -54,7 +64,8 @@
 //! - **Crash-safe compaction.** [`Journal::compact`] rewrites every
 //!   stream's live suffix and ack watermark, and the state stream's
 //!   covered watermark, into a fresh highest-generation
-//!   segment via tmp-write → fsync → rename → directory fsync, then
+//!   segment via tmp-write (with its zero fill) → fsync → rename →
+//!   directory fsync, then
 //!   deletes the old segments. A crash in any window leaves either the
 //!   `.tmp` (ignored on open) or duplicate records across generations
 //!   (deduplicated by sequence number on open), so recovery always
@@ -76,7 +87,7 @@
 
 use std::collections::{vec_deque, BTreeMap, VecDeque};
 use std::fs;
-use std::io::{BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, IoSlice, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use aaa_base::{Error, Result};
@@ -179,7 +190,8 @@ pub struct CompactionReport {
     pub acked_dropped: u64,
     /// Live-but-expired entries dropped by the TTL bound.
     pub expired_dropped: u64,
-    /// Disk bytes reclaimed (old segment sizes minus the new segment).
+    /// Record bytes reclaimed: the old segments' records minus the new
+    /// segment's, zero fill excluded.
     pub bytes_reclaimed: u64,
 }
 
@@ -241,14 +253,69 @@ fn push_covered(out: &mut Vec<u8>, upto: u64) {
     });
 }
 
-/// The file-backed half of a journal: the directory, the active tail file
-/// and its record count.
+/// How far ahead of its logical tail a segment is kept zero-filled: a
+/// commit whose records pass the filled end also writes zeros up to the
+/// next multiple of this, so one commit per step grows the file and every
+/// other commit overwrites blocks that are already allocated. Not larger:
+/// a relay's segment takes ~130–200 KB of records before compaction
+/// replaces it, and zeros past that are written and flushed for nothing
+/// (DESIGN.md §17.1).
+const FILL_STEP: u64 = 64 << 10;
+
+/// Bytes of [`ZEROS`].
+const PAGE: usize = 4096;
+
+/// The zeros a fill is written from and the zero fill is compared with.
+/// One page: every slice of a fill's vectored `write` points at it, so a
+/// fill touches one page of the binary's read-only data, not a step.
+static ZEROS: [u8; PAGE] = [0; PAGE];
+
+/// Slices of [`ZEROS`] handed to one vectored `write`: one step.
+const ZERO_SLICES: usize = FILL_STEP as usize / PAGE;
+
+/// The end of the zero fill behind records that end at `end`: the next
+/// multiple of [`FILL_STEP`], or `end` itself when it is one.
+fn fill_end(end: u64) -> u64 {
+    end.div_ceil(FILL_STEP).saturating_mul(FILL_STEP)
+}
+
+/// Writes `bytes` zeros at the file position, up to [`ZERO_SLICES`]
+/// pages per vectored `write`.
+fn write_zeros(file: &mut impl Write, mut bytes: u64) -> std::io::Result<()> {
+    let pages = [IoSlice::new(&ZEROS); ZERO_SLICES];
+    let page = ZEROS.len() as u64;
+    while bytes > 0 {
+        let written = if bytes >= page {
+            let n = usize::try_from(bytes / page).map_or(ZERO_SLICES, |n| n.min(ZERO_SLICES));
+            file.write_vectored(pages.get(..n).unwrap_or(&pages))
+        } else {
+            file.write(ZEROS.get(..bytes as usize).unwrap_or(&ZEROS))
+        };
+        match written {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => bytes = bytes.saturating_sub(n as u64),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+/// The file-backed half of a journal: the directory, the active tail file,
+/// where its records end and its record count.
 #[derive(Debug)]
 struct DirBackend {
     dir: PathBuf,
     active_gen: u64,
     active: fs::File,
     active_records: usize,
+    /// The active segment's logical tail: where the next commit writes.
+    tail: u64,
+    /// The active segment's file length: its records, then zeros from
+    /// `tail` on.
+    filled: u64,
+    /// Record bytes in every committed segment, zero fill excluded.
+    record_bytes: u64,
 }
 
 impl DirBackend {
@@ -256,12 +323,21 @@ impl DirBackend {
         dir.join(format!("{SEG_PREFIX}{gen:06}{SEG_SUFFIX}"))
     }
 
-    fn open_active(dir: &Path, gen: u64) -> Result<fs::File> {
-        fs::OpenOptions::new()
+    /// Opens (creating if needed) a segment for writing in place at
+    /// `tail`, with its current length. Between commits the file position
+    /// is the tail, so a commit is one `write`.
+    fn open_active(dir: &Path, gen: u64, tail: u64) -> Result<(fs::File, u64)> {
+        let mut file = fs::OpenOptions::new()
             .create(true)
-            .append(true)
+            .truncate(false)
+            .write(true)
             .open(Self::seg_path(dir, gen))
-            .map_err(|e| storage_err("open active segment", e))
+            .map_err(|e| storage_err("open active segment", e))?;
+        let len = file
+            .metadata()
+            .and_then(|m| file.seek(SeekFrom::Start(tail)).map(|_| m.len()))
+            .map_err(|e| storage_err("position active segment", e))?;
+        Ok((file, len))
     }
 
     /// Makes directory metadata (a created segment or a compaction
@@ -296,38 +372,58 @@ impl DirBackend {
         Ok(gens)
     }
 
-    /// Writes `bytes` (whole records) to the active segment with one
-    /// `write` and, under [`SyncPolicy::Always`], one `fdatasync`. The
-    /// segment rolls first if it already holds its record quota, so a
-    /// segment may exceed the quota by what one commit carries.
+    /// Writes `bytes` (whole records) at the active segment's tail with
+    /// one `write` and, under [`SyncPolicy::Always`], one `fdatasync`.
+    /// When the records pass the zero-filled end, the same commit writes
+    /// zeros up to the next [`FILL_STEP`] boundary before its sync —
+    /// unless it is the segment's first: that commit creates the file's
+    /// first extent whatever it writes, and a segment rolled just before a
+    /// compaction (the two come due together, at about
+    /// `segment_max_records` records) is deleted before a second commit
+    /// reaches it, so its fill would be written for nothing. The segment
+    /// rolls first if it already holds its record quota, so a segment may
+    /// exceed the quota by what one commit carries.
     fn append(&mut self, bytes: &[u8], cfg: &QueueConfig, stats: &StorageStats) -> Result<()> {
         if self.active_records >= cfg.segment_max_records {
             let next_gen = self.active_gen.saturating_add(1);
-            self.active = Self::open_active(&self.dir, next_gen)?;
+            let (active, len) = Self::open_active(&self.dir, next_gen, 0)?;
             if cfg.sync == SyncPolicy::Always {
                 // The rolled segment's directory entry must be durable
                 // before records synced into it can count as durable.
                 Self::sync_dir(&self.dir, stats)?;
             }
+            self.active = active;
             self.active_gen = next_gen;
             self.active_records = 0;
+            self.tail = 0;
+            self.filled = len;
         }
+        let end = self.tail.saturating_add(bytes.len() as u64);
         self.active
             .write_all(bytes)
-            .map_err(|e| storage_err("append journal records", e))?;
+            .map_err(|e| storage_err("write journal records", e))?;
+        if end > self.filled && self.tail > 0 {
+            let filled = fill_end(end);
+            write_zeros(&mut self.active, filled - end)
+                .and_then(|()| self.active.seek(SeekFrom::Start(end)))
+                .map_err(|e| storage_err("zero-fill journal segment", e))?;
+            self.filled = filled;
+        }
         if cfg.sync == SyncPolicy::Always {
             stats.record_sync();
             self.active
                 .sync_data()
                 .map_err(|e| storage_err("sync journal segment", e))?;
         }
+        self.tail = end;
+        self.record_bytes = self.record_bytes.saturating_add(bytes.len() as u64);
         Ok(())
     }
 
     /// Writes every stream's unacknowledged entries and ack watermark, and
     /// the state stream's covered watermark, into a fresh highest
     /// generation and deletes the generations it supersedes. Returns
-    /// `(segments_removed, bytes_reclaimed)`.
+    /// `(segments_removed, bytes_reclaimed)`, counting record bytes only.
     fn rewrite(
         &mut self,
         streams: &BTreeMap<u64, Stream>,
@@ -336,14 +432,6 @@ impl DirBackend {
         stats: &StorageStats,
     ) -> Result<(usize, u64)> {
         let old_gens = Self::list_gens(&self.dir)?;
-        let old_bytes: u64 = old_gens
-            .iter()
-            .map(|&g| {
-                fs::metadata(Self::seg_path(&self.dir, g))
-                    .map(|m| m.len())
-                    .unwrap_or(0)
-            })
-            .sum();
         let new_gen = self.active_gen.saturating_add(1);
         let final_path = Self::seg_path(&self.dir, new_gen);
         let tmp_path = self.dir.join(format!(".compact-{new_gen:06}.tmp"));
@@ -377,6 +465,8 @@ impl DirBackend {
                 w.write_all(&rec)
                     .map_err(|e| storage_err("write compaction records", e))?;
             }
+            write_zeros(&mut w, fill_end(written) - written)
+                .map_err(|e| storage_err("zero-fill compaction", e))?;
             let tmp = w
                 .into_inner()
                 .map_err(|e| storage_err("flush compaction", e.into_error()))?;
@@ -407,11 +497,15 @@ impl DirBackend {
                 .map_err(|e| storage_err("remove stale segment", e))?;
             segments_removed += 1;
         }
-        self.active = Self::open_active(&self.dir, new_gen)?;
+        let (active, filled) = Self::open_active(&self.dir, new_gen, written)?;
+        self.active = active;
         self.active_gen = new_gen;
         self.active_records = live_records;
-        let new_bytes = fs::metadata(&final_path).map(|m| m.len()).unwrap_or(0);
-        Ok((segments_removed, old_bytes.saturating_sub(new_bytes)))
+        self.tail = written;
+        self.filled = filled;
+        let reclaimed = self.record_bytes.saturating_sub(written);
+        self.record_bytes = written;
+        Ok((segments_removed, reclaimed))
     }
 }
 
@@ -530,8 +624,11 @@ impl Journal {
     /// recovering every stream from the committed segments: records are
     /// replayed in generation order, deduplicated per stream by sequence
     /// number, and the highest journaled ack wins. A segment's records are
-    /// read up to its first torn, malformed or checksum-failing record,
-    /// and `.tmp` files from a crashed compaction are removed. The state
+    /// read, streaming, up to its clean end (end of file, or a zero length
+    /// prefix followed only by zeros) or its first torn, malformed or
+    /// checksum-failing record; appends resume at the last segment's
+    /// logical tail, or in a fresh generation past a torn one. `.tmp`
+    /// files from a crashed compaction are removed. The state
     /// stream's uncovered records are kept for [`Journal::take_state_tail`].
     /// This is the only recovery path; [`SegmentQueue::open`] uses it too.
     ///
@@ -548,31 +645,32 @@ impl Journal {
         let mut state: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
         let mut state_covered = 0u64;
         let mut records = 0u64;
-        let mut bytes_read = 0u64;
+        let mut record_bytes = 0u64;
         let mut active_records = 0usize;
+        let mut tail = 0u64;
         let mut tail_torn = false;
         let mut recovery_anomalies = 0u64;
         for (idx, &gen) in gens.iter().enumerate() {
-            let buf = fs::read(DirBackend::seg_path(&dir, gen))
+            let seg = read_segment(&DirBackend::seg_path(&dir, gen))
                 .map_err(|e| storage_err("read segment", e))?;
-            bytes_read += buf.len() as u64;
-            let (parsed, consumed, corrupt) = parse_records(&buf);
-            let torn = consumed < buf.len();
-            if idx + 1 == gens.len() {
+            record_bytes += seg.end;
+            let last = idx + 1 == gens.len();
+            if last {
                 // A tear in the highest generation is the expected
                 // crash-mid-append signature; the tail rolls past it.
-                active_records = parsed.len();
-                tail_torn = torn;
+                active_records = seg.records.len();
+                tail = seg.end;
+                tail_torn = seg.how != SegmentEnd::Clean;
             }
-            if corrupt || (torn && idx + 1 < gens.len()) {
+            if seg.how == SegmentEnd::Corrupt || (seg.how == SegmentEnd::Torn && !last) {
                 // A failed checksum anywhere, or a tear in the *middle*
                 // of the generation chain, truncated records a crash
                 // mid-append cannot explain — an anomaly the caller must
                 // be able to see, not a normal crash signature.
                 recovery_anomalies += 1;
             }
-            records += parsed.len() as u64;
-            for rec in parsed {
+            records += seg.records.len() as u64;
+            for rec in seg.records {
                 match rec {
                     Record::Enqueue(key, entry) => {
                         // Duplicates across generations (compaction crash
@@ -660,20 +758,24 @@ impl Journal {
         if tail_torn {
             active_gen = active_gen.saturating_add(1);
             active_records = 0;
+            tail = 0;
         }
-        let active = DirBackend::open_active(&dir, active_gen)?;
+        let (active, filled) = DirBackend::open_active(&dir, active_gen, tail)?;
         if cfg.sync == SyncPolicy::Always {
             // The active segment's directory entry (freshly created on a
             // first open or a roll past a torn tail) must survive power
             // loss, or the records synced into it are lost with it.
             DirBackend::sync_dir(&dir, &journal.stats)?;
         }
-        journal.stats.record_read(bytes_read);
+        journal.stats.record_read(record_bytes);
         journal.backend = Some(DirBackend {
             dir,
             active_gen,
             active,
             active_records,
+            tail,
+            filled,
+            record_bytes,
         });
         Ok(journal)
     }
@@ -1207,28 +1309,97 @@ fn le_u64(buf: &[u8], i: usize) -> Option<u64> {
     Some(u64::from_le_bytes(bytes))
 }
 
-/// Decodes the length-prefixed records of one segment. Parsing stops at
-/// the first torn, malformed or checksum-failing record — everything
-/// before it is the recovered prefix, the rest is rejected. Returns the
-/// records, the number of bytes cleanly consumed (short of the buffer
-/// length exactly when parsing stopped early) and whether it stopped at a
-/// checksum mismatch.
-fn parse_records(buf: &[u8]) -> (Vec<Record>, usize, bool) {
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    while let Some(len) = le_u32(buf, i) {
-        let len = len as usize;
-        let Some(rec) = buf.get(i + 4..i + 4 + len) else {
-            break; // torn final record
-        };
-        match parse_one(rec) {
-            Parsed::Record(parsed) => out.push(parsed),
-            Parsed::Malformed => break,
-            Parsed::Mismatch => return (out, i, true),
+/// How a segment's records end.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SegmentEnd {
+    /// End of file, or a zero length prefix with nothing but zeros after
+    /// it: the zero fill ahead of the tail.
+    Clean,
+    /// A torn or malformed record: what a crash mid-write leaves.
+    Torn,
+    /// A record failing its checksum that no tear explains.
+    Corrupt,
+}
+
+/// Bytes a segment is read in per `read`.
+const READ_CHUNK: usize = 16 << 10;
+
+/// What recovery read from one segment.
+struct Segment {
+    records: Vec<Record>,
+    /// Where the records read end: the logical tail of a clean segment.
+    end: u64,
+    how: SegmentEnd,
+}
+
+/// `true` when `r` holds nothing but zeros from here to its end.
+fn only_zeros_left(r: &mut impl BufRead) -> std::io::Result<bool> {
+    loop {
+        let buf = r.fill_buf()?;
+        if buf.is_empty() {
+            return Ok(true);
         }
-        i += 4 + len;
+        if !buf
+            .chunks(ZEROS.len())
+            .all(|c| ZEROS.get(..c.len()) == Some(c))
+        {
+            return Ok(false);
+        }
+        let n = buf.len();
+        r.consume(n);
     }
-    (out, i, false)
+}
+
+/// Reads the length-prefixed records of the segment at `path`, streaming,
+/// up to its clean end or the first torn, malformed or checksum-failing
+/// record. A record that fails its checksum reads as a tear, not as
+/// corruption, when its checksum field is still zero and only zeros
+/// follow it: a commit cut short inside the zero fill leaves exactly that.
+fn read_segment(path: &Path) -> std::io::Result<Segment> {
+    let file = fs::File::open(path)?;
+    let len = file.metadata()?.len();
+    // The zero fill is checked through this buffer, never held in memory.
+    let mut r = BufReader::with_capacity(READ_CHUNK, file);
+    let mut records = Vec::new();
+    let mut rec = Vec::new();
+    let mut end = 0u64;
+    let how = loop {
+        let left = len - end;
+        let mut prefix = [0u8; 4];
+        let prefix = prefix.get_mut(..left.min(4) as usize).unwrap_or(&mut []);
+        r.read_exact(prefix)?;
+        if prefix.iter().all(|&b| b == 0) {
+            // End of file, or a zero length prefix: clean only if the
+            // zero fill behind it is untouched.
+            break if only_zeros_left(&mut r)? {
+                SegmentEnd::Clean
+            } else {
+                SegmentEnd::Torn
+            };
+        }
+        let Some(body) = le_u32(prefix, 0) else {
+            break SegmentEnd::Torn; // a torn length prefix
+        };
+        if u64::from(body) > left - 4 {
+            break SegmentEnd::Torn; // a torn final record
+        }
+        rec.resize(body as usize, 0);
+        r.read_exact(&mut rec)?;
+        match parse_one(&rec) {
+            Parsed::Record(parsed) => records.push(parsed),
+            Parsed::Malformed => break SegmentEnd::Torn,
+            Parsed::Mismatch => {
+                let unfinished = rec.iter().rev().take(4).all(|&b| b == 0);
+                break if unfinished && only_zeros_left(&mut r)? {
+                    SegmentEnd::Torn
+                } else {
+                    SegmentEnd::Corrupt
+                };
+            }
+        }
+        end += 4 + u64::from(body);
+    };
+    Ok(Segment { records, end, how })
 }
 
 fn parse_one(rec: &[u8]) -> Parsed {
@@ -1303,6 +1474,23 @@ mod tests {
             std::env::temp_dir().join(format!("aaa-storage-test-{name}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// Where the records of a segment image end: its length prefixes
+    /// walked up to a zero one or the end of the bytes.
+    fn logical_end(bytes: &[u8]) -> usize {
+        let mut at = 0;
+        while let Some(len) = le_u32(bytes, at).filter(|&len| len > 0) {
+            at += 4 + len as usize;
+        }
+        at.min(bytes.len())
+    }
+
+    /// Overwrites `seg` from byte `at` on with `bytes`, in place.
+    fn write_at(seg: &Path, at: usize, bytes: &[u8]) {
+        let mut f = fs::OpenOptions::new().write(true).open(seg).unwrap();
+        f.seek(SeekFrom::Start(at as u64)).unwrap();
+        f.write_all(bytes).unwrap();
     }
 
     fn cfg(max_depth: usize, ttl: Option<u64>, seg: usize) -> QueueConfig {
@@ -1497,9 +1685,10 @@ mod tests {
         }
         // Tear the *first* generation's tail while the later generation
         // stays intact: entry 2 is gone even though parsing continues.
+        // The tear is at the logical tail; the zero fill behind it stays.
         let gen0 = DirBackend::seg_path(&dir, 0);
-        let bytes = fs::read(&gen0).unwrap();
-        fs::write(&gen0, &bytes[..bytes.len() - 3]).unwrap();
+        let end = logical_end(&fs::read(&gen0).unwrap());
+        write_at(&gen0, end - 3, &[0; 3]);
         let q = SegmentQueue::open(&dir, cfg(16, None, 2)).unwrap();
         assert_eq!(
             q.recovery_anomalies(),
@@ -1569,13 +1758,16 @@ mod tests {
         {
             let mut q = SegmentQueue::open(&dir, cfg(64, None, 8)).unwrap();
             q.enqueue(0, vec![1, 2], b"intact".to_vec()).unwrap();
+            q.ack_up_to(1).unwrap();
+            q.enqueue(0, vec![1, 2], b"intact".to_vec()).unwrap();
         }
-        // Crash mid-append: a promising length prefix with a short body.
+        // Crash mid-append: a promising length prefix with a short body,
+        // at the logical tail, with the zero fill behind it.
         let seg = DirBackend::seg_path(&dir, 0);
-        let mut f = fs::OpenOptions::new().append(true).open(&seg).unwrap();
-        f.write_all(&500u32.to_le_bytes()).unwrap();
-        f.write_all(b"torn").unwrap();
-        drop(f);
+        let end = logical_end(&fs::read(&seg).unwrap());
+        let mut torn = 500u32.to_le_bytes().to_vec();
+        torn.extend_from_slice(b"torn");
+        write_at(&seg, end, &torn);
         let mut q = SegmentQueue::open(&dir, cfg(64, None, 8)).unwrap();
         assert_eq!(q.depth(), 1);
         assert_eq!(
@@ -1760,6 +1952,180 @@ mod tests {
         drop(j);
         let j = Journal::open(&dir, cfg(16, None, 64)).unwrap();
         assert_eq!(j.depth(1), 2);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn commits_overwrite_the_zero_fill_and_grow_the_file_once_per_step() {
+        let dir = tmp_dir("journal-fill");
+        let mut j = Journal::open(&dir, cfg(4096, None, 4096)).unwrap();
+        let seg = DirBackend::seg_path(&dir, 0);
+        let mut sizes = Vec::new();
+        while sizes.last().is_none_or(|&len| len <= FILL_STEP) {
+            j.enqueue(1, 0, vec![], vec![0xA5; 1000]).unwrap();
+            j.append_state(&[0x5A; 200]).unwrap();
+            j.sync().unwrap();
+            sizes.push(fs::metadata(&seg).unwrap().len());
+        }
+        // The segment's first commit writes its records only and the
+        // second fills one step; every commit inside it leaves the size
+        // alone (no extent or size change for its fdatasync to commit),
+        // and the commit that passes it fills the next step.
+        let growths = sizes[1..].windows(2).filter(|w| w[0] != w[1]).count();
+        // An entry of 4 + 1 037 bytes and a state record of 4 + 213.
+        assert_eq!(sizes[0], 1041 + 217, "records only");
+        assert_eq!(sizes[1], FILL_STEP);
+        assert_eq!(sizes.last(), Some(&(2 * FILL_STEP)));
+        assert_eq!(growths, 1, "{sizes:?}");
+        // Accounting counts record bytes, never the zeros.
+        let end = logical_end(&fs::read(&seg).unwrap());
+        assert_eq!(j.stats().bytes_written(), end as u64);
+        assert!(fs::read(&seg).unwrap()[end..].iter().all(|&b| b == 0));
+        drop(j);
+        let j = Journal::open(&dir, cfg(4096, None, 4096)).unwrap();
+        assert_eq!(j.stats().bytes_read(), end as u64);
+        assert_eq!(j.depth(1), sizes.len());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_clean_reopen_appends_right_after_the_last_record() {
+        let dir = tmp_dir("journal-resume");
+        let seg = DirBackend::seg_path(&dir, 0);
+        {
+            let mut j = Journal::open(&dir, cfg(16, None, 64)).unwrap();
+            j.enqueue(3, 6, vec![1], b"first".to_vec()).unwrap();
+            j.sync().unwrap();
+            j.enqueue(3, 7, vec![1], b"before".to_vec()).unwrap();
+            j.sync().unwrap();
+        }
+        let before = fs::read(&seg).unwrap();
+        assert_eq!(before.len() as u64, FILL_STEP);
+        let end = logical_end(&before);
+        let mut j = Journal::open(&dir, cfg(16, None, 64)).unwrap();
+        assert_eq!(j.recovery_anomalies(), 0);
+        j.enqueue(3, 8, vec![2], b"after".to_vec()).unwrap();
+        j.sync().unwrap();
+        let after = fs::read(&seg).unwrap();
+        let mut want = Vec::new();
+        push_enqueue(
+            &mut want,
+            3,
+            &QueueEntry {
+                seq: 3,
+                tick: 8,
+                stamp: vec![2],
+                payload: b"after".to_vec(),
+            },
+        );
+        assert_eq!(after.len(), before.len(), "written in place, not at EOF");
+        assert_eq!(&after[..end], &before[..end]);
+        assert_eq!(&after[end..end + want.len()], &want[..]);
+        assert_eq!(logical_end(&after), end + want.len());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_zero_filled_non_final_generation_is_no_anomaly() {
+        let dir = tmp_dir("journal-filled-middle");
+        {
+            let mut q = SegmentQueue::open(&dir, cfg(16, None, 2)).unwrap();
+            for i in 0..5u8 {
+                q.enqueue(0, vec![], vec![i]).unwrap();
+            }
+            q.ack_up_to(1).unwrap();
+        }
+        let gens = DirBackend::list_gens(&dir).unwrap();
+        assert_eq!(gens.len(), 3);
+        for gen in gens {
+            let len = fs::metadata(DirBackend::seg_path(&dir, gen)).unwrap().len();
+            assert_eq!(len, FILL_STEP, "generation {gen} is zero-filled");
+        }
+        let q = SegmentQueue::open(&dir, cfg(16, None, 2)).unwrap();
+        assert_eq!(q.recovery_anomalies(), 0);
+        let seqs: Vec<u64> = q.pending(0).map(|e| e.seq).collect();
+        assert_eq!(seqs, vec![2, 3, 4, 5]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn zeros_too_short_for_a_length_prefix_are_a_clean_end() {
+        let dir = tmp_dir("journal-short-fill");
+        let seg = DirBackend::seg_path(&dir, 0);
+        {
+            let mut j = Journal::open(&dir, cfg(16, None, 64)).unwrap();
+            for payload in [&b"kept"[..], b"too"] {
+                j.enqueue(1, 0, vec![], payload.to_vec()).unwrap();
+                j.sync().unwrap();
+            }
+        }
+        // Records that end two bytes short of the end of the file.
+        let bytes = fs::read(&seg).unwrap();
+        let end = logical_end(&bytes);
+        fs::write(&seg, &bytes[..end + 2]).unwrap();
+        let mut j = Journal::open(&dir, cfg(16, None, 64)).unwrap();
+        assert_eq!((j.depth(1), j.recovery_anomalies()), (2, 0));
+        j.enqueue(1, 0, vec![], b"next".to_vec()).unwrap();
+        j.sync().unwrap();
+        assert_eq!(DirBackend::list_gens(&dir).unwrap(), vec![0], "no roll");
+        drop(j);
+        let j = Journal::open(&dir, cfg(16, None, 64)).unwrap();
+        assert_eq!(j.depth(1), 3);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn bytes_behind_a_zero_length_prefix_are_a_tear() {
+        let dir = tmp_dir("journal-dirty-fill");
+        let seg = DirBackend::seg_path(&dir, 0);
+        {
+            let mut j = Journal::open(&dir, cfg(16, None, 64)).unwrap();
+            j.enqueue(1, 0, vec![], b"kept".to_vec()).unwrap();
+            j.sync().unwrap();
+        }
+        // A commit whose first page never reached the disk but whose
+        // second did: a zero length prefix, then something written.
+        let end = logical_end(&fs::read(&seg).unwrap());
+        write_at(&seg, end + 5000, b"later page");
+        let mut j = Journal::open(&dir, cfg(16, None, 64)).unwrap();
+        assert_eq!((j.depth(1), j.recovery_anomalies()), (1, 0));
+        // Appending in place would leave those bytes behind the new
+        // records, so the tail rolls instead.
+        j.enqueue(1, 0, vec![], b"next".to_vec()).unwrap();
+        j.sync().unwrap();
+        assert_eq!(DirBackend::list_gens(&dir).unwrap(), vec![0, 1]);
+        drop(j);
+        let j = Journal::open(&dir, cfg(16, None, 64)).unwrap();
+        assert_eq!(j.depth(1), 2);
+        assert_eq!(j.recovery_anomalies(), 1, "now a torn middle generation");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn compaction_writes_its_zero_fill_and_reclaims_record_bytes() {
+        let dir = tmp_dir("journal-compact-fill");
+        let mut j = Journal::open(&dir, cfg(64, None, 4)).unwrap();
+        for i in 0..10u8 {
+            j.enqueue(1, 0, vec![], vec![i; 8]).unwrap();
+            j.sync().unwrap();
+        }
+        j.ack_up_to(1, 8).unwrap();
+        j.sync().unwrap();
+        let written = j.stats().bytes_written();
+        let report = j.compact(0).unwrap();
+        let gens = DirBackend::list_gens(&dir).unwrap();
+        let seg = DirBackend::seg_path(&dir, gens[0]);
+        let bytes = fs::read(&seg).unwrap();
+        let end = logical_end(&bytes);
+        assert_eq!(bytes.len() as u64, FILL_STEP);
+        assert_eq!(report.bytes_reclaimed, written - end as u64);
+        // Appends after the compaction land in the fill.
+        j.enqueue(1, 0, vec![], b"next".to_vec()).unwrap();
+        j.sync().unwrap();
+        assert_eq!(fs::metadata(&seg).unwrap().len(), FILL_STEP);
+        drop(j);
+        let j = Journal::open(&dir, cfg(64, None, 4)).unwrap();
+        assert_eq!((j.depth(1), j.acked(1), j.recovery_anomalies()), (3, 8, 0));
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -8,6 +8,12 @@
 //! is recovered and the rest rejected cleanly — never a partial record,
 //! never an error, never a record that was not written.
 //!
+//! The journal keeps each segment zero-filled ahead of its logical tail,
+//! so the cut and flip schedules run over the segment's *logical* bytes —
+//! the records, found by walking their length prefixes — not over the
+//! file. A separate leg leaves the zero fill in place and tears or flips
+//! the last commit inside it, as a crash or a bad disk would.
+//!
 //! The second `proptest!` block interleaves several streams and the state
 //! stream in one journal, cut and flipped. It runs the default number of
 //! cases, which `PROPTEST_CASES` deepens (CI does on pushes to `main`).
@@ -27,6 +33,20 @@ fn tmp_dir(name: &str) -> PathBuf {
     ));
     let _ = fs::remove_dir_all(&dir);
     dir
+}
+
+/// Where a segment's records end: its length prefixes walked up to a
+/// zero one (the zero fill) or the end of the file.
+fn logical_len(segment: &[u8]) -> usize {
+    let mut at = 0usize;
+    while let Some(prefix) = segment.get(at..at + 4) {
+        let len = u32::from_le_bytes(prefix.try_into().unwrap()) as usize;
+        if len == 0 {
+            break;
+        }
+        at += 4 + len;
+    }
+    at.min(segment.len())
 }
 
 proptest! {
@@ -53,8 +73,8 @@ proptest! {
                 }
             }
         }
-        let seg = dir.join("seg-000000.q");
-        let full = fs::read(&seg).unwrap();
+        let seg = fs::read(dir.join("seg-000000.q")).unwrap();
+        let full = &seg[..logical_len(&seg)];
         for cut in 0..=full.len() {
             // A fresh directory per cut: recovery must see only the
             // truncated segment, not the previous iteration's roll-over.
@@ -103,10 +123,11 @@ const STREAMS: u64 = 3;
 /// (an enqueue when nothing is left to ack) or, instead, a state record.
 type Op = (u64, u8, Vec<u8>);
 
-fn ops() -> impl Strategy<Value = Vec<Op>> {
+/// Between `min` and 8 operations.
+fn ops(min: usize) -> impl Strategy<Value = Vec<Op>> {
     prop::collection::vec(
         (0..STREAMS, 0u8..3, prop::collection::vec(any::<u8>(), 0..6)),
-        1..9,
+        min..9,
     )
 }
 
@@ -122,8 +143,8 @@ fn journal_cfg() -> QueueConfig {
 }
 
 /// Journals `ops` into one segment, each committed by `sync`. Returns the
-/// segment's bytes and the model after each committed record, keyed by
-/// the segment length at that point.
+/// segment file, zero fill included, and the model after each committed
+/// record, keyed by the segment's logical length at that point.
 fn committed_journal(ops: &[Op]) -> (Vec<u8>, Vec<(u64, Model)>) {
     let dir = tmp_dir("journal-ops");
     let seg = dir.join("seg-000000.q");
@@ -145,7 +166,10 @@ fn committed_journal(ops: &[Op]) -> (Vec<u8>, Vec<(u64, Model)>) {
                 payloads.push(payload.clone());
             }
             j.sync().unwrap();
-            committed.push((fs::metadata(&seg).unwrap().len(), model.clone()));
+            let len = logical_len(&fs::read(&seg).unwrap()) as u64;
+            // The journal's accounting counts record bytes, not zeros.
+            assert_eq!(j.stats().bytes_written(), len);
+            committed.push((len, model.clone()));
         }
     }
     let full = fs::read(&seg).unwrap();
@@ -228,8 +252,9 @@ proptest! {
     /// history, with no ack beyond what was journaled — and every stream
     /// accepts appends afterwards.
     #[test]
-    fn journal_streams_recover_intact_prefixes_at_every_cut(ops in ops()) {
-        let (full, committed) = committed_journal(&ops);
+    fn journal_streams_recover_intact_prefixes_at_every_cut(ops in ops(1)) {
+        let (seg, committed) = committed_journal(&ops);
+        let full = &seg[..logical_len(&seg)];
         for cut in 0..=full.len() {
             let (_, want) = committed_before(&committed, cut);
             let anomalies = recovers_exactly(&full[..cut], want, &format!("cut {cut}"));
@@ -243,10 +268,11 @@ proptest! {
     /// not written — counts a checksum mismatch as one anomaly, and the
     /// journal keeps appending.
     #[test]
-    fn journal_recovers_the_records_before_a_flipped_bit(ops in ops(), bit in 0u8..8) {
-        let (full, committed) = committed_journal(&ops);
+    fn journal_recovers_the_records_before_a_flipped_bit(ops in ops(1), bit in 0u8..8) {
+        let (seg, committed) = committed_journal(&ops);
+        let full = &seg[..logical_len(&seg)];
         for at in 0..full.len() {
-            let mut flipped = full.clone();
+            let mut flipped = full.to_vec();
             flipped[at] ^= 1 << bit;
             let (start, want) = committed_before(&committed, at);
             let what = format!("bit {bit} of byte {at}");
@@ -254,6 +280,60 @@ proptest! {
             // A flipped length prefix may send the record past the end of
             // the segment, which reads as a torn tail; anything else fails
             // the record's checksum.
+            let in_length_prefix = (at as u64) < start + 4;
+            prop_assert!(
+                anomalies == 1 || (in_length_prefix && anomalies == 0),
+                "{} anomalies, {}", anomalies, what
+            );
+        }
+    }
+
+    /// Journal, as the writer leaves it: the segment zero-filled behind
+    /// its last commit (a segment's first commit writes no fill, so there
+    /// are two commits at least). That commit is cut at every byte with
+    /// the zero fill left in place — what a crash mid-commit leaves — or
+    /// has one bit flipped in every byte. A cut recovers exactly the
+    /// records wholly before it (all of them when it cut only zeros) and
+    /// keeps appending. It is no anomaly, except that a cut inside the
+    /// last record's checksum field leaves part of a checksum, which reads
+    /// as a mismatch and is counted: recovery takes a failing record for a
+    /// tear only when its checksum field is still all zero and nothing but
+    /// zeros follows it. A flip
+    /// is held to the bare segment's rule: counted, unless it hit a length
+    /// prefix. Only the last commit is run here: a record with only zeros
+    /// after it is the only one whose verdict the fill can change, but for
+    /// a flipped length prefix, which that rule lets read either way.
+    #[test]
+    fn journal_recovers_the_committed_prefix_from_a_zero_filled_tear(
+        ops in ops(2),
+        bit in 0u8..8,
+    ) {
+        let (seg, committed) = committed_journal(&ops);
+        let end = logical_len(&seg);
+        prop_assert!(seg.len() > end, "the segment is zero-filled");
+        let (last, _) = committed[committed.len() - 2];
+        let last = last as usize;
+        for cut in last..=end {
+            let mut torn = seg.clone();
+            torn[cut..end].fill(0);
+            // Cutting bytes that were zeros already leaves the image as
+            // it was: then every record is still there.
+            let intact = seg[cut..end].iter().all(|&b| b == 0);
+            let (_, want) = committed_before(&committed, if intact { end } else { cut });
+            let what = format!("zero-filled cut {cut}");
+            let anomalies = recovers_exactly(&torn, want, &what);
+            let in_checksum = cut + 4 > end && cut < end;
+            prop_assert!(
+                anomalies == 0 || (in_checksum && anomalies == 1),
+                "{} anomalies, {}", anomalies, what
+            );
+        }
+        for at in last..end {
+            let mut flipped = seg.clone();
+            flipped[at] ^= 1 << bit;
+            let (start, want) = committed_before(&committed, at);
+            let what = format!("zero-filled, bit {bit} of byte {at}");
+            let anomalies = recovers_exactly(&flipped, want, &what);
             let in_length_prefix = (at as u64) < start + 4;
             prop_assert!(
                 anomalies == 1 || (in_length_prefix && anomalies == 0),
