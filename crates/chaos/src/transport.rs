@@ -244,8 +244,8 @@ impl<T: Transport> Transport for FaultTransport<T> {
         self.inner.set_ready_notifier(notifier);
     }
 
-    fn attach_meter(&mut self, meter: &Meter) {
-        self.inner.attach_meter(meter);
+    fn attach_meter(&mut self, meter: &Meter, peers: &[ServerId]) {
+        self.inner.attach_meter(meter, peers);
         self.health.attach_meter(meter);
     }
 

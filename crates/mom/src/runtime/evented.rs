@@ -225,7 +225,7 @@ impl EventedPool {
             let me = ServerId::new(i as u16);
             let obs = boot.obs_for(i);
             if let Some((meter, _)) = &obs {
-                endpoint.attach_meter(meter);
+                endpoint.attach_meter(meter, &boot.topology.neighbors(me));
             }
             let driver = boot.driver(me, obs)?;
             let (cmd_tx, cmd_rx) = unbounded::<Command>();

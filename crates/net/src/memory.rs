@@ -6,6 +6,15 @@
 //! Per-(sender → receiver) FIFO ordering is guaranteed (crossbeam channels
 //! are FIFO and each endpoint pushes from a single server thread), which is
 //! exactly the property the AAA channel's causal protocol needs.
+//!
+//! The endpoints of one [`MemoryNetwork::create`] share a single table of
+//! the `n` inbox senders (one `Arc`) rather than holding `n` clones each,
+//! so creating and dropping a network takes `O(n)` channel operations
+//! instead of `n²` locked clones and as many locked drops. A send is one
+//! bounds-checked index and one channel push. Sending to an endpoint that
+//! has been dropped fails with [`Error::Closed`]; an inbox reports
+//! [`Error::Closed`] only once the table is gone, i.e. after every
+//! endpoint of the network, and every clone of one, has been dropped.
 
 use aaa_base::{Error, Result, ServerId};
 use aaa_obs::Meter;
@@ -29,7 +38,9 @@ pub struct Incoming {
 #[derive(Debug, Clone)]
 pub struct MemoryEndpoint {
     me: ServerId,
-    peers: Vec<Sender<Incoming>>,
+    /// Every endpoint's inbox sender, indexed by server id; one table
+    /// shared network-wide.
+    peers: Arc<[Sender<Incoming>]>,
     inbox: Receiver<Incoming>,
     /// One readiness slot per endpoint, shared network-wide: a sender
     /// pokes the destination's slot right after pushing into its inbox.
@@ -83,11 +94,12 @@ impl Transport for MemoryEndpoint {
         }
     }
 
-    /// Subsequent traffic updates the `aaa_net_tx_*`/`aaa_net_rx_*`
-    /// per-peer counters in the meter's registry. Without a meter (the
-    /// default) traffic is uncounted and costs one branch per frame.
-    fn attach_meter(&mut self, meter: &Meter) {
-        self.metrics = Some(NetMetrics::new(meter, self.peers.len()));
+    /// Subsequent traffic with `peers` updates the
+    /// `aaa_net_tx_*`/`aaa_net_rx_*` per-peer counters in the meter's
+    /// registry. Without a meter (the default) traffic is uncounted and
+    /// costs one branch per frame.
+    fn attach_meter(&mut self, meter: &Meter, peers: &[ServerId]) {
+        self.metrics = Some(NetMetrics::new(meter, peers));
     }
 }
 
@@ -116,12 +128,13 @@ impl MemoryNetwork {
             txs.push(tx);
             rxs.push(rx);
         }
+        let peers: Arc<[Sender<Incoming>]> = txs.into();
         let notifiers = Arc::new((0..n).map(|_| NotifySlot::new()).collect::<Vec<_>>());
         rxs.into_iter()
             .enumerate()
             .map(|(i, inbox)| MemoryEndpoint {
                 me: ServerId::new(i as u16),
-                peers: txs.clone(),
+                peers: peers.clone(),
                 inbox,
                 notifiers: notifiers.clone(),
                 metrics: None,
@@ -178,6 +191,58 @@ mod tests {
             .send(ServerId::new(0), Bytes::from_static(b"x"))
             .unwrap();
         assert!(eps[0].poll_recv().unwrap().is_some());
+    }
+
+    #[test]
+    fn endpoints_share_one_sender_table() {
+        let eps = MemoryNetwork::create(4);
+        for ep in &eps[1..] {
+            assert!(Arc::ptr_eq(&eps[0].peers, &ep.peers));
+        }
+        assert!(Arc::ptr_eq(&eps[0].peers, &eps[0].clone().peers));
+        // The four endpoints are the table's only holders.
+        assert_eq!(Arc::strong_count(&eps[0].peers), 4);
+    }
+
+    #[test]
+    fn send_to_dropped_endpoint_is_closed_others_keep_delivering() {
+        let mut eps = MemoryNetwork::create(3);
+        drop(eps.pop());
+        assert!(matches!(
+            eps[0].send(ServerId::new(2), Bytes::from_static(b"x")),
+            Err(Error::Closed(_))
+        ));
+        eps[0]
+            .send(ServerId::new(1), Bytes::from_static(b"y"))
+            .unwrap();
+        eps[1]
+            .send(ServerId::new(0), Bytes::from_static(b"z"))
+            .unwrap();
+        assert_eq!(
+            &eps[1].poll_recv().unwrap().expect("delivered").bytes[..],
+            b"y"
+        );
+        assert_eq!(
+            &eps[0].poll_recv().unwrap().expect("delivered").bytes[..],
+            b"z"
+        );
+    }
+
+    #[test]
+    fn inbox_closes_only_after_every_endpoint_and_clone_is_dropped() {
+        let eps = MemoryNetwork::create(3);
+        let copy = eps[2].clone();
+        // A probe reading server 1's inbox that holds no senders itself.
+        let probe = MemoryEndpoint {
+            peers: Default::default(),
+            ..eps[1].clone()
+        };
+        let mut holders: Vec<MemoryEndpoint> = eps.into_iter().chain([copy]).collect();
+        while let Some(holder) = holders.pop() {
+            assert!(probe.poll_recv().unwrap().is_none(), "still held");
+            drop(holder);
+        }
+        assert!(matches!(probe.poll_recv(), Err(Error::Closed(_))));
     }
 
     #[test]

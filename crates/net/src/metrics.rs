@@ -2,9 +2,13 @@
 //!
 //! [`NetMetrics`] is the optional metric bundle of a transport endpoint
 //! ([`crate::MemoryEndpoint`], [`crate::MuxTcpEndpoint`]): frames and
-//! payload bytes per direction and peer. Counters are minted
-//! eagerly for every peer when a meter is attached — the hot path indexes a
-//! `Vec` and performs one relaxed atomic add, no lock, no map lookup.
+//! payload bytes per direction and peer. Counters are minted when a meter
+//! is attached, and only for the peers the endpoint exchanges frames with
+//! — its domain neighbours, which the runtime passes in — so a server
+//! holds `4 × neighbours` series rather than `4 × n` (`4·n²` across the
+//! network). The hot path binary-searches that short sorted list and
+//! performs one relaxed atomic add, no lock, no map lookup; traffic with
+//! any other server is not counted.
 //!
 //! Metric vocabulary (families carry the meter's base labels, for example
 //! `server="<id>"`; each sample adds `peer="<id>"`):
@@ -22,62 +26,74 @@ use aaa_obs::{Counter, Meter};
 /// Per-peer traffic counters of one transport endpoint.
 #[derive(Debug, Clone)]
 pub struct NetMetrics {
-    tx_frames: Vec<Counter>,
-    tx_bytes: Vec<Counter>,
-    rx_frames: Vec<Counter>,
-    rx_bytes: Vec<Counter>,
+    /// The counted peers, ascending; `counters[i]` belongs to `peers[i]`.
+    peers: Vec<ServerId>,
+    counters: Vec<PeerCounters>,
 }
 
-fn per_peer(meter: &Meter, peers: usize, name: &'static str, help: &'static str) -> Vec<Counter> {
-    (0..peers)
-        .map(|p| meter.counter_with(name, help, &[("peer", p.to_string())]))
-        .collect()
+#[derive(Debug, Clone)]
+struct PeerCounters {
+    tx_frames: Counter,
+    tx_bytes: Counter,
+    rx_frames: Counter,
+    rx_bytes: Counter,
 }
 
 impl NetMetrics {
-    /// Mints tx/rx counters toward `peers` servers.
-    pub fn new(meter: &Meter, peers: usize) -> Self {
-        NetMetrics {
-            tx_frames: per_peer(
-                meter,
-                peers,
-                "aaa_net_tx_frames_total",
-                "Transport frames sent to a peer",
-            ),
-            tx_bytes: per_peer(
-                meter,
-                peers,
-                "aaa_net_tx_bytes_total",
-                "Transport payload bytes sent to a peer",
-            ),
-            rx_frames: per_peer(
-                meter,
-                peers,
-                "aaa_net_rx_frames_total",
-                "Transport frames received from a peer",
-            ),
-            rx_bytes: per_peer(
-                meter,
-                peers,
-                "aaa_net_rx_bytes_total",
-                "Transport payload bytes received from a peer",
-            ),
-        }
+    /// Mints tx/rx counters toward each of `peers` (any order).
+    pub fn new(meter: &Meter, peers: &[ServerId]) -> Self {
+        let mut peers = peers.to_vec();
+        peers.sort_unstable();
+        peers.dedup();
+        let counters = peers
+            .iter()
+            .map(|p| {
+                let label = [("peer", p.as_u16().to_string())];
+                PeerCounters {
+                    tx_frames: meter.counter_with(
+                        "aaa_net_tx_frames_total",
+                        "Transport frames sent to a peer",
+                        &label,
+                    ),
+                    tx_bytes: meter.counter_with(
+                        "aaa_net_tx_bytes_total",
+                        "Transport payload bytes sent to a peer",
+                        &label,
+                    ),
+                    rx_frames: meter.counter_with(
+                        "aaa_net_rx_frames_total",
+                        "Transport frames received from a peer",
+                        &label,
+                    ),
+                    rx_bytes: meter.counter_with(
+                        "aaa_net_rx_bytes_total",
+                        "Transport payload bytes received from a peer",
+                        &label,
+                    ),
+                }
+            })
+            .collect();
+        NetMetrics { peers, counters }
+    }
+
+    fn of(&self, peer: ServerId) -> Option<&PeerCounters> {
+        let i = self.peers.binary_search(&peer).ok()?;
+        self.counters.get(i)
     }
 
     /// Records one frame of `len` payload bytes sent to `peer`.
     pub fn on_tx(&self, peer: ServerId, len: usize) {
-        if let Some(c) = self.tx_frames.get(peer.as_usize()) {
-            c.inc();
-            self.tx_bytes[peer.as_usize()].add(len as u64);
+        if let Some(c) = self.of(peer) {
+            c.tx_frames.inc();
+            c.tx_bytes.add(len as u64);
         }
     }
 
     /// Records one frame of `len` payload bytes received from `peer`.
     pub fn on_rx(&self, peer: ServerId, len: usize) {
-        if let Some(c) = self.rx_frames.get(peer.as_usize()) {
-            c.inc();
-            self.rx_bytes[peer.as_usize()].add(len as u64);
+        if let Some(c) = self.of(peer) {
+            c.rx_frames.inc();
+            c.rx_bytes.add(len as u64);
         }
     }
 }
@@ -91,11 +107,11 @@ mod tests {
     fn counters_index_by_peer() {
         let registry = Registry::new();
         let meter = Meter::new(&registry).with_label("server", "0");
-        let m = NetMetrics::new(&meter, 2);
+        let m = NetMetrics::new(&meter, &[ServerId::new(1), ServerId::new(0)]);
         m.on_tx(ServerId::new(1), 10);
         m.on_tx(ServerId::new(1), 5);
         m.on_rx(ServerId::new(0), 7);
-        // Out-of-range peers are ignored, not panicked on.
+        // Peers without counters are ignored, not panicked on.
         m.on_tx(ServerId::new(9), 1);
 
         let snap = registry.snapshot();

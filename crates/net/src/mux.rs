@@ -227,10 +227,10 @@ impl Transport for MuxTcpEndpoint {
         }
     }
 
-    /// Subsequent traffic updates the `aaa_net_tx_*`/`aaa_net_rx_*`
-    /// per-peer counters.
-    fn attach_meter(&mut self, meter: &Meter) {
-        self.metrics = Some(NetMetrics::new(meter, self.shared.inboxes.len()));
+    /// Subsequent traffic with `peers` updates the
+    /// `aaa_net_tx_*`/`aaa_net_rx_*` per-peer counters.
+    fn attach_meter(&mut self, meter: &Meter, peers: &[ServerId]) {
+        self.metrics = Some(NetMetrics::new(meter, peers));
     }
 
     /// Shared across the mesh: the socket to a shard is shared, so is the

@@ -125,8 +125,10 @@ pub trait Transport: Send + 'static {
     /// installing: datagrams that arrived earlier produced no callback.
     fn set_ready_notifier(&mut self, notifier: ReadyNotifier);
 
-    /// Attaches a metrics meter (default: no instrumentation).
-    fn attach_meter(&mut self, _meter: &Meter) {}
+    /// Attaches a metrics meter (default: no instrumentation). `peers` are
+    /// the servers this endpoint exchanges frames with — its domain
+    /// neighbours; per-peer traffic series are minted for them only.
+    fn attach_meter(&mut self, _meter: &Meter, _peers: &[ServerId]) {}
 
     /// Failure-detector verdict for `to`, if this transport tracks one.
     ///

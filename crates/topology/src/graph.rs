@@ -16,7 +16,7 @@
 //!   between the two shared servers could be split across two independent
 //!   clocks and lose causality — we reject it.
 
-use aaa_base::{DomainId, Error, Result, ServerId};
+use aaa_base::{DomainId, Error, Result};
 
 use crate::spec::TopologySpec;
 
@@ -153,28 +153,6 @@ pub(crate) fn check(spec: &TopologySpec, n: usize, allow_cycles: bool) -> Result
     Ok(GraphCheck { memberships })
 }
 
-/// Builds the server-level adjacency used by routing: `adj[s]` lists the
-/// servers sharing at least one domain with `s` (excluding `s`), ascending.
-pub(crate) fn server_adjacency(spec: &TopologySpec, n: usize) -> Vec<Vec<ServerId>> {
-    let mut adj: Vec<Vec<u16>> = vec![Vec::new(); n];
-    for members in spec.domains() {
-        for a in members {
-            for b in members {
-                if a != b {
-                    adj[a.as_usize()].push(b.as_u16());
-                }
-            }
-        }
-    }
-    adj.into_iter()
-        .map(|mut v| {
-            v.sort_unstable();
-            v.dedup();
-            v.into_iter().map(ServerId::new).collect()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,17 +223,5 @@ mod tests {
             check(&s, 4, false),
             Err(Error::InvalidTopology(_))
         ));
-    }
-
-    #[test]
-    fn adjacency_covers_shared_domains() {
-        let s = spec(vec![vec![0, 1, 2], vec![2, 3]]);
-        let adj = server_adjacency(&s, 4);
-        assert_eq!(adj[0], vec![ServerId::new(1), ServerId::new(2)]);
-        assert_eq!(
-            adj[2],
-            vec![ServerId::new(0), ServerId::new(1), ServerId::new(3)]
-        );
-        assert_eq!(adj[3], vec![ServerId::new(2)]);
     }
 }

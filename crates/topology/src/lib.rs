@@ -17,7 +17,8 @@
 //! - [`Topology`] — the validated form: membership tables, per-domain server
 //!   id tables, connectivity and acyclicity checks;
 //! - [`RoutingTable`] — per-server static next-hop tables built at boot by a
-//!   shortest-path search (§5);
+//!   shortest-path search (§5) that expands each domain once, in time
+//!   linear in servers plus memberships;
 //! - [`cost`] — the analytical cost model of §6.2
 //!   (`C ≈ (2d+1)·s²`, bus-vs-tree trade-off).
 //!

@@ -71,7 +71,6 @@ pub struct Topology {
     n: usize,
     domains: Vec<DomainInfo>,
     memberships: Vec<Vec<DomainId>>,
-    adjacency: Vec<Vec<ServerId>>,
     acyclic: bool,
 }
 
@@ -88,7 +87,6 @@ impl Topology {
         let n = check_structure(&spec)?;
         let checked = graph::check(&spec, n, allow_cycles)?;
         let acyclic = !allow_cycles || graph::check(&spec, n, false).is_ok();
-        let adjacency = graph::server_adjacency(&spec, n);
         let domains = spec
             .domains()
             .iter()
@@ -107,7 +105,6 @@ impl Topology {
             n,
             domains,
             memberships: checked.memberships,
-            adjacency,
             acyclic,
         })
     }
@@ -200,11 +197,22 @@ impl Topology {
 
     /// Servers sharing at least one domain with `server`, ascending.
     ///
+    /// Computed on demand from the memberships: a stored server adjacency
+    /// would hold `Σ|d|²` entries, and routing does not need one.
+    ///
     /// # Panics
     ///
     /// Panics if `server` is out of range.
-    pub fn neighbors(&self, server: ServerId) -> &[ServerId] {
-        &self.adjacency[server.as_usize()]
+    pub fn neighbors(&self, server: ServerId) -> Vec<ServerId> {
+        let mut out: Vec<ServerId> = self.memberships[server.as_usize()]
+            .iter()
+            .flat_map(|d| self.domains[d.as_usize()].members())
+            .copied()
+            .filter(|&s| s != server)
+            .collect();
+        out.sort_unstable();
+        out.dedup();
+        out
     }
 
     /// Whether the domain interconnection graph is acyclic (theorem

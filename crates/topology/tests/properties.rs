@@ -2,8 +2,9 @@
 
 use aaa_base::{Error, ServerId};
 use aaa_topology::split::{split_by_traffic, SplitConfig, TrafficMatrix};
-use aaa_topology::{trace_route, RoutingTable, TopologySpec};
+use aaa_topology::{trace_route, RoutingTable, Topology, TopologySpec};
 use proptest::prelude::*;
+use std::collections::VecDeque;
 
 /// Strategy: a random tree-structured decomposition description.
 /// Returns (domain sizes, attach choices) from which we build a spec that
@@ -32,6 +33,142 @@ fn tree_spec_strategy() -> impl Strategy<Value = TopologySpec> {
             }
             TopologySpec::from_domains(domains)
         })
+}
+
+/// Strategy: a random connected spec that may contain cycles — a tree
+/// spec plus extra domains over its servers (a chord between two domains,
+/// a second domain sharing two servers, a singleton) — for
+/// [`TopologySpec::validate_allow_cycles`].
+fn cyclic_spec_strategy() -> impl Strategy<Value = TopologySpec> {
+    (
+        tree_spec_strategy(),
+        prop::collection::vec(prop::collection::vec(0usize..100, 1..5), 1..4),
+    )
+        .prop_map(|(tree, extra)| {
+            let n = tree
+                .domains()
+                .iter()
+                .flatten()
+                .map(|s| s.as_usize())
+                .max()
+                .unwrap_or(0)
+                + 1;
+            let mut domains: Vec<Vec<u16>> = tree
+                .domains()
+                .iter()
+                .map(|d| d.iter().map(|s| s.as_u16()).collect())
+                .collect();
+            for picks in extra {
+                let mut members: Vec<u16> = picks.iter().map(|&p| (p % n) as u16).collect();
+                members.sort_unstable();
+                members.dedup();
+                domains.push(members);
+            }
+            TopologySpec::from_domains(domains)
+        })
+}
+
+/// One server's table from the reference search: next hop and hop count
+/// per destination.
+type Table = (Vec<ServerId>, Vec<u32>);
+
+/// The reference `RoutingTable::build` must match: a breadth-first search
+/// over the server graph itself (an edge joins two servers sharing a
+/// domain) that queues every server and examines its neighbours in
+/// ascending id order, recording the first hop out of `me`.
+fn reference_tables(topo: &Topology) -> Vec<Table> {
+    let n = topo.server_count();
+    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for members in topo.spec().domains() {
+        for a in members {
+            for b in members {
+                if a != b {
+                    adj[a.as_usize()].push(b.as_usize());
+                }
+            }
+        }
+    }
+    for list in &mut adj {
+        list.sort_unstable();
+        list.dedup();
+    }
+    (0..n)
+        .map(|me| {
+            let mut next: Vec<ServerId> = vec![ServerId::new(me as u16); n];
+            let mut hops = vec![u32::MAX; n];
+            hops[me] = 0;
+            let mut queue = VecDeque::from([me]);
+            while let Some(v) = queue.pop_front() {
+                for &w in &adj[v] {
+                    if hops[w] == u32::MAX {
+                        hops[w] = hops[v] + 1;
+                        next[w] = if v == me {
+                            ServerId::new(w as u16)
+                        } else {
+                            next[v]
+                        };
+                        queue.push_back(w);
+                    }
+                }
+            }
+            (next, hops)
+        })
+        .collect()
+}
+
+/// The first entry where `RoutingTable::build_all` and the reference
+/// search disagree, if any.
+fn routing_mismatch(topo: &Topology) -> Option<String> {
+    let tables = RoutingTable::build_all(topo).expect("tables build");
+    for (table, (next, hops)) in tables.iter().zip(reference_tables(topo)) {
+        for dest in topo.servers() {
+            let got = (table.next_hop(dest).unwrap(), table.hops(dest).unwrap());
+            let want = (next[dest.as_usize()], hops[dest.as_usize()]);
+            if got != want {
+                return Some(format!(
+                    "{} -> {dest}: (next, hops) {got:?}, reference {want:?}",
+                    table.me()
+                ));
+            }
+        }
+    }
+    None
+}
+
+#[test]
+fn routing_matches_reference_on_figure9_shapes() {
+    for spec in [
+        TopologySpec::bus(32, 32),
+        TopologySpec::bus(3, 5),
+        TopologySpec::daisy(6, 4),
+        TopologySpec::single_domain(256),
+    ] {
+        let topo = spec.validate().expect("valid");
+        assert_eq!(routing_mismatch(&topo), None);
+    }
+}
+
+proptest! {
+    // Default case count, so `PROPTEST_CASES` deepens the oracle.
+
+    /// The domain-expanded search gives every server exactly the table a
+    /// server-graph search gives it, tie-breaks included, on acyclic
+    /// decompositions.
+    #[test]
+    fn routing_matches_reference_on_tree_specs(spec in tree_spec_strategy()) {
+        let topo = spec.validate().expect("valid");
+        let mismatch = routing_mismatch(&topo);
+        prop_assert!(mismatch.is_none(), "{mismatch:?}");
+    }
+
+    /// The same on cyclic decompositions, where one popped server can
+    /// reach a server through two fresh domains at once.
+    #[test]
+    fn routing_matches_reference_on_cyclic_specs(spec in cyclic_spec_strategy()) {
+        let topo = spec.validate_allow_cycles().expect("connected");
+        let mismatch = routing_mismatch(&topo);
+        prop_assert!(mismatch.is_none(), "{mismatch:?}");
+    }
 }
 
 proptest! {

@@ -262,6 +262,37 @@ fn stamp_cost_quadratic_without_domains_flat_with() {
     );
 }
 
+/// Transport counters exist only toward the peers a server exchanges
+/// frames with — its domain neighbours — not toward every server: a
+/// `bus(8,8)` boot mints at most Σ neighbours tx series (504), not 64².
+#[test]
+fn net_series_follow_domain_neighbours() {
+    let mom = MomBuilder::new(TopologySpec::bus(8, 8))
+        .runtime(RuntimeConfig::evented(2).metrics(true))
+        .build()
+        .unwrap();
+    let topo = mom.topology();
+    let neighbours: usize = topo.servers().map(|s| topo.neighbors(s).len()).sum();
+    assert_eq!(neighbours, 504);
+    mom.register_agent(ServerId::new(63), 1, Box::new(EchoAgent))
+        .unwrap();
+    mom.send(aid(1, 9), aid(63, 1), Notification::signal("hi"))
+        .unwrap();
+    assert!(mom.quiesce(Duration::from_secs(30)));
+
+    let snap = mom.metrics();
+    let series = snap
+        .family("aaa_net_tx_frames_total")
+        .map_or(0, |f| f.samples.len());
+    assert!(
+        (1..=neighbours).contains(&series),
+        "{series} tx series for {neighbours} neighbour pairs"
+    );
+    // The cross-domain round trip crossed the routers' links and was counted.
+    assert!(snap.sum_counter("aaa_net_tx_frames_total") >= 6);
+    mom.shutdown();
+}
+
 /// The JSON exposition carries the same totals as the typed snapshot.
 #[test]
 fn json_exposition_matches_snapshot() {
