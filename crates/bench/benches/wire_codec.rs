@@ -18,7 +18,7 @@ fn message_with(stamp: Stamp) -> WireMessage {
         dest_server: ServerId::new(9),
         domain: DomainId::new(1),
         stamp: Some(stamp),
-        kind: "quote".to_owned(),
+        kind: "quote".into(),
         body: Bytes::from_static(b"ACME:42.17:20010917"),
     }
 }

@@ -246,7 +246,7 @@ impl<T: Transport> Transport for FaultTransport<T> {
 
     fn attach_meter(&mut self, meter: &Meter, peers: &[ServerId]) {
         self.inner.attach_meter(meter, peers);
-        self.health.attach_meter(meter);
+        self.health.attach_meter(meter, peers);
     }
 
     fn peer_state(&self, to: ServerId) -> PeerState {

@@ -382,6 +382,10 @@ pub struct CausalState {
     /// everything received *from* `j` (a peer's stamp is a snapshot of its
     /// own matrix).
     know: Vec<Option<MatrixClock>>,
+    /// Entries in the last delta this state collected: the next walk's
+    /// starting capacity, so a delta is not grown by doubling. A sizing
+    /// hint, not state: `==` and the image leave it out.
+    delta_hint: usize,
 }
 
 /// Field by field, `SENT`'s change tags included: the matrix's own `==`
@@ -399,6 +403,7 @@ impl PartialEq for CausalState {
             node_state,
             link,
             know,
+            delta_hint: _,
         } = self;
         (
             me, n, mode, sent, deliv, state, changes, node_state, link, know,
@@ -458,6 +463,7 @@ impl CausalState {
                 StampMode::Hybrid => vec![None; n],
                 StampMode::Full | StampMode::Updates => Vec::new(),
             },
+            delta_hint: 0,
         }
     }
 
@@ -527,7 +533,7 @@ impl CausalState {
         mut keep: impl FnMut(usize, usize, u64) -> bool,
     ) -> Vec<UpdateEntry> {
         let n = self.n;
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.delta_hint);
         // Cells arrive in ascending order: divide once per row entered,
         // not once per cell.
         let (mut row, mut row_start) = (0usize, 0usize);
@@ -601,7 +607,11 @@ impl CausalState {
             StampMode::Full => Stamp::Full(self.sent.counters()),
             // Appendix A: every entry modified since the last send to
             // this peer.
-            StampMode::Updates => Stamp::Delta(self.collect_changed(since, |_, _, _| true)),
+            StampMode::Updates => {
+                let entries = self.collect_changed(since, |_, _, _| true);
+                self.delta_hint = entries.len();
+                Stamp::Delta(entries)
+            }
             // The Updates delta pruned against `know[to]`:
             //
             // - entries in the peer's own row (`row == to`) are never
@@ -634,6 +644,7 @@ impl CausalState {
                     }
                 });
                 raise_all(self.know_mut(t), &entries);
+                self.delta_hint = entries.len();
                 Stamp::Hybrid(entries)
             }
         }
@@ -920,6 +931,7 @@ impl CausalState {
                 node_state,
                 link,
                 know,
+                delta_hint: 0,
             },
             at,
         ))

@@ -358,7 +358,7 @@ impl ChannelCore {
                 dest_server: env.dest,
                 domain: item.domain_id(),
                 stamp,
-                kind: env.note.kind().to_owned(),
+                kind: env.note.kind_bytes().clone(),
                 body: env.note.body().clone(),
             };
             out.push((next_hop, msg));
@@ -414,6 +414,21 @@ impl ChannelCore {
         msg: WireMessage,
         now: VTime,
     ) -> Result<Vec<AgentMessage>> {
+        let mut local = Vec::new();
+        self.on_message_into(from, msg, now, &mut local)?;
+        Ok(local)
+    }
+
+    /// [`ChannelCore::on_message_at`] appending the local deliveries to
+    /// `local`, a buffer the caller keeps across messages, instead of
+    /// returning a fresh vector. A refused message appends nothing.
+    pub(crate) fn on_message_into(
+        &mut self,
+        from: ServerId,
+        msg: WireMessage,
+        now: VTime,
+        local: &mut Vec<AgentMessage>,
+    ) -> Result<()> {
         let item_idx = self
             .items
             .iter()
@@ -432,7 +447,7 @@ impl ChannelCore {
                 to: msg.to_agent,
                 src: msg.src_server,
                 dest: msg.dest_server,
-                note: Notification::new(msg.kind, msg.body),
+                note: Notification::from_parts(msg.kind, msg.body),
                 policy: DeliveryPolicy::Unordered,
             };
             if env.dest == self.me {
@@ -440,19 +455,20 @@ impl ChannelCore {
                 if let Some(m) = &self.metrics {
                     m.delivered.inc();
                 }
-                return Ok(vec![AgentMessage {
+                local.push(AgentMessage {
                     id: env.id,
                     from: env.from,
                     to: env.to,
                     note: env.note,
-                }]);
+                });
+                return Ok(());
             }
             self.stats.forwarded += 1;
             if let Some(m) = &self.metrics {
                 m.forwarded.inc();
             }
             self.queue_out.push_back(env);
-            return Ok(Vec::new());
+            return Ok(());
         };
         item.clock().check_stamp(from_dsid, &stamp)?;
         let pending = item.clock_mut().on_frame(from_dsid, stamp);
@@ -473,17 +489,18 @@ impl ChannelCore {
                 to: msg.to_agent,
                 src: msg.src_server,
                 dest: msg.dest_server,
-                note: Notification::new(msg.kind, msg.body),
+                note: Notification::from_parts(msg.kind, msg.body),
                 policy: DeliveryPolicy::Causal,
             },
             arrived_at: now,
         });
-        Ok(self.pump(now))
+        self.pump(now, local);
+        Ok(())
     }
 
-    /// Delivers every postponed message whose causal condition now holds.
-    fn pump(&mut self, now: VTime) -> Vec<AgentMessage> {
-        let mut local = Vec::new();
+    /// Delivers every postponed message whose causal condition now holds,
+    /// appending the local ones to `local`.
+    fn pump(&mut self, now: VTime, local: &mut Vec<AgentMessage>) {
         loop {
             let hit = self.postponed.iter().position(|p| {
                 let item = &self.items[p.item_idx];
@@ -521,7 +538,6 @@ impl ChannelCore {
                 self.queue_out.push_back(p.env);
             }
         }
-        local
     }
 
     // --- persistence plumbing (crate-internal) ---

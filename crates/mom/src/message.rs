@@ -1,6 +1,7 @@
 //! Application-level notifications and middleware messages.
 
 use aaa_base::{AgentId, MessageId};
+use aaa_net::Utf8Bytes;
 use bytes::Bytes;
 
 /// An application-level event, the unit of the agents' event/reaction
@@ -20,29 +21,36 @@ use bytes::Bytes;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Notification {
-    kind: String,
+    /// A view of the frame it arrived in, or the adopted `String` it was
+    /// made from: forwarding or re-encoding it never allocates.
+    kind: Utf8Bytes,
     body: Bytes,
 }
 
 impl Notification {
     /// Creates a notification of the given kind with an owned body.
     pub fn new(kind: impl Into<String>, body: impl Into<Bytes>) -> Self {
-        Notification {
-            kind: kind.into(),
-            body: body.into(),
-        }
+        Notification::from_parts(Utf8Bytes::from(kind.into()), body.into())
+    }
+
+    /// A notification of a kind and body already held as shared bytes,
+    /// such as the views of a decoded frame.
+    pub(crate) fn from_parts(kind: Utf8Bytes, body: Bytes) -> Self {
+        Notification { kind, body }
     }
 
     /// Creates a body-less notification (a pure signal).
     pub fn signal(kind: impl Into<String>) -> Self {
-        Notification {
-            kind: kind.into(),
-            body: Bytes::new(),
-        }
+        Notification::new(kind, Bytes::new())
     }
 
     /// The event name.
     pub fn kind(&self) -> &str {
+        self.kind.as_str()
+    }
+
+    /// The event name as shared bytes.
+    pub(crate) fn kind_bytes(&self) -> &Utf8Bytes {
         &self.kind
     }
 

@@ -647,35 +647,35 @@ impl ServerCore {
         let mut any_data = false;
         // Last cumulative ack per peer, in first-seen peer order.
         let mut acks: Vec<(ServerId, u64)> = Vec::new();
+        // The drain's buffers: every datagram appends to them and empties
+        // them again, so they cost nothing per message.
+        let mut payloads: Vec<Bytes> = Vec::new();
+        let mut local: Vec<AgentMessage> = Vec::new();
         for (from, bytes) in datagrams {
-            let frames = match Datagram::decode(bytes) {
+            let (single, batch) = match Datagram::decode(bytes) {
                 Ok(Datagram::Ack { cum_seq }) => {
                     if let Some(tx) = self.links_tx.get_mut(&from) {
                         tx.on_ack(cum_seq);
                     }
                     continue;
                 }
-                Ok(Datagram::Data(frame)) => vec![frame],
-                Ok(Datagram::Batch(frames)) => frames,
+                Ok(Datagram::Data(frame)) => (Some(frame), Vec::new()),
+                Ok(Datagram::Batch(frames)) => (None, frames),
                 Err(_) => {
                     self.reject_input(1);
                     continue;
                 }
             };
             any_data = true;
-            let mut delivered = Vec::new();
             let mut ack = None;
+            payloads.reserve(batch.len().max(1));
             {
                 let rx = self.links_rx.entry(from).or_default();
-                for frame in frames {
-                    let d = rx.on_frame(frame);
-                    delivered.extend(d.delivered);
-                    if d.ack.is_some() {
-                        ack = d.ack;
-                    }
+                for frame in single.into_iter().chain(batch) {
+                    ack = Some(rx.on_frame_into(frame, &mut payloads));
                 }
             }
-            for payload in delivered {
+            for payload in payloads.drain(..) {
                 // The link consumed the frame either way: a payload that
                 // is refused here is acknowledged below, never re-sent.
                 let Ok(msg) = WireMessage::decode(payload) else {
@@ -702,14 +702,18 @@ impl ServerCore {
                 };
                 // The channel validates before it touches any clock, so a
                 // refused message leaves no trace in the causal state.
-                let Ok(local) = self.channel.on_message_at(from, msg, now) else {
+                if self
+                    .channel
+                    .on_message_into(from, msg, now, &mut local)
+                    .is_err()
+                {
                     self.reject_input(1);
                     continue;
-                };
+                }
                 if let Some(stamp) = publish_stamp {
                     self.publish_stamps.insert(id, stamp);
                 }
-                for m in local {
+                for m in local.drain(..) {
                     if unordered {
                         // Unordered deliveries stay out of the causal
                         // trace but settle the in-flight counter.

@@ -1,12 +1,14 @@
-//! Zero-copy incremental frame decoding for stream transports.
+//! Incremental frame decoding for stream transports.
 //!
 //! TCP readers historically allocated a fresh `Vec<u8>` per frame. A
 //! [`FrameBuf`] instead accumulates raw socket reads and, once complete
-//! frames are available, moves the parsed region into **one** shared
-//! [`Bytes`] buffer per drain; every frame payload is then an O(1)
-//! [`Bytes::slice`] view borrowing from that buffer — no per-datagram
-//! allocation, no per-datagram copy. Only the trailing partial frame (at
-//! most one header + payload prefix) is carried over by copy.
+//! frames are available, copies the parsed region **once** into one
+//! shared [`Bytes`] buffer of exactly its size; every frame is then an
+//! O(1) view of that buffer — no per-datagram allocation, no per-datagram
+//! copy. The accumulator keeps its capacity across drains (only the
+//! trailing partial frame moves to its front), so a reader does not regrow
+//! it from empty after every drain, and the shared buffer carries no slack
+//! into the frames that outlive the drain.
 
 use bytes::Bytes;
 
@@ -22,7 +24,7 @@ pub struct FrameBuf {
 }
 
 /// One decoded frame: the fixed-size header bytes and the payload as a
-/// zero-copy view into the drain's shared buffer.
+/// view into the drain's shared buffer.
 #[derive(Debug, Clone)]
 pub struct RawFrame {
     /// The frame header, borrowed from the same shared buffer.
@@ -74,7 +76,7 @@ impl FrameBuf {
             return None;
         }
         // First pass: find how many bytes form complete frames.
-        let mut consumed = 0usize;
+        let (mut consumed, mut count) = (0usize, 0usize);
         loop {
             let rest = &self.acc[consumed..];
             if rest.len() < header_len {
@@ -92,16 +94,18 @@ impl FrameBuf {
                 break;
             }
             consumed += total;
+            count += 1;
         }
         if consumed == 0 {
             return Some(Vec::new());
         }
-        // Move the complete region out as one shared buffer; keep the
-        // partial tail (the only copy, bounded by one frame).
-        let tail = self.acc.split_off(consumed);
-        let mut chunk = Bytes::from(std::mem::replace(&mut self.acc, tail));
-        // Second pass: cut zero-copy views.
-        let mut frames = Vec::new();
+        // Copy the complete region out as one exactly-sized shared buffer;
+        // the partial tail moves to the front of the accumulator, which
+        // keeps its capacity.
+        let mut chunk = Bytes::copy_from_slice(&self.acc[..consumed]);
+        self.acc.drain(..consumed);
+        // Second pass: cut views of the shared buffer.
+        let mut frames = Vec::with_capacity(count);
         while !chunk.is_empty() {
             let header = chunk.split_to(header_len);
             // `payload_len` is deterministic; the first pass validated it.

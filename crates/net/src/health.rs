@@ -9,7 +9,8 @@
 //! retransmissions into a dead peer (it keeps sending low-rate probes so
 //! recovery is noticed).
 //!
-//! Metric vocabulary (optional, minted by [`PeerHealth::attach_meter`];
+//! Metric vocabulary (optional, minted by [`PeerHealth::attach_meter`] for
+//! the peers the endpoint exchanges frames with;
 //! every sample carries `peer="<id>"` beside the meter's base labels):
 //!
 //! | name | kind | meaning |
@@ -61,14 +62,18 @@ struct PeerSlot {
     failures: AtomicU32,
 }
 
-struct HealthInstruments {
-    state: Vec<Gauge>,
-    recoveries: Vec<Counter>,
+/// The series of one metered peer.
+struct PeerInstruments {
+    peer: ServerId,
+    state: Gauge,
+    recoveries: Counter,
 }
 
-impl std::fmt::Debug for HealthInstruments {
+impl std::fmt::Debug for PeerInstruments {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HealthInstruments").finish_non_exhaustive()
+        f.debug_struct("PeerInstruments")
+            .field("peer", &self.peer)
+            .finish_non_exhaustive()
     }
 }
 
@@ -80,7 +85,8 @@ impl std::fmt::Debug for HealthInstruments {
 #[derive(Debug)]
 pub struct PeerHealth {
     slots: Vec<PeerSlot>,
-    instruments: Option<HealthInstruments>,
+    /// The metered peers, sorted by id.
+    instruments: Vec<PeerInstruments>,
 }
 
 impl PeerHealth {
@@ -95,7 +101,7 @@ impl PeerHealth {
             .collect();
         PeerHealth {
             slots,
-            instruments: None,
+            instruments: Vec::new(),
         }
     }
 
@@ -106,30 +112,44 @@ impl PeerHealth {
     }
 
     /// Mints the `aaa_net_peer_state` / `aaa_net_peer_recoveries_total`
-    /// instruments on `meter` (one labelled series per peer) and starts
-    /// updating them.
-    pub fn attach_meter(&mut self, meter: &Meter) {
-        let state: Vec<Gauge> = (0..self.slots.len())
-            .map(|p| {
-                meter.with_label("peer", p.to_string()).gauge(
+    /// instruments on `meter` — one labelled series per peer in `peers`,
+    /// the servers this endpoint exchanges frames with, not every server
+    /// it tracks — and starts updating them.
+    pub fn attach_meter(&mut self, meter: &Meter, peers: &[ServerId]) {
+        let mut peers = peers.to_vec();
+        peers.sort_unstable();
+        peers.dedup();
+        self.instruments = peers
+            .into_iter()
+            .filter_map(|peer| {
+                let slot = self.slots.get(peer.as_usize())?;
+                let label = peer.as_usize().to_string();
+                let state = meter.with_label("peer", label.clone()).gauge(
                     "aaa_net_peer_state",
                     "Failure-detector verdict per peer (0=down, 1=suspect, 2=up)",
-                )
-            })
-            .collect();
-        for (g, slot) in state.iter().zip(&self.slots) {
-            g.set(i64::from(slot.state.load(Ordering::Relaxed)));
-        }
-        let recoveries = (0..self.slots.len())
-            .map(|p| {
-                meter.counter_with(
+                );
+                state.set(i64::from(slot.state.load(Ordering::Relaxed)));
+                let recoveries = meter.counter_with(
                     "aaa_net_peer_recoveries_total",
                     "Peer transitions from down back to up",
-                    &[("peer", p.to_string())],
-                )
+                    &[("peer", label)],
+                );
+                Some(PeerInstruments {
+                    peer,
+                    state,
+                    recoveries,
+                })
             })
             .collect();
-        self.instruments = Some(HealthInstruments { state, recoveries });
+    }
+
+    /// The series of `peer`, if it is metered.
+    fn instruments(&self, peer: ServerId) -> Option<&PeerInstruments> {
+        let at = self
+            .instruments
+            .binary_search_by_key(&peer, |ins| ins.peer)
+            .ok()?;
+        self.instruments.get(at)
     }
 
     /// Current verdict for `peer`. Unknown peers read as [`PeerState::Up`]
@@ -158,10 +178,8 @@ impl PeerHealth {
         if prev != PeerState::Up as u8 {
             self.export_state(peer, PeerState::Up);
             if prev == PeerState::Down as u8 {
-                if let Some(ins) = &self.instruments {
-                    if let Some(c) = ins.recoveries.get(peer.as_usize()) {
-                        c.inc();
-                    }
+                if let Some(ins) = self.instruments(peer) {
+                    ins.recoveries.inc();
                 }
             }
         }
@@ -198,10 +216,8 @@ impl PeerHealth {
     }
 
     fn export_state(&self, peer: ServerId, state: PeerState) {
-        if let Some(ins) = &self.instruments {
-            if let Some(g) = ins.state.get(peer.as_usize()) {
-                g.set(i64::from(state as u8));
-            }
+        if let Some(ins) = self.instruments(peer) {
+            ins.state.set(i64::from(state as u8));
         }
     }
 }
@@ -256,7 +272,7 @@ mod tests {
         let registry = Registry::new();
         let meter = Meter::new(&registry).with_label("server", "0");
         let mut h = PeerHealth::new(2);
-        h.attach_meter(&meter);
+        h.attach_meter(&meter, &[ServerId::new(0), ServerId::new(1)]);
         let p = ServerId::new(1);
         let labels = [("server", "0"), ("peer", "1")];
         assert_eq!(

@@ -10,7 +10,8 @@
 //! - [`wire`] — a hand-rolled, byte-exact binary codec. Stamp sizes on the
 //!   wire are a first-class measurement in the paper (the `O(n²)` problem
 //!   and the Appendix-A remedy), so the codec is deliberately explicit
-//!   about every byte;
+//!   about every byte. It encodes into buffers sized up front and decodes
+//!   byte and string fields as views of the received buffer;
 //! - [`frame`] — the wire frames: stamped middleware messages and link
 //!   acknowledgements;
 //! - [`link`] — sans-IO reliable FIFO link endpoints
@@ -23,9 +24,9 @@
 //! - [`mux`] — the TCP transport: many logical links per localhost socket
 //!   ([`MuxTcpNetwork`] binds one listener per shard worker), per-link
 //!   FIFO preserved;
-//! - [`decode`] — zero-copy incremental frame decoding ([`FrameBuf`]):
-//!   payloads borrow from the recv buffer instead of allocating per
-//!   datagram;
+//! - [`decode`] — incremental frame decoding ([`FrameBuf`]): one copy
+//!   per drain into a shared buffer, whose views the payloads are,
+//!   instead of an allocation per datagram;
 //! - [`transport`] — the [`Transport`] trait the runtime drives:
 //!   non-blocking readiness ([`Transport::poll_recv`] +
 //!   [`Transport::set_ready_notifier`]) and batch-native sends
@@ -73,3 +74,4 @@ pub use memory::{Incoming, MemoryEndpoint, MemoryNetwork};
 pub use metrics::NetMetrics;
 pub use mux::{MuxTcpEndpoint, MuxTcpNetwork};
 pub use transport::{NotifySlot, ReadyNotifier, Transport};
+pub use wire::Utf8Bytes;

@@ -30,6 +30,14 @@
 //! the unacked queue at buffer time (so they are persisted and re-flushed
 //! after a crash), and the receiver acknowledges cumulatively once per
 //! arriving batch.
+//!
+//! # Cost per frame
+//!
+//! The sender keeps each payload it was given (a refcount, not a copy) for
+//! retransmission, which re-sends exactly those bytes. The receiver
+//! appends an in-order frame straight to its caller's buffer
+//! ([`LinkReceiver::on_frame_into`]), allocating nothing for it; only a
+//! frame that arrives ahead of a gap goes into the reorder map.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -451,18 +459,33 @@ impl LinkReceiver {
     /// but *do* re-emit the ack, so a lost ack is eventually repaired by
     /// the sender's retransmission.
     pub fn on_frame(&mut self, frame: LinkFrame) -> LinkDelivery {
-        if frame.seq > self.cum {
+        let mut delivered = Vec::new();
+        let ack = self.on_frame_into(frame, &mut delivered);
+        LinkDelivery {
+            delivered,
+            ack: Some(ack),
+        }
+    }
+
+    /// [`LinkReceiver::on_frame`] for a caller that keeps one buffer
+    /// across frames: the deliverable payloads are appended to `delivered`,
+    /// and the cumulative ack to emit is returned. An in-order frame never
+    /// touches the reorder map, so with room in `delivered` it costs no
+    /// allocation.
+    pub fn on_frame_into(&mut self, frame: LinkFrame, delivered: &mut Vec<Bytes>) -> u64 {
+        if frame.seq == self.cum + 1 {
+            // The next frame in order: it never touches the reorder map.
+            self.cum += 1;
+            delivered.push(frame.payload);
+        } else if frame.seq > self.cum {
             self.buffered.entry(frame.seq).or_insert(frame.payload);
         }
-        let mut delivered = Vec::new();
+        // A frame in order may close a gap the map was holding open.
         while let Some(payload) = self.buffered.remove(&(self.cum + 1)) {
             self.cum += 1;
             delivered.push(payload);
         }
-        LinkDelivery {
-            delivered,
-            ack: Some(self.cum),
-        }
+        self.cum
     }
 
     /// Highest contiguously delivered sequence number.
@@ -710,6 +733,22 @@ mod tests {
     }
 
     #[test]
+    fn a_flush_carries_only_buffered_frames() {
+        let mut tx = LinkSender::new().with_policy(BatchPolicy {
+            max_frames: 4,
+            ..BatchPolicy::default()
+        });
+        assert!(tx.buffer(payload("a"), VTime::ZERO).is_none());
+        let sent = tx.send(payload("b"), VTime::ZERO);
+        assert!(tx.buffer(payload("c"), VTime::ZERO).is_none());
+        assert_eq!(tx.pending_len(), 2, "the sent frame is not pending");
+        let batch = tx.flush().expect("pending frames");
+        let seqs: Vec<u64> = batch.iter().map(|f| f.seq).collect();
+        assert_eq!(seqs, vec![1, 3], "frame {} went out on its own", sent.seq);
+        assert_eq!(tx.in_flight(), 3);
+    }
+
+    #[test]
     fn max_frames_limit_splits_batches() {
         let mut tx = LinkSender::new().with_policy(BatchPolicy {
             max_frames: 3,
@@ -840,6 +879,22 @@ mod tests {
         });
         assert_eq!(out.delivered.len(), 1);
         assert_eq!(out.ack, Some(6));
+    }
+
+    #[test]
+    fn on_frame_into_appends_to_the_callers_buffer() {
+        let mut rx = LinkReceiver::new();
+        let frame = |seq, p| LinkFrame {
+            seq,
+            payload: payload(p),
+        };
+        let mut out = vec![payload("kept")];
+        assert_eq!(rx.on_frame_into(frame(2, "b"), &mut out), 0, "a gap");
+        assert_eq!(out, vec![payload("kept")]);
+        assert_eq!(rx.on_frame_into(frame(1, "a"), &mut out), 2);
+        assert_eq!(out, vec![payload("kept"), payload("a"), payload("b")]);
+        assert_eq!(rx.on_frame_into(frame(2, "dup"), &mut out), 2);
+        assert_eq!(out.len(), 3, "a duplicate appends nothing");
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //! one reader per accepted stream), which is the ordering property the
 //! AAA channel's causal protocol needs from its substrate.
 //!
-//! Frames are decoded **zero-copy** through [`FrameBuf`]: payloads are
-//! shared views into one buffer per read burst, not per-datagram
+//! Frames are decoded through [`FrameBuf`]: payloads are shared views into
+//! one buffer per read burst, copied once per burst, not per-datagram
 //! allocations.
 //!
 //! Sends never sleep or retry — endpoints are driven from event-loop
@@ -370,7 +370,7 @@ fn mux_payload_len(header: &[u8]) -> Option<usize> {
     (len <= MAX_FRAME).then_some(len)
 }
 
-/// Demultiplexes one accepted stream: decodes mux frames zero-copy and
+/// Demultiplexes one accepted stream: decodes mux frames into shared views and
 /// routes each to its destination server's inbox, then pokes that
 /// server's readiness notifier.
 fn shard_reader_loop(stream: TcpStream, shared: &MuxShared) {

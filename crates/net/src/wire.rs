@@ -16,10 +16,84 @@
 //!
 //! Every count read off the wire is checked against the bytes that remain
 //! before anything is allocated for it ([`Decoder::count`]).
+//!
+//! Neither side allocates per field. A caller that knows the encoded size
+//! (every frame on the hop path does, by arithmetic) starts the
+//! [`Encoder`] at exactly that capacity, and [`Encoder::finish`] adopts the
+//! buffer without a copy. The [`Decoder`] hands out byte fields as views of
+//! the buffer it reads, and strings as [`Utf8Bytes`]: views too, validated
+//! once, at decode time.
 
 use aaa_base::{AgentId, DomainId, DomainServerId, Error, MessageId, Result, ServerId};
 use aaa_clocks::{MatrixClock, Stamp, UpdateEntry};
 use bytes::{Buf, Bytes};
+
+/// A UTF-8 string held as [`Bytes`]: validated once, on construction.
+/// Reading one off the wire does not allocate — it is a view of the buffer
+/// it was decoded from — and cloning one is O(1).
+#[derive(Clone, PartialEq, Eq)]
+pub struct Utf8Bytes(Bytes);
+
+impl Utf8Bytes {
+    /// Borrows a static string: no allocation.
+    pub const fn from_static(s: &'static str) -> Self {
+        Utf8Bytes(Bytes::from_static(s.as_bytes()))
+    }
+
+    /// The string.
+    pub fn as_str(&self) -> &str {
+        // Every constructor validated the bytes, so this never falls back.
+        std::str::from_utf8(&self.0).unwrap_or_default()
+    }
+}
+
+impl TryFrom<Bytes> for Utf8Bytes {
+    type Error = Error;
+
+    fn try_from(raw: Bytes) -> Result<Self> {
+        match std::str::from_utf8(&raw) {
+            Ok(_) => Ok(Utf8Bytes(raw)),
+            Err(e) => Err(Error::Codec(format!("invalid utf-8 string: {e}"))),
+        }
+    }
+}
+
+impl From<String> for Utf8Bytes {
+    fn from(s: String) -> Self {
+        Utf8Bytes(Bytes::from(s.into_bytes()))
+    }
+}
+
+impl From<&'static str> for Utf8Bytes {
+    fn from(s: &'static str) -> Self {
+        Utf8Bytes::from_static(s)
+    }
+}
+
+impl From<Utf8Bytes> for String {
+    fn from(s: Utf8Bytes) -> Self {
+        s.as_str().to_owned()
+    }
+}
+
+impl std::ops::Deref for Utf8Bytes {
+    type Target = str;
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl PartialEq<&str> for Utf8Bytes {
+    fn eq(&self, other: &&str) -> bool {
+        self.0 == *other.as_bytes()
+    }
+}
+
+impl std::fmt::Debug for Utf8Bytes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(self.as_str(), f)
+    }
+}
 
 /// Incremental encoder over a growable byte buffer.
 #[derive(Debug, Default)]
@@ -33,6 +107,14 @@ impl Encoder {
         Self::default()
     }
 
+    /// Creates an encoder whose buffer holds `cap` bytes before it grows:
+    /// given the exact encoded size, the one allocation of the encoding.
+    pub fn with_capacity(cap: usize) -> Self {
+        Encoder {
+            buf: Vec::with_capacity(cap),
+        }
+    }
+
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -43,7 +125,8 @@ impl Encoder {
         self.buf.is_empty()
     }
 
-    /// Finishes encoding, returning the frozen buffer.
+    /// Finishes encoding, returning the buffer frozen: adopted, not
+    /// copied.
     pub fn finish(self) -> Bytes {
         Bytes::from(self.buf)
     }
@@ -244,14 +327,25 @@ impl Decoder {
     pub fn bytes(&mut self) -> Result<Bytes> {
         let len = self.u32()? as usize;
         self.need(len, "bytes body")?;
+        if len == self.buf.len() {
+            // The last field takes the buffer itself: no share to count.
+            return Ok(std::mem::take(&mut self.buf));
+        }
         Ok(self.buf.split_to(len))
     }
 
-    /// Reads a length-prefixed UTF-8 string.
+    /// Reads a length-prefixed UTF-8 string as a view of the buffer.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Codec`] on truncation or invalid UTF-8.
+    pub fn utf8(&mut self) -> Result<Utf8Bytes> {
+        self.bytes().and_then(Utf8Bytes::try_from)
+    }
+
+    /// Reads a length-prefixed UTF-8 string into an owned `String`.
     pub fn string(&mut self) -> Result<String> {
-        let raw = self.bytes()?;
-        String::from_utf8(raw.to_vec())
-            .map_err(|e| Error::Codec(format!("invalid utf-8 string: {e}")))
+        self.utf8().map(String::from)
     }
 
     /// Reads a server id.
@@ -381,6 +475,22 @@ mod tests {
         assert_eq!(&d.bytes().unwrap()[..], b"abc");
         assert_eq!(d.string().unwrap(), "caf\u{e9}");
         assert_eq!(d.remaining(), 0);
+    }
+
+    #[test]
+    fn strings_decode_as_validated_views() {
+        let mut e = Encoder::with_capacity(4 + 4 + 4 + 2);
+        e.string("kind").bytes(&[0xff, 0xfe]);
+        assert_eq!(e.len(), 4 + 4 + 4 + 2, "presized exactly");
+        let buf = e.finish();
+        let at = buf.as_ptr();
+        let mut d = Decoder::new(buf);
+        let kind = d.utf8().unwrap();
+        assert_eq!(kind, "kind");
+        assert_eq!(kind.as_ptr(), at.wrapping_add(4), "a view of the buffer");
+        assert!(matches!(d.utf8(), Err(Error::Codec(_))), "invalid utf-8");
+        assert_eq!(String::from(kind.clone()), "kind");
+        assert_eq!(Utf8Bytes::from("kind".to_owned()), kind, "equal by content");
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! lists of tags 6 and 7 must round-trip any list, refuse every malformed
 //! input with `Error::Codec`, and never allocate out of proportion to the
 //! bytes they were given. It runs the default number of cases, which
-//! `PROPTEST_CASES` deepens (CI does on pushes to `main`).
+//! `PROPTEST_CASES` deepens (CI does on pushes to `main`). The same
+//! counting allocator holds the receiver's in-order path to no allocation.
 
 // The counting allocator below is this package's one piece of `unsafe`; it
 // forwards every call to `System` unchanged. See `[lints]` in the manifest.
@@ -178,7 +179,7 @@ fn arb_message() -> impl Strategy<Value = WireMessage> {
                 dest_server: ServerId::new(dest),
                 domain: DomainId::new(domain),
                 stamp,
-                kind,
+                kind: kind.into(),
                 body: Bytes::from(body),
             },
         )
@@ -419,5 +420,30 @@ fn malformed_packed_stamps_are_refused_by_name() {
         }];
         let stamp = decode_bounded(Bytes::from(input)).expect("decodes");
         assert!(stamp == Stamp::Delta(entries.clone()) || stamp == Stamp::Hybrid(entries));
+    }
+}
+
+/// A frame that arrives in order passes through the receiver without
+/// allocating: it never enters the reorder map, and its one payload is
+/// appended to the caller's buffer.
+#[test]
+fn in_order_frames_allocate_nothing() {
+    let mut rx = LinkReceiver::new();
+    let frames: Vec<LinkFrame> = (1..=64u8)
+        .map(|seq| LinkFrame {
+            seq: u64::from(seq),
+            payload: Bytes::from(vec![seq; 16]),
+        })
+        .collect();
+    let mut delivered = Vec::with_capacity(frames.len());
+    for frame in frames {
+        let seq = frame.seq;
+        let (ack, allocated) = allocated_by(|| rx.on_frame_into(frame, &mut delivered));
+        assert_eq!(delivered.len() as u64, seq, "frame {seq} delivered");
+        assert_eq!(ack, seq);
+        assert_eq!(
+            allocated, 0,
+            "in-order frame {seq} allocated {allocated} bytes"
+        );
     }
 }

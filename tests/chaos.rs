@@ -444,7 +444,9 @@ fn fault_transport_partition_heals_on_threaded_runtime() {
     )
     .unwrap();
 
-    let all_up = (2 * n * n) as i64; // every (server, peer) gauge at Up=2
+    // Every (server, neighbour) gauge at Up=2: one domain, so each server
+    // meters the n - 1 others.
+    let all_up = (2 * n * (n - 1)) as i64;
 
     // Phase 1: a healthy round trip.
     mom.send(aid(0, 9), aid(1, 1), Notification::new("m", "pre"))

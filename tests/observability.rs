@@ -8,6 +8,9 @@ mod common;
 
 use std::time::Duration;
 
+use aaa_middleware::chaos::{ChaosHandle, FaultPlan, FaultTransport};
+use aaa_middleware::mom::Transport;
+use aaa_middleware::net::MemoryNetwork;
 use aaa_middleware::prelude::*;
 
 fn aid(s: u16, l: u32) -> AgentId {
@@ -290,6 +293,41 @@ fn net_series_follow_domain_neighbours() {
     );
     // The cross-domain round trip crossed the routers' links and was counted.
     assert!(snap.sum_counter("aaa_net_tx_frames_total") >= 6);
+    mom.shutdown();
+}
+
+/// The failure detector a `FaultTransport` adds meters the same peers:
+/// its two per-peer families stay within 2 × Σ neighbours series on a
+/// `bus(8,8)` (1 008), where one series per server pair was 2 × 64².
+#[test]
+fn health_series_follow_domain_neighbours() {
+    let spec = TopologySpec::bus(8, 8);
+    let n = spec.server_count();
+    let handle = ChaosHandle::new(FaultPlan::new(3)).unwrap();
+    let transports: Vec<Box<dyn Transport>> = MemoryNetwork::create(n)
+        .into_iter()
+        .map(|ep| Box::new(FaultTransport::new(ep, &handle, n)) as Box<dyn Transport>)
+        .collect();
+    let mom = MomBuilder::new(spec)
+        .transports(transports)
+        .runtime(RuntimeConfig::evented(2).metrics(true))
+        .build()
+        .unwrap();
+    let topo = mom.topology();
+    let neighbours: usize = topo.servers().map(|s| topo.neighbors(s).len()).sum();
+    mom.register_agent(ServerId::new(63), 1, Box::new(EchoAgent))
+        .unwrap();
+    mom.send(aid(1, 9), aid(63, 1), Notification::signal("hi"))
+        .unwrap();
+    assert!(mom.quiesce(Duration::from_secs(30)));
+
+    let snap = mom.metrics();
+    let series = |family: &str| snap.family(family).map_or(0, |f| f.samples.len());
+    let health = series("aaa_net_peer_state") + series("aaa_net_peer_recoveries_total");
+    assert!(
+        (1..=2 * neighbours).contains(&health),
+        "{health} health series for {neighbours} neighbour pairs"
+    );
     mom.shutdown();
 }
 
