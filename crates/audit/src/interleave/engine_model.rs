@@ -25,7 +25,7 @@
 //! - **Quiescence** — when no transition is enabled, nothing may be
 //!   permanently postponed and every destination must have received its
 //!   full quota.
-//! - **Mode equivalence** — each delta mode (`Updates`, `Hybrid`) runs
+//! - **Mode equivalence** — the delta mode (`Updates`) runs
 //!   in lock-step with a [`StampMode::Full`] reference:
 //!   same group-continuation decisions, same link counter and carried
 //!   predicate-column cells, same delivery verdicts, same

@@ -505,7 +505,6 @@ pub fn record_model_states(meter: &Meter) {
     for (label, mode) in [
         ("engine-full", StampMode::Full),
         ("engine-updates", StampMode::Updates),
-        ("engine-hybrid", StampMode::Hybrid),
     ] {
         let m = interleave::EngineModel {
             cfg: interleave::EngineConfig::ci(mode),

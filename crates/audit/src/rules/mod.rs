@@ -252,8 +252,8 @@ pub fn explain(rule: &str) -> &'static str {
         }
         r if r == PERSIST_BEFORE_DELIVER => {
             "Delivery is an irreversible protocol effect: once a clock engine's DELIV row \
-             advances (CausalState::deliver) or a hybrid-mode buffer entry is released \
-             (on_ack), peers' matrix clocks may already encode that the message is consumed. \
+             advances (CausalState::deliver) or a link's retransmission buffer releases the \
+             frames a cumulative ack covers (on_ack), peers' matrix clocks may already encode that the message is consumed. \
              If the transition lives only in memory, a crash forks history — the reloaded \
              server re-admits the message and exactly-once dies on the recovery path. The \
              rule requires every `.deliver(from, pending)` / `.on_ack(from)` site in mom to \

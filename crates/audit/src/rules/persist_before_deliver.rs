@@ -4,8 +4,9 @@
 //! The paper's recovery story (§5) assumes the causal state a server
 //! reloads after a crash agrees with what its peers observed: once a
 //! message is *delivered* (the clock engine's `DELIV` row advances) or an
-//! ack is *consumed* (a hybrid-mode buffer entry is released), that
-//! transition must be reconstructible from disk. A delivery that mutates
+//! ack is *consumed* (a link's retransmission buffer releases the frames a
+//! cumulative ack covers, `on_ack`), that transition must be
+//! reconstructible from disk. A delivery that mutates
 //! only in-memory clock state before anything reaches the
 //! [`StableStore`](../../../storage) is exactly-once on the happy path
 //! and at-least-twice after recovery — the peer's matrix says the message

@@ -3,7 +3,7 @@
 //! `v.len() as u32` in an encoder silently truncates once the collection
 //! crosses 2³² entries; the decoder then reads a *valid-looking* length
 //! prefix and deserializes a structurally consistent but wrong value — the
-//! worst kind of wire bug, because nothing errors. The hybrid-buffering
+//! worst kind of wire bug, because nothing errors. The causal-delivery
 //! literature (PAPERS.md) places exactly this class of protocol-soundness
 //! bug at the root of causal-delivery failures in scalable systems.
 //!

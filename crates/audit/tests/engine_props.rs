@@ -60,14 +60,14 @@ proptest! {
     /// (and everything else) matches run to run.
     #[test]
     fn same_seed_replays_identically(seed in any::<u64>()) {
-        let a = ci_exploration(StampMode::Hybrid, seed);
-        let b = ci_exploration(StampMode::Hybrid, seed);
+        let a = ci_exploration(StampMode::Updates, seed);
+        let b = ci_exploration(StampMode::Updates, seed);
         prop_assert_eq!(a, b);
     }
 }
 
-/// Regression pin on the CI shape's reachable state count, for **all
-/// three** stamp modes. The counts are identical across modes by design:
+/// Regression pin on the CI shape's reachable state count, for **both**
+/// stamp modes. The counts are identical across modes by design:
 /// equivalent modes take identical delivery decisions, so the
 /// network-level transition structure — and with it the reachable graph
 /// — is mode-independent. A mode whose count diverges from the others

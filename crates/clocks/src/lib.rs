@@ -16,12 +16,11 @@
 //! - [`CausalState`] — the per-domain causal delivery protocol
 //!   (Raynal–Schiper–Toueg style) used by every AAA channel: one state
 //!   machine whose [`StampMode`] selects what a send puts on the wire —
-//!   [`StampMode::Full`] (the whole matrix; the dense reference),
+//!   [`StampMode::Full`] (the whole matrix; the dense reference) or
 //!   [`StampMode::Updates`] (only modified entries — Appendix A of the
-//!   paper) or [`StampMode::Hybrid`] (the Updates delta pruned by
-//!   Almeida-style sender-side buffering).
+//!   paper).
 //!
-//! The three modes take identical delivery decisions and differ only in
+//! The two modes take identical delivery decisions and differ only in
 //! stamp bytes and bookkeeping cost; [`protocol`] states the contract.
 //!
 //! # Example: two servers exchanging causally ordered messages

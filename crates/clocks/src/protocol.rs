@@ -7,7 +7,7 @@
 //!   `k → l` that `i` knows of) and `DELIV` (a vector: messages from `k`
 //!   delivered at `i`);
 //! - **send `i → j`**: increment `SENT[i][j]`, piggyback the matrix (whole,
-//!   as Update deltas, or as deltas pruned against the peer's knowledge);
+//!   or as Update deltas);
 //! - **deliverable at `j`** (message from `i` whose stamp stands for the
 //!   sender matrix `ST`): `ST[i][j] == DELIV[i] + 1` and
 //!   `ST[k][j] <= DELIV[k]` for all `k != i` — `j` must already have
@@ -29,7 +29,7 @@
 //! Write `image_i` for the sender's `SENT` matrix at the instant it stamped
 //! its `i`-th frame to this server. [`StampMode::Full`] ships `image_i`
 //! whole and its [`PendingStamp`] holds it: the dense `n²` reference. A
-//! delta frame ([`Stamp::Delta`], [`Stamp::Hybrid`]) ships `delta_i` with
+//! delta frame ([`Stamp::Delta`]) ships `delta_i` with
 //! `image_i = max(image_{i-1}, delta_i)`; a [`Stamp::GroupNext`]
 //! continuation ships nothing and stands for `image_{i-1}` with the link
 //! cell `[from][me]` one higher. For those frames the [`PendingStamp`] is
@@ -59,15 +59,14 @@
 //! 3. **What a delta must carry.** Unchanged from the dense form: every
 //!    cell of the receiver's column the sender changed since its last
 //!    frame to this receiver (an omission delivers early), and every other
-//!    changed cell unless the receiver provably dominates it (Hybrid's
-//!    pruning) — so `SENT` ends identical to Full-mode delivery.
+//!    changed cell — so `SENT` ends identical to Full-mode delivery.
 //! 4. **Persistence round-trip.** [`CausalState::write_bytes`] followed by
 //!    [`CausalState::read_bytes`] resumes the protocol mid-stream,
-//!    including mid-batch [`Stamp::GroupNext`] continuation state and the
-//!    Hybrid sender-side knowledge model; a postponed [`PendingStamp`]
-//!    round-trips through its own `write_bytes`/`read_bytes`.
+//!    including mid-batch [`Stamp::GroupNext`] continuation state; a
+//!    postponed [`PendingStamp`] round-trips through its own
+//!    `write_bytes`/`read_bytes`.
 //!
-//! All three modes therefore take **identical delivery decisions** — the
+//! Both modes therefore take **identical delivery decisions** — the
 //! mode-generic conformance suite (`tests/conformance.rs`) checks this
 //! observationally against [`StampMode::Full`], and `tests/differential.rs`
 //! checks the sparse form step by step against a textbook dense
@@ -88,19 +87,18 @@
 //! block index (`n² / 4` bytes), the tree of maxima (`n² / 8` bytes) and
 //! the blocks its traffic reached — not two dense `n²` arrays of `u64`.
 //! On ring traffic in a domain of 256 that is about 100 KB per server
-//! instead of 1 MB. Hybrid's knowledge models are [`MatrixClock`]s, so
-//! they hold what was shipped to or heard from each peer, not `n²` cells
-//! apiece.
+//! instead of 1 MB.
 //!
 //! # Persistence image
 //!
 //! `me: u16`, `n: u32`, mode byte, `SENT`, `DELIV`, the logical instant,
-//! the `n²` change tags, the per-peer send instants, the per-sender link
-//! counters (`n × u64`) and, in Hybrid, the knowledge model. The block
-//! maxima over the tags are rebuilt on read. Mode bytes are 4 (`Full`), 5 (`Updates`)
-//! and 6 (`Hybrid`); bytes 0, 1 and 3 were the same modes when the image
-//! still carried an `n × n²` section of per-sender image matrices, byte 2
-//! was the retired `Reduced` mode, and all four are refused.
+//! the `n²` change tags, the per-peer send instants and the per-sender link
+//! counters (`n × u64`). The block maxima over the tags are rebuilt on
+//! read. Mode bytes are 4 (`Full`) and 5 (`Updates`). Bytes 0, 1 and 3
+//! were `Full`, `Updates` and the retired `Hybrid` when the image still
+//! carried an `n × n²` section of per-sender image matrices, byte 2 was
+//! the retired `Reduced` mode, byte 6 was `Hybrid` with its per-peer
+//! knowledge model as the image's tail, and all five are refused.
 //!
 //! The image stays dense although the resident state is not: `SENT` and
 //! its tags are written as `n²` counters each, byte for byte what a dense
@@ -350,9 +348,7 @@ impl ChangeTree {
 /// hold several, one per domain they belong to (§5).
 ///
 /// The state is the RST matrix/vector pair, the Appendix-A change-tracking
-/// bookkeeping and one link counter per sender, plus — in
-/// [`StampMode::Hybrid`] only — a sender-side model of what each peer
-/// already knows.
+/// bookkeeping and one link counter per sender.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CausalState {
     me: DomainServerId,
@@ -376,12 +372,6 @@ pub struct CausalState {
     /// the one cell of the sender's matrix a later frame builds on (a
     /// continuation adds one to it). `0` means no frame yet.
     link: Vec<u64>,
-    /// Hybrid only (empty otherwise): `know[j]` is a lower bound on peer
-    /// `j`'s own `SENT` matrix. Raised by everything shipped to `j` (FIFO
-    /// links land it at the peer before any later frame) and by
-    /// everything received *from* `j` (a peer's stamp is a snapshot of its
-    /// own matrix).
-    know: Vec<Option<MatrixClock>>,
     /// Entries in the last delta this state collected: the next walk's
     /// starting capacity, so a delta is not grown by doubling. A sizing
     /// hint, not state: `==` and the image leave it out.
@@ -402,36 +392,34 @@ impl PartialEq for CausalState {
             changes,
             node_state,
             link,
-            know,
             delta_hint: _,
         } = self;
-        (
-            me, n, mode, sent, deliv, state, changes, node_state, link, know,
-        ) == (
-            &other.me,
-            &other.n,
-            &other.mode,
-            &other.sent,
-            &other.deliv,
-            &other.state,
-            &other.changes,
-            &other.node_state,
-            &other.link,
-            &other.know,
-        ) && sent.tags_eq(&other.sent)
+        (me, n, mode, sent, deliv, state, changes, node_state, link)
+            == (
+                &other.me,
+                &other.n,
+                &other.mode,
+                &other.sent,
+                &other.deliv,
+                &other.state,
+                &other.changes,
+                &other.node_state,
+                &other.link,
+            )
+            && sent.tags_eq(&other.sent)
     }
 }
 
 impl Eq for CausalState {}
 
-/// The persistence image's mode byte. Bytes 0, 1 and 3 were these modes in
-/// the layout that carried per-sender image matrices and byte 2 the
-/// retired `Reduced` mode; [`CausalState::read_bytes`] refuses all four.
+/// The persistence image's mode byte. Bytes 0, 1 and 3 were the modes of
+/// the layout that carried per-sender image matrices, byte 2 the retired
+/// `Reduced` mode and byte 6 the retired `Hybrid` mode;
+/// [`CausalState::read_bytes`] refuses all five.
 fn mode_byte(mode: StampMode) -> u8 {
     match mode {
         StampMode::Full => 4,
         StampMode::Updates => 5,
-        StampMode::Hybrid => 6,
     }
 }
 
@@ -459,10 +447,6 @@ impl CausalState {
             state: 0,
             node_state: vec![0; n],
             link: vec![0; n],
-            know: match mode {
-                StampMode::Hybrid => vec![None; n],
-                StampMode::Full | StampMode::Updates => Vec::new(),
-            },
             delta_hint: 0,
         }
     }
@@ -525,13 +509,9 @@ impl CausalState {
         since
     }
 
-    /// Collects the entries modified since logical instant `since` for
-    /// which `keep(row, col, value)` holds, in row-major order.
-    fn collect_changed(
-        &self,
-        since: u64,
-        mut keep: impl FnMut(usize, usize, u64) -> bool,
-    ) -> Vec<UpdateEntry> {
+    /// Collects the entries modified since logical instant `since`, in
+    /// row-major order.
+    fn collect_changed(&self, since: u64) -> Vec<UpdateEntry> {
         let n = self.n;
         let mut out = Vec::with_capacity(self.delta_hint);
         // Cells arrive in ascending order: divide once per row entered,
@@ -544,24 +524,16 @@ impl CausalState {
                     row_start = row * n;
                 }
                 let col = cell - row_start;
-                if keep(row, col, value) {
-                    // `n <= u16::MAX` is a construction invariant, so the
-                    // checked narrowing never saturates in practice; if it
-                    // ever did, the peer would reject the frame loudly.
-                    out.push(UpdateEntry {
-                        row: u16::try_from(row).unwrap_or(u16::MAX),
-                        col: u16::try_from(col).unwrap_or(u16::MAX),
-                        value,
-                    });
-                }
+                // `n <= u16::MAX` is a construction invariant, so the
+                // checked narrowing never saturates in practice; if it
+                // ever did, the peer would reject the frame loudly.
+                out.push(UpdateEntry {
+                    row: u16::try_from(row).unwrap_or(u16::MAX),
+                    col: u16::try_from(col).unwrap_or(u16::MAX),
+                    value,
+                });
             });
         out
-    }
-
-    /// Hybrid: the knowledge model of `peer`, created on first use.
-    fn know_mut(&mut self, peer: usize) -> &mut MatrixClock {
-        let n = self.n;
-        self.know[peer].get_or_insert_with(|| MatrixClock::new(n))
     }
 
     /// Stamps a message about to be sent to `to` and updates the local
@@ -592,12 +564,6 @@ impl CausalState {
             && self.sent.get(me, t) > 0
         {
             self.bump_send(to);
-            if self.mode == StampMode::Hybrid {
-                // The receiver's counter gains the increment, so the model
-                // does.
-                let v = self.sent.get(me, t);
-                self.know_mut(t).raise(me, t, v);
-            }
             return Stamp::GroupNext;
         }
         let since = self.bump_send(to);
@@ -608,44 +574,9 @@ impl CausalState {
             // Appendix A: every entry modified since the last send to
             // this peer.
             StampMode::Updates => {
-                let entries = self.collect_changed(since, |_, _, _| true);
+                let entries = self.collect_changed(since);
                 self.delta_hint = entries.len();
                 Stamp::Delta(entries)
-            }
-            // The Updates delta pruned against `know[to]`:
-            //
-            // - entries in the peer's own row (`row == to`) are never
-            //   shipped — only the peer increments its row, so its own
-            //   copy always dominates;
-            // - entries the model already attributes to the peer
-            //   (`know[to][r][c] ≥ SENT[r][c]`) are skipped — the
-            //   delivery merge loses nothing the peer already has;
-            // - entries in the peer's column (`col == to`) are **always**
-            //   shipped when changed: that column is the §4.2 delivery
-            //   predicate, and "the peer *knows of* the message" does not
-            //   imply "the peer *delivered* it", so pruning there would
-            //   release messages early.
-            //
-            // The pruning pays off on echo-shaped traffic — pub/sub
-            // replies, ping-pong — where Updates keeps re-shipping
-            // counters the peer originated.
-            StampMode::Hybrid => {
-                let know = &self.know[t];
-                let entries = self.collect_changed(since, |r, c, value| {
-                    if r == t {
-                        return false;
-                    }
-                    if c == t {
-                        return true;
-                    }
-                    match know {
-                        Some(k) => k.get(r, c) < value,
-                        None => true,
-                    }
-                });
-                raise_all(self.know_mut(t), &entries);
-                self.delta_hint = entries.len();
-                Stamp::Hybrid(entries)
             }
         }
     }
@@ -690,8 +621,7 @@ impl CausalState {
                 (_, Stamp::GroupNext) => (self.link[from.as_usize()] == 0)
                     .then(|| "GroupNext continuation with no prior frame".to_owned()),
                 (StampMode::Full, Stamp::Full(m)) => self.width_misfit(m),
-                (StampMode::Updates, Stamp::Delta(entries))
-                | (StampMode::Hybrid, Stamp::Hybrid(entries)) => self.entry_misfit(entries),
+                (StampMode::Updates, Stamp::Delta(entries)) => self.entry_misfit(entries),
                 (mode, other) => Some(format!(
                     "kind {} does not match configured mode {mode}",
                     other.kind()
@@ -750,23 +680,13 @@ impl CausalState {
                     self.link[f] > 0,
                     "GroupNext continuation with no prior frame from this sender"
                 );
-                let counter = self.link[f].saturating_add(1);
-                if self.mode == StampMode::Hybrid {
-                    self.know_mut(f).raise(f, me, counter);
-                }
-                (counter, Carried::Entries(Vec::new()))
+                (self.link[f].saturating_add(1), Carried::Entries(Vec::new()))
             }
             (StampMode::Full, Stamp::Full(m)) => {
                 assert_eq!(m.width(), self.n, "stamp width mismatch");
                 (m.get(f, me), Carried::Matrix(m))
             }
             (StampMode::Updates, Stamp::Delta(entries)) => self.keep_delta(f, entries),
-            (StampMode::Hybrid, Stamp::Hybrid(entries)) => {
-                // A peer's stamp is a snapshot of its own matrix: raise
-                // the knowledge model with everything it conveyed.
-                raise_all(self.know_mut(f), &entries);
-                self.keep_delta(f, entries)
-            }
             // Wire input is screened by `check_stamp`, so this is a
             // wiring bug in the caller, never a remote peer's doing.
             // audit:allow(panic-freedom)
@@ -863,9 +783,8 @@ impl CausalState {
 
     /// Appends a self-describing binary image of the whole causal state to
     /// `out`, suitable for crash-recovery journaling: identity, the mode
-    /// byte, every bookkeeping field (change tags, per-peer send instants,
-    /// per-sender link counters) and, in Hybrid mode, the knowledge model —
-    /// so a recovered server resumes its protocol, including a mid-batch
+    /// byte and every bookkeeping field (change tags, per-peer send
+    /// instants, per-sender link counters) — so a recovered server resumes its protocol, including a mid-batch
     /// [`Stamp::GroupNext`] group, exactly where it crashed.
     pub fn write_bytes(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.me.as_u16().to_le_bytes());
@@ -882,7 +801,6 @@ impl CausalState {
         for v in self.node_state.iter().chain(&self.link) {
             out.extend_from_slice(&v.to_le_bytes());
         }
-        write_optional_matrices(&self.know, out);
     }
 
     /// Reads an image written by [`CausalState::write_bytes`] from the
@@ -902,7 +820,6 @@ impl CausalState {
         let mode = match take(input, &mut at, 1)?[0] {
             4 => StampMode::Full,
             5 => StampMode::Updates,
-            6 => StampMode::Hybrid,
             _ => return None,
         };
         let (mut sent, used) = MatrixClock::read_bytes(&input[at..])?;
@@ -917,8 +834,6 @@ impl CausalState {
         let changes = ChangeTree::new(&sent);
         let node_state = read_u64s(input, &mut at, n)?;
         let link = read_u64s(input, &mut at, n)?;
-        let know_len = if mode == StampMode::Hybrid { n } else { 0 };
-        let know = read_optional_matrices(input, &mut at, know_len, n)?;
         Some((
             CausalState {
                 me,
@@ -930,7 +845,6 @@ impl CausalState {
                 changes,
                 node_state,
                 link,
-                know,
                 delta_hint: 0,
             },
             at,
@@ -946,13 +860,6 @@ fn refuse(what: &str, from: DomainServerId, misfit: Option<String>) -> Result<()
     }
 }
 
-/// Raises `m` to at least every entry's value.
-fn raise_all(m: &mut MatrixClock, entries: &[UpdateEntry]) {
-    for e in entries {
-        m.raise(usize::from(e.row), usize::from(e.col), e.value);
-    }
-}
-
 fn take<'a>(input: &'a [u8], at: &mut usize, n: usize) -> Option<&'a [u8]> {
     let s = input.get(*at..at.checked_add(n)?)?;
     *at += n;
@@ -964,48 +871,6 @@ fn read_u64s(input: &[u8], at: &mut usize, count: usize) -> Option<Vec<u64>> {
     body.chunks_exact(8)
         .map(|c| Some(u64::from_le_bytes(c.try_into().ok()?)))
         .collect()
-}
-
-/// Appends a `0`/`1`-tagged vector of optional matrices (the knowledge
-/// model's persistence shape).
-fn write_optional_matrices(ms: &[Option<MatrixClock>], out: &mut Vec<u8>) {
-    for m in ms {
-        match m {
-            None => out.push(0),
-            Some(m) => {
-                out.push(1);
-                m.write_bytes(out);
-            }
-        }
-    }
-}
-
-/// Reads `count` optional matrices written by [`write_optional_matrices`],
-/// validating each width against `n`.
-fn read_optional_matrices(
-    input: &[u8],
-    at: &mut usize,
-    count: usize,
-    n: usize,
-) -> Option<Vec<Option<MatrixClock>>> {
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        let tag = *input.get(*at)?;
-        *at += 1;
-        match tag {
-            0 => out.push(None),
-            1 => {
-                let (m, used) = MatrixClock::read_bytes(&input[*at..])?;
-                if m.width() != n {
-                    return None;
-                }
-                *at += used;
-                out.push(Some(m));
-            }
-            _ => return None,
-        }
-    }
-    Some(out)
 }
 
 #[cfg(test)]
@@ -1149,25 +1014,6 @@ mod tests {
         assert!(
             total_delta < full / 10,
             "deltas ({total_delta}B) should be far below full stamps ({full}B)"
-        );
-    }
-
-    #[test]
-    fn hybrid_smaller_than_full_matrix() {
-        let n = 40;
-        let mut a = CausalState::new(d(0), n, StampMode::Hybrid);
-        let mut b = CausalState::new(d(1), n, StampMode::Hybrid);
-        let mut total = 0usize;
-        for _ in 0..50 {
-            let s = single(&mut a, d(1));
-            total += s.encoded_len();
-            let p = b.on_frame(d(0), s);
-            b.deliver(d(0), &p);
-        }
-        let full = Stamp::Full(MatrixClock::new(n)).encoded_len() * 50;
-        assert!(
-            total * 10 < full,
-            "{total}B should be >=10x below full stamps ({full}B)"
         );
     }
 
@@ -1400,7 +1246,7 @@ mod tests {
                 StampMode::Full => Stamp::Full(MatrixClock::new(3)).encoded_len(),
                 // The one link cell, packed: count, row, run length,
                 // column, value.
-                StampMode::Updates | StampMode::Hybrid => UpdateEntry::packed_len(&[UpdateEntry {
+                StampMode::Updates => UpdateEntry::packed_len(&[UpdateEntry {
                     row: 0,
                     col: 1,
                     value: 1,
@@ -1505,143 +1351,10 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_sender_state_survives_persistence() {
-        // The knowledge model is sender-side state: persist the *sender*
-        // mid-conversation and check its next stamp is still both pruned
-        // and sufficient.
-        let mut a = CausalState::new(d(0), 3, StampMode::Hybrid);
-        let mut b = CausalState::new(d(1), 3, StampMode::Hybrid);
-        let s1 = a.stamp_send(d(1), Batching::Single);
-        let p1 = b.on_frame(d(0), s1);
-        b.deliver(d(0), &p1);
-        let r1 = b.stamp_send(d(0), Batching::Single);
-        let pr1 = a.on_frame(d(1), r1);
-        a.deliver(d(1), &pr1);
-
-        let mut buf = Vec::new();
-        a.write_bytes(&mut buf);
-        let (mut a2, used) = CausalState::read_bytes(&buf).expect("roundtrip");
-        assert_eq!(used, buf.len());
-        assert_eq!(a2, a);
-
-        let s2 = a2.stamp_send(d(1), Batching::Single);
-        // Steady-state echo ping: the recovered knowledge model still
-        // prunes b's own row.
-        assert_eq!(s2.entry_count(), 1, "recovered model must keep pruning");
-        let p2 = b.on_frame(d(0), s2);
-        assert!(b.can_deliver(d(0), &p2));
-        b.deliver(d(0), &p2);
-    }
-
-    #[test]
     #[should_panic(expected = "no prior frame")]
     fn continuation_without_predecessor_panics() {
         let mut b = CausalState::new(d(1), 2, StampMode::Full);
         let _ = b.on_frame(d(0), Stamp::GroupNext);
-    }
-
-    #[test]
-    fn hybrid_prunes_the_peers_own_row_on_echo_traffic() {
-        // Ping-pong: after a delivers b's echo, a's matrix has changed in
-        // row b — which Updates would ship straight back to b. Hybrid
-        // must not.
-        let mut a = CausalState::new(d(0), 3, StampMode::Hybrid);
-        let mut b = CausalState::new(d(1), 3, StampMode::Hybrid);
-        let s1 = a.stamp_send(d(1), Batching::Single);
-        let p1 = b.on_frame(d(0), s1);
-        b.deliver(d(0), &p1);
-        let r1 = b.stamp_send(d(0), Batching::Single);
-        let pr1 = a.on_frame(d(1), r1);
-        a.deliver(d(1), &pr1);
-
-        // Steady state: a's second ping conveys only its own counter.
-        let s2 = a.stamp_send(d(1), Batching::Single);
-        match &s2 {
-            Stamp::Hybrid(entries) => {
-                assert!(
-                    entries.iter().all(|e| e.row != 1),
-                    "b's own row shipped back to b: {entries:?}"
-                );
-                assert_eq!(entries.len(), 1, "steady-state ping: {entries:?}");
-            }
-            other => panic!("hybrid mode emitted {}", other.kind()),
-        }
-        let p2 = b.on_frame(d(0), s2);
-        assert!(b.can_deliver(d(0), &p2));
-        b.deliver(d(0), &p2);
-    }
-
-    #[test]
-    fn hybrid_never_prunes_the_predicate_column() {
-        // a sends to c, then to b; b forwards to c. The (a, c) counter is
-        // in c's predicate column: b's stamp to c must carry it even
-        // though b could believe c "knows" of it, because knowing is not
-        // delivering.
-        let (a_id, b_id, c_id) = (d(0), d(1), d(2));
-        let mut a = CausalState::new(a_id, 3, StampMode::Hybrid);
-        let mut b = CausalState::new(b_id, 3, StampMode::Hybrid);
-        let mut c = CausalState::new(c_id, 3, StampMode::Hybrid);
-
-        let m_ac = a.stamp_send(c_id, Batching::Single); // in flight
-        let m_ab = a.stamp_send(b_id, Batching::Single);
-        let p_ab = b.on_frame(a_id, m_ab);
-        b.deliver(a_id, &p_ab);
-
-        let m_bc = b.stamp_send(c_id, Batching::Single);
-        match &m_bc {
-            Stamp::Hybrid(entries) => assert!(
-                entries
-                    .iter()
-                    .any(|e| e.row == 0 && e.col == 2 && e.value == 1),
-                "predicate-column entry (a, c) pruned: {entries:?}"
-            ),
-            other => panic!("hybrid mode emitted {}", other.kind()),
-        }
-        let p_bc = c.on_frame(b_id, m_bc);
-        assert!(
-            !c.can_deliver(b_id, &p_bc),
-            "b's message causally follows a's and must wait"
-        );
-        let p_ac = c.on_frame(a_id, m_ac);
-        c.deliver(a_id, &p_ac);
-        assert!(c.can_deliver(b_id, &p_bc));
-        c.deliver(b_id, &p_bc);
-    }
-
-    #[test]
-    fn hybrid_smaller_than_updates_on_echo_traffic() {
-        let n = 8;
-        let mut ha = CausalState::new(d(0), n, StampMode::Hybrid);
-        let mut hb = CausalState::new(d(1), n, StampMode::Hybrid);
-        let mut ua = CausalState::new(d(0), n, StampMode::Updates);
-        let mut ub = CausalState::new(d(1), n, StampMode::Updates);
-        let (mut hybrid_bytes, mut updates_bytes) = (0usize, 0usize);
-        for _ in 0..40 {
-            let hs = ha.stamp_send(d(1), Batching::Single);
-            hybrid_bytes += hs.encoded_len();
-            let hp = hb.on_frame(d(0), hs);
-            hb.deliver(d(0), &hp);
-            let hr = hb.stamp_send(d(0), Batching::Single);
-            hybrid_bytes += hr.encoded_len();
-            let hpr = ha.on_frame(d(1), hr);
-            ha.deliver(d(1), &hpr);
-
-            let us = ua.stamp_send(d(1), Batching::Single);
-            updates_bytes += us.encoded_len();
-            let up = ub.on_frame(d(0), us);
-            ub.deliver(d(0), &up);
-            let ur = ub.stamp_send(d(0), Batching::Single);
-            updates_bytes += ur.encoded_len();
-            let upr = ua.on_frame(d(1), ur);
-            ua.deliver(d(1), &upr);
-        }
-        assert!(
-            hybrid_bytes < updates_bytes,
-            "hybrid ({hybrid_bytes}B) should undercut updates ({updates_bytes}B) on echoes"
-        );
-        // Same deliveries either way.
-        assert_eq!(ha.delivered_total(), ua.delivered_total());
-        assert_eq!(hb.sent(), ub.sent());
     }
 
     #[test]
@@ -1664,31 +1377,21 @@ mod tests {
 
     /// Every way a decoded stamp can fail to fit a 4-wide domain with no
     /// frame received yet: a continuation with nothing to continue, the
-    /// other modes' kinds, the wrong width, coordinates outside the matrix.
+    /// other mode's kind, the wrong width, coordinates outside the matrix.
     fn malformed_stamps(mode: StampMode) -> Vec<Stamp> {
         let entry = |row, col| UpdateEntry { row, col, value: 1 };
-        let full = Stamp::Full(MatrixClock::new(4));
-        let (delta, hybrid) = (Stamp::Delta(Vec::new()), Stamp::Hybrid(Vec::new()));
         match mode {
             StampMode::Full => vec![
                 Stamp::GroupNext,
-                delta,
-                hybrid,
+                Stamp::Delta(Vec::new()),
                 Stamp::Full(MatrixClock::new(5)),
             ],
             StampMode::Updates => vec![
                 Stamp::GroupNext,
-                full,
-                hybrid,
+                Stamp::Full(MatrixClock::new(4)),
                 Stamp::Delta(vec![entry(0, 5)]),
                 Stamp::Delta(vec![entry(0, 1), entry(4, 0)]),
-            ],
-            StampMode::Hybrid => vec![
-                Stamp::GroupNext,
-                full,
-                delta,
-                Stamp::Hybrid(vec![entry(0, 5)]),
-                Stamp::Hybrid(vec![entry(u16::MAX, 0)]),
+                Stamp::Delta(vec![entry(u16::MAX, 0)]),
             ],
         }
     }

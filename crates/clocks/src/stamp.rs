@@ -1,5 +1,4 @@
-//! Message timestamps: full matrices, Update deltas (Appendix A), and
-//! deltas pruned by sender-side knowledge buffering.
+//! Message timestamps: full matrices and Update deltas (Appendix A).
 //!
 //! Every causally ordered message carries a [`Stamp`]. The shape of the
 //! stamp is chosen by the channel's [`StampMode`]:
@@ -8,19 +7,16 @@
 //! - [`StampMode::Updates`] ships only the entries modified since the last
 //!   message to the same peer — the *Updates optimized algorithm* of the
 //!   paper's Appendix A, `O(n)` bytes in the common case (the paper notes
-//!   `O(n²)` worst case);
-//! - [`StampMode::Hybrid`] ships an Updates delta pruned against a
-//!   sender-side model of what the peer already knows — Almeida-style
-//!   knowledge buffering, smallest on pub/sub echo traffic.
+//!   `O(n²)` worst case).
 //!
-//! All three modes convey the exact sender matrix to the receiving side —
+//! Both modes convey the exact sender matrix to the receiving side —
 //! whole, or as deltas that add up to it over the FIFO link — so they take
 //! identical delivery decisions (the conformance suite in
 //! `tests/conformance.rs` proves it on seeded schedules).
 //!
 //! # The packed entry list
 //!
-//! A delta or hybrid stamp crosses the wire as a sequence of unsigned
+//! A delta stamp crosses the wire as a sequence of unsigned
 //! LEB128 varints (7 value bits per byte, low bits first, the high bit set
 //! on every byte but the last; at most 10 bytes): `count`, then for each
 //! maximal run of consecutive entries with the same row `row`, `run_len`
@@ -45,10 +41,17 @@ use crate::matrix::MatrixClock;
 
 /// How channel stamps are encoded on the wire.
 ///
-/// Marked `#[non_exhaustive]`: modes come (as [`StampMode::Hybrid`] did)
-/// and go (as the Drummond–Barbosa `Reduced` mode did, dominated on bytes
-/// and CPU at every measured width), so downstream matches must keep a
-/// wildcard arm.
+/// Marked `#[non_exhaustive]`: modes have come and gone, so downstream
+/// matches must keep a wildcard arm. Two were retired:
+///
+/// - the Drummond–Barbosa `Reduced` mode, dominated on bytes and CPU at
+///   every measured width;
+/// - `Hybrid`, the Updates delta pruned against a per-peer model of what
+///   the peer already knew (Almeida-style sender-side buffering). On
+///   `flat_mesh` it shipped 1.37× fewer stamp entries (253 → 185 per
+///   message) and 5 % fewer wire bytes, but cost about 1.5× the CPU per
+///   message and twice the resident memory; on ring traffic it saved
+///   nothing. Its wire tags 5 and 7 and its image mode byte 6 are refused.
 #[non_exhaustive]
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
@@ -60,21 +63,17 @@ pub enum StampMode {
     /// (Appendix A). Requires FIFO links, which the AAA channel guarantees.
     #[default]
     Updates,
-    /// Ship an Updates delta pruned against the sender's model of the
-    /// peer's knowledge (Almeida-style sender-side buffering).
-    Hybrid,
 }
 
 impl StampMode {
     /// Every stamp mode, for mode-generic tests and benchmarks.
-    pub const ALL: [StampMode; 3] = [StampMode::Full, StampMode::Updates, StampMode::Hybrid];
+    pub const ALL: [StampMode; 2] = [StampMode::Full, StampMode::Updates];
 
     /// The mode's canonical lower-case name (also its [`FromStr`] form).
     pub fn name(self) -> &'static str {
         match self {
             StampMode::Full => "full",
             StampMode::Updates => "updates",
-            StampMode::Hybrid => "hybrid",
         }
     }
 }
@@ -93,7 +92,7 @@ impl fmt::Display for UnknownStampMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "unknown stamp mode `{}` (expected full, updates or hybrid)",
+            "unknown stamp mode `{}` (expected full or updates)",
             self.0
         )
     }
@@ -108,7 +107,6 @@ impl FromStr for StampMode {
         match s.to_ascii_lowercase().as_str() {
             "full" => Ok(StampMode::Full),
             "updates" => Ok(StampMode::Updates),
-            "hybrid" => Ok(StampMode::Hybrid),
             _ => Err(UnknownStampMode(s.to_owned())),
         }
     }
@@ -128,8 +126,8 @@ pub struct UpdateEntry {
 
 impl UpdateEntry {
     /// Bytes one entry occupies in a persistence image
-    /// ([`PendingStamp::write_bytes`]) and in the decode-only wire tags 1
-    /// and 5: two `u16` coordinates plus a `u64` value. Stamps on the wire
+    /// ([`PendingStamp::write_bytes`]) and in the decode-only wire tag 1:
+    /// two `u16` coordinates plus a `u64` value. Stamps on the wire
     /// are [packed](UpdateEntry::pack) instead.
     ///
     /// [`PendingStamp::write_bytes`]: crate::PendingStamp::write_bytes
@@ -277,28 +275,22 @@ pub enum Stamp {
     /// receiver adds one to the link counter it keeps for the sender, so
     /// the wire cost is zero payload bytes — the amortization that makes
     /// group-commit batching collapse the per-message stamp cost (cf.
-    /// hybrid buffering / constant-size causal broadcast in the related
-    /// work). Every mode understands it.
+    /// sender-side buffering / constant-size causal broadcast in the
+    /// related work). Every mode understands it.
     ///
     /// Sound only over reliable FIFO links, which AAA links guarantee.
     ///
     /// [`CausalState::stamp_send`]: crate::CausalState::stamp_send
     /// [`Batching::Grouped`]: crate::Batching::Grouped
     GroupNext,
-    /// Hybrid stamp: an Updates delta minus the entries the sender can
-    /// prove the receiver already knows (its own row, and any cell the
-    /// sender's knowledge model already attributes to the peer). Entries
-    /// in the receiver's own column are never pruned — that column is the
-    /// §4.2 delivery predicate and must stay exact.
-    Hybrid(Vec<UpdateEntry>),
 }
 
 impl Stamp {
     /// Size of the stamp on the wire, in bytes, as encoded — its tag byte
     /// aside.
     ///
-    /// Full stamps cost a 4-byte width plus `n² × 8` bytes; delta and
-    /// hybrid stamps cost their [packed](UpdateEntry::pack) entry list
+    /// Full stamps cost a 4-byte width plus `n² × 8` bytes; delta stamps
+    /// cost their [packed](UpdateEntry::pack) entry list
     /// (`O(entries)` to measure: callers on a hot path ask once); group
     /// continuations cost nothing beyond their tag. This is the quantity
     /// plotted by the Appendix-A ablation experiment and the stamp-mode
@@ -306,7 +298,7 @@ impl Stamp {
     pub fn encoded_len(&self) -> usize {
         match self {
             Stamp::Full(m) => 4 + m.encoded_len(),
-            Stamp::Delta(entries) | Stamp::Hybrid(entries) => UpdateEntry::packed_len(entries),
+            Stamp::Delta(entries) => UpdateEntry::packed_len(entries),
             Stamp::GroupNext => 0,
         }
     }
@@ -315,7 +307,7 @@ impl Stamp {
     pub fn entry_count(&self) -> usize {
         match self {
             Stamp::Full(m) => m.width() * m.width(),
-            Stamp::Delta(entries) | Stamp::Hybrid(entries) => entries.len(),
+            Stamp::Delta(entries) => entries.len(),
             Stamp::GroupNext => 1,
         }
     }
@@ -326,7 +318,6 @@ impl Stamp {
             Stamp::Full(_) => "Full",
             Stamp::Delta(_) => "Delta",
             Stamp::GroupNext => "GroupNext",
-            Stamp::Hybrid(_) => "Hybrid",
         }
     }
 
@@ -434,19 +425,6 @@ mod tests {
         let s = Stamp::Delta(Vec::new());
         assert_eq!(s.encoded_len(), 1, "a zero count and nothing else");
         assert_eq!(s.entry_count(), 0);
-    }
-
-    #[test]
-    fn hybrid_stamp_size_matches_delta() {
-        let entries = vec![UpdateEntry {
-            row: 0,
-            col: 1,
-            value: 5,
-        }];
-        assert_eq!(
-            Stamp::Hybrid(entries.clone()).encoded_len(),
-            Stamp::Delta(entries).encoded_len()
-        );
     }
 
     #[test]

@@ -1,0 +1,67 @@
+//! A counting `#[global_allocator]` for the tests that hold the clock to
+//! an allocation bound: it forwards every call to `System` unchanged and
+//! counts the bytes a thread requests while [`allocated_by`] runs.
+
+// The counting allocator is the one piece of `unsafe` in this package; see
+// `[lints]` in its manifest.
+#![allow(unsafe_code)]
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    /// Bytes this thread requested while `COUNTING` was on: per thread, so
+    /// tests running side by side do not count each other.
+    static BYTES: Cell<usize> = const { Cell::new(0) };
+}
+
+struct CountingAlloc;
+
+impl CountingAlloc {
+    fn count(size: usize) {
+        if COUNTING.with(Cell::get) {
+            BYTES.with(|b| b.set(b.get() + size));
+        }
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counting touches no allocation.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        Self::count(layout.size());
+        // SAFETY: the caller's `layout` is passed through as received.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        Self::count(layout.size());
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        Self::count(new_size);
+        // SAFETY: `ptr` and `layout` describe a block this allocator handed
+        // out, which means `System` did.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as for `realloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Bytes this thread requests from the allocator while `f` runs.
+pub fn allocated_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = BYTES.with(Cell::get);
+    COUNTING.with(|c| c.set(true));
+    let out = f();
+    COUNTING.with(|c| c.set(false));
+    (out, BYTES.with(Cell::get) - before)
+}

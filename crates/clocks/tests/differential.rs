@@ -1,6 +1,6 @@
 //! Differential test of the sparse clock core against textbook dense RST.
 //!
-//! [`CausalState`] in its delta modes keeps no image of a sender's matrix:
+//! [`CausalState`] in its delta mode keeps no image of a sender's matrix:
 //! a pending stamp holds only its own frame's entries, the predicate walks
 //! those, the merge raises those, and a send reads the changed cells from a
 //! log. [`Dense`] below is the algorithm as the paper and
@@ -25,12 +25,11 @@ fn d(i: usize) -> DomainServerId {
     DomainServerId::new(i as u16)
 }
 
-/// Textbook dense RST with Appendix-A deltas (and, when `hybrid`, the
-/// knowledge-pruned variant). Matrices are row-major `n²` vectors.
+/// Textbook dense RST with Appendix-A deltas. Matrices are row-major `n²`
+/// vectors.
 struct Dense {
     me: usize,
     n: usize,
-    hybrid: bool,
     sent: Vec<u64>,
     deliv: Vec<u64>,
     now: u64,
@@ -38,24 +37,20 @@ struct Dense {
     last_send: Vec<u64>,
     /// `image[k]`: everything sender `k`'s frames have conveyed so far.
     image: Vec<Vec<u64>>,
-    /// `know[k]`: a lower bound on peer `k`'s own matrix.
-    know: Vec<Vec<u64>>,
 }
 
 impl Dense {
-    fn new(me: usize, n: usize, hybrid: bool) -> Dense {
+    fn new(me: usize, n: usize) -> Dense {
         let zeros = || vec![0u64; n * n];
         Dense {
             me,
             n,
-            hybrid,
             sent: zeros(),
             deliv: vec![0; n],
             now: 0,
             tag: zeros(),
             last_send: vec![0; n],
             image: vec![zeros(); n],
-            know: vec![zeros(); n],
         }
     }
 
@@ -67,29 +62,17 @@ impl Dense {
         self.tag[link] = self.now;
         let since = std::mem::replace(&mut self.last_send[to], self.now);
         if batching == Batching::Grouped && unchanged {
-            self.know[to][link] = self.know[to][link].max(self.sent[link]);
             return Stamp::GroupNext;
         }
-        let mut entries = Vec::new();
-        for cell in 0..n * n {
-            let (row, col) = (cell / n, cell % n);
-            let news = self.tag[cell] > since;
-            let pruned =
-                self.hybrid && (row == to || (col != to && self.know[to][cell] >= self.sent[cell]));
-            if news && !pruned {
-                self.know[to][cell] = self.know[to][cell].max(self.sent[cell]);
-                entries.push(UpdateEntry {
-                    row: row as u16,
-                    col: col as u16,
-                    value: self.sent[cell],
-                });
-            }
-        }
-        if self.hybrid {
-            Stamp::Hybrid(entries)
-        } else {
-            Stamp::Delta(entries)
-        }
+        let entries = (0..n * n)
+            .filter(|&cell| self.tag[cell] > since)
+            .map(|cell| UpdateEntry {
+                row: (cell / n) as u16,
+                col: (cell % n) as u16,
+                value: self.sent[cell],
+            })
+            .collect();
+        Stamp::Delta(entries)
     }
 
     /// Raises the image of `from` and returns a copy: the message's stamp.
@@ -97,7 +80,7 @@ impl Dense {
         let link = from * self.n + self.me;
         let conveyed: Vec<(usize, u64)> = match stamp {
             Stamp::GroupNext => vec![(link, self.image[from][link] + 1)],
-            Stamp::Delta(es) | Stamp::Hybrid(es) => es
+            Stamp::Delta(es) => es
                 .iter()
                 .map(|e| (usize::from(e.row) * self.n + usize::from(e.col), e.value))
                 .collect(),
@@ -105,7 +88,6 @@ impl Dense {
         };
         for (cell, value) in conveyed {
             self.image[from][cell] = self.image[from][cell].max(value);
-            self.know[from][cell] = self.know[from][cell].max(value);
         }
         self.image[from].clone()
     }
@@ -147,13 +129,13 @@ struct LockStep {
 }
 
 impl LockStep {
-    fn new(n: usize, mode: StampMode) -> LockStep {
+    fn new(n: usize) -> LockStep {
         LockStep {
             n,
-            real: (0..n).map(|i| CausalState::new(d(i), n, mode)).collect(),
-            oracle: (0..n)
-                .map(|i| Dense::new(i, n, mode == StampMode::Hybrid))
+            real: (0..n)
+                .map(|i| CausalState::new(d(i), n, StampMode::Updates))
                 .collect(),
+            oracle: (0..n).map(|i| Dense::new(i, n)).collect(),
             links: vec![vec![VecDeque::new(); n]; n],
             postponed: (0..n).map(|_| Vec::new()).collect(),
         }
@@ -171,7 +153,7 @@ impl LockStep {
             self.oracle[from].stamp_send(to, batching),
             "stamp {from}->{to}"
         );
-        if let (Some((row, col)), Stamp::Delta(es) | Stamp::Hybrid(es)) = (pad, &mut stamp) {
+        if let (Some((row, col)), Stamp::Delta(es)) = (pad, &mut stamp) {
             let value = self.real[from].sent().get(row, col).saturating_sub(1);
             es.insert(
                 0,
@@ -327,10 +309,8 @@ proptest! {
     fn sparse_core_equals_textbook_dense_rst(
         n in 2usize..6,
         ops in prop::collection::vec(op_strategy(5), 1..250),
-        hybrid in any::<bool>(),
     ) {
-        let mode = if hybrid { StampMode::Hybrid } else { StampMode::Updates };
-        let mut run = LockStep::new(n, mode);
+        let mut run = LockStep::new(n);
         for op in &ops {
             match *op {
                 Op::Send { from, to, batching, pad } => {
@@ -359,37 +339,35 @@ proptest! {
 /// the message from 2 — has been delivered.
 #[test]
 fn a_delta_below_what_was_shipped_before_changes_no_verdict() {
-    for mode in [StampMode::Updates, StampMode::Hybrid] {
-        let mut run = LockStep::new(3, mode);
-        run.send(2, 1, Batching::Single, None); // m: 2 -> 1, held back
-        run.send(2, 0, Batching::Single, None);
-        run.arrive(2, 0);
-        run.probe(0, 0); // 0 now knows of m
-        run.send(0, 1, Batching::Single, None); // frame 1 carries (2,1)=1
-        run.send(0, 1, Batching::Single, None); // frame 2 ...
-        match run.links[0][1].back_mut() {
-            Some(Stamp::Delta(es) | Stamp::Hybrid(es)) => es.push(UpdateEntry {
-                row: 2,
-                col: 1,
-                value: 0, // ... re-ships it lower
-            }),
-            other => panic!("frame 2 is a real delta stamp, got {other:?}"),
-        }
-        run.arrive(0, 1);
-        run.arrive(0, 1);
-        let verdicts = |run: &LockStep| -> Vec<bool> {
-            run.check(1);
-            run.postponed[1]
-                .iter()
-                .map(|a| run.real[1].can_deliver(d(a.from), &a.sparse))
-                .collect()
-        };
-        assert_eq!(verdicts(&run), [false, false], "{mode}: both wait for m");
-        run.arrive(2, 1);
-        assert_eq!(verdicts(&run), [false, false, true], "{mode}: only m");
-        run.probe(1, 1); // m, then frame 1, then frame 2 — in that order
-        assert!(run.postponed[1].is_empty(), "{mode}");
-        run.check_all();
-        assert_eq!(run.real[1].delivered_total(), 3, "{mode}");
+    let mut run = LockStep::new(3);
+    run.send(2, 1, Batching::Single, None); // m: 2 -> 1, held back
+    run.send(2, 0, Batching::Single, None);
+    run.arrive(2, 0);
+    run.probe(0, 0); // 0 now knows of m
+    run.send(0, 1, Batching::Single, None); // frame 1 carries (2,1)=1
+    run.send(0, 1, Batching::Single, None); // frame 2 ...
+    match run.links[0][1].back_mut() {
+        Some(Stamp::Delta(es)) => es.push(UpdateEntry {
+            row: 2,
+            col: 1,
+            value: 0, // ... re-ships it lower
+        }),
+        other => panic!("frame 2 is a real delta stamp, got {other:?}"),
     }
+    run.arrive(0, 1);
+    run.arrive(0, 1);
+    let verdicts = |run: &LockStep| -> Vec<bool> {
+        run.check(1);
+        run.postponed[1]
+            .iter()
+            .map(|a| run.real[1].can_deliver(d(a.from), &a.sparse))
+            .collect()
+    };
+    assert_eq!(verdicts(&run), [false, false], "both wait for m");
+    run.arrive(2, 1);
+    assert_eq!(verdicts(&run), [false, false, true], "only m");
+    run.probe(1, 1); // m, then frame 1, then frame 2 — in that order
+    assert!(run.postponed[1].is_empty());
+    run.check_all();
+    assert_eq!(run.real[1].delivered_total(), 3);
 }

@@ -44,11 +44,7 @@ fn op_strategy(n: usize) -> impl Strategy<Value = Op> {
 }
 
 fn mode_strategy() -> impl Strategy<Value = StampMode> {
-    prop_oneof![
-        Just(StampMode::Full),
-        Just(StampMode::Updates),
-        Just(StampMode::Hybrid),
-    ]
+    prop_oneof![Just(StampMode::Full), Just(StampMode::Updates)]
 }
 
 /// An in-flight or postponed message, with its oracle vector timestamp.
@@ -418,17 +414,14 @@ fn mesh_deltas_pack_to_a_few_bytes_per_entry() {
 
 /// Mode bytes 0, 1 and 3 were Full, Updates and Hybrid in the layout that
 /// carried an `n × n²` section of per-sender image matrices where the link
-/// counters now are; byte 2 was the retired `Reduced` mode. A current
-/// image carrying any of them is refused, not read back under a layout it
-/// was not written in — and so is an image the old layout wrote.
+/// counters now are; byte 2 was the retired `Reduced` mode and byte 6 the
+/// retired `Hybrid` mode. A current image carrying any of them is refused,
+/// not read back under a layout it was not written in — and so is an image
+/// an old layout wrote.
 #[test]
 fn retired_mode_byte_is_refused() {
     let (a, b) = (DomainServerId::new(0), DomainServerId::new(1));
-    for (mode, byte) in [
-        (StampMode::Full, 4u8),
-        (StampMode::Updates, 5),
-        (StampMode::Hybrid, 6),
-    ] {
+    for (mode, byte) in [(StampMode::Full, 4u8), (StampMode::Updates, 5)] {
         let mut clock = CausalState::new(a, 3, mode);
         let _ = clock.stamp_send(b, Batching::Single);
         let mut image = Vec::new();
@@ -436,7 +429,7 @@ fn retired_mode_byte_is_refused() {
         assert!(CausalState::read_bytes(&image).is_some());
         // The mode byte follows `me: u16` and `n: u32`.
         assert_eq!(image[6], byte, "{mode}");
-        for retired in 0..=3u8 {
+        for retired in [0, 1, 2, 3, 6] {
             image[6] = retired;
             assert!(
                 CausalState::read_bytes(&image).is_none(),
@@ -456,4 +449,17 @@ fn retired_mode_byte_is_refused() {
     old.extend_from_slice(&[0u8; 8 * (2 + 1 + 4 + 2)]); // deliv, state, tags, node_state
     old.extend_from_slice(&[0, 0]); // images: none, none
     assert!(CausalState::read_bytes(&old).is_none());
+
+    // What a mode-6 (Hybrid) image was: this layout's image, then one
+    // `0`/`1`-tagged knowledge matrix per peer — here one present, two
+    // absent.
+    let mut hybrid = Vec::new();
+    let mut clock = CausalState::new(a, 3, StampMode::Updates);
+    let _ = clock.stamp_send(b, Batching::Single);
+    clock.write_bytes(&mut hybrid);
+    hybrid[6] = 6;
+    hybrid.extend_from_slice(&[0, 1]);
+    MatrixClock::new(3).write_bytes(&mut hybrid);
+    hybrid.push(0);
+    assert!(CausalState::read_bytes(&hybrid).is_none());
 }

@@ -1005,8 +1005,6 @@ mod tests {
         let cases = [
             // A kind the configured mode never emits.
             (StampMode::Updates, Stamp::Full(MatrixClock::new(4))),
-            (StampMode::Updates, Stamp::Hybrid(Vec::new())),
-            (StampMode::Hybrid, Stamp::Delta(Vec::new())),
             (StampMode::Full, Stamp::Delta(Vec::new())),
             // A matrix of another domain's width.
             (StampMode::Full, Stamp::Full(MatrixClock::new(5))),
@@ -1014,11 +1012,9 @@ mod tests {
             // cell (1, 1) in a release build.
             (StampMode::Updates, Stamp::Delta(vec![entry(0, 5)])),
             (StampMode::Updates, Stamp::Delta(vec![entry(4, 0)])),
-            (StampMode::Hybrid, Stamp::Hybrid(vec![entry(0, 5)])),
             // A continuation with no frame to continue.
             (StampMode::Full, Stamp::GroupNext),
             (StampMode::Updates, Stamp::GroupNext),
-            (StampMode::Hybrid, Stamp::GroupNext),
         ];
         for (mode, stamp) in cases {
             let mut chs = channels(&topo, mode);

@@ -774,8 +774,7 @@ mod tests {
     #[test]
     fn active_clock_survives_journal_in_every_mode() {
         // The journal must round-trip the clock's bookkeeping in every
-        // stamp mode — including mid-batch GroupNext state and the Hybrid
-        // knowledge model, which follows the shared fields in the image.
+        // stamp mode — including mid-batch GroupNext state.
         for mode in StampMode::ALL {
             let mut a = CausalState::new(DomainServerId::new(0), 3, mode);
             let mut b = CausalState::new(DomainServerId::new(1), 3, mode);

@@ -24,7 +24,7 @@
 //! let mom = MomBuilder::new(TopologySpec::bus(2, 3))
 //!     .runtime(RuntimeConfig::evented(4).persist(true))
 //!     .net(NetConfig::memory().rto(aaa_base::VDuration::from_millis(50)))
-//!     .clock(ClockConfig::mode(StampMode::Hybrid))
+//!     .clock(ClockConfig::mode(StampMode::Full))
 //!     .build()?;
 //! mom.shutdown();
 //! # Ok(())
@@ -313,10 +313,10 @@ mod tests {
             .connect_timeout(Duration::from_millis(100))
             .rto(VDuration::from_millis(10));
         assert_eq!(net.transport, TransportKind::MuxTcp);
-        let sc = server_config(&rt, &net, &ClockConfig::mode(StampMode::Hybrid));
+        let sc = server_config(&rt, &net, &ClockConfig::mode(StampMode::Full));
         assert!(sc.persist);
         assert_eq!(sc.max_outstanding, 7);
         assert_eq!(sc.rto, VDuration::from_millis(10));
-        assert_eq!(sc.stamp_mode, StampMode::Hybrid);
+        assert_eq!(sc.stamp_mode, StampMode::Full);
     }
 }

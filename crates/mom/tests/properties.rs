@@ -120,11 +120,7 @@ proptest! {
         attach in prop::collection::vec((0usize..10, 0usize..10), 0..4),
         sends in prop::collection::vec((0u16..12, 0u16..12), 1..25),
         seed in any::<u64>(),
-        mode in prop_oneof![
-            Just(StampMode::Full),
-            Just(StampMode::Updates),
-            Just(StampMode::Hybrid),
-        ],
+        mode in prop_oneof![Just(StampMode::Full), Just(StampMode::Updates)],
     ) {
         let spec = spec_from(&sizes, &attach);
         let trace = run_adversarial(spec.clone(), mode, &sends, seed);

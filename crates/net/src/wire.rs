@@ -5,14 +5,16 @@
 //! serialization framework because the paper reasons about *bytes on the
 //! wire* — the experiments measure stamp sizes exactly.
 //!
-//! The one exception to fixed widths is the entry list of a delta or
-//! hybrid stamp (tags 6 and 7): LEB128 varints grouped by row — `count`,
-//! then `row`, `run_len` and `run_len` × (`col`, `value`) per run of equal
-//! rows — 2–3 B per entry on a live domain, 16–17 B at the very worst. The
-//! layout is defined once, by `aaa_clocks::UpdateEntry::pack` /
-//! `unpack`, so `Stamp::encoded_len` cannot drift from it. Tags 1 and 5
-//! carried the same lists as a `u32` count and 12-byte
-//! `(u16, u16, u64)` triples; they are still read, never written.
+//! The one exception to fixed widths is the entry list of a delta stamp
+//! (tag 6): LEB128 varints grouped by row — `count`, then `row`, `run_len`
+//! and `run_len` × (`col`, `value`) per run of equal rows — 2–3 B per
+//! entry on a live domain, 16–17 B at the very worst. The layout is
+//! defined once, by `aaa_clocks::UpdateEntry::pack` / `unpack`, so
+//! `Stamp::encoded_len` cannot drift from it. Tag 1 carried the same list
+//! as a `u32` count and 12-byte `(u16, u16, u64)` triples; it is still
+//! read, never written. Tags 5 and 7 were the retired `Hybrid` mode's
+//! fixed-width and packed stamps, and tag 4 the retired `Reduced` stamp:
+//! all three are refused as unknown.
 //!
 //! Every count read off the wire is checked against the bytes that remain
 //! before anything is allocated for it ([`Decoder::count`]).
@@ -217,11 +219,10 @@ impl Encoder {
     }
 
     /// Writes a stamp: a 1-byte tag, then either the full matrix
-    /// (width + cells), a packed entry list (delta and hybrid stamps
-    /// differ only in tag), or — for the zero-byte group-commit
-    /// continuation — nothing at all. Tags 1 and 5 (the fixed-width entry
-    /// lists) are decode-only and tag 4 (the `Reduced` stamp) is retired;
-    /// none is reused.
+    /// (width + cells), a packed entry list (a delta stamp), or — for the
+    /// zero-byte group-commit continuation — nothing at all. Tag 1 (the
+    /// fixed-width entry list) is decode-only, and tags 4, 5 and 7 (the
+    /// retired `Reduced` and `Hybrid` stamps) are refused; none is reused.
     pub fn stamp(&mut self, v: &Stamp) -> &mut Self {
         match v {
             Stamp::Full(m) => {
@@ -242,10 +243,6 @@ impl Encoder {
             // Tag 2 is taken by "no stamp" in `stamp_opt`.
             Stamp::GroupNext => {
                 self.u8(3);
-            }
-            Stamp::Hybrid(entries) => {
-                self.u8(7);
-                UpdateEntry::pack(entries, &mut self.buf);
             }
         }
         self
@@ -422,23 +419,21 @@ impl Decoder {
             }
             1 => Ok(Stamp::Delta(self.update_entries()?)),
             3 => Ok(Stamp::GroupNext),
-            5 => Ok(Stamp::Hybrid(self.update_entries()?)),
             6 => Ok(Stamp::Delta(self.packed_entries()?)),
-            7 => Ok(Stamp::Hybrid(self.packed_entries()?)),
             tag => Err(Error::Codec(format!("unknown stamp tag {tag}"))),
         }
     }
 
-    /// Reads the packed entry list of tags 6 and 7.
+    /// Reads the packed entry list of tag 6.
     fn packed_entries(&mut self) -> Result<Vec<UpdateEntry>> {
         let (entries, used) = UpdateEntry::unpack(&self.buf)?;
         self.buf.advance(used);
         Ok(entries)
     }
 
-    /// Reads the fixed-width entry list of tags 1 and 5, which builds
-    /// before PR 24 wrote: their unacknowledged frames and relay journals
-    /// outlive an upgrade.
+    /// Reads the fixed-width entry list of tag 1, which older builds
+    /// wrote: their unacknowledged frames and relay journals outlive an
+    /// upgrade.
     fn update_entries(&mut self) -> Result<Vec<UpdateEntry>> {
         let count = self.count(UpdateEntry::WIRE_LEN)?;
         let mut entries = Vec::with_capacity(count);
@@ -565,31 +560,6 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_stamp_roundtrip_and_size() {
-        let stamp = Stamp::Hybrid(vec![
-            UpdateEntry {
-                row: 0,
-                col: 1,
-                value: 5,
-            },
-            UpdateEntry {
-                row: 4,
-                col: 0,
-                value: 1,
-            },
-        ]);
-        let mut e = Encoder::new();
-        e.stamp(&stamp);
-        assert_eq!(e.len(), stamp.encoded_len() + 1);
-        let bytes = e.finish();
-        assert_eq!(bytes.first(), Some(&7), "packed hybrid tag");
-        let decoded = Decoder::new(bytes).stamp().unwrap();
-        assert_eq!(decoded, stamp);
-        // Hybrid and delta stamps must not decode into each other.
-        assert!(decoded.kind() == "Hybrid");
-    }
-
-    #[test]
     fn count_is_bounded_by_the_bytes_that_remain() {
         // Three 2-byte elements announced, three present: accepted, and
         // the elements are still there to read.
@@ -645,6 +615,30 @@ mod tests {
         match Decoder::new(e.finish()).stamp() {
             Err(Error::Codec(why)) => assert_eq!(why, "unknown stamp tag 4"),
             other => panic!("retired tag 4 decoded as {other:?}"),
+        }
+
+        // Tags 5 and 7 were the `Hybrid` stamp, as fixed-width triples and
+        // packed: well-formed one-entry lists are refused by name too.
+        let entry = [UpdateEntry {
+            row: 0,
+            col: 1,
+            value: 5,
+        }];
+        let mut e = Encoder::new();
+        e.u8(5).count(1).u16(0).u16(1).u64(5);
+        let fixed = e.finish();
+        let mut packed = vec![7];
+        UpdateEntry::pack(&entry, &mut packed);
+        for (tag, live_tag, bytes) in [(5, 1, fixed), (7, 6, Bytes::from(packed))] {
+            // The same list under the live tag decodes.
+            let mut live = bytes.to_vec();
+            live[0] = live_tag;
+            let decoded = Decoder::new(Bytes::from(live)).stamp();
+            assert_eq!(decoded.unwrap(), Stamp::Delta(entry.to_vec()), "tag {tag}");
+            match Decoder::new(bytes).stamp() {
+                Err(Error::Codec(why)) => assert_eq!(why, format!("unknown stamp tag {tag}")),
+                other => panic!("retired tag {tag} decoded as {other:?}"),
+            }
         }
     }
 

@@ -1,7 +1,7 @@
 //! Property-based tests for the wire codec and the reliable link.
 //!
 //! The second `proptest!` block is the decoder's: the packed stamp entry
-//! lists of tags 6 and 7 must round-trip any list, refuse every malformed
+//! list of tag 6 must round-trip any list, refuse every malformed
 //! input with `Error::Codec`, and never allocate out of proportion to the
 //! bytes they were given. It runs the default number of cases, which
 //! `PROPTEST_CASES` deepens (CI does on pushes to `main`). The same
@@ -104,17 +104,15 @@ fn arb_entries() -> impl Strategy<Value = Vec<UpdateEntry>> {
     })
 }
 
-/// A delta or hybrid stamp over [`arb_entries`], with the tag it must be
-/// written under and the decode-only tag older builds wrote it under.
-fn arb_entry_stamp() -> impl Strategy<Value = (Stamp, u8, u8)> {
-    (arb_entries(), any::<bool>()).prop_map(|(entries, hybrid)| {
-        if hybrid {
-            (Stamp::Hybrid(entries), 7, 5)
-        } else {
-            (Stamp::Delta(entries), 6, 1)
-        }
-    })
+/// A delta stamp over [`arb_entries`].
+fn arb_delta() -> impl Strategy<Value = Stamp> {
+    arb_entries().prop_map(Stamp::Delta)
 }
+
+/// The tag a delta stamp is written under, and the decode-only tag of the
+/// fixed-width list older builds wrote it under.
+const PACKED_TAG: u8 = 6;
+const FIXED_WIDTH_TAG: u8 = 1;
 
 fn encoded(stamp: &Stamp) -> Bytes {
     let mut e = Encoder::new();
@@ -153,7 +151,7 @@ fn arb_stamp() -> impl Strategy<Value = Option<Stamp>> {
             }
             Some(Stamp::Full(m))
         }),
-        arb_entry_stamp().prop_map(|(stamp, _, _)| Some(stamp)),
+        arb_delta().prop_map(Some),
     ]
 }
 
@@ -298,38 +296,35 @@ proptest! {
     /// Any entry list survives the packed encoding exactly, under the
     /// packed tag, in exactly `encoded_len()` bytes after it.
     #[test]
-    fn packed_stamps_roundtrip(case in arb_entry_stamp()) {
-        let (stamp, tag, _) = case;
+    fn packed_stamps_roundtrip(stamp in arb_delta()) {
         let bytes = encoded(&stamp);
-        prop_assert_eq!(bytes.first(), Some(&tag));
+        prop_assert_eq!(bytes.first(), Some(&PACKED_TAG));
         prop_assert_eq!(bytes.len(), stamp.encoded_len() + 1);
         prop_assert_eq!(decode_bounded(bytes).expect("decodes"), stamp);
     }
 
-    /// The fixed-width lists of tags 1 and 5 — what a build before PR 24
-    /// left in unacknowledged frames and relay journals — still decode to
-    /// the same stamp, which goes back out packed.
+    /// The fixed-width list of tag 1 — what older builds left in
+    /// unacknowledged frames and relay journals — still decodes to the
+    /// same stamp, which goes back out packed.
     #[test]
-    fn fixed_width_tags_decode_and_reencode_packed(case in arb_entry_stamp()) {
-        let (stamp, tag, old_tag) = case;
-        let (Stamp::Delta(entries) | Stamp::Hybrid(entries)) = &stamp else {
-            unreachable!("arb_entry_stamp yields entry stamps");
+    fn fixed_width_tags_decode_and_reencode_packed(stamp in arb_delta()) {
+        let Stamp::Delta(entries) = &stamp else {
+            unreachable!("arb_delta yields delta stamps");
         };
         let mut e = Encoder::new();
-        e.u8(old_tag).count(entries.len());
+        e.u8(FIXED_WIDTH_TAG).count(entries.len());
         for entry in entries {
             e.u16(entry.row).u16(entry.col).u64(entry.value);
         }
         let decoded = decode_bounded(e.finish()).expect("decodes");
         prop_assert_eq!(&decoded, &stamp);
-        prop_assert_eq!(encoded(&decoded).first(), Some(&tag));
+        prop_assert_eq!(encoded(&decoded).first(), Some(&PACKED_TAG));
     }
 
     /// Every strict prefix of a valid encoding is refused, as a codec
     /// error.
     #[test]
-    fn truncated_packed_stamps_are_refused(case in arb_entry_stamp()) {
-        let (stamp, _, _) = case;
+    fn truncated_packed_stamps_are_refused(stamp in arb_delta()) {
         let bytes = encoded(&stamp);
         // From 1: the bound is for what follows a packed tag (with no tag
         // at all, `Decoder`'s own "truncated frame" reason is 80 bytes).
@@ -340,17 +335,16 @@ proptest! {
         prop_assert!(matches!(Decoder::new(Bytes::new()).stamp(), Err(Error::Codec(_))));
     }
 
-    /// Arbitrary bytes behind a packed tag — random, or a valid encoding
+    /// Arbitrary bytes behind the packed tag — random, or a valid encoding
     /// with bytes overwritten — decode or are refused; nothing panics and
     /// the allocation bound holds. What decodes re-encodes to itself.
     #[test]
     fn byte_soup_after_packed_tags_never_panics(
-        case in arb_entry_stamp(),
+        stamp in arb_delta(),
         soup in prop::collection::vec(any::<u8>(), 0..64),
         damage in prop::collection::vec((any::<usize>(), any::<u8>()), 0..4),
     ) {
-        let (stamp, tag, _) = case;
-        let mut raw = vec![tag];
+        let mut raw = vec![PACKED_TAG];
         raw.extend_from_slice(&soup);
         let mut damaged = encoded(&stamp).to_vec();
         for (at, byte) in damage {
@@ -372,8 +366,8 @@ proptest! {
     }
 }
 
-/// The malformed packed lists the decoder must name, each behind both
-/// packed tags.
+/// The malformed packed lists the decoder must name, each behind the
+/// packed tag.
 #[test]
 fn malformed_packed_stamps_are_refused_by_name() {
     let mut max = vec![0xff; 10];
@@ -403,24 +397,22 @@ fn malformed_packed_stamps_are_refused_by_name() {
         // The count alone.
         (&[1], "more packed entries than bytes"),
     ];
-    for tag in [6u8, 7] {
-        for (body, why) in cases {
-            let mut input = vec![tag];
-            input.extend_from_slice(body);
-            let got = refused(&input);
-            assert!(got.contains(why), "{input:?}: {got}");
-        }
-        // The widest legal varint is not among them.
-        let mut input = vec![tag, 1, 0, 1, 0];
-        input.extend_from_slice(&max);
-        let entries = vec![UpdateEntry {
-            row: 0,
-            col: 0,
-            value: u64::MAX,
-        }];
-        let stamp = decode_bounded(Bytes::from(input)).expect("decodes");
-        assert!(stamp == Stamp::Delta(entries.clone()) || stamp == Stamp::Hybrid(entries));
+    for (body, why) in cases {
+        let mut input = vec![PACKED_TAG];
+        input.extend_from_slice(body);
+        let got = refused(&input);
+        assert!(got.contains(why), "{input:?}: {got}");
     }
+    // The widest legal varint is not among them.
+    let mut input = vec![PACKED_TAG, 1, 0, 1, 0];
+    input.extend_from_slice(&max);
+    let entries = vec![UpdateEntry {
+        row: 0,
+        col: 0,
+        value: u64::MAX,
+    }];
+    let stamp = decode_bounded(Bytes::from(input)).expect("decodes");
+    assert_eq!(stamp, Stamp::Delta(entries));
 }
 
 /// A frame that arrives in order passes through the receiver without

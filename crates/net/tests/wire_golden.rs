@@ -1,7 +1,7 @@
 //! The wire format, pinned byte for byte.
 //!
 //! A fixed corpus — wire messages without a stamp and under every stamp
-//! tag a current build writes (0, 3, 6, 7), the three datagram forms (a
+//! tag a current build writes (0, 3, 6), the three datagram forms (a
 //! batch of 2 and of 32 frames), and a relay ack — is encoded and compared
 //! with `tests/golden/wire.hex`, one `name hex` line per value. Each golden
 //! line must also decode back to its value. An encoder rewritten for
@@ -53,11 +53,7 @@ fn messages() -> Vec<(&'static str, WireMessage)> {
         ),
         (
             "message.delta",
-            message(4, Some(Stamp::Delta(entries.clone())), b"ACME:42.5"),
-        ),
-        (
-            "message.hybrid",
-            message(u64::MAX, Some(Stamp::Hybrid(entries)), b"\0\xff"),
+            message(4, Some(Stamp::Delta(entries)), b"ACME:42.5"),
         ),
     ]
 }

@@ -333,12 +333,4 @@ mod tests {
             .unwrap();
         assert!(upd * 5.0 < full, "updates {upd}B vs full {full}B");
     }
-
-    #[test]
-    fn stamp_bytes_hybrid_much_smaller() {
-        let spec = || TopologySpec::single_domain(20);
-        let full = stamp_bytes_per_message(spec(), StampMode::Full, 10).unwrap();
-        let hybrid = stamp_bytes_per_message(spec(), StampMode::Hybrid, 10).unwrap();
-        assert!(hybrid * 5.0 < full, "hybrid {hybrid}B vs full {full}B");
-    }
 }

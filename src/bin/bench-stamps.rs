@@ -17,18 +17,16 @@
 //! are exact, CPU is wall-clock over the stamp/on-frame/deliver path from
 //! the second tick on. The first tick counts for bytes and depth but not
 //! for CPU: it is where lazily created state is allocated (the first
-//! blocks of every `SENT`, Hybrid's per-peer knowledge matrices with their
-//! 250 KB block index each at n = 1000), a cost per server and peer, not
-//! per message, that a 20-tick leg would otherwise report as a per-deliver
-//! cost.
+//! blocks of every `SENT`), a cost per server, not per message, that a
+//! 20-tick leg would otherwise report as a per-deliver cost.
 //! (n = 10000 is not run — a full-mode matrix is 800 MB *per server* —
 //! and an analytic row does not belong in a measurements file; it becomes
 //! a leg when ROADMAP item 2's sparse state makes it runnable.)
 //!
 //! The full run writes `BENCH_stamps.json` and asserts the acceptance
-//! bar: every delta mode ships ≥10× fewer stamp bytes than full at
+//! bar: the delta mode ships ≥10× fewer stamp bytes than full at
 //! n = 1000, and its CPU per deliver at n = 1000 is at most 4× what it is
-//! at n = 100 — the delta modes' clock work follows the stamp, not the
+//! at n = 100 — the delta mode's clock work follows the stamp, not the
 //! domain width (a core that touches `n²` cells per message reads ≈ 140×
 //! there). `--short` (one small leg, the CI smoke run) prints its JSON to
 //! stdout and leaves the committed results file alone.
@@ -73,9 +71,8 @@ impl ModeResult {
 /// the `SENT` counters plus their equally wide change tags (both `n² × 8`
 /// bytes). The resident state is block-sparse and holds the written
 /// blocks under an `n² / 4`-byte index, so this is its bound, not its
-/// size; the `O(n)` vectors and the maxima over the tags are not counted,
-/// and Hybrid adds one knowledge matrix per peer it has exchanged frames
-/// with.
+/// size; the `O(n)` vectors and the maxima over the tags are not
+/// counted.
 fn state_bytes_per_server(n: usize) -> u64 {
     2 * (n as u64) * (n as u64) * 8
 }

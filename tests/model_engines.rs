@@ -2,7 +2,7 @@
 //!
 //! Where `model_evented.rs` checks an abstract model of the runtime's
 //! wakeup protocol, this gate drives the production `CausalState` in each
-//! of its three stamp modes (`Full`, `Updates`, `Hybrid`) through every
+//! of its two stamp modes (`Full`, `Updates`) through every
 //! interleaving of send / transmit / deliver at a small network shape,
 //! including FIFO-link reorder across senders, duplicate delivery
 //! attempts, mid-group `GroupNext` continuations, and crash/recovery
@@ -29,11 +29,7 @@
 use aaa_audit::interleave::{explore, EngineConfig, EngineModel, Options};
 use aaa_clocks::StampMode;
 
-const MODES: [(&str, StampMode); 3] = [
-    ("full", StampMode::Full),
-    ("updates", StampMode::Updates),
-    ("hybrid", StampMode::Hybrid),
-];
+const MODES: [(&str, StampMode); 2] = [("full", StampMode::Full), ("updates", StampMode::Updates)];
 
 fn depth_level() -> u8 {
     std::env::var("AAA_MODEL_DEPTH")
