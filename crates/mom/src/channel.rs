@@ -265,29 +265,6 @@ impl ChannelCore {
         }
     }
 
-    /// Submits several notifications as one batch, amortizing validation
-    /// and queueing. The returned outcomes are in submission order; remote
-    /// messages will be stamped together by the next
-    /// [`ChannelCore::take_transmissions_batched`] call, which collapses
-    /// consecutive same-hop stamps into `GroupNext` continuations.
-    ///
-    /// # Errors
-    ///
-    /// As for [`ChannelCore::submit_with`]; the first failing submission
-    /// aborts the batch (earlier submissions remain queued).
-    pub fn submit_batch(
-        &mut self,
-        from: AgentId,
-        batch: impl IntoIterator<Item = (AgentId, Notification)>,
-        opts: impl Into<SendOptions>,
-    ) -> Result<Vec<Submit>> {
-        let opts = opts.into();
-        batch
-            .into_iter()
-            .map(|(to, note)| self.submit_with(from, to, note, opts))
-            .collect()
-    }
-
     /// Stamps and drains `QueueOUT`, returning `(next_hop, message)` pairs
     /// in transmission order.
     ///
@@ -396,32 +373,18 @@ impl ChannelCore {
     /// out-of-range entry, orphan continuation) — all indicate a corrupt or
     /// misrouted frame, and none of them touches the clock.
     pub fn on_message(&mut self, from: ServerId, msg: WireMessage) -> Result<Vec<AgentMessage>> {
-        self.on_message_at(from, msg, VTime::ZERO)
-    }
-
-    /// Like [`ChannelCore::on_message`], with the caller's current time
-    /// (wall-clock microseconds since runtime start, or virtual time).
-    /// `now` timestamps postponed messages so the postponement-duration
-    /// histogram has something to measure; it never affects delivery
-    /// order.
-    ///
-    /// # Errors
-    ///
-    /// As for [`ChannelCore::on_message`].
-    pub fn on_message_at(
-        &mut self,
-        from: ServerId,
-        msg: WireMessage,
-        now: VTime,
-    ) -> Result<Vec<AgentMessage>> {
         let mut local = Vec::new();
-        self.on_message_into(from, msg, now, &mut local)?;
+        self.on_message_into(from, msg, VTime::ZERO, &mut local)?;
         Ok(local)
     }
 
-    /// [`ChannelCore::on_message_at`] appending the local deliveries to
-    /// `local`, a buffer the caller keeps across messages, instead of
-    /// returning a fresh vector. A refused message appends nothing.
+    /// [`ChannelCore::on_message`] at the caller's current time `now`
+    /// (wall-clock microseconds since runtime start, or virtual time),
+    /// appending the local deliveries to `local`, a buffer the caller
+    /// keeps across messages, instead of returning a fresh vector. `now`
+    /// timestamps postponed messages so the postponement-duration
+    /// histogram has something to measure; it never affects delivery
+    /// order. A refused message appends nothing.
     pub(crate) fn on_message_into(
         &mut self,
         from: ServerId,
@@ -901,12 +864,12 @@ mod tests {
         for mode in StampMode::ALL {
             let topo = single_domain(4);
             let mut chs = channels(&topo, mode);
-            let batch: Vec<_> = (0..8)
-                .map(|i| (aid(1, 1), Notification::new("b", vec![i as u8])))
-                .collect();
-            chs[0]
-                .submit_batch(aid(0, 1), batch, SendOptions::new())
-                .unwrap();
+            for i in 0..8u8 {
+                let note = Notification::new("b", vec![i]);
+                chs[0]
+                    .submit_with(aid(0, 1), aid(1, 1), note, SendOptions::new())
+                    .unwrap();
+            }
             let tx = chs[0].take_transmissions_batched(true).unwrap();
             assert_eq!(tx.len(), 8);
             assert!(!tx[0].1.stamp.as_ref().unwrap().is_group_next());

@@ -8,16 +8,16 @@
 //! forwards its traffic to the server-local relay instead, which:
 //!
 //! - **journals before delivering** — every publication is appended to the
-//!   subscriber's stream of the relay's one durable [`Journal`] *together
-//!   with the wire causal stamp* that ordered it, then dispatched; the
-//!   server commits the journal (one `fdatasync` per step, [`RelayCore::sync`])
-//!   before anything the step produced leaves it, and a crash between
-//!   journal and delivery redelivers on recovery (at-least-once below,
-//!   exactly-once after the receiver's dedup);
-//! - **commits on recipient ACK** — delivery completes only when the
-//!   subscriber's server acks the relay sequence number (cumulative
-//!   [`RelayAck`]); unacked entries are redelivered after a capped backoff
-//!   ([`retry_backoff_ms`], the `aaa-net::health` schedule);
+//!   subscriber's stream of the relay's one durable [`Journal`], then
+//!   dispatched; the server commits the journal (one `fdatasync` per step,
+//!   [`RelayCore::sync`]) before anything the step produced leaves it, and
+//!   a crash between journal and delivery redelivers on recovery
+//!   (at-least-once below, exactly-once after the receiver's dedup);
+//! - **commits on ACK** — a local delivery is acked in place as the
+//!   subscriber's queue takes it, a handoff when the home relay returns a
+//!   cumulative [`RelayAck`]; unacked entries are redelivered after a
+//!   capped backoff ([`retry_backoff_ms`], the `aaa-net::health`
+//!   schedule);
 //! - **bounds cold subscribers** — a disconnected subscriber's queue
 //!   accepts at most `max_depth` entries and then drops (counted in
 //!   `aaa_pubsub_dropped_total`) instead of growing without bound, and a
@@ -63,9 +63,11 @@ pub const RELAY_PUBLISH: &str = "__relay_publish";
 pub const RELAY_SUBSCRIBE: &str = "__relay_subscribe";
 /// Control kind: a topic removes a subscriber from its relay.
 pub const RELAY_UNSUBSCRIBE: &str = "__relay_unsubscribe";
-/// Control kind: the relay delivers one journaled publication.
+/// Control kind: the relay delivers one journaled publication to a
+/// subscriber on its own server.
 pub const RELAY_DELIVER: &str = "__relay_deliver";
-/// Control kind: cumulative delivery acknowledgement ([`RelayAck`] body).
+/// Control kind: a home relay's cumulative acknowledgement of handoffs
+/// ([`RelayAck`] body).
 pub const RELAY_ACK: &str = "__relay_ack";
 /// Control kind: relay-to-relay transfer of one journaled publication.
 pub const RELAY_HANDOFF: &str = "__relay_handoff";
@@ -76,7 +78,7 @@ pub fn relay_agent(server: ServerId) -> AgentId {
     AgentId::new(server, RELAY_LOCAL)
 }
 
-/// Retention, redelivery and handoff policy of a server's relay.
+/// Retention and redelivery policy of a server's relay.
 #[derive(Debug, Clone)]
 pub struct RelayConfig {
     /// Per-subscriber unacknowledged-entry cap; beyond it publications to
@@ -93,9 +95,6 @@ pub struct RelayConfig {
     /// Base retry timeout before an unacked dispatch is redelivered; the
     /// capped `aaa-net::health` backoff is added per attempt.
     pub retry_rto: VDuration,
-    /// Forward publications for remote subscribers to their home relay
-    /// (`false` delivers directly to the remote agent instead).
-    pub handoff: bool,
     /// Root directory of the durable journals (`relay-<server>/journal/`
     /// under it); `None` keeps them in memory (redelivery still works,
     /// but a crash loses the backlog).
@@ -110,7 +109,6 @@ impl Default for RelayConfig {
             segment_max_records: 1024,
             window: 64,
             retry_rto: VDuration::from_millis(200),
-            handoff: true,
             dir: None,
         }
     }
@@ -149,13 +147,6 @@ impl RelayConfig {
     #[must_use]
     pub fn retry_rto(mut self, rto: VDuration) -> RelayConfig {
         self.retry_rto = rto;
-        self
-    }
-
-    /// Enables or disables relay-to-relay handoff.
-    #[must_use]
-    pub fn handoff(mut self, on: bool) -> RelayConfig {
-        self.handoff = on;
         self
     }
 
@@ -329,11 +320,9 @@ struct Changed {
 #[derive(Debug)]
 struct SubState {
     /// Whether the subscriber is reachable; cold subscribers accumulate
-    /// backlog instead of being dispatched to.
+    /// backlog instead of being dispatched to. A subscriber on another
+    /// server is handed off to its home relay whatever this says.
     connected: bool,
-    /// `true` when this subscriber is served through its home relay (it
-    /// lives on another server and handoff is enabled).
-    remote_handoff: bool,
     /// Highest sequence number dispatched since the last (re)connect or
     /// retry reset; entries in `acked+1 ..= dispatched_upto` are in
     /// flight.
@@ -528,8 +517,6 @@ impl RelayCore {
 
     fn ensure_sub(&mut self, sub: AgentId) -> &mut SubState {
         let RelayCore {
-            me,
-            cfg,
             journal,
             subs,
             depth_cache,
@@ -544,11 +531,52 @@ impl RelayCore {
             *depth_cache = depth_cache.saturating_add(journal.depth(stream(sub)) as u64);
             SubState {
                 connected: true,
-                remote_handoff: cfg.handoff && sub.server() != *me,
                 dispatched_upto: journal.acked(stream(sub)),
                 attempt: 0,
                 next_retry: None,
             }
+        })
+    }
+
+    /// Handles one control message of `kind` from agent `from`: a topic's
+    /// publish, subscribe or unsubscribe, or a peer relay's handoff or
+    /// ack. The outer error is a `body` that does not decode, which the
+    /// server drops and counts; the inner one is the relay's own, a
+    /// storage error that fails the step.
+    pub fn on_control(
+        &mut self,
+        from: AgentId,
+        kind: &str,
+        body: &Bytes,
+        now: VTime,
+    ) -> Result<Result<()>> {
+        let mut d = Decoder::new(body.clone());
+        Ok(match kind {
+            RELAY_PUBLISH => {
+                let topic = d.agent_id()?;
+                let kind = d.string()?;
+                self.on_publish(topic, &kind, &d.bytes()?, now)
+            }
+            RELAY_SUBSCRIBE => {
+                let topic = d.agent_id()?;
+                self.on_subscribe(topic, d.agent_id()?, now);
+                Ok(())
+            }
+            RELAY_UNSUBSCRIBE => {
+                let topic = d.agent_id()?;
+                self.on_unsubscribe(topic, d.agent_id()?);
+                Ok(())
+            }
+            RELAY_ACK => {
+                let ack = RelayAck::decode(body.clone())?;
+                self.on_ack(ack.subscriber, ack.upto, now)
+            }
+            RELAY_HANDOFF => {
+                let sub = d.agent_id()?;
+                let seq = d.u64()?;
+                self.on_handoff(from.server(), sub, seq, &d.bytes()?, now)
+            }
+            _ => Ok(()),
         })
     }
 
@@ -583,14 +611,12 @@ impl RelayCore {
     }
 
     /// Journals one publication from `topic` for every subscriber, then
-    /// dispatches to the warm ones. `stamp` is the wire causal stamp of
-    /// the publication (empty when it was a purely local submit).
+    /// dispatches to the warm ones.
     pub fn on_publish(
         &mut self,
         topic: AgentId,
         kind: &str,
         body: &Bytes,
-        stamp: Vec<u8>,
         now: VTime,
     ) -> Result<()> {
         let members: Vec<AgentId> = self
@@ -624,7 +650,7 @@ impl RelayCore {
             }
             match self
                 .journal
-                .enqueue(stream(sub), tick, stamp.clone(), payload.clone())
+                .enqueue(stream(sub), tick, Vec::new(), payload.clone())
             {
                 Ok(_) => {
                     self.depth_cache = self.depth_cache.saturating_add(1);
@@ -674,18 +700,21 @@ impl RelayCore {
         Ok(())
     }
 
-    /// Accepts one relay-to-relay handoff for a *local* subscriber.
+    /// Accepts handoff `seq` of `payload` from the relay of `origin` for a
+    /// *local* subscriber `sub`.
     ///
     /// Handoff is terminal: a record for a subscriber not hosted here is
     /// dropped (loop prevention), and duplicates — the origin redelivering
     /// past a lost ack — are suppressed by the `(origin, seq)` watermark.
     /// Either way a cumulative ack is returned to the origin relay.
-    pub fn on_handoff(&mut self, origin: ServerId, body: &Bytes, now: VTime) -> Result<()> {
-        let mut d = Decoder::new(body.clone());
-        let sub = d.agent_id()?;
-        let seq = d.u64()?;
-        let stamp = d.bytes()?.to_vec();
-        let payload = d.bytes()?.to_vec();
+    pub fn on_handoff(
+        &mut self,
+        origin: ServerId,
+        sub: AgentId,
+        seq: u64,
+        payload: &Bytes,
+        now: VTime,
+    ) -> Result<()> {
         if sub.server() != self.me {
             // Not ours: a misrouted or looping handoff ends here.
             if let Some(m) = &self.metrics {
@@ -705,7 +734,7 @@ impl RelayCore {
             self.ensure_sub(sub);
             match self
                 .journal
-                .enqueue(stream(sub), now.as_micros(), stamp, payload)
+                .enqueue(stream(sub), now.as_micros(), Vec::new(), payload.to_vec())
             {
                 Ok(_) => {
                     self.depth_cache = self.depth_cache.saturating_add(1);
@@ -814,7 +843,8 @@ impl RelayCore {
             ..
         } = self;
         let Some(st) = subs.get_mut(&sub) else { return };
-        if !st.connected && !st.remote_handoff {
+        let remote = sub.server() != *me;
+        if !st.connected && !remote {
             st.next_retry = None;
             return;
         }
@@ -825,34 +855,27 @@ impl RelayCore {
             .pending_after(key, now.as_micros(), st.dispatched_upto)
             .take_while(|e| e.seq.saturating_sub(acked) <= cfg.window);
         for e in due {
-            let (seq, stamp, payload) = (e.seq, &e.stamp, &e.payload);
-            st.dispatched_upto = seq;
-            if st.remote_handoff {
-                let mut e = Encoder::new();
-                e.agent_id(sub);
-                e.u64(seq);
-                e.bytes(stamp);
-                e.bytes(payload);
-                outbox.push_back((
-                    relay_agent(sub.server()),
-                    Notification::new(RELAY_HANDOFF, e.finish()),
-                    DeliveryPolicy::Causal,
-                ));
+            st.dispatched_upto = e.seq;
+            // A remote subscriber is served by its home relay: the
+            // handoff is `sub | seq | payload`, a delivery `seq | payload`.
+            let mut body = Encoder::new();
+            let (to, kind) = if remote {
+                body.agent_id(sub);
+                (relay_agent(sub.server()), RELAY_HANDOFF)
             } else {
-                let mut e = Encoder::new();
-                e.u64(seq);
-                e.bytes(stamp);
-                e.bytes(payload);
-                outbox.push_back((
-                    sub,
-                    Notification::new(RELAY_DELIVER, e.finish()),
-                    DeliveryPolicy::Causal,
-                ));
-            }
+                (sub, RELAY_DELIVER)
+            };
+            body.u64(e.seq);
+            body.bytes(&e.payload);
+            outbox.push_back((
+                to,
+                Notification::new(kind, body.finish()),
+                DeliveryPolicy::Causal,
+            ));
         }
         if st.dispatched_upto > acked {
             if st.next_retry.is_none() {
-                let peer = if st.remote_handoff { sub.server() } else { *me };
+                let peer = if remote { sub.server() } else { *me };
                 let backoff =
                     VDuration::from_millis(retry_backoff_ms(*me, peer, st.attempt.max(1)));
                 st.next_retry = Some(now + cfg.retry_rto + backoff);
@@ -877,7 +900,7 @@ impl RelayCore {
     pub fn is_idle(&self) -> bool {
         self.outbox.is_empty()
             && self.subs.iter().all(|(&sub, st)| {
-                (!st.connected && !st.remote_handoff) || self.journal.depth(stream(sub)) == 0
+                (!st.connected && sub.server() == self.me) || self.journal.depth(stream(sub)) == 0
             })
     }
 
@@ -957,7 +980,7 @@ mod tests {
         let sub = aid(0, 2);
         r.on_subscribe(topic, sub, VTime::ZERO);
         for i in 0..3u8 {
-            r.on_publish(topic, "ev", &Bytes::from(vec![i]), vec![], VTime::ZERO)
+            r.on_publish(topic, "ev", &Bytes::from(vec![i]), VTime::ZERO)
                 .unwrap();
         }
         let out = drain(&mut r);
@@ -976,7 +999,7 @@ mod tests {
         let sub = aid(0, 2);
         r.on_subscribe(topic, sub, VTime::ZERO);
         for i in 0..10u8 {
-            r.on_publish(topic, "ev", &Bytes::from(vec![i]), vec![], VTime::ZERO)
+            r.on_publish(topic, "ev", &Bytes::from(vec![i]), VTime::ZERO)
                 .unwrap();
         }
         assert_eq!(drain(&mut r).len(), 4, "window caps in-flight");
@@ -991,7 +1014,7 @@ mod tests {
         let sub = aid(0, 2);
         r.on_subscribe(topic, sub, VTime::ZERO);
         r.set_connected(sub, false, VTime::ZERO);
-        r.on_publish(topic, "ev", &Bytes::from_static(b"x"), vec![], VTime::ZERO)
+        r.on_publish(topic, "ev", &Bytes::from_static(b"x"), VTime::ZERO)
             .unwrap();
         assert!(drain(&mut r).is_empty(), "cold: journal only");
         assert!(r.is_idle(), "cold backlog does not block idleness");
@@ -1010,7 +1033,7 @@ mod tests {
         let sub = aid(0, 2);
         r.on_subscribe(topic, sub, VTime::ZERO);
         for i in 0..5u8 {
-            r.on_publish(topic, "ev", &Bytes::from(vec![i]), vec![], VTime::ZERO)
+            r.on_publish(topic, "ev", &Bytes::from(vec![i]), VTime::ZERO)
                 .unwrap();
             assert_eq!(r.depth_cache as usize, r.backlog());
         }
@@ -1031,7 +1054,7 @@ mod tests {
         r.on_subscribe(topic, warm, VTime::ZERO);
         r.set_connected(cold, false, VTime::ZERO);
         for i in 0..3u8 {
-            r.on_publish(topic, "ev", &Bytes::from(vec![i]), vec![], VTime::ZERO)
+            r.on_publish(topic, "ev", &Bytes::from(vec![i]), VTime::ZERO)
                 .unwrap();
         }
         // cold is capped at 2; warm got all 3.
@@ -1046,7 +1069,7 @@ mod tests {
         let topic = aid(0, 1);
         let sub = aid(0, 2);
         r.on_subscribe(topic, sub, VTime::ZERO);
-        r.on_publish(topic, "ev", &Bytes::from_static(b"x"), vec![], VTime::ZERO)
+        r.on_publish(topic, "ev", &Bytes::from_static(b"x"), VTime::ZERO)
             .unwrap();
         assert_eq!(drain(&mut r).len(), 1);
         let deadline = r.next_retry_deadline().expect("retry armed");
@@ -1064,7 +1087,7 @@ mod tests {
         let sub = aid(0, 2);
         r.on_subscribe(topic, sub, VTime::ZERO);
         for i in 0..2u8 {
-            r.on_publish(topic, "ev", &Bytes::from(vec![i]), vec![], VTime::ZERO)
+            r.on_publish(topic, "ev", &Bytes::from(vec![i]), VTime::ZERO)
                 .unwrap();
         }
         assert_eq!(drain(&mut r).len(), 2);
@@ -1086,7 +1109,7 @@ mod tests {
         let sub = aid(0, 2);
         r.on_subscribe(topic, sub, VTime::ZERO);
         r.set_connected(sub, false, VTime::ZERO);
-        r.on_publish(topic, "ev", &Bytes::from_static(b"x"), vec![], VTime::ZERO)
+        r.on_publish(topic, "ev", &Bytes::from_static(b"x"), VTime::ZERO)
             .unwrap();
         r.on_tick(VTime::from_micros(10)).unwrap();
         assert_eq!(r.backlog(), 0, "expired prefix reclaimed");
@@ -1102,14 +1125,20 @@ mod tests {
         let sub = aid(1, 2);
         origin.on_subscribe(topic, sub, VTime::ZERO);
         origin
-            .on_publish(topic, "ev", &Bytes::from_static(b"x"), vec![7], VTime::ZERO)
+            .on_publish(topic, "ev", &Bytes::from_static(b"x"), VTime::ZERO)
             .unwrap();
         let (to, note, policy) = origin.pop_outbox().expect("handoff dispatched");
         assert_eq!(to, relay_agent(ServerId::new(1)));
         assert_eq!(note.kind(), RELAY_HANDOFF);
         assert_eq!(policy, DeliveryPolicy::Causal);
-        home.on_handoff(ServerId::new(0), note.body(), VTime::ZERO)
-            .unwrap();
+        home.on_control(
+            relay_agent(ServerId::new(0)),
+            RELAY_HANDOFF,
+            note.body(),
+            VTime::ZERO,
+        )
+        .unwrap()
+        .unwrap();
         // Home relay delivers locally and acks the origin.
         let out: Vec<_> = std::iter::from_fn(|| home.pop_outbox()).collect();
         assert_eq!(out.len(), 2);
@@ -1120,10 +1149,14 @@ mod tests {
             .find(|(_, n, _)| n.kind() == RELAY_DELIVER)
             .unwrap();
         assert_eq!(deliver.0, sub);
-        // The journaled stamp survived the hop.
+        // The publication survived the hop.
         let mut d = Decoder::new(deliver.1.body().clone());
-        let _seq = d.u64().unwrap();
-        assert_eq!(d.bytes().unwrap().as_ref(), &[7]);
+        assert_eq!(d.u64().unwrap(), 1);
+        let (from, kind, body) = decode_payload(&d.bytes().unwrap()).unwrap();
+        assert_eq!(
+            (from, kind.as_str(), body.as_ref()),
+            (topic, "ev", &b"x"[..])
+        );
         // Origin commits on the ack.
         let ack_body = RelayAck::decode(ack.1.body().clone()).unwrap();
         assert_eq!(
@@ -1141,20 +1174,8 @@ mod tests {
     fn duplicate_handoff_is_suppressed_but_reacked() {
         let mut home = RelayCore::new(ServerId::new(1), local_cfg()).unwrap();
         let sub = aid(1, 2);
-        let mut e = Encoder::new();
-        e.agent_id(sub);
-        e.u64(1);
-        e.bytes(&[]);
-        let mut p = Encoder::new();
-        p.agent_id(aid(0, 1));
-        p.string("ev");
-        p.bytes(b"x");
-        e.bytes(&p.finish());
-        let body = e.finish();
-        home.on_handoff(ServerId::new(0), &body, VTime::ZERO)
-            .unwrap();
-        home.on_handoff(ServerId::new(0), &body, VTime::ZERO)
-            .unwrap();
+        hand_off(&mut home, sub, 1);
+        hand_off(&mut home, sub, 1);
         let out: Vec<_> = std::iter::from_fn(|| home.pop_outbox()).collect();
         let delivers = out
             .iter()
@@ -1168,14 +1189,7 @@ mod tests {
     #[test]
     fn foreign_handoff_is_dropped_not_forwarded() {
         let mut relay = RelayCore::new(ServerId::new(1), local_cfg()).unwrap();
-        let mut e = Encoder::new();
-        e.agent_id(aid(5, 2)); // not hosted on server 1
-        e.u64(1);
-        e.bytes(&[]);
-        e.bytes(&[]);
-        relay
-            .on_handoff(ServerId::new(0), &e.finish(), VTime::ZERO)
-            .unwrap();
+        hand_off(&mut relay, aid(5, 2), 1); // not hosted on server 1
         assert!(
             relay.pop_outbox().is_none(),
             "loop prevention: terminal drop"
@@ -1207,7 +1221,7 @@ mod tests {
             let mut r = RelayCore::new(ServerId::new(0), cfg.clone()).unwrap();
             r.on_subscribe(topic, sub, VTime::ZERO);
             for i in 0..3u8 {
-                r.on_publish(topic, "ev", &Bytes::from(vec![i]), vec![], VTime::ZERO)
+                r.on_publish(topic, "ev", &Bytes::from(vec![i]), VTime::ZERO)
                     .unwrap();
             }
             drain(&mut r);
@@ -1236,14 +1250,8 @@ mod tests {
                 r.on_subscribe(other, aid(1, 3), VTime::ZERO);
             },
             &|r| r.set_connected(aid(1, 2), false, VTime::ZERO),
-            &|r| {
-                r.on_handoff(ServerId::new(0), &handoff(aid(1, 4), 1), VTime::ZERO)
-                    .unwrap();
-            },
-            &|r| {
-                r.on_handoff(ServerId::new(0), &handoff(aid(1, 4), 2), VTime::ZERO)
-                    .unwrap();
-            },
+            &|r| hand_off(r, aid(1, 4), 1),
+            &|r| hand_off(r, aid(1, 4), 2),
             // The only member leaves: the topic and the subscriber go.
             &|r| r.on_unsubscribe(other, aid(1, 3)),
             &|_| {},
@@ -1272,32 +1280,28 @@ mod tests {
         dir
     }
 
-    /// A handoff of origin sequence `seq` for `sub`, carrying `[seq]`.
-    fn handoff(sub: AgentId, seq: u64) -> Bytes {
+    /// Hands `r` origin sequence `seq` for `sub` from server 0, carrying
+    /// `[seq]`.
+    fn hand_off(r: &mut RelayCore, sub: AgentId, seq: u64) {
         let mut p = Encoder::new();
         p.agent_id(aid(0, 1));
         p.string("ev");
         p.bytes(&[seq as u8]);
-        let mut e = Encoder::new();
-        e.agent_id(sub);
-        e.u64(seq);
-        e.bytes(&[]);
-        e.bytes(&p.finish());
-        e.finish()
+        r.on_handoff(ServerId::new(0), sub, seq, &p.finish(), VTime::ZERO)
+            .unwrap();
     }
 
     #[test]
     fn unsynced_handoffs_die_with_the_relay_and_redelivery_lands_once() {
         let dir = tmp_dir("unsynced");
         let cfg = local_cfg().dir(&dir);
-        let (origin, sub) = (ServerId::new(0), aid(1, 2));
+        let sub = aid(1, 2);
         {
             // A step journals three handoffs and queues their acks, then
             // the server dies before the step's commit.
             let mut home = RelayCore::new(ServerId::new(1), cfg.clone()).unwrap();
             for seq in 1..=3 {
-                home.on_handoff(origin, &handoff(sub, seq), VTime::ZERO)
-                    .unwrap();
+                hand_off(&mut home, sub, seq);
             }
             assert_eq!(drain(&mut home).len(), 6, "three deliveries, three acks");
         }
@@ -1308,8 +1312,7 @@ mod tests {
         assert_eq!(home.journal.depth(stream(sub)), 0);
         for _ in 0..2 {
             for seq in 1..=3 {
-                home.on_handoff(origin, &handoff(sub, seq), VTime::ZERO)
-                    .unwrap();
+                hand_off(&mut home, sub, seq);
             }
         }
         let delivered: Vec<u64> = std::iter::from_fn(|| home.pop_outbox())

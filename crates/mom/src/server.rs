@@ -18,8 +18,8 @@ use std::sync::Arc;
 use aaa_base::{Absorb, AgentId, Error, MessageId, Result, ServerId, VDuration, VTime};
 use aaa_clocks::StampMode;
 use aaa_net::link::{Datagram, LinkFrame};
-use aaa_net::wire::{Decoder, Encoder};
-use aaa_net::{BatchPolicy, LinkReceiver, LinkSender, RelayAck, WireMessage};
+use aaa_net::wire::Decoder;
+use aaa_net::{BatchPolicy, LinkReceiver, LinkSender, WireMessage};
 use aaa_obs::{LatencyTracker, Meter};
 use aaa_storage::StableStore;
 use aaa_topology::Topology;
@@ -140,16 +140,10 @@ pub struct ServerCore {
     /// The store-and-forward relay, when enabled (DESIGN.md §17).
     relay: Option<RelayCore>,
     /// Receiver-side exactly-once dedup: highest relay sequence accepted
-    /// per `(subscriber, relay server)`. Lives on every server (a
-    /// subscriber's server need not run a relay of its own).
+    /// per `(subscriber, relay server)`. Only this server's relay delivers
+    /// here, so the relay server is always this one; the key keeps the
+    /// checkpoint's layout.
     deliver_rx: HashMap<(AgentId, ServerId), u64>,
-    /// Wire causal stamps of in-flight publications, keyed by message id:
-    /// captured at ingestion (before the channel consumes the stamp) and
-    /// handed to the relay so the stamp is journaled with the payload.
-    publish_stamps: HashMap<MessageId, Vec<u8>>,
-    /// Acks and other sends queued by the local delivery path, drained by
-    /// [`ServerCore::run_reactions`]: `(from, to, note, policy)`.
-    pending_sends: std::collections::VecDeque<(AgentId, AgentId, Notification, DeliveryPolicy)>,
     /// Meter stash so a relay enabled after [`ServerCore::attach_meter`]
     /// still gets instruments.
     meter: Option<Meter>,
@@ -245,8 +239,6 @@ impl ServerCore {
             latency: None,
             relay: None,
             deliver_rx: HashMap::new(),
-            publish_stamps: HashMap::new(),
-            pending_sends: std::collections::VecDeque::new(),
             meter: None,
             log: StateLog::default(),
             uncommitted: false,
@@ -499,26 +491,7 @@ impl ServerCore {
     ) -> Result<(MessageId, Vec<Transmission>)> {
         self.check_backpressure()?;
         let opts = opts.into();
-        let causal = opts.policy == DeliveryPolicy::Causal;
-        let id = match self.channel.submit_with(from, to, note, opts)? {
-            Submit::Local(msg) => {
-                let id = msg.id;
-                if causal {
-                    self.record_send(self.me, id, now);
-                    self.record_delivery(id, false, now);
-                }
-                self.deliver_local(msg, now)?;
-                id
-            }
-            Submit::Queued(id) => {
-                if causal {
-                    self.record_send(to.server(), id, now);
-                } else if let Some(c) = &self.in_flight {
-                    c.fetch_add(1, Ordering::Relaxed);
-                }
-                id
-            }
-        };
+        let id = self.submit(from, to, note, opts.policy, now)?;
         self.run_reactions(now)?;
         let out = self.flush(now, opts.flush)?;
         self.commit()?;
@@ -546,29 +519,9 @@ impl ServerCore {
     ) -> Result<(Vec<MessageId>, Vec<Transmission>)> {
         self.check_backpressure()?;
         let opts = opts.into();
-        let causal = opts.policy == DeliveryPolicy::Causal;
-        let mut ids = Vec::with_capacity(batch.len());
-        for (to, note) in batch {
-            match self.channel.submit_with(from, to, note, opts)? {
-                Submit::Local(msg) => {
-                    let id = msg.id;
-                    if causal {
-                        self.record_send(self.me, id, now);
-                        self.record_delivery(id, false, now);
-                    }
-                    self.deliver_local(msg, now)?;
-                    ids.push(id);
-                }
-                Submit::Queued(id) => {
-                    if causal {
-                        self.record_send(to.server(), id, now);
-                    } else if let Some(c) = &self.in_flight {
-                        c.fetch_add(1, Ordering::Relaxed);
-                    }
-                    ids.push(id);
-                }
-            }
-        }
+        let ids = (batch.into_iter())
+            .map(|(to, note)| self.submit(from, to, note, opts.policy, now))
+            .collect::<Result<Vec<_>>>()?;
         self.run_reactions(now)?;
         let out = self.flush(now, opts.flush)?;
         self.commit()?;
@@ -682,24 +635,7 @@ impl ServerCore {
                     self.reject_input(1);
                     continue;
                 };
-                let id = msg.id;
                 let unordered = msg.stamp.is_none() && msg.dest_server == self.me;
-                // Publications bound for a relay journal their causal
-                // stamp with the payload; the channel consumes the wire
-                // stamp below, so encode it here, keyed by message id.
-                let publish_stamp = match &msg.stamp {
-                    Some(stamp)
-                        if self.relay.is_some()
-                            && msg.dest_server == self.me
-                            && (msg.kind == crate::pubsub::PUBLISH
-                                || msg.kind == relay::RELAY_PUBLISH) =>
-                    {
-                        let mut e = Encoder::new();
-                        e.stamp(stamp);
-                        Some(e.finish().to_vec())
-                    }
-                    _ => None,
-                };
                 // The channel validates before it touches any clock, so a
                 // refused message leaves no trace in the causal state.
                 if self
@@ -709,9 +645,6 @@ impl ServerCore {
                 {
                     self.reject_input(1);
                     continue;
-                }
-                if let Some(stamp) = publish_stamp {
-                    self.publish_stamps.insert(id, stamp);
                 }
                 for m in local.drain(..) {
                     if unordered {
@@ -864,7 +797,6 @@ impl ServerCore {
             && self.channel.postponed_count() == 0
             && self.engine.pending() == 0
             && self.links_tx.values().all(|tx| tx.in_flight() == 0)
-            && self.pending_sends.is_empty()
             && self.relay.as_ref().is_none_or(RelayCore::is_idle)
     }
 
@@ -891,61 +823,51 @@ impl ServerCore {
         Ok(())
     }
 
-    /// Runs engine reactions, pending relay-path sends and relay outbox
-    /// dispatches until all three sources are drained.
+    /// Runs engine reactions and relay outbox dispatches until both are
+    /// drained.
     fn run_reactions(&mut self, now: VTime) -> Result<()> {
         loop {
             if let Some(reaction) = self.engine.step() {
                 if self.config.persist && reaction.reacted {
                     self.log.agents.push(reaction.msg.to.local());
                 }
-                // A topic agent reacting to a relayed publication forwards
-                // the journaled wire stamp to the relay alongside the
-                // payload (consumed here either way, so nothing leaks).
-                let stamp = self.publish_stamps.remove(&reaction.msg.id);
                 for (to, note, policy) in reaction.outgoing {
-                    let hint = if note.kind() == relay::RELAY_PUBLISH {
-                        stamp.clone()
-                    } else {
-                        None
-                    };
-                    self.submit_local_or_queue(reaction.msg.to, to, note, policy, hint, now)?;
+                    self.submit(reaction.msg.to, to, note, policy, now)?;
                 }
-            } else if let Some((from, to, note, policy)) = self.pending_sends.pop_front() {
-                self.submit_local_or_queue(from, to, note, policy, None, now)?;
             } else if let Some((to, note, policy)) =
                 self.relay.as_mut().and_then(RelayCore::pop_outbox)
             {
-                self.submit_local_or_queue(relay_agent(self.me), to, note, policy, None, now)?;
+                self.submit(relay_agent(self.me), to, note, policy, now)?;
             } else {
                 return Ok(());
             }
         }
     }
 
-    /// Submits one notification into the channel and routes a `Local`
-    /// result back through [`ServerCore::deliver_local`]. `stamp_hint`
-    /// re-keys a journaled publication stamp under the new message id.
-    fn submit_local_or_queue(
+    /// Submits one notification into the channel: the one path of client
+    /// sends, reactions and relay dispatches. A message for this server is
+    /// traced and delivered at once ([`ServerCore::deliver_local`]); one
+    /// for another is traced as a send and waits for the flush. Unordered
+    /// messages stay out of the trace but count toward the in-flight
+    /// counter.
+    fn submit(
         &mut self,
         from: AgentId,
         to: AgentId,
         note: Notification,
         policy: DeliveryPolicy,
-        stamp_hint: Option<Vec<u8>>,
         now: VTime,
-    ) -> Result<()> {
+    ) -> Result<MessageId> {
         let causal = policy == DeliveryPolicy::Causal;
         match self.channel.submit_with(from, to, note, policy)? {
             Submit::Local(msg) => {
+                let id = msg.id;
                 if causal {
-                    self.record_send(self.me, msg.id, now);
-                    self.record_delivery(msg.id, false, now);
-                }
-                if let Some(stamp) = stamp_hint {
-                    self.publish_stamps.insert(msg.id, stamp);
+                    self.record_send(self.me, id, now);
+                    self.record_delivery(id, false, now);
                 }
                 self.deliver_local(msg, now)?;
+                Ok(id)
             }
             Submit::Queued(id) => {
                 if causal {
@@ -953,9 +875,9 @@ impl ServerCore {
                 } else if let Some(c) = &self.in_flight {
                     c.fetch_add(1, Ordering::Relaxed);
                 }
+                Ok(id)
             }
         }
-        Ok(())
     }
 
     /// Routes a locally deliverable message: to the relay pseudo-agent, to
@@ -971,90 +893,54 @@ impl ServerCore {
         }
     }
 
-    /// Handles a message addressed to this server's relay pseudo-agent.
+    /// Handles a message addressed to this server's relay pseudo-agent (a
+    /// dead letter on a server without one). A control body that does not
+    /// decode is dropped and counted; only a storage error fails the step.
     fn deliver_to_relay(&mut self, msg: AgentMessage, now: VTime) -> Result<()> {
-        // Pop the journaled stamp first so a relay-less server (dead
-        // letter) does not leak the entry.
-        let stamp = self.publish_stamps.remove(&msg.id);
         let Some(relay) = &mut self.relay else {
             return Ok(());
         };
-        let body = Bytes::from(msg.note.body().to_vec());
-        match msg.note.kind() {
-            relay::RELAY_PUBLISH => {
-                let mut d = Decoder::new(body);
-                let topic = d.agent_id()?;
-                let kind = d.string()?;
-                let inner = d.bytes()?;
-                relay.on_publish(topic, &kind, &inner, stamp.unwrap_or_default(), now)
-            }
-            relay::RELAY_SUBSCRIBE => {
-                let mut d = Decoder::new(body);
-                let topic = d.agent_id()?;
-                let sub = d.agent_id()?;
-                relay.on_subscribe(topic, sub, now);
-                Ok(())
-            }
-            relay::RELAY_UNSUBSCRIBE => {
-                let mut d = Decoder::new(body);
-                let topic = d.agent_id()?;
-                let sub = d.agent_id()?;
-                relay.on_unsubscribe(topic, sub);
-                Ok(())
-            }
-            relay::RELAY_ACK => {
-                let ack = RelayAck::decode(body)?;
-                relay.on_ack(ack.subscriber, ack.upto, now)
-            }
-            relay::RELAY_HANDOFF => relay.on_handoff(msg.from.server(), &body, now),
-            _ => Ok(()),
-        }
+        let step = relay.on_control(msg.from, msg.note.kind(), msg.note.body(), now);
+        step.unwrap_or_else(|_| {
+            self.reject_input(1);
+            Ok(())
+        })
     }
 
-    /// Handles a relay delivery addressed to a local subscriber: dedups by
-    /// `(subscriber, relay)` watermark, re-validates the journaled causal
-    /// stamp, unwraps the original publication for the engine, and queues
-    /// the cumulative ack back to the relay.
-    fn deliver_from_relay(&mut self, msg: AgentMessage, _now: VTime) -> Result<()> {
-        let mut d = Decoder::new(Bytes::from(msg.note.body().to_vec()));
-        let seq = d.u64()?;
-        let stamp = d.bytes()?;
-        let payload = d.bytes()?;
-        let key = (msg.to, msg.from.server());
+    /// Handles a relay delivery to a local subscriber. Only this server's
+    /// own relay delivers; anything else under the kind, or a body that
+    /// does not decode, is dropped and counted. Dedups by the subscriber's
+    /// watermark, unwraps the original publication for the engine and acks
+    /// the relay in place.
+    fn deliver_from_relay(&mut self, msg: AgentMessage, now: VTime) -> Result<()> {
+        let own = msg.from == relay_agent(self.me);
+        let mut d = Decoder::new(msg.note.body().clone());
+        let (true, Ok(seq), Ok(payload)) = (own, d.u64(), d.bytes()) else {
+            self.reject_input(1);
+            return Ok(());
+        };
+        let key = (msg.to, self.me);
         let last = self.deliver_rx.get(&key).copied().unwrap_or(0);
         if seq > last {
             self.deliver_rx.insert(key, seq);
             if self.config.persist {
                 self.log.deliver_rx.push(key);
             }
-            // The journaled stamp must still parse (empty = a local
-            // publication that never had a wire stamp). A poisoned entry
-            // is skipped but still acked so the window keeps moving.
-            let stamp_ok = stamp.is_empty() || Decoder::new(stamp.clone()).stamp().is_ok();
-            match relay::decode_payload(&payload) {
-                Ok((topic, kind, inner)) if stamp_ok => {
-                    self.engine.enqueue(AgentMessage {
-                        id: msg.id,
-                        from: topic,
-                        to: msg.to,
-                        note: Notification::new(kind, inner.to_vec()),
-                    });
-                }
-                _ => {}
+            // A poisoned entry is skipped but still acked, so the window
+            // keeps moving.
+            if let Ok((topic, kind, inner)) = relay::decode_payload(&payload) {
+                self.engine.enqueue(AgentMessage {
+                    id: msg.id,
+                    from: topic,
+                    to: msg.to,
+                    note: Notification::new(kind, inner),
+                });
             }
         }
-        let upto = self.deliver_rx.get(&key).copied().unwrap_or(seq.max(last));
-        let ack = RelayAck {
-            subscriber: msg.to,
-            upto,
-        };
-        self.pending_sends.push_back((
-            msg.to,
-            msg.from,
-            Notification::new(relay::RELAY_ACK, ack.encode().to_vec()),
-            DeliveryPolicy::Unordered,
-        ));
-        Ok(())
+        match &mut self.relay {
+            Some(relay) => relay.on_ack(msg.to, seq.max(last), now),
+            None => Ok(()),
+        }
     }
 
     /// Stamps and hands queued messages to the link layer, returning the
@@ -1486,6 +1372,8 @@ fn acked_through(tx: &LinkSender) -> u64 {
 mod tests {
     use super::*;
     use crate::agent::{EchoAgent, FnAgent};
+    use aaa_net::wire::Encoder;
+    use aaa_net::RelayAck;
     use aaa_storage::MemoryStore;
     use aaa_topology::TopologySpec;
 
@@ -1682,6 +1570,139 @@ mod tests {
         assert_eq!(clean_rejected, 0);
         assert_eq!(clean_got, got);
         assert_eq!(clean_transcript, transcript);
+    }
+
+    /// Server 1 of `single_domain(2)`, running a relay and a sink at local
+    /// 1 that records the kinds it sees, takes one drain from server 0: a
+    /// batch of `a` to the sink, then `notes`, then `b` to the sink.
+    /// Returns the step, what the sink saw, the inputs counted as
+    /// rejected, and the server.
+    fn relay_input_from_a_peer(
+        notes: Vec<(AgentId, Notification)>,
+    ) -> (Result<Vec<Transmission>>, Vec<String>, u64, ServerCore) {
+        let topo = TopologySpec::single_domain(2).validate().unwrap();
+        let sink = aid(1, 1);
+        let mut batch = vec![(sink, Notification::signal("a"))];
+        batch.extend(notes);
+        batch.push((sink, Notification::signal("b")));
+        let (_, tx) = make(&topo, 0, ServerConfig::default())
+            .client_send_batch(aid(0, 9), batch, DeliveryPolicy::Causal, VTime::ZERO)
+            .unwrap();
+        let [drain] = <[Transmission; 1]>::try_from(tx).unwrap();
+        let registry = aaa_obs::Registry::new();
+        let got: Arc<parking_lot::Mutex<Vec<String>>> = Default::default();
+        let seen = got.clone();
+        let mut core = ServerCore::new(
+            &topo,
+            s(1),
+            ServerConfig::default(),
+            Arc::new(MemoryStore::new()),
+        )
+        .unwrap();
+        core.attach_meter(&Meter::new(&registry));
+        core.enable_relay(RelayConfig::default(), VTime::ZERO)
+            .unwrap();
+        core.register_agent(
+            1,
+            Box::new(FnAgent::new(move |_ctx, _from, note| {
+                seen.lock().push(note.kind().to_owned());
+            })),
+        );
+        let out = core.on_datagram(s(0), drain.bytes, VTime::ZERO);
+        let rejected = registry
+            .snapshot()
+            .sum_counter("aaa_server_rejected_datagrams_total");
+        let got = got.lock().clone();
+        (out, got, rejected, core)
+    }
+
+    /// `out` is exactly one link acknowledgement to server 0, of all the
+    /// `frames` a [`relay_input_from_a_peer`] drain carried.
+    fn only_the_link_ack(out: Vec<Transmission>, frames: u64) {
+        let [ack] = <[Transmission; 1]>::try_from(out).unwrap();
+        assert_eq!(ack.to, s(0));
+        assert_eq!(
+            Datagram::decode(ack.bytes).unwrap(),
+            Datagram::Ack { cum_seq: frames }
+        );
+    }
+
+    /// A relay delivery whose body does not decode, between two good
+    /// messages of one drain, costs only itself: it used to abort the
+    /// step after the link had consumed all three frames, so `b`'s
+    /// retransmission was dropped as a duplicate and `b` was lost.
+    #[test]
+    fn a_malformed_relay_body_costs_only_itself() {
+        let empty = Notification::new(relay::RELAY_DELIVER, Vec::new());
+        let (out, got, rejected, _) = relay_input_from_a_peer(vec![(aid(1, 1), empty)]);
+        only_the_link_ack(out.expect("a malformed body is not a step error"), 3);
+        assert_eq!(got, ["a", "b"]);
+        assert_eq!(rejected, 1);
+    }
+
+    /// Every relay control kind a peer may send, with its body cut short
+    /// (to nothing, and by its last byte): each is dropped and counted,
+    /// and the rest of the drain is delivered.
+    #[test]
+    fn truncated_relay_control_bodies_are_counted_and_skipped() {
+        let (topic, sub) = (aid(1, 7), aid(1, 1));
+        let mut publish = Encoder::new();
+        publish.agent_id(topic);
+        publish.string("ev");
+        publish.bytes(b"x");
+        let mut membership = Encoder::new();
+        membership.agent_id(topic);
+        membership.agent_id(sub);
+        let membership = membership.finish();
+        let mut handoff = Encoder::new();
+        handoff.agent_id(sub);
+        handoff.u64(1);
+        handoff.bytes(b"payload");
+        let bodies = [
+            (relay::RELAY_PUBLISH, publish.finish()),
+            (relay::RELAY_SUBSCRIBE, membership.clone()),
+            (relay::RELAY_UNSUBSCRIBE, membership),
+            (
+                relay::RELAY_ACK,
+                RelayAck {
+                    subscriber: sub,
+                    upto: 1,
+                }
+                .encode(),
+            ),
+            (relay::RELAY_HANDOFF, handoff.finish()),
+        ];
+        for (kind, body) in bodies {
+            let cut = |len: usize| {
+                let note = Notification::new(kind, body.slice(0..len));
+                (relay_agent(s(1)), note)
+            };
+            let (out, got, rejected, _) =
+                relay_input_from_a_peer(vec![cut(0), cut(body.len() - 1)]);
+            only_the_link_ack(out.unwrap_or_else(|e| panic!("{kind}: {e}")), 4);
+            assert_eq!(got, ["a", "b"], "{kind}");
+            assert_eq!(rejected, 2, "{kind}");
+        }
+    }
+
+    /// Only this server's own relay delivers to its subscribers: a
+    /// well-formed delivery from a peer's agent is refused, reaches no
+    /// subscriber and moves no dedup watermark, and no ack answers it.
+    #[test]
+    fn a_relay_delivery_from_a_peer_reaches_no_subscriber() {
+        let mut payload = Encoder::new();
+        payload.agent_id(aid(0, 5));
+        payload.string("forged");
+        payload.bytes(b"x");
+        let mut deliver = Encoder::new();
+        deliver.u64(1);
+        deliver.bytes(&payload.finish());
+        let forged = Notification::new(relay::RELAY_DELIVER, deliver.finish());
+        let (out, got, rejected, core) = relay_input_from_a_peer(vec![(aid(1, 1), forged)]);
+        only_the_link_ack(out.unwrap(), 3);
+        assert_eq!(got, ["a", "b"]);
+        assert_eq!(rejected, 1);
+        assert!(core.deliver_rx.is_empty());
     }
 
     #[test]
@@ -2763,14 +2784,11 @@ mod tests {
 
         /// What one server has shown its peers: per peer the highest link
         /// frame it sent and cumulative sequence it acknowledged, and the
-        /// relay acknowledgements it sent — delivery acks per
-        /// `(subscriber, relay server)`, handoff acks per
-        /// `(origin server, subscriber)`.
+        /// handoff acks its relay sent per `(origin server, subscriber)`.
         #[derive(Default)]
         struct Shown {
             frames: HashMap<ServerId, u64>,
             cum: HashMap<ServerId, u64>,
-            delivered: HashMap<(AgentId, ServerId), u64>,
             handed_off: HashMap<(ServerId, AgentId), u64>,
         }
 
@@ -2793,12 +2811,8 @@ mod tests {
                         continue;
                     }
                     let ack = RelayAck::decode(msg.body).unwrap();
-                    let relay = msg.to_agent.server();
-                    if msg.from_agent.local() == RELAY_LOCAL {
-                        raise(&mut self.handed_off, (relay, ack.subscriber), ack.upto);
-                    } else {
-                        raise(&mut self.delivered, (ack.subscriber, relay), ack.upto);
-                    }
+                    let origin = msg.to_agent.server();
+                    raise(&mut self.handed_off, (origin, ack.subscriber), ack.upto);
                 }
             }
 
@@ -2819,15 +2833,6 @@ mod tests {
                         .find(|l| l.peer == peer)
                         .map_or(0, |l| l.cum_seq);
                     assert!(got >= cum, "{at}: acked {cum} to {peer}, recovered {got}");
-                }
-                for (&key, &upto) in &self.delivered {
-                    let got = (image.deliver_rx.iter())
-                        .find(|(k, _)| *k == key)
-                        .map_or(0, |(_, v)| *v);
-                    assert!(
-                        got >= upto,
-                        "{at}: delivery ack {upto} for {key:?}, recovered {got}"
-                    );
                 }
                 for (&key, &upto) in &self.handed_off {
                     let got = image.relay.handoffs.get(&key).copied().unwrap_or(0);
@@ -2865,7 +2870,7 @@ mod tests {
             /// journaling through a durable relay of `segment` records per
             /// segment: the topic on server 0, `SUBS` subscribers on
             /// server 1, subscribed and settled.
-            fn new(handoff: bool, segment: usize, seed: u64) -> Run {
+            fn new(segment: usize, seed: u64) -> Run {
                 let dir = std::env::temp_dir().join(format!(
                     "aaa-power-loss-{}-{:?}",
                     std::process::id(),
@@ -2878,7 +2883,6 @@ mod tests {
                     ..ServerConfig::default()
                 };
                 let relay = RelayConfig::default()
-                    .handoff(handoff)
                     .segment_max_records(segment)
                     .dir(dir.join("relay"));
                 let stores: Vec<Arc<PowerLossStore>> = (0..2)
@@ -3063,12 +3067,12 @@ mod tests {
         #[test]
         fn every_commit_point_survives_power_loss() {
             let mut cuts = 0;
-            // Handoff to the home relay or delivery straight from the
-            // topic's; short segments compact, and so checkpoint, mid-run.
-            for (handoff, segment, seed) in [(true, 1024, 26), (false, 1024, 62), (true, 8, 7)] {
+            // Two seeds of long segments; short ones compact, and so
+            // checkpoint, mid-run.
+            for (segment, seed) in [(1024, 26), (1024, 62), (8, 7)] {
                 // A run without a power cut counts each server's commit
                 // points after setup...
-                let mut run = Run::new(handoff, segment, seed);
+                let mut run = Run::new(segment, seed);
                 for server in 0..2 {
                     run.cut_power(server, u64::MAX);
                 }
@@ -3082,9 +3086,9 @@ mod tests {
                 // ...and a run per point cuts the power there.
                 for (server, &points) in points.iter().enumerate() {
                     for after in 0..points {
-                        let mut run = Run::new(handoff, segment, seed);
+                        let mut run = Run::new(segment, seed);
                         run.at = format!(
-                            "handoff {handoff}, segment {segment}, server {server}, cut after {after}"
+                            "seed {seed}, segment {segment}, server {server}, cut after {after}"
                         );
                         run.cut_power(server, after);
                         run.publish_all();

@@ -106,14 +106,14 @@ impl WireMessage {
     }
 }
 
-/// A relay acknowledgement: the subscriber-side commit of the
-/// store-and-forward redelivery protocol (DESIGN.md §17).
+/// A relay acknowledgement: the home relay's commit of the handoffs it
+/// took for one of its subscribers (DESIGN.md §17.4).
 ///
 /// Travels as the body of an unordered `__relay_ack` notification from the
-/// subscriber's server back to the relay that holds the durable queue. The
-/// ack is *cumulative*: `upto` commits every queued sequence number `<=
-/// upto`, so a lost ack is healed by the next one rather than retransmitted
-/// individually.
+/// subscriber's home relay back to the relay that handed the entries off.
+/// The ack is *cumulative*: `upto` commits every queued sequence number
+/// `<= upto`, so a lost ack is healed by the next one rather than
+/// retransmitted individually.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RelayAck {
     /// The subscriber whose durable queue is being committed.

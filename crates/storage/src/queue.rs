@@ -5,10 +5,10 @@
 //! The store-and-forward relay (see `aaa-mom`) journals every publication
 //! destined for a subscriber *before* attempting delivery, so a subscriber
 //! that is disconnected — or a relay that crashes mid-fan-out — never
-//! loses a message or the causal stamp that orders it. A relay owns one
-//! [`Journal`]; every record carries a **stream key** (the relay packs the
-//! subscriber's `AgentId` into it), so all of its subscriber queues share
-//! one set of segment files and one commit point:
+//! loses a message. A relay owns one [`Journal`]; every record carries a
+//! **stream key** (the relay packs the subscriber's `AgentId` into it), so
+//! all of its subscriber queues share one set of segment files and one
+//! commit point:
 //!
 //! - **Zero-filled, checksummed segments, written in place.** Records
 //!   carry a `u32` little-endian length prefix and end in the CRC-32C of
@@ -174,8 +174,9 @@ pub struct QueueEntry {
     pub seq: u64,
     /// Enqueue time in the owner's tick domain (TTL reference).
     pub tick: u64,
-    /// The wire causal stamp journaled with the payload (empty for
-    /// stampless local publications); re-validated on redelivery.
+    /// A stamp field the relay writes empty: nothing reads it. It stays
+    /// for the record format and for the callers of
+    /// [`SegmentQueue::enqueue`].
     pub stamp: Vec<u8>,
     /// Opaque payload (the relay's encoded publication).
     pub payload: Vec<u8>,

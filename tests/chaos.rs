@@ -4,7 +4,7 @@
 //!
 //! 1. A randomized **simulator soak** — 24 derived fault plans covering
 //!    loss, duplication, delay/reorder, partitions and router crashes,
-//!    across all four stamp modes and both batching policies. Every run must
+//!    across both stamp modes and both batching policies. Every run must
 //!    deliver exactly once, in causal order, with nothing left postponed.
 //!    A failing seed prints a one-line repro (`RANDOM_SEED=<seed> …`).
 //! 2. A **sabotage leg** — the same harness with retransmission disabled
@@ -16,7 +16,7 @@
 //!    the detector records the recovery.
 //! 4. A **live-runtime matrix** — the same 24-seed derivation against
 //!    the live shard pool (`RuntimeConfig::evented`), with
-//!    `FaultTransport`-wrapped in-memory endpoints, walking all four stamp
+//!    `FaultTransport`-wrapped in-memory endpoints, walking both stamp
 //!    modes and 1–3 shards. Exactly-once, causal order, clean quiesce and
 //!    a graceful drain on every seed.
 
