@@ -277,7 +277,6 @@ impl Config {
                 "on_tick",
                 "client_send_with",
                 "client_send_batch",
-                "flush_links",
                 "run_ready_server",
             ],
             step_blocking: vec![

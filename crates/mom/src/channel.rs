@@ -205,7 +205,7 @@ impl ChannelCore {
     ///
     /// Local destinations are returned immediately for the engine
     /// ([`Submit::Local`]); remote ones enter `QueueOUT` and will be
-    /// stamped by [`ChannelCore::take_transmissions`].
+    /// stamped by [`ChannelCore::take_transmissions_batched`].
     ///
     /// # Errors
     ///
@@ -266,7 +266,14 @@ impl ChannelCore {
     }
 
     /// Stamps and drains `QueueOUT`, returning `(next_hop, message)` pairs
-    /// in transmission order.
+    /// in transmission order. With `batched` true (what a server step
+    /// passes), consecutive causal sends to the same next hop with no
+    /// intervening clock activity are stamped with
+    /// [`aaa_clocks::Stamp::GroupNext`] (one tag byte, O(1) cell work)
+    /// instead of a full/delta stamp — the continuation is reconstructed
+    /// from the previous frame at the receiver over the FIFO link. See
+    /// [`aaa_clocks::Batching::Grouped`]. With `batched` false every
+    /// message carries a stamp of its own.
     ///
     /// # Errors
     ///
@@ -274,21 +281,6 @@ impl ChannelCore {
     /// fails (impossible on a validated topology), or
     /// [`Error::NotInDomain`] if the next hop shares no domain with this
     /// server (likewise impossible).
-    pub fn take_transmissions(&mut self) -> Result<Vec<(ServerId, WireMessage)>> {
-        self.take_transmissions_batched(false)
-    }
-
-    /// Like [`ChannelCore::take_transmissions`], with group-commit stamp
-    /// amortization. With `batched` true, consecutive causal sends to the
-    /// same next hop with no intervening clock activity are stamped with
-    /// [`aaa_clocks::Stamp::GroupNext`] (one tag byte, O(1) cell work)
-    /// instead of a full/delta stamp — the continuation is reconstructed
-    /// from the previous frame at the receiver over the FIFO link. See
-    /// [`aaa_clocks::Batching::Grouped`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`ChannelCore::take_transmissions`].
     pub fn take_transmissions_batched(
         &mut self,
         batched: bool,
@@ -362,7 +354,7 @@ impl ChannelCore {
     ///
     /// Returned messages are for *local* agents, in delivery order;
     /// messages for other servers have been re-queued on `QueueOUT` in that
-    /// same order (ready for [`ChannelCore::take_transmissions`]).
+    /// same order (ready for [`ChannelCore::take_transmissions_batched`]).
     ///
     /// # Errors
     ///
@@ -620,7 +612,7 @@ mod tests {
             other => panic!("expected local delivery, got {other:?}"),
         }
         assert_eq!(ch.queued_out(), 0);
-        assert!(ch.take_transmissions().unwrap().is_empty());
+        assert!(ch.take_transmissions_batched(false).unwrap().is_empty());
     }
 
     #[test]
@@ -635,7 +627,7 @@ mod tests {
             )
             .unwrap();
         assert!(matches!(sub, Submit::Queued(_)));
-        let tx = ch.take_transmissions().unwrap();
+        let tx = ch.take_transmissions_batched(false).unwrap();
         assert_eq!(tx.len(), 1);
         let (hop, msg) = &tx[0];
         assert_eq!(*hop, s(1));
@@ -654,7 +646,7 @@ mod tests {
         let _ = chs[0]
             .submit(aid(0, 1), aid(1, 1), Notification::signal("ping"))
             .unwrap();
-        let tx = chs[0].take_transmissions().unwrap();
+        let tx = chs[0].take_transmissions_batched(false).unwrap();
         let (hop, msg) = tx.into_iter().next().unwrap();
         let delivered = chs[hop.as_usize()].on_message(s(0), msg).unwrap();
         assert_eq!(delivered.len(), 1);
@@ -670,7 +662,7 @@ mod tests {
                 .submit(aid(0, 1), aid(1, 1), Notification::new("n", vec![i as u8]))
                 .unwrap();
         }
-        let tx = chs[0].take_transmissions().unwrap();
+        let tx = chs[0].take_transmissions_batched(false).unwrap();
         assert_eq!(tx.len(), 3);
         // Frames arrive in FIFO order (the link layer guarantees this).
         let mut all = Vec::new();
@@ -702,7 +694,7 @@ mod tests {
             .unwrap();
 
         // Hop 1: 0 -> 2, stamped in domain 0.
-        let tx = chs[0].take_transmissions().unwrap();
+        let tx = chs[0].take_transmissions_batched(false).unwrap();
         assert_eq!(tx.len(), 1);
         let (hop1, msg1) = tx.into_iter().next().unwrap();
         assert_eq!(hop1, s(2));
@@ -711,7 +703,7 @@ mod tests {
         // Router 2 delivers in domain 0 and forwards into domain 3.
         let local = chs[2].on_message(s(0), msg1).unwrap();
         assert!(local.is_empty(), "router must not deliver locally");
-        let tx = chs[2].take_transmissions().unwrap();
+        let tx = chs[2].take_transmissions_batched(false).unwrap();
         assert_eq!(tx.len(), 1);
         let (hop2, msg2) = tx.into_iter().next().unwrap();
         assert_eq!(hop2, s(6));
@@ -721,7 +713,7 @@ mod tests {
         // Router 6 forwards into domain 2.
         let local = chs[6].on_message(s(2), msg2).unwrap();
         assert!(local.is_empty());
-        let tx = chs[6].take_transmissions().unwrap();
+        let tx = chs[6].take_transmissions_batched(false).unwrap();
         let (hop3, msg3) = tx.into_iter().next().unwrap();
         assert_eq!(hop3, s(7));
         assert_eq!(msg3.domain, DomainId::new(2));
@@ -746,7 +738,7 @@ mod tests {
         chs[0]
             .submit(aid(0, 1), aid(1, 1), Notification::signal("b"))
             .unwrap();
-        let tx = chs[0].take_transmissions().unwrap();
+        let tx = chs[0].take_transmissions_batched(false).unwrap();
         let (m_a, m_b) = {
             let mut it = tx.into_iter();
             let a = it.next().unwrap();
@@ -762,7 +754,7 @@ mod tests {
         chs[1]
             .submit(aid(1, 1), aid(2, 1), Notification::signal("c"))
             .unwrap();
-        let tx = chs[1].take_transmissions().unwrap();
+        let tx = chs[1].take_transmissions_batched(false).unwrap();
         let (_, m_c) = tx.into_iter().next().unwrap();
 
         // 2 receives m_c first: must be postponed.
@@ -790,7 +782,7 @@ mod tests {
         chs[0]
             .submit(aid(0, 1), aid(1, 1), Notification::signal("b"))
             .unwrap();
-        let tx = chs[0].take_transmissions().unwrap();
+        let tx = chs[0].take_transmissions_batched(false).unwrap();
         let mut it = tx.into_iter();
         let m_a = it.next().unwrap();
         let m_b = it.next().unwrap();
@@ -807,7 +799,7 @@ mod tests {
                 DeliveryPolicy::Unordered,
             )
             .unwrap();
-        let tx = chs[1].take_transmissions().unwrap();
+        let tx = chs[1].take_transmissions_batched(false).unwrap();
         let mut it = tx.into_iter();
         let m_c = it.next().unwrap();
         let m_x = it.next().unwrap();
@@ -841,7 +833,7 @@ mod tests {
                 DeliveryPolicy::Unordered,
             )
             .unwrap();
-        let tx = chs[0].take_transmissions().unwrap();
+        let tx = chs[0].take_transmissions_batched(false).unwrap();
         let (hop, msg) = tx.into_iter().next().unwrap();
         assert_eq!(hop, s(1));
         assert!(msg.stamp.is_none());
@@ -852,7 +844,7 @@ mod tests {
             0,
             "no matrix work for unordered"
         );
-        let tx = chs[1].take_transmissions().unwrap();
+        let tx = chs[1].take_transmissions_batched(false).unwrap();
         let (hop, msg) = tx.into_iter().next().unwrap();
         assert_eq!(hop, s(2));
         let got = chs[2].on_message(s(1), msg).unwrap();
@@ -897,8 +889,9 @@ mod tests {
 
     #[test]
     fn batched_stamping_interleaves_with_unbatched_receivers() {
-        // A batched sender and a plain `take_transmissions` sender agree on
-        // causal order at a third server.
+        // A batched sender and an unbatched
+        // (`take_transmissions_batched(false)`) sender agree on causal
+        // order at a third server.
         let topo = single_domain(3);
         let mut chs = channels(&topo, StampMode::Updates);
         for i in 0..4u8 {
@@ -942,7 +935,7 @@ mod tests {
         chs[0]
             .submit(aid(0, 1), aid(1, 1), Notification::signal("x"))
             .unwrap();
-        let tx = chs[0].take_transmissions().unwrap();
+        let tx = chs[0].take_transmissions_batched(false).unwrap();
         let (_, msg) = tx.into_iter().next().unwrap();
         // Server 2 is not in domain 0: decoding the frame must fail.
         assert!(matches!(
@@ -984,7 +977,7 @@ mod tests {
             chs[0]
                 .submit(aid(0, 1), aid(1, 1), Notification::signal("x"))
                 .unwrap();
-            let (_, mut msg) = chs[0].take_transmissions().unwrap().remove(0);
+            let (_, mut msg) = chs[0].take_transmissions_batched(false).unwrap().remove(0);
             let what = format!("{mode} channel, {} stamp", stamp.kind());
             msg.stamp = Some(stamp);
             let before = chs[1].items()[0].clock().clone();
@@ -1014,7 +1007,9 @@ mod tests {
                         )
                         .unwrap();
                 }
-                let tx = chs[from as usize].take_transmissions().unwrap();
+                let tx = chs[from as usize]
+                    .take_transmissions_batched(false)
+                    .unwrap();
                 for (hop, msg) in tx {
                     chs[hop.as_usize()].on_message(s(from), msg).unwrap();
                 }

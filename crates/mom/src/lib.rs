@@ -64,7 +64,7 @@ pub mod runtime;
 pub mod server;
 
 pub use aaa_clocks::StampMode;
-pub use aaa_net::{BatchPolicy, Transport};
+pub use aaa_net::Transport;
 pub use agent::{Agent, EchoAgent, FnAgent, ReactionContext};
 pub use domain_item::DomainItem;
 pub use engine::EngineCore;

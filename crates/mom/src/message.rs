@@ -111,15 +111,10 @@ pub enum DeliveryPolicy {
 pub struct SendOptions {
     /// Ordering quality of service (default: [`DeliveryPolicy::Causal`]).
     pub policy: DeliveryPolicy,
-    /// Flush the link batcher immediately after this send (default:
-    /// `false`). Urgent sends bypass any group-commit coalescing delay:
-    /// the message and everything buffered before it go on the wire in
-    /// the same step.
-    pub flush: bool,
 }
 
 impl SendOptions {
-    /// Default options: causal ordering, no forced flush.
+    /// Default options: causal ordering.
     pub fn new() -> Self {
         SendOptions::default()
     }
@@ -134,23 +129,10 @@ impl SendOptions {
         SendOptions::default().with_policy(DeliveryPolicy::Unordered)
     }
 
-    /// Options for an urgent send: causal ordering plus an immediate
-    /// link flush (no coalescing delay).
-    pub fn urgent() -> Self {
-        SendOptions::default().with_flush(true)
-    }
-
     /// Returns the options with the given delivery policy.
     #[must_use]
     pub fn with_policy(mut self, policy: DeliveryPolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Returns the options with the given flush behaviour.
-    #[must_use]
-    pub fn with_flush(mut self, flush: bool) -> Self {
-        self.flush = flush;
         self
     }
 }
@@ -204,13 +186,6 @@ mod tests {
         );
         let via_into: SendOptions = DeliveryPolicy::Causal.into();
         assert_eq!(via_into, SendOptions::default());
-        assert!(SendOptions::urgent().flush);
-        assert_eq!(SendOptions::urgent().policy, DeliveryPolicy::Causal);
-        assert!(!SendOptions::causal().flush);
-        assert_eq!(
-            SendOptions::unordered().with_flush(true),
-            SendOptions::urgent().with_policy(DeliveryPolicy::Unordered)
-        );
     }
 
     #[test]

@@ -170,8 +170,8 @@ pub(crate) struct ServerMetrics {
     retransmissions: HashMap<ServerId, Counter>,
 }
 
-/// Bucket edges for the batch-width histogram: powers of two up to the
-/// default `BatchPolicy::max_frames` and a little beyond.
+/// Bucket edges for the batch-width histogram: powers of two up to a link
+/// batch's fixed 32-frame bound (`aaa_net::link`), and one edge beyond.
 const BATCH_FRAME_BUCKETS: &[u64] = &[1, 2, 4, 8, 16, 32, 64];
 
 impl ServerMetrics {

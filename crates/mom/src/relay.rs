@@ -540,9 +540,11 @@ impl RelayCore {
 
     /// Handles one control message of `kind` from agent `from`: a topic's
     /// publish, subscribe or unsubscribe, or a peer relay's handoff or
-    /// ack. The outer error is a `body` that does not decode, which the
-    /// server drops and counts; the inner one is the relay's own, a
-    /// storage error that fails the step.
+    /// ack. The outer error is input the server drops and counts: a `body`
+    /// that does not decode, or a handoff or ack from an agent that is not
+    /// its server's relay — only a relay may hand off custody or release
+    /// it. The inner error is the relay's own, a storage error that fails
+    /// the step.
     pub fn on_control(
         &mut self,
         from: AgentId,
@@ -550,6 +552,9 @@ impl RelayCore {
         body: &Bytes,
         now: VTime,
     ) -> Result<Result<()>> {
+        if matches!(kind, RELAY_ACK | RELAY_HANDOFF) && from != relay_agent(from.server()) {
+            return Err(Error::Codec(format!("{kind} from {from}, not a relay")));
+        }
         let mut d = Decoder::new(body.clone());
         Ok(match kind {
             RELAY_PUBLISH => {
@@ -1167,6 +1172,33 @@ mod tests {
             }
         );
         origin.on_ack(sub, ack_body.upto, VTime::ZERO).unwrap();
+        assert_eq!(origin.backlog(), 0);
+    }
+
+    #[test]
+    fn only_a_relay_releases_relay_custody() {
+        let mut origin = RelayCore::new(ServerId::new(0), local_cfg()).unwrap();
+        let (topic, sub) = (aid(0, 1), aid(1, 2));
+        origin.on_subscribe(topic, sub, VTime::ZERO);
+        origin
+            .on_publish(topic, "ev", &Bytes::from_static(b"x"), VTime::ZERO)
+            .unwrap();
+        let (_, note, _) = origin.pop_outbox().expect("handoff dispatched");
+        assert_eq!(note.kind(), RELAY_HANDOFF);
+        let ack = RelayAck {
+            subscriber: sub,
+            upto: 1,
+        }
+        .encode();
+        // A plain agent on the subscriber's server cannot release the
+        // handoff before the home relay has journaled it.
+        let forged = origin.on_control(aid(1, 5), RELAY_ACK, &ack, VTime::ZERO);
+        assert!(forged.is_err(), "refused as input");
+        assert_eq!(origin.backlog(), 1);
+        origin
+            .on_control(relay_agent(ServerId::new(1)), RELAY_ACK, &ack, VTime::ZERO)
+            .unwrap()
+            .unwrap();
         assert_eq!(origin.backlog(), 0);
     }
 

@@ -7,8 +7,8 @@
 //! - [`RuntimeConfig`] — *how servers execute*: the shard pool's worker
 //!   count (one per server or a fixed few), persistence, trace
 //!   recording, metrics, backpressure;
-//! - [`NetConfig`] — *how bytes move*: the [`TransportKind`], link
-//!   batching policy, retransmission timeout;
+//! - [`NetConfig`] — *how bytes move*: the [`TransportKind`], the TCP
+//!   connect timeout, the link retransmission timeout;
 //! - [`ClockConfig`] — *how causality is stamped*: the
 //!   [`StampMode`].
 //!
@@ -35,7 +35,6 @@ use std::time::Duration;
 
 use aaa_base::VDuration;
 use aaa_clocks::StampMode;
-use aaa_net::BatchPolicy;
 
 use crate::server::ServerConfig;
 
@@ -152,21 +151,13 @@ pub enum TransportKind {
     MuxTcp,
 }
 
-/// Network-layer configuration: substrate, batching, retransmission.
+/// Network-layer configuration: substrate, connect timeout, retransmission.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
     /// The byte substrate (default: [`TransportKind::Memory`]).
     pub transport: TransportKind,
     /// Outbound connect timeout of the TCP substrate (default: 2 s).
     pub connect_timeout: Duration,
-    /// Group-commit batching policy for outgoing link frames.
-    ///
-    /// Batching is **on by default** with [`BatchPolicy::default`] — up
-    /// to 32 frames or 256 KiB per wire packet, `max_delay` zero (frames
-    /// coalesce only *within* a step). Pass [`BatchPolicy::disabled`]
-    /// for one-packet-per-message, or a non-zero `max_delay` to hold
-    /// partial batches across steps.
-    pub batch: BatchPolicy,
     /// Link retransmission timeout (default: 200 ms).
     pub rto: VDuration,
 }
@@ -178,13 +169,12 @@ impl Default for NetConfig {
 }
 
 impl NetConfig {
-    /// The in-memory mesh with default batching and RTO.
+    /// The in-memory mesh with the default timeouts.
     #[must_use]
     pub fn memory() -> NetConfig {
         NetConfig {
             transport: TransportKind::Memory,
             connect_timeout: aaa_net::MuxTcpNetwork::DEFAULT_CONNECT_TIMEOUT,
-            batch: BatchPolicy::default(),
             rto: ServerConfig::default().rto,
         }
     }
@@ -209,13 +199,6 @@ impl NetConfig {
     #[must_use]
     pub fn connect_timeout(mut self, timeout: Duration) -> NetConfig {
         self.connect_timeout = timeout;
-        self
-    }
-
-    /// Sets the link batching policy.
-    #[must_use]
-    pub fn batch(mut self, policy: BatchPolicy) -> NetConfig {
-        self.batch = policy;
         self
     }
 
@@ -260,7 +243,6 @@ pub(crate) fn server_config(
         stamp_mode: clock.stamp_mode,
         rto: net.rto,
         persist: runtime.persist,
-        batch: net.batch,
         max_outstanding: runtime.max_outstanding,
     }
 }

@@ -178,13 +178,6 @@ impl ServerDriver {
                 self.take_stats();
                 respond(&reply, result);
             }
-            Command::Flush { reply } => {
-                if let Some(core) = self.core.as_mut() {
-                    let ts = core.flush_links();
-                    self.transmit(endpoint, ts);
-                }
-                respond(&reply, ());
-            }
             Command::Crash => {
                 self.core = None;
             }
@@ -224,13 +217,9 @@ impl ServerDriver {
                 respond(&reply, self.cumulative);
             }
             Command::Shutdown => {
-                // Graceful teardown: push out whatever the batcher still
-                // holds, then checkpoint the drained state so recovery
-                // restarts from here instead of replaying state records.
-                if let Some(core) = self.core.as_mut() {
-                    let ts = core.flush_links();
-                    self.transmit(endpoint, ts);
-                }
+                // Graceful teardown: checkpoint the drained state so
+                // recovery restarts from here instead of replaying state
+                // records.
                 if let Some(core) = self.core.as_mut() {
                     // A failed final checkpoint must not abort teardown;
                     // what the last commit made durable still recovers.
@@ -272,7 +261,7 @@ impl ServerDriver {
         }
     }
 
-    /// The earliest link deadline (retransmission or held batch), if any
+    /// The earliest deadline (link retransmission or relay retry), if any
     /// — when the evented runtime must next wake this server without
     /// traffic.
     pub(crate) fn next_wakeup(&self) -> Option<VTime> {

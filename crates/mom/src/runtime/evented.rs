@@ -14,7 +14,7 @@
 //!   handle at most one command, drain up to [`MAX_STEP_DRAIN`] datagrams
 //!   into one batched transaction, poll link timers;
 //! - a dedicated timer thread scans per-slot deadlines (retransmission
-//!   timeouts, held batch flushes) every millisecond and schedules slots
+//!   and relay retry timeouts) every millisecond and schedules slots
 //!   whose deadline passed, so an otherwise-quiet server still retransmits
 //!   on time.
 //!

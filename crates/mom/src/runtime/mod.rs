@@ -30,9 +30,9 @@
 //! [`ServerCore::on_datagram_batch`](crate::ServerCore::on_datagram_batch)
 //! as a single transaction — deliveries and reactions run together, outgoing
 //! messages are group-stamped and coalesced into one wire packet per
-//! peer (see [`aaa_net::BatchPolicy`]), and one group commit persists
-//! the result. Urgent traffic bypasses the coalescing delay via
-//! [`SendOptions::urgent`] or [`Mom::flush`].
+//! peer (up to 32 frames or 256 KiB each; see [`aaa_net::link`]), and one
+//! group commit persists the result. Every step flushes what it buffered
+//! before it returns, so no frame waits for a later step or a timer.
 
 pub mod config;
 mod driver;
@@ -91,9 +91,6 @@ pub(crate) enum Command {
         batch: Vec<(AgentId, Notification)>,
         opts: SendOptions,
         reply: Sender<Result<Vec<MessageId>>>,
-    },
-    Flush {
-        reply: Sender<()>,
     },
     Crash,
     Recover {
@@ -502,27 +499,6 @@ impl Mom {
         })?
     }
 
-    /// Flushes every server's partially filled link batches immediately,
-    /// bypassing any configured `max_delay`. A no-op under the default
-    /// policy (zero `max_delay` never leaves frames buffered between
-    /// steps); crashed servers are skipped.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Closed`] if the bus is shutting down.
-    pub fn flush(&self) -> Result<()> {
-        let waits = self
-            .boot
-            .topology
-            .servers()
-            .map(|server| self.ask(server, |reply| Command::Flush { reply }))
-            .collect::<Result<Vec<_>>>()?;
-        for rx in waits {
-            rx.recv().map_err(|_| Error::Closed("server"))?;
-        }
-        Ok(())
-    }
-
     /// Crashes `server`: its in-memory state is discarded and incoming
     /// frames are dropped until [`Mom::recover`]. The stable store
     /// survives.
@@ -730,39 +706,26 @@ impl Mom {
     }
 
     /// Gracefully stops the bus with the default timeout: every server
-    /// flushes its pending batches and takes a final group commit before
-    /// its worker is reaped. Equivalent to
+    /// takes a final group commit before its worker is reaped. Equivalent to
     /// `shutdown_within(...)` with a 5 s budget, discarding the verdict.
     pub fn shutdown(self) {
         self.finish(Instant::now() + DEFAULT_SHUTDOWN_TIMEOUT);
     }
 
-    /// Drains and stops the bus within `timeout`: flushes every link
-    /// batch, waits for in-flight traffic to quiesce, then has every
-    /// server take a final group commit before the workers are joined.
-    /// Returns `true` if the bus fully drained and every server finished
-    /// its final commit in time; `false` means the timeout cut the drain
-    /// short (workers are still reaped).
+    /// Drains and stops the bus within `timeout`: waits for in-flight
+    /// traffic to quiesce, then has every server take a final group commit
+    /// before the workers are joined. Returns `true` if the bus fully
+    /// drained and every server finished its final commit in time; `false`
+    /// means the timeout cut the drain short (workers are still reaped).
     pub fn shutdown_within(self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        let mut drained = false;
-        while !drained && Instant::now() < deadline {
-            // Alternate flushing and quiescing: multi-hop traffic can land
-            // new frames in a peer's batcher after the previous flush, so
-            // one flush pass is not enough to settle the bus.
-            // audit:allow(error-swallow)
-            let _ = self.flush();
-            let slice = deadline
-                .saturating_duration_since(Instant::now())
-                .min(Duration::from_millis(100));
-            drained = self.quiesce(slice);
-        }
+        let drained = self.quiesce(timeout);
         let committed = self.finish(deadline);
         drained && committed
     }
 
-    /// Sends every server its shutdown command (final batch flush + group
-    /// commit), waits until `deadline` for the slots to finish and reaps
+    /// Sends every server its shutdown command (final group commit),
+    /// waits until `deadline` for the slots to finish and reaps
     /// the workers. Returns `false` if reaping timed out before every
     /// server took its final commit.
     fn finish(self, deadline: Instant) -> bool {
@@ -780,8 +743,6 @@ impl Mom {
 mod tests {
     use super::*;
     use crate::agent::EchoAgent;
-    use aaa_base::VDuration;
-    use aaa_net::BatchPolicy;
     use std::time::Duration;
 
     fn sid(i: u16) -> ServerId {
@@ -893,7 +854,6 @@ mod tests {
             .send_batch(AgentId::new(sid(0), 9), batch, SendOptions::new())
             .unwrap();
         assert_eq!(ids.len(), 10);
-        mom.flush().unwrap(); // no-op under the default policy
         assert!(mom.quiesce(Duration::from_secs(5)));
         assert_eq!(mom.in_flight(), 0);
         assert_eq!(mom.stats(sid(1)).unwrap().reactions, 10);
@@ -901,74 +861,6 @@ mod tests {
         // The batch metrics observed coalesced flushes.
         let snap = mom.metrics();
         assert!(snap.sum_counter("aaa_link_flushes_total") > 0);
-        mom.shutdown();
-    }
-
-    #[test]
-    fn batching_can_be_disabled_per_bus() {
-        let mom = MomBuilder::new(TopologySpec::single_domain(2))
-            .net(NetConfig::memory().batch(BatchPolicy::disabled()))
-            .build()
-            .unwrap();
-        mom.register_agent(sid(1), 1, Box::new(EchoAgent)).unwrap();
-        let batch: Vec<_> = (0..4)
-            .map(|_| (AgentId::new(sid(1), 1), Notification::signal("x")))
-            .collect();
-        mom.send_batch(AgentId::new(sid(0), 9), batch, SendOptions::new())
-            .unwrap();
-        assert!(mom.quiesce(Duration::from_secs(5)));
-        assert_eq!(mom.stats(sid(1)).unwrap().reactions, 4);
-        mom.shutdown();
-    }
-
-    #[test]
-    fn urgent_sends_flush_held_batches() {
-        // With a large max_delay, frames would sit in the batcher; an
-        // urgent send forces them onto the wire in the same step.
-        let mom = MomBuilder::new(TopologySpec::single_domain(2))
-            .net(NetConfig::memory().batch(BatchPolicy {
-                max_frames: 32,
-                max_bytes: 256 * 1024,
-                max_delay: VDuration::from_millis(50),
-            }))
-            .build()
-            .unwrap();
-        mom.register_agent(sid(1), 1, Box::new(EchoAgent)).unwrap();
-        mom.send_with(
-            AgentId::new(sid(0), 9),
-            AgentId::new(sid(1), 1),
-            Notification::signal("now"),
-            SendOptions::urgent(),
-        )
-        .unwrap();
-        assert!(mom.quiesce(Duration::from_secs(5)));
-        assert_eq!(mom.stats(sid(1)).unwrap().reactions, 1);
-        mom.shutdown();
-    }
-
-    #[test]
-    fn delayed_batches_flush_on_mom_flush_or_deadline() {
-        let mom = MomBuilder::new(TopologySpec::single_domain(2))
-            .net(NetConfig::memory().batch(BatchPolicy {
-                max_frames: 32,
-                max_bytes: 256 * 1024,
-                max_delay: VDuration::from_millis(30),
-            }))
-            .build()
-            .unwrap();
-        mom.register_agent(sid(1), 1, Box::new(EchoAgent)).unwrap();
-        for _ in 0..3 {
-            mom.send(
-                AgentId::new(sid(0), 9),
-                AgentId::new(sid(1), 1),
-                Notification::signal("held"),
-            )
-            .unwrap();
-        }
-        mom.flush().unwrap();
-        assert!(mom.quiesce(Duration::from_secs(5)));
-        assert_eq!(mom.stats(sid(1)).unwrap().reactions, 3);
-        assert!(mom.trace().unwrap().check_causality().is_ok());
         mom.shutdown();
     }
 
@@ -1067,22 +959,17 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_within_drains_held_batches() {
-        // Frames held by a cross-step batching delay must still reach
-        // their destination before shutdown returns true.
+    fn shutdown_within_drains_in_flight_traffic() {
+        // A message still crossing the bus when shutdown starts must reach
+        // its destination before shutdown returns true.
         let mom = MomBuilder::new(TopologySpec::single_domain(2))
-            .net(NetConfig::memory().batch(BatchPolicy {
-                max_frames: 1024,
-                max_bytes: 1024 * 1024,
-                max_delay: VDuration::from_millis(60_000),
-            }))
             .build()
             .unwrap();
         mom.register_agent(sid(1), 1, Box::new(EchoAgent)).unwrap();
         mom.send(
             AgentId::new(sid(0), 9),
             AgentId::new(sid(1), 1),
-            Notification::signal("held"),
+            Notification::signal("in flight"),
         )
         .unwrap();
         let registry = mom.registry().cloned();

@@ -19,7 +19,7 @@ use aaa_base::{Absorb, AgentId, Error, MessageId, Result, ServerId, VDuration, V
 use aaa_clocks::StampMode;
 use aaa_net::link::{Datagram, LinkFrame};
 use aaa_net::wire::Decoder;
-use aaa_net::{BatchPolicy, LinkReceiver, LinkSender, WireMessage};
+use aaa_net::{LinkReceiver, LinkSender, WireMessage};
 use aaa_obs::{LatencyTracker, Meter};
 use aaa_storage::StableStore;
 use aaa_topology::Topology;
@@ -54,12 +54,6 @@ pub struct ServerConfig {
     /// record in the relay journal when one is durable, else as a
     /// checkpoint (DESIGN.md §17.1).
     pub persist: bool,
-    /// Group-commit batching policy for outgoing link frames. The default
-    /// coalesces every frame produced within one step into a single wire
-    /// packet per peer with no added latency (`max_delay` = 0); use
-    /// [`BatchPolicy::disabled`] for the legacy one-packet-per-message
-    /// behaviour.
-    pub batch: BatchPolicy,
     /// Outstanding-message budget: the maximum number of messages that may
     /// be queued, postponed or in flight on the links before client sends
     /// are rejected with [`Error::Backpressure`]. Bounds the postponed and
@@ -74,7 +68,6 @@ impl Default for ServerConfig {
             stamp_mode: StampMode::Updates,
             rto: VDuration::from_millis(200),
             persist: false,
-            batch: BatchPolicy::default(),
             max_outstanding: 65_536,
         }
     }
@@ -344,7 +337,7 @@ impl ServerCore {
             return Ok(Vec::new());
         }
         self.run_reactions(now)?;
-        let out = self.flush(now, false)?;
+        let out = self.flush(now)?;
         self.commit()?;
         Ok(out)
     }
@@ -493,7 +486,7 @@ impl ServerCore {
         let opts = opts.into();
         let id = self.submit(from, to, note, opts.policy, now)?;
         self.run_reactions(now)?;
-        let out = self.flush(now, opts.flush)?;
+        let out = self.flush(now)?;
         self.commit()?;
         Ok((id, out))
     }
@@ -523,7 +516,7 @@ impl ServerCore {
             .map(|(to, note)| self.submit(from, to, note, opts.policy, now))
             .collect::<Result<Vec<_>>>()?;
         self.run_reactions(now)?;
-        let out = self.flush(now, opts.flush)?;
+        let out = self.flush(now)?;
         self.commit()?;
         Ok((ids, out))
     }
@@ -670,7 +663,7 @@ impl ServerCore {
             return Ok(Vec::new());
         }
         self.run_reactions(now)?;
-        let mut out = self.flush(now, false)?;
+        let mut out = self.flush(now)?;
         self.commit()?;
         for (to, cum_seq) in acks {
             out.push(Transmission {
@@ -682,8 +675,8 @@ impl ServerCore {
     }
 
     /// Polls link timers: retransmits overdue unacked frames (coalesced
-    /// into one wire packet per peer) and flushes partial batches whose
-    /// `max_delay` has elapsed; then the relay's expiry and retry timers.
+    /// into one wire packet per peer); then the relay's expiry and retry
+    /// timers.
     ///
     /// After a failed commit the tick first retries it and returns nothing
     /// while that fails: the links then hold frames no durable state
@@ -695,7 +688,6 @@ impl ServerCore {
             return Vec::new();
         }
         let mut out = Vec::new();
-        let mut flushed: Vec<(ServerId, Vec<LinkFrame>)> = Vec::new();
         for (&peer, tx) in self.links_tx.iter_mut() {
             let due = tx.due_retransmissions(now);
             if !due.is_empty() {
@@ -709,14 +701,6 @@ impl ServerCore {
                     });
                 }
             }
-            if tx.flush_deadline().is_some_and(|d| d <= now) {
-                if let Some(frames) = tx.flush() {
-                    flushed.push((peer, frames));
-                }
-            }
-        }
-        for (peer, frames) in flushed {
-            self.push_batch(&mut out, peer, frames);
         }
         match self.relay_tick(now) {
             Ok(tx) => out.extend(tx),
@@ -741,30 +725,6 @@ impl ServerCore {
             self.commit_with(false)?;
         }
         self.relay_step(now)
-    }
-
-    /// Flushes every link's partial batch immediately, regardless of the
-    /// batching policy's `max_delay` — the urgent path behind
-    /// [`crate::Mom::flush`]. With the default policy (`max_delay` = 0)
-    /// nothing is ever left buffered between steps and this returns
-    /// nothing. No commit is needed: buffered frames already live in the
-    /// persisted unacked window — unless the last commit failed, which
-    /// this retries first, as [`ServerCore::on_tick`] does.
-    pub fn flush_links(&mut self) -> Vec<Transmission> {
-        if !self.committed() {
-            return Vec::new();
-        }
-        let mut out = Vec::new();
-        let mut flushed: Vec<(ServerId, Vec<LinkFrame>)> = Vec::new();
-        for (&peer, tx) in self.links_tx.iter_mut() {
-            if let Some(frames) = tx.flush() {
-                flushed.push((peer, frames));
-            }
-        }
-        for (peer, frames) in flushed {
-            self.push_batch(&mut out, peer, frames);
-        }
-        out
     }
 
     /// Writes a checkpoint of the server's state *now*, outside any step
@@ -944,24 +904,18 @@ impl ServerCore {
     }
 
     /// Stamps and hands queued messages to the link layer, returning the
-    /// datagrams for the transport. With batching enabled, consecutive
-    /// same-hop messages are group-stamped and coalesced into multi-frame
-    /// wire packets; `urgent` (or a zero `max_delay`) flushes partial
-    /// batches at the end of the step so no latency is added.
-    fn flush(&mut self, now: VTime, urgent: bool) -> Result<Vec<Transmission>> {
+    /// datagrams for the transport: consecutive same-hop messages are
+    /// group-stamped and coalesced into multi-frame wire packets, and every
+    /// link the step touched is flushed before it returns, so no frame
+    /// waits for a later step.
+    fn flush(&mut self, now: VTime) -> Result<Vec<Transmission>> {
         let rto = self.config.rto;
-        let policy = self.config.batch;
         let mut out = Vec::new();
         let mut touched: Vec<ServerId> = Vec::new();
-        for (hop, msg) in self
-            .channel
-            .take_transmissions_batched(!policy.is_disabled())?
-        {
+        for (hop, msg) in self.channel.take_transmissions_batched(true)? {
             let payload = msg.encode();
-            let full = self
-                .links_tx
-                .entry(hop)
-                .or_insert_with(|| LinkSender::with_rto(rto).with_policy(policy))
+            let full = (self.links_tx.entry(hop))
+                .or_insert_with(|| LinkSender::with_rto(rto))
                 .buffer(payload, now);
             if let Some(frames) = full {
                 self.push_batch(&mut out, hop, frames);
@@ -970,12 +924,10 @@ impl ServerCore {
                 touched.push(hop);
             }
         }
-        if urgent || policy.max_delay == VDuration::ZERO {
-            for hop in touched {
-                let flushed = self.links_tx.get_mut(&hop).and_then(|tx| tx.flush());
-                if let Some(frames) = flushed {
-                    self.push_batch(&mut out, hop, frames);
-                }
+        for hop in touched {
+            let flushed = self.links_tx.get_mut(&hop).and_then(|tx| tx.flush());
+            if let Some(frames) = flushed {
+                self.push_batch(&mut out, hop, frames);
             }
         }
         Ok(out)
@@ -1280,12 +1232,9 @@ impl ServerCore {
             image.items,
         )?;
         self.engine.reload_queue(image.engine_queue);
-        let (rto, batch) = (self.config.rto, self.config.batch);
+        let rto = self.config.rto;
         self.links_tx = (image.links_tx.into_iter())
-            .map(|l| {
-                let tx = LinkSender::restore(rto, l.next_seq, l.unacked, now).with_policy(batch);
-                (l.peer, tx)
-            })
+            .map(|l| (l.peer, LinkSender::restore(rto, l.next_seq, l.unacked, now)))
             .collect();
         self.links_rx = (image.links_rx.into_iter())
             .map(|l| (l.peer, LinkReceiver::restore(l.cum_seq)))
@@ -1705,6 +1654,28 @@ mod tests {
         assert!(core.deliver_rx.is_empty());
     }
 
+    /// Only a relay hands off custody: a well-formed handoff from a peer's
+    /// plain agent is refused, reaches no subscriber, and no relay ack
+    /// answers it.
+    #[test]
+    fn a_relay_handoff_from_a_plain_agent_reaches_no_subscriber() {
+        let sub = aid(1, 1);
+        let mut publication = Encoder::new();
+        publication.agent_id(aid(0, 5));
+        publication.string("forged");
+        publication.bytes(b"x");
+        let mut handoff = Encoder::new();
+        handoff.agent_id(sub);
+        handoff.u64(1);
+        handoff.bytes(&publication.finish());
+        let forged = Notification::new(relay::RELAY_HANDOFF, handoff.finish());
+        let (out, got, rejected, core) = relay_input_from_a_peer(vec![(relay_agent(s(1)), forged)]);
+        only_the_link_ack(out.unwrap(), 3);
+        assert_eq!(got, ["a", "b"]);
+        assert_eq!(rejected, 1);
+        assert_eq!(core.relay.as_ref().unwrap().backlog(), 0);
+    }
+
     #[test]
     fn crash_recovery_preserves_agent_state_and_clocks() {
         struct Counter(u32);
@@ -1870,26 +1841,43 @@ mod tests {
     }
 
     #[test]
-    fn disabled_batching_keeps_one_packet_per_message() {
-        let topo = TopologySpec::single_domain(2).validate().unwrap();
-        let config = ServerConfig {
-            batch: BatchPolicy::disabled(),
-            ..ServerConfig::default()
-        };
-        let mut c0 = make(&topo, 0, config);
-        let batch: Vec<_> = (0..3)
-            .map(|_| (aid(1, 1), Notification::signal("x")))
-            .collect();
-        let (_, tx) = c0
-            .client_send_batch(aid(0, 1), batch, SendOptions::new(), VTime::ZERO)
-            .unwrap();
-        assert_eq!(tx.len(), 3);
-        for t in &tx {
-            assert!(matches!(
-                Datagram::decode(t.bytes.clone()).unwrap(),
-                Datagram::Data(_)
-            ));
+    fn every_step_flushes_what_it_buffered() {
+        // The one flush rule: a step returns full batches as they fill and
+        // the remainder before it returns, so no frame is ever left
+        // pending in a link between steps.
+        fn nothing_pending(core: &ServerCore) -> bool {
+            core.links_tx.values().all(|tx| tx.pending_len() == 0)
         }
+        let topo = TopologySpec::single_domain(2).validate().unwrap();
+        let mut cores: Vec<ServerCore> = (0..2)
+            .map(|i| make(&topo, i, ServerConfig::default()))
+            .collect();
+        let batch: Vec<_> = (0..2 * 32 + 1)
+            .map(|i| (aid(1, 1), Notification::new("b", vec![i as u8])))
+            .collect();
+        let (_, tx) = cores[0]
+            .client_send_batch(aid(0, 9), batch, SendOptions::new(), VTime::ZERO)
+            .unwrap();
+        let widths: Vec<_> = (tx.iter())
+            .map(|t| match Datagram::decode(t.bytes.clone()).unwrap() {
+                Datagram::Batch(frames) => ("batch", frames.len()),
+                Datagram::Data(_) => ("data", 1),
+                Datagram::Ack { .. } => ("ack", 0),
+            })
+            .collect();
+        assert_eq!(widths, [("batch", 32), ("batch", 32), ("data", 1)]);
+        assert!(tx.iter().all(|t| t.to == s(1)));
+        assert!(nothing_pending(&cores[0]));
+        // The receiver's echoes are flushed within its step too.
+        let drain = tx.into_iter().map(|t| (s(0), t.bytes));
+        let out = cores[1].on_datagram_batch(drain, VTime::ZERO).unwrap();
+        assert_eq!(cores[1].engine.reactions(), 65);
+        assert!(!out.is_empty());
+        assert!(nothing_pending(&cores[1]));
+        // A retransmitting tick resends unacked frames without buffering.
+        let re = cores[0].on_tick(VTime::ZERO + ServerConfig::default().rto);
+        assert!(!re.is_empty(), "no ack reached the sender");
+        assert!(nothing_pending(&cores[0]));
     }
 
     #[test]
@@ -2315,10 +2303,6 @@ mod tests {
         fn relay_acks_and_link_acks_cost_what_they_journal() {
             for persist in [false, true] {
                 let config = ServerConfig {
-                    batch: BatchPolicy {
-                        max_frames: 256,
-                        ..BatchPolicy::default()
-                    },
                     persist,
                     ..ServerConfig::default()
                 };
@@ -2331,17 +2315,22 @@ mod tests {
                 // syncs nothing.
                 assert!(fan.cores[0].on_tick(VTime::ZERO).is_empty());
                 assert_eq!(fan.syncs(0), 1);
-                let [handoffs] = <[Transmission; 1]>::try_from(handoffs).unwrap();
-                let reply = fan.cores[1]
-                    .on_datagram(s(0), handoffs.bytes, VTime::ZERO)
-                    .unwrap();
+                // 64 handoffs leave as two full batches; the peer drains
+                // both in one step.
+                let is_full_batch = |t: &Transmission| {
+                    matches!(
+                        Datagram::decode(t.bytes.clone()),
+                        Ok(Datagram::Batch(frames)) if frames.len() == 32
+                    )
+                };
+                assert_eq!(handoffs.len(), 2);
+                assert!(handoffs.iter().all(is_full_batch));
+                let drain = handoffs.into_iter().map(|t| (s(0), t.bytes));
+                let reply = fan.cores[1].on_datagram_batch(drain, VTime::ZERO).unwrap();
                 assert_eq!(fan.delivered(), 64);
                 assert_eq!(fan.syncs(1), 1, "64 handoffs and 64 local acks");
-                let [relay_acks, link_ack] = <[Transmission; 2]>::try_from(reply).unwrap();
-                assert!(matches!(
-                    Datagram::decode(relay_acks.bytes.clone()),
-                    Ok(Datagram::Batch(frames)) if frames.len() == 64
-                ));
+                let [acks_a, acks_b, link_ack] = <[Transmission; 3]>::try_from(reply).unwrap();
+                assert!(is_full_batch(&acks_a) && is_full_batch(&acks_b));
                 fan.reset_syncs();
                 let out = fan.cores[0]
                     .on_datagram(s(1), link_ack.bytes, VTime::ZERO)
@@ -2352,10 +2341,9 @@ mod tests {
                 // waits for the next state record.
                 assert!(fan.cores[0].on_tick(VTime::ZERO).is_empty());
                 assert_eq!(fan.syncs(0), 0, "{persist}: a tick after a link ack");
-                fan.cores[0]
-                    .on_datagram(s(1), relay_acks.bytes, VTime::ZERO)
-                    .unwrap();
-                assert_eq!(fan.syncs(0), 1, "one datagram of 64 relay acks");
+                let drain = [acks_a, acks_b].map(|t| (s(1), t.bytes));
+                fan.cores[0].on_datagram_batch(drain, VTime::ZERO).unwrap();
+                assert_eq!(fan.syncs(0), 1, "one drain of 64 relay acks");
                 assert_eq!(fan.cores[0].relay.as_ref().unwrap().backlog(), 0);
             }
         }
@@ -2528,7 +2516,6 @@ mod tests {
             // fails, retransmits nothing.
             let later = retry + VDuration::from_millis(60_000);
             assert!(fan.cores[0].on_tick(later).is_empty());
-            assert!(fan.cores[0].flush_links().is_empty());
             fan.store.fail_puts.store(false, Ordering::Relaxed);
             let resent = fan.cores[0].on_tick(later);
             assert!(!resent.is_empty(), "a successful commit releases them");

@@ -33,8 +33,9 @@
 //!   ([`Transport::send_batch`]).
 //!
 //! Frame coalescing (group-commit batching) lives in the [`link`] module:
-//! a [`BatchPolicy`] governs when a [`LinkSender`] flushes its buffered
-//! frames as one multi-frame [`Datagram::Batch`] wire packet.
+//! a [`LinkSender`] flushes its buffered frames as one multi-frame
+//! [`Datagram::Batch`] wire packet when its owner ends a step, or earlier
+//! at 32 frames or 256 KiB.
 //!
 //! # Example: a lossy link made reliable
 //!
@@ -69,7 +70,7 @@ pub mod wire;
 pub use decode::{FrameBuf, RawFrame};
 pub use frame::{RelayAck, WireMessage};
 pub use health::{PeerHealth, PeerState};
-pub use link::{BatchPolicy, Datagram, LinkFrame, LinkReceiver, LinkSender};
+pub use link::{Datagram, LinkFrame, LinkReceiver, LinkSender};
 pub use memory::{Incoming, MemoryEndpoint, MemoryNetwork};
 pub use metrics::NetMetrics;
 pub use mux::{MuxTcpEndpoint, MuxTcpNetwork};

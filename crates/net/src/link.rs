@@ -20,12 +20,13 @@
 //! # Group-commit batching
 //!
 //! Senders can *coalesce* consecutive frames to the same peer into one
-//! multi-frame [`Datagram::Batch`] wire packet, governed by a
-//! [`BatchPolicy`]: frames accumulate via [`LinkSender::buffer`] until the
-//! policy's frame/byte limits are hit or the owner calls
-//! [`LinkSender::flush`]. One batch costs one transport send instead of one
-//! per frame, and the channel layer amortizes causal-stamp bytes across the
-//! batch (see `Stamp::GroupNext` in `aaa-clocks`). Reliability is
+//! multi-frame [`Datagram::Batch`] wire packet: frames accumulate via
+//! [`LinkSender::buffer`] until 32 frames or 256 KiB of payload are
+//! pending, or the owner calls [`LinkSender::flush`] — a server does so at
+//! the end of every step, so batching adds no latency. One batch costs one
+//! transport send instead of one per frame, and the channel layer
+//! amortizes causal-stamp bytes across the batch (see `Stamp::GroupNext`
+//! in `aaa-clocks`). Reliability is
 //! unchanged: batched frames keep their individual sequence numbers, enter
 //! the unacked queue at buffer time (so they are persisted and re-flushed
 //! after a crash), and the receiver acknowledges cumulatively once per
@@ -49,52 +50,13 @@ use crate::wire::Decoder;
 /// Default retransmission timeout.
 pub const DEFAULT_RTO: VDuration = VDuration::from_millis(200);
 
-/// When a [`LinkSender`] flushes its pending frames as one wire batch.
-///
-/// The default policy (`max_frames = 32`, `max_bytes = 256 KiB`,
-/// `max_delay = 0`) coalesces everything one processing step produces per
-/// peer and flushes at the end of that step — batching without added
-/// latency. A non-zero `max_delay` additionally holds partial batches
-/// across steps, trading latency for larger batches; urgent traffic can
-/// bypass the delay with an explicit flush.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchPolicy {
-    /// Flush once this many frames are pending (1 disables coalescing).
-    pub max_frames: usize,
-    /// Flush once pending payload bytes reach this threshold.
-    pub max_bytes: usize,
-    /// How long a partial batch may wait for more traffic before it is
-    /// flushed by the timer path. Zero means "never wait": the owning step
-    /// flushes when it finishes.
-    pub max_delay: VDuration,
-}
+/// A [`LinkSender`] flushes its pending frames once this many are
+/// buffered, whatever their size.
+const MAX_BATCH_FRAMES: usize = 32;
 
-impl Default for BatchPolicy {
-    fn default() -> Self {
-        BatchPolicy {
-            max_frames: 32,
-            max_bytes: 256 * 1024,
-            max_delay: VDuration::ZERO,
-        }
-    }
-}
-
-impl BatchPolicy {
-    /// A policy that never coalesces: every frame is flushed by itself, as
-    /// a legacy [`Datagram::Data`] packet.
-    pub fn disabled() -> Self {
-        BatchPolicy {
-            max_frames: 1,
-            max_bytes: 0,
-            max_delay: VDuration::ZERO,
-        }
-    }
-
-    /// Returns `true` if this policy never coalesces frames.
-    pub fn is_disabled(&self) -> bool {
-        self.max_frames <= 1
-    }
-}
+/// A [`LinkSender`] flushes its pending frames once their payloads reach
+/// this many bytes.
+const MAX_BATCH_BYTES: usize = 256 * 1024;
 
 /// A sequenced frame on a link.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -252,14 +214,10 @@ pub struct LinkSender {
     rto: VDuration,
     /// Unacknowledged frames with their next retransmission deadline.
     unacked: VecDeque<(VTime, LinkFrame)>,
-    /// How pending frames are coalesced into wire batches.
-    policy: BatchPolicy,
     /// Frames buffered for the next flush (also present in `unacked`).
     pending: VecDeque<LinkFrame>,
     /// Payload bytes currently pending.
     pending_bytes: usize,
-    /// When the oldest pending frame was buffered (drives `max_delay`).
-    pending_since: Option<VTime>,
 }
 
 impl Default for LinkSender {
@@ -270,7 +228,7 @@ impl Default for LinkSender {
 
 impl LinkSender {
     /// Creates a sender with the [default](DEFAULT_RTO) retransmission
-    /// timeout and the default [`BatchPolicy`].
+    /// timeout.
     pub fn new() -> Self {
         Self::with_rto(DEFAULT_RTO)
     }
@@ -281,22 +239,9 @@ impl LinkSender {
             next_seq: 1,
             rto,
             unacked: VecDeque::new(),
-            policy: BatchPolicy::default(),
             pending: VecDeque::new(),
             pending_bytes: 0,
-            pending_since: None,
         }
-    }
-
-    /// Sets the coalescing policy, returning `self` for chaining.
-    pub fn with_policy(mut self, policy: BatchPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// The coalescing policy in force.
-    pub fn policy(&self) -> BatchPolicy {
-        self.policy
     }
 
     /// Wraps `payload` into the next sequenced frame; the frame must then
@@ -316,19 +261,14 @@ impl LinkSender {
     /// The frame enters the unacked queue immediately (deadline `now +
     /// rto`), so crash-recovery journaling and retransmission cover it from
     /// the moment it is buffered — an unflushed batch that survives a crash
-    /// is re-flushed from the persisted image. Returns a full batch when
-    /// the policy's frame or byte limit is reached; otherwise the frame
-    /// waits for [`LinkSender::flush`] or the limits.
+    /// is re-flushed from the persisted image. Returns a full batch once
+    /// 32 frames or 256 KiB of payload are pending; otherwise the frame
+    /// waits for [`LinkSender::flush`].
     pub fn buffer(&mut self, payload: Bytes, now: VTime) -> Option<Vec<LinkFrame>> {
         let frame = self.send(payload, now);
-        if self.pending.is_empty() {
-            self.pending_since = Some(now);
-        }
         self.pending_bytes += frame.payload.len();
         self.pending.push_back(frame);
-        if self.pending.len() >= self.policy.max_frames.max(1)
-            || self.pending_bytes >= self.policy.max_bytes
-        {
+        if self.pending.len() >= MAX_BATCH_FRAMES || self.pending_bytes >= MAX_BATCH_BYTES {
             self.flush()
         } else {
             None
@@ -343,24 +283,12 @@ impl LinkSender {
             return None;
         }
         self.pending_bytes = 0;
-        self.pending_since = None;
         Some(std::mem::take(&mut self.pending).into())
     }
 
     /// Number of frames buffered and not yet flushed.
     pub fn pending_len(&self) -> usize {
         self.pending.len()
-    }
-
-    /// When the pending partial batch must be flushed by the timer path
-    /// (`pending_since + max_delay`), if the policy holds batches across
-    /// steps. `None` when nothing is pending or `max_delay` is zero (the
-    /// owning step flushes synchronously).
-    pub fn flush_deadline(&self) -> Option<VTime> {
-        if self.policy.max_delay == VDuration::ZERO {
-            return None;
-        }
-        self.pending_since.map(|t| t + self.policy.max_delay)
     }
 
     /// Processes a cumulative acknowledgement: frames with `seq <= cum_seq`
@@ -384,14 +312,10 @@ impl LinkSender {
         due
     }
 
-    /// The earliest pending deadline — retransmission or delayed batch
-    /// flush — if any: what a runtime should arm its timer to.
+    /// The earliest retransmission deadline, if any: what a runtime
+    /// should arm its timer to.
     pub fn next_deadline(&self) -> Option<VTime> {
-        let retransmit = self.unacked.iter().map(|(d, _)| *d).min();
-        match (retransmit, self.flush_deadline()) {
-            (Some(r), Some(f)) => Some(r.min(f)),
-            (r, f) => r.or(f),
-        }
+        self.unacked.iter().map(|(d, _)| *d).min()
     }
 
     /// Number of frames sent but not yet acknowledged.
@@ -418,10 +342,8 @@ impl LinkSender {
             next_seq,
             rto,
             unacked: unacked.into_iter().map(|f| (now + rto, f)).collect(),
-            policy: BatchPolicy::default(),
             pending: VecDeque::new(),
             pending_bytes: 0,
-            pending_since: None,
         }
     }
 }
@@ -716,10 +638,7 @@ mod tests {
 
     #[test]
     fn buffer_coalesces_until_flush() {
-        let mut tx = LinkSender::new().with_policy(BatchPolicy {
-            max_frames: 4,
-            ..BatchPolicy::default()
-        });
+        let mut tx = LinkSender::new();
         assert!(tx.buffer(payload("a"), VTime::ZERO).is_none());
         assert!(tx.buffer(payload("b"), VTime::ZERO).is_none());
         assert_eq!(tx.pending_len(), 2);
@@ -734,10 +653,7 @@ mod tests {
 
     #[test]
     fn a_flush_carries_only_buffered_frames() {
-        let mut tx = LinkSender::new().with_policy(BatchPolicy {
-            max_frames: 4,
-            ..BatchPolicy::default()
-        });
+        let mut tx = LinkSender::new();
         assert!(tx.buffer(payload("a"), VTime::ZERO).is_none());
         let sent = tx.send(payload("b"), VTime::ZERO);
         assert!(tx.buffer(payload("c"), VTime::ZERO).is_none());
@@ -750,68 +666,31 @@ mod tests {
 
     #[test]
     fn max_frames_limit_splits_batches() {
-        let mut tx = LinkSender::new().with_policy(BatchPolicy {
-            max_frames: 3,
-            ..BatchPolicy::default()
-        });
+        let mut tx = LinkSender::new();
         let mut flushed = Vec::new();
-        for i in 0..7u64 {
+        for i in 0..2 * MAX_BATCH_FRAMES + 1 {
             if let Some(batch) = tx.buffer(Bytes::from(format!("m{i}")), VTime::ZERO) {
                 flushed.push(batch.len());
             }
         }
-        assert_eq!(flushed, vec![3, 3]);
+        assert_eq!(flushed, vec![MAX_BATCH_FRAMES, MAX_BATCH_FRAMES]);
         assert_eq!(tx.flush().map(|b| b.len()), Some(1));
     }
 
     #[test]
     fn max_bytes_limit_flushes_early() {
-        let mut tx = LinkSender::new().with_policy(BatchPolicy {
-            max_frames: 100,
-            max_bytes: 10,
-            max_delay: VDuration::ZERO,
-        });
-        assert!(tx.buffer(Bytes::from(vec![0u8; 4]), VTime::ZERO).is_none());
+        let mut tx = LinkSender::new();
+        let first = Bytes::from(vec![0u8; MAX_BATCH_BYTES - 6]);
+        assert!(tx.buffer(first, VTime::ZERO).is_none());
         let batch = tx.buffer(Bytes::from(vec![0u8; 6]), VTime::ZERO);
         assert_eq!(batch.map(|b| b.len()), Some(2));
-    }
-
-    #[test]
-    fn disabled_policy_flushes_every_frame() {
-        let mut tx = LinkSender::new().with_policy(BatchPolicy::disabled());
-        assert!(BatchPolicy::disabled().is_disabled());
-        assert!(!BatchPolicy::default().is_disabled());
-        let batch = tx.buffer(payload("a"), VTime::ZERO).expect("immediate");
-        assert_eq!(batch.len(), 1);
-        assert!(matches!(
-            Datagram::for_frames(batch),
-            Some(Datagram::Data(_))
-        ));
-    }
-
-    #[test]
-    fn flush_deadline_follows_max_delay() {
-        let mut tx = LinkSender::new().with_policy(BatchPolicy {
-            max_delay: VDuration::from_millis(2),
-            ..BatchPolicy::default()
-        });
-        assert_eq!(tx.flush_deadline(), None);
-        let _ = tx.buffer(payload("a"), VTime::from_micros(1_000));
-        assert_eq!(tx.flush_deadline(), Some(VTime::from_micros(3_000)));
-        // The runtime timer must wake for the flush even before the RTO.
-        assert_eq!(tx.next_deadline(), Some(VTime::from_micros(3_000)));
-        let _ = tx.flush();
-        assert_eq!(tx.flush_deadline(), None);
     }
 
     #[test]
     fn crashed_batch_is_reflushed_from_persisted_image() {
         // Buffer two frames, never flush, "crash": the unacked journal
         // already contains them, so a restored sender retransmits both.
-        let mut tx = LinkSender::with_rto(VDuration::from_millis(5)).with_policy(BatchPolicy {
-            max_frames: 8,
-            ..BatchPolicy::default()
-        });
+        let mut tx = LinkSender::with_rto(VDuration::from_millis(5));
         assert!(tx.buffer(payload("a"), VTime::ZERO).is_none());
         assert!(tx.buffer(payload("b"), VTime::ZERO).is_none());
         let journal: Vec<LinkFrame> = tx.unacked_frames().cloned().collect();

@@ -1,9 +1,11 @@
 //! Property-based tests for the wire codec and the reliable link.
 //!
-//! The second `proptest!` block is the decoder's: the packed stamp entry
+//! The second `proptest!` block is the decoders': the packed stamp entry
 //! list of tag 6 must round-trip any list, refuse every malformed
 //! input with `Error::Codec`, and never allocate out of proportion to the
-//! bytes they were given. It runs the default number of cases, which
+//! bytes they were given; a link datagram (tags 0, 1 and 2) must
+//! round-trip, and arbitrary bytes behind each tag must decode or be
+//! refused under the same allocation bound. It runs the default number of cases, which
 //! `PROPTEST_CASES` deepens (CI does on pushes to `main`). The same
 //! counting allocator holds the receiver's in-order path to no allocation.
 
@@ -132,6 +134,32 @@ fn decode_bounded(input: Bytes) -> aaa_base::Result<Stamp> {
         "{allocated} B allocated decoding {n} B"
     );
     result
+}
+
+/// Decodes a link datagram under [`decode_bounded`]'s allocation bound.
+fn decode_datagram_bounded(input: Bytes) -> aaa_base::Result<Datagram> {
+    let n = input.len();
+    let (result, allocated) = allocated_by(|| Datagram::decode(input));
+    assert!(
+        allocated <= 16 * n + 64,
+        "{allocated} B allocated decoding a {n} B datagram"
+    );
+    result
+}
+
+fn arb_frames() -> impl Strategy<Value = Vec<LinkFrame>> {
+    prop::collection::vec(
+        (any::<u64>(), prop::collection::vec(any::<u8>(), 0..64)),
+        1..40,
+    )
+    .prop_map(|frames| {
+        (frames.into_iter())
+            .map(|(seq, payload)| LinkFrame {
+                seq,
+                payload: Bytes::from(payload),
+            })
+            .collect()
+    })
 }
 
 fn refused(input: &[u8]) -> String {
@@ -357,6 +385,47 @@ proptest! {
             match decode_bounded(Bytes::from(input)) {
                 Ok(decoded) => {
                     let again = decode_bounded(encoded(&decoded)).expect("decodes");
+                    prop_assert_eq!(again, decoded);
+                }
+                Err(Error::Codec(_)) => {}
+                Err(other) => panic!("not a codec error: {other}"),
+            }
+        }
+    }
+}
+
+proptest! {
+    /// Multi-frame batches round-trip exactly, under the batch tag.
+    #[test]
+    fn batch_datagrams_roundtrip(frames in arb_frames()) {
+        let d = Datagram::Batch(frames);
+        let bytes = d.encode();
+        prop_assert_eq!(bytes.first(), Some(&2));
+        prop_assert_eq!(decode_datagram_bounded(bytes).expect("decodes"), d);
+    }
+
+    /// Arbitrary bytes behind each datagram tag — random, or a valid batch
+    /// with bytes overwritten — decode or are refused as a codec error;
+    /// nothing panics and the allocation bound holds. What decodes
+    /// re-encodes to a datagram that decodes to itself.
+    #[test]
+    fn byte_soup_behind_datagram_tags_never_panics(
+        tag in 0u8..3,
+        soup in prop::collection::vec(any::<u8>(), 0..96),
+        frames in arb_frames(),
+        damage in prop::collection::vec((any::<usize>(), any::<u8>()), 0..4),
+    ) {
+        let mut raw = vec![tag];
+        raw.extend_from_slice(&soup);
+        let mut damaged = Datagram::Batch(frames).encode().to_vec();
+        for (at, byte) in damage {
+            let at = 1 + at % (damaged.len() - 1);
+            damaged[at] = byte;
+        }
+        for input in [raw, damaged] {
+            match decode_datagram_bounded(Bytes::from(input)) {
+                Ok(decoded) => {
+                    let again = decode_datagram_bounded(decoded.encode()).expect("decodes");
                     prop_assert_eq!(again, decoded);
                 }
                 Err(Error::Codec(_)) => {}

@@ -624,8 +624,8 @@ mod tests {
 
     #[test]
     fn batched_bursts_amortize_stamp_bytes() {
-        use aaa_mom::BatchPolicy;
-        // Same 16-message burst, batched vs unbatched: the batched run
+        // Same 16-message burst, one batch vs sixteen separate sends: the
+        // batched run
         // must ship far fewer stamp bytes (GroupNext continuations are one
         // tag byte, encoded as zero stamp-payload bytes) while delivering
         // identically and keeping the Fig-7/8 cost series meaningful.
@@ -642,11 +642,8 @@ mod tests {
         batched.client_send_batch(aid(0, 9), burst.clone());
         batched.run_until_quiet().unwrap();
 
-        let unbatched_config = ServerConfig {
-            batch: BatchPolicy::disabled(),
-            ..ServerConfig::default()
-        };
-        let mut unbatched = Simulation::new(topo(), unbatched_config, CostModel::zero()).unwrap();
+        let mut unbatched =
+            Simulation::new(topo(), ServerConfig::default(), CostModel::zero()).unwrap();
         for s in 0..8 {
             unbatched.register_agent(ServerId::new(s), 1, Box::new(EchoAgent));
         }

@@ -83,9 +83,9 @@ pub mod prelude {
     pub use aaa_chaos::{FaultPlan, FaultTransport};
     pub use aaa_clocks::{Batching, StampMode};
     pub use aaa_mom::{
-        Agent, AgentMessage, BatchPolicy, ClockConfig, DeliveryPolicy, EchoAgent, FnAgent, Mom,
-        MomBuilder, NetConfig, Notification, ReactionContext, RuntimeConfig, SendOptions,
-        ServerConfig, StepStats, TransportKind,
+        Agent, AgentMessage, ClockConfig, DeliveryPolicy, EchoAgent, FnAgent, Mom, MomBuilder,
+        NetConfig, Notification, ReactionContext, RuntimeConfig, SendOptions, ServerConfig,
+        StepStats, TransportKind,
     };
     pub use aaa_obs::{
         Counter, Gauge, Histogram, LatencyTracker, Meter, MetricsServer, MetricsSnapshot, Registry,

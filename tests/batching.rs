@@ -39,10 +39,6 @@ fn random_batches_under_loss_stay_causal_and_exactly_once() {
             rto: VDuration::from_millis(40),
             ..ServerConfig::default()
         };
-        assert!(
-            !config.batch.is_disabled(),
-            "batching must be on by default"
-        );
         let mut sim = Simulation::with_fault_plan(
             topo,
             config,
@@ -101,41 +97,21 @@ fn random_batches_under_loss_stay_causal_and_exactly_once() {
     }
 }
 
-/// Live runtime: randomized batch policies (including disabled and a
-/// timer-flushed one) with random-size `send_batch` bursts all converge to
-/// the same causal, exactly-once outcome.
+/// Live runtime: random-size `send_batch` bursts over four random
+/// topologies all converge to the same causal, exactly-once outcome.
 #[test]
 fn randomized_batch_policies_converge_threaded() {
-    let policies = [
-        BatchPolicy::default(),
-        BatchPolicy::disabled(),
-        BatchPolicy {
-            max_frames: 5,
-            max_bytes: 400,
-            max_delay: VDuration::ZERO,
-        },
-        BatchPolicy {
-            max_frames: 64,
-            max_bytes: 256 * 1024,
-            // Timer-flushed: partial batches ride across steps until the
-            // tick path (or an urgent send) pushes them out.
-            max_delay: VDuration::from_millis(5),
-        },
-    ];
-    for (i, policy) in policies.into_iter().enumerate() {
-        let mut rng = StdRng::seed_from_u64(31 + i as u64);
-        let spec = common::random_acyclic_spec(i as u64 + 7, 3, 2, 3);
+    for i in 0..4 {
+        let mut rng = StdRng::seed_from_u64(31 + i);
+        let spec = common::random_acyclic_spec(i + 7, 3, 2, 3);
         let n = spec.server_count() as u16;
-        let mom = MomBuilder::new(spec)
-            .net(NetConfig::memory().batch(policy))
-            .build()
-            .unwrap();
+        let mom = MomBuilder::new(spec).build().unwrap();
         for s in 0..n {
             mom.register_agent(ServerId::new(s), 1, Box::new(EchoAgent))
                 .unwrap();
         }
         let mut total = 0u64;
-        for round in 0..8 {
+        for _ in 0..8 {
             let from = rng.gen_range(0..n);
             let burst = rng.gen_range(1..=20usize);
             let batch: Vec<_> = (0..burst)
@@ -145,67 +121,63 @@ fn randomized_batch_policies_converge_threaded() {
                 })
                 .collect();
             total += batch.len() as u64;
-            // Alternate lazy and urgent submission.
-            let opts = if round % 2 == 0 {
-                SendOptions::new()
-            } else {
-                SendOptions::urgent()
-            };
-            mom.send_batch(aid(from, 9), batch, opts).unwrap();
+            mom.send_batch(aid(from, 9), batch, SendOptions::new())
+                .unwrap();
         }
-        mom.flush().unwrap();
         assert!(
             mom.quiesce(Duration::from_secs(30)),
-            "policy {i}: failed to quiesce"
+            "spec {i}: failed to quiesce"
         );
         let trace = mom.trace().unwrap();
         assert!(
             trace.check_causality().is_ok(),
-            "policy {i}: causality violated"
+            "spec {i}: causality violated"
         );
         // Every request delivered once, plus one echo each.
         assert_eq!(
             trace.message_count() as u64,
             total * 2,
-            "policy {i}: wrong delivery count"
+            "spec {i}: wrong delivery count"
         );
         assert_eq!(mom.metrics().sum_gauge("aaa_channel_postponed"), 0);
         mom.shutdown();
     }
 }
 
-/// A source server crashes while a batch is still buffered on its links
-/// (large `max_delay`, never flushed before the crash). Because frames
+/// A committed batch that no peer acknowledged survives a crash of its
+/// source: the batch is lost on the wire to a crashed destination, and
+/// the source crashes before its first retransmission. Because frames
 /// enter the retransmission window at *buffer* time, the persisted image
-/// covers the whole batch: recovery re-flushes it and delivery is
-/// exactly-once, in order.
+/// covers the whole batch: once both servers recover it is re-sent and
+/// delivered exactly once, in order.
 #[test]
 fn mid_batch_crash_recovers_buffered_frames() {
     let seen: Arc<Mutex<Vec<String>>> = Default::default();
     let mom = MomBuilder::new(TopologySpec::single_domain(2))
         .runtime(RuntimeConfig::threaded().persist(true))
-        .net(NetConfig::memory().batch(BatchPolicy {
-            max_frames: 64,
-            max_bytes: 256 * 1024,
-            max_delay: VDuration::from_millis(600_000), // effectively: never
-        }))
         .build()
         .unwrap();
-    let source = ServerId::new(0);
-    mom.register_agent(ServerId::new(1), 1, collector(seen.clone()))
+    let (source, dest) = (ServerId::new(0), ServerId::new(1));
+    mom.register_agent(dest, 1, collector(seen.clone()))
         .unwrap();
 
     let batch: Vec<_> = (0..5)
         .map(|i| (aid(1, 1), Notification::new("m", format!("{i}"))))
         .collect();
-    // Accepted, journaled, buffered — but the batch never hits the wire
-    // before the crash wipes the in-memory server.
+    // Accepted, committed and flushed — into a crashed destination, which
+    // drops it; the source crashes well before its retransmission is due.
+    mom.crash(dest).unwrap();
+    // A server handles its commands in order: once this call returns, the
+    // destination is down.
+    mom.stats(dest).unwrap();
     mom.send_batch(aid(0, 9), batch, SendOptions::new())
         .unwrap();
     mom.crash(source).unwrap();
     std::thread::sleep(Duration::from_millis(30));
-    assert!(seen.lock().is_empty(), "nothing should have been flushed");
+    assert!(seen.lock().is_empty(), "the batch was lost on the wire");
 
+    mom.recover(dest, vec![(1, collector(seen.clone()))])
+        .unwrap();
     mom.recover(source, Vec::new()).unwrap();
     assert!(
         mom.quiesce(Duration::from_secs(30)),
@@ -221,8 +193,8 @@ fn mid_batch_crash_recovers_buffered_frames() {
     mom.shutdown();
 }
 
-/// Crashing a *destination* between two halves of a burst stream: the
-/// default zero-delay policy flushes per step, so the first half is on
+/// Crashing a *destination* between two halves of a burst stream: every
+/// step flushes what it buffered, so the first half is on
 /// the wire when the receiver dies; retransmission re-sends those frames
 /// as batches after recovery and dedup keeps delivery exactly-once.
 #[test]
@@ -248,7 +220,7 @@ fn destination_crash_between_bursts_is_exactly_once() {
     mom.crash(dest).unwrap();
     // Second burst while the destination is down: frames queue unacked.
     expected.extend((6..12).map(|i| i.to_string()));
-    mom.send_batch(aid(0, 9), burst(6, 12), SendOptions::urgent())
+    mom.send_batch(aid(0, 9), burst(6, 12), SendOptions::new())
         .unwrap();
     std::thread::sleep(Duration::from_millis(30));
     mom.recover(dest, vec![(1, collector(seen.clone()))])

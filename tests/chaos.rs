@@ -4,7 +4,8 @@
 //!
 //! 1. A randomized **simulator soak** — 24 derived fault plans covering
 //!    loss, duplication, delay/reorder, partitions and router crashes,
-//!    across both stamp modes and both batching policies. Every run must
+//!    across both stamp modes, with and without multi-message batch
+//!    transactions opening the workload. Every run must
 //!    deliver exactly once, in causal order, with nothing left postponed.
 //!    A failing seed prints a one-line repro (`RANDOM_SEED=<seed> …`).
 //! 2. A **sabotage leg** — the same harness with retransmission disabled
@@ -26,8 +27,8 @@ use std::time::Duration;
 use aaa_middleware::base::{AgentId, ServerId, VDuration, VTime};
 use aaa_middleware::chaos::{ChaosHandle, FaultPlan, FaultStats, FaultTransport, LinkFaults};
 use aaa_middleware::mom::{
-    Agent, BatchPolicy, ClockConfig, EchoAgent, FnAgent, MomBuilder, NetConfig, Notification,
-    RuntimeConfig, ServerConfig, StampMode, Transport,
+    Agent, ClockConfig, EchoAgent, FnAgent, MomBuilder, NetConfig, Notification, RuntimeConfig,
+    ServerConfig, StampMode, Transport,
 };
 use aaa_middleware::net::MemoryNetwork;
 use aaa_middleware::obs::Registry;
@@ -66,6 +67,7 @@ fn unit(state: &mut u64) -> f64 {
 struct Case {
     plan: FaultPlan,
     stamp: StampMode,
+    /// Whether batch transactions open the workload.
     batching: bool,
 }
 
@@ -129,11 +131,6 @@ fn run_case(seed: u64, sabotage: bool) -> Result<(FaultStats, u64), String> {
             VDuration::from_millis(40)
         },
         persist: true,
-        batch: if case.batching {
-            BatchPolicy::default()
-        } else {
-            BatchPolicy::disabled()
-        },
         ..ServerConfig::default()
     };
     let topo = spec().validate().map_err(|e| fail(e.to_string()))?;
