@@ -183,7 +183,7 @@ fn can_deliver_weakened(st: &CausalState, from: DomainServerId, pending: &Pendin
     // The rest of the column, in whichever form the pending carries it.
     match pending.matrix() {
         Some(m) => (0..st.n()).all(|k| k == f || m.get(k, me) <= delivered(k)),
-        None => pending.entries().iter().all(|e| {
+        None => pending.entries().all(|e| {
             let k = usize::from(e.row);
             usize::from(e.col) != me || k == f || e.value <= delivered(k)
         }),
@@ -271,7 +271,6 @@ impl EngineModel {
                 // check in `successors`, made in every explored state.
                 let carried = pending
                     .entries()
-                    .iter()
                     .filter(|e| usize::from(e.col) == to)
                     .map(|e| (usize::from(e.row), e.value));
                 for (k, value) in carried.chain([(sender, pending.counter())]) {

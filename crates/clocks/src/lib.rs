@@ -51,5 +51,5 @@ pub mod vector;
 pub use lamport::LamportClock;
 pub use matrix::MatrixClock;
 pub use protocol::{Batching, CausalState, EngineTranscript, PendingStamp};
-pub use stamp::{Stamp, StampMode, UpdateEntry};
+pub use stamp::{Entries, PackedEntries, Stamp, StampMode, UpdateEntry};
 pub use vector::VectorClock;

@@ -3,11 +3,17 @@
 //! These tests drive randomized single-domain schedules through the causal
 //! delivery protocol and check, against an independent vector-clock oracle,
 //! that no message is ever delivered before a causal predecessor — and that
-//! every stamp mode takes exactly the same decisions as Full.
+//! every stamp mode takes exactly the same decisions as Full. A third
+//! block holds the sender's packed delta to `UpdateEntry::pack` and the
+//! decoder's view of it to the list it was made from.
 
 use aaa_base::DomainServerId;
 use aaa_clocks::vector::CausalOrdering;
-use aaa_clocks::{Batching, CausalState, MatrixClock, PendingStamp, StampMode, VectorClock};
+use aaa_clocks::{
+    Batching, CausalState, MatrixClock, PackedEntries, PendingStamp, Stamp, StampMode, UpdateEntry,
+    VectorClock,
+};
+use bytes::Bytes;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -330,6 +336,78 @@ proptest! {
         if a.compare(&b) == CausalOrdering::Before {
             prop_assert_eq!(&m, &b);
         }
+    }
+}
+
+proptest! {
+    /// The sender packs a delta straight from its walk of the changed
+    /// cells. Server 0 of a domain of up to 300 delivers one frame that
+    /// raises a random set of cells, then stamps its first send to 1, which
+    /// ships every non-zero cell: the stamp holds exactly the bytes
+    /// `UpdateEntry::pack` writes for that row-major list. Decoded with
+    /// bytes after it, the list is a view with the stamp's count, extent and
+    /// entries, and the bytes after it are left.
+    #[test]
+    fn the_sender_walk_packs_what_pack_writes(
+        n in 2usize..300,
+        cells in prop::collection::vec(
+            (
+                any::<u32>(),
+                prop_oneof![
+                    1u64..200,
+                    Just(127u64),
+                    Just(128u64),
+                    Just(16_384u64),
+                    Just(1u64 << 56),
+                    Just(u64::MAX),
+                    any::<u64>(),
+                ],
+            ),
+            0..60,
+        ),
+        tail in prop::collection::vec(any::<u8>(), 0..8),
+    ) {
+        // Nothing in the receiver's column but the link cell, so the frame
+        // is deliverable at once.
+        let mut raised: Vec<UpdateEntry> = cells
+            .iter()
+            .map(|&(seed, value)| (seed as usize % (n * n), value))
+            .filter(|&(cell, _)| cell % n != 0)
+            .map(|(cell, value)| UpdateEntry {
+                row: (cell / n) as u16,
+                col: (cell % n) as u16,
+                value,
+            })
+            .collect();
+        raised.push(UpdateEntry { row: 1, col: 0, value: 1 });
+        let mut s0 = CausalState::new(d(0), n, StampMode::Updates);
+        let p = s0.on_frame(d(1), Stamp::Delta(PackedEntries::new(&raised)));
+        prop_assert!(s0.can_deliver(d(1), &p));
+        s0.deliver(d(1), &p);
+
+        let Stamp::Delta(made) = s0.stamp_send(d(1), Batching::Single) else {
+            panic!("an Updates send ships a delta");
+        };
+        let sent = s0.sent();
+        let expected: Vec<UpdateEntry> = (0..n * n)
+            .filter(|&cell| sent.get(cell / n, cell % n) > 0)
+            .map(|cell| UpdateEntry {
+                row: (cell / n) as u16,
+                col: (cell % n) as u16,
+                value: sent.get(cell / n, cell % n),
+            })
+            .collect();
+        let mut packed = Vec::new();
+        UpdateEntry::pack(&expected, &mut packed);
+        prop_assert_eq!(made.as_bytes(), &packed[..]);
+
+        packed.extend_from_slice(&tail);
+        let mut frame = Bytes::from(packed);
+        let view = PackedEntries::read(&mut frame).expect("a packed list");
+        prop_assert_eq!(view.len(), made.len());
+        prop_assert_eq!(view.width(), made.width());
+        prop_assert_eq!(view.iter().collect::<Vec<_>>(), expected);
+        prop_assert_eq!(&frame[..], &tail[..]);
     }
 }
 

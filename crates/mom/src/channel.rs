@@ -955,19 +955,25 @@ mod tests {
 
     #[test]
     fn malformed_stamps_rejected_with_the_clock_untouched() {
-        use aaa_clocks::{MatrixClock, Stamp, UpdateEntry};
+        use aaa_clocks::{MatrixClock, PackedEntries, Stamp, UpdateEntry};
         let entry = |row, col| UpdateEntry { row, col, value: 1 };
         let topo = single_domain(4);
         let cases = [
             // A kind the configured mode never emits.
             (StampMode::Updates, Stamp::Full(MatrixClock::new(4))),
-            (StampMode::Full, Stamp::Delta(Vec::new())),
+            (StampMode::Full, Stamp::Delta(PackedEntries::empty())),
             // A matrix of another domain's width.
             (StampMode::Full, Stamp::Full(MatrixClock::new(5))),
             // Coordinates outside the 4 x 4 matrix: (0, 5) would alias
             // cell (1, 1) in a release build.
-            (StampMode::Updates, Stamp::Delta(vec![entry(0, 5)])),
-            (StampMode::Updates, Stamp::Delta(vec![entry(4, 0)])),
+            (
+                StampMode::Updates,
+                Stamp::Delta(PackedEntries::new(&[entry(0, 5)])),
+            ),
+            (
+                StampMode::Updates,
+                Stamp::Delta(PackedEntries::new(&[entry(4, 0)])),
+            ),
             // A continuation with no frame to continue.
             (StampMode::Full, Stamp::GroupNext),
             (StampMode::Updates, Stamp::GroupNext),

@@ -171,8 +171,8 @@ pub(crate) struct ServerMetrics {
 }
 
 /// Bucket edges for the batch-width histogram: powers of two up to a link
-/// batch's fixed 32-frame bound (`aaa_net::link`), and one edge beyond.
-const BATCH_FRAME_BUCKETS: &[u64] = &[1, 2, 4, 8, 16, 32, 64];
+/// batch's fixed 32-frame bound (`aaa_net::link`).
+const BATCH_FRAME_BUCKETS: &[u64] = &[1, 2, 4, 8, 16, 32];
 
 impl ServerMetrics {
     pub fn new(meter: &Meter) -> Self {

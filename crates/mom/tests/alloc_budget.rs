@@ -10,6 +10,10 @@
 //! `alloc_zeroed`, `realloc`) counts, and the total per delivered message
 //! must stay within [`CALLS_PER_MESSAGE`]: one encode into a presized
 //! buffer, adopted without a copy, and decoding that borrows the frame.
+//!
+//! A second case counts what a receiver requests to postpone a delta frame
+//! that arrives before its causal predecessor: a bound set by the cells of
+//! the receiver's column, not by the entries the frame carries.
 
 // The counting allocator below is this test's one piece of `unsafe`; it
 // forwards every call to `System` unchanged. See `[lints]` in the manifest.
@@ -28,6 +32,10 @@ use aaa_topology::TopologySpec;
 const CALLS_PER_MESSAGE: f64 = 3.0;
 const BATCH: usize = 32;
 const WARM_UP_ROUNDS: usize = 100;
+/// Bytes a receiver requests to postpone a delta frame, besides the cells
+/// of its column it copies out: the step's own buffers and the
+/// acknowledgement it sends back, about 400 B whatever the frame carries.
+const COLUMN_BASE: u64 = 448;
 const ROUNDS: usize = 1_000;
 
 thread_local! {
@@ -149,5 +157,78 @@ fn a_message_costs_at_most_three_allocator_calls_from_send_to_ack() {
     assert!(
         calls <= CALLS_PER_MESSAGE,
         "{calls:.2} allocator calls per message, budget {CALLS_PER_MESSAGE}"
+    );
+}
+
+/// Servers of the postponement case's domain: three run, the rest only
+/// receive stamps that are never delivered, so a stamp carries one cell
+/// per destination.
+const WIDE: u16 = 64;
+
+/// What a postponed message keeps. Three servers of a domain of
+/// [`WIDE`]: server 0 sends `a` to server 2, stamps a message to every
+/// other server of the domain, and sends `b` to server 1, which delivers
+/// it and sends `c` to server 2. `c`'s stamp carries every cell server 0
+/// raised — about [`WIDE`] entries — but only one of server 2's column
+/// besides the link cell: `a`'s. `c` reaches server 2 first and is
+/// postponed there. The bytes server 2's `on_datagram` requests for it are
+/// bounded by that one cell, not by the frame's entries: the list stays a
+/// view of the received buffer and only the column is copied out. A
+/// receiver that decodes the list into entries of 16 bytes each needs
+/// about a kilobyte more.
+#[test]
+fn a_postponed_delta_keeps_its_column_not_its_entries() {
+    let topo = TopologySpec::single_domain(WIDE).validate().unwrap();
+    let mut cores: Vec<ServerCore> = (0..3)
+        .map(|i| {
+            let store = Arc::new(MemoryStore::new());
+            ServerCore::new(&topo, sid(i), ServerConfig::default(), store).unwrap()
+        })
+        .collect();
+    let sink1 = cores[1].register_agent(1, Box::new(FnAgent::new(|_, _, _| {})));
+    let sink2 = cores[2].register_agent(1, Box::new(FnAgent::new(|_, _, _| {})));
+    let (client0, client1) = (AgentId::new(sid(0), 9), AgentId::new(sid(1), 9));
+    let note = |kind: &str| Notification::new(kind, vec![0u8; 16]);
+
+    // Round 0 warms server 2's queues and buffers up; round 1 is counted.
+    let mut requested = 0u64;
+    for round in 0..2u64 {
+        let now = VTime::from_micros(round * 1_000);
+        let (_, a) = cores[0]
+            .client_send(client0, sink2, note("a"), now)
+            .unwrap();
+        let elsewhere = (3..WIDE)
+            .map(|k| (AgentId::new(sid(k), 1), note("x")))
+            .collect();
+        cores[0]
+            .client_send_batch(client0, elsewhere, SendOptions::new(), now)
+            .unwrap();
+        let (_, b) = cores[0]
+            .client_send(client0, sink1, note("b"), now)
+            .unwrap();
+        for t in b {
+            cores[1].on_datagram(sid(0), t.bytes, now).unwrap();
+        }
+        let (_, c) = cores[1]
+            .client_send(client1, sink2, note("c"), now)
+            .unwrap();
+        let mut total = (0u64, 0u64);
+        for t in c {
+            counted(&mut total, || cores[2].on_datagram(sid(1), t.bytes, now)).unwrap();
+        }
+        assert_eq!(cores[2].channel().postponed_count(), 1, "c waits for a");
+        requested = total.1;
+        for t in a {
+            cores[2].on_datagram(sid(0), t.bytes, now).unwrap();
+        }
+        assert_eq!(cores[2].take_step_stats().delivered, 2, "a, then c");
+    }
+    eprintln!("{requested} B requested to postpone a delta of about {WIDE} entries");
+    // One column cell: a vector's first four slots of (row, value).
+    let column = 4 * 16;
+    assert!(
+        requested <= COLUMN_BASE + column,
+        "{requested} B requested to postpone one message, budget {}",
+        COLUMN_BASE + column
     );
 }

@@ -9,7 +9,7 @@
 //! bytes.
 
 use aaa_base::{AgentId, DomainId, MessageId, ServerId};
-use aaa_clocks::{MatrixClock, Stamp, UpdateEntry};
+use aaa_clocks::{MatrixClock, PackedEntries, Stamp, UpdateEntry};
 use aaa_net::{Datagram, LinkFrame, RelayAck, WireMessage};
 use bytes::Bytes;
 
@@ -53,7 +53,11 @@ fn messages() -> Vec<(&'static str, WireMessage)> {
         ),
         (
             "message.delta",
-            message(4, Some(Stamp::Delta(entries)), b"ACME:42.5"),
+            message(
+                4,
+                Some(Stamp::Delta(PackedEntries::new(&entries))),
+                b"ACME:42.5",
+            ),
         ),
     ]
 }
@@ -70,7 +74,12 @@ fn frames(count: u64) -> Vec<LinkFrame> {
 fn datagrams() -> Vec<(&'static str, Datagram)> {
     let data = LinkFrame {
         seq: 42,
-        payload: message(5, Some(Stamp::Delta(vec![entry(0, 1, 7)])), b"one").encode(),
+        payload: message(
+            5,
+            Some(Stamp::Delta(PackedEntries::new(&[entry(0, 1, 7)]))),
+            b"one",
+        )
+        .encode(),
     };
     vec![
         ("datagram.data", Datagram::Data(data)),
