@@ -41,10 +41,10 @@
 //! clock_b.deliver(a, &pending);
 //! ```
 
-mod blocks;
 pub mod lamport;
 pub mod matrix;
 pub mod protocol;
+mod rows;
 pub mod stamp;
 pub mod vector;
 

@@ -8,16 +8,15 @@
 //! precisely the scalability problem the domain decomposition attacks.
 //!
 //! The *resident* state need not be `n²`: a server's matrix is mostly the
-//! zeros of links it never heard of, so [`MatrixClock`] stores its cells in
-//! 16-cell blocks allocated on first non-zero write (see its
+//! zeros of links it never heard of, so [`MatrixClock`] keeps each row as
+//! the list of its written cells until the row fills (see its
 //! [storage notes](MatrixClock#storage)) and costs what its traffic wrote.
 
 use std::fmt;
-use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
-use crate::blocks::{Blocks, Cell, Lane, BLOCK};
+use crate::rows::{Cell, Lane, Rows};
 
 /// A square matrix of message counters.
 ///
@@ -27,24 +26,26 @@ use crate::blocks::{Blocks, Cell, Lane, BLOCK};
 ///
 /// # Storage
 ///
-/// The `n²` cells, row-major, are cut into fixed blocks of 16 consecutive
-/// cells. A block is allocated on the first non-zero write to one of its
-/// cells, and a block that was never written reads as zero, so a matrix
-/// costs its index — one `u32` per block, `n² / 4` bytes — plus 256 bytes
-/// per block its traffic reached, not `n² × 8`. A block holds each cell's
-/// counter beside the logical instant of its last change, which the causal
+/// Each row takes the form its own fill calls for. A row holds a list of
+/// its written cells, sorted by column, while one more entry would still
+/// cost less than the whole row and the list stays within 8 entries; past
+/// that it is its `n` cells, side by side, in an arena the matrix's dense
+/// rows share. A cell never written reads as zero, so on ring traffic,
+/// which writes a cell or two per row, a matrix costs a 16-byte header
+/// and a short list per row, not `n² × 8` bytes, and a matrix whose rows
+/// all fill is one array reached row by row. Each cell holds its counter
+/// beside the logical instant of its last change, which the causal
 /// protocol's `SENT` matrix keeps for its delta stamps and every other
-/// matrix leaves at zero. A cell is always found through the index, also
-/// once every block is written. The storage sits behind one pointer, so a
-/// `MatrixClock`, and every stamp that could hold one, moves as 16 bytes.
+/// matrix leaves at zero. The storage sits behind one pointer, so a
+/// `MatrixClock` is 16 bytes, and a `Stamp`, which can hold one, 48.
 ///
 /// Equality, ordering and hashing are on the counters (ordering is
-/// lexicographic, row-major, as for a dense array), whatever blocks happen
-/// to be allocated; whole-matrix walks
+/// lexicographic, row-major, as for a dense array), whatever form each row
+/// takes; whole-matrix walks
 /// ([`merge_max`](MatrixClock::merge_max),
 /// [`dominated_by`](MatrixClock::dominated_by),
 /// [`iter_nonzero`](MatrixClock::iter_nonzero), the counts) read only the
-/// allocated blocks. The byte image ([`write_bytes`](MatrixClock::write_bytes))
+/// written cells. The byte image ([`write_bytes`](MatrixClock::write_bytes))
 /// is still dense.
 ///
 /// # Examples
@@ -59,7 +60,7 @@ use crate::blocks::{Blocks, Cell, Lane, BLOCK};
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct MatrixClock {
     n: usize,
-    cells: Box<Blocks>,
+    cells: Box<Rows>,
 }
 
 impl MatrixClock {
@@ -72,7 +73,7 @@ impl MatrixClock {
         assert!(n > 0, "a matrix clock needs at least one process");
         MatrixClock {
             n,
-            cells: Box::new(Blocks::new(n * n)),
+            cells: Box::new(Rows::new(n)),
         }
     }
 
@@ -81,12 +82,12 @@ impl MatrixClock {
         self.n
     }
 
-    /// The row-major position of cell `(row, col)`, checked in every build:
-    /// a position past the row would read another row's cell.
+    /// Cell `(row, col)`, checked in every build: a column past the row
+    /// would read another row's cell.
     #[inline]
-    fn idx(&self, row: usize, col: usize) -> usize {
+    fn idx(&self, row: usize, col: usize) -> (usize, usize) {
         assert!(row.max(col) < self.n, "matrix index out of range");
-        row * self.n + col
+        (row, col)
     }
 
     /// The value of cell `(row, col)`.
@@ -107,8 +108,7 @@ impl MatrixClock {
     #[inline]
     pub fn set(&mut self, row: usize, col: usize, value: u64) {
         let i = self.idx(row, col);
-        // Storing zero in a block never written would allocate it for
-        // nothing.
+        // Storing zero in a cell never written would write it for nothing.
         if value != 0 || self.cells[i] != 0 {
             self.cells[i] = value;
         }
@@ -122,34 +122,16 @@ impl MatrixClock {
     /// Panics if `row` or `col` is out of range.
     #[inline]
     pub fn raise(&mut self, row: usize, col: usize, value: u64) -> bool {
-        let i = self.idx(row, col);
-        // Read before writing: a value above a never-written cell's zero is
-        // the only one that allocates its block.
-        if value <= self.cells[i] {
-            return false;
-        }
-        self.cells[i] = value;
-        true
+        let (row, col) = self.idx(row, col);
+        self.cells.raise(row, col, value, None)
     }
 
     /// [`MatrixClock::raise`], tagging the cell with instant `tag` if it
     /// grew.
     #[inline]
     pub(crate) fn raise_tagged(&mut self, row: usize, col: usize, value: u64, tag: u64) -> bool {
-        let i = self.idx(row, col);
-        if let Some(cell) = self.cells.cell_mut(i) {
-            if value <= cell.value {
-                return false;
-            }
-            *cell = Cell { value, tag };
-            return true;
-        }
-        // A never-written cell is zero: only a non-zero value allocates.
-        if value == 0 {
-            return false;
-        }
-        self.cells.block_mut(i / BLOCK)[i % BLOCK] = Cell { value, tag };
-        true
+        let (row, col) = self.idx(row, col);
+        self.cells.raise(row, col, value, Some(tag))
     }
 
     /// Increments cell `(row, col)`, returning the new value.
@@ -169,29 +151,28 @@ impl MatrixClock {
     /// [`MatrixClock::increment`], tagging the cell with instant `tag`.
     #[inline]
     pub(crate) fn increment_tagged(&mut self, row: usize, col: usize, tag: u64) {
-        let i = self.idx(row, col);
-        let cell = &mut self.cells.block_mut(i / BLOCK)[i % BLOCK];
+        let (row, col) = self.idx(row, col);
+        let cell = self.cells.cell_mut(row, col);
         *cell = Cell {
             value: cell.value.saturating_add(1),
             tag,
         };
     }
 
-    /// Calls `f(i, value, tag)` for every cell at a row-major position `i`
-    /// in `cells` whose change instant `tag` is above `since`, in order.
-    /// Reads only the blocks that were ever written.
+    /// Calls `f(col, value, tag)` for every cell of row `row` whose change
+    /// instant `tag` is above `since`, by ascending column. Reads only the
+    /// row's written cells.
     #[inline]
     pub(crate) fn for_each_changed(
         &self,
-        cells: Range<usize>,
+        row: usize,
         since: u64,
         mut f: impl FnMut(usize, u64, u64),
     ) {
-        self.cells.for_each_in(cells, |i, cell| {
-            if cell.tag > since {
-                f(i, cell.value, cell.tag);
-            }
-        });
+        self.cells
+            .row(row)
+            .filter(|(_, cell)| cell.tag > since)
+            .for_each(|(col, cell)| f(col, cell.value, cell.tag));
     }
 
     /// Appends the change instants, row-major and dense, as little-endian
@@ -225,18 +206,17 @@ impl MatrixClock {
     ///
     /// Exposing the changed cells lets the Updates optimization re-tag them
     /// with a fresh logical state without a second scan. Only `other`'s
-    /// allocated blocks are read.
+    /// written cells are read.
     ///
     /// # Panics
     ///
     /// Panics if the widths differ.
-    pub fn merge_max(&mut self, other: &MatrixClock, mut changed: impl FnMut(usize, usize, u64)) {
-        let n = self.n;
-        self.merge(other, None, |i, v| changed(i / n, i % n, v));
+    pub fn merge_max(&mut self, other: &MatrixClock, changed: impl FnMut(usize, usize, u64)) {
+        self.merge(other, None, changed);
     }
 
     /// [`MatrixClock::merge_max`], tagging every cell that grew with
-    /// instant `tag` and reporting it by its row-major position.
+    /// instant `tag` and reporting it by its row.
     ///
     /// # Panics
     ///
@@ -247,7 +227,7 @@ impl MatrixClock {
         tag: u64,
         mut changed: impl FnMut(usize),
     ) {
-        self.merge(other, Some(tag), |i, _| changed(i));
+        self.merge(other, Some(tag), |row, _, _| changed(row));
     }
 
     /// The cell-wise maximum, tagging the grown cells if `tag` is given.
@@ -255,56 +235,34 @@ impl MatrixClock {
         &mut self,
         other: &MatrixClock,
         tag: Option<u64>,
-        mut changed: impl FnMut(usize, u64),
+        mut changed: impl FnMut(usize, usize, u64),
     ) {
         assert_eq!(
             self.n, other.n,
             "cannot merge matrix clocks of different widths"
         );
-        for (b, theirs) in other.cells.blocks() {
-            // A block with nothing to give allocates nothing here.
-            if theirs.iter().all(|c| c.value == 0) {
-                continue;
-            }
-            let mine = self.cells.block_mut(b);
-            for (off, (cell, t)) in mine.iter_mut().zip(theirs).enumerate() {
-                if t.value > cell.value {
-                    cell.value = t.value;
-                    cell.tag = tag.unwrap_or(cell.tag);
-                    changed(b * BLOCK + off, t.value);
-                }
+        for (row, col, value) in other.cells.nonzero() {
+            if self.cells.raise(row, col, value, tag) {
+                changed(row, col, value);
             }
         }
     }
 
     /// Returns `true` if every cell of `self` is `<=` the matching cell of
-    /// `other`. Only `self`'s allocated blocks are read.
+    /// `other`. Only `self`'s written cells are read.
     ///
     /// # Panics
     ///
     /// Panics if the widths differ.
     pub fn dominated_by(&self, other: &MatrixClock) -> bool {
         assert_eq!(self.n, other.n);
-        self.cells.blocks().all(|(b, mine)| {
-            let theirs = other.cells.block_or_zero(b);
-            mine.iter().zip(theirs).all(|(a, b)| a.value <= b.value)
-        })
+        (self.cells.nonzero()).all(|(row, col, v)| v <= other.cells[(row, col)])
     }
 
     /// Iterates over the non-zero cells as `(row, col, value)`, in
     /// row-major order.
     pub fn iter_nonzero(&self) -> impl Iterator<Item = (usize, usize, u64)> + '_ {
-        let n = self.n;
-        self.cells.blocks().flat_map(move |(b, cells)| {
-            cells
-                .iter()
-                .enumerate()
-                .filter(|&(_, c)| c.value != 0)
-                .map(move |(off, c)| {
-                    let i = b * BLOCK + off;
-                    (i / n, i % n, c.value)
-                })
-        })
+        self.cells.nonzero()
     }
 
     /// The minimum of column `col`: the number of messages destined to
@@ -322,20 +280,19 @@ impl MatrixClock {
     pub fn column_min(&self, col: usize) -> u64 {
         assert!(col < self.n, "matrix index out of range");
         (0..self.n)
-            .map(|row| self.cells[row * self.n + col])
+            .map(|row| self.cells[(row, col)])
             .min()
             .unwrap_or(0)
     }
 
     /// Number of non-zero cells.
     pub fn nonzero_count(&self) -> usize {
-        let cells = self.cells.written().iter().flatten();
-        cells.filter(|c| c.value != 0).count()
+        self.cells.nonzero().count()
     }
 
     /// Sum of all cells — a crude "total knowledge" measure used by tests.
     pub fn total(&self) -> u64 {
-        self.cells.written().iter().flatten().map(|c| c.value).sum()
+        self.cells.nonzero().map(|(_, _, v)| v).sum()
     }
 
     /// Encoded size in bytes when shipped whole: `n² × 8`.
@@ -369,7 +326,7 @@ impl MatrixClock {
             return None;
         }
         let need = 4 + n * n * 8;
-        // Bound the width by the bytes present before allocating its index.
+        // Bound the width by the bytes present before allocating its rows.
         let cells = input.get(4..need)?;
         let mut m = MatrixClock::new(n);
         m.cells.read_le(Lane::Values, cells)?;
@@ -511,8 +468,7 @@ mod tests {
     }
 
     // The range checks hold in release builds too: `(0, n)` is past the
-    // row, not cell `(1, 0)`; `(n, 0)` is past the matrix, not a cell of
-    // some other row's block.
+    // row, not cell `(1, 0)`; `(n, 0)` is past the matrix.
     #[test]
     #[should_panic(expected = "matrix index out of range")]
     fn get_past_the_row_panics() {

@@ -79,9 +79,9 @@
 //!
 //! In the delta modes every operation follows the stamp, not the domain,
 //! and the stamp stays packed ([`PackedEntries`]) end to end:
-//! `stamp_send` finds the changed cells by descending a tree of block
-//! maxima over the change tags instead of scanning `n²` of them
-//! (`O(|stamp| log n)`; see `ChangeTree`) and packs them as it goes;
+//! `stamp_send` finds the changed cells by descending a tree of maxima
+//! over the change tags, one slot per row at its bottom, instead of
+//! scanning `n²` of them (see `ChangeTree`) and packs them as it goes;
 //! `check_stamp` compares the list's largest coordinate with `n`;
 //! `on_frame` walks the list once, for the link counter and the
 //! receiver's column; `can_deliver` reads that column; `deliver` merges in
@@ -89,19 +89,19 @@
 //! design.
 //!
 //! Resident state follows the traffic too. `SENT` keeps each counter and
-//! its change tag side by side in 16-cell blocks allocated on the first
-//! write (see [`MatrixClock`]'s storage notes), so a server holds the
-//! block index (`n² / 4` bytes), the tree of maxima (`n² / 8` bytes) and
-//! the blocks its traffic reached — not two dense `n²` arrays of `u64`.
-//! On ring traffic in a domain of 256 that is about 100 KB per server
-//! instead of 1 MB.
+//! its change tag side by side, each row as a list of its written cells
+//! until it fills (see [`MatrixClock`]'s storage notes), so a server holds
+//! a 16-byte header per row, the tree of maxima (about `n × 8` bytes), the
+//! cells its traffic wrote and its per-peer vectors — not two dense `n²`
+//! arrays of `u64`. On ring traffic in a domain of 256 that is about
+//! 18 KiB per server instead of 1 MiB (`tests/alloc.rs`).
 //!
 //! # Persistence image
 //!
 //! `me: u16`, `n: u32`, mode byte, `SENT`, `DELIV`, the logical instant,
 //! the `n²` change tags, the per-peer send instants and the per-sender link
-//! counters (`n × u64`). The block maxima over the tags are rebuilt on
-//! read. Mode bytes are 4 (`Full`) and 5 (`Updates`). Bytes 0, 1 and 3
+//! counters (`n × u64`). The maxima over the tags are rebuilt on read.
+//! Mode bytes are 4 (`Full`) and 5 (`Updates`). Bytes 0, 1 and 3
 //! were `Full`, `Updates` and the retired `Hybrid` when the image still
 //! carried an `n × n²` section of per-sender image matrices, byte 2 was
 //! the retired `Reduced` mode, byte 6 was `Hybrid` with its per-peer
@@ -113,7 +113,7 @@
 //! sparse image would need a new mode byte and a decoder that allocates
 //! `O(n + written)` for what it reads, to keep the recovery decoders'
 //! allocation bound; it is not written yet. Reading a dense image
-//! allocates only the blocks with a non-zero cell.
+//! writes only the cells with a non-zero counter or tag.
 //!
 //! [`stamp_send`]: CausalState::stamp_send
 
@@ -289,24 +289,22 @@ pub struct EngineTranscript {
     pub deliv: Vec<u64>,
 }
 
-/// A tree of block maxima over the Appendix-A change tags
-/// (`Mat[k,l].state`: per cell of `SENT`, the logical instant of its last
-/// change, `0` for never), so "every cell changed since instant `s`" is a
-/// descent through the blocks that hold one instead of a scan of all `n²`
-/// tags.
+/// A tree of maxima over the Appendix-A change tags (`Mat[k,l].state`:
+/// per cell of `SENT`, the logical instant of its last change, `0` for
+/// never), so "every cell changed since instant `s`" is a descent through
+/// the rows that hold one instead of a scan of all `n²` tags.
 ///
-/// The tags themselves are level 0: they sit beside the counters in
-/// `SENT`'s blocks (a tag is non-zero exactly where its counter is), so a
-/// send or a delivery finds a cell and its tag with one lookup, and a
-/// read yields each changed cell's value with it. `maxima[k][i]` is the
-/// maximum of block `i` (`FANOUT` slots) of the level below it; the top
-/// level is one block. A read visits a block only if it holds a changed
-/// cell and yields cells in row-major order, so it reads
-/// `O(|result| · FANOUT · depth)` slots — depth `⌈log₆₄ n²⌉`, 3 at
-/// n = 256 — and about one slot per cell when most cells changed; level 0
-/// is read as the allocated blocks' slices. A write stores one slot per
-/// level. The maxima are a function of the tags: rebuilt on read, never
-/// persisted.
+/// The tags themselves sit beside the counters in `SENT`'s rows (a tag is
+/// non-zero exactly where its counter is), so a send or a delivery finds
+/// a cell and its tag with one lookup, and a read yields each changed
+/// cell's value with it. `maxima[0][r]` is the largest tag of row `r`;
+/// `maxima[k][i]` is the maximum of block `i` (`FANOUT` slots) of level
+/// `k − 1`, up to a top level of at most `FANOUT` slots. A read visits a
+/// block only if it holds a changed row and yields cells in row-major
+/// order, so it reads `O(|result| · FANOUT · depth)` slots — depth
+/// `⌈log₆₄ n⌉`, 2 at n = 256 — plus the written cells of each changed
+/// row. A write stores one slot per level. The maxima are a function of
+/// the tags: rebuilt on read, never persisted.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 struct ChangeTree {
     maxima: Vec<Vec<u64>>,
@@ -318,59 +316,60 @@ const FANOUT: usize = 64;
 impl ChangeTree {
     /// The maxima over the tags of `sent`.
     fn new(sent: &MatrixClock) -> Self {
-        let mut tree = ChangeTree { maxima: Vec::new() };
-        let cells = sent.width() * sent.width();
-        let mut below = cells;
+        let mut below = sent.width();
+        let mut tree = ChangeTree {
+            maxima: vec![vec![0; below]],
+        };
         while below > FANOUT {
             below = below.div_ceil(FANOUT);
             tree.maxima.push(vec![0; below]);
         }
-        sent.for_each_changed(0..cells, 0, |cell, _, tag| tree.raise(cell, tag));
+        for row in 0..sent.width() {
+            sent.for_each_changed(row, 0, |_, _, tag| tree.raise(row, tag));
+        }
         tree
     }
 
-    /// Raises the maximum of every block above `cell` to at least `tag`,
-    /// the instant `cell` was just tagged with.
-    fn raise(&mut self, cell: usize, tag: u64) {
-        let mut slot = cell;
+    /// Raises the maximum of every block above `row` to at least `tag`,
+    /// the instant a cell of `row` was just tagged with.
+    fn raise(&mut self, row: usize, tag: u64) {
+        let mut slot = row;
         for level in &mut self.maxima {
-            slot /= FANOUT;
             level[slot] = level[slot].max(tag);
+            slot /= FANOUT;
         }
     }
 
-    /// Calls `f` with every cell of `sent` whose tag is greater than
-    /// `since`, and its value, in ascending (row-major) order.
-    fn for_each_changed(&self, sent: &MatrixClock, since: u64, mut f: impl FnMut(usize, u64)) {
-        self.visit(sent, self.maxima.len(), 0, since, &mut f);
+    /// Calls `f(row, col, value)` for every cell of `sent` whose tag is
+    /// greater than `since`, in row-major order.
+    fn for_each_changed(
+        &self,
+        sent: &MatrixClock,
+        since: u64,
+        mut f: impl FnMut(usize, usize, u64),
+    ) {
+        self.visit(sent, self.maxima.len() - 1, 0, since, &mut f);
     }
 
-    /// Visits block `block` of level `level` (0 is the tags), descending
-    /// into the slots that changed since `since`.
+    /// Visits block `block` of level `level`, descending into the slots
+    /// that changed since `since`; a changed slot of level 0 is a row,
+    /// read from `SENT`.
     fn visit(
         &self,
         sent: &MatrixClock,
         level: usize,
         block: usize,
         since: u64,
-        f: &mut impl FnMut(usize, u64),
+        f: &mut impl FnMut(usize, usize, u64),
     ) {
-        let first = block.saturating_mul(FANOUT);
-        let Some(below) = level.checked_sub(1) else {
-            // Level 0: the tags under this slot, read from `SENT`.
-            sent.for_each_changed(first..first + FANOUT, since, |cell, value, _| {
-                f(cell, value)
-            });
-            return;
-        };
-        for (slot, &tag) in self.maxima[below]
-            .iter()
-            .enumerate()
-            .skip(first)
-            .take(FANOUT)
-        {
-            if tag > since {
-                self.visit(sent, below, slot, since, f);
+        let slots = self.maxima[level].iter().enumerate();
+        for (slot, &tag) in slots.skip(block.saturating_mul(FANOUT)).take(FANOUT) {
+            if tag <= since {
+                continue;
+            }
+            match level.checked_sub(1) {
+                Some(below) => self.visit(sent, below, slot, since, f),
+                None => sent.for_each_changed(slot, since, |col, value, _| f(slot, col, value)),
             }
         }
     }
@@ -398,7 +397,7 @@ pub struct CausalState {
     /// Logical instant counter for change tracking (`State` in
     /// Appendix A).
     state: u64,
-    /// The block maxima over `SENT`'s change tags.
+    /// The maxima over `SENT`'s change tags, row by row.
     changes: ChangeTree,
     /// Per-peer: value of `state` at the last send to that peer
     /// (`Node[j].state`).
@@ -532,7 +531,7 @@ impl CausalState {
         self.state = self.state.saturating_add(1);
         let (me, t) = (self.me.as_usize(), to.as_usize());
         self.sent.increment_tagged(me, t, self.state);
-        self.changes.raise(me * self.n + t, self.state);
+        self.changes.raise(me, self.state);
         let since = self.node_state[t];
         self.node_state[t] = self.state;
         since
@@ -541,18 +540,9 @@ impl CausalState {
     /// Packs the entries modified since logical instant `since`, in
     /// row-major order, as the walk yields them.
     fn collect_changed(&self, since: u64) -> PackedEntries {
-        let n = self.n;
         Packer::pack(|packer| {
-            // Cells arrive in ascending order: divide once per row
-            // entered, not once per cell.
-            let (mut row, mut row_start) = (0usize, 0usize);
             self.changes
-                .for_each_changed(&self.sent, since, |cell, value| {
-                    if cell - row_start >= n {
-                        row = cell / n;
-                        row_start = row * n;
-                    }
-                    let col = cell - row_start;
+                .for_each_changed(&self.sent, since, |row, col, value| {
                     // `n <= u16::MAX` is a construction invariant, so the
                     // checked narrowing never saturates in practice; if it
                     // ever did, the peer would reject the frame loudly.
@@ -813,18 +803,17 @@ impl CausalState {
         self.deliv[f] = self.deliv[f].saturating_add(1);
         self.state = self.state.saturating_add(1);
         let tag = self.state;
-        let n = self.n;
         let (sent, changes) = (&mut self.sent, &mut self.changes);
         match &pending.carried {
-            Carried::Matrix(m) => sent.merge_tagged(m, tag, |cell| changes.raise(cell, tag)),
+            Carried::Matrix(m) => sent.merge_tagged(m, tag, |row| changes.raise(row, tag)),
             Carried::Delta { list, .. } => {
                 if sent.raise_tagged(f, me, pending.counter, tag) {
-                    changes.raise(f * n + me, tag);
+                    changes.raise(f, tag);
                 }
                 for e in list.iter() {
                     let (row, col) = (usize::from(e.row), usize::from(e.col));
                     if sent.raise_tagged(row, col, e.value, tag) {
-                        changes.raise(row * n + col, tag);
+                        changes.raise(row, tag);
                     }
                 }
             }
@@ -1153,9 +1142,9 @@ mod tests {
 
     #[test]
     fn changed_cells_are_read_as_a_tag_scan_would_read_them() {
-        // Wide enough for two levels of block maxima (70² = 4900 cells),
+        // Wide enough for two levels of maxima (70 rows, then 2 blocks),
         // with skewed traffic that re-tags a few cells over and over and
-        // leaves most blocks untouched.
+        // leaves most rows untouched.
         let n = 70;
         let mut a = CausalState::new(d(0), n, StampMode::Updates);
         let mut b = CausalState::new(d(1), n, StampMode::Updates);
@@ -1184,7 +1173,7 @@ mod tests {
                 assert!((0..n * n).all(|i| (tags[i] == 0) == (value(i) == 0)));
                 for since in [0, c.state / 2, c.state.saturating_sub(1), c.state] {
                     let mut read = Vec::new();
-                    t.for_each_changed(&c.sent, since, |i, v| read.push((i, v)));
+                    t.for_each_changed(&c.sent, since, |r, col, v| read.push((r * n + col, v)));
                     let scan: Vec<(usize, u64)> = (0..n * n)
                         .filter(|&i| tags[i] > since)
                         .map(|i| (i, value(i)))
@@ -1309,6 +1298,18 @@ mod tests {
                 assert!(matches!(err, Error::Codec(_)), "{mode}: {err}");
             }
         }
+    }
+
+    #[test]
+    fn values_moved_per_message_keep_their_size() {
+        // Every frame moves a `Stamp` and every postponed message holds a
+        // `PendingStamp`: growth here shows up as a timing drift on every
+        // workload, so it fails here first.
+        use std::mem::size_of;
+        assert_eq!(size_of::<MatrixClock>(), 16);
+        assert!(size_of::<Stamp>() <= 48, "Stamp {} B", size_of::<Stamp>());
+        let pending = size_of::<PendingStamp>();
+        assert!(pending <= 88, "PendingStamp {pending} B");
     }
 
     #[test]

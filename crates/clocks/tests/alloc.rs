@@ -1,23 +1,29 @@
-//! Complexity gate for the clock core, as a count of bytes allocated
-//! rather than a timing, in a domain of 1024 servers:
+//! Complexity gates for the clock core, as counts of bytes rather than
+//! timings:
 //!
-//! - building a server's state allocates under 1 MiB: `SENT`'s block index
-//!   and the change-tag maxima, not the `n² × 8` = 8 MiB of a dense `SENT`
-//!   and as much again of dense change tags;
-//! - receiving, testing and delivering a one-entry delta and stamping the
-//!   next send allocates well under 1 KiB, the first writes to blocks of
-//!   `SENT` (counters and change tags side by side) included. A core that rebuilds the sender's
-//!   matrix per frame allocates 8 MiB for the pending stamp alone.
+//! - in a domain of 1024 servers, building a server's state allocates
+//!   under 1 MiB: `SENT`'s row headers, the change-tag maxima and the
+//!   per-peer vectors, not the `n² × 8` = 8 MiB of a dense `SENT` and as
+//!   much again of dense change tags;
+//! - there, receiving, testing and delivering a one-entry delta and
+//!   stamping the next send allocates well under 1 KiB, the first writes
+//!   to rows of `SENT` (counters and change tags side by side) included. A
+//!   core that rebuilds the sender's matrix per frame allocates 8 MiB for
+//!   the pending stamp alone;
+//! - on ring traffic, which writes a cell or two per row, the state a
+//!   server keeps grows with the cells written, not with `n²`: after 20
+//!   rounds one state holds at most 4 KiB at n = 32 and 32 KiB at n = 256.
+//!   Blocks of 16 cells under an `n² / 16` index held 9.4 and 94.4 KiB.
 
 mod common;
 
 use aaa_base::DomainServerId;
 use aaa_clocks::{Batching, CausalState, StampMode};
-use common::allocated_by;
+use common::{allocated_by, live_after};
 
-/// A matrix's block index: one `u32` per 16 cells.
-fn index_bytes(n: usize) -> usize {
-    n * n / 16 * 4
+/// One 16-byte header per row of `SENT`.
+fn row_headers(n: usize) -> usize {
+    n * 16
 }
 
 #[test]
@@ -27,10 +33,11 @@ fn one_entry_delta_costs_under_a_kibibyte_at_n_1024() {
     let mut a = CausalState::new(d(0), n, StampMode::Updates);
     let mut b = CausalState::new(d(1), n, StampMode::Updates);
 
-    // Building the state is the index and the tag maxima, not n² cells.
+    // Building the state is the row headers, the tag maxima and the
+    // vectors, not n² cells.
     let (_, building) = allocated_by(|| CausalState::new(d(2), n, StampMode::Updates));
     assert!(building < 1 << 20, "building allocated {building} B");
-    assert!(building >= index_bytes(n), "counted only {building} B");
+    assert!(building >= row_headers(n), "counted only {building} B");
 
     for round in 0..3 {
         let stamp = a.stamp_send(d(1), Batching::Single);
@@ -43,7 +50,38 @@ fn one_entry_delta_costs_under_a_kibibyte_at_n_1024() {
         });
         // What `b` forwards: the cell it learnt and its own link cell.
         assert_eq!(next.entry_count(), 2, "round {round}");
-        // Round 0 writes two blocks of `SENT` for the first time.
+        // Round 0 writes two rows of `SENT` for the first time.
         assert!(bytes < 1024, "round {round}: {bytes} B allocated");
+    }
+}
+
+/// `n` servers of one domain after `rounds` of ring traffic: each sends
+/// to the next, which delivers at once.
+fn ring(n: usize, rounds: usize) -> Vec<CausalState> {
+    let d = |i: usize| DomainServerId::new(u16::try_from(i).expect("a domain id"));
+    let mut states: Vec<CausalState> = (0..n)
+        .map(|i| CausalState::new(d(i), n, StampMode::Updates))
+        .collect();
+    for _ in 0..rounds {
+        for i in 0..n {
+            let to = (i + 1) % n;
+            let stamp = states[i].stamp_send(d(to), Batching::Single);
+            let pending = states[to].on_frame(d(i), stamp);
+            assert!(states[to].can_deliver(d(i), &pending));
+            states[to].deliver(d(i), &pending);
+        }
+    }
+    states
+}
+
+#[test]
+fn ring_traffic_keeps_a_state_to_the_cells_it_wrote() {
+    for (n, bound) in [(8, 2 << 10), (32, 4 << 10), (256, 32 << 10)] {
+        let (states, live) = live_after(|| ring(n, 20));
+        let per_state = live.unsigned_abs() / n;
+        println!("n = {n}: {per_state} B per state after 20 ring rounds");
+        assert!(live > 0, "counted nothing at n = {n}");
+        assert!(per_state <= bound, "n = {n}: {per_state} B per state");
+        drop(states);
     }
 }

@@ -1,6 +1,7 @@
 //! A counting `#[global_allocator]` for the tests that hold the clock to
 //! an allocation bound: it forwards every call to `System` unchanged and
-//! counts the bytes a thread requests while [`allocated_by`] runs.
+//! counts the bytes a thread requests while [`allocated_by`] runs, and
+//! the bytes it still holds of them when [`live_after`] returns.
 
 // The counting allocator is the one piece of `unsafe` in this package; see
 // `[lints]` in its manifest.
@@ -14,14 +15,27 @@ thread_local! {
     /// Bytes this thread requested while `COUNTING` was on: per thread, so
     /// tests running side by side do not count each other.
     static BYTES: Cell<usize> = const { Cell::new(0) };
+    /// Bytes this thread allocated minus bytes it freed while `COUNTING`
+    /// was on.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
 }
 
 struct CountingAlloc;
 
 impl CountingAlloc {
-    fn count(size: usize) {
+    /// Counts a request for `size` bytes that replaces a block of `freed`.
+    fn count(size: usize, freed: usize) {
         if COUNTING.with(Cell::get) {
             BYTES.with(|b| b.set(b.get() + size));
+            Self::free(freed);
+            LIVE.with(|l| l.set(l.get() + size as isize));
+        }
+    }
+
+    /// Counts `size` bytes handed back.
+    fn free(size: usize) {
+        if COUNTING.with(Cell::get) {
+            LIVE.with(|l| l.set(l.get() - size as isize));
         }
     }
 }
@@ -30,25 +44,26 @@ impl CountingAlloc {
 // upholds the `GlobalAlloc` contract; the counting touches no allocation.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        Self::count(layout.size());
+        Self::count(layout.size(), 0);
         // SAFETY: the caller's `layout` is passed through as received.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        Self::count(layout.size());
+        Self::count(layout.size(), 0);
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        Self::count(new_size);
+        Self::count(new_size, layout.size());
         // SAFETY: `ptr` and `layout` describe a block this allocator handed
         // out, which means `System` did.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        Self::free(layout.size());
         // SAFETY: as for `realloc`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -64,4 +79,15 @@ pub fn allocated_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
     let out = f();
     COUNTING.with(|c| c.set(false));
     (out, BYTES.with(Cell::get) - before)
+}
+
+/// Bytes this thread allocated while `f` ran and had not freed when it
+/// returned: what `f` leaves behind, its result included.
+#[allow(dead_code)]
+pub fn live_after<T>(f: impl FnOnce() -> T) -> (T, isize) {
+    let before = LIVE.with(Cell::get);
+    COUNTING.with(|c| c.set(true));
+    let out = f();
+    COUNTING.with(|c| c.set(false));
+    (out, LIVE.with(Cell::get) - before)
 }

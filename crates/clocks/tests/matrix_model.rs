@@ -1,17 +1,18 @@
 //! Model-based property test of [`MatrixClock`] against a dense reference.
 //!
-//! `MatrixClock` keeps its cells in 16-cell blocks allocated on the first
-//! non-zero write, and skips its block index once every block is written.
-//! Here random sequences of `set`, `raise`, `increment` and `merge_max` —
-//! zero writes included, widths from 1 to 40 so blocks straddle rows and
-//! the last block is partial, and now and then a raise of every cell —
-//! drive it and a plain
-//! row-major `Vec<u64>` in lock-step. Every query must agree with the
-//! reference: cell reads, what each write returns or reports, `dominated_by`,
-//! `column_min`, `iter_nonzero`, `nonzero_count`, `total` and the byte image
-//! through `write_bytes` → `read_bytes`. `Eq`, `Ord` and `Hash` must agree
-//! with the reference's whatever blocks either side allocated. It runs the
-//! default number of cases, which `PROPTEST_CASES` deepens.
+//! `MatrixClock` keeps each row as a sorted list of its written cells
+//! until the list would cost as much as the row or pass 8 entries, and
+//! then as the row's cells in an arena the dense rows share. Here random
+//! sequences of `set`, `raise`, `increment` and `merge_max` — zero writes
+//! included, widths from 1 to 80 so every list-to-dense switch and the
+//! change tree's 64-row fanout are crossed, and now and then a raise of
+//! every cell — drive it and a plain row-major `Vec<u64>` in lock-step.
+//! Every query must agree with the reference: cell reads, what each write
+//! returns or reports, `dominated_by`, `column_min`, `iter_nonzero`,
+//! `nonzero_count`, `total` and the byte image through `write_bytes` →
+//! `read_bytes`. `Eq`, `Ord` and `Hash` must agree with the reference's
+//! whatever form either side's rows take. It runs the default number of
+//! cases, which `PROPTEST_CASES` deepens.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -27,7 +28,7 @@ enum Op {
     Increment(u16, u16),
     /// Merge in a matrix holding these cells.
     Merge(Vec<(u16, u16, u64)>),
-    /// Raise every cell to at least this: every block written, the arena
+    /// Raise every cell to at least this: every row dense, the arena
     /// grown to its last capacity.
     Fill(u64),
 }
@@ -134,7 +135,7 @@ impl Dense {
     }
 
     /// The same cells, set into a fresh matrix in an order of its own:
-    /// other blocks, allocated in another order.
+    /// rows filled in another order, or not at all.
     fn rebuilt(&self) -> MatrixClock {
         let mut m = MatrixClock::new(self.n);
         for (i, &v) in self
@@ -179,13 +180,13 @@ fn check(m: &MatrixClock, d: &Dense) {
     assert_eq!(image, d.image(), "the image stays dense and byte-identical");
     let (back, used) = MatrixClock::read_bytes(&image).expect("image reads back");
     assert_eq!((&back, used), (m, image.len()));
-    // Equal whatever blocks are allocated: the rebuilt matrix holds only
-    // the non-zero cells' blocks, `m` may hold blocks written back to 0.
+    // Equal whatever cells are written: the rebuilt matrix holds only the
+    // non-zero cells, `m` may hold cells written back to 0.
     let rebuilt = d.rebuilt();
     assert_eq!(&rebuilt, m);
     assert_eq!(rebuilt.cmp(m), std::cmp::Ordering::Equal);
     assert_eq!(hash_of(&rebuilt), hash_of(m));
-    // And a block written and written back to zero is no block at all.
+    // And a cell written and written back to zero is no cell at all.
     if let Some(i) = d.cells.iter().rposition(|&v| v == 0) {
         let mut churned = m.clone();
         churned.set(i / n, i % n, 1);
@@ -201,7 +202,7 @@ proptest! {
     /// orders and hashes as that matrix does.
     #[test]
     fn matrix_clock_matches_a_dense_reference(
-        n in 1usize..41,
+        n in 1usize..81,
         ops_a in prop::collection::vec(op(), 0..40),
         ops_b in prop::collection::vec(op(), 0..40),
         shared in 0usize..40,

@@ -175,11 +175,6 @@ impl ChannelCore {
         &self.items
     }
 
-    /// The routing table.
-    pub fn routing(&self) -> &RoutingTable {
-        &self.routing
-    }
-
     /// Messages queued for transmission (`QueueOUT`).
     pub fn queued_out(&self) -> usize {
         self.queue_out.len()

@@ -6,9 +6,13 @@
 //! destination itself when it shares a domain, a causal router-server
 //! otherwise. Tables are built statically at boot time from the topology.
 
+use std::collections::VecDeque;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
+
 use serde::{Deserialize, Serialize};
 
-use aaa_base::{Error, Result, ServerId};
+use aaa_base::{DomainId, Error, Result, ServerId};
 
 use crate::topology::Topology;
 
@@ -27,6 +31,14 @@ use crate::topology::Topology;
 /// hence every table, is the same as that search's, cyclic topologies
 /// included, and every boot produces identical tables. One table costs
 /// `O(n + Σ|d|)`, not the server graph's `O(Σ|d|²)`.
+///
+/// A server that belongs to one domain only is not queued by its own
+/// search either, so that search is its domain's expansion followed by
+/// the same queue of the domain's routers for every such member: their
+/// next hops are identical, and their hop counts differ only to
+/// themselves. They share one table, built the first time one of them
+/// asks and kept by the [`Topology`]; a router-server builds its own. A
+/// domain of `s` servers therefore holds one table, not `s`.
 ///
 /// # Examples
 ///
@@ -50,12 +62,108 @@ use crate::topology::Topology;
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RoutingTable {
     me: ServerId,
+    routes: Arc<Routes>,
+}
+
+/// Next hop and hop count per destination, from one server, or from
+/// every single-domain member of one domain, to whom the domain's other
+/// members are one hop away.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct Routes {
     next: Vec<ServerId>,
     hops: Vec<u32>,
 }
 
+/// The routes of each domain's single-domain members, built on first use
+/// and shared by every [`RoutingTable`] built for one of them. A function
+/// of the topology that holds it, so it takes no part in comparing two.
+#[derive(Clone)]
+pub(crate) struct DomainRoutes(Box<[OnceLock<Arc<Routes>>]>);
+
+impl DomainRoutes {
+    /// No routes yet for `domains` domains.
+    pub(crate) fn new(domains: usize) -> Self {
+        DomainRoutes((0..domains).map(|_| OnceLock::new()).collect())
+    }
+
+    /// The routes of `domain`'s single-domain members in `topology`, the
+    /// topology holding `self`.
+    fn of(&self, topology: &Topology, domain: DomainId) -> Arc<Routes> {
+        let once = &self.0[domain.as_usize()];
+        Arc::clone(once.get_or_init(|| Arc::new(search(topology, None, &[domain]))))
+    }
+}
+
+impl PartialEq for DomainRoutes {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for DomainRoutes {}
+
+impl fmt::Debug for DomainRoutes {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let built = self.0.iter().filter(|once| once.get().is_some()).count();
+        write!(f, "DomainRoutes({built} of {} built)", self.0.len())
+    }
+}
+
+/// The breadth-first search from `me`, or, without one, from a member of
+/// `first` that belongs to no other domain. The first pop expands `first`,
+/// and each server it reaches is its own next hop.
+fn search(topology: &Topology, me: Option<ServerId>, first: &[DomainId]) -> Routes {
+    let n = topology.server_count();
+    let mut next: Vec<ServerId> = topology.servers().collect();
+    let mut hops = vec![u32::MAX; n];
+    if let Some(me) = me {
+        hops[me.as_usize()] = 0;
+    }
+    // BFS recording, for every destination, the *first hop* taken out
+    // of the source on a shortest path.
+    let mut expanded = vec![false; topology.domain_count()];
+    let mut reached: Vec<ServerId> = Vec::new();
+    let mut queue = VecDeque::new();
+    let (mut from, mut domains): (Option<ServerId>, _) = (None, first);
+    loop {
+        for &d in domains {
+            if std::mem::replace(&mut expanded[d.as_usize()], true) {
+                continue;
+            }
+            let members = topology.domains()[d.as_usize()].members();
+            reached.extend(members.iter().filter(|w| hops[w.as_usize()] == u32::MAX));
+        }
+        // Members of several fresh domains interleave (and, in a cyclic
+        // topology, repeat): sorting restores the ascending neighbour
+        // order the tie-break depends on.
+        reached.sort_unstable();
+        reached.dedup();
+        let (h, via) = match from {
+            None => (1, None),
+            Some(v) => (hops[v.as_usize()] + 1, Some(next[v.as_usize()])),
+        };
+        for w in reached.drain(..) {
+            hops[w.as_usize()] = h;
+            next[w.as_usize()] = via.unwrap_or(w);
+            if topology.is_router(w) {
+                queue.push_back(w);
+            }
+        }
+        let Some(v) = queue.pop_front() else {
+            break;
+        };
+        (from, domains) = (Some(v), topology.memberships(v));
+    }
+    debug_assert!(
+        hops.iter().all(|&h| h != u32::MAX),
+        "validated topologies are connected"
+    );
+    Routes { next, hops }
+}
+
 impl RoutingTable {
-    /// Builds the routing table of server `me` for `topology`.
+    /// The routing table of server `me` for `topology`: its domain's
+    /// shared table if it belongs to one domain only, its own otherwise.
     ///
     /// # Errors
     ///
@@ -64,44 +172,11 @@ impl RoutingTable {
     /// connected server graph.)
     pub fn build(topology: &Topology, me: ServerId) -> Result<RoutingTable> {
         topology.check_server(me)?;
-        let n = topology.server_count();
-        let mut next = vec![me; n];
-        let mut hops = vec![u32::MAX; n];
-        hops[me.as_usize()] = 0;
-
-        // BFS recording, for every destination, the *first hop* taken out
-        // of `me` on a shortest path.
-        let mut expanded = vec![false; topology.domain_count()];
-        let mut reached: Vec<ServerId> = Vec::new();
-        let mut queue = std::collections::VecDeque::new();
-        queue.push_back(me);
-        while let Some(v) = queue.pop_front() {
-            for &d in topology.memberships(v) {
-                if std::mem::replace(&mut expanded[d.as_usize()], true) {
-                    continue;
-                }
-                let members = topology.domains()[d.as_usize()].members();
-                reached.extend(members.iter().filter(|w| hops[w.as_usize()] == u32::MAX));
-            }
-            // Members of several fresh domains interleave (and, in a cyclic
-            // topology, repeat): sorting restores the ascending neighbour
-            // order the tie-break depends on.
-            reached.sort_unstable();
-            reached.dedup();
-            let h = hops[v.as_usize()] + 1;
-            for w in reached.drain(..) {
-                hops[w.as_usize()] = h;
-                next[w.as_usize()] = if v == me { w } else { next[v.as_usize()] };
-                if topology.is_router(w) {
-                    queue.push_back(w);
-                }
-            }
-        }
-        debug_assert!(
-            hops.iter().all(|&h| h != u32::MAX),
-            "validated topologies are connected"
-        );
-        Ok(RoutingTable { me, next, hops })
+        let routes = match *topology.memberships(me) {
+            [domain] => topology.domain_routes().of(topology, domain),
+            ref domains => Arc::new(search(topology, Some(me), domains)),
+        };
+        Ok(RoutingTable { me, routes })
     }
 
     /// Builds the routing tables of every server, indexed by server id.
@@ -130,7 +205,8 @@ impl RoutingTable {
     ///
     /// Returns [`Error::UnknownServer`] if `dest` is out of range.
     pub fn next_hop(&self, dest: ServerId) -> Result<ServerId> {
-        self.next
+        self.routes
+            .next
             .get(dest.as_usize())
             .copied()
             .ok_or(Error::UnknownServer(dest))
@@ -142,15 +218,17 @@ impl RoutingTable {
     ///
     /// Returns [`Error::UnknownServer`] if `dest` is out of range.
     pub fn hops(&self, dest: ServerId) -> Result<u32> {
-        self.hops
-            .get(dest.as_usize())
-            .copied()
-            .ok_or(Error::UnknownServer(dest))
+        let hops = self.routes.hops.get(dest.as_usize());
+        // A shared table counts its domain's members one hop away.
+        let hops = hops.copied().ok_or(Error::UnknownServer(dest))?;
+        Ok(if dest == self.me { 0 } else { hops })
     }
 
     /// The largest hop count in the table (the server's eccentricity).
     pub fn max_hops(&self) -> u32 {
-        self.hops.iter().copied().max().unwrap_or(0)
+        let others =
+            (self.routes.hops.iter().enumerate()).filter(|&(s, _)| s != self.me.as_usize());
+        others.map(|(_, &h)| h).max().unwrap_or(0)
     }
 }
 
@@ -272,6 +350,31 @@ mod tests {
             RoutingTable::build(&t, s(99)),
             Err(Error::UnknownServer(_))
         ));
+    }
+
+    #[test]
+    fn single_domain_members_share_their_domains_table() {
+        // bus(32, 32): leaf domain 1 is servers 0..32, with router 0.
+        let t = TopologySpec::bus(32, 32).validate().unwrap();
+        let table = |i| RoutingTable::build(&t, s(i)).unwrap();
+        let (one, two, router) = (table(1), table(2), table(0));
+        assert!(!t.is_router(s(1)) && t.is_router(s(0)));
+        assert!(Arc::ptr_eq(&one.routes, &two.routes));
+        assert!(!Arc::ptr_eq(&one.routes, &router.routes));
+        assert!(!Arc::ptr_eq(&router.routes, &table(0).routes));
+        assert!(Arc::ptr_eq(&one.routes, &table(31).routes));
+        assert!(!Arc::ptr_eq(&one.routes, &table(33).routes));
+        // They differ only in the hops to themselves.
+        assert_eq!((one.hops(s(1)), one.hops(s(2))), (Ok(0), Ok(1)));
+        assert_eq!((two.hops(s(1)), two.hops(s(2))), (Ok(1), Ok(0)));
+        assert_eq!(
+            (one.next_hop(s(1)), two.next_hop(s(1))),
+            (Ok(s(1)), Ok(s(1)))
+        );
+        assert_eq!((one.max_hops(), router.max_hops()), (3, 2));
+        // A lone server routes to itself alone.
+        let lone = TopologySpec::single_domain(1).validate().unwrap();
+        assert_eq!(RoutingTable::build(&lone, s(0)).unwrap().max_hops(), 0);
     }
 
     #[test]

@@ -5,6 +5,7 @@ use serde::{Deserialize, Serialize};
 use aaa_base::{DomainId, DomainServerId, Error, Result, ServerId};
 
 use crate::graph;
+use crate::routing::DomainRoutes;
 use crate::spec::{check_structure, TopologySpec};
 
 /// One validated domain of causality.
@@ -72,6 +73,8 @@ pub struct Topology {
     domains: Vec<DomainInfo>,
     memberships: Vec<Vec<DomainId>>,
     acyclic: bool,
+    /// The routing table each domain's single-domain members share.
+    routes: DomainRoutes,
 }
 
 impl Topology {
@@ -87,7 +90,7 @@ impl Topology {
         let n = check_structure(&spec)?;
         let checked = graph::check(&spec, n, allow_cycles)?;
         let acyclic = !allow_cycles || graph::check(&spec, n, false).is_ok();
-        let domains = spec
+        let domains: Vec<DomainInfo> = spec
             .domains()
             .iter()
             .enumerate()
@@ -103,10 +106,16 @@ impl Topology {
         Ok(Topology {
             spec,
             n,
+            routes: DomainRoutes::new(domains.len()),
             domains,
             memberships: checked.memberships,
             acyclic,
         })
+    }
+
+    /// The routing tables the domains' single-domain members share.
+    pub(crate) fn domain_routes(&self) -> &DomainRoutes {
+        &self.routes
     }
 
     /// The original specification.

@@ -6,12 +6,15 @@
 
 mod common;
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use aaa_middleware::chaos::{ChaosHandle, FaultPlan, FaultTransport};
-use aaa_middleware::mom::Transport;
+use aaa_middleware::mom::{ServerCore, Transport};
 use aaa_middleware::net::MemoryNetwork;
+use aaa_middleware::obs::MetricFamily;
 use aaa_middleware::prelude::*;
+use aaa_middleware::storage::MemoryStore;
 
 fn aid(s: u16, l: u32) -> AgentId {
     AgentId::new(ServerId::new(s), l)
@@ -107,10 +110,35 @@ fn postponed_gauge_returns_to_zero_after_quiesce() {
     assert!(snap.sum_counter("aaa_server_retransmissions_total") > 0);
 }
 
+/// The link-batching families as a server's own instruments render them:
+/// a `ServerCore` with a meter attached flushes a batch of one frame and
+/// one of 32 to its peer.
+fn server_link_families() -> Vec<MetricFamily> {
+    let registry = Registry::default();
+    let topo = TopologySpec::single_domain(2).validate().unwrap();
+    let store = Arc::new(MemoryStore::new());
+    let mut core =
+        ServerCore::new(&topo, ServerId::new(0), ServerConfig::default(), store).unwrap();
+    core.attach_meter(&Meter::new(&registry).with_label("server", "0"));
+    for width in [1u8, 32] {
+        let batch = (0..width)
+            .map(|i| (aid(1, 1), Notification::new("b", vec![i])))
+            .collect();
+        let (_, tx) =
+            (core.client_send_batch(aid(0, 9), batch, SendOptions::new(), VTime::ZERO)).unwrap();
+        assert_eq!(tx.len(), 1, "a batch of {width} is one flush");
+    }
+    let families = registry.snapshot().families.into_iter();
+    families
+        .filter(|f| f.name.starts_with("aaa_link_"))
+        .collect()
+}
+
 /// Golden-file check of the Prometheus text exposition: a hand-built
-/// registry with one family of each kind must render byte-for-byte as
-/// `tests/golden/metrics.prom`. Regenerate with
-/// `UPDATE_GOLDEN=1 cargo test --test observability`.
+/// registry with one family of each kind, plus the link-batching families
+/// of a real server (so the golden pins the server's own bucket edges),
+/// must render byte-for-byte as `tests/golden/metrics.prom`. Regenerate
+/// with `UPDATE_GOLDEN=1 cargo test --test observability`.
 #[test]
 fn prometheus_rendering_matches_golden_file() {
     let registry = Registry::default();
@@ -144,19 +172,7 @@ fn prometheus_rendering_matches_golden_file() {
     h.observe(40);
     h.observe(900);
     h.observe(2_000_000);
-    // Group-commit batching instruments.
-    let bf = m0.histogram(
-        "aaa_link_batch_frames",
-        "Frames coalesced into one flushed link batch",
-        &[1, 2, 4, 8, 16, 32],
-    );
-    bf.observe(1);
-    bf.observe(32);
-    m0.counter(
-        "aaa_link_flushes_total",
-        "Link batch flushes (one wire packet per flush)",
-    )
-    .add(2);
+    // Group-commit instruments.
     m0.counter(
         "aaa_persist_group_commit_total",
         "Transactional group commits (one put per batch of deliveries)",
@@ -196,7 +212,10 @@ fn prometheus_rendering_matches_golden_file() {
     )
     .set(41);
 
-    let rendered = registry.snapshot().render_prometheus();
+    let mut snapshot = registry.snapshot();
+    snapshot.families.extend(server_link_families());
+    snapshot.families.sort_by(|a, b| a.name.cmp(&b.name));
+    let rendered = snapshot.render_prometheus();
     let golden_path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/metrics.prom");
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::write(golden_path, &rendered).unwrap();
