@@ -17,6 +17,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use crate::rows::{Cell, Lane, Rows};
+use crate::stamp::{Cells, Packer};
 
 /// A square matrix of message counters.
 ///
@@ -159,20 +160,29 @@ impl MatrixClock {
         };
     }
 
-    /// Calls `f(col, value, tag)` for every cell of row `row` whose change
-    /// instant `tag` is above `since`, by ascending column. Reads only the
-    /// row's written cells.
+    /// Raises row `row` by one run of a delta, tagging every cell that
+    /// grows with `tag`; returns whether one did.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` or a column is out of range.
     #[inline]
-    pub(crate) fn for_each_changed(
-        &self,
-        row: usize,
-        since: u64,
-        mut f: impl FnMut(usize, u64, u64),
-    ) {
-        self.cells
-            .row(row)
-            .filter(|(_, cell)| cell.tag > since)
-            .for_each(|(col, cell)| f(col, cell.value, cell.tag));
+    pub(crate) fn raise_run(&mut self, row: usize, cells: &mut Cells<'_>, tag: u64) -> bool {
+        assert!(row < self.n, "matrix index out of range");
+        self.cells.raise_run(row, cells, tag)
+    }
+
+    /// Packs, as one run, the cells of row `row` whose change instant is
+    /// above `since`, by ascending column. Reads only the row's written
+    /// cells.
+    #[inline]
+    pub(crate) fn pack_changed(&self, row: usize, since: u64, packer: &mut Packer) {
+        self.cells.pack_changed(row, since, packer);
+    }
+
+    /// The latest change instant of row `row`: `0` if none was tagged.
+    pub(crate) fn latest_change(&self, row: usize) -> u64 {
+        self.cells.latest_change(row)
     }
 
     /// Appends the change instants, row-major and dense, as little-endian

@@ -79,14 +79,15 @@
 //!
 //! In the delta modes every operation follows the stamp, not the domain,
 //! and the stamp stays packed ([`PackedEntries`]) end to end:
-//! `stamp_send` finds the changed cells by descending a tree of maxima
+//! `stamp_send` finds the changed rows by descending a tree of maxima
 //! over the change tags, one slot per row at its bottom, instead of
-//! scanning `n²` of them (see `ChangeTree`) and packs them as it goes;
-//! `check_stamp` compares the list's largest coordinate with `n`;
-//! `on_frame` walks the list once, for the link counter and the
-//! receiver's column; `can_deliver` reads that column; `deliver` merges in
-//! one more pass over the list. Only `Full` real stamps pay `n²`, by
-//! design.
+//! scanning `n²` of them (see `ChangeTree`), and each changed row packs
+//! its own run; `check_stamp` compares the list's largest coordinate with
+//! `n`; `on_frame` walks the list once, run by run, for the link counter
+//! and the receiver's column; `can_deliver` reads that column; `deliver`
+//! merges in one more pass, a run — one row of `SENT` — at a time. How
+//! each pass reads a run is set out in the [`stamp`](crate::stamp) module.
+//! Only `Full` real stamps pay `n²`, by design.
 //!
 //! Resident state follows the traffic too. `SENT` keeps each counter and
 //! its change tag side by side, each row as a list of its written cells
@@ -296,15 +297,16 @@ pub struct EngineTranscript {
 ///
 /// The tags themselves sit beside the counters in `SENT`'s rows (a tag is
 /// non-zero exactly where its counter is), so a send or a delivery finds
-/// a cell and its tag with one lookup, and a read yields each changed
-/// cell's value with it. `maxima[0][r]` is the largest tag of row `r`;
+/// a cell and its tag with one lookup, and a changed row's run is packed
+/// from the row itself. `maxima[0][r]` is the largest tag of row `r`;
 /// `maxima[k][i]` is the maximum of block `i` (`FANOUT` slots) of level
 /// `k − 1`, up to a top level of at most `FANOUT` slots. A read visits a
-/// block only if it holds a changed row and yields cells in row-major
-/// order, so it reads `O(|result| · FANOUT · depth)` slots — depth
-/// `⌈log₆₄ n⌉`, 2 at n = 256 — plus the written cells of each changed
-/// row. A write stores one slot per level. The maxima are a function of
-/// the tags: rebuilt on read, never persisted.
+/// block only if it holds a changed row and yields the changed rows in
+/// ascending order, so it reads `O(|rows| · FANOUT · depth)` slots —
+/// depth `⌈log₆₄ n⌉`, 2 at n = 256 — and the packer then reads the
+/// written cells of each changed row. A write stores one slot per level.
+/// The maxima are a function of the tags: rebuilt on read, never
+/// persisted.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 struct ChangeTree {
     maxima: Vec<Vec<u64>>,
@@ -325,7 +327,7 @@ impl ChangeTree {
             tree.maxima.push(vec![0; below]);
         }
         for row in 0..sent.width() {
-            sent.for_each_changed(row, 0, |_, _, tag| tree.raise(row, tag));
+            tree.raise(row, sent.latest_change(row));
         }
         tree
     }
@@ -340,36 +342,23 @@ impl ChangeTree {
         }
     }
 
-    /// Calls `f(row, col, value)` for every cell of `sent` whose tag is
-    /// greater than `since`, in row-major order.
-    fn for_each_changed(
-        &self,
-        sent: &MatrixClock,
-        since: u64,
-        mut f: impl FnMut(usize, usize, u64),
-    ) {
-        self.visit(sent, self.maxima.len() - 1, 0, since, &mut f);
+    /// Calls `f(row)` for every row holding a cell whose tag is greater
+    /// than `since`, ascending.
+    fn for_each_changed_row(&self, since: u64, mut f: impl FnMut(usize)) {
+        self.visit(self.maxima.len() - 1, 0, since, &mut f);
     }
 
     /// Visits block `block` of level `level`, descending into the slots
-    /// that changed since `since`; a changed slot of level 0 is a row,
-    /// read from `SENT`.
-    fn visit(
-        &self,
-        sent: &MatrixClock,
-        level: usize,
-        block: usize,
-        since: u64,
-        f: &mut impl FnMut(usize, usize, u64),
-    ) {
+    /// that changed since `since`; a changed slot of level 0 is a row.
+    fn visit(&self, level: usize, block: usize, since: u64, f: &mut impl FnMut(usize)) {
         let slots = self.maxima[level].iter().enumerate();
         for (slot, &tag) in slots.skip(block.saturating_mul(FANOUT)).take(FANOUT) {
             if tag <= since {
                 continue;
             }
             match level.checked_sub(1) {
-                Some(below) => self.visit(sent, below, slot, since, f),
-                None => sent.for_each_changed(slot, since, |col, value, _| f(slot, col, value)),
+                Some(below) => self.visit(below, slot, since, f),
+                None => f(slot),
             }
         }
     }
@@ -538,20 +527,13 @@ impl CausalState {
     }
 
     /// Packs the entries modified since logical instant `since`, in
-    /// row-major order, as the walk yields them.
+    /// row-major order: each changed row the tree yields packs its own
+    /// run.
     fn collect_changed(&self, since: u64) -> PackedEntries {
         Packer::pack(|packer| {
-            self.changes
-                .for_each_changed(&self.sent, since, |row, col, value| {
-                    // `n <= u16::MAX` is a construction invariant, so the
-                    // checked narrowing never saturates in practice; if it
-                    // ever did, the peer would reject the frame loudly.
-                    packer.push(
-                        u16::try_from(row).unwrap_or(u16::MAX),
-                        u16::try_from(col).unwrap_or(u16::MAX),
-                        value,
-                    );
-                });
+            (self.changes).for_each_changed_row(since, |row| {
+                self.sent.pack_changed(row, since, packer);
+            });
         })
     }
 
@@ -749,13 +731,19 @@ impl CausalState {
     fn keep_delta(&self, f: usize, list: PackedEntries) -> (u64, Carried) {
         let me = self.me.as_u16();
         let (mut counter, mut column) = (self.link[f], Vec::new());
-        for e in list.iter().filter(|e| e.col == me) {
-            if usize::from(e.row) == f {
-                counter = counter.max(e.value);
-            } else {
-                column.push((e.row, e.value));
+        list.for_each_run(|row, cells| {
+            for (col, value) in cells {
+                if col != usize::from(me) {
+                    continue;
+                }
+                if row == f {
+                    counter = counter.max(value);
+                } else {
+                    // A checked list's rows fit a `u16`.
+                    column.push((u16::try_from(row).unwrap_or(u16::MAX), value));
+                }
             }
-        }
+        });
         let me = Some(me);
         (counter, Carried::Delta { list, me, column })
     }
@@ -810,12 +798,11 @@ impl CausalState {
                 if sent.raise_tagged(f, me, pending.counter, tag) {
                     changes.raise(f, tag);
                 }
-                for e in list.iter() {
-                    let (row, col) = (usize::from(e.row), usize::from(e.col));
-                    if sent.raise_tagged(row, col, e.value, tag) {
+                list.for_each_run(|row, cells| {
+                    if sent.raise_run(row, cells, tag) {
                         changes.raise(row, tag);
                     }
-                }
+                });
             }
         }
     }
@@ -1172,8 +1159,9 @@ mod tests {
                 // A tag is non-zero exactly where its counter is.
                 assert!((0..n * n).all(|i| (tags[i] == 0) == (value(i) == 0)));
                 for since in [0, c.state / 2, c.state.saturating_sub(1), c.state] {
-                    let mut read = Vec::new();
-                    t.for_each_changed(&c.sent, since, |r, col, v| read.push((r * n + col, v)));
+                    let read: Vec<(usize, u64)> = (c.collect_changed(since).iter())
+                        .map(|e| (usize::from(e.row) * n + usize::from(e.col), e.value))
+                        .collect();
                     let scan: Vec<(usize, u64)> = (0..n * n)
                         .filter(|&i| tags[i] > since)
                         .map(|i| (i, value(i)))
@@ -1298,6 +1286,44 @@ mod tests {
                 assert!(matches!(err, Error::Codec(_)), "{mode}: {err}");
             }
         }
+    }
+
+    /// Delivers at server 1 of a 4-wide domain, unchecked, a frame from 0
+    /// that names cell `(2, 4)`, past the matrix: what `check_stamp`
+    /// refuses off the wire. With `fill`, row 2 of the receiver's `SENT`
+    /// is filled by an earlier frame first.
+    fn merge_a_column_past_the_row(fill: bool) {
+        let entry = |row, col, value| UpdateEntry { row, col, value };
+        let mut b = CausalState::new(d(1), 4, StampMode::Updates);
+        let mut link = 0;
+        if fill {
+            link += 1;
+            let cells = [
+                entry(0, 1, link),
+                entry(2, 0, 1),
+                entry(2, 2, 1),
+                entry(2, 3, 1),
+            ];
+            let p = b.on_frame(d(0), Stamp::Delta(PackedEntries::new(&cells)));
+            b.deliver(d(0), &p);
+        }
+        let past = [entry(0, 1, link + 1), entry(2, 4, 1)];
+        let p = b.on_frame(d(0), Stamp::Delta(PackedEntries::new(&past)));
+        b.deliver(d(0), &p);
+    }
+
+    // A merged run's columns are checked in release builds too: a listed
+    // row asserts the range, a filled row indexes its slice of `n` cells.
+    #[test]
+    #[should_panic(expected = "matrix index out of range")]
+    fn merging_a_column_past_a_listed_row_panics() {
+        merge_a_column_past_the_row(false);
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn merging_a_column_past_a_filled_row_panics() {
+        merge_a_column_past_the_row(true);
     }
 
     #[test]

@@ -21,6 +21,8 @@ use std::hash::{Hash, Hasher};
 use std::mem::size_of;
 use std::ops::{Index, IndexMut};
 
+use crate::stamp::{Cells, Packer};
+
 /// The most entries a list row holds: a lookup stays a search of a few
 /// cache lines, whatever the width.
 const LIST_MAX: usize = 8;
@@ -159,6 +161,66 @@ impl Rows {
     #[inline(never)]
     fn insert(&mut self, r: usize, c: usize, value: u64, tag: u64) {
         *self.cell_mut(r, c) = Cell { value, tag };
+    }
+
+    /// Raises row `r` by the cells of one run of a delta, `(col, value)`
+    /// each, tagging every cell that grows with `tag`; returns whether one
+    /// did. The row is resolved once: a dense row is one slice the run
+    /// raises cell by cell with no branch on the outcome, a list row
+    /// takes the run a cell at a time until it fills, and the rest of the
+    /// run then goes to its slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a column is out of range.
+    #[inline]
+    pub(crate) fn raise_run(&mut self, r: usize, cells: &mut Cells<'_>, tag: u64) -> bool {
+        let n = self.n;
+        let mut grew = false;
+        let k = loop {
+            match &self.rows[r] {
+                Row::Dense(k) => break *k as usize,
+                Row::List(_) => {
+                    let Some((c, value)) = cells.next() else {
+                        return grew;
+                    };
+                    assert!(c < n, "matrix index out of range");
+                    grew |= self.raise(r, c, value, Some(tag));
+                }
+            }
+        };
+        let row = &mut self.dense[k * n..][..n];
+        for (c, value) in cells {
+            let cell = &mut row[c];
+            let up = value > cell.value;
+            cell.value = cell.value.max(value);
+            cell.tag = if up { tag } else { cell.tag };
+            grew |= up;
+        }
+        grew
+    }
+
+    /// Packs the cells of row `r` whose tag is past `since` as one run:
+    /// all `n` of a dense row are offered to the packer, a list row's
+    /// entries.
+    #[inline]
+    pub(crate) fn pack_changed(&self, r: usize, since: u64, packer: &mut Packer) {
+        match &self.rows[r] {
+            Row::Dense(k) => {
+                let cells = &self.dense[*k as usize * self.n..][..self.n];
+                packer.run(r, cells, since, |c, cell| (c, cell.value, cell.tag));
+            }
+            Row::List(list) => {
+                let entry = |_, (c, cell): &Entry| (*c as usize, cell.value, cell.tag);
+                packer.run(r, list, since, entry);
+            }
+        }
+    }
+
+    /// The largest change instant in row `r`: `0` if no cell of it was
+    /// ever tagged.
+    pub(crate) fn latest_change(&self, r: usize) -> u64 {
+        self.row(r).map(|(_, cell)| cell.tag).max().unwrap_or(0)
     }
 
     /// The cells of row `r` that were ever written — all `n` of a dense

@@ -37,6 +37,34 @@
 //! nothing unpacks one. The codec lives here, beside
 //! [`Stamp::encoded_len`], so that the size the experiments and metrics
 //! report is by construction the size `aaa-net` writes.
+//!
+//! # How each pass reads
+//!
+//! Every pass over a list works a run — the cells of one row — at a
+//! time, so a row is looked up once per run, not once per entry:
+//!
+//! - **Packing** (`CausalState::stamp_send`): the tree of change maxima
+//!   yields the rows that changed, and each packs its own run into one
+//!   per-thread scratch buffer. A filled row turns the change tags of 64
+//!   cells at a time into a bit mask, with no branch on any tag, whose
+//!   bits count the run for its header; it then writes the `(col, value)`
+//!   varints of the set bits only. A listed row does the same over its
+//!   few entries. Once the walk is done the count goes in front of the
+//!   runs, in a buffer of exactly the list's size.
+//! - **Checking** ([`PackedEntries::read`]): a run's row and length are
+//!   checked once, then each `(col, value)` pair is read with one match
+//!   on its first bytes when both fields take one or two bytes, as
+//!   coordinates and live counters do; a longer field and every refusal
+//!   are a call.
+//! - **The receiver's column** (`CausalState::on_frame`): each run's
+//!   pairs are read the same way and compared with the receiver's own
+//!   column; the run's row says whether a match is the link counter.
+//! - **The merge** (`CausalState::deliver`): each run resolves its row of
+//!   `SENT` once. A filled row is one slice the run raises cell by cell,
+//!   indexed with a bounds check and with no branch on whether a cell
+//!   grew; a listed row takes the run a cell at a time until it fills,
+//!   and the rest of the run then goes to the slice. The tree of change
+//!   maxima is raised once per run that grew a cell.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -308,26 +336,39 @@ impl PackedEntries {
     /// bytes or overflowing 64 bits, a `row` or `col` above `u16::MAX`, an
     /// empty run, or a run longer than the entries `count` still owes.
     pub fn read(buf: &mut Bytes) -> aaa_base::Result<Self> {
-        let mut rest: &[u8] = buf;
-        let count = take_varint(&mut rest)?;
-        let count = at_most(count, rest.len() / 2)
+        let bytes: &[u8] = buf;
+        let mut at = 0;
+        let count = take_varint(bytes, &mut at)?;
+        let count = at_most(count, bytes.len().saturating_sub(at) / 2)
             .filter(|count| u32::try_from(*count).is_ok())
             .ok_or_else(|| malformed("more packed entries than bytes"))?;
         let (mut owed, mut max_coord) = (count, 0u16);
         while owed > 0 {
-            let row = take_u16(&mut rest)?;
-            let run_len = take_varint(&mut rest)?;
+            let row = take_u16(bytes, &mut at)?;
+            let run_len = take_varint(bytes, &mut at)?;
             let run_len = at_most(run_len, owed)
                 .filter(|run_len| *run_len > 0)
                 .ok_or_else(|| malformed("packed run empty or longer than the entries owed"))?;
-            max_coord = max_coord.max(row);
+            let mut top = row;
             for _ in 0..run_len {
-                max_coord = max_coord.max(take_u16(&mut rest)?);
-                take_varint(&mut rest)?;
+                let col = match short_pair(bytes, at) {
+                    // A field of two bytes holds at most 14 bits.
+                    Some((col, _, len)) => {
+                        at += len;
+                        narrow(col)
+                    }
+                    None => {
+                        let col = take_u16(bytes, &mut at)?;
+                        take_varint(bytes, &mut at)?;
+                        col
+                    }
+                };
+                top = top.max(col);
             }
+            max_coord = max_coord.max(top);
             owed -= run_len;
         }
-        let used = buf.len() - rest.len();
+        let used = at;
         let held = match buf.get(..used).and_then(Held::inline) {
             Some(held) => {
                 buf.advance(used);
@@ -367,13 +408,42 @@ impl PackedEntries {
         }
     }
 
+    /// Calls `f(row, cells)` for each run of the list, in list order: the
+    /// run's row once, and its `(col, value)` pairs to read. What `f`
+    /// leaves unread of a run is skipped.
+    #[inline]
+    pub(crate) fn for_each_run(&self, mut f: impl FnMut(usize, &mut Cells<'_>)) {
+        let bytes = self.as_bytes();
+        let mut at = 0;
+        // The count was read when the list was made.
+        next_varint(bytes, &mut at);
+        let mut left = self.count as usize;
+        while left > 0 {
+            let row = wide(next_varint(bytes, &mut at));
+            // A checked run holds at least one entry and no more than
+            // the list still owes.
+            let len = wide(next_varint(bytes, &mut at)).clamp(1, left);
+            let mut cells = Cells {
+                bytes,
+                at,
+                left: len,
+            };
+            f(row, &mut cells);
+            while cells.next().is_some() {}
+            at = cells.at;
+            left -= len;
+        }
+    }
+
     /// The entries, in list order, read off the packed bytes.
     pub fn iter(&self) -> Entries<'_> {
-        let mut rest = self.as_bytes();
+        let bytes = self.as_bytes();
+        let mut at = 0;
         // The count was read when the list was made.
-        next_varint(&mut rest);
+        next_varint(bytes, &mut at);
         Entries {
-            rest,
+            bytes,
+            at,
             row: 0,
             run_left: 0,
             left: self.count as usize,
@@ -390,7 +460,8 @@ impl fmt::Debug for PackedEntries {
 /// The entries of a [`PackedEntries`], in list order.
 #[derive(Debug, Clone)]
 pub struct Entries<'a> {
-    rest: &'a [u8],
+    bytes: &'a [u8],
+    at: usize,
     row: u16,
     run_left: u64,
     left: usize,
@@ -403,12 +474,12 @@ impl Iterator for Entries<'_> {
     fn next(&mut self) -> Option<UpdateEntry> {
         self.left = self.left.checked_sub(1)?;
         if self.run_left == 0 {
-            self.row = narrow(next_varint(&mut self.rest));
-            self.run_left = next_varint(&mut self.rest);
+            self.row = narrow(next_varint(self.bytes, &mut self.at));
+            self.run_left = next_varint(self.bytes, &mut self.at);
         }
         self.run_left = self.run_left.saturating_sub(1);
-        let col = narrow(next_varint(&mut self.rest));
-        let value = next_varint(&mut self.rest);
+        let col = narrow(next_varint(self.bytes, &mut self.at));
+        let value = next_varint(self.bytes, &mut self.at);
         Some(UpdateEntry {
             row: self.row,
             col,
@@ -423,26 +494,63 @@ impl Iterator for Entries<'_> {
 
 impl ExactSizeIterator for Entries<'_> {}
 
-/// Packs a list cell by cell, as a row-major walk yields the cells,
-/// without building the entries first: the `(col, value)` varints of
-/// every run go to one scratch buffer, and [`Packer::finish`] writes the
-/// count and the run headers around them straight into the list's own
+/// The `(col, value)` pairs of one run of a checked packed list
+/// ([`PackedEntries::for_each_run`]).
+#[derive(Debug)]
+pub(crate) struct Cells<'a> {
+    bytes: &'a [u8],
+    at: usize,
+    left: usize,
+}
+
+impl Iterator for Cells<'_> {
+    type Item = (usize, u64);
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<(usize, u64)> {
+        self.left = self.left.checked_sub(1)?;
+        if let Some((col, value, len)) = short_pair(self.bytes, self.at) {
+            self.at += len;
+            return Some((wide(col), value));
+        }
+        let col = wide(next_varint(self.bytes, &mut self.at));
+        Some((col, next_varint(self.bytes, &mut self.at)))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+/// Packs a list run by run, as a row-major walk yields the rows,
+/// without building the entries first: each run, its header and its
+/// `(col, value)` varints, goes to one scratch buffer, and
+/// [`Packer::finish`] puts the count in front of them in the list's own
 /// bytes — inline, or a buffer of exactly its size. [`Packer::pack`]
 /// lends out one packer per thread, which keeps its capacity from one
 /// list to the next: one per clock would hold its largest delta's scratch
 /// for good, 256 of them on a domain of 256.
 #[derive(Debug, Default)]
 pub(crate) struct Packer {
-    /// The `(col, value)` varints of the runs so far, back to back.
+    /// The runs so far, back to back, up to `end`; past it, room the next
+    /// run writes into.
     body: Vec<u8>,
-    /// Per run: its row, its entries, and where its body ends.
-    runs: Vec<(u16, u64, usize)>,
+    end: usize,
+    /// The keep masks of the run being packed, one per 64 cells.
+    masks: Vec<u64>,
     count: usize,
     max_coord: u16,
 }
 
+/// The most bytes a run header takes: a `u16` row in 3 and a length in 10.
+const HEADER_MAX: usize = 3 + 10;
+
+/// The most bytes one `(col, value)` pair takes: a `u16` column in 3 and
+/// a `u64` value in 10.
+const PAIR_MAX: usize = 3 + 10;
+
 impl Packer {
-    /// The list `fill` pushes, packed, in this thread's scratch.
+    /// The list `fill` packs, in this thread's scratch.
     pub(crate) fn pack(fill: impl FnOnce(&mut Packer)) -> PackedEntries {
         thread_local! {
             static SCRATCH: RefCell<Packer> = RefCell::new(Packer::default());
@@ -453,37 +561,78 @@ impl Packer {
         })
     }
 
-    /// Appends the entry `(row, col) = value`.
+    /// Appends one run of row `row`: the cells of `written` whose tag is
+    /// past `since`, in slice order. `cell(i, &written[i])` reads the `i`-th
+    /// as `(col, value, tag)`. The tags of 64 cells at a time become a
+    /// mask, with no branch on any of them, whose bits count the run for
+    /// its header; only the kept cells are then read again and written:
+    /// on a filled row a delta keeps a fraction of the row, in no order a
+    /// branch would predict. A run that keeps nothing is not written.
     #[inline]
-    pub(crate) fn push(&mut self, row: u16, col: u16, value: u64) {
-        put_varint(&mut self.body, u64::from(col));
-        put_varint(&mut self.body, value);
-        let end = self.body.len();
-        match self.runs.last_mut() {
-            Some(run) if run.0 == row => {
-                run.1 += 1;
-                run.2 = end;
-            }
-            _ => self.runs.push((row, 1, end)),
+    pub(crate) fn run<T>(
+        &mut self,
+        row: usize,
+        written: &[T],
+        since: u64,
+        cell: impl Fn(usize, &T) -> (usize, u64, u64),
+    ) {
+        self.masks.clear();
+        let mut kept = 0;
+        for (block, chunk) in written.chunks(64).enumerate() {
+            let base = block * 64;
+            // Last cell first, so each keep bit shifts in at the bottom.
+            let mask = (chunk.iter().enumerate().rev()).fold(0u64, |mask, (i, c)| {
+                mask << 1 | u64::from(cell(base + i, c).2 > since)
+            });
+            kept += mask.count_ones() as usize;
+            self.masks.push(mask);
         }
-        self.count += 1;
-        self.max_coord = self.max_coord.max(row).max(col);
+        if kept == 0 {
+            return;
+        }
+        let room = self.end + HEADER_MAX + kept * PAIR_MAX;
+        if self.body.len() < room {
+            self.body.resize(room, 0);
+        }
+        let body = &mut self.body[..room];
+        // `n <= u16::MAX` is a construction invariant, so the checked
+        // narrowing never saturates in practice; if it ever did, the peer
+        // would reject the frame loudly.
+        let row = u16::try_from(row).unwrap_or(u16::MAX);
+        let mut at = self.end;
+        at += put_varint_at(body, at, u64::from(row));
+        at += put_varint_at(body, at, kept as u64);
+        let mut top = 0;
+        for (block, &mask) in self.masks.iter().enumerate() {
+            let mut mask = mask;
+            while mask != 0 {
+                let i = block * 64 + mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                let (col, value, _) = cell(i, &written[i]);
+                at += put_varint_at(body, at, col as u64);
+                at += put_varint_at(body, at, value);
+                top = top.max(col);
+            }
+        }
+        self.end = at;
+        self.count += kept;
+        let top = u16::try_from(top).unwrap_or(u16::MAX);
+        self.max_coord = self.max_coord.max(row).max(top);
     }
 
-    /// The list pushed since the last call, packed; the packer is left
-    /// empty.
+    /// The list packed since the last call; the packer is left empty.
     fn finish(&mut self) -> PackedEntries {
-        let headers: usize = (self.runs.iter())
-            .map(|&(row, len, _)| varint_len(u64::from(row)) + varint_len(len))
-            .sum();
-        let len = varint_len(self.count as u64) + headers + self.body.len();
+        let runs = self.body.get(..self.end).unwrap_or_default();
+        let len = varint_len(self.count as u64) + runs.len();
         let held = if len <= PackedEntries::INLINE {
             let mut short = Short::default();
-            self.write(&mut short);
+            put_varint(&mut short, self.count as u64);
+            short.put_all(runs);
             short.held()
         } else {
             let mut out = Vec::with_capacity(len);
-            self.write(&mut out);
+            put_varint(&mut out, self.count as u64);
+            out.put_all(runs);
             Held::Shared(Bytes::from(out))
         };
         let packed = PackedEntries {
@@ -491,24 +640,10 @@ impl Packer {
             count: u32::try_from(self.count).unwrap_or(u32::MAX),
             max_coord: self.max_coord,
         };
-        self.body.clear();
-        self.runs.clear();
+        self.end = 0;
         self.count = 0;
         self.max_coord = 0;
         packed
-    }
-
-    /// Writes the packed list to `out`: the count, then each run's header
-    /// and body.
-    fn write(&self, out: &mut impl Sink) {
-        put_varint(out, self.count as u64);
-        let mut start = 0;
-        for &(row, len, end) in &self.runs {
-            put_varint(out, u64::from(row));
-            put_varint(out, len);
-            out.put_all(self.body.get(start..end).unwrap_or_default());
-            start = end;
-        }
     }
 }
 
@@ -575,6 +710,36 @@ fn put_varint(out: &mut impl Sink, mut v: u64) {
     out.put(low_byte(v));
 }
 
+/// Writes `v` as an LEB128 varint at `out[at..]`, which has room for
+/// ten bytes, and returns its length. Coordinates and live counters take
+/// one or two bytes: those are inlined, the rest is a call.
+#[inline(always)]
+fn put_varint_at(out: &mut [u8], at: usize, v: u64) -> usize {
+    if v < 0x80 {
+        out[at] = low_byte(v);
+        1
+    } else if v < 0x4000 {
+        out[at] = low_byte(v) | 0x80;
+        out[at + 1] = low_byte(v >> 7);
+        2
+    } else {
+        put_long_varint_at(out, at, v)
+    }
+}
+
+/// [`put_varint_at`] for a value of three bytes or more.
+#[inline(never)]
+fn put_long_varint_at(out: &mut [u8], at: usize, mut v: u64) -> usize {
+    let mut len = 0;
+    while v >= 0x80 {
+        out[at + len] = low_byte(v) | 0x80;
+        v >>= 7;
+        len += 1;
+    }
+    out[at + len] = low_byte(v);
+    len + 1
+}
+
 /// Bytes `v` takes as a varint: 7 bits per byte, and zero takes one.
 fn varint_len(v: u64) -> usize {
     (70 - (v | 1).leading_zeros() as usize) / 7
@@ -585,38 +750,86 @@ fn narrow(v: u64) -> u16 {
     u16::try_from(v).unwrap_or(u16::MAX)
 }
 
-/// Reads one varint off the front of a list [`PackedEntries::read`] has
-/// checked, so without an error path. Coordinates and live counters take
-/// one or two bytes: those are inlined, the rest is a call.
+/// `v` as an index or a length; a checked list's always fit.
 #[inline(always)]
-fn next_varint(input: &mut &[u8]) -> u64 {
-    let bytes: &[u8] = input;
-    match bytes {
-        [low, rest @ ..] if *low < 0x80 => {
-            *input = rest;
-            u64::from(*low)
-        }
-        [low, high, rest @ ..] if *high < 0x80 => {
-            *input = rest;
-            u64::from(*low & 0x7f) | u64::from(*high) << 7
-        }
-        _ => next_long_varint(input),
+fn wide(v: u64) -> usize {
+    usize::try_from(v).unwrap_or(usize::MAX)
+}
+
+/// The field that starts with byte `low`, `high` after it, as its value
+/// and its length, if it takes one or two bytes. Which of the two it
+/// takes is a branch: a list's fields run to a pattern the branch
+/// predictor learns, and a predicted length lets the next field's read
+/// start before this one's is done, where a length computed without a
+/// branch would hold it back.
+#[inline(always)]
+fn short(low: u8, high: u8) -> Option<(u64, usize)> {
+    if low < 0x80 {
+        Some((u64::from(low), 1))
+    } else if high < 0x80 {
+        Some((u64::from(low & 0x7f) | u64::from(high) << 7, 2))
+    } else {
+        None
     }
 }
 
-/// [`next_varint`] for a field of three bytes or more.
+/// The field at `bytes[at..]`, as its value and its length, if it takes
+/// one or two bytes, as coordinates and live counters do; `None` for a
+/// longer field, or none.
+#[inline(always)]
+fn short_field(bytes: &[u8], at: usize) -> Option<(u64, usize)> {
+    match bytes.get(at..)? {
+        [low, high, ..] => short(*low, *high),
+        [low] if *low < 0x80 => Some((u64::from(*low), 1)),
+        _ => None,
+    }
+}
+
+/// The `(col, value)` pair at `bytes[at..]`, and its length, when each
+/// of its fields takes one or two bytes: one match over the four shapes
+/// such a pair can take. `None` for a longer field, or where the bytes
+/// run out; the fields are then read one by one.
+#[inline(always)]
+fn short_pair(bytes: &[u8], at: usize) -> Option<(u64, u64, usize)> {
+    let one = |byte: &u8| u64::from(*byte);
+    let two = |low: &u8, high: &u8| u64::from(low & 0x7f) | u64::from(*high) << 7;
+    match bytes.get(at..)? {
+        [col @ 0..=0x7f, value @ 0..=0x7f, ..] => Some((one(col), one(value), 2)),
+        [col @ 0..=0x7f, low, high @ 0..=0x7f, ..] => Some((one(col), two(low, high), 3)),
+        [low @ 0x80..=0xff, high @ 0..=0x7f, value @ 0..=0x7f, ..] => {
+            Some((two(low, high), one(value), 3))
+        }
+        [low @ 0x80..=0xff, high @ 0..=0x7f, v_low, v_high @ 0..=0x7f, ..] => {
+            Some((two(low, high), two(v_low, v_high), 4))
+        }
+        _ => None,
+    }
+}
+
+/// Reads one varint at `bytes[*at..]` of a list [`PackedEntries::read`]
+/// has checked, so without an error path, and moves `at` past it. A
+/// field of one or two bytes is read inline, the rest in a call.
+#[inline(always)]
+fn next_varint(bytes: &[u8], at: &mut usize) -> u64 {
+    let (v, len) = short_field(bytes, *at).unwrap_or_else(|| long_field(bytes, *at));
+    *at += len;
+    v
+}
+
+/// The value and length of the field at `bytes[at..]` of a checked list,
+/// for the fields [`short_field`] does not read.
 #[inline(never)]
-fn next_long_varint(input: &mut &[u8]) -> u64 {
-    let (mut v, mut shift) = (0u64, 0u32);
-    while let Some((&byte, rest)) = input.split_first() {
-        *input = rest;
+fn long_field(bytes: &[u8], at: usize) -> (u64, usize) {
+    let (mut v, mut shift, mut len) = (0u64, 0u32, 0usize);
+    for &byte in bytes.get(at..).unwrap_or_default() {
         v |= u64::from(byte & 0x7f).wrapping_shl(shift);
+        len += 1;
         if byte < 0x80 {
             break;
         }
         shift = shift.saturating_add(7);
     }
-    v
+    (v, len)
 }
 
 /// `v` as a `usize`, if it is no larger than `max`.
@@ -631,33 +844,33 @@ fn low_byte(v: u64) -> u8 {
 }
 
 /// A short constant reason: refusing a frame allocates no more than this.
+#[cold]
 fn malformed(why: &'static str) -> Error {
     Error::Codec(why.into())
 }
 
-/// Reads one LEB128 varint off the front of `input`, refusing what no
-/// packed list holds. The one-byte case is inlined into
-/// [`PackedEntries::read`]'s loop, where most fields are one byte.
+/// Reads one LEB128 varint at `bytes[*at..]`, refusing what no packed
+/// list holds, and moves `at` past it. The one- and two-byte fields,
+/// every coordinate and live counter, are read inline in
+/// [`PackedEntries::read`]'s loop; longer fields and every error are a
+/// call.
 #[inline(always)]
-fn take_varint(input: &mut &[u8]) -> aaa_base::Result<u64> {
-    match input.split_first() {
-        Some((&byte, rest)) if byte < 0x80 => {
-            *input = rest;
-            Ok(u64::from(byte))
-        }
-        _ => take_long_varint(input),
-    }
+fn take_varint(bytes: &[u8], at: &mut usize) -> aaa_base::Result<u64> {
+    let (v, len) = match short_field(bytes, *at) {
+        Some(field) => field,
+        None => take_long_varint(bytes, *at)?,
+    };
+    *at += len;
+    Ok(v)
 }
 
-/// [`take_varint`] for a field of two bytes or more, or none.
+/// [`take_varint`] for a field of three bytes or more, a malformed one,
+/// or the last byte of the input: its value and length.
 #[inline(never)]
-fn take_long_varint(input: &mut &[u8]) -> aaa_base::Result<u64> {
+fn take_long_varint(bytes: &[u8], at: usize) -> aaa_base::Result<(u64, usize)> {
+    let field = bytes.get(at..).unwrap_or_default();
     let (mut v, mut shift) = (0u64, 0u32);
-    loop {
-        let (&byte, rest) = input
-            .split_first()
-            .ok_or_else(|| malformed("truncated packed stamp"))?;
-        *input = rest;
+    for (len, &byte) in (1..).zip(field) {
         let bits = u64::from(byte & 0x7f);
         // The tenth byte has room for bit 63 alone.
         if shift == 63 && bits > 1 {
@@ -665,18 +878,21 @@ fn take_long_varint(input: &mut &[u8]) -> aaa_base::Result<u64> {
         }
         v |= bits << shift;
         if byte < 0x80 {
-            return Ok(v);
+            return Ok((v, len));
         }
         shift += 7;
         if shift > 63 {
             return Err(malformed("varint longer than 10 bytes"));
         }
     }
+    Err(malformed("truncated packed stamp"))
 }
 
 /// Reads one varint that must fit a matrix coordinate.
-fn take_u16(input: &mut &[u8]) -> aaa_base::Result<u16> {
-    u16::try_from(take_varint(input)?).map_err(|_| malformed("packed coordinate above u16::MAX"))
+#[inline(always)]
+fn take_u16(bytes: &[u8], at: &mut usize) -> aaa_base::Result<u16> {
+    u16::try_from(take_varint(bytes, at)?)
+        .map_err(|_| malformed("packed coordinate above u16::MAX"))
 }
 
 /// The causal timestamp piggybacked on a message.
@@ -816,6 +1032,15 @@ mod tests {
 
     #[test]
     fn the_packer_writes_what_pack_writes() {
+        // Rows of `(col, value, tag)`: a tag past 5 keeps the cell. Two-
+        // and ten-byte values, a two-byte row, a run that keeps nothing.
+        type RowCells = &'static [(usize, u64, u64)];
+        let rows: [(usize, RowCells); 4] = [
+            (0, &[(3, 1, 6), (4, 8, 5), (9, 300, 7)]),
+            (1, &[(0, 1, 2), (7, 7, 0)]),
+            (2, &[(0, 7, 9)]),
+            (300, &[(2, u64::MAX, 6)]),
+        ];
         let entries = [
             entry(0, 3, 1),
             entry(0, 9, 300),
@@ -824,13 +1049,21 @@ mod tests {
         ];
         for round in 0..2 {
             let list = Packer::pack(|packer| {
-                for e in &entries {
-                    packer.push(e.row, e.col, e.value);
+                for (row, cells) in rows {
+                    packer.run(row, cells, 5, |_, &cell| cell);
                 }
             });
             assert_eq!(list.as_bytes(), packed(&entries), "round {round}");
             assert_eq!(list, PackedEntries::new(&entries));
             assert_eq!((list.len(), list.width()), (4, 301));
+            let mut runs = Vec::new();
+            list.for_each_run(|row, cells| runs.push((row, cells.collect::<Vec<_>>())));
+            let want = [
+                (0, vec![(3, 1), (9, 300)]),
+                (2, vec![(0, 7)]),
+                (300, vec![(2, u64::MAX)]),
+            ];
+            assert_eq!(runs, want, "round {round}");
         }
         assert_eq!(Packer::pack(|_| {}), PackedEntries::empty());
     }
@@ -850,17 +1083,38 @@ mod tests {
         // The named malformed lists are refused in
         // `aaa-net/tests/properties.rs`, through the decoder; here, the
         // edges of the varint itself.
+        let take = |bytes: &[u8]| {
+            let mut at = 0;
+            take_varint(bytes, &mut at).map(|v| (v, at))
+        };
+        let next = |bytes: &[u8]| {
+            let mut at = 0;
+            (next_varint(bytes, &mut at), at)
+        };
         let mut max = [0xff; 10];
         max[9] = 0x01;
-        assert_eq!(take_varint(&mut &max[..]).unwrap(), u64::MAX);
+        assert_eq!(take(&max).unwrap(), (u64::MAX, 10));
         max[9] = 0x02;
-        assert!(take_varint(&mut &max[..]).is_err(), "bit 64");
-        assert!(take_varint(&mut &[0x80; 11][..]).is_err(), "eleven bytes");
-        assert!(take_varint(&mut &[0x80; 3][..]).is_err(), "truncated");
+        assert!(take(&max).is_err(), "bit 64");
+        assert!(take(&[0x80; 11]).is_err(), "eleven bytes");
+        assert!(take(&[0x80; 3]).is_err(), "truncated");
+        assert!(take(&[]).is_err(), "nothing");
         // Padding is not canonical but is unambiguous: still zero.
-        assert_eq!(take_varint(&mut &[0x80, 0x00][..]).unwrap(), 0);
-        assert_eq!(next_varint(&mut &[0x80, 0x00][..]), 0);
-        assert_eq!(next_varint(&mut &max[..9]), u64::MAX >> 1);
+        assert_eq!(take(&[0x80, 0x00]).unwrap(), (0, 2));
+        assert_eq!(next(&[0x80, 0x00]), (0, 2));
+        assert_eq!(next(&max[..9]), (u64::MAX >> 1, 9));
+        // The one- and two-byte fields read inline, with what follows
+        // them or at the very end.
+        for (field, want) in [
+            (&[0x7f, 0xff][..], (127, 1)),
+            (&[0x05], (5, 1)),
+            (&[0x80, 0x01, 0xff], (128, 2)),
+            (&[0xff, 0x7f], (16_383, 2)),
+            (&[0x80, 0x80, 0x01], (16_384, 3)),
+        ] {
+            assert_eq!(take(field).unwrap(), want, "{field:?}");
+            assert_eq!(next(field), want, "{field:?}");
+        }
         assert!(PackedEntries::read(&mut Bytes::new()).is_err());
     }
 

@@ -13,13 +13,23 @@
 //! - on ring traffic, which writes a cell or two per row, the state a
 //!   server keeps grows with the cells written, not with `n²`: after 20
 //!   rounds one state holds at most 4 KiB at n = 32 and 32 KiB at n = 256.
-//!   Blocks of 16 cells under an `n² / 16` index held 9.4 and 94.4 KiB.
+//!   Blocks of 16 cells under an `n² / 16` index held 9.4 and 94.4 KiB;
+//! - on mesh traffic (n = 32, random destinations, frames held on their
+//!   links and postponed), once every row has filled, a `stamp_send`
+//!   makes 1.72 allocator calls on average (a list past 30 bytes is a
+//!   buffer and the shared count `Bytes` adopts it with, a shorter one is
+//!   inline), an `on_frame` 1.94 (the receiver's column, grown by
+//!   doubling) and a `deliver` none — what the same schedule cost when
+//!   deltas were packed and merged a cell at a time: packing, checking
+//!   and merging a run at a time keeps no per-message scratch.
 
 mod common;
 
 use aaa_base::DomainServerId;
-use aaa_clocks::{Batching, CausalState, StampMode};
-use common::{allocated_by, live_after};
+use aaa_clocks::{Batching, CausalState, PendingStamp, Stamp, StampMode};
+use common::{allocated_by, calls_by, live_after};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// One 16-byte header per row of `SENT`.
 fn row_headers(n: usize) -> usize {
@@ -84,4 +94,83 @@ fn ring_traffic_keeps_a_state_to_the_cells_it_wrote() {
         assert!(per_state <= bound, "n = {n}: {per_state} B per state");
         drop(states);
     }
+}
+
+/// Allocator calls, and calls made, per clock operation.
+#[derive(Debug, Default)]
+struct Calls {
+    stamp_send: (usize, usize),
+    on_frame: (usize, usize),
+    deliver: (usize, usize),
+}
+
+impl Calls {
+    fn per_op((allocs, ops): (usize, usize)) -> f64 {
+        allocs as f64 / ops.max(1) as f64
+    }
+}
+
+/// One domain of `n` on mesh traffic: each step either stamps a send to
+/// a random peer onto that FIFO link, or lands the oldest frame of a
+/// random link, which its receiver then delivers with everything it had
+/// postponed that became deliverable. After `warm` steps the allocator
+/// calls of each clock operation are counted over `counted` more.
+fn mesh(n: usize, seed: u64, warm: usize, counted: usize) -> Calls {
+    let d = |i: usize| DomainServerId::new(u16::try_from(i).expect("a domain id"));
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut states: Vec<CausalState> = (0..n)
+        .map(|i| CausalState::new(d(i), n, StampMode::Updates))
+        .collect();
+    let mut links: Vec<std::collections::VecDeque<Stamp>> =
+        (0..n * n).map(|_| Default::default()).collect();
+    let mut postponed: Vec<Vec<(usize, PendingStamp)>> = vec![Vec::new(); n];
+    let mut calls = Calls::default();
+    let count = |step: usize, tally: &mut (usize, usize), allocs: usize| {
+        if step >= warm {
+            *tally = (tally.0 + allocs, tally.1 + 1);
+        }
+    };
+    for step in 0..warm + counted {
+        let from = rng.gen_range(0..n);
+        let to = (from + rng.gen_range(1..n)) % n;
+        if rng.gen_bool(0.5) {
+            let (stamp, allocs) = calls_by(|| states[from].stamp_send(d(to), Batching::Single));
+            count(step, &mut calls.stamp_send, allocs);
+            links[from * n + to].push_back(stamp);
+            continue;
+        }
+        let Some(stamp) = links[from * n + to].pop_front() else {
+            continue;
+        };
+        let (pending, allocs) = calls_by(|| states[to].on_frame(d(from), stamp));
+        count(step, &mut calls.on_frame, allocs);
+        postponed[to].push((from, pending));
+        while let Some(i) = (postponed[to].iter())
+            .position(|(from, pending)| states[to].can_deliver(d(*from), pending))
+        {
+            let (from, pending) = postponed[to].swap_remove(i);
+            let ((), allocs) = calls_by(|| states[to].deliver(d(from), &pending));
+            count(step, &mut calls.deliver, allocs);
+        }
+    }
+    calls
+}
+
+#[test]
+fn mesh_traffic_allocates_no_scratch_per_message() {
+    let calls = mesh(32, 45, 20_000, 20_000);
+    let [stamp_send, on_frame, deliver] =
+        [calls.stamp_send, calls.on_frame, calls.deliver].map(Calls::per_op);
+    println!(
+        "allocator calls per stamp_send {stamp_send:.3}, on_frame {on_frame:.3}, \
+         deliver {deliver:.3} ({calls:?})"
+    );
+    assert!(
+        calls.deliver.1 > 1000,
+        "too few deliveries counted: {calls:?}"
+    );
+    // One scratch buffer per message would add a whole call to each.
+    assert!(stamp_send <= 1.73, "{stamp_send:.3} calls per stamp_send");
+    assert!(on_frame <= 1.94, "{on_frame:.3} calls per on_frame");
+    assert_eq!(calls.deliver.0, 0, "a delivery allocated: {calls:?}");
 }

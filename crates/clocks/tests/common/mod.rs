@@ -1,7 +1,8 @@
 //! A counting `#[global_allocator]` for the tests that hold the clock to
 //! an allocation bound: it forwards every call to `System` unchanged and
-//! counts the bytes a thread requests while [`allocated_by`] runs, and
-//! the bytes it still holds of them when [`live_after`] returns.
+//! counts the bytes a thread requests while [`allocated_by`] runs, the
+//! bytes it still holds of them when [`live_after`] returns, and the
+//! requests themselves while [`calls_by`] runs.
 
 // The counting allocator is the one piece of `unsafe` in this package; see
 // `[lints]` in its manifest.
@@ -18,6 +19,9 @@ thread_local! {
     /// Bytes this thread allocated minus bytes it freed while `COUNTING`
     /// was on.
     static LIVE: Cell<isize> = const { Cell::new(0) };
+    /// Allocation and reallocation requests this thread made while
+    /// `COUNTING` was on.
+    static CALLS: Cell<usize> = const { Cell::new(0) };
 }
 
 struct CountingAlloc;
@@ -27,6 +31,7 @@ impl CountingAlloc {
     fn count(size: usize, freed: usize) {
         if COUNTING.with(Cell::get) {
             BYTES.with(|b| b.set(b.get() + size));
+            CALLS.with(|c| c.set(c.get() + 1));
             Self::free(freed);
             LIVE.with(|l| l.set(l.get() + size as isize));
         }
@@ -90,4 +95,14 @@ pub fn live_after<T>(f: impl FnOnce() -> T) -> (T, isize) {
     let out = f();
     COUNTING.with(|c| c.set(false));
     (out, LIVE.with(Cell::get) - before)
+}
+
+/// Allocation and reallocation requests this thread makes while `f` runs.
+#[allow(dead_code)]
+pub fn calls_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = CALLS.with(Cell::get);
+    COUNTING.with(|c| c.set(true));
+    let out = f();
+    COUNTING.with(|c| c.set(false));
+    (out, CALLS.with(Cell::get) - before)
 }

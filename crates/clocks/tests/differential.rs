@@ -14,6 +14,13 @@
 //! it shipped before) and must agree on every emitted stamp, on
 //! `can_deliver` for every arrived message after every step, and on the
 //! `SENT`/`DELIV` transcript.
+//!
+//! Two widths. Domains of 2–5 reach every interleaving shape quickly; a
+//! domain of 12 runs long enough for `SENT` rows to fill (a row turns
+//! from a list of its written cells into all 12 cells at its eighth), so
+//! deltas carry long runs, the sender packs whole filled rows, and a
+//! delivery's run can fill a listed row part way through. Each runs at
+//! least its own number of cases, or more if `PROPTEST_CASES` asks.
 
 use std::collections::VecDeque;
 
@@ -308,31 +315,58 @@ fn op_strategy(n: usize) -> impl Strategy<Value = Op> {
     )
 }
 
+/// `floor` cases, or as many as `PROPTEST_CASES` asks if that is more.
+fn at_least(floor: u32) -> ProptestConfig {
+    ProptestConfig::with_cases(ProptestConfig::default().cases.max(floor))
+}
+
+/// Runs `ops` on a domain of `n` in lock-step, checking after every step,
+/// then drains it.
+fn lock_step(n: usize, ops: &[Op]) {
+    let mut run = LockStep::new(n);
+    for op in ops {
+        match *op {
+            Op::Send {
+                from,
+                to,
+                batching,
+                pad,
+            } => {
+                let (from, to) = (from % n, to % n);
+                if from != to {
+                    run.send(from, to, batching, pad.map(|(r, c)| (r % n, c % n)));
+                }
+            }
+            Op::Arrive { from, to } => run.arrive(from % n, to % n),
+            Op::Probe { who, rot } => run.probe(who % n, rot),
+            Op::Crash { who } => run.crash(who % n),
+        }
+        run.check_all();
+    }
+    run.quiesce();
+    run.check_all();
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+    #![proptest_config(at_least(256))]
 
     #[test]
     fn sparse_core_equals_textbook_dense_rst(
         n in 2usize..6,
         ops in prop::collection::vec(op_strategy(5), 1..250),
     ) {
-        let mut run = LockStep::new(n);
-        for op in &ops {
-            match *op {
-                Op::Send { from, to, batching, pad } => {
-                    let (from, to) = (from % n, to % n);
-                    if from != to {
-                        run.send(from, to, batching, pad.map(|(r, c)| (r % n, c % n)));
-                    }
-                }
-                Op::Arrive { from, to } => run.arrive(from % n, to % n),
-                Op::Probe { who, rot } => run.probe(who % n, rot),
-                Op::Crash { who } => run.crash(who % n),
-            }
-            run.check_all();
-        }
-        run.quiesce();
-        run.check_all();
+        lock_step(n, &ops);
+    }
+}
+
+proptest! {
+    #![proptest_config(at_least(24))]
+
+    #[test]
+    fn sparse_core_equals_textbook_dense_rst_where_rows_fill(
+        ops in prop::collection::vec(op_strategy(12), 400..700),
+    ) {
+        lock_step(12, &ops);
     }
 }
 

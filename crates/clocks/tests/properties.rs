@@ -339,75 +339,117 @@ proptest! {
     }
 }
 
+/// Counter values around the packed layout's varint edges.
+fn counter() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        1u64..200,
+        Just(127u64),
+        Just(128u64),
+        Just(16_384u64),
+        Just(1u64 << 56),
+        Just(u64::MAX),
+        any::<u64>(),
+    ]
+}
+
+/// The cells of `after` that differ from `before`, and the cell `bumped`
+/// the send just counted, row-major: what a scan of the change tags reads
+/// since `before` was taken. A cell is tagged when its counter grows, and
+/// the sender's own cell at every send, even where its counter is
+/// saturated and cannot grow.
+fn changed_since(
+    before: &MatrixClock,
+    after: &MatrixClock,
+    bumped: (usize, usize),
+) -> Vec<UpdateEntry> {
+    let n = after.width();
+    (0..n * n)
+        .map(|cell| (cell / n, cell % n))
+        .filter(|&cell| cell == bumped || after.get(cell.0, cell.1) != before.get(cell.0, cell.1))
+        .map(|(row, col)| UpdateEntry {
+            row: row as u16,
+            col: col as u16,
+            value: after.get(row, col),
+        })
+        .collect()
+}
+
 proptest! {
-    /// The sender packs a delta straight from its walk of the changed
-    /// cells. Server 0 of a domain of up to 300 delivers one frame that
-    /// raises a random set of cells, then stamps its first send to 1, which
-    /// ships every non-zero cell: the stamp holds exactly the bytes
-    /// `UpdateEntry::pack` writes for that row-major list. Decoded with
-    /// bytes after it, the list is a view with the stamp's count, extent and
-    /// entries, and the bytes after it are left.
+    /// The sender packs a delta run by run from its walk of the changed
+    /// rows. Server 0 of a domain of up to 300 delivers a frame from 1
+    /// that raises random cells and a few whole rows — which pass the
+    /// eight entries a listed row holds and turn dense, with two-byte
+    /// column varints past 128 — and stamps its first send to 1, which
+    /// ships every non-zero cell. It then delivers a second frame from 1
+    /// that raises some cells, most of them in those rows, and stamps its
+    /// second send to 1, which ships only what changed since the first:
+    /// part of each dense row. Each stamp holds exactly the bytes
+    /// `UpdateEntry::pack` writes for the row-major list a scan of the
+    /// change tags reads. Decoded with bytes after it, each list is a
+    /// view with the stamp's count, extent and entries, and the bytes
+    /// after it are left.
     #[test]
     fn the_sender_walk_packs_what_pack_writes(
         n in 2usize..300,
-        cells in prop::collection::vec(
-            (
-                any::<u32>(),
-                prop_oneof![
-                    1u64..200,
-                    Just(127u64),
-                    Just(128u64),
-                    Just(16_384u64),
-                    Just(1u64 << 56),
-                    Just(u64::MAX),
-                    any::<u64>(),
-                ],
-            ),
-            0..60,
-        ),
+        cells in prop::collection::vec((any::<u32>(), counter()), 0..60),
+        whole in prop::collection::vec((any::<u32>(), counter()), 0..3),
+        again in prop::collection::vec((any::<u32>(), any::<u32>(), counter()), 0..60),
         tail in prop::collection::vec(any::<u8>(), 0..8),
     ) {
-        // Nothing in the receiver's column but the link cell, so the frame
-        // is deliverable at once.
-        let mut raised: Vec<UpdateEntry> = cells
+        // Nothing in the receiver's column but the link cell, so each
+        // frame is deliverable at once.
+        let entry = |row: usize, col: usize, value| UpdateEntry {
+            row: row as u16,
+            col: col as u16,
+            value,
+        };
+        let whole_rows: Vec<usize> = whole.iter().map(|&(seed, _)| seed as usize % n).collect();
+        let mut first: Vec<UpdateEntry> = cells
             .iter()
             .map(|&(seed, value)| (seed as usize % (n * n), value))
             .filter(|&(cell, _)| cell % n != 0)
-            .map(|(cell, value)| UpdateEntry {
-                row: (cell / n) as u16,
-                col: (cell % n) as u16,
-                value,
+            .map(|(cell, value)| entry(cell / n, cell % n, value))
+            .collect();
+        for (&row, &(_, value)) in whole_rows.iter().zip(&whole) {
+            first.extend((1..n).map(|col| entry(row, col, value.saturating_add(col as u64))));
+        }
+        first.push(entry(1, 0, 1));
+        let mut second: Vec<UpdateEntry> = again
+            .iter()
+            .map(|&(row_seed, col_seed, value)| {
+                let row = match whole_rows.get(row_seed as usize % 4) {
+                    Some(&row) => row,
+                    None => row_seed as usize % n,
+                };
+                entry(row, 1 + col_seed as usize % (n - 1), value)
             })
             .collect();
-        raised.push(UpdateEntry { row: 1, col: 0, value: 1 });
+        second.push(entry(1, 0, 2));
+
         let mut s0 = CausalState::new(d(0), n, StampMode::Updates);
-        let p = s0.on_frame(d(1), Stamp::Delta(PackedEntries::new(&raised)));
-        prop_assert!(s0.can_deliver(d(1), &p));
-        s0.deliver(d(1), &p);
+        let mut shipped = MatrixClock::new(n);
+        for (frame, raised) in [first, second].iter().enumerate() {
+            let p = s0.on_frame(d(1), Stamp::Delta(PackedEntries::new(raised)));
+            prop_assert!(s0.can_deliver(d(1), &p));
+            s0.deliver(d(1), &p);
 
-        let Stamp::Delta(made) = s0.stamp_send(d(1), Batching::Single) else {
-            panic!("an Updates send ships a delta");
-        };
-        let sent = s0.sent();
-        let expected: Vec<UpdateEntry> = (0..n * n)
-            .filter(|&cell| sent.get(cell / n, cell % n) > 0)
-            .map(|cell| UpdateEntry {
-                row: (cell / n) as u16,
-                col: (cell % n) as u16,
-                value: sent.get(cell / n, cell % n),
-            })
-            .collect();
-        let mut packed = Vec::new();
-        UpdateEntry::pack(&expected, &mut packed);
-        prop_assert_eq!(made.as_bytes(), &packed[..]);
+            let Stamp::Delta(made) = s0.stamp_send(d(1), Batching::Single) else {
+                panic!("an Updates send ships a delta");
+            };
+            let expected = changed_since(&shipped, s0.sent(), (0, 1));
+            shipped = s0.sent().clone();
+            let mut packed = Vec::new();
+            UpdateEntry::pack(&expected, &mut packed);
+            prop_assert_eq!(made.as_bytes(), &packed[..], "frame {}", frame);
 
-        packed.extend_from_slice(&tail);
-        let mut frame = Bytes::from(packed);
-        let view = PackedEntries::read(&mut frame).expect("a packed list");
-        prop_assert_eq!(view.len(), made.len());
-        prop_assert_eq!(view.width(), made.width());
-        prop_assert_eq!(view.iter().collect::<Vec<_>>(), expected);
-        prop_assert_eq!(&frame[..], &tail[..]);
+            packed.extend_from_slice(&tail);
+            let mut buf = Bytes::from(packed);
+            let view = PackedEntries::read(&mut buf).expect("a packed list");
+            prop_assert_eq!(view.len(), made.len());
+            prop_assert_eq!(view.width(), made.width());
+            prop_assert_eq!(view.iter().collect::<Vec<_>>(), expected);
+            prop_assert_eq!(&buf[..], &tail[..]);
+        }
     }
 }
 
