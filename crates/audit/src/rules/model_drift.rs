@@ -13,8 +13,8 @@
 //! `method` is a synchronization operation — restricted to functions
 //! reachable from the configured entry points (`run_ready_server`,
 //! `schedule`, the worker/timer loops, `send_cmd`), and fails if
-//! [`COVERED_ACCESSES`](crate::interleave::COVERED_ACCESSES) — the
-//! model's declared action list — no longer covers it. The reverse
+//! [`COVERED_ACCESSES`] — the model's declared action list — no longer
+//! covers it. The reverse
 //! drift (a declared access that vanished from the code) is reported as
 //! a stale-coverage finding, the same contract as a stale allowlist
 //! entry.

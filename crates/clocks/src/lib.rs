@@ -6,8 +6,6 @@
 //! This crate implements the clock substrate of the AAA middleware
 //! reproduction:
 //!
-//! - [`LamportClock`] — scalar logical time (Lamport 1978), the weakest
-//!   ordering device discussed in the paper's introduction;
 //! - [`VectorClock`] — exact causal precedence between events, plus the
 //!   Birman–Schiper–Stephenson causal *broadcast* protocol
 //!   ([`vector::BssState`]) used as a related-work baseline;
@@ -41,14 +39,12 @@
 //! clock_b.deliver(a, &pending);
 //! ```
 
-pub mod lamport;
 pub mod matrix;
 pub mod protocol;
 mod rows;
 pub mod stamp;
 pub mod vector;
 
-pub use lamport::LamportClock;
 pub use matrix::MatrixClock;
 pub use protocol::{Batching, CausalState, EngineTranscript, PendingStamp};
 pub use stamp::{Entries, PackedEntries, Stamp, StampMode, UpdateEntry};

@@ -640,37 +640,27 @@ impl CausalState {
     /// Returns [`Error::Codec`] naming the first violated condition.
     pub fn adopt_pending(&self, from: DomainServerId, pending: &mut PendingStamp) -> Result<()> {
         let me = self.me.as_u16();
-        let misfit = self.sender_misfit(from).or_else(|| match &pending.carried {
-            Carried::Matrix(m) => self.width_misfit(m),
-            Carried::Delta { list, me: kept, .. } => {
-                self.entry_misfit(list).or_else(|| match kept {
-                    Some(col) => {
-                        (*col != me).then(|| format!("column {col} kept, not column {me}"))
-                    }
-                    None => {
-                        let mut rest = list.iter().skip_while(|e| e.col == me);
-                        rest.any(|e| e.col == me)
-                            .then(|| format!("entries of column {me} are not first"))
-                    }
-                })
-            }
-        });
-        refuse("pending stamp", from, misfit)?;
-        if let Carried::Delta {
-            list,
-            me: kept @ None,
-            column,
-        } = &mut pending.carried
-        {
-            let f = from.as_u16();
-            *column = (list.iter())
-                .take_while(|e| e.col == me)
-                .filter(|e| e.row != f)
-                .map(|e| (e.row, e.value))
-                .collect();
-            *kept = Some(me);
-        }
-        Ok(())
+        let misfit = self
+            .sender_misfit(from)
+            .or_else(|| match &mut pending.carried {
+                Carried::Matrix(m) => self.width_misfit(m),
+                Carried::Delta {
+                    list,
+                    me: kept,
+                    column,
+                } => self.entry_misfit(list).or_else(|| match *kept {
+                    Some(col) => (col != me).then(|| format!("column {col} kept, not column {me}")),
+                    None => match leading_column(list, me, from.as_u16()) {
+                        Some(cells) => {
+                            *column = cells;
+                            *kept = Some(me);
+                            None
+                        }
+                        None => Some(format!("entries of column {me} are not first")),
+                    },
+                }),
+            });
+        refuse("pending stamp", from, misfit)
     }
 
     /// Ingests a frame arriving from `from` (in link order) and returns the
@@ -875,6 +865,23 @@ impl CausalState {
             at,
         ))
     }
+}
+
+/// The cells `(row, value)` of column `me` at the front of `list`, the
+/// link cell of sender `f` aside, read in one pass that also checks no
+/// cell of the column comes after them; `None` if one does.
+fn leading_column(list: &PackedEntries, me: u16, f: u16) -> Option<Vec<(u16, u64)>> {
+    let mut entries = list.iter();
+    let mut column = Vec::new();
+    for e in entries.by_ref() {
+        if e.col != me {
+            break;
+        }
+        if e.row != f {
+            column.push((e.row, e.value));
+        }
+    }
+    (!entries.any(|e| e.col == me)).then_some(column)
 }
 
 /// `Ok` unless `misfit` says why `what` from `from` does not fit the domain.
@@ -1377,12 +1384,8 @@ mod tests {
             let first = match mode {
                 StampMode::Full => Stamp::Full(MatrixClock::new(3)).encoded_len(),
                 // The one link cell, packed: count, row, run length,
-                // column, value.
-                StampMode::Updates => UpdateEntry::packed_len(&[UpdateEntry {
-                    row: 0,
-                    col: 1,
-                    value: 1,
-                }]),
+                // column, value, a byte each.
+                StampMode::Updates => 5,
             };
             assert_eq!(wire_bytes, first, "{mode}");
         }

@@ -25,7 +25,7 @@
 //! 16 384 take one and two bytes — 2–3 B per entry on a live domain where
 //! the fixed-width triple took 12. Nothing assumes the list is sorted or
 //! free of duplicates: [`PackedEntries::iter`] yields exactly the list
-//! [`UpdateEntry::pack`] was given. The worst case is an entry alone in its
+//! [`PackedEntries::new`] was given. The worst case is an entry alone in its
 //! run with `row`, `col` ≥ 2¹⁴ and `value` ≥ 2⁵⁶: 3 + 1 + 3 + 9 = 16 B
 //! (17 B from 2⁶³) — never reached by a live counter.
 //!
@@ -40,31 +40,33 @@
 //!
 //! # How each pass reads
 //!
-//! Every pass over a list works a run — the cells of one row — at a
-//! time, so a row is looked up once per run, not once per entry:
+//! The layout has one writer and two readers, and every other path is a
+//! caller of them. Each works a run — the cells of one row — at a time,
+//! so a row is looked up once per run, not once per entry:
 //!
-//! - **Packing** (`CausalState::stamp_send`): the tree of change maxima
-//!   yields the rows that changed, and each packs its own run into one
-//!   per-thread scratch buffer. A filled row turns the change tags of 64
-//!   cells at a time into a bit mask, with no branch on any tag, whose
-//!   bits count the run for its header; it then writes the `(col, value)`
-//!   varints of the set bits only. A listed row does the same over its
-//!   few entries. Once the walk is done the count goes in front of the
-//!   runs, in a buffer of exactly the list's size.
-//! - **Checking** ([`PackedEntries::read`]): a run's row and length are
-//!   checked once, then each `(col, value)` pair is read with one match
-//!   on its first bytes when both fields take one or two bytes, as
-//!   coordinates and live counters do; a longer field and every refusal
-//!   are a call.
-//! - **The receiver's column** (`CausalState::on_frame`): each run's
-//!   pairs are read the same way and compared with the receiver's own
-//!   column; the run's row says whether a match is the link counter.
-//! - **The merge** (`CausalState::deliver`): each run resolves its row of
-//!   `SENT` once. A filled row is one slice the run raises cell by cell,
-//!   indexed with a bounds check and with no branch on whether a cell
-//!   grew; a listed row takes the run a cell at a time until it fills,
-//!   and the rest of the run then goes to the slice. The tree of change
-//!   maxima is raised once per run that grew a cell.
+//! - **The writer** (`Packer`): `CausalState::stamp_send`'s walk of the
+//!   tree of change maxima yields the rows that changed, and each packs
+//!   its own run into one per-thread scratch buffer. A filled row turns
+//!   the change tags of 64 cells at a time into a bit mask, with no
+//!   branch on any tag, whose bits count the run for its header; it then
+//!   writes the `(col, value)` varints of the set bits only. A listed row
+//!   does the same over its few entries, and [`PackedEntries::new`] packs
+//!   a given list as runs whose every cell is kept. Once the walk is done
+//!   the count goes in front of the runs, in a list held inline or in a
+//!   buffer of exactly its size.
+//! - **The checked reader** ([`PackedEntries::read`]): a run's row and
+//!   length are checked once, then each `(col, value)` pair is read with
+//!   one match on its first bytes when both fields take one or two
+//!   bytes, as coordinates and live counters do; a longer field and
+//!   every refusal are a call.
+//! - **The unchecked reader** (`Cells`): the pairs of one run of a
+//!   checked list, read by the same match, a longer field by the checked
+//!   reader's call. `PackedEntries::for_each_run` hands each run's
+//!   `Cells` to the receiver's column (`CausalState::on_frame`, which
+//!   compares each pair with the receiver's own column) and to the merge
+//!   (`CausalState::deliver`, which resolves the run's row of `SENT` once
+//!   and raises it cell by cell); [`PackedEntries::iter`] flattens the
+//!   same runs into entries.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -165,45 +167,15 @@ impl UpdateEntry {
     /// Bytes one entry occupies in a persistence image
     /// ([`PendingStamp::write_bytes`]) and in the decode-only wire tag 1:
     /// two `u16` coordinates plus a `u64` value. Stamps on the wire
-    /// are [packed](UpdateEntry::pack) instead.
+    /// are [packed](PackedEntries) instead.
     ///
     /// [`PendingStamp::write_bytes`]: crate::PendingStamp::write_bytes
     pub const WIRE_LEN: usize = 2 + 2 + 8;
-
-    /// Feeds `field` the integers of the packed layout of `entries`, in
-    /// wire order — the one definition [`UpdateEntry::pack`] and
-    /// [`UpdateEntry::packed_len`] share.
-    fn packed_fields(entries: &[UpdateEntry], mut field: impl FnMut(u64)) {
-        field(entries.len() as u64);
-        for run in entries.chunk_by(|a, b| a.row == b.row) {
-            let Some(first) = run.first() else { continue };
-            field(u64::from(first.row));
-            field(run.len() as u64);
-            for e in run {
-                field(u64::from(e.col));
-                field(e.value);
-            }
-        }
-    }
-
-    /// Appends the packed encoding of `entries` (see the
-    /// [module documentation](self)) to `out`.
-    pub fn pack(entries: &[UpdateEntry], out: &mut Vec<u8>) {
-        Self::packed_fields(entries, |v| put_varint(out, v));
-    }
-
-    /// Exactly the number of bytes [`UpdateEntry::pack`] writes for
-    /// `entries`.
-    pub fn packed_len(entries: &[UpdateEntry]) -> usize {
-        let mut len = 0usize;
-        Self::packed_fields(entries, |v| len += varint_len(v));
-        len
-    }
 }
 
-/// A delta stamp's entry list, held as its packed wire layout: the bytes
-/// [`UpdateEntry::pack`] writes, the number of entries they hold and the
-/// largest row or column they name. It is the only in-memory form of a
+/// A delta stamp's entry list, held as its packed wire layout (see the
+/// [module documentation](self)): the bytes, the number of entries they
+/// hold and the largest row or column they name. It is the only in-memory form of a
 /// delta: the sender writes it once ([`CausalState::stamp_send`]), the
 /// encoder copies it, the decoder checks it and keeps it without
 /// allocating ([`PackedEntries::read`]), and the receiver reads it where
@@ -234,11 +206,16 @@ enum Held {
 }
 
 impl Held {
-    /// `packed` held inline, if it is short enough.
-    fn inline(packed: &[u8]) -> Option<Held> {
-        let len = u8::try_from(packed.len()).ok()?;
+    /// `parts`, back to back, held inline, if they are short enough.
+    fn inline(parts: &[&[u8]]) -> Option<Held> {
         let mut bytes = [0; PackedEntries::INLINE];
-        bytes.get_mut(..packed.len())?.copy_from_slice(packed);
+        let mut len = 0;
+        for part in parts {
+            let end = len + part.len();
+            bytes.get_mut(len..end)?.copy_from_slice(part);
+            len = end;
+        }
+        let len = u8::try_from(len).ok()?;
         Some(Held::Inline { len, bytes })
     }
 
@@ -298,28 +275,16 @@ impl PackedEntries {
         EMPTY.iter()
     }
 
-    /// Packs `entries`, in the order given.
+    /// Packs `entries`, every one of them in the order given: a run per
+    /// maximal stretch of one row, through this thread's `Packer`, so it
+    /// must not be called while a `Packer::pack` fill runs.
     pub fn new(entries: &[UpdateEntry]) -> Self {
-        let len = UpdateEntry::packed_len(entries);
-        let held = if len <= PackedEntries::INLINE {
-            let mut short = Short::default();
-            UpdateEntry::packed_fields(entries, |v| put_varint(&mut short, v));
-            short.held()
-        } else {
-            let mut bytes = Vec::with_capacity(len);
-            UpdateEntry::pack(entries, &mut bytes);
-            Held::Shared(Bytes::from(bytes))
-        };
-        let max_coord = (entries.iter())
-            .map(|e| e.row.max(e.col))
-            .max()
-            .unwrap_or(0);
-        PackedEntries {
-            held,
-            // Saturating: no domain holds 2³² cells.
-            count: u32::try_from(entries.len()).unwrap_or(u32::MAX),
-            max_coord,
-        }
+        Packer::pack(|packer| {
+            for run in entries.chunk_by(|a, b| a.row == b.row) {
+                let row = run.first().map_or(0, |e| usize::from(e.row));
+                packer.run(row, run, 0, |_, e| (usize::from(e.col), e.value, 1));
+            }
+        })
     }
 
     /// Reads a packed entry list off the front of `buf`, which is left
@@ -369,7 +334,7 @@ impl PackedEntries {
             owed -= run_len;
         }
         let used = at;
-        let held = match buf.get(..used).and_then(Held::inline) {
+        let held = match buf.get(..used).and_then(|list| Held::inline(&[list])) {
             Some(held) => {
                 buf.advance(used);
                 held
@@ -413,25 +378,9 @@ impl PackedEntries {
     /// leaves unread of a run is skipped.
     #[inline]
     pub(crate) fn for_each_run(&self, mut f: impl FnMut(usize, &mut Cells<'_>)) {
-        let bytes = self.as_bytes();
-        let mut at = 0;
-        // The count was read when the list was made.
-        next_varint(bytes, &mut at);
-        let mut left = self.count as usize;
-        while left > 0 {
-            let row = wide(next_varint(bytes, &mut at));
-            // A checked run holds at least one entry and no more than
-            // the list still owes.
-            let len = wide(next_varint(bytes, &mut at)).clamp(1, left);
-            let mut cells = Cells {
-                bytes,
-                at,
-                left: len,
-            };
-            f(row, &mut cells);
-            while cells.next().is_some() {}
-            at = cells.at;
-            left -= len;
+        let mut runs = self.iter();
+        while let Some(row) = runs.next_run() {
+            f(row, &mut runs.cells);
         }
     }
 
@@ -442,11 +391,9 @@ impl PackedEntries {
         // The count was read when the list was made.
         next_varint(bytes, &mut at);
         Entries {
-            bytes,
-            at,
             row: 0,
-            run_left: 0,
-            left: self.count as usize,
+            cells: Cells { bytes, at, left: 0 },
+            owed: self.count as usize,
         }
     }
 }
@@ -457,14 +404,37 @@ impl fmt::Debug for PackedEntries {
     }
 }
 
-/// The entries of a [`PackedEntries`], in list order.
+/// The entries of a [`PackedEntries`], in list order: the cells of each
+/// run in turn.
 #[derive(Debug, Clone)]
 pub struct Entries<'a> {
-    bytes: &'a [u8],
-    at: usize,
     row: u16,
-    run_left: u64,
-    left: usize,
+    /// What is left of the current run; the next run's header starts
+    /// where it ends.
+    cells: Cells<'a>,
+    /// The entries of the runs after the current one.
+    owed: usize,
+}
+
+impl Entries<'_> {
+    /// Skips what is left of the current run and reads the next run's
+    /// header: its row, or `None` past the last run.
+    #[inline(always)]
+    fn next_run(&mut self) -> Option<usize> {
+        if self.owed == 0 {
+            return None;
+        }
+        while self.cells.next().is_some() {}
+        let Cells { bytes, at, .. } = &mut self.cells;
+        let row = next_varint(bytes, at);
+        // A checked run holds at least one entry and no more than the
+        // list still owes.
+        let len = wide(next_varint(bytes, at)).clamp(1, self.owed);
+        self.cells.left = len;
+        self.owed -= len;
+        self.row = narrow(row);
+        Some(wide(row))
+    }
 }
 
 impl Iterator for Entries<'_> {
@@ -472,23 +442,20 @@ impl Iterator for Entries<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<UpdateEntry> {
-        self.left = self.left.checked_sub(1)?;
-        if self.run_left == 0 {
-            self.row = narrow(next_varint(self.bytes, &mut self.at));
-            self.run_left = next_varint(self.bytes, &mut self.at);
+        if self.cells.left == 0 {
+            self.next_run()?;
         }
-        self.run_left = self.run_left.saturating_sub(1);
-        let col = narrow(next_varint(self.bytes, &mut self.at));
-        let value = next_varint(self.bytes, &mut self.at);
+        let (col, value) = self.cells.next()?;
         Some(UpdateEntry {
             row: self.row,
-            col,
+            col: narrow(col),
             value,
         })
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.left, Some(self.left))
+        let left = self.owed.saturating_add(self.cells.left);
+        (left, Some(left))
     }
 }
 
@@ -496,7 +463,7 @@ impl ExactSizeIterator for Entries<'_> {}
 
 /// The `(col, value)` pairs of one run of a checked packed list
 /// ([`PackedEntries::for_each_run`]).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct Cells<'a> {
     bytes: &'a [u8],
     at: usize,
@@ -621,20 +588,15 @@ impl Packer {
     }
 
     /// The list packed since the last call; the packer is left empty.
+    /// The count goes in front of the runs: both are copied into the
+    /// list's inline bytes, or into a buffer of exactly their size.
     fn finish(&mut self) -> PackedEntries {
         let runs = self.body.get(..self.end).unwrap_or_default();
-        let len = varint_len(self.count as u64) + runs.len();
-        let held = if len <= PackedEntries::INLINE {
-            let mut short = Short::default();
-            put_varint(&mut short, self.count as u64);
-            short.put_all(runs);
-            short.held()
-        } else {
-            let mut out = Vec::with_capacity(len);
-            put_varint(&mut out, self.count as u64);
-            out.put_all(runs);
-            Held::Shared(Bytes::from(out))
-        };
+        let mut head = [0; 10];
+        let head_len = put_varint_at(&mut head, 0, self.count as u64);
+        let head = head.get(..head_len).unwrap_or_default();
+        let held = Held::inline(&[head, runs])
+            .unwrap_or_else(|| Held::Shared(Bytes::from([head, runs].concat())));
         let packed = PackedEntries {
             held,
             count: u32::try_from(self.count).unwrap_or(u32::MAX),
@@ -645,69 +607,6 @@ impl Packer {
         self.max_coord = 0;
         packed
     }
-}
-
-/// Where packed bytes go: a buffer, or a short list's inline bytes.
-trait Sink {
-    fn put(&mut self, byte: u8);
-    fn put_all(&mut self, bytes: &[u8]);
-}
-
-impl Sink for Vec<u8> {
-    #[inline]
-    fn put(&mut self, byte: u8) {
-        self.push(byte);
-    }
-
-    #[inline]
-    fn put_all(&mut self, bytes: &[u8]) {
-        self.extend_from_slice(bytes);
-    }
-}
-
-/// A list of at most [`PackedEntries::INLINE`] bytes, being written.
-#[derive(Default)]
-struct Short {
-    bytes: [u8; PackedEntries::INLINE],
-    len: usize,
-}
-
-impl Short {
-    fn held(self) -> Held {
-        Held::Inline {
-            len: u8::try_from(self.len).unwrap_or(u8::MAX),
-            bytes: self.bytes,
-        }
-    }
-}
-
-impl Sink for Short {
-    #[inline]
-    fn put(&mut self, byte: u8) {
-        if let Some(to) = self.bytes.get_mut(self.len) {
-            *to = byte;
-        }
-        self.len += 1;
-    }
-
-    #[inline]
-    fn put_all(&mut self, bytes: &[u8]) {
-        let end = self.len + bytes.len();
-        if let Some(to) = self.bytes.get_mut(self.len..end) {
-            to.copy_from_slice(bytes);
-        }
-        self.len = end;
-    }
-}
-
-/// Appends `v` as an LEB128 varint.
-#[inline]
-fn put_varint(out: &mut impl Sink, mut v: u64) {
-    while v >= 0x80 {
-        out.put(low_byte(v) | 0x80);
-        v >>= 7;
-    }
-    out.put(low_byte(v));
 }
 
 /// Writes `v` as an LEB128 varint at `out[at..]`, which has room for
@@ -740,14 +639,9 @@ fn put_long_varint_at(out: &mut [u8], at: usize, mut v: u64) -> usize {
     len + 1
 }
 
-/// Bytes `v` takes as a varint: 7 bits per byte, and zero takes one.
-fn varint_len(v: u64) -> usize {
-    (70 - (v | 1).leading_zeros() as usize) / 7
-}
-
 /// `v` as a coordinate; a checked list's coordinates always fit.
-fn narrow(v: u64) -> u16 {
-    u16::try_from(v).unwrap_or(u16::MAX)
+fn narrow(v: impl TryInto<u16>) -> u16 {
+    v.try_into().unwrap_or(u16::MAX)
 }
 
 /// `v` as an index or a length; a checked list's always fit.
@@ -808,28 +702,22 @@ fn short_pair(bytes: &[u8], at: usize) -> Option<(u64, u64, usize)> {
 
 /// Reads one varint at `bytes[*at..]` of a list [`PackedEntries::read`]
 /// has checked, so without an error path, and moves `at` past it. A
-/// field of one or two bytes is read inline, the rest in a call.
+/// field of one or two bytes is read inline, the rest in a call to the
+/// checked reader, whose refusals a checked list never meets.
 #[inline(always)]
 fn next_varint(bytes: &[u8], at: &mut usize) -> u64 {
-    let (v, len) = short_field(bytes, *at).unwrap_or_else(|| long_field(bytes, *at));
+    let (v, len) = short_field(bytes, *at).unwrap_or_else(|| next_long_varint(bytes, *at));
     *at += len;
     v
 }
 
-/// The value and length of the field at `bytes[at..]` of a checked list,
-/// for the fields [`short_field`] does not read.
+/// [`next_varint`]'s call for a longer field. Out of line, so that the
+/// checked reader's error, which a checked list never yields, is dropped
+/// here and not in every loop that reads a run: inlined there, it made
+/// the receiver's column and merge a sixth slower a cell.
 #[inline(never)]
-fn long_field(bytes: &[u8], at: usize) -> (u64, usize) {
-    let (mut v, mut shift, mut len) = (0u64, 0u32, 0usize);
-    for &byte in bytes.get(at..).unwrap_or_default() {
-        v |= u64::from(byte & 0x7f).wrapping_shl(shift);
-        len += 1;
-        if byte < 0x80 {
-            break;
-        }
-        shift = shift.saturating_add(7);
-    }
-    (v, len)
+fn next_long_varint(bytes: &[u8], at: usize) -> (u64, usize) {
+    take_long_varint(bytes, at).unwrap_or_default()
 }
 
 /// `v` as a `usize`, if it is no larger than `max`.
@@ -864,8 +752,9 @@ fn take_varint(bytes: &[u8], at: &mut usize) -> aaa_base::Result<u64> {
     Ok(v)
 }
 
-/// [`take_varint`] for a field of three bytes or more, a malformed one,
-/// or the last byte of the input: its value and length.
+/// [`take_varint`] and [`next_varint`] for a field of three bytes or
+/// more, a malformed one, or the last byte of the input: its value and
+/// length.
 #[inline(never)]
 fn take_long_varint(bytes: &[u8], at: usize) -> aaa_base::Result<(u64, usize)> {
     let field = bytes.get(at..).unwrap_or_default();
@@ -987,23 +876,18 @@ mod tests {
         UpdateEntry { row, col, value }
     }
 
-    fn packed(entries: &[UpdateEntry]) -> Vec<u8> {
-        let mut out = Vec::new();
-        UpdateEntry::pack(entries, &mut out);
-        out
-    }
-
     #[test]
     fn delta_stamp_size_follows_the_packed_layout() {
         // Two rows, three entries, one two-byte value: count, then
         // (row, run_len, (col, value)…) per run.
         let entries = vec![entry(0, 1, 3), entry(2, 1, 9), entry(2, 5, 300)];
+        let list = PackedEntries::new(&entries);
         assert_eq!(
-            packed(&entries),
+            list.as_bytes(),
             [3, 0, 1, 1, 3, 2, 2, 1, 9, 5, 0xac, 0x02],
             "count | row 0 × 1: (1, 3) | row 2 × 2: (1, 9) (5, 300)"
         );
-        let s = Stamp::Delta(PackedEntries::new(&entries));
+        let s = Stamp::Delta(list);
         assert_eq!(s.encoded_len(), 12);
         assert_eq!(s.entry_count(), 3);
         assert!(s.is_delta());
@@ -1019,8 +903,10 @@ mod tests {
             entry(7, 0, 0),
             entry(u16::MAX, 3, 1 << 56),
         ];
-        let mut bytes = packed(&entries);
-        assert_eq!(bytes.len(), UpdateEntry::packed_len(&entries));
+        let mut bytes = PackedEntries::new(&entries).as_bytes().to_vec();
+        // count | row 7 × 2 | row 0 × 1, ten-byte value | row 7 × 1 |
+        // row 2¹⁶ − 1 × 1, nine-byte value.
+        assert_eq!(bytes.len(), 1 + 6 + 15 + 4 + 14);
         bytes.extend_from_slice(b"rest");
         let mut buf = Bytes::from(bytes);
         let list = PackedEntries::read(&mut buf).unwrap();
@@ -1053,7 +939,14 @@ mod tests {
                     packer.run(row, cells, 5, |_, &cell| cell);
                 }
             });
-            assert_eq!(list.as_bytes(), packed(&entries), "round {round}");
+            let want: &[u8] = &[
+                4, // count
+                0, 2, 3, 1, 9, 0xac, 0x02, // row 0 × 2: (3, 1) (9, 300)
+                2, 1, 0, 7, // row 2 × 1: (0, 7)
+                0xac, 0x02, 1, 2, // row 300 × 1: (2, u64::MAX)
+                0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01,
+            ];
+            assert_eq!(list.as_bytes(), want, "round {round}");
             assert_eq!(list, PackedEntries::new(&entries));
             assert_eq!((list.len(), list.width()), (4, 301));
             let mut runs = Vec::new();
@@ -1070,12 +963,13 @@ mod tests {
 
     #[test]
     fn packed_entry_worst_case_is_seventeen_bytes() {
-        let one = |value| UpdateEntry::packed_len(&[entry(1 << 14, 1 << 14, value)]) - 1;
+        let len = |entries: &[UpdateEntry]| PackedEntries::new(entries).as_bytes().len();
+        let one = |value| len(&[entry(1 << 14, 1 << 14, value)]) - 1;
         assert_eq!(one(1 << 56), 16);
         assert_eq!(one(u64::MAX), 17);
         // A live domain: coordinates under 128, counters under 16 384.
         let run = [entry(5, 9, 100), entry(5, 10, 16_383)];
-        assert_eq!(UpdateEntry::packed_len(&run), 1 + 2 + 2 + 3);
+        assert_eq!(len(&run), 1 + 2 + 2 + 3);
     }
 
     #[test]
@@ -1094,6 +988,7 @@ mod tests {
         let mut max = [0xff; 10];
         max[9] = 0x01;
         assert_eq!(take(&max).unwrap(), (u64::MAX, 10));
+        assert_eq!(next(&max), (u64::MAX, 10));
         max[9] = 0x02;
         assert!(take(&max).is_err(), "bit 64");
         assert!(take(&[0x80; 11]).is_err(), "eleven bytes");
@@ -1102,7 +997,6 @@ mod tests {
         // Padding is not canonical but is unambiguous: still zero.
         assert_eq!(take(&[0x80, 0x00]).unwrap(), (0, 2));
         assert_eq!(next(&[0x80, 0x00]), (0, 2));
-        assert_eq!(next(&max[..9]), (u64::MAX >> 1, 9));
         // The one- and two-byte fields read inline, with what follows
         // them or at the very end.
         for (field, want) in [

@@ -2,7 +2,9 @@
 //! an allocation bound: it forwards every call to `System` unchanged and
 //! counts the bytes a thread requests while [`allocated_by`] runs, the
 //! bytes it still holds of them when [`live_after`] returns, and the
-//! requests themselves while [`calls_by`] runs.
+//! requests themselves while [`calls_by`] runs. Beside it,
+//! [`reference_pack`], the plain writer of the packed entry list that
+//! the clock's own writer is held to.
 
 // The counting allocator is the one piece of `unsafe` in this package; see
 // `[lints]` in its manifest.
@@ -78,6 +80,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Bytes this thread requests from the allocator while `f` runs.
+#[allow(dead_code)]
 pub fn allocated_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
     let before = BYTES.with(Cell::get);
     COUNTING.with(|c| c.set(true));
@@ -105,4 +108,31 @@ pub fn calls_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
     let out = f();
     COUNTING.with(|c| c.set(false));
     (out, CALLS.with(Cell::get) - before)
+}
+
+/// The packed entry list of `entries` written the plain way, a varint at a
+/// time: the count, then for each maximal run of one row its row, its
+/// length and its `(col, value)` pairs, every entry kept in the order
+/// given. Each varint is LEB128: 7 value bits per byte, low bits first,
+/// the high bit set on every byte but the last.
+#[allow(dead_code)]
+pub fn reference_pack(entries: &[aaa_clocks::UpdateEntry]) -> Vec<u8> {
+    fn varint(out: &mut Vec<u8>, mut v: u64) {
+        while v >= 0x80 {
+            out.push((v & 0x7f) as u8 | 0x80);
+            v >>= 7;
+        }
+        out.push(v as u8);
+    }
+    let mut out = Vec::new();
+    varint(&mut out, entries.len() as u64);
+    for run in entries.chunk_by(|a, b| a.row == b.row) {
+        varint(&mut out, u64::from(run[0].row));
+        varint(&mut out, run.len() as u64);
+        for e in run {
+            varint(&mut out, u64::from(e.col));
+            varint(&mut out, e.value);
+        }
+    }
+    out
 }

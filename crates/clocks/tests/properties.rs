@@ -4,8 +4,12 @@
 //! delivery protocol and check, against an independent vector-clock oracle,
 //! that no message is ever delivered before a causal predecessor — and that
 //! every stamp mode takes exactly the same decisions as Full. A third
-//! block holds the sender's packed delta to `UpdateEntry::pack` and the
-//! decoder's view of it to the list it was made from.
+//! block holds the clock's packed lists — the sender's delta and any list
+//! `PackedEntries::new` is given — to the plain writer in
+//! `common::reference_pack`, and the decoder's view of each to the list it
+//! was made from.
+
+mod common;
 
 use aaa_base::DomainServerId;
 use aaa_clocks::vector::CausalOrdering;
@@ -384,7 +388,7 @@ proptest! {
     /// that raises some cells, most of them in those rows, and stamps its
     /// second send to 1, which ships only what changed since the first:
     /// part of each dense row. Each stamp holds exactly the bytes
-    /// `UpdateEntry::pack` writes for the row-major list a scan of the
+    /// `reference_pack` writes for the row-major list a scan of the
     /// change tags reads. Decoded with bytes after it, each list is a
     /// view with the stamp's count, extent and entries, and the bytes
     /// after it are left.
@@ -438,8 +442,7 @@ proptest! {
             };
             let expected = changed_since(&shipped, s0.sent(), (0, 1));
             shipped = s0.sent().clone();
-            let mut packed = Vec::new();
-            UpdateEntry::pack(&expected, &mut packed);
+            let mut packed = common::reference_pack(&expected);
             prop_assert_eq!(made.as_bytes(), &packed[..], "frame {}", frame);
 
             packed.extend_from_slice(&tail);
@@ -450,6 +453,62 @@ proptest! {
             prop_assert_eq!(view.iter().collect::<Vec<_>>(), expected);
             prop_assert_eq!(&buf[..], &tail[..]);
         }
+    }
+}
+
+/// A coordinate: mostly a few small ones, so cells repeat and rows come
+/// back, and the extremes.
+fn coord() -> impl Strategy<Value = u16> {
+    prop_oneof![0u16..4, 0u16..200, Just(u16::MAX), any::<u16>()]
+}
+
+/// Whether `list`'s bytes lie inside the value itself rather than in a
+/// buffer of their own or a view of one.
+fn held_inline(list: &PackedEntries) -> bool {
+    let at = list.as_bytes().as_ptr() as usize;
+    let start = list as *const PackedEntries as usize;
+    (start..start + std::mem::size_of::<PackedEntries>()).contains(&at)
+}
+
+proptest! {
+    /// `PackedEntries::new` keeps every entry, in the order given: on
+    /// unsorted lists with repeated cells, rows that come back, `u16::MAX`
+    /// coordinates and `u64::MAX` values, from the empty list to lists
+    /// well past the 30 bytes held inline, it writes the bytes
+    /// `reference_pack` writes. The list reads back whole, directly and
+    /// as the entries a receiver keeps of it; its count and extent are
+    /// those `read` finds, and it is held inline exactly when it fits.
+    #[test]
+    fn new_packs_what_the_reference_writes(
+        raw in prop::collection::vec((coord(), coord(), counter()), 0..40),
+    ) {
+        let entries: Vec<UpdateEntry> = raw
+            .iter()
+            .map(|&(row, col, value)| UpdateEntry { row, col, value })
+            .collect();
+        let list = PackedEntries::new(&entries);
+        let want = common::reference_pack(&entries);
+        prop_assert_eq!(list.as_bytes(), &want[..]);
+        prop_assert_eq!(&list.iter().collect::<Vec<_>>(), &entries);
+        prop_assert_eq!(held_inline(&list), want.len() <= PackedEntries::INLINE);
+
+        let mut buf = Bytes::from(want.clone());
+        let read = PackedEntries::read(&mut buf).expect("a packed list");
+        prop_assert_eq!((list.len(), list.width()), (read.len(), read.width()));
+        prop_assert_eq!(read.len(), entries.len());
+        let top = entries.iter().map(|e| usize::from(e.row.max(e.col))).max();
+        prop_assert_eq!(read.width(), top.map_or(0, |top| top + 1));
+        prop_assert_eq!(held_inline(&read), want.len() <= PackedEntries::INLINE);
+        prop_assert!(buf.is_empty());
+
+        // A receiver of a domain wide enough for every entry keeps the
+        // list whole.
+        let n = list.width().max(2);
+        let mut rx = CausalState::new(d(1), n, StampMode::Updates);
+        let stamp = Stamp::Delta(list);
+        prop_assert!(rx.check_stamp(d(0), &stamp).is_ok());
+        let pending = rx.on_frame(d(0), stamp);
+        prop_assert_eq!(pending.entries().collect::<Vec<_>>(), entries);
     }
 }
 

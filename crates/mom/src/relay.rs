@@ -10,7 +10,7 @@
 //! - **journals before delivering** — every publication is appended to the
 //!   subscriber's stream of the relay's one durable [`Journal`], then
 //!   dispatched; the server commits the journal (one `fdatasync` per step,
-//!   [`RelayCore::sync`]) before anything the step produced leaves it, and
+//!   `RelayCore::sync`) before anything the step produced leaves it, and
 //!   a crash between journal and delivery redelivers on recovery
 //!   (at-least-once below, exactly-once after the receiver's dedup);
 //! - **commits on ACK** — a local delivery is acked in place as the

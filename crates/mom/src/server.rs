@@ -545,7 +545,7 @@ impl ServerCore {
     /// messages are batch-stamped and coalesced per peer, and a single
     /// group commit persists the result — one state record (or
     /// checkpoint) and one `fdatasync` covering N deliveries
-    /// ([`ServerCore::commit`]). One cumulative acknowledgement per data-sending peer
+    /// (`ServerCore::commit`). One cumulative acknowledgement per data-sending peer
     /// is appended (batches of frames from a peer are acked once).
     ///
     /// Pure-ack input produces no reactions, no flush and no commit, as

@@ -8,11 +8,11 @@
 //! The one exception to fixed widths is the entry list of a delta stamp
 //! (tag 6): LEB128 varints grouped by row — `count`, then `row`, `run_len`
 //! and `run_len` × (`col`, `value`) per run of equal rows — 2–3 B per
-//! entry on a live domain, 16–17 B at the very worst. The layout is
-//! defined once, by `aaa_clocks::UpdateEntry::pack`, and a delta stamp
-//! holds its list in that layout (`aaa_clocks::PackedEntries`): the
-//! encoder copies the bytes, the decoder checks them in one pass and keeps
-//! a view of the buffer (or, for a few entries, an inline copy), and
+//! entry on a live domain, 16–17 B at the very worst. Only `aaa_clocks`
+//! writes and reads the layout, and a delta stamp holds its list in it
+//! (`aaa_clocks::PackedEntries`): the encoder copies the bytes, the
+//! decoder checks them in one pass (`PackedEntries::read`) and keeps a
+//! view of the buffer (or, for a few entries, an inline copy), and
 //! `Stamp::encoded_len` is their length. Tag 1 carried the same list as a
 //! `u32` count and 12-byte `(u16, u16, u64)` triples; it is still read,
 //! into the packed form, never written. Tags 5 and 7 were the retired
@@ -625,7 +625,7 @@ mod tests {
         e.u8(5).count(1).u16(0).u16(1).u64(5);
         let fixed = e.finish();
         let mut packed = vec![7];
-        UpdateEntry::pack(&entry, &mut packed);
+        packed.extend_from_slice(PackedEntries::new(&entry).as_bytes());
         for (tag, live_tag, bytes) in [(5, 1, fixed), (7, 6, Bytes::from(packed))] {
             // The same list under the live tag decodes.
             let mut live = bytes.to_vec();

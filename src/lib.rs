@@ -10,7 +10,7 @@
 //! The crate is an umbrella that re-exports the workspace members:
 //!
 //! - [`base`] — identifiers, errors, virtual time;
-//! - [`clocks`] — Lamport/vector/matrix clocks and the matrix-clock causal
+//! - [`clocks`] — vector and matrix clocks and the matrix-clock causal
 //!   delivery protocol with the Appendix-A Updates optimization;
 //! - [`topology`] — domains of causality, acyclicity checking, routing;
 //! - [`trace`] — the paper's formal trace model (§4.2) and causality
